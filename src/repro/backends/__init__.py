@@ -1,93 +1,110 @@
-"""Registry of named kernel/allocator backends (``--backend``).
+"""The attention-kernel backend (``repro.backends``).
 
-Three backends ship (see ARCHITECTURE.md §15):
+:class:`~repro.model.transformer.PagedTransformer` reaches every
+attention kernel *through* its :class:`Backend` (enforced by lint rule
+RPR006), looking each entry point up on ``self.backend`` at call time, so
+a caller can substitute a delegate that records or fakes kernel calls —
+the serving benchmark's per-layer tracing does exactly that.
 
-- ``paged`` — the historical behavior, bit-identical, the default;
-- ``paged-ring`` — same block tables, ring-compacted contiguous packed
-  staging (:mod:`repro.kernels.ring_cache`);
-- ``contiguous`` — vAttention-style contiguous virtual extents with
-  page-granular commits (:mod:`repro.kvcache.contiguous`).
-
-Selection precedence: an explicit name (CLI flag / constructor arg)
-beats the ``REPRO_BACKEND`` environment variable, which beats the
-``paged`` default.  CI runs the tier-1 matrix once with
-``REPRO_BACKEND=paged-ring`` so the alternate layout is continuously
-exercised.
+One backend ships: ``paged`` — pool-backed block tables, the
+natural-layout :class:`~repro.kernels.packed_cache.PackedDecodeCache`
+staging and the packed decode kernel.  ARCHITECTURE.md §15 records the
+alternative layouts that were measured against it on the serving
+benchmark and removed, and what a replacement would have to show.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Tuple, Type
+from typing import List, Sequence
 
-from repro.backends.base import Backend, PagedAllocator, SlotAllocator
-from repro.backends.contiguous import ContiguousBackend
-from repro.backends.paged import PagedBackend
-from repro.backends.ring import PagedRingBackend
+import numpy as np
 
-__all__ = [
-    "Backend",
-    "ContiguousBackend",
-    "DEFAULT_BACKEND",
-    "PagedAllocator",
-    "PagedBackend",
-    "PagedRingBackend",
-    "SlotAllocator",
-    "backend_names",
-    "get_backend",
-    "register",
-    "resolve_backend",
-]
+from repro.kernels import (
+    AttentionRequest,
+    batched_single_token_attention,
+    multi_token_attention,
+    ragged_multi_token_attention,
+)
+from repro.kernels.packed_cache import (
+    PackedBatch,
+    PackedDecodeCache,
+    packed_decode_attention,
+)
 
-#: Name used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "paged"
-
-_REGISTRY: Dict[str, Backend] = {}
+__all__ = ["Backend", "get_backend"]
 
 
-def register(backend_cls: Type[Backend]) -> Type[Backend]:
-    """Register a backend class under its ``name`` (import-time hook).
+class Backend:
+    """Paged block tables + the natural-layout packed decode cache."""
 
-    Backends are stateless — per-run state (decode caches, allocators)
-    is created through factory methods — so one shared instance per name
-    is sufficient.
-    """
-    if not backend_cls.name:
-        raise ValueError(f"{backend_cls.__name__} has no backend name")
-    if backend_cls.name in _REGISTRY:
-        raise ValueError(f"backend {backend_cls.name!r} already registered")
-    _REGISTRY[backend_cls.name] = backend_cls()
-    return backend_cls
+    name = "paged"
+
+    def create_decode_cache(self) -> PackedDecodeCache:
+        """The incremental decode packing cache gathered KV is staged in."""
+        return PackedDecodeCache()
+
+    def decode_attention(
+        self,
+        queries: np.ndarray,
+        batch: PackedBatch,
+        layer_key: object,
+        k_cache: np.ndarray,
+        v_cache: np.ndarray,
+        scale: float = 0.0,
+    ) -> np.ndarray:
+        """Single-token decode attention over a packed batch
+        (``[n, num_heads, head_dim]`` in and out)."""
+        return packed_decode_attention(
+            queries, batch, layer_key, k_cache, v_cache, scale
+        )
+
+    def multi_token_attention(
+        self,
+        requests: Sequence[AttentionRequest],
+        k_cache: np.ndarray,
+        v_cache: np.ndarray,
+        scale: float = 0.0,
+    ) -> List[np.ndarray]:
+        """Per-request, multi-token attention: the kernel the
+        ``use_fast_paths=False`` oracle runs."""
+        return multi_token_attention(requests, k_cache, v_cache, scale)
+
+    def batched_decode_attention(
+        self,
+        requests: Sequence[AttentionRequest],
+        k_cache: np.ndarray,
+        v_cache: np.ndarray,
+        scale: float = 0.0,
+    ) -> List[np.ndarray]:
+        """Fused single-token decode for a whole batch without the
+        packing cache — all-decode batches that arrive with explicit
+        ``context_slots``."""
+        return batched_single_token_attention(requests, k_cache, v_cache, scale)
+
+    def ragged_attention(
+        self,
+        requests: Sequence[AttentionRequest],
+        k_cache: np.ndarray,
+        v_cache: np.ndarray,
+        scale: float = 0.0,
+    ) -> List[np.ndarray]:
+        """Fused mixed prefill+decode attention for a ragged batch."""
+        return ragged_multi_token_attention(requests, k_cache, v_cache, scale)
 
 
-def backend_names() -> Tuple[str, ...]:
-    """Registered backend names, registration order."""
-    return tuple(_REGISTRY)
+# Stateless — per-run state (the decode cache) comes from the factory
+# method — so one shared instance serves every caller.
+_PAGED = Backend()
 
 
 def get_backend(name: str) -> Backend:
-    """The registered backend called ``name``.
+    """The backend called ``name``.
 
     Raises:
-        ValueError: for an unknown name (listing the legal ones).
+        ValueError: for any name but ``"paged"``.
     """
-    backend = _REGISTRY.get(name)
-    if backend is None:
+    if name != _PAGED.name:
         raise ValueError(
-            f"unknown backend {name!r}; registered: {backend_names()}"
+            f"unknown backend {name!r}; the only backend is {_PAGED.name!r}"
         )
-    return backend
-
-
-def resolve_backend(name: "str | None" = None) -> str:
-    """Resolve the effective backend name: explicit ``name`` >
-    ``REPRO_BACKEND`` env var > :data:`DEFAULT_BACKEND`.  Validates the
-    result against the registry."""
-    resolved = name or os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
-    get_backend(resolved)
-    return resolved
-
-
-register(PagedBackend)
-register(PagedRingBackend)
-register(ContiguousBackend)
+    return _PAGED

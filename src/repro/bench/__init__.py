@@ -8,10 +8,7 @@ consumed by CI and tracked across PRs.
 """
 
 from repro.bench.harness import (
-    BACKEND_MIN_SPEEDUP,
     BenchResult,
-    DECODE_SCHED_MIN_SPEEDUP,
-    HISTORY_CAP,
     MIN_SPEEDUP,
     MIN_THRESHOLD_BATCH,
     PACKING_MIN_SPEEDUP,
@@ -22,34 +19,15 @@ from repro.bench.harness import (
     summarize,
     write_json,
 )
-from repro.bench.watchdog import (
-    FAMILY_KEYS,
-    HistoryVerdict,
-    check_history,
-    check_history_file,
-    format_report,
-    load_history_ledger,
-    overall_status,
-)
 
 __all__ = [
-    "BACKEND_MIN_SPEEDUP",
     "BenchResult",
-    "DECODE_SCHED_MIN_SPEEDUP",
-    "FAMILY_KEYS",
-    "HISTORY_CAP",
-    "HistoryVerdict",
     "MIN_SPEEDUP",
     "MIN_THRESHOLD_BATCH",
     "PACKING_MIN_SPEEDUP",
     "TOLERANCE",
-    "check_history",
-    "check_history_file",
     "check_thresholds",
-    "format_report",
     "format_table",
-    "load_history_ledger",
-    "overall_status",
     "run_all",
     "summarize",
     "write_json",

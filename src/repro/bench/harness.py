@@ -14,7 +14,7 @@ Scenario families:
 - ``prefill`` — the vectorized multi-token kernel vs the tiled one;
 - ``mixed``   — a unified prefill + generation batch through both;
 - ``e2e``     — full :class:`~repro.model.transformer.PagedTransformer`
-  steps with fast paths on vs off, with per-stage wall time;
+  steps with fast paths on vs off;
 - ``storage`` — the CPU-store CRC re-verification priced by reading the
   same chunks with ``verify_on_read`` on and off;
 - ``swap``    — the coalesced multi-chunk swap-in data path
@@ -35,24 +35,12 @@ Scenario families:
   batched kernel re-packing and re-gathering from scratch every
   iteration; ``packing/pack-cost`` is the metadata microbenchmark —
   per-iteration incremental-extend vs full-rebuild packing cost, no
-  attention at all;
-- ``decode_sched`` — the end-to-end A/B: a page-aware-scheduled
-  :class:`StatefulChatServer` with the packing cache on vs the FIFO
-  rebuild-every-step baseline, serving identical multi-turn batched
-  workloads (equivalence = token-identical outputs).
-- ``backend`` — the pluggable kernel/layout pair A/B
-  (:mod:`repro.backends`): a serving-shaped decode loop run through a
-  candidate backend's full allocator + packing-cache + decode-kernel
-  stack against the ``paged`` baseline's, with a three-way equivalence
-  matrix (candidate vs baseline vs the per-request oracle, plus the
-  backend's shared prefill/mixed entry points) folded into every
-  measurement.
+  attention at all.
 
 The ``prefill``/``mixed`` families carry both the vectorized kernel and
 the fully-ragged one (``ragged_multi_token_attention``); ragged scenarios
-are named ``*/ragged*`` and, together with the ``swap``, ``packing``,
-``decode_sched`` and (for ``paged-ring`` rows) ``backend`` families, are
-subject to the CI speedup floor (:func:`check_thresholds`).
+are named ``*/ragged*`` and, together with the ``swap`` and ``packing``
+families, are subject to the CI speedup floor (:func:`check_thresholds`).
 
 Timings take the best of ``repeats`` runs (after one warmup) to suppress
 scheduler noise; all *structure* in the output — scenario list, shapes,
@@ -64,7 +52,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -80,20 +68,18 @@ from repro.kernels import (
     single_token_attention,
     vectorized_multi_token_attention,
 )
-from repro.backends import get_backend
 from repro.core.server import StatefulChatServer
 from repro.kvcache.pages import BlockTable, PagePool
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.model.config import tiny_llama_config, tiny_opt_config
 from repro.model.transformer import ForwardRequest, PagedTransformer
-from repro.serving.metrics import StageTimings
 
 #: Maximum |reference - optimized| tolerated anywhere in a scenario.
 TOLERANCE = 1e-6
 
-#: Schema version of ``BENCH_kernels.json``.  4 added the ``packing`` and
-#: ``decode_sched`` families and the appended ``history`` ledger.
-SCHEMA_VERSION = 4
+#: Schema version of ``BENCH_kernels.json``.  5 holds the latest run only
+#: (no ``history`` ledger) and results carry no ``stages`` field.
+SCHEMA_VERSION = 5
 
 #: CI floor: thresholded scenarios (ragged kernel + coalesced swap, at
 #: ``batch >= MIN_THRESHOLD_BATCH``) must beat this speedup or
@@ -109,30 +95,13 @@ MIN_THRESHOLD_BATCH = 8
 #: noisy CI runners).
 PACKING_MIN_SPEEDUP = 1.15
 
-#: Separate (lower) floor for the end-to-end ``decode_sched`` A/B: the
-#: full serving stack amortizes the kernel win over MLP/projection work,
-#: so the observable floor is modest but must stay real.
-DECODE_SCHED_MIN_SPEEDUP = 1.1
-
-#: Floor for the ``backend`` family's ``paged-ring`` rows at long
-#: context: both sides run identical pack/gather bookkeeping and
-#: identical attention math, so the ring-compacted contiguous staging
-#: can only win the BLAS-operand-layout share of each step (measured
-#: ~1.3-1.4x at the gated ctx-512 shape).  ``contiguous`` rows are
-#: layout coverage (same kernels as ``paged``) and are not gated.
-BACKEND_MIN_SPEEDUP = 1.1
-
-#: How many historical run summaries ``BENCH_kernels.json`` retains.
-HISTORY_CAP = 200
-
 
 @dataclass
 class BenchResult:
     """One scenario's measurement: paired timings + equivalence verdict."""
 
     name: str
-    #: decode | prefill | mixed | e2e | storage | swap | disk | idle |
-    #: packing | decode_sched | backend
+    #: decode | prefill | mixed | e2e | storage | swap | disk | idle | packing
     family: str
     reference: str
     optimized: str
@@ -145,8 +114,6 @@ class BenchResult:
     optimized_tokens_per_s: float
     max_abs_diff: float
     equivalent: bool
-    #: e2e scenarios: mean wall seconds per stage per call (both modes).
-    stages: Dict[str, float] = field(default_factory=dict)
 
 
 def _best_of(fn: Callable[[], object], repeats: int) -> float:
@@ -194,7 +161,6 @@ def _result(
     reference_s: float,
     optimized_s: float,
     max_abs_diff: float,
-    stages: Optional[Dict[str, float]] = None,
 ) -> BenchResult:
     return BenchResult(
         name=name,
@@ -210,7 +176,6 @@ def _result(
         optimized_tokens_per_s=tokens_per_call / optimized_s,
         max_abs_diff=max_abs_diff,
         equivalent=max_abs_diff <= TOLERANCE,
-        stages=dict(stages or {}),
     )
 
 
@@ -476,10 +441,7 @@ def bench_swap_restore(
     )
 
 
-def _e2e_model(
-    arch: str, num_layers: int, num_slots: int, seed: int,
-    backend: str = "paged",
-):
+def _e2e_model(arch: str, num_layers: int, num_slots: int, seed: int):
     if arch == "opt":
         config = tiny_opt_config(
             num_layers=num_layers, hidden_size=64, num_heads=8
@@ -489,7 +451,7 @@ def _e2e_model(
             num_layers=num_layers, hidden_size=64, num_heads=8, num_kv_heads=2
         )
     storage = KVStorage(config, num_slots=num_slots, dtype=np.float64)
-    model = PagedTransformer(config, storage, seed=seed, backend=backend)
+    model = PagedTransformer(config, storage, seed=seed)
     return config, storage, model
 
 
@@ -501,7 +463,6 @@ def bench_e2e(
     num_layers: int,
     repeats: int,
     seed: int,
-    backend: str = "paged",
 ) -> BenchResult:
     """Full forward steps: vectorized fast paths vs the per-layer baseline.
 
@@ -512,9 +473,7 @@ def bench_e2e(
     rng = np.random.default_rng(seed)
     ctx_lens = list(prefill_lens) + [ctx for ctx in decode_ctxs]
     num_slots = int(sum(ctx_lens))
-    config, storage, model = _e2e_model(
-        arch, num_layers, num_slots, seed, backend=backend
-    )
+    config, storage, model = _e2e_model(arch, num_layers, num_slots, seed)
     # Pre-existing context state for the decode requests.
     storage.k[:] = rng.standard_normal(storage.k.shape)
     storage.v[:] = rng.standard_normal(storage.v.shape)
@@ -533,20 +492,13 @@ def bench_e2e(
         ids = rng.integers(0, config.vocab_size, size=1)
         batch.append(ForwardRequest(input_ids=ids, context_slots=slots))
 
-    stage = "decode" if not prefill_lens else (
-        "prefill" if not decode_ctxs else "mixed"
-    )
-    timings = StageTimings()
-
     def run_fast():
         model.use_fast_paths = True
-        with timings.stage(f"{stage}/fast"):
-            return model.forward(batch)
+        return model.forward(batch)
 
     def run_reference():
         model.use_fast_paths = False
-        with timings.stage(f"{stage}/reference"):
-            return model.forward(batch)
+        return model.forward(batch)
 
     opt = run_fast()
     ref = run_reference()
@@ -554,7 +506,6 @@ def bench_e2e(
     optimized_s = _best_of(run_fast, repeats)
     model.use_fast_paths = True
     tokens = sum(r.num_new_tokens for r in batch)
-    stages = {key: timings.mean(key) for key in timings.totals}
     return _result(
         name,
         "e2e",
@@ -565,7 +516,6 @@ def bench_e2e(
         reference_s=reference_s,
         optimized_s=optimized_s,
         max_abs_diff=_max_diff(ref, opt),
-        stages=stages,
     )
 
 
@@ -998,308 +948,6 @@ def bench_pack_cost(
     )
 
 
-def bench_backend_decode(
-    name: str,
-    backend_name: str,
-    batch: int,
-    ctx: int,
-    steps: int,
-    num_heads: int,
-    kv_heads: int,
-    head_dim: int,
-    repeats: int,
-    seed: int,
-    page_size: int = 16,
-) -> BenchResult:
-    """Decode-loop A/B: the ``paged`` baseline vs backend ``backend_name``.
-
-    Both sides run the same serving-shaped loop through their backend's
-    *full* kernel/layout pair: tables come from the backend's allocator,
-    each step appends one token per conversation, writes its K/V into
-    flat storage at whatever slot the layout chose, packs through the
-    backend's decode cache and attends through its decode kernel.  K/V
-    values are keyed by (conversation, position) — never by slot — so
-    backends with different slot layouts (``contiguous`` extents vs
-    scattered pages) still must produce identical attention outputs.
-
-    Equivalence is a cross-backend matrix folded into ``max_abs_diff``:
-    the candidate loop vs the ``paged`` loop, the candidate loop vs the
-    per-request oracle (``single_token_attention`` over explicit slot
-    lists), and the backend's shared prefill/mixed entry points vs the
-    per-request ``multi_token_attention`` oracle — every ``--backend``
-    choice is re-proven numerically inside the measurement itself.
-    """
-    rng = np.random.default_rng(seed)
-    tokens_per_conv = ctx + steps
-    reserve_tokens = -(-tokens_per_conv // page_size) * page_size
-    num_pages = batch * (reserve_tokens // page_size)
-    keys = rng.standard_normal((batch, tokens_per_conv, kv_heads, head_dim))
-    vals = rng.standard_normal((batch, tokens_per_conv, kv_heads, head_dim))
-    queries = rng.standard_normal((steps, batch, num_heads, head_dim))
-
-    state: Dict[str, object] = {}
-
-    def make_setup(backend_key: str) -> Callable[[], None]:
-        def setup() -> None:
-            backend = get_backend(backend_key)
-            pool = PagePool(num_pages, page_size)
-            allocator = backend.create_allocator(
-                pool, reserve_tokens=reserve_tokens, max_tables=batch
-            )
-            k_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
-            v_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
-            tables = []
-            for i in range(batch):
-                table = allocator.new_table()
-                table.append_tokens(ctx)
-                slots = table.slots_array(0, ctx)
-                k_cache[slots] = keys[i, :ctx]
-                v_cache[slots] = vals[i, :ctx]
-                tables.append(table)
-            state["backend"] = backend
-            state["tables"] = tables
-            state["cache"] = backend.create_decode_cache()
-            state["k"] = k_cache
-            state["v"] = v_cache
-
-        return setup
-
-    def append_step(step: int) -> None:
-        tables = state["tables"]
-        k_cache, v_cache = state["k"], state["v"]
-        pos = ctx + step
-        for i, table in enumerate(tables):
-            table.append_tokens(1)
-            slot = table.slot(pos)
-            k_cache[slot] = keys[i, pos]
-            v_cache[slot] = vals[i, pos]
-
-    def run_loop() -> List[np.ndarray]:
-        backend = state["backend"]
-        tables, cache = state["tables"], state["cache"]
-        k_cache, v_cache = state["k"], state["v"]
-        outs: List[np.ndarray] = []
-        for step in range(steps):
-            append_step(step)
-            packed = cache.pack(
-                [DecodeSlotSource(key=i, table=t) for i, t in enumerate(tables)]
-            )
-            outs.append(
-                backend.decode_attention(queries[step], packed, 0, k_cache, v_cache)
-            )
-        return outs
-
-    def oracle_loop() -> List[np.ndarray]:
-        tables = state["tables"]
-        k_cache, v_cache = state["k"], state["v"]
-        outs: List[np.ndarray] = []
-        for step in range(steps):
-            append_step(step)
-            requests = [
-                AttentionRequest(
-                    query=queries[step, i : i + 1],
-                    slots=table.slots_array(0, table.length),
-                )
-                for i, table in enumerate(tables)
-            ]
-            outs.append(
-                np.concatenate(single_token_attention(requests, k_cache, v_cache))
-            )
-        return outs
-
-    ref_setup = make_setup("paged")
-    opt_setup = make_setup(backend_name)
-
-    # Equivalence matrix: candidate vs baseline vs per-request oracle,
-    # each on identically-valued (conversation, position) KV state.
-    ref_setup()
-    ref_outs = run_loop()
-    opt_setup()
-    opt_outs = run_loop()
-    opt_setup()
-    oracle_outs = oracle_loop()
-    max_abs_diff = max(
-        _max_diff(ref_outs, opt_outs),
-        _max_diff(opt_outs, oracle_outs),
-    )
-
-    # The shared prefill/mixed entry points route through the same
-    # backend object in serving — prove them against the per-request
-    # oracle inside the same measurement.
-    opt_backend = get_backend(backend_name)
-    mix_rng = np.random.default_rng(seed + 1)
-    mix_slots = 4 * 32
-    mk, mv = _make_cache(mix_rng, mix_slots, kv_heads, head_dim)
-    prefill_reqs = _make_requests(
-        mix_rng, mix_slots, [8] * 4, [32] * 4, num_heads, head_dim
-    )
-    mixed_reqs = _make_requests(
-        mix_rng, mix_slots, [4, 4, 1, 1], [24] * 4, num_heads, head_dim
-    )
-    max_abs_diff = max(
-        max_abs_diff,
-        _max_diff(
-            multi_token_attention(prefill_reqs, mk, mv),
-            opt_backend.multi_token_attention(prefill_reqs, mk, mv),
-        ),
-        _max_diff(
-            multi_token_attention(mixed_reqs, mk, mv),
-            opt_backend.ragged_attention(mixed_reqs, mk, mv),
-        ),
-    )
-
-    # Interleave the timed pairs rather than running all-reference then
-    # all-candidate: the two loops differ only in the staging layout, so
-    # CPU-contention drift across the measurement window would otherwise
-    # land entirely on one side of the ratio.
-    ref_setup()
-    run_loop()
-    opt_setup()
-    run_loop()
-    reference_s = optimized_s = float("inf")
-    for _ in range(repeats):
-        ref_setup()
-        start = time.perf_counter()
-        run_loop()
-        reference_s = min(reference_s, time.perf_counter() - start)
-        opt_setup()
-        start = time.perf_counter()
-        run_loop()
-        optimized_s = min(optimized_s, time.perf_counter() - start)
-
-    # Whatever the backend, its cache must have run in the incremental
-    # regime: every row built once, every later step an in-place extend.
-    stats = state["cache"].stats
-    assert stats["rebuilt_rows"] == batch, (
-        f"{name}: backend cache rebuilt rows mid-loop ({stats})"
-    )
-    assert stats["extended_rows"] == (steps - 1) * batch, (
-        f"{name}: backend cache fell out of the extend path ({stats})"
-    )
-
-    return _result(
-        name,
-        "backend",
-        "paged decode loop [block tables + packed staging]",
-        f"{backend_name} decode loop [{opt_backend.summary}]",
-        batch=batch,
-        tokens_per_call=batch * steps,
-        reference_s=reference_s,
-        optimized_s=optimized_s,
-        max_abs_diff=max_abs_diff,
-    )
-
-
-def bench_decode_sched(
-    name: str,
-    num_convs: int,
-    turns: int,
-    prompt_len: int,
-    new_tokens: int,
-    repeats: int,
-    seed: int,
-    opt_packing_cache: bool = True,
-    opt_decode_sched: str = "page-aware",
-    opt_backend: str = "paged",
-) -> BenchResult:
-    """End-to-end A/B: page-aware scheduling + packing cache vs FIFO rebuild.
-
-    Two :class:`StatefulChatServer` instances serve identical multi-turn
-    ``chat_batch`` workloads whose arrival order is shuffled differently
-    every round — the reference (``decode_sched="fifo"``,
-    ``packing_cache=False``) processes prompts in arrival order and packs
-    every decode step from scratch; the optimized server
-    (``decode_sched="page-aware"``, ``packing_cache=True``) reorders the
-    batch onto its existing cache rows and GPU-resident conversations, so
-    steady-state decode steps extend the packed table in place.
-    Greedy-sampled outputs are order-independent per conversation, so
-    equivalence is token-identical transcripts (0.0/1.0).
-    """
-    config = tiny_opt_config()
-    caps = dict(
-        gpu_capacity_tokens=1 << 14,
-        cpu_capacity_tokens=1 << 14,
-        chunk_size=16,
-        page_size=8,
-        seed=0,
-    )
-    order_rng = np.random.default_rng(seed)
-    orders = [order_rng.permutation(num_convs) for _ in range(turns)]
-
-    def rounds(server: StatefulChatServer) -> Dict[int, List[List[int]]]:
-        transcripts: Dict[int, List[List[int]]] = {c: [] for c in range(num_convs)}
-        for turn, order in enumerate(orders):
-            prompts = [
-                (
-                    int(conv),
-                    [
-                        (int(conv) * 13 + turn * 3 + i) % config.vocab_size
-                        for i in range(prompt_len)
-                    ],
-                )
-                for conv in order
-            ]
-            replies = server.chat_batch(prompts, max_new_tokens=new_tokens)
-            for conv, reply in replies.items():
-                transcripts[conv].append(reply)
-        return transcripts
-
-    state: Dict[str, object] = {}
-    outputs: Dict[str, Dict[int, List[List[int]]]] = {}
-
-    def ref_setup() -> None:
-        state["ref"] = StatefulChatServer(
-            config, packing_cache=False, decode_sched="fifo", **caps
-        )
-
-    def ref_run() -> None:
-        outputs["ref"] = rounds(state["ref"])
-
-    def opt_setup() -> None:
-        state["opt"] = StatefulChatServer(
-            config,
-            packing_cache=opt_packing_cache,
-            decode_sched=opt_decode_sched,
-            backend=opt_backend,
-            **caps,
-        )
-
-    def opt_run() -> None:
-        outputs["opt"] = rounds(state["opt"])
-
-    reference_s = _best_of_stateful(ref_setup, ref_run, repeats)
-    optimized_s = _best_of_stateful(opt_setup, opt_run, repeats)
-
-    # The A/B is only meaningful if the optimized server's cache actually
-    # ran in the incremental regime (unless the cache was toggled off for
-    # an ablation run).
-    if opt_packing_cache:
-        opt_stats = state["opt"].model.decode_cache.stats
-        assert opt_stats["extended_rows"] > 0, (
-            f"{name}: packing cache never extended a row ({opt_stats})"
-        )
-
-    opt_label = (
-        f"{opt_decode_sched} order, "
-        f"{'incremental pack' if opt_packing_cache else 'per-step rebuild'} "
-        f"[packing_cache={'on' if opt_packing_cache else 'off'}, "
-        f"backend={opt_backend}]"
-    )
-
-    tokens = num_convs * turns * (prompt_len + new_tokens)
-    return _result(
-        name,
-        "decode_sched",
-        "fifo order, per-step rebuild [packing_cache=off]",
-        opt_label,
-        batch=num_convs,
-        tokens_per_call=tokens,
-        reference_s=reference_s,
-        optimized_s=optimized_s,
-        max_abs_diff=0.0 if outputs["ref"] == outputs["opt"] else 1.0,
-    )
-
-
 # ----------------------------------------------------------------------
 # Suites
 # ----------------------------------------------------------------------
@@ -1310,9 +958,6 @@ def run_all(
     seed: int = 0,
     repeats: Optional[int] = None,
     tracer=None,
-    packing_cache: bool = True,
-    decode_sched: str = "page-aware",
-    backend: str = "paged",
 ) -> List[BenchResult]:
     """Run the benchmark suite and return results in deterministic order.
 
@@ -1321,14 +966,6 @@ def run_all(
     stable across PRs.  A :class:`repro.obs.Tracer` records one wall-clock
     span per scenario (the bench is a real-time workload, so its trace
     time axis is wall seconds).
-
-    ``packing_cache``/``decode_sched``/``backend`` mirror the CLI flags:
-    they configure the *optimized* side of the transformer/server-based
-    scenarios (``e2e`` and ``decode_sched``), letting experiments toggle
-    each half of the optimization independently (the kernel-level
-    ``packing`` scenarios always measure the cache itself and are
-    unaffected).  The ``backend`` family always runs its fixed A/B matrix
-    regardless of the flag, so every run records all registered backends.
     """
     r = repeats if repeats is not None else (5 if quick else 9)
     heads, head_dim = 8, 64
@@ -1447,14 +1084,12 @@ def run_all(
             run(
                 bench_e2e,
                 f"e2e/{arch}/decode-b8", arch, [], [e2e_ctx] * 8, layers, r, seed,
-                backend=backend,
             )
         )
     results.append(
         run(
             bench_e2e,
             "e2e/llama/mixed-b6", "llama", [q, q], [e2e_ctx] * 4, layers, r, seed,
-            backend=backend,
         )
     )
 
@@ -1556,60 +1191,6 @@ def run_all(
             seed=seed,
         )
     )
-
-    # --- decode_sched: page-aware server A/B ----------------------------
-    sched_turns = 2 if quick else 3
-    results.append(
-        run(
-            bench_decode_sched,
-            f"decode_sched/server/b8-t{sched_turns}",
-            num_convs=8,
-            turns=sched_turns,
-            prompt_len=11,
-            new_tokens=24,
-            repeats=max(2, r // 3),
-            seed=seed,
-            opt_packing_cache=packing_cache,
-            opt_decode_sched=decode_sched,
-            opt_backend=backend,
-        )
-    )
-
-    # --- backend: pluggable kernel/layout pair A/B ----------------------
-    # The gated ``paged-ring`` shape (ctx 512, batch 8, head_dim 128) is
-    # where the per-step staged-KV copies the ring layout eliminates are
-    # the dominant share of each decode step (copy bytes scale with
-    # ``kv_heads * head_dim``; the softmax cost does not), so the win
-    # clears the floor with margin even on noisy runners.  The
-    # ``contiguous`` row runs the same kernels as ``paged`` over a
-    # different slot layout — equivalence/layout coverage, not a gated
-    # speedup — and the full-mode ``b4`` ring row sits below the gating
-    # batch on purpose (small-batch coverage).
-    backend_steps = 32
-    backend_r = max(r, 7)
-    results.append(
-        run(
-            bench_backend_decode,
-            "backend/paged-ring/b8-c512-d128",
-            "paged-ring", 8, 512, backend_steps, heads, 2, 128, backend_r, seed,
-        )
-    )
-    results.append(
-        run(
-            bench_backend_decode,
-            "backend/contiguous/b8-c128-d8",
-            "contiguous", 8, 128, backend_steps, heads, 2, 8, backend_r, seed,
-        )
-    )
-    if not quick:
-        results.append(
-            run(
-                bench_backend_decode,
-                "backend/paged-ring/b4-c512-d128",
-                "paged-ring", 4, 512, backend_steps, heads, 2, 128, backend_r,
-                seed,
-            )
-        )
     return results
 
 
@@ -1622,25 +1203,16 @@ def check_thresholds(
 
     The ragged-kernel scenarios and the coalesced-swap family at
     ``batch >= min_batch`` must each beat ``min_speedup``; the
-    ``packing`` family must beat :data:`PACKING_MIN_SPEEDUP`, the
-    end-to-end ``decode_sched`` A/B must beat
-    :data:`DECODE_SCHED_MIN_SPEEDUP`, and the ``backend`` family's
-    ``paged-ring`` rows must beat :data:`BACKEND_MIN_SPEEDUP` (those
-    paths share the attention / MLP math, so the floors are lower but
-    still real).  Anything below is a perf regression.  Returns
+    ``packing`` family must beat :data:`PACKING_MIN_SPEEDUP` (both its
+    paths share the attention math, so the floor is lower but still
+    real).  Anything below is a perf regression.  Returns
     human-readable failure lines (empty list = pass).  Other families
-    (decode/e2e/storage, the vectorized-kernel rows and the ungated
-    ``contiguous`` backend rows) are tracked but not gated here.
+    (decode/e2e/storage and the vectorized-kernel rows) are tracked but
+    not gated here.
     """
     failures = []
     for x in results:
-        if x.family == "backend":
-            if not x.optimized.startswith("paged-ring "):
-                continue
-            floor = BACKEND_MIN_SPEEDUP
-        elif x.family == "decode_sched":
-            floor = DECODE_SCHED_MIN_SPEEDUP
-        elif x.family == "packing":
+        if x.family == "packing":
             floor = PACKING_MIN_SPEEDUP
         elif (
             x.optimized == "ragged_multi_token_attention" or x.family == "swap"
@@ -1673,40 +1245,9 @@ def summarize(results: Sequence[BenchResult]) -> Dict[str, object]:
         "disk_best_speedup": round(best("disk"), 2),
         "idle_restore_speedup": round(best("idle"), 2),
         "packing_best_speedup": round(best("packing"), 2),
-        "decode_sched_speedup": round(best("decode_sched"), 2),
-        "backend_best_speedup": round(
-            max(
-                (
-                    x.speedup
-                    for x in results
-                    if x.family == "backend"
-                    and x.optimized.startswith("paged-ring ")
-                ),
-                default=0.0,
-            ),
-            2,
-        ),
         "all_equivalent": all(x.equivalent for x in results),
         "thresholds_ok": not check_thresholds(results),
     }
-
-
-def _load_history(path: str) -> List[Dict[str, object]]:
-    """Prior run summaries from an existing ``BENCH_kernels.json``.
-
-    Any unreadable/legacy file (missing, corrupt, pre-history schema)
-    yields an empty ledger rather than an error — the bench must never
-    fail because of what a previous run left behind.
-    """
-    try:
-        with open(path) as fh:
-            previous = json.load(fh)
-    except (OSError, ValueError):
-        return []
-    history = previous.get("history") if isinstance(previous, dict) else None
-    if not isinstance(history, list):
-        return []
-    return [entry for entry in history if isinstance(entry, dict)]
 
 
 def write_json(
@@ -1714,28 +1255,8 @@ def write_json(
     path: str,
     quick: bool,
     seed: int,
-    timestamp: Optional[str] = None,
 ) -> None:
-    """Write ``BENCH_kernels.json`` (schema-stable, sorted keys).
-
-    The top-level payload is the *latest* run's full results; the
-    ``history`` list is an append-only ledger of per-run summaries (UTC
-    timestamp + headline speedups), carried forward from any existing
-    file at ``path`` and capped at :data:`HISTORY_CAP` entries, so
-    speedup trajectories survive across runs instead of being
-    overwritten.
-    """
-    if timestamp is None:
-        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    history = _load_history(path)
-    history.append(
-        {
-            "timestamp": timestamp,
-            "quick": quick,
-            "seed": seed,
-            "summary": summarize(results),
-        }
-    )
+    """Write ``BENCH_kernels.json`` (schema-stable, sorted keys)."""
     payload = {
         "schema": SCHEMA_VERSION,
         "quick": quick,
@@ -1745,13 +1266,10 @@ def write_json(
             "min_speedup": MIN_SPEEDUP,
             "min_batch": MIN_THRESHOLD_BATCH,
             "packing_min_speedup": PACKING_MIN_SPEEDUP,
-            "decode_sched_min_speedup": DECODE_SCHED_MIN_SPEEDUP,
-            "backend_min_speedup": BACKEND_MIN_SPEEDUP,
             "failures": check_thresholds(results),
         },
         "summary": summarize(results),
         "results": [asdict(x) for x in results],
-        "history": history[-HISTORY_CAP:],
     }
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -1783,9 +1301,7 @@ def format_table(results: Sequence[BenchResult]) -> str:
         f"swap {summary['swap_best_speedup']}x, "
         f"disk {summary['disk_best_speedup']}x, "
         f"idle {summary['idle_restore_speedup']}x, "
-        f"packing {summary['packing_best_speedup']}x, "
-        f"decode_sched {summary['decode_sched_speedup']}x, "
-        f"backend(ring) {summary['backend_best_speedup']}x; "
+        f"packing {summary['packing_best_speedup']}x; "
         f"equivalence {'OK' if summary['all_equivalent'] else 'FAILED'} "
         f"(tolerance {TOLERANCE})"
     )

@@ -21,8 +21,7 @@ Run as ``python -m repro <command>``:
 ``simulate`` and ``bench`` also accept ``--trace-out DIR`` to record the
 same telemetry alongside their normal output; ``simulate`` / ``sweep`` /
 ``chat`` accept ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm
-the SLO layer, and ``bench --check-history`` compares the run against the
-``BENCH_kernels.json`` history ledger (non-gating regression watchdog).
+the SLO layer.
 """
 
 from __future__ import annotations
@@ -67,9 +66,7 @@ def _fault_plan(args: argparse.Namespace):
 
 
 def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
-                    disk_tokens: int = 0, decode_sched: str = "fifo",
-                    packing_cache: bool = True, backend: str = "paged",
-                    backend_explicit: bool = False):
+                    disk_tokens: int = 0):
     from repro.core.engine import PensieveEngine
     from repro.gpu.device import A100_80GB
     from repro.serving.stateless import make_tensorrt_llm, make_vllm
@@ -84,18 +81,6 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         raise SystemExit(
             "--disk-tokens requires a stateful system (pensieve, pensieve-gpu)"
         )
-    if decode_sched != "fifo" and system not in stateful:
-        raise SystemExit(
-            "--decode-sched requires a stateful system (pensieve, pensieve-gpu)"
-        )
-    if backend != "paged" and system not in stateful:
-        if backend_explicit:
-            raise SystemExit(
-                "--backend requires a stateful system (pensieve, pensieve-gpu)"
-            )
-        # REPRO_BACKEND is a process-wide default; stateless baselines
-        # model no KV backend, so it quietly does not apply to them.
-        backend = "paged"
     if system == "vllm":
         return lambda loop: make_vllm(loop, config, A100_80GB)
     if system in ("trt", "tensorrt", "tensorrt-llm"):
@@ -103,15 +88,12 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
     if system == "pensieve":
         return lambda loop: PensieveEngine(
             loop, config, A100_80GB, fault_plan=fault_plan,
-            disk_cache_tokens=disk_tokens, decode_sched=decode_sched,
-            packing_cache=packing_cache, backend=backend,
+            disk_cache_tokens=disk_tokens,
         )
     if system in ("pensieve-gpu", "pensieve-gpu-cache"):
         return lambda loop: PensieveEngine(
             loop, config, A100_80GB, cpu_cache_tokens=0,
             fault_plan=fault_plan, disk_cache_tokens=disk_tokens,
-            decode_sched=decode_sched, packing_cache=packing_cache,
-            backend=backend,
         )
     raise SystemExit(
         f"unknown system {system!r}; choose from vllm, tensorrt-llm, "
@@ -229,9 +211,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
         cpu_capacity_tokens=args.cpu_tokens,
         disk_capacity_tokens=args.disk_tokens,
         seed=args.seed,
-        decode_sched=args.decode_sched,
-        packing_cache=args.packing_cache == "on",
-        backend=args.backend,
     )
     if args.system_prompt:
         server.set_system_prompt(args.system_prompt)
@@ -330,11 +309,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sampler = _make_sampler(args)
     engine, stats = run_serving_once(
         _engine_factory(args.system, config, fault_plan,
-                        disk_tokens=args.disk_tokens,
-                        decode_sched=args.decode_sched,
-                        packing_cache=args.packing_cache == "on",
-                        backend=_resolve_backend_arg(args),
-                        backend_explicit=args.backend is not None),
+                        disk_tokens=args.disk_tokens),
         conversations,
         until=args.duration,
         warmup=args.duration * 0.3,
@@ -376,11 +351,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
         hist, flight = HistogramSet(), FlightRecorder()
     points = run_rate_sweep(
-        _engine_factory(args.system, config, disk_tokens=args.disk_tokens,
-                        decode_sched=args.decode_sched,
-                        packing_cache=args.packing_cache == "on",
-                        backend=_resolve_backend_arg(args),
-                        backend_explicit=args.backend is not None),
+        _engine_factory(args.system, config, disk_tokens=args.disk_tokens),
         dataset,
         rates=args.rates,
         duration=args.duration,
@@ -484,27 +455,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     tracer = _make_tracer(args)
     results = run_all(
-        quick=args.quick, seed=args.seed, repeats=args.repeats, tracer=tracer,
-        packing_cache=args.packing_cache == "on",
-        decode_sched=args.decode_sched,
-        backend=_resolve_backend_arg(args),
+        quick=args.quick, seed=args.seed, repeats=args.repeats, tracer=tracer
     )
     print(format_table(results))
-    if args.check_history:
-        # Load the ledger BEFORE write_json appends the current run, so
-        # a run is never compared against itself.
-        from repro.bench import (
-            check_history,
-            format_report,
-            load_history_ledger,
-            summarize,
-        )
-
-        ledger = load_history_ledger(args.output) if args.output else []
-        verdicts = check_history(summarize(results), ledger)
-        print()
-        print(format_report(verdicts, history_len=len(ledger)))
-        print("(non-gating: the watchdog never fails the build)")
     if args.output:
         write_json(results, args.output, quick=args.quick, seed=args.seed)
         print(f"\nwrote {args.output}")
@@ -613,52 +566,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return result.exit_code(strict=args.strict)
 
 
-def _add_sched_flags(parser: argparse.ArgumentParser, default_sched: str) -> None:
-    """The decode-scheduling / packing-cache knob pair.
-
-    ``--decode-sched fifo`` is the paper-faithful arrival-order policy;
-    ``page-aware`` orders decode candidates by GPU page residency and
-    packing-cache row occupancy.  ``--packing-cache`` toggles the
-    incremental slot-table packing cache; outputs are identical either
-    way (the knobs only move work, never change results).
-    """
-    parser.add_argument("--decode-sched", choices=("fifo", "page-aware"),
-                        default=default_sched,
-                        help="decode scheduling policy: arrival order (fifo) "
-                             "or GPU-page-residency order (page-aware); "
-                             f"default {default_sched}")
-    parser.add_argument("--packing-cache", choices=("on", "off"),
-                        default="on",
-                        help="incremental decode slot-table packing cache "
-                             "(default on)")
-
-
-def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
-    """The kernel/allocator backend selector (see :mod:`repro.backends`).
-
-    All backends are numerically equivalent (the bench harness enforces
-    a ≤1e-6 cross-backend equivalence matrix); they differ in staging
-    layout and slot allocation, i.e. in performance and fragmentation
-    profile.
-    """
-    parser.add_argument("--backend",
-                        choices=("paged", "paged-ring", "contiguous"),
-                        default=None,
-                        help="kernel/allocator backend: paged (block tables "
-                             "+ natural-layout staging), paged-ring (ring-"
-                             "compacted contiguous staging), or contiguous "
-                             "(vAttention-style virtual extents); default: "
-                             "$REPRO_BACKEND, else paged")
-
-
-def _resolve_backend_arg(args: argparse.Namespace) -> str:
-    """Effective backend for commands that need the name eagerly
-    (explicit flag > REPRO_BACKEND env > paged)."""
-    from repro.backends import resolve_backend
-
-    return resolve_backend(getattr(args, "backend", None))
-
-
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
     """The SLO-objective / metrics-artifact flag trio.
 
@@ -698,8 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--max-tokens", type=int, default=12)
     chat.add_argument("--system-prompt", default="")
     chat.add_argument("--seed", type=int, default=0)
-    _add_sched_flags(chat, default_sched="page-aware")
-    _add_backend_flag(chat)
     _add_slo_flags(chat)
     chat.set_defaults(func=cmd_chat)
 
@@ -724,8 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trace-out", default=None, metavar="DIR",
                           help="record full telemetry and write the trace "
                                "artifacts (Chrome JSON, JSONL, text) here")
-    _add_sched_flags(simulate, default_sched="fifo")
-    _add_backend_flag(simulate)
     _add_slo_flags(simulate)
     simulate.set_defaults(func=cmd_simulate)
 
@@ -742,8 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--disk-tokens", type=int, default=0,
                        help="enable the NVMe-modeled disk tier with this "
                             "many KV-tokens of capacity (stateful systems)")
-    _add_sched_flags(sweep, default_sched="fifo")
-    _add_backend_flag(sweep)
     _add_slo_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -762,19 +663,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override per-scenario repeat count")
     bench.add_argument("--enforce-thresholds", action="store_true",
                        help="exit non-zero if any gated scenario (ragged "
-                            "kernels, coalesced swap, packing cache, "
-                            "page-aware A/B; batch >= 8) falls below its "
-                            "per-family speedup floor")
+                            "kernels, coalesced swap, packing cache; "
+                            "batch >= 8) falls below its per-family "
+                            "speedup floor")
     bench.add_argument("--trace-out", default=None, metavar="DIR",
                        help="record per-scenario wall-clock spans and write "
                             "the trace artifacts here")
-    bench.add_argument("--check-history", action="store_true",
-                       help="compare the run's per-family speedups against "
-                            "the trailing median of the BENCH_kernels.json "
-                            "history ledger (pass/warn/fail report; "
-                            "non-gating)")
-    _add_sched_flags(bench, default_sched="page-aware")
-    _add_backend_flag(bench)
     bench.set_defaults(func=cmd_bench)
 
     trace = sub.add_parser(

@@ -27,7 +27,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.backends import backend_names
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import GpuSpec
 from repro.gpu.nvme import NvmeEngine
@@ -61,12 +60,6 @@ class _PrefillInfo:
 class PensieveEngine(EngineBase):
     """Stateful multi-turn conversation serving (§4).
 
-    Class attributes:
-        DECODE_SCHEDS: legal ``decode_sched`` policies.
-        ADMIT_WINDOW: how many wait-queue heads the page-aware schedule
-            may stably reorder per iteration (FIFO beyond it, bounding
-            starvation).
-
     Args:
         loop: discrete-event loop.
         config: model hyper-parameters.
@@ -90,27 +83,6 @@ class PensieveEngine(EngineBase):
         pipelined_swap_in: overlap per-layer transfers with compute
             (§4.3.3); ``False`` blocks on the full transfer (ablation).
         prioritize_retrieval: §5 PCIe scheduling optimisation.
-        decode_sched: ``"fifo"`` (default, paper-faithful) or
-            ``"page-aware"``.  Page-aware scheduling changes two
-            decisions: the §4.3.5 suspension victim becomes the decoder
-            with the *smallest* GPU-resident fraction (evicting it
-            forfeits the least cached state) instead of the
-            latest-arrived, and the admission scan stably reorders the
-            first :attr:`ADMIT_WINDOW` waiters by descending residency so
-            cheap re-admissions fill the batch before deep swap-ins.
-            Reordering is window-bounded, so requests beyond the window
-            keep strict FIFO order.
-        packing_cache: record whether the functional layer's incremental
-            decode packing cache is enabled.  The discrete-event engine
-            carries the flag for experiment metadata and CLI symmetry
-            only — its cost model prices kernel *shapes*, which the
-            packing cache does not change.
-        backend: which kernel/allocator backend the functional layer
-            would run (see :mod:`repro.backends`).  Carried for
-            experiment metadata and CLI symmetry only, like
-            ``packing_cache``: backends are numerically equivalent and
-            the cost model prices kernel shapes, which no backend
-            changes.
         name: engine label override.
         fault_plan: optional seeded failure schedule (chaos runs); the
             engine recovers along the retry → recompute-fallback →
@@ -118,9 +90,6 @@ class PensieveEngine(EngineBase):
             ``metrics.faults``.
         retry_policy: bounded-backoff budget for transient faults.
     """
-
-    DECODE_SCHEDS = ("fifo", "page-aware")
-    ADMIT_WINDOW = 16
 
     def __init__(
         self,
@@ -136,9 +105,6 @@ class PensieveEngine(EngineBase):
         unified: bool = True,
         pipelined_swap_in: bool = True,
         prioritize_retrieval: bool = True,
-        decode_sched: str = "fifo",
-        packing_cache: bool = True,
-        backend: str = "paged",
         name: Optional[str] = None,
         keep_trace: bool = False,
         whole_conversation_eviction: bool = False,
@@ -153,18 +119,6 @@ class PensieveEngine(EngineBase):
         self.spec = spec
         self.unified = unified
         self.pipelined_swap_in = pipelined_swap_in
-        if decode_sched not in self.DECODE_SCHEDS:
-            raise ValueError(
-                f"decode_sched must be one of {self.DECODE_SCHEDS}, "
-                f"got {decode_sched!r}"
-            )
-        self.decode_sched = decode_sched
-        self.packing_cache = packing_cache
-        if backend not in backend_names():
-            raise ValueError(
-                f"backend must be one of {backend_names()}, got {backend!r}"
-            )
-        self.backend = backend
 
         kv = config.kv_bytes_per_token
         gpu_tokens = int(spec.kv_cache_bytes * config.num_gpus // kv)
@@ -342,45 +296,15 @@ class PensieveEngine(EngineBase):
             return admitted
         return decoders + admitted
 
-    def _gpu_resident_fraction(self, conv_id: int) -> float:
-        """Fraction of a conversation's cached tokens still holding GPU
-        pages (``GPU`` + ``GPU_CPU`` in the Figure 5 layout)."""
-        cache = self.manager.conversation(conv_id)
-        if cache is None or cache.total_tokens == 0:
-            return 0.0
-        seg = cache.segments()
-        resident = seg.get(ChunkLocation.GPU, 0) + seg.get(
-            ChunkLocation.GPU_CPU, 0
-        )
-        return resident / cache.total_tokens
-
-    def _pick_suspension_victim(self, decoders: List[Request]) -> Request:
-        """§4.3.5 victim choice.  FIFO suspends the latest-arrived
-        request (the paper's rule).  Page-aware suspends the decoder with
-        the smallest GPU-resident fraction — the one whose eviction
-        forfeits the least cached state — falling back to latest-arrived
-        among equals, so a fully-resident batch behaves exactly like
-        FIFO."""
-        if self.decode_sched == "page-aware":
-            return min(
-                decoders,
-                key=lambda r: (
-                    self._gpu_resident_fraction(r.conv_id),
-                    -r.arrival_time,
-                    -r.request_id,
-                ),
-            )
-        return max(decoders, key=lambda r: (r.arrival_time, r.request_id))
-
     def _grow_decoders(self, now: float) -> List[Request]:
         """Allocate each running request's next KV slot, suspending
-        requests if the GPU cache is exhausted (§4.3.5; victim choice
-        depends on ``decode_sched``).  Surviving decoders keep their
-        running order, so batch composition stays stable between
+        requests if the GPU cache is exhausted (§4.3.5: the
+        latest-arrived request is the victim).  Surviving decoders keep
+        their running order, so batch composition stays stable between
         iterations."""
         decoders = [r for r in self.running if r.state is RequestState.RUNNING]
         while decoders and self.manager.gpu_available_tokens < len(decoders):
-            victim = self._pick_suspension_victim(decoders)
+            victim = max(decoders, key=lambda r: (r.arrival_time, r.request_id))
             self._suspend(victim, now)
             decoders.remove(victim)
         grown: List[Request] = []
@@ -458,23 +382,7 @@ class PensieveEngine(EngineBase):
     def _log_copy(self, end_time: float, tokens: int) -> None:
         self._copy_log.append((end_time, tokens))
 
-    def _reorder_admission_window(self) -> None:
-        """Page-aware admission: stably sort the first
-        :attr:`ADMIT_WINDOW` waiters by descending GPU residency, so
-        conversations whose pages are still resident (cheap, often
-        zero-transfer re-admissions) fill the batch before deep swap-ins,
-        and consecutive iterations see a stable head order.  Requests
-        beyond the window keep strict FIFO order, bounding starvation."""
-        if len(self.wait_queue) <= 1:
-            return
-        window = min(len(self.wait_queue), self.ADMIT_WINDOW)
-        head = [self.wait_queue.popleft() for _ in range(window)]
-        head.sort(key=lambda r: -self._gpu_resident_fraction(r.conv_id))
-        self.wait_queue.extendleft(reversed(head))
-
     def _admit(self, now: float) -> List[Request]:
-        if self.decode_sched == "page-aware":
-            self._reorder_admission_window()
         admitted: List[Request] = []
         batch_tokens = 0
         cfg = self.config

@@ -37,7 +37,6 @@ from repro.faults import (
     RetryPolicy,
     attempt_with_retries,
 )
-from repro.backends import Backend, SlotAllocator, get_backend, resolve_backend
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     EvictionScorer,
@@ -87,26 +86,16 @@ class StatefulChatServer:
         verify_on_read: re-check CPU-store chunk CRCs on every read
             (default on; the benchmark harness turns it off to price it).
         use_fast_paths: dispatch forward passes through the vectorized
-            kernel layer (default on; off = per-layer tiled baseline).
-        packing_cache: keep the transformer's incremental decode packing
-            cache (packed slot table + gathered-KV staging reused across
-            decode iterations).  Numerically transparent; off = the
-            rebuild-every-step batched-kernel baseline.
-        decode_sched: ``"page-aware"`` (default) orders ``chat_batch``
-            conversations so packing-cache occupants keep their rows and
-            swapped-out newcomers sort by GPU page residency;
-            ``"fifo"`` preserves the caller's order.  With greedy
-            sampling both produce identical per-conversation outputs.
-        backend: kernel/allocator backend name (see
-            :mod:`repro.backends`).  ``None`` falls back to the
-            ``REPRO_BACKEND`` environment variable, then ``"paged"``.
-            All backends are numerically equivalent (≤1e-6, enforced in
-            the bench harness); they differ in staging layout and slot
-            allocation.
+            kernel layer and the incremental decode packing cache
+            (default on; off = the per-layer tiled, per-request oracle
+            the tests and the serving benchmark compare against).
+        backend: a validated name with exactly one legal value,
+            ``"paged"`` (see :mod:`repro.backends`), and no environment
+            fallback.  It survives only because
+            ``benchmarks/serving/workloads.py`` passes it and a PR may
+            not edit the benchmark it is measured by; once a
+            benchmark PR drops the argument there, delete it here.
     """
-
-    #: Legal ``decode_sched`` policies.
-    DECODE_SCHEDS = ("fifo", "page-aware")
 
     def __init__(
         self,
@@ -125,19 +114,9 @@ class StatefulChatServer:
         retry_policy: Optional[RetryPolicy] = None,
         verify_on_read: bool = True,
         use_fast_paths: bool = True,
-        packing_cache: bool = True,
-        decode_sched: str = "page-aware",
-        backend: Optional[str] = None,
+        backend: str = "paged",
         tracer: Optional[NullTracer] = None,
     ) -> None:
-        if decode_sched not in self.DECODE_SCHEDS:
-            raise ValueError(
-                f"decode_sched must be one of {self.DECODE_SCHEDS}, "
-                f"got {decode_sched!r}"
-            )
-        self.decode_sched = decode_sched
-        self.backend_name = resolve_backend(backend)
-        self._backend: Backend = get_backend(self.backend_name)
         if chunk_size % page_size != 0:
             raise ValueError(
                 f"chunk_size ({chunk_size}) must be a multiple of "
@@ -153,19 +132,6 @@ class StatefulChatServer:
         self.pool = PagePool(
             num_pages=pool_tokens // page_size, page_size=page_size
         )
-        # The backend owns slot layout: paged backends hand out plain
-        # pool-backed tables; the contiguous backend reserves one virtual
-        # extent per conversation (sized so `max_position` always fits,
-        # making reservation overflow unreachable in serving) plus one
-        # for the pinned system prompt.  Either way, physical capacity is
-        # accounted against the shared pool, so pressure surfaces as the
-        # same PagePoolExhausted the swap machinery already handles.
-        reserve_tokens = -(-self.config.max_position // page_size) * page_size
-        self._allocator: SlotAllocator = self._backend.create_allocator(
-            self.pool,
-            reserve_tokens=reserve_tokens,
-            max_tables=max_conversations + 1,
-        )
         self.fault_plan = fault_plan
         self.retry_policy = retry_policy or RetryPolicy()
         #: Degradation counters (same schema as the simulated engine's
@@ -174,7 +140,7 @@ class StatefulChatServer:
         #: Structured errors of individually-failed requests, in order.
         self.failures: List[RequestFaultedError] = []
         self.storage = KVStorage(
-            self.config, num_slots=self._allocator.storage_slots
+            self.config, num_slots=self.pool.capacity_tokens
         )
         self.cpu_store = CpuChunkStore(
             cpu_capacity_tokens,
@@ -191,8 +157,7 @@ class StatefulChatServer:
             self.storage,
             seed=seed,
             use_fast_paths=use_fast_paths,
-            packing_cache=packing_cache,
-            backend=self._backend,
+            backend=backend,
         )
         self.tokenizer = tokenizer or SimpleTokenizer(self.config.vocab_size)
         self.manager = TieredCacheManager(
@@ -421,7 +386,7 @@ class StatefulChatServer:
         plan = self.manager.plan_restore(self.SYSTEM_CONV_ID, len(ids))
         self.manager.commit_restore(plan, 0.0)
 
-        table = self._allocator.new_table()
+        table = BlockTable(self.pool)
         table.append_tokens(len(ids))
         self._tables[self.SYSTEM_CONV_ID] = table
         self._system_slots = table.slots(0, len(ids))
@@ -638,7 +603,7 @@ class StatefulChatServer:
         history = self.raw_tokens.setdefault(conv_id, [])
         table = self._tables.get(conv_id)
         if table is None:
-            table = self._tables.setdefault(conv_id, self._allocator.new_table())
+            table = self._tables.setdefault(conv_id, BlockTable(self.pool))
 
         # Pin first so capacity-making below cannot evict this
         # conversation's own chunks out from under the plan.
@@ -814,12 +779,12 @@ class StatefulChatServer:
         the outputs are identical to serving the turns sequentially —
         batching is purely a throughput optimisation.
 
-        Under the default ``page-aware`` decode schedule the batch is
-        reordered before serving: conversations already occupying packing
-        -cache rows keep their row order (so the cache extends in place
-        instead of rebuilding), and the rest sort by GPU page residency —
-        fully-resident conversations first, deep swap-ins last.  With
-        greedy sampling the reorder is output-invariant per conversation.
+        The batch is reordered page-aware before serving: conversations
+        already occupying packing-cache rows keep their row order (so the
+        cache extends in place instead of rebuilding), and the rest sort
+        by GPU page residency — fully-resident conversations first, deep
+        swap-ins last.  With greedy sampling the reorder is
+        output-invariant per conversation.
 
         Args:
             prompts: ``(conv_id, prompt_ids)`` pairs; conversation ids
@@ -842,7 +807,7 @@ class StatefulChatServer:
             raise ValueError("duplicate conversation ids in one batch")
         if self.SYSTEM_CONV_ID in conv_ids:
             raise ValueError(f"conversation id {self.SYSTEM_CONV_ID} is reserved")
-        if self.decode_sched == "page-aware" and len(prompts) > 1:
+        if len(prompts) > 1:
             prompts = self._page_aware_order(prompts)
         if self.tracer.enabled:
             self.tracer.instant(

@@ -38,17 +38,13 @@ the paper discusses:
   alive across iterations (extend / repair / rebuild lifecycle keyed on
   block-table version counters), and
   :func:`~repro.kernels.packed_cache.packed_decode_attention` runs the
-  same segment-masked decode math over the staged buffers;
-- :mod:`~repro.kernels.ring_cache` — the ``paged-ring`` backend's
-  layout variant: :class:`~repro.kernels.ring_cache.RingDecodeCache`
-  stages the packed batch score-ready (context-last K, head-last V) so
-  :func:`~repro.kernels.ring_cache.ring_decode_attention` feeds BLAS
-  contiguous operands with no transposes.  All are verified (~1e-6)
-  against the per-request kernels above, which remain the correctness
-  oracle.
+  same segment-masked decode math over the staged buffers.
 
-Callers outside this package, the backends and the bench harness must
-reach attention kernels through the :mod:`repro.backends` registry
+The performance and metadata layers are verified (~1e-6) against the
+per-request kernels above, which remain the correctness oracle.
+
+Callers outside this package, :mod:`repro.backends` and the bench harness
+must reach attention kernels through the :mod:`repro.backends` interface
 (lint rule RPR006).
 """
 
@@ -68,7 +64,6 @@ from repro.kernels.packed_cache import (
     packed_decode_attention,
 )
 from repro.kernels.ragged import ragged_multi_token_attention
-from repro.kernels.ring_cache import RingDecodeCache, ring_decode_attention
 from repro.kernels.strawmen import copyout_attention, multiround_attention
 from repro.kernels.subrequests import disjoint_query_spans, split_disjoint_query
 
@@ -85,8 +80,6 @@ __all__ = [
     "PackedBatch",
     "PackedDecodeCache",
     "packed_decode_attention",
-    "RingDecodeCache",
-    "ring_decode_attention",
     "ragged_multi_token_attention",
     "copyout_attention",
     "multiround_attention",

@@ -94,12 +94,8 @@ class _RowState:
 
 @dataclass
 class _LayerStaging:
-    # Layouts are owned by the cache class: the base cache stages K/V as
-    # [rows_cap, ctx_cap, kv_heads, head_dim]; subclasses (e.g. the
-    # ring-compacted cache) may stage a transposed layout.  Rows are
-    # always dimension 0.
-    k: np.ndarray
-    v: np.ndarray
+    k: np.ndarray          # [rows_cap, ctx_cap, kv_heads, head_dim]
+    v: np.ndarray          # same shape as k
     gathered: np.ndarray   # [rows_cap] columns of each row already staged
 
 
@@ -189,13 +185,7 @@ class PackedDecodeCache:
             lengths[: self._rows_cap] = self._lengths
             self._table, self._lengths = table, lengths
             self._rows.extend([None] * (new_rows - self._rows_cap))
-            for st in self._staging.values():
-                k = np.zeros((new_rows,) + st.k.shape[1:], dtype=st.k.dtype)
-                v = np.zeros((new_rows,) + st.v.shape[1:], dtype=st.v.dtype)
-                g = np.zeros(new_rows, dtype=np.int64)
-                k[: self._rows_cap], v[: self._rows_cap] = st.k, st.v
-                g[: self._rows_cap] = st.gathered
-                st.k, st.v, st.gathered = k, v, g
+            self._regrow_staging(new_rows, self._ctx_cap)
             self._rows_cap = new_rows
             self.stats["row_growths"] += 1
         if ctx > self._ctx_cap:
@@ -203,81 +193,44 @@ class PackedDecodeCache:
             table = np.zeros((self._rows_cap, new_ctx), dtype=np.int64)
             table[:, : self._ctx_cap] = self._table
             self._table = table
-            for st in self._staging.values():
-                self._grow_staging_ctx(st, new_ctx)
+            self._regrow_staging(self._rows_cap, new_ctx)
             self._ctx_cap = new_ctx
             self.stats["ctx_growths"] += 1
 
-    # ------------------------------------------------------------------ #
-    # staging layout hooks (overridden by layout-variant subclasses)     #
-    # ------------------------------------------------------------------ #
+    def _over_budget(
+        self, rows: int, ctx: int, tail_shape: Tuple[int, ...], dtype: np.dtype
+    ) -> bool:
+        """Whether one layer's K staging at ``rows`` x ``ctx`` slots of
+        ``tail_shape`` would exceed the staging budget."""
+        nbytes = rows * ctx * int(np.prod(tail_shape)) * np.dtype(dtype).itemsize
+        return nbytes > self._staging_budget
 
-    def _new_staging(
-        self,
-        tail_shape: Tuple[int, ...],
-        k_dtype: np.dtype,
-        v_dtype: np.dtype,
-    ) -> _LayerStaging:
-        """Allocate one layer's staging buffers at current capacity.
-
-        ``tail_shape`` is the per-slot KV shape ``(kv_heads, head_dim)``.
-        """
-        shape = (self._rows_cap, self._ctx_cap) + tail_shape
-        return _LayerStaging(
-            k=np.zeros(shape, dtype=k_dtype),
-            v=np.zeros(shape, dtype=v_dtype),
-            gathered=np.zeros(self._rows_cap, dtype=np.int64),
-        )
-
-    def _staging_tail(self, staging: _LayerStaging) -> Tuple[int, ...]:
-        """The ``(kv_heads, head_dim)`` tail a staging buffer was built
-        for — used to detect cache-shape changes across calls."""
-        return staging.k.shape[2:]
-
-    def _grow_staging_ctx(self, st: _LayerStaging, new_ctx: int) -> None:
-        """Widen one layer's staging to ``new_ctx`` context columns,
-        preserving already-gathered data."""
-        shape = (self._rows_cap, new_ctx) + st.k.shape[2:]
-        k = np.zeros(shape, dtype=st.k.dtype)
-        v = np.zeros(shape, dtype=st.v.dtype)
-        k[:, : self._ctx_cap], v[:, : self._ctx_cap] = st.k, st.v
-        st.k, st.v = k, v
-
-    def _gather_columns(
-        self,
-        staging: _LayerStaging,
-        stale: np.ndarray,
-        done: np.ndarray,
-        lengths: np.ndarray,
-        k_cache: np.ndarray,
-        v_cache: np.ndarray,
-    ) -> None:
-        """Stage the missing columns of every stale row."""
-        deltas = lengths[stale] - done[stale]
-        if bool((deltas == 1).all()):
-            # Steady-state decode: every stale row grew by one slot —
-            # one vectorized gather for the whole batch.
-            cols = done[stale]
-            slots = self._table[stale, cols]
-            staging.k[stale, cols] = k_cache[slots]
-            staging.v[stale, cols] = v_cache[slots]
-        else:
-            for row in stale:
-                a, b = int(done[row]), int(lengths[row])
-                slots = self._table[row, a:b]
-                staging.k[row, a:b] = k_cache[slots]
-                staging.v[row, a:b] = v_cache[slots]
-
-    def _staged_views(
-        self, staging: _LayerStaging, n: int, max_len: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """The K/V views handed to the attention kernel for this batch."""
-        return staging.k[:n, :max_len], staging.v[:n, :max_len]
+    def _regrow_staging(self, rows: int, ctx: int) -> None:
+        """Reallocate every layer's staging at ``rows`` x ``ctx``,
+        preserving already-gathered data — or, when a grown buffer would
+        exceed the budget, drop staging for good (fresh-gather fallback)."""
+        if any(
+            self._over_budget(rows, ctx, st.k.shape[2:], st.k.dtype)
+            for st in self._staging.values()
+        ):
+            self._staging.clear()
+            self._staging_disabled = True
+            return
+        old_rows, old_ctx = self._rows_cap, self._ctx_cap
+        for st in self._staging.values():
+            shape = (rows, ctx) + st.k.shape[2:]
+            k = np.zeros(shape, dtype=st.k.dtype)
+            v = np.zeros(shape, dtype=st.v.dtype)
+            g = np.zeros(rows, dtype=np.int64)
+            k[:old_rows, :old_ctx], v[:old_rows, :old_ctx] = st.k, st.v
+            g[:old_rows] = st.gathered
+            st.k, st.v, st.gathered = k, v, g
 
     def _fallback_gather(
         self, n: int, max_len: int, k_cache: np.ndarray, v_cache: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Fresh full gather used when staging is disabled (budget)."""
+        """Full gather used when staging is disabled (over budget); the
+        packed table itself is still incremental."""
         table = self._table[:n, :max_len]
         return k_cache[table], v_cache[table]
 
@@ -390,26 +343,42 @@ class PackedDecodeCache:
             return self._fallback_gather(n, max_len, k_cache, v_cache)
         staging = self._staging.get(layer_key)
         tail_shape = k_cache.shape[1:]
-        if staging is None or self._staging_tail(staging) != tail_shape or (
+        if staging is None or staging.k.shape[2:] != tail_shape or (
             staging.k.dtype != k_cache.dtype
         ):
-            itemsize = np.dtype(k_cache.dtype).itemsize
-            nelems = self._rows_cap * self._ctx_cap * int(np.prod(tail_shape))
-            if nelems * itemsize > self._staging_budget:
-                # Too large to stage: fall back to a fresh gather (the
-                # packed table itself is still incremental).
+            if self._over_budget(
+                self._rows_cap, self._ctx_cap, tail_shape, k_cache.dtype
+            ):
                 self._staging_disabled = True
                 return self._fallback_gather(n, max_len, k_cache, v_cache)
-            staging = self._new_staging(tail_shape, k_cache.dtype, v_cache.dtype)
+            shape = (self._rows_cap, self._ctx_cap) + tail_shape
+            staging = _LayerStaging(
+                k=np.zeros(shape, dtype=k_cache.dtype),
+                v=np.zeros(shape, dtype=v_cache.dtype),
+                gathered=np.zeros(self._rows_cap, dtype=np.int64),
+            )
             self._staging[layer_key] = staging
 
         lengths = self._lengths[:n]
         done = staging.gathered[:n]
         stale = np.nonzero(done < lengths)[0]
         if stale.size:
-            self._gather_columns(staging, stale, done, lengths, k_cache, v_cache)
+            deltas = lengths[stale] - done[stale]
+            if bool((deltas == 1).all()):
+                # Steady-state decode: every stale row grew by one slot —
+                # one vectorized gather for the whole batch.
+                cols = done[stale]
+                slots = self._table[stale, cols]
+                staging.k[stale, cols] = k_cache[slots]
+                staging.v[stale, cols] = v_cache[slots]
+            else:
+                for row in stale:
+                    a, b = int(done[row]), int(lengths[row])
+                    slots = self._table[row, a:b]
+                    staging.k[row, a:b] = k_cache[slots]
+                    staging.v[row, a:b] = v_cache[slots]
             staging.gathered[:n] = lengths
-        return self._staged_views(staging, n, max_len)
+        return staging.k[:n, :max_len], staging.v[:n, :max_len]
 
     # ------------------------------------------------------------------ #
     # reference                                                          #

@@ -220,11 +220,14 @@ class PagedTransformer:
             sub-request split and write-slot computation.  ``False`` runs
             the original per-layer, per-request tiled path — kept as the
             end-to-end baseline the benchmark harness measures against.
-        packing_cache: keep a :class:`PackedDecodeCache` so all-decode
-            batches of slot_view-backed requests reuse their packed slot
-            table and gathered-KV staging buffers across iterations
-            instead of rebuilding both every step.  Requires
-            ``use_fast_paths``; numerically transparent either way.
+            Fast paths also keep a :class:`PackedDecodeCache`
+            (``decode_cache``) so all-decode batches of slot_view-backed
+            requests reuse their packed slot table and gathered-KV
+            staging buffers across iterations instead of rebuilding both
+            every step; numerically transparent.
+        backend: name of the :class:`~repro.backends.Backend` every
+            attention kernel is looked up on (``self.backend``) at call
+            time.
     """
 
     def __init__(
@@ -233,8 +236,7 @@ class PagedTransformer:
         storage: KVStorage,
         seed: int = 0,
         use_fast_paths: bool = True,
-        packing_cache: bool = True,
-        backend: "str | Backend" = "paged",
+        backend: str = "paged",
     ) -> None:
         if storage.config is not config and (
             storage.config.num_layers != config.num_layers
@@ -247,13 +249,9 @@ class PagedTransformer:
         self.use_fast_paths = use_fast_paths
         # Every attention kernel is reached through the backend (RPR006);
         # it also owns the decode packing cache's staging layout.
-        self.backend: Backend = (
-            get_backend(backend) if isinstance(backend, str) else backend
-        )
+        self.backend: Backend = get_backend(backend)
         self.decode_cache: Optional[PackedDecodeCache] = (
-            self.backend.create_decode_cache()
-            if (packing_cache and use_fast_paths)
-            else None
+            self.backend.create_decode_cache() if use_fast_paths else None
         )
         rng = np.random.default_rng(seed)
         h = config.hidden_size

@@ -29,7 +29,6 @@ Three pieces:
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.walltime import StageTimings
 from repro.obs.histogram import (
     NULL_HISTOGRAM,
     NULL_HISTOGRAMS,
@@ -75,7 +74,6 @@ __all__ = [
     "NullTracer",
     "SloConfig",
     "Span",
-    "StageTimings",
     "Tracer",
     "ledger_counters",
     "parse_prometheus",

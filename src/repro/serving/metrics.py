@@ -21,7 +21,6 @@ import numpy as np
 from repro.faults.plan import FaultCounters
 from repro.obs.flight import FlightEvent, FlightRecorder, NULL_FLIGHT, SloConfig
 from repro.obs.histogram import HistogramSet, NULL_HISTOGRAMS
-from repro.obs.walltime import StageTimings
 from repro.serving.request import Request
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "RequestRecord",
     "ServingStats",
     "SloConfig",
-    "StageTimings",
 ]
 
 

@@ -1,16 +1,16 @@
-"""Cross-backend equivalence: every backend is numerically the same model.
+"""Backend equivalence: the fast paths are numerically the oracle's model.
 
-Two layers of proof, mirroring the bench harness's in-measurement
-matrix: kernel-level (each backend's decode loop against the per-request
-oracle on its own slot layout) and serving-level (three
-:class:`StatefulChatServer` instances produce token-identical
-transcripts for the same workload).
+Two layers of proof: kernel-level (the backend's decode loop and its
+prefill/mixed entry points against the per-request oracle) and
+serving-level (a fast-path :class:`StatefulChatServer` produces
+transcripts token-identical to the ``use_fast_paths=False`` oracle's for
+the same workload).
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import backend_names, get_backend
+from repro.backends import get_backend
 from repro.core.server import StatefulChatServer
 from repro.kernels import (
     AttentionRequest,
@@ -18,36 +18,28 @@ from repro.kernels import (
     multi_token_attention,
     single_token_attention,
 )
-from repro.kvcache.pages import PagePool
+from repro.kvcache.pages import BlockTable, PagePool
 from repro.model.config import tiny_opt_config
 
 TOLERANCE = 1e-6
 
 
-def _decode_loop(backend_name, batch, ctx, steps, num_heads, kv_heads, head_dim):
-    """Run a serving-shaped decode loop through one backend's full
-    allocator + cache + kernel stack; returns (outs, oracle_outs).
-
-    K/V values are keyed by (conversation, position) so different slot
-    layouts must still agree.
-    """
-    backend = get_backend(backend_name)
+def _decode_loop(batch, ctx, steps, num_heads, kv_heads, head_dim):
+    """Run a serving-shaped decode loop through the backend's cache +
+    kernel stack; returns (outs, oracle_outs)."""
+    backend = get_backend("paged")
     rng = np.random.default_rng(0)
     page_size = 16
     tokens = ctx + steps
-    reserve = -(-tokens // page_size) * page_size
-    pool = PagePool(batch * (reserve // page_size), page_size)
-    allocator = backend.create_allocator(
-        pool, reserve_tokens=reserve, max_tables=batch
-    )
+    pool = PagePool(batch * -(-tokens // page_size), page_size)
     keys = rng.standard_normal((batch, tokens, kv_heads, head_dim))
     vals = rng.standard_normal((batch, tokens, kv_heads, head_dim))
     queries = rng.standard_normal((steps, batch, num_heads, head_dim))
-    k_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
-    v_cache = np.zeros((allocator.storage_slots, kv_heads, head_dim))
+    k_cache = np.zeros((pool.capacity_tokens, kv_heads, head_dim))
+    v_cache = np.zeros((pool.capacity_tokens, kv_heads, head_dim))
     tables = []
     for i in range(batch):
-        table = allocator.new_table()
+        table = BlockTable(pool)
         table.append_tokens(ctx)
         slots = table.slots_array(0, ctx)
         k_cache[slots] = keys[i, :ctx]
@@ -82,25 +74,13 @@ def _decode_loop(backend_name, batch, ctx, steps, num_heads, kv_heads, head_dim)
 
 
 class TestKernelMatrix:
-    @pytest.mark.parametrize("name", ["paged", "paged-ring", "contiguous"])
-    def test_decode_loop_matches_per_request_oracle(self, name):
-        outs, oracle = _decode_loop(name, 4, 48, 6, 8, 2, 16)
+    def test_decode_loop_matches_per_request_oracle(self):
+        outs, oracle = _decode_loop(4, 48, 6, 8, 2, 16)
         for got, want in zip(outs, oracle):
             assert np.abs(got - want).max() <= TOLERANCE
 
-    def test_all_backends_agree_with_each_other(self):
-        per_backend = {
-            name: _decode_loop(name, 4, 48, 6, 8, 2, 16)[0]
-            for name in backend_names()
-        }
-        baseline = per_backend["paged"]
-        for name, outs in per_backend.items():
-            for got, want in zip(outs, baseline):
-                assert np.abs(got - want).max() <= TOLERANCE, name
-
-    @pytest.mark.parametrize("name", ["paged", "paged-ring", "contiguous"])
-    def test_prefill_and_mixed_entry_points_match_oracle(self, name):
-        backend = get_backend(name)
+    def test_prefill_and_mixed_entry_points_match_oracle(self):
+        backend = get_backend("paged")
         rng = np.random.default_rng(1)
         num_slots = 96
         k_cache = rng.standard_normal((num_slots, 2, 16))
@@ -124,44 +104,39 @@ class TestKernelMatrix:
 
 
 class TestServingMatrix:
-    CAPS = dict(
-        gpu_capacity_tokens=1 << 12,
-        cpu_capacity_tokens=1 << 12,
-        chunk_size=16,
-        page_size=8,
-        seed=0,
-    )
+    ABUNDANT = dict(gpu_capacity_tokens=1 << 12, cpu_capacity_tokens=1 << 12)
+    #: Tight enough that rounds swap context out to the CPU tier and back
+    #: into different pages, so the decode cache must never serve a row
+    #: packed before the move.
+    STARVED = dict(gpu_capacity_tokens=160, cpu_capacity_tokens=640)
 
-    def _transcripts(self, backend_name):
+    def _transcripts(self, caps, **kwargs):
         config = tiny_opt_config()
-        server = StatefulChatServer(config, backend=backend_name, **self.CAPS)
-        prompts = [
-            (conv, [(conv * 13 + i) % config.vocab_size for i in range(9)])
-            for conv in range(4)
-        ]
-        first = server.chat_batch(prompts, max_new_tokens=12)
-        followups = [
-            (conv, [(conv * 7 + i + 3) % config.vocab_size for i in range(5)])
-            for conv in range(4)
-        ]
-        second = server.chat_batch(followups, max_new_tokens=12)
-        return first, second, server
+        server = StatefulChatServer(
+            config, chunk_size=16, page_size=8, seed=0, **caps, **kwargs
+        )
+        rounds = []
+        for turn, convs in enumerate(([0, 1, 2, 3], [3, 1], [2, 0, 3], [1, 2])):
+            prompts = [
+                (c, [(c * 13 + turn * 7 + i) % config.vocab_size for i in range(9)])
+                for c in convs
+            ]
+            rounds.append(server.chat_batch(prompts, max_new_tokens=12))
+        # The single-conversation entry point runs its own decode loop.
+        for turn in range(2):
+            prompt = [(turn * 5 + i) % config.vocab_size for i in range(11)]
+            rounds.append(server.chat(0, prompt_ids=prompt, max_new_tokens=6))
+        return rounds, server
 
-    def test_token_identical_transcripts_across_backends(self):
-        baseline = self._transcripts("paged")[:2]
-        for name in ("paged-ring", "contiguous"):
-            assert self._transcripts(name)[:2] == baseline, name
+    @pytest.mark.parametrize("caps", [ABUNDANT, STARVED], ids=["abundant", "starved"])
+    def test_transcripts_match_oracle(self, caps):
+        fast, server = self._transcripts(caps, backend="paged")
+        oracle, _ = self._transcripts(caps, use_fast_paths=False)
+        assert fast == oracle
+        assert server.model.decode_cache.stats["extended_rows"] > 0
+        if caps is self.STARVED:
+            assert server.manager.stats["swapped_out_tokens"] > 0
 
-    def test_contiguous_server_accounts_its_commits(self):
-        _, _, server = self._transcripts("contiguous")
-        stats = server._allocator.stats()
-        assert stats["extents_in_use"] >= 4
-        assert stats["committed_pages"] == stats["commits"] - stats["decommits"]
-        assert stats["resident_tokens"] > 0
-        assert stats["commit_waste_slots"] >= 0
-        assert stats["reserved_uncommitted_tokens"] >= 0
-
-    def test_backend_name_is_recorded(self):
-        config = tiny_opt_config()
-        server = StatefulChatServer(config, backend="paged-ring", **self.CAPS)
-        assert server.backend_name == "paged-ring"
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend 'paged-ring'"):
+            StatefulChatServer(tiny_opt_config(), backend="paged-ring")

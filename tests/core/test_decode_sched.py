@@ -1,108 +1,26 @@
-"""Tests for page-aware decode scheduling and the packing-cache knobs.
+"""Tests for page-aware ``chat_batch`` ordering.
 
-The scheduling policy and the packing cache are pure work-movers: they
-must never change a single generated token.  The equivalence tests here
-pin that — a page-aware server with the cache on produces transcripts
-bit-identical to a FIFO server with the cache off, across shuffled
-arrival orders and multi-turn histories.  The engine-side tests pin the
-§4.3.5 victim-selection semantics: page-aware degenerates to the paper's
-FIFO rule whenever residency cannot distinguish candidates.
+The ordering is a pure work-mover (token-identity against the per-request
+oracle is pinned in ``tests/backends/test_equivalence.py``); what it buys
+is that packing-cache occupants keep their rows across turns.
 """
 
-import numpy as np
-import pytest
-
-from repro.core import PensieveEngine, StatefulChatServer
-from repro.model import tiny_llama_config, tiny_opt_config
-from repro.serving.request import Request
-from repro.sim import EventLoop
-
-from tests.serving.conftest import (
-    TINY,
-    scripted_conversation,
-    serve,
-    spec_with_capacity,
-)
+from repro.core import StatefulChatServer
+from repro.model import tiny_opt_config
 
 
 def _prompt(conv, turn, length, vocab):
     return [(conv * 13 + turn * 7 + i) % vocab for i in range(length)]
 
 
-class TestServerEquivalence:
-    @pytest.mark.parametrize("config_fn", [tiny_opt_config, tiny_llama_config])
-    def test_page_aware_with_cache_matches_fifo_without(self, config_fn):
-        config = config_fn()
-        caps = dict(
-            gpu_capacity_tokens=2048, cpu_capacity_tokens=2048,
-            chunk_size=16, page_size=8, seed=0,
-        )
-        fifo = StatefulChatServer(
-            config, packing_cache=False, decode_sched="fifo", **caps
-        )
-        aware = StatefulChatServer(
-            config, packing_cache=True, decode_sched="page-aware", **caps
-        )
-        rng = np.random.default_rng(0)
-        convs = 6
-        for turn in range(3):
-            order = rng.permutation(convs)
-            prompts = [
-                (int(c), _prompt(int(c), turn, 9, config.vocab_size))
-                for c in order
-            ]
-            out_fifo = fifo.chat_batch(prompts, max_new_tokens=7)
-            out_aware = aware.chat_batch(prompts, max_new_tokens=7)
-            assert out_fifo == out_aware
-        # The optimized server must actually have run incrementally.
-        stats = aware.model.decode_cache.stats
-        assert stats["extended_rows"] > 0
-
-    def test_single_conversation_chat_matches(self):
-        config = tiny_opt_config()
-        a = StatefulChatServer(config, packing_cache=True, seed=0)
-        b = StatefulChatServer(config, packing_cache=False, seed=0)
-        for turn in range(3):
-            prompt = _prompt(0, turn, 11, config.vocab_size)
-            assert a.chat(0, prompt_ids=prompt, max_new_tokens=6) == b.chat(
-                0, prompt_ids=prompt, max_new_tokens=6
-            )
-
-    def test_page_aware_under_memory_pressure_matches(self):
-        """Swap-outs remap slots mid-conversation; the cache must repair
-        rows rather than serve stale ones."""
-        config = tiny_opt_config()
-        caps = dict(
-            gpu_capacity_tokens=160, cpu_capacity_tokens=640,
-            chunk_size=16, page_size=8, seed=0,
-        )
-        fifo = StatefulChatServer(
-            config, packing_cache=False, decode_sched="fifo", **caps
-        )
-        aware = StatefulChatServer(
-            config, packing_cache=True, decode_sched="page-aware", **caps
-        )
-        for turn in range(4):
-            for conv in range(4):
-                prompt = _prompt(conv, turn, 13, config.vocab_size)
-                assert fifo.chat(
-                    conv, prompt_ids=prompt, max_new_tokens=8
-                ) == aware.chat(conv, prompt_ids=prompt, max_new_tokens=8)
-
-    def test_invalid_decode_sched_rejected(self):
-        with pytest.raises(ValueError):
-            StatefulChatServer(tiny_opt_config(), decode_sched="lifo")
-
-
 class TestPageAwareOrdering:
     def test_cache_row_occupants_lead_the_batch(self):
         """Round 2 re-presents the same conversations in reversed order;
-        the page-aware server restores row order so every row extends
-        instead of rebuilding."""
+        the server restores row order so every row extends instead of
+        rebuilding."""
         config = tiny_opt_config()
         server = StatefulChatServer(
-            config, gpu_capacity_tokens=2048, cpu_capacity_tokens=2048,
-            packing_cache=True, decode_sched="page-aware", seed=0,
+            config, gpu_capacity_tokens=2048, cpu_capacity_tokens=2048, seed=0,
         )
         prompts = [
             (c, _prompt(c, 0, 9, config.vocab_size)) for c in range(4)
@@ -117,71 +35,3 @@ class TestPageAwareOrdering:
             server.model.decode_cache.stats["rebuilt_rows"]
             == rebuilt_after_round1
         )
-
-
-class TestEngineScheduling:
-    def test_invalid_decode_sched_rejected(self):
-        with pytest.raises(ValueError):
-            PensieveEngine(
-                EventLoop(), TINY, spec_with_capacity(64), decode_sched="lifo"
-            )
-
-    def _fake_request(self, request_id, conv_id, arrival):
-        conv = scripted_conversation(conv_id, [(4, 4)], start=arrival)
-        return Request(
-            request_id=request_id, conversation=conv, turn_index=0,
-            arrival_time=arrival,
-        )
-
-    def test_victim_falls_back_to_fifo_without_residency_signal(self):
-        """Unknown conversations all score 0.0 residency, so page-aware
-        must pick exactly the request FIFO would suspend."""
-        loop = EventLoop()
-        fifo = PensieveEngine(
-            loop, TINY, spec_with_capacity(256), decode_sched="fifo"
-        )
-        aware = PensieveEngine(
-            EventLoop(), TINY, spec_with_capacity(256),
-            decode_sched="page-aware",
-        )
-        decoders = [self._fake_request(i, 100 + i, float(i)) for i in range(4)]
-        assert (
-            aware._pick_suspension_victim(decoders)
-            is fifo._pick_suspension_victim(decoders)
-        )
-
-    @pytest.mark.parametrize("sched", ["fifo", "page-aware"])
-    def test_workload_completes_under_both_policies(self, sched):
-        convs = [
-            scripted_conversation(
-                i, [(12, 8), (6, 8)], start=i * 0.01, think=1.0
-            )
-            for i in range(8)
-        ]
-        spec = spec_with_capacity(256)
-        engine, driver, _ = serve(
-            lambda loop: PensieveEngine(loop, TINY, spec, decode_sched=sched),
-            convs,
-        )
-        assert driver.outstanding == 0
-        assert len(engine.metrics) == 16
-
-    def test_page_aware_admission_prefers_resident_waiters(self):
-        """Under pressure the page-aware engine finishes the same work
-        while preferring waiters whose context is still on the GPU; the
-        run must stay complete and deterministic."""
-        convs = [
-            scripted_conversation(
-                i, [(16, 8), (8, 8), (4, 8)], start=i * 0.02, think=0.5
-            )
-            for i in range(10)
-        ]
-        spec = spec_with_capacity(192)
-        engine, driver, _ = serve(
-            lambda loop: PensieveEngine(
-                loop, TINY, spec, decode_sched="page-aware"
-            ),
-            convs,
-        )
-        assert driver.outstanding == 0
-        assert len(engine.metrics) == 30

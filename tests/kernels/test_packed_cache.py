@@ -196,6 +196,25 @@ class TestStaging:
         np.testing.assert_array_equal(k, k_cache[table])
         assert cache._staging_disabled
 
+    def test_budget_exceeded_on_growth_falls_back_to_fresh_gather(self):
+        rng, pool, k_cache, v_cache = self._env()
+        table = _table(pool, 8)
+        # Exactly the first allocation: 8 rows x 64 columns x (2, 8) float64.
+        cache = PackedDecodeCache(staging_budget_bytes=8 * 64 * 2 * 8 * 8)
+        cache.pack(_sources({0: table})).gathered(0, k_cache, v_cache)
+        assert not cache._staging_disabled
+        table.append_tokens(192)  # regrows the 64-column staging past budget
+        batch = cache.pack(_sources({0: table}))
+        assert cache._staging_disabled and not cache._staging
+        queries = rng.standard_normal((1, 4, 8))
+        out = packed_decode_attention(queries, batch, 0, k_cache, v_cache)
+        (ref,) = batched_single_token_attention(
+            [AttentionRequest(query=queries, slots=table.slots_array(0, 200))],
+            k_cache,
+            v_cache,
+        )
+        np.testing.assert_allclose(out, ref, atol=1e-12)
+
     def test_attention_matches_batched_kernel(self):
         rng, pool, k_cache, v_cache = self._env()
         convs = {i: _table(pool, 4 + 3 * i) for i in range(3)}

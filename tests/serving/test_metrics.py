@@ -156,22 +156,6 @@ class TestFailures:
             assert key in d
 
 
-class TestStageTimings:
-    def test_mean_of_unknown_stage_is_zero(self):
-        from repro.serving.metrics import StageTimings
-
-        timings = StageTimings()
-        assert timings.mean("never_recorded") == 0.0
-
-    def test_mean_after_recording(self):
-        from repro.serving.metrics import StageTimings
-
-        timings = StageTimings()
-        with timings.stage("x"):
-            pass
-        assert timings.mean("x") >= 0.0
-
-
 class TestNormalizedLatencyGuard:
     def test_zero_output_tokens_does_not_divide_by_zero(self):
         from repro.serving.metrics import RequestRecord

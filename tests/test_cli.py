@@ -23,29 +23,6 @@ class TestParser:
         assert args.output == "BENCH_kernels.json"
         assert args.quick is False
         assert args.repeats is None
-        assert args.decode_sched == "page-aware"
-        assert args.packing_cache == "on"
-
-    def test_sched_flags_on_every_serving_command(self):
-        parser = build_parser()
-        for command, default in (
-            ("chat", "page-aware"),
-            ("simulate", "fifo"),
-            ("sweep", "fifo"),
-            ("bench", "page-aware"),
-        ):
-            args = parser.parse_args([command])
-            assert args.decode_sched == default
-            assert args.packing_cache == "on"
-            args = parser.parse_args(
-                [command, "--decode-sched", "fifo", "--packing-cache", "off"]
-            )
-            assert args.decode_sched == "fifo"
-            assert args.packing_cache == "off"
-
-    def test_invalid_sched_choice_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["simulate", "--decode-sched", "lifo"])
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
@@ -69,52 +46,6 @@ class TestSimulate:
         assert "Pensieve" in out
         assert "throughput_rps" in out
         assert "cache" in out
-
-    def test_page_aware_simulate_runs(self, capsys):
-        rc = main(
-            [
-                "simulate", "--system", "pensieve", "--model", "opt-13b",
-                "--rate", "2", "--duration", "40", "--seed", "3",
-                "--decode-sched", "page-aware", "--packing-cache", "off",
-            ]
-        )
-        assert rc == 0
-        assert "Pensieve" in capsys.readouterr().out
-
-    def test_page_aware_rejected_for_stateless_systems(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "simulate", "--system", "vllm", "--duration", "5",
-                    "--decode-sched", "page-aware",
-                ]
-            )
-
-    def test_explicit_backend_rejected_for_stateless_systems(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "simulate", "--system", "vllm", "--duration", "5",
-                    "--backend", "paged-ring",
-                ]
-            )
-
-    def test_env_backend_quietly_skips_stateless_systems(
-        self, capsys, monkeypatch
-    ):
-        # REPRO_BACKEND is a process-wide default (CI runs the whole
-        # tier-1 matrix under it); the stateless baselines model no KV
-        # backend, so the env default must not hard-fail on them the way
-        # an explicit --backend flag does.
-        monkeypatch.setenv("REPRO_BACKEND", "paged-ring")
-        rc = main(
-            [
-                "simulate", "--system", "vllm", "--model", "opt-13b",
-                "--rate", "2", "--duration", "40",
-            ]
-        )
-        assert rc == 0
-        assert "vLLM" in capsys.readouterr().out
 
     def test_simulate_vllm_has_no_cache_line(self, capsys):
         rc = main(
@@ -299,12 +230,6 @@ class TestObservabilityCli:
         assert args.out == "metrics"
         assert args.slo_ttft is None and args.slo_tbt is None
 
-    def test_bench_check_history_flag(self):
-        assert build_parser().parse_args(["bench"]).check_history is False
-        assert build_parser().parse_args(
-            ["bench", "--check-history"]
-        ).check_history is True
-
     def test_trace_summary_flags(self):
         args = build_parser().parse_args(["trace", "simulate"])
         assert args.summary is False and args.top == 10
@@ -364,31 +289,3 @@ class TestObservabilityCli:
         out = capsys.readouterr().out
         assert "== span summary ==" in out
         assert "per-span-name aggregate" in out
-
-    @pytest.mark.slow
-    def test_bench_check_history_is_non_gating(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_kernels.json"
-        # Seed a ledger whose baselines dwarf any real run: every family
-        # regresses, yet the command still exits 0 (non-gating).
-        history = [
-            {"summary": {key: 1000.0 for key in (
-                "decode_kernel_best_speedup", "prefill_kernel_best_speedup",
-                "mixed_kernel_best_speedup", "e2e_best_speedup",
-                "swap_best_speedup", "disk_best_speedup",
-                "idle_restore_speedup", "packing_best_speedup",
-                "decode_sched_speedup",
-            )}}
-            for _ in range(5)
-        ]
-        out_path.write_text(json.dumps({"history": history}))
-        rc = main(
-            ["bench", "--quick", "--repeats", "1", "--check-history",
-             "--output", str(out_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "bench history watchdog" in out
-        assert "overall: FAIL" in out
-        assert "non-gating" in out
