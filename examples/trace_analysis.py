@@ -20,6 +20,7 @@ from repro.core import PensieveEngine
 from repro.experiments.common import run_rate_sweep, run_serving_once
 from repro.gpu import A100_80GB
 from repro.model import OPT_13B
+from repro.obs import Tracer
 from repro.serving import make_vllm
 from repro.workload import SHAREGPT
 from repro.workload.dataset import generate_workload
@@ -35,13 +36,14 @@ def main() -> None:
     print(f"Workload: {sum(c.num_turns for c in conversations)} requests over "
           f"{DURATION:.0f}s at {RATE} req/s\n")
 
+    # A recording tracer per run: batch occupancy reads its iteration spans.
     pensieve, p_stats = run_serving_once(
-        lambda loop: PensieveEngine(loop, OPT_13B, A100_80GB, keep_trace=True),
-        conversations, until=DURATION, warmup=DURATION * 0.3,
+        lambda loop: PensieveEngine(loop, OPT_13B, A100_80GB),
+        conversations, until=DURATION, warmup=DURATION * 0.3, tracer=Tracer(),
     )
     vllm, v_stats = run_serving_once(
-        lambda loop: make_vllm(loop, OPT_13B, A100_80GB, keep_trace=True),
-        conversations, until=DURATION, warmup=DURATION * 0.3,
+        lambda loop: make_vllm(loop, OPT_13B, A100_80GB),
+        conversations, until=DURATION, warmup=DURATION * 0.3, tracer=Tracer(),
     )
 
     print("== Cache behaviour (Pensieve) ==")

@@ -1,7 +1,7 @@
 """Post-hoc analysis of serving runs.
 
-Utilities that turn an engine's :class:`~repro.sim.trace.TraceRecorder`
-and metrics into the derived quantities the paper quotes from its
+Utilities that turn an engine's :class:`~repro.obs.Tracer` spans and
+metrics into the derived quantities the paper quotes from its
 "execution trace" analysis (§6.6): cache hit-rate timelines, batch
 occupancy, PCIe utilisation, suspension counts, and per-turn latency
 breakdowns.

@@ -1,6 +1,6 @@
 """Trace- and metrics-derived statistics for serving runs.
 
-All functions take the engine (or its trace/metrics) *after* a run and
+All functions take the engine (or its tracer/metrics) *after* a run and
 return plain dataclasses, so experiments can log them as rows.
 """
 
@@ -23,22 +23,31 @@ class CacheSummary:
     lookup_tokens: int
     gpu_hit_tokens: int
     cpu_hit_tokens: int
+    disk_hit_tokens: int
     recomputed_tokens: int
     swapped_out_tokens: int
     dropped_tokens: int
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of looked-up history tokens served from either tier."""
+        """Fraction of looked-up history tokens served from any tier."""
         if self.lookup_tokens == 0:
             return 1.0
-        return (self.gpu_hit_tokens + self.cpu_hit_tokens) / self.lookup_tokens
+        return (
+            self.gpu_hit_tokens + self.cpu_hit_tokens + self.disk_hit_tokens
+        ) / self.lookup_tokens
 
     @property
     def cpu_hit_rate(self) -> float:
         if self.lookup_tokens == 0:
             return 0.0
         return self.cpu_hit_tokens / self.lookup_tokens
+
+    @property
+    def disk_hit_rate(self) -> float:
+        if self.lookup_tokens == 0:
+            return 0.0
+        return self.disk_hit_tokens / self.lookup_tokens
 
     @property
     def recompute_rate(self) -> float:
@@ -51,6 +60,7 @@ class CacheSummary:
             "lookup_tokens": self.lookup_tokens,
             "hit_rate": round(self.hit_rate, 4),
             "cpu_hit_rate": round(self.cpu_hit_rate, 4),
+            "disk_hit_rate": round(self.disk_hit_rate, 4),
             "recompute_rate": round(self.recompute_rate, 4),
             "swapped_out_tokens": self.swapped_out_tokens,
             "dropped_tokens": self.dropped_tokens,
@@ -69,6 +79,7 @@ def cache_summary(engine: EngineBase) -> CacheSummary:
         lookup_tokens=stats["lookup_tokens"],
         gpu_hit_tokens=stats["gpu_hit_tokens"],
         cpu_hit_tokens=stats["cpu_hit_tokens"],
+        disk_hit_tokens=stats["disk_hit_tokens"],
         recomputed_tokens=stats["recomputed_tokens"],
         swapped_out_tokens=stats["swapped_out_tokens"],
         dropped_tokens=stats["dropped_tokens"],
@@ -98,23 +109,24 @@ class BatchOccupancy:
 
 
 def batch_occupancy(engine: EngineBase) -> BatchOccupancy:
-    """Batch-size statistics from the engine's iteration trace.
+    """Batch-size statistics from the engine's ``iteration`` spans.
 
-    Requires the engine to have been constructed with ``keep_trace=True``.
+    Requires the run to have been given a recording
+    :class:`repro.obs.Tracer` (``engine.set_tracer`` or
+    ``run_serving_once(..., tracer=)``).
 
     Raises:
-        ValueError: if no iteration events were recorded.
+        ValueError: if no iteration spans were recorded.
     """
-    sizes: List[int] = []
-    durations: List[float] = []
-    for event in engine.trace.events("iteration"):
-        sizes.append(int(event.data["batch_size"]))
-        durations.append(float(event.data["duration"]))
-    if not sizes:
+    tracer = engine.tracer
+    spans = tracer.spans_named("iteration") if tracer.enabled else []
+    if not spans:
         raise ValueError(
-            "no iteration events recorded; construct the engine with "
-            "keep_trace=True"
+            "no iteration spans recorded; run the engine with a recording "
+            "repro.obs.Tracer"
         )
+    sizes = [span.attrs["batch_size"] for span in spans]
+    durations = [span.duration for span in spans]
     arr = np.asarray(sizes)
     return BatchOccupancy(
         iterations=len(sizes),

@@ -8,20 +8,17 @@ Run as ``python -m repro <command>``:
 - ``sweep``     — a latency–throughput curve for one system;
 - ``figures``   — the fast analytical figures (3, 4, 12) and Table 2;
 - ``report``    — regenerate EXPERIMENTS.md (slow: full serving sweeps);
-- ``bench``     — the kernel/forward-pass performance harness: times the
-  vectorized layer against the per-request reference kernels, writes
-  ``BENCH_kernels.json``, exits non-zero if outputs diverge;
 - ``trace``     — run an experiment with full telemetry and export the
   trace (Chrome trace JSON, JSONL event log, text report);
-- ``metrics``   — one serving run with the SLO observability layer armed:
-  writes a Prometheus text snapshot (self-reconciling against the
-  engine/PCIe/NVMe ledgers), a periodic JSONL metrics stream and the
-  flight-recorder captures of every SLO-violating or failed request.
+- ``lint``      — the repo-specific static analysis (ARCHITECTURE.md §14).
 
-``simulate`` and ``bench`` also accept ``--trace-out DIR`` to record the
-same telemetry alongside their normal output; ``simulate`` / ``sweep`` /
-``chat`` accept ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm
-the SLO layer.
+``simulate`` also accepts ``--trace-out DIR`` to record the same telemetry
+alongside its normal output; ``simulate`` / ``sweep`` / ``chat`` accept
+``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm the SLO layer
+(``simulate --metrics-out DIR`` writes a Prometheus text snapshot that is
+self-reconciling against the engine/PCIe/NVMe ledgers, a periodic JSONL
+metrics stream and the flight-recorder captures of every SLO-violating or
+failed request).
 """
 
 from __future__ import annotations
@@ -405,76 +402,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
-    """One serving run with the SLO observability layer armed end to end."""
-    from repro.experiments.common import run_serving_once
-    from repro.obs import MetricsSampler, SloConfig, parse_prometheus
-    from repro.workload.dataset import SHAREGPT, ULTRACHAT, generate_workload
-
-    config = _model(args.model)
-    dataset = ULTRACHAT if args.dataset == "ultrachat" else SHAREGPT
-    conversations = generate_workload(
-        dataset,
-        request_rate=args.rate,
-        duration=args.duration,
-        think_time_mean=args.think_time,
-        seed=args.seed,
-    )
-    slo = SloConfig(ttft=args.slo_ttft, tbt=args.slo_tbt)
-    sampler = MetricsSampler(
-        interval=max(args.duration / 100.0, 1e-3), horizon=args.duration
-    )
-    engine, stats = run_serving_once(
-        _engine_factory(args.system, config, _fault_plan(args),
-                        disk_tokens=args.disk_tokens),
-        conversations,
-        until=args.duration,
-        warmup=args.duration * 0.3,
-        slo=slo,
-        sampler=sampler,
-    )
-    print(f"system        : {engine.name}")
-    print(f"workload      : {dataset.name} @ {args.rate} req/s, "
-          f"{args.duration:.0f}s")
-    for key, value in stats.as_dict().items():
-        print(f"{key:22s}: {value}")
-    _print_slo_summary(engine.metrics)
-    _write_metrics(engine, args.out, sampler=sampler)
-    # Round-trip the snapshot as a validity check (CI metrics-smoke).
-    import os
-
-    prom_path = os.path.join(args.out, "metrics.prom")
-    with open(prom_path, encoding="utf-8") as fh:
-        families = parse_prometheus(fh.read())
-    print(f"snapshot parses: {len(families)} metric families")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import check_thresholds, format_table, run_all, write_json
-
-    tracer = _make_tracer(args)
-    results = run_all(
-        quick=args.quick, seed=args.seed, repeats=args.repeats, tracer=tracer
-    )
-    print(format_table(results))
-    if args.output:
-        write_json(results, args.output, quick=args.quick, seed=args.seed)
-        print(f"\nwrote {args.output}")
-    if tracer is not None:
-        _write_trace(tracer, args.trace_out, prefix="trace_bench")
-    if not all(x.equivalent for x in results):
-        print("ERROR: vectorized kernels diverged from the reference", flush=True)
-        return 1
-    if args.enforce_thresholds:
-        failures = check_thresholds(results)
-        if failures:
-            for failure in failures:
-                print(f"ERROR: {failure}", flush=True)
-            return 1
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.experiments.common import run_serving_once
     from repro.obs import Tracer
@@ -541,19 +468,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import Baseline, format_json, format_text, run_lint
+    from repro.lint import format_json, format_text, run_lint
 
-    baseline = Baseline.load(args.baseline)
-    result = run_lint(args.root, baseline=baseline)
-
-    if args.write_baseline:
-        Baseline.from_findings(result.errors).write(args.baseline)
-        print(
-            f"wrote {len(result.errors)} baseline entr(y/ies) to "
-            f"{args.baseline}"
-        )
-        return 0
-
+    result = run_lint(args.root)
     output = (
         format_json(result)
         if args.json
@@ -563,7 +480,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(output)
     print(output, end="")
-    return result.exit_code(strict=args.strict)
+    return result.exit_code()
 
 
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
@@ -651,26 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser("figures", help="fast analytical figures")
     figures.set_defaults(func=cmd_figures)
 
-    bench = sub.add_parser(
-        "bench", help="kernel/forward-pass performance benchmark"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes / few repeats (CI smoke mode)")
-    bench.add_argument("--output", default="BENCH_kernels.json",
-                       help="JSON output path ('' to skip writing)")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="override per-scenario repeat count")
-    bench.add_argument("--enforce-thresholds", action="store_true",
-                       help="exit non-zero if any gated scenario (ragged "
-                            "kernels, coalesced swap, packing cache; "
-                            "batch >= 8) falls below its per-family "
-                            "speedup floor")
-    bench.add_argument("--trace-out", default=None, metavar="DIR",
-                       help="record per-scenario wall-clock spans and write "
-                            "the trace artifacts here")
-    bench.set_defaults(func=cmd_bench)
-
     trace = sub.add_parser(
         "trace", help="run an experiment with full telemetry recording"
     )
@@ -698,36 +595,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="slowest-span count for --summary (default 10)")
     trace.set_defaults(func=cmd_trace)
 
-    metrics = sub.add_parser(
-        "metrics",
-        help="one serving run with the SLO observability layer armed",
-    )
-    metrics.add_argument("--system", default="pensieve")
-    metrics.add_argument("--model", default="opt-13b")
-    metrics.add_argument("--dataset", choices=("sharegpt", "ultrachat"),
-                         default="sharegpt")
-    metrics.add_argument("--rate", type=float, default=8.0)
-    metrics.add_argument("--duration", type=float, default=120.0)
-    metrics.add_argument("--think-time", type=float, default=60.0)
-    metrics.add_argument("--seed", type=int, default=7)
-    metrics.add_argument("--disk-tokens", type=int, default=0,
-                         help="enable the NVMe-modeled disk tier with this "
-                              "many KV-tokens of capacity")
-    metrics.add_argument("--fault-seed", type=int, default=None,
-                         help="arm deterministic fault injection so failed "
-                              "requests exercise the capture path")
-    metrics.add_argument("--fault-rate", type=float, default=0.05)
-    metrics.add_argument("--slo-ttft", type=float, default=None,
-                         metavar="SECONDS",
-                         help="time-to-first-token objective")
-    metrics.add_argument("--slo-tbt", type=float, default=None,
-                         metavar="SECONDS",
-                         help="mean time-between-tokens objective")
-    metrics.add_argument("--out", default="metrics", metavar="DIR",
-                         help="output directory for the metrics artifacts "
-                              "(default: metrics/)")
-    metrics.set_defaults(func=cmd_metrics)
-
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md (slow)")
     report.add_argument("--output", default="EXPERIMENTS.md")
     report.add_argument("--duration", type=float, default=500.0)
@@ -742,21 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
                       help="repo root to lint (default: cwd); scans "
                            "<root>/src/repro")
     lint.add_argument("--strict", action="store_true",
-                      help="also fail on stale baseline entries (CI mode)")
+                      help="accepted for the CI invocation; every finding, "
+                           "bare or unused suppressions included, already "
+                           "fails the run")
     lint.add_argument("--json", action="store_true",
                       help="emit the machine-readable JSON report")
-    lint.add_argument("--baseline", default="lint_baseline.json",
-                      metavar="PATH",
-                      help="baseline file of grandfathered findings "
-                           "(default: lint_baseline.json; missing = empty)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="rewrite the baseline from the current unsup-"
-                           "pressed findings instead of reporting them")
     lint.add_argument("--output", default=None, metavar="PATH",
                       help="also write the report to this file (CI artifact)")
     lint.add_argument("--verbose", action="store_true",
-                      help="include suppressed and baselined findings in "
-                           "the text report")
+                      help="include suppressed findings in the text report")
     lint.set_defaults(func=cmd_lint)
 
     return parser

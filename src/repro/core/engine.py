@@ -106,7 +106,6 @@ class PensieveEngine(EngineBase):
         pipelined_swap_in: bool = True,
         prioritize_retrieval: bool = True,
         name: Optional[str] = None,
-        keep_trace: bool = False,
         whole_conversation_eviction: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
@@ -114,7 +113,7 @@ class PensieveEngine(EngineBase):
         cost_model = CostModel(config, spec)
         if name is None:
             name = "Pensieve" if cpu_cache_tokens != 0 else "Pensieve (GPU cache)"
-        super().__init__(name, loop, cost_model, batch_config, keep_trace)
+        super().__init__(name, loop, cost_model, batch_config)
         self.model_config = config
         self.spec = spec
         self.unified = unified
@@ -243,7 +242,6 @@ class PensieveEngine(EngineBase):
             self.metrics.hist.hist("swap_out_seconds", tier="disk").record(
                 record.end_time - now
             )
-        self.trace.record(now, "disk_demote", tokens=tokens, chunks=chunks)
         if self.tracer.enabled:
             self.tracer.complete(
                 "disk_demote", now, record.end_time, track="cache",
@@ -287,7 +285,6 @@ class PensieveEngine(EngineBase):
     def _form_batch(self, now: float) -> List[Request]:
         self._iter_swap_in_seconds = 0.0
         self._iter_fault_delay = 0.0
-        self._iter_reclaim_wait = 0.0
         decoders = self._grow_decoders(now)
         admitted = self._admit(now)
         if admitted and not self.unified:
@@ -343,10 +340,6 @@ class PensieveEngine(EngineBase):
         self.running.remove(victim)
         self.wait_queue.appendleft(victim)
         self.suspensions += 1
-        self.trace.record(
-            now, "suspend", request_id=victim.request_id,
-            copied_tokens=copied, dropped_tokens=dropped,
-        )
         if self.metrics.flight.enabled:
             self.metrics.flight.record(
                 victim.request_id, "suspend", now,
@@ -456,10 +449,6 @@ class PensieveEngine(EngineBase):
                     request.request_id, "swap_in", now, tier="disk",
                     tokens=plan.disk_read_tokens,
                 )
-            self.trace.record(
-                now, "disk_read", request_id=request.request_id,
-                tokens=plan.disk_read_tokens, seconds=record.end_time - now,
-            )
             if self.tracer.enabled:
                 self.tracer.complete(
                     "disk_read", now, record.end_time, track="cache",
@@ -487,10 +476,6 @@ class PensieveEngine(EngineBase):
                     request.request_id, "swap_in", now, tier="cpu",
                     tokens=h2d_tokens,
                 )
-            self.trace.record(
-                now, "swap_in", request_id=request.request_id,
-                tokens=h2d_tokens, seconds=record.end_time - now,
-            )
             if self.tracer.enabled:
                 self.tracer.complete(
                     "swap_in", now, record.end_time, track="cache",
@@ -529,12 +514,6 @@ class PensieveEngine(EngineBase):
             recompute_tokens=plan.recompute_tokens,
             prompt_tokens=plan.new_tokens,
             total_context=plan.total_context,
-        )
-        self.trace.record(
-            now, "admit", request_id=request.request_id,
-            gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
-            disk_read=plan.disk_read_tokens,
-            recompute=plan.recompute_tokens, new=plan.new_tokens,
         )
         if self.tracer.enabled:
             self.tracer.instant(
@@ -588,10 +567,6 @@ class PensieveEngine(EngineBase):
                 request.request_id, "fault", now, site="swap_in",
                 corrupt=corrupt, tokens=invalidated,
             )
-        self.trace.record(
-            now, "swap_in_fallback", request_id=request.request_id,
-            tokens=invalidated, corrupt=corrupt,
-        )
         if self.tracer.enabled:
             self.tracer.count("fault.recompute_fallbacks")
             self.tracer.instant(
@@ -640,10 +615,6 @@ class PensieveEngine(EngineBase):
                 request.request_id, "fault", now, site="disk_read",
                 corrupt=corrupt, tokens=invalidated,
             )
-        self.trace.record(
-            now, "disk_read_fallback", request_id=request.request_id,
-            tokens=invalidated, corrupt=corrupt,
-        )
         if self.tracer.enabled:
             self.tracer.count("fault.recompute_fallbacks")
             self.tracer.instant(
@@ -680,7 +651,6 @@ class PensieveEngine(EngineBase):
                 self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
                     record.end_time - now
                 )
-            self.trace.record(now, "demand_swap_out", tokens=copied_tokens)
             if self.tracer.enabled:
                 self.tracer.complete(
                     "swap_out", now, record.end_time, track="cache",
@@ -763,7 +733,6 @@ class PensieveEngine(EngineBase):
                 self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
                     record.end_time - now
                 )
-            self.trace.record(now, "aot_swap_out", tokens=copied_tokens)
             if self.tracer.enabled:
                 self.tracer.complete(
                     "swap_out", now, record.end_time, track="cache",

@@ -83,8 +83,6 @@ class StatefulChatServer:
             server recovers along the retry → recompute-fallback →
             per-request-failure ladder, counting into ``fault_counters``.
         retry_policy: bounded-backoff budget for transient faults.
-        verify_on_read: re-check CPU-store chunk CRCs on every read
-            (default on; the benchmark harness turns it off to price it).
         use_fast_paths: dispatch forward passes through the vectorized
             kernel layer and the incremental decode packing cache
             (default on; off = the per-layer tiled, per-request oracle
@@ -112,7 +110,6 @@ class StatefulChatServer:
         max_conversations: int = 64,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        verify_on_read: bool = True,
         use_fast_paths: bool = True,
         backend: str = "paged",
         tracer: Optional[NullTracer] = None,
@@ -143,14 +140,10 @@ class StatefulChatServer:
             self.config, num_slots=self.pool.capacity_tokens
         )
         self.cpu_store = CpuChunkStore(
-            cpu_capacity_tokens,
-            fault_plan=fault_plan,
-            verify_on_read=verify_on_read,
+            cpu_capacity_tokens, fault_plan=fault_plan
         )
         self.disk_store = DiskChunkStore(
-            disk_capacity_tokens,
-            fault_plan=fault_plan,
-            verify_on_read=verify_on_read,
+            disk_capacity_tokens, fault_plan=fault_plan
         )
         self.model = PagedTransformer(
             self.config,

@@ -274,7 +274,7 @@ def generate(out_path: str = "EXPERIMENTS.md", duration: float = 500.0) -> str:
         f"{len(slo_points)} rates).",
         "",
         "Per-tier tail-latency attribution (streaming log-bucketed",
-        "histograms; `repro metrics` / `--slo-ttft` / `--metrics-out`",
+        "histograms; `repro simulate --slo-ttft` / `--metrics-out`",
         "produce the same table plus a Prometheus snapshot that",
         "reconciles exactly with the engine/PCIe/NVMe ledgers):",
         "",

@@ -24,8 +24,7 @@ treats the batch as one grid launch:
 
 Both stay numerically equivalent (~1e-6, in practice ~1e-12) to the
 per-request kernels, which remain in-tree as the correctness oracle;
-``tests/kernels/test_batched.py`` pins the equivalence and
-``repro bench`` tracks the speedup.
+``tests/kernels/test_batched.py`` pins the equivalence.
 """
 
 from __future__ import annotations

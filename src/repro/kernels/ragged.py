@@ -38,8 +38,8 @@ the per-request vectorized kernel, which does no padding at all.
 Numerical equivalence (≤ 1e-6, in practice ~1e-12) to the per-request
 :func:`~repro.kernels.multi_token.multi_token_attention` oracle —
 including recompute-split and shared-prefix sub-requests — is pinned by
-``tests/kernels/test_ragged_properties.py``; ``repro bench`` tracks the
-speedup in the ``prefill``/``mixed`` families.
+``tests/kernels/test_ragged_properties.py``; the serving benchmark
+reports its cost as the ``backend.ragged_attention_s`` layer.
 """
 
 from __future__ import annotations

@@ -178,8 +178,8 @@ class KVStorage:
                     f"slot count {len(group)}"
                 )
         # Fill persistent scratch instead of np.concatenate-ing three
-        # temporaries per call: the swap bench asserts the steady state
-        # allocates nothing.
+        # temporaries per call: tests/kvcache/test_swap_coalescing.py
+        # asserts the steady state allocates nothing.
         total = sum(len(group) for group in groups)
         idx, stack_k, stack_v = self._stacked_scratch(total)
         offset = 0
@@ -210,12 +210,8 @@ class _ChunkStoreBase:
     making room (the tiered manager drops or demotes chunks by policy
     before inserting).
 
-    ``verify_on_read=False`` skips the per-read CRC re-check (checksums
-    are still computed at insertion), trading integrity detection for
-    read bandwidth — the benchmark harness uses it to price the check.
-    Chaos/fault testing keeps the default ``True``: each tier's fault
-    site (``CPU_READ`` / ``DISK_READ``) lives inside the verification
-    path.
+    Each tier's fault site (``CPU_READ`` / ``DISK_READ``) lives inside
+    the verification path.
 
     Subclasses set :attr:`_LABEL` (human-readable tier name used in error
     messages), :attr:`_PREFIX` (tracer counter namespace) and
@@ -231,13 +227,11 @@ class _ChunkStoreBase:
         self,
         capacity_tokens: int,
         fault_plan: Optional[FaultPlan] = None,
-        verify_on_read: bool = True,
     ) -> None:
         if capacity_tokens < 0:
             raise ValueError(f"capacity_tokens must be >= 0, got {capacity_tokens}")
         self.capacity_tokens = capacity_tokens
         self.fault_plan = fault_plan
-        self.verify_on_read = verify_on_read
         self._entries: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._tokens: Dict[Tuple[int, int], int] = {}
         self._checksums: Dict[Tuple[int, int], int] = {}
@@ -354,8 +348,7 @@ class _ChunkStoreBase:
                 through the normal eviction path).
         """
         key = (conv_id, chunk_index)
-        if self.verify_on_read:
-            self._verify(key)
+        self._verify(key)
         return self._entries[key]
 
     def pop(self, conv_id: int, chunk_index: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -367,8 +360,7 @@ class _ChunkStoreBase:
                 via the cache manager's invalidation path.
         """
         key = (conv_id, chunk_index)
-        if self.verify_on_read:
-            self._verify(key)
+        self._verify(key)
         data = self._entries.pop(key)
         self._checksums.pop(key)
         self.used_tokens -= self._tokens.pop(key)
@@ -404,12 +396,11 @@ class _ChunkStoreBase:
         read_bytes = 0
         for chunk_index in chunk_indices:
             key = (conv_id, chunk_index)
-            if self.verify_on_read:
-                try:
-                    self._verify(key)
-                except ChunkCorruptionError:
-                    corrupt.append(chunk_index)
-                    continue
+            try:
+                self._verify(key)
+            except ChunkCorruptionError:
+                corrupt.append(chunk_index)
+                continue
             data = self._entries.pop(key)
             self._checksums.pop(key)
             self.used_tokens -= self._tokens.pop(key)

@@ -10,15 +10,13 @@ per-layer kernel loops must not hide array copies (RPR005).
 
 This package makes those conventions machine-checked: a rule-driven AST
 analysis framework (one parse per file, shared by every rule) with
-``# repro: ignore[RULE] -- why`` suppression comments, a committed
-baseline for grandfathered findings, and text/JSON reporters — exposed
-as the ``repro lint`` CLI subcommand and gated in CI via
-``repro lint --strict``.  See ``ARCHITECTURE.md`` §14 for the rule set
+``# repro: ignore[RULE] -- why`` suppression comments and text/JSON
+reporters — exposed as the ``repro lint`` CLI subcommand and gated in CI
+via ``repro lint --strict``.  See ``ARCHITECTURE.md`` §14 for the rule set
 and the how-to-add-a-rule recipe.
 """
 
 from repro.lint.engine import (
-    Baseline,
     Finding,
     LintResult,
     Project,
@@ -32,7 +30,6 @@ from repro.lint.report import format_json, format_text
 from repro.lint import rules as _rules  # noqa: F401  (registers the rule set)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "Project",

@@ -1,4 +1,4 @@
-"""Lint engine: file loading, rule registry, suppressions, baseline.
+"""Lint engine: file loading, rule registry, suppressions.
 
 The engine parses every ``src/repro/**/*.py`` file once into a
 :class:`SourceFile` (AST with parent links, source lines, suppression
@@ -16,23 +16,14 @@ standalone comment line directly above it::
 
 The justification after ``--`` is mandatory: a bare suppression is
 itself reported (code ``RPR000``), as is a suppression that matched no
-finding — stale suppressions rot just like stale baselines.
-
-Baseline
---------
-Grandfathered findings live in a committed JSON baseline keyed by a
-content fingerprint (rule, path, normalized source line, occurrence
-index) so entries survive unrelated line-number churn.  Baselined
-findings do not fail the run; baseline entries that no longer match
-anything are reported as stale (an error under ``--strict``).
+finding.  Suppressions are the only way to grandfather a finding, so
+every exception is reviewed in place, next to the code it excuses.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
-import json
 import os
 import re
 import tokenize
@@ -41,7 +32,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -52,7 +42,6 @@ from typing import (
 )
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "Project",
@@ -96,8 +85,7 @@ class Finding:
     line: int  #: 1-based
     col: int  #: 0-based
     message: str
-    snippet: str = ""  #: stripped source line (fingerprint input)
-    fingerprint: str = ""  #: stable id; filled by the engine
+    snippet: str = ""  #: stripped source line
 
     def located(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}"
@@ -110,7 +98,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -339,90 +326,6 @@ def all_rules() -> List[Rule]:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-class Baseline:
-    """Committed grandfather list keyed by finding fingerprints."""
-
-    VERSION = 1
-
-    def __init__(self, entries: Optional[List[Dict[str, Any]]] = None) -> None:
-        self.entries: List[Dict[str, Any]] = list(entries or [])
-
-    @classmethod
-    def load(cls, path: Union[str, "os.PathLike[str]"]) -> "Baseline":
-        """Load a baseline file; a missing file is an empty baseline."""
-        if not os.path.exists(path):
-            return cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("version") != cls.VERSION:
-            raise ValueError(
-                f"unsupported baseline version {payload.get('version')!r} "
-                f"in {path}"
-            )
-        return cls(payload.get("entries", []))
-
-    def write(self, path: Union[str, "os.PathLike[str]"]) -> None:
-        payload = {"version": self.VERSION, "entries": self.entries}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def from_findings(
-        cls, findings: Iterable[Finding], justification: str = "TODO: justify"
-    ) -> "Baseline":
-        entries = [
-            {
-                "fingerprint": f.fingerprint,
-                "rule": f.rule,
-                "path": f.path,
-                "snippet": f.snippet,
-                "justification": justification,
-            }
-            for f in findings
-        ]
-        return cls(entries)
-
-    def fingerprints(self) -> Dict[str, Dict[str, Any]]:
-        return {e["fingerprint"]: e for e in self.entries}
-
-
-def _fingerprint(finding: Finding, occurrence: int) -> str:
-    basis = f"{finding.rule}|{finding.path}|{finding.snippet}|{occurrence}"
-    return hashlib.sha1(basis.encode("utf-8")).hexdigest()[:16]
-
-
-def assign_fingerprints(findings: Sequence[Finding]) -> List[Finding]:
-    """Stamp stable fingerprints: (rule, path, snippet, occurrence).
-
-    Using the normalized source line instead of the line number keeps
-    baselines valid across unrelated edits above the finding.
-    """
-    seen: Dict[Tuple[str, str, str], int] = {}
-    out: List[Finding] = []
-    for finding in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
-        key = (finding.rule, finding.path, finding.snippet)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(
-            Finding(
-                rule=finding.rule,
-                path=finding.path,
-                line=finding.line,
-                col=finding.col,
-                message=finding.message,
-                snippet=finding.snippet,
-                fingerprint=_fingerprint(finding, occurrence),
-            )
-        )
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Suppression scanning
 # ---------------------------------------------------------------------------
 
@@ -475,26 +378,20 @@ def scan_suppressions(file: SourceFile) -> List[Suppression]:
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, partitioned for reporting.
-
-    ``errors`` fail the run in every mode; ``stale_baseline`` fails only
-    under ``--strict``.
-    """
+    """Outcome of one lint run, partitioned for reporting."""
 
     root: str
     errors: List[Finding] = field(default_factory=list)
     suppressed: List[Tuple[Finding, Suppression]] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
-    stale_baseline: List[Dict[str, Any]] = field(default_factory=list)
     files_scanned: int = 0
     rules_run: List[str] = field(default_factory=list)
 
-    def exit_code(self, strict: bool = False) -> int:
-        if self.errors:
-            return 1
-        if strict and self.stale_baseline:
-            return 1
-        return 0
+    def exit_code(self) -> int:
+        return 1 if self.errors else 0
+
+
+def _report_order(finding: Finding) -> Tuple[str, int, str]:
+    return (finding.path, finding.line, finding.rule)
 
 
 def load_project(root: Union[str, "os.PathLike[str]"]) -> Project:
@@ -522,7 +419,6 @@ def load_project(root: Union[str, "os.PathLike[str]"]) -> Project:
 def run_lint(
     root: Union[str, "os.PathLike[str]"],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     project_loader: Callable[..., Project] = load_project,
 ) -> LintResult:
     """Lint the tree under ``root`` and partition the findings."""
@@ -532,7 +428,7 @@ def run_lint(
     raw: List[Finding] = []
     for rule in rules:
         raw.extend(rule.run(project))
-    raw = assign_fingerprints(raw)
+    raw.sort(key=_report_order)
 
     suppressions: List[Suppression] = []
     for file in project.files:
@@ -546,8 +442,6 @@ def run_lint(
         files_scanned=len(project.files),
         rules_run=[r.code for r in rules],
     )
-    known = baseline.fingerprints() if baseline is not None else {}
-    matched_fps: set = set()
     for finding in raw:
         supp = next(
             (
@@ -560,10 +454,6 @@ def run_lint(
         if supp is not None:
             supp.used = True
             result.suppressed.append((finding, supp))
-            continue
-        if finding.fingerprint in known:
-            matched_fps.add(finding.fingerprint)
-            result.baselined.append(finding)
             continue
         result.errors.append(finding)
 
@@ -597,9 +487,5 @@ def run_lint(
                     ),
                 )
             )
-    result.errors = assign_fingerprints(result.errors)
-
-    for fingerprint, entry in known.items():
-        if fingerprint not in matched_fps:
-            result.stale_baseline.append(entry)
+    result.errors.sort(key=_report_order)
     return result

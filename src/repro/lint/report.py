@@ -28,22 +28,9 @@ def format_text(result: LintResult, *, verbose: bool = False) -> str:
             lines.append(
                 f"{finding.located()}: {finding.rule}: suppressed -- {why}"
             )
-        for finding in result.baselined:
-            lines.append(
-                f"{finding.located()}: {finding.rule}: baselined "
-                f"[{finding.fingerprint}]"
-            )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"baseline: stale entry {entry.get('fingerprint')} "
-            f"({entry.get('rule')} in {entry.get('path')}) no longer "
-            "matches any finding; refresh with `repro lint --write-baseline`"
-        )
     lines.append(
         f"repro lint: {len(result.errors)} error(s), "
-        f"{len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
-        f"{len(result.stale_baseline)} stale baseline entr(y/ies) "
+        f"{len(result.suppressed)} suppressed "
         f"[{result.files_scanned} files, {len(result.rules_run)} rules]"
     )
     return "\n".join(lines) + "\n"
@@ -56,8 +43,6 @@ def format_json(result: LintResult) -> str:
         "summary": {
             "errors": len(result.errors),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
             "files_scanned": result.files_scanned,
             "rules_run": result.rules_run,
         },
@@ -73,9 +58,5 @@ def format_json(result: LintResult) -> str:
             }
             for f, s in result.suppressed
         ],
-        "baselined": [f.as_dict() for f in result.baselined],
-        "stale_baseline": sorted(
-            result.stale_baseline, key=lambda e: str(e.get("fingerprint"))
-        ),
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -26,8 +26,8 @@ from repro.lint.engine import (
 )
 
 #: Package subtrees that run on the simulated clock and must stay
-#: deterministic; only ``repro/obs`` and ``repro/bench`` (and the
-#: experiment/CLI drivers) may read the wall clock.
+#: deterministic; only ``repro/obs`` (and the experiment/CLI drivers)
+#: may read the wall clock.
 SIM_PURE_PREFIXES = (
     "repro/sim/",
     "repro/core/",
@@ -55,7 +55,7 @@ class SimClockPurity(Rule):
     ``from time import <reader>``, and calls/references to the wall-clock
     readers (``time.time``, ``time.perf_counter``, ``time.monotonic``,
     ``datetime.now`` and friends) in those trees.  Wall-clock measurement
-    belongs in ``repro/obs`` or ``repro/bench``.
+    belongs in ``repro/obs``.
     """
 
     code = "RPR001"
@@ -90,7 +90,7 @@ class SimClockPurity(Rule):
                             node,
                             "wall-clock module `time` imported in "
                             "sim-pure code; move the measurement to "
-                            "repro.obs / repro.bench",
+                            "repro.obs",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.module == "time":
@@ -712,9 +712,8 @@ class BackendKernelRouting(Rule):
     that imports ``packed_decode_attention`` (or any other attention
     entry point) directly bypasses the seam and drops out of the
     per-layer trace.  This rule flags any import of an attention-kernel
-    *function* from ``repro.kernels`` outside the kernel package itself,
-    ``repro/backends/`` and ``repro/bench/`` (the harness times kernels
-    against their oracles by definition).  Types and pure helpers
+    *function* from ``repro.kernels`` outside the kernel package itself
+    and ``repro/backends/``.  Types and pure helpers
     (``AttentionRequest``, ``PackedDecodeCache``, ``resolve_scale``,
     query-span splitting, …) stay importable from anywhere.  Kernel
     experiments that study the kernels themselves suppress with
@@ -728,7 +727,6 @@ class BackendKernelRouting(Rule):
     ALLOWED_PREFIXES = (
         "repro/kernels/",
         "repro/backends/",
-        "repro/bench/",
     )
 
     #: The attention entry points a backend owns.  Deliberately *not*

@@ -23,9 +23,9 @@ Three pieces:
   (:func:`prometheus_snapshot`, self-reconciling against
   :func:`ledger_counters`) plus a sim-clock :class:`MetricsSampler`
   JSONL stream.
-- CLI surface — ``repro trace <experiment>`` / ``repro metrics`` and the
-  ``--trace-out`` / ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out``
-  flags on ``simulate`` / ``sweep`` / ``chat`` (see :mod:`repro.cli`).
+- CLI surface — ``repro trace <experiment>`` and the ``--trace-out`` /
+  ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` flags on
+  ``simulate`` / ``sweep`` / ``chat`` (see :mod:`repro.cli`).
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer

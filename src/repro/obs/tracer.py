@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 class Span:
@@ -169,19 +169,14 @@ class _SpanContext:
 class Tracer(NullTracer):
     """Recording tracer.
 
-    Args:
-        clock: optional callable returning the primary-clock time; used
-            when an instrumentation site does not pass ``t`` explicitly
-            (the wall-clock-driven bench harness passes
-            ``time.perf_counter``).  Without a clock, omitted timestamps
-            default to the last explicitly-seen time, so synchronous
-            wrappers still nest correctly on the primary axis.
+    When an instrumentation site does not pass ``t`` explicitly, the
+    timestamp defaults to the last explicitly-seen time, so synchronous
+    wrappers still nest correctly on the primary axis.
     """
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self._clock = clock
+    def __init__(self) -> None:
         self._wall_origin = time.perf_counter()
         self._ids = itertools.count(1)
         self._spans: List[Span] = []
@@ -201,10 +196,6 @@ class Tracer(NullTracer):
         if t is not None:
             self._last_time = t
             return t
-        if self._clock is not None:
-            now = self._clock()
-            self._last_time = now
-            return now
         return self._last_time
 
     # -- spans ---------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.serving.batching import BatchConfig
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request, RequestState
 from repro.sim.events import EventLoop
-from repro.sim.trace import TraceRecorder
 
 
 class EngineBase:
@@ -41,7 +40,6 @@ class EngineBase:
         loop: the discrete-event loop driving the simulation.
         cost_model: converts batch shapes to iteration durations.
         config: batching/admission thresholds.
-        keep_trace: retain full trace events (disable for large sweeps).
         tracer: observability sink (:mod:`repro.obs`); the default null
             tracer keeps every instrumentation site allocation-free.
     """
@@ -52,7 +50,6 @@ class EngineBase:
         loop: EventLoop,
         cost_model: CostModel,
         config: Optional[BatchConfig] = None,
-        keep_trace: bool = False,
         tracer: Optional[NullTracer] = None,
     ) -> None:
         self.name = name
@@ -65,7 +62,6 @@ class EngineBase:
         #: retries; the batch they rode in keeps running without them.
         self.failed: List[Request] = []
         self.metrics = MetricsCollector()
-        self.trace = TraceRecorder(keep_events=keep_trace)
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: Open request-lifecycle span ids, by request id.
         self._request_spans: Dict[int, int] = {}
@@ -104,7 +100,6 @@ class EngineBase:
         request.state = RequestState.WAITING
         request.last_enqueue_time = self.loop.now
         self.wait_queue.append(request)
-        self.trace.record(self.loop.now, "submit", request_id=request.request_id)
         if self.metrics.flight.enabled:
             self.metrics.flight.record(
                 request.request_id, "admit", self.loop.now,
@@ -164,9 +159,6 @@ class EngineBase:
             )
         self.metrics.fail(request, now, reason)
         self._on_fail(request, now)
-        self.trace.record(
-            now, "request_fault", request_id=request.request_id, reason=reason
-        )
         if self.tracer.enabled:
             self.tracer.count("requests.failed")
             span = self._request_spans.pop(request.request_id, None)
@@ -222,12 +214,6 @@ class EngineBase:
             return
         duration = self._execute(batch, self.loop.now)
         self._iterations += 1
-        self.trace.record(
-            self.loop.now,
-            "iteration",
-            batch_size=len(batch),
-            duration=duration,
-        )
         if self.tracer.enabled:
             self._trace_iteration(batch, self.loop.now, duration)
         self.loop.schedule_after(duration, self._complete, batch)
@@ -299,7 +285,6 @@ class EngineBase:
                     output_tokens=request.output_tokens,
                 )
             self.metrics.complete(request)
-            self.trace.record(now, "finish", request_id=request.request_id)
             if self.tracer.enabled:
                 self.tracer.count("requests.finished")
                 span = self._request_spans.pop(request.request_id, None)

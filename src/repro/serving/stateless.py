@@ -47,10 +47,9 @@ class StatelessEngine(EngineBase):
         spec: GpuSpec,
         batch_config: Optional[BatchConfig] = None,
         fusion_factor: float = 1.0,
-        keep_trace: bool = False,
     ) -> None:
         cost_model = CostModel(config, spec, fusion_factor=fusion_factor)
-        super().__init__(name, loop, cost_model, batch_config, keep_trace)
+        super().__init__(name, loop, cost_model, batch_config)
         self.model_config = config
         self.spec = spec
         total_kv_bytes = spec.kv_cache_bytes * config.num_gpus
@@ -119,8 +118,6 @@ class StatelessEngine(EngineBase):
             self._note_batch_join(request, now)
             selected.append(request)
             batch_tokens += prefill
-            self.trace.record(now, "admit", request_id=request.request_id,
-                              prefill_tokens=prefill)
         return selected
 
     def _decode_batch(self, now: float) -> List[Request]:
@@ -148,9 +145,11 @@ class StatelessEngine(EngineBase):
                 victim.request_id, "suspend", now, kind="preempt",
                 dropped_tokens=freed,
             )
-        self.trace.record(
-            now, "preempt", request_id=victim.request_id, freed_tokens=freed
-        )
+        if self.tracer.enabled:
+            self.tracer.instant(
+                "preempt", t=now, track="engine",
+                request_id=victim.request_id, freed_tokens=freed,
+            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -174,9 +173,7 @@ class StatelessEngine(EngineBase):
 
     def _on_finish(self, request: Request, now: float) -> None:
         """Stateless: de-allocate every slot immediately (§2.2)."""
-        freed = self._release(request)
-        self.trace.record(now, "release", request_id=request.request_id,
-                          freed_tokens=freed)
+        self._release(request)
 
 
 def make_vllm(
@@ -184,12 +181,10 @@ def make_vllm(
     config: ModelConfig,
     spec: GpuSpec,
     batch_config: Optional[BatchConfig] = None,
-    keep_trace: bool = False,
 ) -> StatelessEngine:
     """The vLLM baseline (PyTorch-speed execution)."""
     return StatelessEngine(
-        "vLLM", loop, config, spec, batch_config,
-        fusion_factor=1.0, keep_trace=keep_trace,
+        "vLLM", loop, config, spec, batch_config, fusion_factor=1.0
     )
 
 
@@ -198,10 +193,9 @@ def make_tensorrt_llm(
     config: ModelConfig,
     spec: GpuSpec,
     batch_config: Optional[BatchConfig] = None,
-    keep_trace: bool = False,
 ) -> StatelessEngine:
     """The TensorRT-LLM baseline (compiled-kernel execution)."""
     return StatelessEngine(
         "TensorRT-LLM", loop, config, spec, batch_config,
-        fusion_factor=TENSORRT_FUSION_FACTOR, keep_trace=keep_trace,
+        fusion_factor=TENSORRT_FUSION_FACTOR,
     )

@@ -9,16 +9,16 @@ from repro.analysis import (
     turn_latency_breakdown,
 )
 from repro.core import PensieveEngine
+from repro.experiments.common import run_serving_once
 from repro.gpu import PcieEngine
+from repro.obs import Tracer
 from repro.serving import make_vllm
 
 from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with_capacity
 
 
 def pensieve(loop):
-    return PensieveEngine(
-        loop, TINY, spec_with_capacity(2048), keep_trace=True
-    )
+    return PensieveEngine(loop, TINY, spec_with_capacity(2048))
 
 
 class TestCacheSummary:
@@ -40,6 +40,28 @@ class TestCacheSummary:
         assert summary.hit_rate == 1.0
         assert summary.cpu_hit_rate == 0.0
 
+    def test_three_tier_counts_disk_hits(self):
+        """Every looked-up token is a hit in some tier or recomputed; a
+        small disk tier makes the run do both."""
+        engine, _, _ = serve(
+            lambda loop: PensieveEngine(
+                loop, TINY, spec_with_capacity(256), chunk_size=16,
+                policy="lru", cpu_cache_tokens=128, disk_cache_tokens=512,
+            ),
+            [
+                scripted_conversation(
+                    i, [(40, 12), (12, 12), (12, 12)],
+                    start=float(i), think=30.0,
+                )
+                for i in range(12)
+            ],
+        )
+        summary = cache_summary(engine)
+        assert summary.hit_rate + summary.recompute_rate == pytest.approx(1.0)
+        assert summary.disk_hit_rate > 0
+        assert summary.recompute_rate > 0
+        assert summary.as_dict()["disk_hit_rate"] == round(summary.disk_hit_rate, 4)
+
     def test_stateless_engine_has_no_summary(self):
         engine, _, _ = serve(
             lambda loop: make_vllm(loop, TINY, spec_with_capacity(512)),
@@ -52,7 +74,7 @@ class TestCacheSummary:
 class TestBatchOccupancy:
     def test_occupancy_statistics(self):
         convs = [scripted_conversation(i, [(8, 20)]) for i in range(4)]
-        engine, _, _ = serve(pensieve, convs)
+        engine, _ = run_serving_once(pensieve, convs, tracer=Tracer())
         occ = batch_occupancy(engine)
         assert occ.iterations == engine.iterations
         assert 1 <= occ.mean_batch <= 4
@@ -62,12 +84,10 @@ class TestBatchOccupancy:
 
     def test_requires_trace(self):
         engine, _, _ = serve(
-            lambda loop: PensieveEngine(
-                loop, TINY, spec_with_capacity(512), keep_trace=False
-            ),
+            lambda loop: PensieveEngine(loop, TINY, spec_with_capacity(512)),
             [scripted_conversation(0, [(5, 3)])],
         )
-        with pytest.raises((ValueError, RuntimeError)):
+        with pytest.raises(ValueError):
             batch_occupancy(engine)
 
 

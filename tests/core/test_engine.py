@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core import PensieveEngine
+from repro.experiments.common import run_serving_once
+from repro.obs import Tracer
 from repro.serving import BatchConfig, make_vllm
 from repro.sim import EventLoop
 from repro.workload import ConversationDriver
@@ -10,15 +12,11 @@ from repro.workload import ConversationDriver
 from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with_capacity
 
 
-def pensieve_factory(
-    capacity_tokens=4096, cpu_tokens=None, keep_trace=True, **kwargs
-):
+def pensieve_factory(capacity_tokens=4096, cpu_tokens=None, **kwargs):
     spec = spec_with_capacity(capacity_tokens)
     if cpu_tokens is not None:
         kwargs["cpu_cache_tokens"] = cpu_tokens
-    return lambda loop: PensieveEngine(
-        loop, TINY, spec, keep_trace=keep_trace, **kwargs
-    )
+    return lambda loop: PensieveEngine(loop, TINY, spec, **kwargs)
 
 
 class TestBasicServing:
@@ -131,9 +129,18 @@ class TestCacheManagement:
             scripted_conversation(i, [(20, 20)], start=float(i) * 0.5)
             for i in range(8)
         ]
-        engine, _, _ = serve(pensieve_factory(capacity_tokens=256), convs)
-        assert engine.trace.count("aot_swap_out") > 0
+        tracer = Tracer()
+        engine, _ = run_serving_once(
+            pensieve_factory(capacity_tokens=256), convs, tracer=tracer
+        )
+        assert any(
+            span.attrs["kind"] == "ahead_of_time"
+            for span in tracer.spans_named("swap_out")
+        )
         assert engine.manager.stats["swapped_out_tokens"] > 0
+        # The armed tracer tells the run's whole story.
+        assert len(tracer.spans_named("iteration")) == engine.iterations
+        assert len(tracer.spans_named("request")) == len(convs)
 
     def test_returning_conversation_swaps_in(self):
         """A conversation evicted to CPU is swapped back in, not
@@ -146,10 +153,15 @@ class TestCacheManagement:
                 for i in range(4)
             ],
         ]
-        engine, _, _ = serve(pensieve_factory(capacity_tokens=256), convs)
+        tracer = Tracer()
+        engine, _ = run_serving_once(
+            pensieve_factory(capacity_tokens=256), convs, tracer=tracer
+        )
         stats = engine.manager.stats
         assert stats["cpu_hit_tokens"] > 0
-        assert engine.trace.count("swap_in") >= 1
+        assert len(tracer.spans_named("swap_in")) >= 1
+        admits = [attrs for name, *_, attrs in tracer.instants if name == "admit"]
+        assert sum(a["swap_in"] for a in admits) == stats["cpu_hit_tokens"]
 
     def test_gpu_cache_variant_recomputes(self):
         """Without a CPU tier, evicted context must be recomputed."""

@@ -3,7 +3,8 @@
 The batched/vectorized layer is a pure performance optimisation: every
 test here pins its outputs to the per-request kernels (the correctness
 oracle) across architectures, GQA ratios, ragged batches and sub-request
-splits.  ``repro bench`` measures the speed; these tests pin the math.
+splits.  ``benchmarks/serving`` measures the speed; these tests pin the
+math.
 """
 
 import numpy as np

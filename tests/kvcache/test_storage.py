@@ -79,31 +79,15 @@ class TestCorruptionDetection:
 
 
 class TestVerifyOnRead:
-    def test_default_verifies(self):
-        assert CpuChunkStore(capacity_tokens=64).verify_on_read is True
-
-    def test_disabled_skips_crc_check(self):
-        """verify_on_read=False trades integrity checking for read speed:
-        silent corruption is returned instead of raised."""
-        store = CpuChunkStore(capacity_tokens=64, verify_on_read=False)
-        k, v = chunk_data()
-        store.put(1, 0, k, v)
-        stored_k, _ = store._entries[(1, 0)]
-        stored_k.flat[5] += 1e-3
-        got_k, _ = store.get(1, 0)  # no ChunkCorruptionError
-        assert got_k.flat[5] != k.flat[5]
-        store.pop(1, 0)
-        assert not store.contains(1, 0)
-
-    def test_disabled_still_raises_keyerror(self):
-        store = CpuChunkStore(capacity_tokens=64, verify_on_read=False)
+    def test_missing_chunk_raises_keyerror(self):
+        store = CpuChunkStore(capacity_tokens=64)
         with pytest.raises(KeyError):
             store.get(9, 9)
         with pytest.raises(KeyError):
             store.pop(9, 9)
 
     def test_enabled_catches_corruption_on_pop(self):
-        store = CpuChunkStore(capacity_tokens=64, verify_on_read=True)
+        store = CpuChunkStore(capacity_tokens=64)
         k, v = chunk_data()
         store.put(1, 0, k, v)
         stored_k, _ = store._entries[(1, 0)]

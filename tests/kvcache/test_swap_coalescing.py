@@ -1,18 +1,18 @@
 """Differential tests for the coalesced two-tier swap data path.
 
 The coalesced primitives (``KVStorage.read_slots_stacked`` /
-``write_slots_stacked``, ``CpuChunkStore.put_many`` / ``pop_many``)
-must be observationally identical to the per-chunk loops they replace:
-bit-identical KV arrays, identical store occupancy and checksums, and
-exactly matching tracer counter totals — coalescing changes the number
-of transfers, not the accounting.
+``write_slots_stacked``, ``put_many`` / ``pop_many`` on the CPU and disk
+chunk stores) must be observationally identical to the per-chunk loops
+they replace: bit-identical KV arrays, identical store occupancy and
+checksums, and exactly matching tracer counter totals — coalescing
+changes the number of transfers, not the accounting.
 """
 
 import numpy as np
 import pytest
 
 from repro.faults.errors import ChunkCorruptionError
-from repro.kvcache.storage import CpuChunkStore, KVStorage
+from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.model.config import tiny_llama_config
 from repro.obs import Tracer
 
@@ -66,6 +66,20 @@ def test_stacked_write_matches_per_chunk_writes_bit_exact():
     np.testing.assert_array_equal(a.v, b.v)
 
 
+def test_stacked_write_reuses_scratch_in_steady_state():
+    """After one warm-up transfer, a second of the same size leaves the
+    staging scratch the same objects: coalesced swap-in allocates nothing
+    in the steady state."""
+    config, total, groups, datas = _make_case()
+    storage = KVStorage(config, num_slots=total, dtype=np.float64)
+    storage.write_slots_stacked(groups, datas)
+    scratch = (storage._stack_idx, storage._stack_k, storage._stack_v)
+    storage.write_slots_stacked(groups, datas)
+    assert storage._stack_idx is scratch[0]
+    assert storage._stack_k is scratch[1]
+    assert storage._stack_v is scratch[2]
+
+
 def test_stacked_roundtrip_preserves_bytes():
     """read_slots_stacked -> write_slots_stacked into a second storage
     reproduces the source slots verbatim (the swap-out/swap-in cycle)."""
@@ -90,10 +104,11 @@ def test_stacked_write_validates_shapes():
         storage.write_slots_stacked([groups[0]], [(k[:, :-1], v)])
 
 
-def test_put_many_matches_per_chunk_puts():
+@pytest.mark.parametrize("store_cls", [CpuChunkStore, DiskChunkStore])
+def test_put_many_matches_per_chunk_puts(store_cls):
     _, total, _, datas = _make_case()
-    a = CpuChunkStore(total)
-    b = CpuChunkStore(total)
+    a = store_cls(total)
+    b = store_cls(total)
     a.tracer = Tracer()
     b.tracer = Tracer()
     for i, (k, v) in enumerate(datas):
@@ -105,8 +120,9 @@ def test_put_many_matches_per_chunk_puts():
     assert a.chunks_of(0) == b.chunks_of(0)
     assert a._checksums == b._checksums
     # Counter totals reconcile exactly; only the transfer count differs.
-    for name in ("cpu_store.put_bytes", "cpu_store.put_chunks"):
-        assert a.tracer.counter(name) == b.tracer.counter(name)
+    for name in ("put_bytes", "put_chunks"):
+        counter = f"{store_cls._PREFIX}.{name}"
+        assert a.tracer.counter(counter) == b.tracer.counter(counter) > 0
     # Every stored chunk still passes its CRC re-check.
     for i in range(len(datas)):
         b.get(0, i)
@@ -132,10 +148,11 @@ def test_put_many_rejects_duplicates_atomically():
     assert store.chunks_of(0) == [1]
 
 
-def test_pop_many_matches_per_chunk_pops():
+@pytest.mark.parametrize("store_cls", [CpuChunkStore, DiskChunkStore])
+def test_pop_many_matches_per_chunk_pops(store_cls):
     _, total, _, datas = _make_case()
-    a = CpuChunkStore(total)
-    b = CpuChunkStore(total)
+    a = store_cls(total)
+    b = store_cls(total)
     a.tracer = Tracer()
     b.tracer = Tracer()
     for i, (k, v) in enumerate(datas):
@@ -155,9 +172,8 @@ def test_pop_many_matches_per_chunk_pops():
     assert a.used_tokens == b.used_tokens
     assert a.chunks_of(0) == b.chunks_of(0)
     assert a._checksums == b._checksums
-    assert a.tracer.counter("cpu_store.read_bytes") == b.tracer.counter(
-        "cpu_store.read_bytes"
-    )
+    counter = f"{store_cls._PREFIX}.read_bytes"
+    assert a.tracer.counter(counter) == b.tracer.counter(counter) > 0
 
 
 def test_pop_many_reports_corrupt_chunks_and_retains_them():
@@ -179,12 +195,3 @@ def test_pop_many_reports_corrupt_chunks_and_retains_them():
     with pytest.raises(ChunkCorruptionError):
         store.pop(0, 2)
 
-
-def test_pop_many_skips_verification_when_disabled():
-    _, total, _, datas = _make_case()
-    store = CpuChunkStore(total, verify_on_read=False)
-    for i, (k, v) in enumerate(datas[:2]):
-        store.put(0, i, k, v)
-    store._entries[(0, 1)][0].flat[0] += 1.0
-    popped, corrupt = store.pop_many(0, [0, 1])
-    assert corrupt == [] and len(popped) == 2 and len(store) == 0

@@ -22,7 +22,3 @@ class Engine:
 
     def good_constant_args(self, n):
         self.tracer.count("pcie.h2d_bytes", n)
-
-    def good_sim_trace(self, now, batch):
-        # The sim trace recorder is always-on by design; not a sink.
-        self.trace.record(now, "iteration", batch_size=len(batch))

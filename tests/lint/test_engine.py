@@ -1,14 +1,9 @@
-"""Engine-layer tests: AST helpers, suppressions, fingerprints, baseline."""
+"""Engine-layer tests: AST helpers and suppressions."""
 
 import ast
-import json
 
-import pytest
-
-from repro.lint import Baseline, Finding, run_lint
 from repro.lint.engine import (
     SourceFile,
-    assign_fingerprints,
     dotted_name,
     receiver_parts,
     scan_suppressions,
@@ -106,51 +101,3 @@ class TestSuppressions:
         file = _file("x = 1  # repro: ignore[RPR001, RPR003] -- both\n")
         assert scan_suppressions(file)[0].codes == ("RPR001", "RPR003")
 
-
-class TestFingerprints:
-    def test_stable_across_line_churn(self):
-        a = Finding("RPR001", "src/repro/sim/x.py", 10, 0, "m", "time.time()")
-        b = Finding("RPR001", "src/repro/sim/x.py", 99, 4, "m", "time.time()")
-        fa = assign_fingerprints([a])[0].fingerprint
-        fb = assign_fingerprints([b])[0].fingerprint
-        assert fa == fb
-
-    def test_occurrence_index_disambiguates_duplicates(self):
-        a = Finding("RPR001", "p.py", 1, 0, "m", "time.time()")
-        b = Finding("RPR001", "p.py", 2, 0, "m", "time.time()")
-        fps = [f.fingerprint for f in assign_fingerprints([a, b])]
-        assert len(set(fps)) == 2
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path, fixture_root):
-        result = run_lint(fixture_root("rpr005"))
-        assert result.errors
-        path = tmp_path / "baseline.json"
-        Baseline.from_findings(result.errors).write(path)
-        again = run_lint(fixture_root("rpr005"), baseline=Baseline.load(path))
-        assert again.errors == []
-        assert len(again.baselined) == len(result.errors)
-        assert again.exit_code(strict=True) == 0
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert Baseline.load(tmp_path / "nope.json").entries == []
-
-    def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(ValueError):
-            Baseline.load(path)
-
-    def test_stale_entries_fail_only_strict(self, tmp_path, fixture_root):
-        path = tmp_path / "baseline.json"
-        Baseline(
-            [{"fingerprint": "feedfacefeedface", "rule": "RPR005",
-              "path": "gone.py", "snippet": "", "justification": "old"}]
-        ).write(path)
-        result = run_lint(fixture_root("clean"), baseline=Baseline.load(path))
-        assert result.errors == []
-        stale_fps = [e["fingerprint"] for e in result.stale_baseline]
-        assert stale_fps == ["feedfacefeedface"]
-        assert result.exit_code(strict=False) == 0
-        assert result.exit_code(strict=True) == 1

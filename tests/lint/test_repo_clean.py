@@ -1,27 +1,24 @@
 """Meta-test: the real tree passes its own lint gate.
 
 This is the local mirror of the CI ``repro lint --strict`` job: zero
-unsuppressed findings on ``src/repro``, every suppression justified, and
-no stale baseline entries.
+unsuppressed findings on ``src/repro`` and every suppression justified.
 """
 
 import json
 
 from repro.cli import main
-from repro.lint import Baseline, all_rules, run_lint
+from repro.lint import all_rules, run_lint
 
 from tests.lint.conftest import REPO_ROOT
 
 
 class TestRepoIsClean:
     def test_strict_lint_passes_on_the_real_tree(self):
-        baseline = Baseline.load(REPO_ROOT / "lint_baseline.json")
-        result = run_lint(REPO_ROOT, baseline=baseline)
+        result = run_lint(REPO_ROOT)
         assert result.errors == [], "\n".join(
             f"{f.located()}: {f.rule}: {f.message}" for f in result.errors
         )
-        assert result.stale_baseline == []
-        assert result.exit_code(strict=True) == 0
+        assert result.exit_code() == 0
 
     def test_every_suppression_carries_a_justification(self):
         result = run_lint(REPO_ROOT)
@@ -58,13 +55,3 @@ class TestCliSmoke:
         assert code == 0
         out = capsys.readouterr().out
         assert "repro lint: 0 error(s)" in out
-
-    def test_write_baseline_round_trip(self, capsys, tmp_path, monkeypatch):
-        baseline = tmp_path / "baseline.json"
-        code = main([
-            "lint", "--root", str(REPO_ROOT),
-            "--baseline", str(baseline), "--write-baseline",
-        ])
-        assert code == 0
-        written = Baseline.load(baseline)
-        assert written.entries == []  # clean tree -> empty baseline

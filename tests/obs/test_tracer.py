@@ -89,14 +89,6 @@ class TestSpans:
         assert tracer.spans[0].t1 == 7.0
         assert sid == span.id
 
-    def test_clock_fallback_resolves_omitted_time(self):
-        times = iter([10.0, 11.0])
-        tracer = Tracer(clock=lambda: next(times))
-        sid = tracer.begin("clocked")
-        tracer.end(sid)
-        (span,) = tracer.spans
-        assert (span.t0, span.t1) == (10.0, 11.0)
-
 
 class TestCountersAndGauges:
     def test_count_accumulates(self):

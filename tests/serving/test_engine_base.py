@@ -7,6 +7,7 @@ import pytest
 from repro.gpu import A100_80GB, CostModel
 from repro.gpu.costmodel import BatchShape
 from repro.model import tiny_opt_config
+from repro.obs import Tracer
 from repro.serving import BatchConfig
 from repro.serving.engine import EngineBase
 from repro.serving.request import Request, RequestState
@@ -104,12 +105,15 @@ class TestServingLoop:
 
     def test_trace_records_iterations(self):
         loop = EventLoop()
-        engine = MiniEngine(loop, keep_trace=True)
+        engine = MiniEngine(loop)
+        tracer = Tracer()
+        engine.set_tracer(tracer)
         submit_requests(engine, loop, [(0.0, 2)])
         loop.run()
-        assert engine.trace.count("submit") == 1
-        assert engine.trace.count("iteration") == 2
-        assert engine.trace.count("finish") == 1
+        (request_span,) = tracer.spans_named("request")
+        assert request_span.attrs["outcome"] == "finished"
+        assert len(tracer.spans_named("iteration")) == engine.iterations == 2
+        assert tracer.counter("requests.finished") == 1
 
 
 class TestBatchConfig:

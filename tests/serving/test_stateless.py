@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.experiments.common import run_serving_once
+from repro.obs import Tracer
 from repro.serving import BatchConfig, RequestState, make_tensorrt_llm, make_vllm
 from repro.serving.stateless import StatelessEngine
 from repro.sim import EventLoop
@@ -9,9 +11,9 @@ from repro.sim import EventLoop
 from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with_capacity
 
 
-def vllm_factory(capacity_tokens=4096, batch_config=None, keep_trace=True):
+def vllm_factory(capacity_tokens=4096, batch_config=None):
     spec = spec_with_capacity(capacity_tokens)
-    return lambda loop: make_vllm(loop, TINY, spec, batch_config, keep_trace=keep_trace)
+    return lambda loop: make_vllm(loop, TINY, spec, batch_config)
 
 
 class TestBasicServing:
@@ -88,9 +90,10 @@ class TestMemoryManagement:
             scripted_conversation(0, [(20, 40)], start=0.0),
             scripted_conversation(1, [(20, 40)], start=0.01),
         ]
-        engine, _, _ = serve(vllm_factory(96, keep_trace=True), convs)
+        tracer = Tracer()
+        engine, _ = run_serving_once(vllm_factory(96), convs, tracer=tracer)
         assert len(engine.metrics) == 2
-        assert engine.trace.count("preempt") >= 1
+        assert any(name == "preempt" for name, *_ in tracer.instants)
         # The preempted request's re-prefill covered generated tokens too.
         victim = engine.metrics.records[-1]
         assert victim.prefilled_tokens > 20

@@ -12,17 +12,11 @@ class TestParser:
 
     def test_all_commands_registered(self):
         parser = build_parser()
-        for command in ("chat", "simulate", "sweep", "figures", "bench", "report"):
+        for command in ("chat", "simulate", "sweep", "figures", "report"):
             args = parser.parse_args(
                 [command] if command != "report" else [command, "--output", "x.md"]
             )
             assert args.command == command
-
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.output == "BENCH_kernels.json"
-        assert args.quick is False
-        assert args.repeats is None
 
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
@@ -118,30 +112,6 @@ class TestSweep:
         assert "thr(req/s)" in out
 
 
-@pytest.mark.slow
-class TestBench:
-    def test_quick_bench_writes_json_and_passes(self, capsys, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_kernels.json"
-        rc = main(
-            ["bench", "--quick", "--repeats", "1", "--output", str(out_path)]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "decode/" in out and "e2e/" in out
-        payload = json.loads(out_path.read_text())
-        assert payload["summary"]["all_equivalent"] is True
-        assert payload["quick"] is True
-        assert all(x["equivalent"] for x in payload["results"])
-
-    def test_empty_output_skips_writing(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        rc = main(["bench", "--quick", "--repeats", "1", "--output", ""])
-        assert rc == 0
-        assert not list(tmp_path.iterdir())
-
-
 class TestFigures:
     def test_figures_prints_all(self, capsys):
         assert main(["figures"]) == 0
@@ -188,25 +158,6 @@ class TestTrace:
         assert (out_dir / "trace_simulate.chrome.json").exists()
         assert (out_dir / "trace_simulate.jsonl").exists()
 
-    @pytest.mark.slow
-    def test_bench_trace_out_flag(self, capsys, tmp_path):
-        import json
-
-        out_dir = tmp_path / "b"
-        rc = main(
-            [
-                "bench", "--quick", "--repeats", "1",
-                "--output", str(tmp_path / "bench.json"),
-                "--trace-out", str(out_dir),
-            ]
-        )
-        assert rc == 0
-        chrome = json.loads((out_dir / "trace_bench.chrome.json").read_text())
-        names = {
-            e["name"] for e in chrome["traceEvents"] if e["ph"] == "X"
-        }
-        assert any(name.startswith("bench.") for name in names)
-
 
 class TestObservabilityCli:
     def test_slo_flags_on_serving_commands(self):
@@ -223,12 +174,6 @@ class TestObservabilityCli:
             assert args.slo_ttft == 0.5
             assert args.slo_tbt == 0.1
             assert args.metrics_out == "m"
-
-    def test_metrics_command_registered(self):
-        args = build_parser().parse_args(["metrics"])
-        assert args.command == "metrics"
-        assert args.out == "metrics"
-        assert args.slo_ttft is None and args.slo_tbt is None
 
     def test_trace_summary_flags(self):
         args = build_parser().parse_args(["trace", "simulate"])
@@ -262,20 +207,6 @@ class TestObservabilityCli:
         jsonl = (out_dir / "metrics.jsonl").read_text().splitlines()
         assert json.loads(jsonl[0])["format"] == "repro-metrics-jsonl"
         assert (out_dir / "metrics_captures.jsonl").exists()
-
-    def test_metrics_command_round_trips_snapshot(self, capsys, tmp_path):
-        out_dir = tmp_path / "metrics"
-        rc = main(
-            [
-                "metrics", "--rate", "2", "--duration", "40", "--seed", "3",
-                "--slo-ttft", "0.2", "--out", str(out_dir),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "snapshot parses:" in out
-        assert (out_dir / "metrics.prom").exists()
-        assert (out_dir / "metrics.jsonl").exists()
 
     def test_trace_summary_prints_aggregate(self, capsys, tmp_path):
         rc = main(
