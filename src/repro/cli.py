@@ -608,10 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--root", default=".",
                       help="repo root to lint (default: cwd); scans "
                            "<root>/src/repro")
-    lint.add_argument("--strict", action="store_true",
-                      help="accepted for the CI invocation; every finding, "
-                           "bare or unused suppressions included, already "
-                           "fails the run")
     lint.add_argument("--json", action="store_true",
                       help="emit the machine-readable JSON report")
     lint.add_argument("--output", default=None, metavar="PATH",

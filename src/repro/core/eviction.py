@@ -30,7 +30,7 @@ residents.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Dict
 
 from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache.chunks import Chunk, ChunkLocation
@@ -54,12 +54,20 @@ class RetentionValuePolicy:
             raise ValueError(f"min_idle must be positive, got {min_idle}")
         self.profile = profile
         self.min_idle = min_idle
+        # ``profile.recompute_cost`` by context length, filled on first
+        # use: the profile is immutable and eviction scores the same few
+        # thousand lengths (at most one per token of the longest context)
+        # millions of times.
+        self._cost: Dict[int, float] = {}
 
     def __call__(self, chunk: Chunk, last_active: float, now: float) -> float:
         idle = max(now - last_active, self.min_idle)
         # ``l`` is the context size the chunk attends to during
         # recomputation: everything up to and including the chunk itself.
-        cost = self.profile.recompute_cost(chunk.end)
+        context_len = chunk.end
+        cost = self._cost.get(context_len)
+        if cost is None:
+            cost = self._cost[context_len] = self.profile.recompute_cost(context_len)
         return cost / idle
 
     def __repr__(self) -> str:

@@ -105,13 +105,11 @@ class ConversationCache:
 
     def tokens_in(self, *locations: ChunkLocation) -> int:
         """Number of tokens whose chunks are in any of ``locations``."""
-        wanted = set(locations)
-        return sum(c.num_tokens for c in self.chunks if c.location in wanted)
+        return sum(c.num_tokens for c in self.chunks if c.location in locations)
 
     def chunks_in(self, *locations: ChunkLocation) -> List[Chunk]:
         """Chunks in any of ``locations``, in sequence order."""
-        wanted = set(locations)
-        return [c for c in self.chunks if c.location in wanted]
+        return [c for c in self.chunks if c.location in locations]
 
     def segments(self) -> Dict[ChunkLocation, int]:
         """Token counts per location (the Figure 5 decomposition)."""
@@ -190,32 +188,24 @@ class ConversationCache:
 
     def frontier(self, *locations: ChunkLocation) -> Optional[Chunk]:
         """Earliest chunk currently in any of ``locations``."""
-        wanted = set(locations)
         for chunk in self.chunks:
-            if chunk.location in wanted:
+            if chunk.location in locations:
                 return chunk
         return None
 
     def rear(self, *locations: ChunkLocation) -> Optional[Chunk]:
         """Latest chunk currently in any of ``locations``."""
-        wanted = set(locations)
         for chunk in reversed(self.chunks):
-            if chunk.location in wanted:
+            if chunk.location in locations:
                 return chunk
         return None
 
     def gpu_segment_bounds(self) -> Tuple[int, int]:
         """Token range ``[start, end)`` of GPU-resident chunks
         (``GPU`` or ``GPU_CPU``); ``(total, total)`` when none."""
-        start = None
-        for chunk in self.chunks:
-            if chunk.location in (ChunkLocation.GPU, ChunkLocation.GPU_CPU):
-                if start is None:
-                    start = chunk.start
-        if start is None:
-            total = self.total_tokens
-            return (total, total)
-        return (start, self.total_tokens)
+        total = self.total_tokens
+        first = self.frontier(ChunkLocation.GPU, ChunkLocation.GPU_CPU)
+        return (total if first is None else first.start, total)
 
     def __repr__(self) -> str:
         seg = self.segments()

@@ -27,16 +27,23 @@ both the functional layer (real numpy tensors) and the performance
 simulation.
 
 Implementation note: the serving simulation calls the accounting
-properties on every scheduling round, so all tier totals are maintained
-incrementally (O(1) reads) and every location change funnels through
-:meth:`TieredCacheManager._move`; :meth:`_audit` re-derives the counters
-from scratch and is exercised by the test suite.
+properties on every scheduling round and evicts on most of them, so both
+are incremental.  All tier totals are maintained as counters (O(1)
+reads), and a *frontier index* holds, per location, each conversation's
+earliest chunk there — the only chunk of it an eviction may take.  Every
+location change funnels through :meth:`TieredCacheManager._move`, which
+keeps both exact.  An eviction call scores the location's frontiers once,
+heapifies them, and after each victim pushes only that conversation's
+next frontier (:meth:`TieredCacheManager._victims`): O(N + k log N) for k
+victims among N cached conversations.  :meth:`_audit` re-derives the
+counters and the index from scratch and is exercised by the test suite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
@@ -191,9 +198,10 @@ class TieredCacheManager:
         self._disk_used = 0       # tokens in DISK
         self._reclaimable = 0     # GPU_CPU tokens of unpinned conversations
         self._evictable = 0       # GPU tokens of unpinned conversations
-        # Which conversations have at least one chunk in a location.
-        self._index: Dict[ChunkLocation, Set[int]] = {
-            loc: set() for loc in ChunkLocation
+        # Frontier index: per location, ``conv_id ->`` the conversation's
+        # earliest chunk there (absent when it has none).
+        self._frontier: Dict[ChunkLocation, Dict[int, Chunk]] = {
+            loc: {} for loc in ChunkLocation
         }
         # Statistics for Figure 14 style analyses.
         self.stats = {
@@ -328,26 +336,35 @@ class TieredCacheManager:
         if old is ChunkLocation.GPU_CPU:
             self._bump("gpu_cpu_exit_tokens", n)
         chunk.location = new
-        self._reindex(cache)
+        conv_id = cache.conv_id
+        left = self._frontier[old]
+        if left.get(conv_id) is chunk:
+            # The frontier of ``old`` left: the next chunk still there (in
+            # a legal layout the very next one, if any) takes over.
+            chunks = cache.chunks
+            for i in range(chunk.index + 1, len(chunks)):
+                if chunks[i].location is old:
+                    left[conv_id] = chunks[i]
+                    break
+            else:
+                del left[conv_id]
+        entered = self._frontier[new]
+        first = entered.get(conv_id)
+        if first is None or chunk.index < first.index:
+            entered[conv_id] = chunk
         if self.observer is not None:
             self.observer(cache, chunk, old, new)
 
-    def _reindex(self, cache: ConversationCache) -> None:
-        """Refresh the location index entries of one conversation."""
-        present = {c.location for c in cache.chunks}
-        for loc in ChunkLocation:
-            if loc in present:
-                self._index[loc].add(cache.conv_id)
-            else:
-                self._index[loc].discard(cache.conv_id)
-
-    def _on_extend(self, cache: ConversationCache, tokens: int) -> None:
-        """Account fresh GPU tokens appended to a conversation."""
+    def _extend(self, cache: ConversationCache, tokens: int) -> None:
+        """Append ``tokens`` fresh GPU tokens to a conversation."""
+        touched = cache.extend_to(cache.total_tokens + tokens)
         self._gpu_resident += tokens
         if not cache.pinned:
             self._evictable += tokens
-        if tokens:
-            self._index[ChunkLocation.GPU].add(cache.conv_id)
+        if touched:
+            # With no GPU chunk yet, nothing was extended in place, so
+            # the first chunk created is the GPU frontier.
+            self._frontier[ChunkLocation.GPU].setdefault(cache.conv_id, touched[0])
 
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
@@ -363,7 +380,8 @@ class TieredCacheManager:
         cache.pinned = pinned
 
     def _audit(self) -> None:
-        """Re-derive every counter from scratch and assert consistency.
+        """Re-derive every counter and the frontier index from scratch
+        and assert consistency.
 
         Used by the test suite (including property-based tests) to prove
         the incremental accounting can never drift.
@@ -381,13 +399,14 @@ class TieredCacheManager:
         assert disk == self._disk_used, (disk, self._disk_used)
         assert reclaimable == self._reclaimable, (reclaimable, self._reclaimable)
         assert evictable == self._evictable, (evictable, self._evictable)
-        for loc in ChunkLocation:
-            expect = {
-                c.conv_id
-                for c in self._conversations.values()
-                if any(ch.location is loc for ch in c.chunks)
-            }
-            assert expect == self._index[loc], (loc, expect, self._index[loc])
+        for loc, index in self._frontier.items():
+            assert index.keys() <= self._conversations.keys(), (loc, index)
+            for cache in self._conversations.values():
+                # ``None`` on both sides when the conversation has no
+                # chunk in ``loc``: absent from the index.
+                assert index.get(cache.conv_id) is cache.frontier(loc), (
+                    loc, index.get(cache.conv_id), cache
+                )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -425,8 +444,8 @@ class TieredCacheManager:
         if not cache.pinned:
             self._reclaimable -= cache.tokens_in(ChunkLocation.GPU_CPU)
             self._evictable -= cache.tokens_in(ChunkLocation.GPU)
-        for loc in ChunkLocation:
-            self._index[loc].discard(conv_id)
+        for index in self._frontier.values():
+            index.pop(conv_id, None)
         return gpu
 
     # ------------------------------------------------------------------
@@ -486,9 +505,7 @@ class TieredCacheManager:
             # promoted back to GPU-only (their CPU copy is invalidated on
             # reuse for simplicity).
             self._move(cache, chunk, ChunkLocation.GPU)
-        before = cache.total_tokens
-        cache.extend_to(before + plan.new_tokens)
-        self._on_extend(cache, plan.new_tokens)
+        self._extend(cache, plan.new_tokens)
         cache.check_layout()
         return cache
 
@@ -517,8 +534,7 @@ class TieredCacheManager:
                 )
             reclaimed = self.reclaim(deficit, now=cache.last_active, exclude=conv_id)
             assert reclaimed >= deficit, (reclaimed, deficit)
-        cache.extend_to(cache.total_tokens + count)
-        self._on_extend(cache, count)
+        self._extend(cache, count)
 
     def invalidate_cpu_prefix(
         self, conv_id: int, upto: Optional[Chunk] = None
@@ -585,26 +601,61 @@ class TieredCacheManager:
             raise RuntimeError("no eviction scorer configured")
         return self.scorer
 
-    def _candidates(
+    def _scored_frontiers(
         self, location: ChunkLocation, now: float, exclude: Optional[int] = None
-    ) -> List[Tuple[float, Chunk, ConversationCache]]:
-        """Frontier chunks in ``location``, scored, ascending.
+    ) -> List[Tuple[float, int, int, Chunk, ConversationCache]]:
+        """``(score, conv_id, chunk.index, chunk, cache)`` for the frontier
+        chunk of every unpinned conversation in ``location``, unordered.
 
         Only the *earliest* chunk of each conversation in the given
         location is a candidate, which preserves the Figure 5 layout
-        invariant during front-to-back eviction.
+        invariant during front-to-back eviction.  The tuples order by the
+        eviction tie-break ``(score, conv_id, chunk.index)``; a
+        conversation appears once, so comparison never reaches the chunk.
         """
         scorer = self._require_scorer()
+        conversations = self._conversations
         out = []
-        for conv_id in self._index[location]:
-            cache = self._conversations[conv_id]
-            if cache.pinned or conv_id == exclude:
-                continue
-            chunk = cache.frontier(location)
-            if chunk is not None:
-                out.append((scorer(chunk, cache.last_active, now), chunk, cache))
-        out.sort(key=lambda item: (item[0], item[1].conv_id, item[1].index))
+        for conv_id, chunk in self._frontier[location].items():
+            cache = conversations[conv_id]
+            if not cache.pinned and conv_id != exclude:
+                out.append(
+                    (scorer(chunk, cache.last_active, now), conv_id, chunk.index,
+                     chunk, cache)
+                )
         return out
+
+    def _victims(
+        self, location: ChunkLocation, now: float, exclude: Optional[int] = None
+    ) -> Iterator[Tuple[float, Chunk, ConversationCache]]:
+        """Lazily yield ``(score, chunk, cache)`` eviction victims of
+        ``location`` in ascending ``(score, conv_id, chunk.index)`` order.
+
+        The caller moves each yielded chunk out of ``location`` before
+        asking for the next.  The location is scanned and scored once, on
+        the first request; after a victim only its conversation's next
+        frontier is scored and pushed.  That equals rescoring everything
+        per victim because, within one eviction call, ``now`` and every
+        ``last_active`` are fixed and evicting a victim changes ``location``
+        only for the victim's conversation: the nested pressure calls work
+        on colder locations, and the observer mutates no manager state.
+        """
+        scorer = self._require_scorer()
+        frontier = self._frontier[location]
+        heap = self._scored_frontiers(location, now, exclude)
+        heapq.heapify(heap)
+        while heap:
+            score, conv_id, _, chunk, cache = heap[0]
+            yield score, chunk, cache
+            successor = frontier.get(conv_id)
+            if successor is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(
+                    heap,
+                    (scorer(successor, cache.last_active, now), conv_id,
+                     successor.index, successor, cache),
+                )
 
     def swap_out(self, tokens_needed: int, now: float) -> List[Chunk]:
         """Make ``tokens_needed`` GPU tokens obtainable by copying GPU-only
@@ -622,11 +673,12 @@ class TieredCacheManager:
         def progress() -> int:
             return self._reclaimable + (self.gpu_free_tokens - free_start)
 
+        victims = self._victims(ChunkLocation.GPU, now)
         while progress() < tokens_needed:
-            candidates = self._candidates(ChunkLocation.GPU, now)
-            if not candidates:
+            victim = next(victims, None)
+            if victim is None:
                 break
-            score, chunk, cache = candidates[0]
+            score, chunk, cache = victim
             if self.whole_conversation_eviction:
                 # Granularity ablation: take the whole conversation, even
                 # past the target (the overshoot is the cost of coarse
@@ -730,11 +782,12 @@ class TieredCacheManager:
         """Actually free GPU slots of already-copied chunks
         (``GPU_CPU -> CPU``).  Returns tokens freed (may fall short)."""
         freed = 0
+        victims = self._victims(ChunkLocation.GPU_CPU, now, exclude=exclude)
         while freed < tokens_needed:
-            candidates = self._candidates(ChunkLocation.GPU_CPU, now, exclude=exclude)
-            if not candidates:
+            victim = next(victims, None)
+            if victim is None:
                 break
-            score, chunk, cache = candidates[0]
+            score, chunk, cache = victim
             self._move(cache, chunk, ChunkLocation.CPU)
             freed += chunk.num_tokens
             cache.check_layout()
@@ -769,37 +822,38 @@ class TieredCacheManager:
         progress (a revert would un-do the reclaimability it is building).
         """
         freed = 0
+        victims = self._victims(ChunkLocation.CPU, now)
         while freed < tokens_needed:
-            candidates = self._candidates(ChunkLocation.CPU, now)
-            if candidates:
-                score, chunk, cache = candidates[0]
-                outcome = self._demote_or_drop(cache, chunk, score, now)
-                freed += chunk.num_tokens
-                cache.check_layout()
-                if self.tracer.enabled:
-                    self.tracer.instant(
-                        "cpu_drop",
-                        t=now,
-                        track="cache",
-                        conv_id=cache.conv_id,
-                        chunk=chunk.index,
-                        tokens=chunk.num_tokens,
-                        outcome=outcome,
-                        score=score,
-                    )
-                continue
-            if not allow_revert:
+            victim = next(victims, None)
+            if victim is None:
                 break
-            # Fall back to invalidating the CPU copies of lazily-reclaimable
-            # chunks (cheap: the data is still on the GPU).  Pick the
-            # highest-score conversation (whose copies would be reclaimed
-            # last anyway) and revert its *trailing* GPU_CPU chunk — the
-            # reverted chunk then extends the GPU suffix, keeping the
-            # Figure 5 layout legal.
-            candidates = self._candidates(ChunkLocation.GPU_CPU, now)
-            if not candidates:
+            score, chunk, cache = victim
+            outcome = self._demote_or_drop(cache, chunk, score, now)
+            freed += chunk.num_tokens
+            cache.check_layout()
+            if self.tracer.enabled:
+                self.tracer.instant(
+                    "cpu_drop",
+                    t=now,
+                    track="cache",
+                    conv_id=cache.conv_id,
+                    chunk=chunk.index,
+                    tokens=chunk.num_tokens,
+                    outcome=outcome,
+                    score=score,
+                )
+        # Nothing below creates a ``CPU`` chunk, so once the victims run
+        # out they stay out.  Fall back to invalidating the CPU copies of
+        # lazily-reclaimable chunks (cheap: the data is still on the GPU).
+        # Pick the highest-score conversation (whose copies would be
+        # reclaimed last anyway) and revert its *trailing* GPU_CPU chunk —
+        # the reverted chunk then extends the GPU suffix, keeping the
+        # Figure 5 layout legal.
+        while allow_revert and freed < tokens_needed:
+            scored = self._scored_frontiers(ChunkLocation.GPU_CPU, now)
+            if not scored:
                 break
-            _, _, cache = candidates[-1]
+            cache = max(scored)[-1]
             chunk = cache.rear(ChunkLocation.GPU_CPU)
             assert chunk is not None
             self._move(cache, chunk, ChunkLocation.GPU)
@@ -862,11 +916,12 @@ class TieredCacheManager:
         the policy values at least as much.  Returns tokens freed.
         """
         freed = 0
+        victims = self._victims(ChunkLocation.DISK, now)
         while freed < tokens_needed:
-            candidates = self._candidates(ChunkLocation.DISK, now)
-            if not candidates:
+            victim = next(victims, None)
+            if victim is None:
                 break
-            score, chunk, cache = candidates[0]
+            score, chunk, cache = victim
             if max_score is not None and score >= max_score:
                 break
             self._move(cache, chunk, ChunkLocation.DROPPED)
@@ -919,8 +974,10 @@ class TieredCacheManager:
 
         GPU-only chunks are copied to the CPU tier when it has room and
         dropped otherwise; already-copied (``GPU_CPU``) chunks are simply
-        reclaimed.  Returns ``(copied_tokens, dropped_tokens)`` — the first
-        is the PCIe traffic the caller must model.
+        reclaimed.  Returns ``(copied_tokens, dropped_tokens)`` of the
+        GPU-only chunks — the first is the PCIe traffic the caller must
+        model.  Stored chunks that a drop takes with it (see below) count
+        in ``stats`` only.
         """
         cache = self._conversations[conv_id]
         self._set_pinned(cache, False)
@@ -929,12 +986,10 @@ class TieredCacheManager:
         # They precede all GPU chunks, so this keeps the layout legal.
         for chunk in cache.chunks_in(ChunkLocation.GPU_CPU):
             self._move(cache, chunk, ChunkLocation.CPU)
-        gpu_chunks = cache.chunks_in(ChunkLocation.GPU)
-        # When the CPU tier cannot hold everything, drop *leading* chunks
-        # (cheapest to recompute, §4.3.1) and keep the trailing ones —
-        # which also preserves the Figure 5 layout by construction.
-        gpu_tokens = sum(c.num_tokens for c in gpu_chunks)
+        gpu_tokens = cache.tokens_in(ChunkLocation.GPU)
         room = 0 if self.cpu_capacity_tokens == 0 else self.cpu_free_tokens
+        dropped = 0
+        upto: Optional[Chunk] = None
         if (
             gpu_tokens > 0
             and room > 0
@@ -944,18 +999,28 @@ class TieredCacheManager:
             # The suspension's batched D2H copy failed: degrade every chunk
             # to a drop; the suspended request recomputes them on resume.
             self.fault_counters.swap_out_failures += 1
-            room = 0
-        copied = 0
-        dropped = 0
-        for chunk in gpu_chunks:
-            if gpu_tokens - dropped > room:
-                self._move(cache, chunk, ChunkLocation.DROPPED)
-                self._bump("dropped_tokens", chunk.num_tokens)
-                dropped += chunk.num_tokens
-            else:
-                self._move(cache, chunk, ChunkLocation.CPU)
-                self._bump("swapped_out_tokens", chunk.num_tokens)
-                copied += chunk.num_tokens
+            dropped, upto = gpu_tokens, cache.rear(ChunkLocation.GPU)
+        else:
+            # When the CPU tier cannot hold everything, drop the
+            # conversation's *leading* chunks (cheapest to recompute,
+            # §4.3.1) until the GPU chunks that remain fit.  The dropped
+            # part grows from the very front — Figure 5 allows nothing
+            # else — so a stored prefix goes first and its CPU chunks'
+            # slots count as room.
+            for chunk in cache.chunks:
+                if gpu_tokens - dropped <= room:
+                    break
+                if chunk.location is ChunkLocation.GPU:
+                    dropped += chunk.num_tokens
+                elif chunk.location is ChunkLocation.CPU:
+                    room += chunk.num_tokens
+                upto = chunk
+        if upto is not None:
+            self._drop_leading_prefix(cache, upto)
+        copied = gpu_tokens - dropped
+        for chunk in cache.chunks_in(ChunkLocation.GPU):
+            self._move(cache, chunk, ChunkLocation.CPU)
+            self._bump("swapped_out_tokens", chunk.num_tokens)
         cache.check_layout()
         return copied, dropped
 

@@ -12,7 +12,7 @@ This package makes those conventions machine-checked: a rule-driven AST
 analysis framework (one parse per file, shared by every rule) with
 ``# repro: ignore[RULE] -- why`` suppression comments and text/JSON
 reporters — exposed as the ``repro lint`` CLI subcommand and gated in CI
-via ``repro lint --strict``.  See ``ARCHITECTURE.md`` §14 for the rule set
+via ``repro lint``.  See ``ARCHITECTURE.md`` §14 for the rule set
 and the how-to-add-a-rule recipe.
 """
 

@@ -339,6 +339,25 @@ class TestSuspension:
         assert dropped == 128
         assert mgr.conversation(1).tokens_in(ChunkLocation.DROPPED) == 128
 
+    def test_release_with_stored_prefix_drops_from_the_front(self):
+        """A conversation that still has a stored prefix, and less CPU
+        room than its GPU tokens: the drop must take the *leading* chunk
+        (whose slots then hold a GPU chunk), never one in the middle."""
+        mgr = make_manager(gpu=256, cpu=64)
+        finish_conversation(mgr, 1, 96, now=1.0)
+        mgr.swap_out(32, now=2.0)
+        mgr.reclaim(32, now=2.0)
+        cache = mgr.conversation(1)
+        assert [c.location.value for c in cache.chunks] == ["cpu", "gpu", "gpu"]
+        assert mgr.cpu_free_tokens == 32
+        copied, dropped = mgr.release_conversation_gpu(1, now=3.0)
+        cache.check_layout()
+        mgr._audit()
+        assert [c.location.value for c in cache.chunks] == ["dropped", "cpu", "cpu"]
+        assert (copied, dropped) == (64, 0)
+        assert mgr.stats["dropped_tokens"] == 32
+        assert mgr.gpu_free_tokens == 256 and mgr.cpu_free_tokens == 0
+
 
 class TestPolicyIntegration:
     def make_retention_manager(self, gpu=512):

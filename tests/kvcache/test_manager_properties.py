@@ -72,8 +72,10 @@ class ManagerMachine:
                 _, tokens = op
                 mgr.drop_from_cpu(tokens, now)
             elif kind == "suspend":
+                # Any known conversation: an unpinned one may still have
+                # a stored prefix ahead of its GPU chunks.
                 _, conv = op
-                if conv in self.open_convs:
+                if mgr.conversation(conv) is not None:
                     mgr.release_conversation_gpu(conv, now)
                     self.open_convs.discard(conv)
             elif kind == "forget":

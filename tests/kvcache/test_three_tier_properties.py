@@ -89,8 +89,10 @@ class ThreeTierMachine:
                 _, tokens = op
                 mgr.drop_from_disk(tokens, now)
             elif kind == "suspend":
+                # Any known conversation: an unpinned one may still have
+                # a stored prefix ahead of its GPU chunks.
                 _, conv = op
-                if conv in self.open_convs:
+                if mgr.conversation(conv) is not None:
                     mgr.release_conversation_gpu(conv, now)
                     self.open_convs.discard(conv)
             elif kind == "forget":

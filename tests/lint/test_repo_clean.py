@@ -1,6 +1,6 @@
 """Meta-test: the real tree passes its own lint gate.
 
-This is the local mirror of the CI ``repro lint --strict`` job: zero
+This is the local mirror of the CI ``repro lint`` job: zero
 unsuppressed findings on ``src/repro`` and every suppression justified.
 """
 
@@ -38,8 +38,7 @@ class TestCliSmoke:
     def test_lint_subcommand_strict_json(self, capsys, tmp_path):
         out_path = tmp_path / "lint.json"
         code = main([
-            "lint", "--root", str(REPO_ROOT), "--strict", "--json",
-            "--output", str(out_path),
+            "lint", "--root", str(REPO_ROOT), "--json", "--output", str(out_path),
         ])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
