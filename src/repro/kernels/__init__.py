@@ -20,18 +20,17 @@ the paper discusses:
   request whose query tokens occupy two disconnected context ranges
   (recomputed dropped prefix + new prompt) into sub-requests that share
   the underlying context;
-- :mod:`~repro.kernels.batched` — the **performance layer**:
+- :mod:`~repro.kernels.batched` — the **performance layer** for decode:
   :func:`~repro.kernels.batched.batched_single_token_attention` packs a
-  whole decode batch into one flat gather + segmented reductions, and
-  :func:`~repro.kernels.batched.vectorized_multi_token_attention` serves
-  ragged prefill/mixed batches with one gather per request, zero-copy GQA
-  broadcasting and a single-pass small-context fast path;
-- :mod:`~repro.kernels.ragged` — the fully-ragged batched kernel:
-  :func:`~repro.kernels.ragged.ragged_multi_token_attention` packs an
-  entire prefill/mixed batch (CSR query offsets, one padded slot-table
-  gather, segment-masked causal softmax, grouped-head GQA matmuls) into
-  one numpy pass, with a memory-footprint guard falling back to the
-  per-request vectorized kernel for pathological raggedness;
+  whole decode batch into one padded slot-table gather + segment-masked
+  batched matmuls;
+- :mod:`~repro.kernels.ragged` — the performance layer for everything
+  else, and the only prefill/mixed kernel:
+  :func:`~repro.kernels.ragged.ragged_multi_token_attention` cuts every
+  request's queries into 64-row tiles, buckets the tiles by shape and
+  runs one packed pass per bucket (padded slot-table gather, fused
+  causal + segment mask, grouped-head GQA matmuls), so its cost follows
+  the causally visible query x context area;
 - :mod:`~repro.kernels.packed_cache` — the **incremental metadata
   layer**: :class:`~repro.kernels.packed_cache.PackedDecodeCache` keeps
   the decode batch's padded slot table and gathered-KV staging buffers
@@ -55,7 +54,6 @@ from repro.kernels.single_token import single_token_attention
 from repro.kernels.batched import (
     batched_single_token_attention,
     segment_masked_decode,
-    vectorized_multi_token_attention,
 )
 from repro.kernels.packed_cache import (
     DecodeSlotSource,
@@ -75,7 +73,6 @@ __all__ = [
     "single_token_attention",
     "batched_single_token_attention",
     "segment_masked_decode",
-    "vectorized_multi_token_attention",
     "DecodeSlotSource",
     "PackedBatch",
     "PackedDecodeCache",

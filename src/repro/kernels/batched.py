@@ -1,29 +1,21 @@
-"""Vectorized batched attention kernels (the performance layer).
+"""Batched single-token (decode) attention — the performance layer.
 
 The per-request kernels in :mod:`~repro.kernels.single_token` and
 :mod:`~repro.kernels.multi_token` mirror the *structure* of the paper's
 GPU kernels but serve each request with its own Python-level pass over the
-cache.  These two kernels compute the same results with the whole batch
-packed into a handful of numpy operations, the way a fused GPU kernel
-treats the batch as one grid launch:
+cache.  :func:`batched_single_token_attention` computes the
+generation-phase decode batch as **one** computation, the way a fused GPU
+kernel treats the batch as one grid launch: every request's context slots
+are packed into one padded ``[batch, max_context]`` slot table and
+gathered in a single fancy-index, and scores/softmax/weighted-sum run as
+segment-masked batched matmuls over the packed axis
+(:func:`segment_masked_decode`, shared with the packed-cache entry point).
 
-- :func:`batched_single_token_attention` — the generation-phase decode
-  batch as **one** computation: every request's context slots are packed
-  into one padded ``[batch, max_context]`` slot table and gathered in a
-  single fancy-index, and scores/softmax/weighted-sum run as
-  segment-masked batched matmuls over the packed axis.  One pass over
-  the cache for the whole batch instead of a Python loop per request.
-- :func:`vectorized_multi_token_attention` — the ragged prefill/mixed
-  path.  Still one request at a time (query counts are ragged), but each
-  request gathers its visible context **once** (not once per tile),
-  broadcasts KV heads across their GQA group with zero-copy reshape views
-  and grouped einsums instead of the materialising
-  :func:`~repro.kernels.reference.gqa_expand` copy, and takes a
-  single-pass (non-tiled) softmax fast path whenever the visible context
-  fits in one tile.
+Prefill and mixed batches belong to :mod:`~repro.kernels.ragged`, which
+borrows the grouped-head and denominator checks below.
 
-Both stay numerically equivalent (~1e-6, in practice ~1e-12) to the
-per-request kernels, which remain in-tree as the correctness oracle;
+The kernel stays numerically equivalent (~1e-6, in practice ~1e-12) to
+the per-request kernels, which remain in-tree as the correctness oracle;
 ``tests/kernels/test_batched.py`` pins the equivalence.
 """
 
@@ -33,7 +25,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.kernels.multi_token import DEFAULT_TILE
 from repro.kernels.reference import resolve_scale
 from repro.kernels.request import AttentionRequest
 
@@ -165,106 +156,6 @@ def batched_single_token_attention(
 
     out = segment_masked_decode(q, k, v, lengths, scale)
     return [out[i].reshape(1, num_heads, head_dim) for i in range(n)]
-
-
-def vectorized_multi_token_attention(
-    requests: Sequence[AttentionRequest],
-    k_cache: np.ndarray,
-    v_cache: np.ndarray,
-    scale: float = 0.0,
-    tile: int = DEFAULT_TILE,
-) -> List[np.ndarray]:
-    """Vectorized counterpart of
-    :func:`~repro.kernels.multi_token.multi_token_attention`.
-
-    Same signature and results (~1e-6); differs in how the work is laid
-    out: the visible context is gathered once per request, KV heads are
-    broadcast across their GQA group via reshape views + grouped einsums
-    (no ``gqa_expand`` copies), and a visible context that fits one tile
-    skips the online-softmax machinery entirely.
-    """
-    if k_cache.shape != v_cache.shape:
-        raise ValueError(
-            f"K/V cache shape mismatch: {k_cache.shape} vs {v_cache.shape}"
-        )
-    if tile <= 0:
-        raise ValueError(f"tile must be positive, got {tile}")
-    scale = resolve_scale(scale, k_cache.shape[2])
-    return [
-        _attend_one_vectorized(request, k_cache, v_cache, scale, tile)
-        for request in requests
-    ]
-
-
-def _attend_one_vectorized(
-    request: AttentionRequest,
-    k_cache: np.ndarray,
-    v_cache: np.ndarray,
-    scale: float,
-    tile: int,
-) -> np.ndarray:
-    q_len = request.num_query_tokens
-    num_heads = request.num_heads
-    head_dim = request.head_dim
-    if q_len == 0:
-        return np.zeros((0, num_heads, head_dim), dtype=k_cache.dtype)
-    kv_heads = k_cache.shape[1]
-    group = _grouped_heads(num_heads, kv_heads)
-
-    visible = request.visible_context_len()
-    slots = np.asarray(request.slots[:visible], dtype=np.int64)
-    # Gather the visible context ONCE; tiles below are contiguous slices.
-    k = k_cache[slots]  # [visible, kv_heads, head_dim]
-    v = v_cache[slots]
-    # Zero-copy grouped-head view of the queries.
-    query = np.reshape(request.query, (q_len, kv_heads, group, head_dim))
-    q_positions = request.query_positions()  # [q]
-
-    if visible <= tile:
-        # Single-pass fast path: the whole context is one tile, so a plain
-        # stable softmax needs no running max/denominator state.
-        scores = np.einsum("qkgd,ckd->qkgc", query, k) * scale
-        masked = np.arange(visible)[None, :] > q_positions[:, None]  # [q, c]
-        scores = np.where(masked[:, None, None, :], -np.inf, scores)
-        scores -= scores.max(axis=-1, keepdims=True)
-        weights = np.exp(scores)
-        denom = weights.sum(axis=-1)
-        _check_denominator(denom)
-        out = np.einsum("qkgc,ckd->qkgd", weights, v) / denom[..., None]
-        return out.reshape(q_len, num_heads, head_dim)
-
-    # Tiled online softmax over the pre-gathered context, grouped heads.
-    running_max = np.full((q_len, kv_heads, group), -np.inf)
-    denom = np.zeros((q_len, kv_heads, group))
-    accum = np.zeros((q_len, kv_heads, group, head_dim))
-    for start in range(0, visible, tile):
-        stop = min(start + tile, visible)
-        k_tile = k[start:stop]  # contiguous slice — no re-gather
-        v_tile = v[start:stop]
-
-        scores = np.einsum("qkgd,ckd->qkgc", query, k_tile) * scale
-        tile_positions = np.arange(start, stop)
-        masked = tile_positions[None, :] > q_positions[:, None]  # [q, c]
-        scores = np.where(masked[:, None, None, :], -np.inf, scores)
-
-        tile_max = scores.max(axis=-1)  # [q, kv, g]
-        new_max = np.maximum(running_max, tile_max)
-        # A fully-masked tile contributes nothing; keep state unchanged.
-        np.copyto(new_max, running_max, where=np.isneginf(tile_max))
-        correction = np.exp(
-            np.where(np.isneginf(running_max), 0.0, running_max - new_max)
-        )
-        weights = np.exp(scores - new_max[..., None])
-        weights = np.where(np.isneginf(scores), 0.0, weights)
-
-        denom = denom * correction + weights.sum(axis=-1)
-        accum = accum * correction[..., None] + np.einsum(
-            "qkgc,ckd->qkgd", weights, v_tile
-        )
-        running_max = new_max
-
-    _check_denominator(denom)
-    return (accum / denom[..., None]).reshape(q_len, num_heads, head_dim)
 
 
 def _check_denominator(denom: np.ndarray) -> None:

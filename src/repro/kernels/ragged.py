@@ -1,70 +1,120 @@
-"""Fully-ragged batched multi-token attention (one pass for mixed batches).
+"""Fully-ragged batched multi-token attention (tiled, shape-bucketed).
 
-:func:`~repro.kernels.batched.batched_single_token_attention` already
-serves all-decode batches as a single packed computation, but Pensieve's
-unified batches (§4.2, §4.4.1) are the *mixed* case — prefill requests,
-Figure 8(d) recompute-split sub-requests and decode requests in one
-iteration — and :func:`~repro.kernels.batched.vectorized_multi_token_attention`
-still walks those one request at a time in Python.  This module packs the
-whole ragged batch into one segment-packed numpy computation, the way a
-fused GPU kernel treats a ragged batch as one grid launch:
+Pensieve's unified batches (§4.2, §4.4.1) are the *mixed* case — prefill
+requests, Figure 8(d) recompute-split sub-requests and decode requests in
+one iteration.  The paper's kernel gives every request its own
+query-token tiles and fuses the causal mask, so its cost follows each
+request's query × *visible*-context area.  This module is the numpy
+stand-in with the same cost rule; it is the only prefill/mixed kernel.
 
-- **CSR row offsets**: every sub-request's query tokens are concatenated
-  into one ``[total_q, heads, head_dim]`` tensor; ``offsets[i]`` marks
-  where request ``i``'s rows start.  A single fancy-index scatter moves
-  the concatenation into a padded ``[batch, max_q, heads, head_dim]``
-  tensor (and the mirror-image gather pulls the outputs back out).
-- **One slot-table gather**: each request's *visible* context slots form
-  one row of a padded ``[batch, max_context]`` table, so the whole
-  batch's K/V rows are gathered from the paged cache in one fancy-index
-  — exactly the packing the decode kernel uses, generalised to ragged
-  query counts.
-- **Segment-masked causal scores**: query positions are scattered into
-  the same padded layout (padded rows receive a sentinel position past
-  every context) and a single boolean mask fuses the causal triangle
-  with the per-request segment boundary, so one masked softmax and one
-  weighted sum serve the entire batch.
-- **Grouped-head GQA matmuls**: queries are viewed per KV head as
-  ``[batch, kv_heads, max_q * group, head_dim]`` so scores and outputs
-  are plain batched matmuls (BLAS) with no broadcast K/V copies.
+- **Query tiles** (:func:`plan_tiles`): every request's query rows are cut
+  into tiles of at most :data:`TILE_ROWS` rows.  A tile is an ordinary
+  trailing query — its rows sit at the end of the context prefix visible
+  to its own last row — so tiling skips the part of the causal triangle
+  above it.  Only auxiliary indices change (the Figure 8(d) trick applied
+  to the triangle); no KV moves.
+- **Shape buckets**: tiles are sorted by ``(rows, visible)`` and packed
+  greedily; a bucket closes when the next tile would push its padded
+  score elements past :data:`MAX_PADDING_RATIO` times its useful ones, or
+  past :data:`MAX_SCORE_ELEMENTS`.  Padding is therefore bounded by
+  construction and needs no guard or second kernel.
+- **One packed pass per bucket**: one slot-table gather over the paged
+  cache, grouped-head GQA matmuls (``[tiles, kv_heads, rows * group,
+  head_dim]``, plain batched BLAS, no broadcast K/V copies), one additive
+  mask fusing the causal diagonal with each tile's context boundary, one
+  softmax, one weighted sum.  A one-tile bucket reads its query rows and
+  slots in place instead of padding them.
 
-Padding is the cost of packing: a batch mixing one very long prefill
-with many decodes wastes most of the padded score tensor.  The kernel
-therefore carries a **footprint guard** — when the padded score tensor
-would exceed :data:`DEFAULT_MAX_SCORE_ELEMENTS` or the padded/useful
-work ratio exceeds :data:`DEFAULT_MAX_PADDING_RATIO`, it delegates to
-the per-request vectorized kernel, which does no padding at all.
+The plan is a pure function of the batch's ``(num_query_tokens,
+query_offset)`` list — never of slot values, tensor contents or history —
+so equal batch shapes take equal paths and produce bit-identical results
+(the chaos differentials in ``tests/faults`` rely on it).
 
-Numerical equivalence (≤ 1e-6, in practice ~1e-12) to the per-request
-:func:`~repro.kernels.multi_token.multi_token_attention` oracle —
-including recompute-split and shared-prefix sub-requests — is pinned by
+Numerical equivalence (≤ 1e-9 in fp64) to the per-request
+:func:`~repro.kernels.multi_token.multi_token_attention` oracle across
+tile and bucket boundaries is pinned by
 ``tests/kernels/test_ragged_properties.py``; the serving benchmark
-reports its cost as the ``backend.ragged_attention_s`` layer.
+reports the kernel's cost as the ``backend.ragged_attention_s`` layer.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.batched import (
-    _check_denominator,
-    _grouped_heads,
-    vectorized_multi_token_attention,
-)
+from repro.kernels.batched import _check_denominator, _grouped_heads
 from repro.kernels.reference import resolve_scale
 from repro.kernels.request import AttentionRequest
 
-#: Padded score-tensor element budget ([batch, heads, max_q, max_context]
-#: as float64 this is ~128 MiB) above which the kernel falls back to the
-#: per-request path rather than materialise a pathological padding.
-DEFAULT_MAX_SCORE_ELEMENTS = 1 << 24
+#: Query rows per tile.  A tile pays for ``rows x visible`` scores, so the
+#: causal waste per tile is at most half a ``TILE_ROWS``-square.
+TILE_ROWS = 64
 
-#: Maximum tolerated ratio of padded score elements to useful ones
-#: (``sum(q_i * visible_i)``); beyond it the padding wastes more compute
-#: than the packing saves in dispatch overhead.
-DEFAULT_MAX_PADDING_RATIO = 8.0
+#: A bucket's padded score elements never exceed this multiple of its
+#: useful ones (``sum(rows * visible)``) unless it holds a single tile.
+MAX_PADDING_RATIO = 1.25
+
+#: Score-tensor element budget of one bucket (``[tiles, heads, rows,
+#: visible]``; ~128 MiB as float64).  A tile whose context alone would
+#: exceed it is cut to fewer rows.
+MAX_SCORE_ELEMENTS = 1 << 24
+
+#: ``(rows, visible, request, row_start)``: query rows ``[row_start,
+#: row_start + rows)`` of ``requests[request]``, attending to the first
+#: ``visible`` context slots with the tile's last row at position
+#: ``visible - 1``.
+Tile = Tuple[int, int, int, int]
+
+
+def plan_tiles(
+    shapes: Sequence[Tuple[int, int]], num_heads: int
+) -> List[List[Tile]]:
+    """Cut a ragged batch into query tiles and group them into buckets.
+
+    Args:
+        shapes: ``(num_query_tokens, query_offset)`` per request.
+        num_heads: query heads (the score budget counts every head).
+
+    Returns:
+        Buckets of :data:`Tile` tuples.  Every query row of every request
+        lies in exactly one tile; each bucket is padded to at most
+        :data:`MAX_PADDING_RATIO` times its useful area (or is a single
+        tile) and stays within :data:`MAX_SCORE_ELEMENTS`.
+    """
+    budget = MAX_SCORE_ELEMENTS // num_heads
+    tiles: List[Tile] = []
+    for index, (q_len, offset) in enumerate(shapes):
+        start = 0
+        while start < q_len:
+            rows = min(TILE_ROWS, q_len - start)
+            rows = max(1, min(rows, budget // (offset + start + rows)))
+            tiles.append((rows, offset + start + rows, index, start))
+            start += rows
+    tiles.sort()
+
+    buckets: List[List[Tile]] = []
+    bucket: List[Tile] = []
+    useful = max_rows = max_visible = 0
+    for tile in tiles:
+        rows, visible = tile[0], tile[1]
+        padded = (
+            (len(bucket) + 1) * max(max_rows, rows) * max(max_visible, visible)
+        )
+        if bucket and (
+            padded > MAX_PADDING_RATIO * (useful + rows * visible)
+            or padded > budget
+        ):
+            buckets.append(bucket)
+            bucket = []
+            useful = max_rows = max_visible = 0
+        bucket.append(tile)
+        useful += rows * visible
+        max_rows = max(max_rows, rows)
+        max_visible = max(max_visible, visible)
+    if bucket:
+        buckets.append(bucket)
+    return buckets
 
 
 def ragged_multi_token_attention(
@@ -72,17 +122,15 @@ def ragged_multi_token_attention(
     k_cache: np.ndarray,
     v_cache: np.ndarray,
     scale: float = 0.0,
-    max_score_elements: int = DEFAULT_MAX_SCORE_ELEMENTS,
-    max_padding_ratio: float = DEFAULT_MAX_PADDING_RATIO,
 ) -> List[np.ndarray]:
-    """One packed computation for a whole ragged prefill/mixed batch.
+    """Attention for a whole ragged prefill/mixed batch.
 
     Semantically identical to
     :func:`~repro.kernels.multi_token.multi_token_attention` (same
     request semantics: positioned queries, non-contiguous slots, fused
-    causal masking, GQA); the batch is computed as a single padded
-    gather + masked softmax + weighted sum instead of a Python loop
-    over requests.
+    causal masking, GQA); the batch runs as one packed computation per
+    shape bucket of :func:`plan_tiles` instead of a Python loop over
+    requests.
 
     Args:
         requests: the ragged batch; query counts and context lengths may
@@ -91,10 +139,6 @@ def ragged_multi_token_attention(
         k_cache / v_cache: ``[num_slots, kv_heads, head_dim]`` slot
             arrays for one layer.
         scale: score scaling, default ``1/sqrt(head_dim)``.
-        max_score_elements: padded score-tensor element budget of the
-            footprint guard.
-        max_padding_ratio: padded/useful work ratio of the footprint
-            guard.
 
     Returns:
         One ``[num_query_tokens, num_heads, head_dim]`` output per
@@ -117,107 +161,104 @@ def ragged_multi_token_attention(
             )
     group = _grouped_heads(num_heads, kv_heads)
 
-    outputs: List[np.ndarray] = [
-        np.zeros((0, num_heads, head_dim), dtype=k_cache.dtype)
-    ] * len(requests)
-    active = [i for i, r in enumerate(requests) if r.num_query_tokens > 0]
-    if not active:
-        return outputs
-
-    n = len(active)
-    q_lens = np.array([requests[i].num_query_tokens for i in active])
-    visibles = np.array([requests[i].visible_context_len() for i in active])
-    max_q = int(q_lens.max())
-    max_c = int(visibles.max())
-
-    # Footprint guard: the padded score tensor is the price of packing.
-    score_elements = n * num_heads * max_q * max_c
-    useful_elements = num_heads * int((q_lens * visibles).sum())
-    if (
-        score_elements > max_score_elements
-        or score_elements > max_padding_ratio * useful_elements
-    ):
-        return vectorized_multi_token_attention(
-            requests, k_cache, v_cache, scale=scale
+    dtype = np.result_type(requests[0].query, k_cache)
+    outputs = [
+        np.empty((r.num_query_tokens, num_heads, head_dim), dtype=dtype)
+        for r in requests
+    ]
+    shapes = [(r.num_query_tokens, r.query_offset) for r in requests]
+    for bucket in plan_tiles(shapes, num_heads):
+        tile_rows = np.array([tile[0] for tile in bucket])
+        visibles = np.array([tile[1] for tile in bucket])
+        if len(bucket) == 1:
+            # One tile: its query rows and slots are used in place.
+            rows, visible, index, start = bucket[0]
+            q = requests[index].query[None, start : start + rows]
+            table = np.asarray(requests[index].slots[:visible], dtype=np.int64)
+            table = table[None]
+        else:
+            # Pad the bucket's tiles to one [n, max_rows] query block and
+            # one [n, max_visible] slot table (padding slots are slot 0,
+            # masked in the body; padding rows stay zero).
+            q = np.zeros(
+                (len(bucket), int(tile_rows.max()), num_heads, head_dim),
+                dtype=dtype,
+            )
+            table = np.zeros((len(bucket), int(visibles.max())), dtype=np.int64)
+            for j, (rows, visible, index, start) in enumerate(bucket):
+                q[j, :rows] = requests[index].query[start : start + rows]
+                table[j, :visible] = requests[index].slots[:visible]
+        out = _attend_tiles(
+            q, table, tile_rows, visibles, k_cache, v_cache, scale, group
         )
+        for j, (rows, _, index, start) in enumerate(bucket):
+            outputs[index][start : start + rows] = out[j, :rows]
+    return outputs
 
-    # CSR layout of the ragged queries: request active[i]'s rows live at
-    # [offsets[i], offsets[i+1]) of the concatenation; (row_idx, col_idx)
-    # is that range's address in the padded [n, max_q] layout.
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(q_lens, out=offsets[1:])
-    total_q = int(offsets[-1])
-    row_idx = np.repeat(np.arange(n), q_lens)
-    col_idx = np.arange(total_q) - offsets[row_idx]
 
-    # ONE scatter packs the ragged queries; padded rows stay zero.
-    q_cat = np.concatenate([requests[i].query for i in active])
-    q_pad = np.zeros((n, max_q, num_heads, head_dim), dtype=q_cat.dtype)
-    q_pad[row_idx, col_idx] = q_cat
+def _attend_tiles(
+    q: np.ndarray,
+    table: np.ndarray,
+    tile_rows: np.ndarray,
+    visibles: np.ndarray,
+    k_cache: np.ndarray,
+    v_cache: np.ndarray,
+    scale: float,
+    group: int,
+) -> np.ndarray:
+    """The packed body: one bucket of padded tiles in one pass.
 
-    # Padded query positions.  Padding rows get a sentinel past every
-    # context position: they causally "see" their request's whole visible
-    # segment, so their softmax stays finite and no NaN can leak into the
-    # real rows through reductions.
-    pos_pad = np.full((n, max_q), max_c, dtype=np.int64)
-    pos_pad[row_idx, col_idx] = np.concatenate(
-        [requests[i].query_positions() for i in active]
-    )
+    Args:
+        q: ``[n, rows, num_heads, head_dim]`` padded query tiles.
+        table: ``[n, width]`` padded context slot table.
+        tile_rows / visibles: ``[n]`` real query rows and visible context
+            length of each tile; its last real row sits at position
+            ``visible - 1``.
 
-    # Packed slot table (same shape trick as the decode kernel): row i
-    # holds request active[i]'s visible context slots, padded with slot 0
-    # — masked below.  ONE gather over the paged cache for the batch.
-    table = np.zeros((n, max_c), dtype=np.int64)
-    for ai, i in enumerate(active):
-        table[ai, : visibles[ai]] = np.asarray(
-            requests[i].slots[: visibles[ai]], dtype=np.int64
-        )
-    k = k_cache[table]  # [n, C, kv_heads, head_dim]
+    Returns:
+        ``[n, rows, num_heads, head_dim]`` outputs (padding rows hold
+        finite garbage).
+    """
+    n, rows, num_heads, head_dim = q.shape
+    kv_heads = num_heads // group
+    width = table.shape[1]
+    # ONE gather over the paged cache for the whole bucket.
+    k = k_cache[table]  # [n, width, kv_heads, head_dim]
     v = v_cache[table]
 
-    # Grouped-head layout: fold (max_q, group) into one matmul row axis so
-    # scores/outputs are plain batched BLAS matmuls per (batch, kv head).
-    # The scale is folded into the (small) query tensor so the padded
-    # score tensor never needs a separate scaling pass.
+    # Grouped-head layout: fold (rows, group) into one matmul row axis so
+    # scores/outputs are plain batched BLAS matmuls per (tile, kv head).
+    # The scale goes onto the (small) query tensor, not the score tensor.
     q_grouped = (
-        q_pad.reshape(n, max_q, kv_heads, group, head_dim)
+        q.reshape(n, rows, kv_heads, group, head_dim)
         .transpose(0, 2, 1, 3, 4)
-        .reshape(n, kv_heads, max_q * group, head_dim)
-    )
-    q_grouped *= scale
-    scores = q_grouped @ k.transpose(0, 2, 3, 1)  # [n, kv, q*g, C]
-    scores = scores.reshape(n, kv_heads, max_q, group, max_c)
+        .reshape(n, kv_heads, rows * group, head_dim)
+    ) * scale
+    scores = q_grouped @ k.transpose(0, 2, 3, 1)  # [n, kv, rows*g, width]
+    scores = scores.reshape(n, kv_heads, rows, group, width)
 
-    # Fused mask: the causal triangle (position j visible to query at
-    # position p iff j <= p) AND the per-request segment boundary (padding
-    # slots past ``visible`` never attend).  Applied as one broadcast
-    # additive bias (0 / -inf) — a single fused pass over the score
-    # tensor, no full-size temporary.
-    ctx_positions = np.arange(max_c)
-    valid = (ctx_positions[None, None, :] <= pos_pad[:, :, None]) & (
-        ctx_positions[None, None, :] < visibles[:, None, None]
-    )  # [n, max_q, C]
-    bias = np.where(valid, 0.0, -np.inf)
+    # Fused mask: row r of a tile sits at position visible - tile_rows + r
+    # and sees context positions up to its own (the causal diagonal),
+    # never past the tile's last real row (the segment boundary).  Padding
+    # rows are clamped to that boundary too, so they see the whole
+    # segment: their softmax stays finite and no NaN can reach a
+    # reduction.  One additive 0 / -inf bias, one pass over the scores.
+    first = visibles - tile_rows
+    limit = np.minimum(first[:, None] + np.arange(rows), visibles[:, None] - 1)
+    bias = np.where(np.arange(width) <= limit[:, :, None], 0.0, -np.inf)
     scores += bias[:, None, :, None, :]
 
-    # Single masked softmax for the entire batch.  Every row — padded
-    # rows included — has at least one visible position, so the max is
-    # finite and the denominator positive.
+    # Every row sees at least its own position, so the max is finite and
+    # the denominator positive.
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores, out=scores)
     denom = weights.sum(axis=-1)
     _check_denominator(denom)
 
-    # Single weighted sum; the normalisation divides the (much smaller)
-    # output tensor rather than the padded weights.  Then the
-    # mirror-image gather un-packs the outputs back into per-request
-    # tensors.
-    out = weights.reshape(n, kv_heads, max_q * group, max_c) @ v.transpose(
+    # The normalisation divides the (much smaller) output tensor rather
+    # than the weights.
+    out = weights.reshape(n, kv_heads, rows * group, width) @ v.transpose(
         0, 2, 1, 3
-    )  # [n, kv, q*g, head_dim]
-    out = out.reshape(n, kv_heads, max_q, group, head_dim) / denom[..., None]
-    out = out.transpose(0, 2, 1, 3, 4).reshape(n, max_q, num_heads, head_dim)
-    out_cat = out[row_idx, col_idx]  # [total_q, heads, head_dim]
-    for ai, i in enumerate(active):
-        outputs[i] = out_cat[offsets[ai] : offsets[ai + 1]]
-    return outputs
+    )  # [n, kv, rows*g, head_dim]
+    out = out.reshape(n, kv_heads, rows, group, head_dim) / denom[..., None]
+    return out.transpose(0, 2, 1, 3, 4).reshape(n, rows, num_heads, head_dim)

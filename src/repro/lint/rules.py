@@ -737,7 +737,6 @@ class BackendKernelRouting(Rule):
             "multi_token_attention",
             "single_token_attention",
             "batched_single_token_attention",
-            "vectorized_multi_token_attention",
             "ragged_multi_token_attention",
             "segment_masked_decode",
             "packed_decode_attention",

@@ -68,7 +68,7 @@ class ForwardRequest:
             prefix slots) instead of as a materialised array.  When given,
             ``context_slots`` may be ``None``: the packed decode path
             reads the table incrementally and the full array is only
-            materialised on demand for fallback kernels.  Requires
+            materialised when the batch takes another kernel.  Requires
             ``dropped == 0`` (a recompute split has no single table).
     """
 
@@ -145,56 +145,53 @@ class ForwardRequest:
 
 
 @dataclass
-class _RequestPlan:
-    """Per-batch precomputation for one request (layer-invariant).
+class _BatchPlan:
+    """Per-forward precomputation for a whole batch (layer-invariant).
 
-    Everything here depends only on the request's *shape* — slot lists,
-    sub-request spans, write targets — so it is computed once per forward
-    pass instead of once per layer (the seed implementation re-derived all
-    of it ``num_layers`` times).
+    Everything here depends only on the batch's *shape* — token
+    positions, write targets, sub-request spans — so it is computed once
+    per forward pass instead of once per layer.  The arrays cover the
+    batch's rows in order, so RoPE and the KV store each run as ONE call
+    per layer rather than one per request.
     """
 
-    write_slots: np.ndarray
-    #: ``(q_lo, q_hi, slots, query_offset)`` per Figure 8(d) sub-request.
-    #: ``None`` for slot_view-backed requests until a fallback kernel
-    #: needs them (the packed decode path never does).
-    spans: Optional[List[tuple]]
-    #: True iff this request is a pure generation step (one trailing query
-    #: token, no recompute split) — eligible for the batched decode kernel.
-    decode_shaped: bool
+    positions: np.ndarray  # [sum_n] logical position of every input row
+    write_slots: np.ndarray  # [sum_n] physical slot of every input row
+    #: True iff every request is a pure generation step (one trailing
+    #: query token, no recompute split).
+    all_decode: bool
+    #: ``(lo, hi, slots, query_offset)`` per Figure 8(d) sub-request:
+    #: batch rows ``[lo, hi)`` attend over ``slots``.  Filled only when
+    #: the batch is not served from the packed decode cache, which reads
+    #: the block tables incrementally instead of materialising contexts.
+    spans: List[tuple] = field(default_factory=list)
 
     @staticmethod
-    def build(request: "ForwardRequest") -> "_RequestPlan":
-        decode_shaped = request.num_new_tokens == 1 and request.dropped == 0
-        if request.context_slots is None:
-            # Slot-view request: defer span materialisation; the packed
-            # decode path reads the block table incrementally instead.
-            return _RequestPlan(request.write_slots(), None, decode_shaped)
-        return _RequestPlan(
-            request.write_slots(),
-            _RequestPlan._build_spans(request),
-            decode_shaped,
+    def build(batch: Sequence[ForwardRequest]) -> "_BatchPlan":
+        return _BatchPlan(
+            positions=np.concatenate([r.positions for r in batch]),
+            write_slots=np.concatenate([r.write_slots() for r in batch]),
+            all_decode=all(
+                r.num_new_tokens == 1 and r.dropped == 0 for r in batch
+            ),
         )
 
-    @staticmethod
-    def _build_spans(request: "ForwardRequest") -> List[tuple]:
-        # One int64 conversion per request; span slot lists are zero-copy
-        # views into it.
-        slots = request.full_context_slots()
-        return [
-            (q_lo, q_hi, slots[:context_end], query_offset)
-            for q_lo, q_hi, context_end, query_offset in disjoint_query_spans(
+    def build_spans(
+        self, batch: Sequence[ForwardRequest], bounds: np.ndarray
+    ) -> None:
+        for request, lo in zip(batch, bounds):
+            # One int64 conversion per request; span slot lists are
+            # zero-copy views into it.
+            slots = request.full_context_slots()
+            for q_lo, q_hi, context_end, offset in disjoint_query_spans(
                 request.num_new_tokens,
                 len(slots),
                 request.dropped,
                 shared_prefix=request.shared_prefix,
-            )
-        ]
-
-    def ensure_spans(self, request: "ForwardRequest") -> List[tuple]:
-        if self.spans is None:
-            self.spans = _RequestPlan._build_spans(request)
-        return self.spans
+            ):
+                self.spans.append(
+                    (lo + q_lo, lo + q_hi, slots[:context_end], offset)
+                )
 
 
 @dataclass
@@ -215,9 +212,11 @@ class PagedTransformer:
         config: model hyper-parameters (use the tiny presets for tests).
         storage: slot-indexed K/V arrays shared with the cache manager.
         seed: weight initialisation seed (deterministic).
-        use_fast_paths: dispatch to the vectorized kernel layer
-            (:mod:`repro.kernels.batched`) with per-batch hoisting of the
-            sub-request split and write-slot computation.  ``False`` runs
+        use_fast_paths: dispatch to the batched kernel layer
+            (:mod:`repro.kernels.batched`, :mod:`repro.kernels.ragged`)
+            with the sub-request split, positions and write slots hoisted
+            into one :class:`_BatchPlan` per forward, and RoPE and the KV
+            store run once per layer for the whole batch.  ``False`` runs
             the original per-layer, per-request tiled path — kept as the
             end-to-end baseline the benchmark harness measures against.
             Fast paths also keep a :class:`PackedDecodeCache`
@@ -304,28 +303,25 @@ class PagedTransformer:
         hidden = [self._embed(r) for r in batch]
         x = np.concatenate(hidden, axis=0)  # [sum_n, h]
         bounds = np.cumsum([0] + [r.num_new_tokens for r in batch])
-        # Layer-invariant structure (sub-request spans, write slots) is
-        # derived once per batch, not once per layer.
-        plans = (
-            [_RequestPlan.build(r) for r in batch] if self.use_fast_paths else None
-        )
-        # Incremental pack: ONCE per forward pass (the slot layout is
-        # layer-invariant), not once per layer, and only the rows whose
-        # block table changed since the previous iteration are repacked.
+        # Layer-invariant structure is derived ONCE per forward pass, not
+        # once per layer; the incremental pack repacks only the rows
+        # whose block table changed since the previous iteration.
+        plan: Optional[_BatchPlan] = None
         packed: Optional[PackedBatch] = None
-        if (
-            plans is not None
-            and self.decode_cache is not None
-            and all(
-                p.decode_shaped and r.slot_view is not None
-                for p, r in zip(plans, batch)
-            )
-        ):
-            packed = self.decode_cache.pack([r.slot_view for r in batch])
+        if self.use_fast_paths:
+            plan = _BatchPlan.build(batch)
+            if (
+                plan.all_decode
+                and self.decode_cache is not None
+                and all(r.slot_view is not None for r in batch)
+            ):
+                packed = self.decode_cache.pack([r.slot_view for r in batch])
+            else:
+                plan.build_spans(batch, bounds)
 
         for layer_idx, w in enumerate(self.layers):
             x = x + self._attention_block(
-                layer_idx, w, x, batch, bounds, plans, packed
+                layer_idx, w, x, batch, bounds, plan, packed
             )
             x = x + w.mlp(w.mlp_norm(x))
 
@@ -357,7 +353,7 @@ class PagedTransformer:
         x: np.ndarray,
         batch: Sequence[ForwardRequest],
         bounds: np.ndarray,
-        plans: Optional[List[_RequestPlan]] = None,
+        plan: Optional[_BatchPlan] = None,
         packed: Optional[PackedBatch] = None,
     ) -> np.ndarray:
         cfg = self.config
@@ -365,85 +361,60 @@ class PagedTransformer:
         q = w.q_proj(normed).reshape(-1, cfg.num_heads, cfg.head_dim)
         k = w.k_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
         v = w.v_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
+        k_layer = self.storage.k[layer_idx]
+        v_layer = self.storage.v[layer_idx]
 
-        if packed is not None:
-            # All-decode packed path: one token per request, rows in batch
-            # order — RoPE, the KV store and the attention all run as
-            # single whole-batch operations, and the attention reads the
-            # cache through the incremental staging buffers.
-            positions = np.fromiter(
-                (int(r.positions[0]) for r in batch),
-                dtype=np.int64,
-                count=len(batch),
-            )
-            if cfg.arch == "llama":
-                q = apply_rope(q, positions)
-                k = apply_rope(k, positions)
-            write_slots = np.concatenate([p.write_slots for p in plans])
-            self.storage.write(layer_idx, write_slots, k, v)
-            out = self.backend.decode_attention(
-                q,
-                packed,
-                layer_idx,
-                self.storage.k[layer_idx],
-                self.storage.v[layer_idx],
-            )
-            return w.o_proj(out.reshape(x.shape[0], -1))
-
-        outputs = np.empty_like(q)
-        kernel_requests = []
-        owners: List[slice] = []
-        for i, request in enumerate(batch):
-            lo, hi = int(bounds[i]), int(bounds[i + 1])
-            q_i, k_i, v_i = q[lo:hi], k[lo:hi], v[lo:hi]
-            if cfg.arch == "llama":
-                q_i = apply_rope(q_i, request.positions)
-                k_i = apply_rope(k_i, request.positions)
-            if plans is None:
-                # Reference path: re-derive the split and write targets
-                # per layer, exactly as the seed implementation did.
+        if plan is None:
+            # Reference path: per request and per layer — RoPE, the KV
+            # store and the Figure 8(d) split are all re-derived here,
+            # exactly as the seed implementation did.
+            kernel_requests: List[AttentionRequest] = []
+            for i, request in enumerate(batch):
+                lo, hi = int(bounds[i]), int(bounds[i + 1])
+                q_i, k_i, v_i = q[lo:hi], k[lo:hi], v[lo:hi]
+                if cfg.arch == "llama":
+                    q_i = apply_rope(q_i, request.positions)
+                    k_i = apply_rope(k_i, request.positions)
                 self.storage.write(layer_idx, request.write_slots(), k_i, v_i)
-                subs = split_disjoint_query(
+                kernel_requests += split_disjoint_query(
                     q_i,
                     list(request.full_context_slots()),
                     request.dropped,
                     shared_prefix=request.shared_prefix,
                 )
-            else:
-                plan = plans[i]
-                # Figure 8 step (c): store the new tokens' K/V.
-                self.storage.write(layer_idx, plan.write_slots, k_i, v_i)
-                subs = [
-                    AttentionRequest(
-                        query=q_i[q_lo:q_hi], slots=slots, query_offset=offset
-                    )
-                    for q_lo, q_hi, slots, offset in plan.ensure_spans(request)
-                ]
-            start = lo
-            for sub in subs:
-                kernel_requests.append(sub)
-                owners.append(slice(start, start + sub.num_query_tokens))
-                start += sub.num_query_tokens
-
-        k_layer = self.storage.k[layer_idx]
-        v_layer = self.storage.v[layer_idx]
-        if plans is None:
-            sub_outputs = self.backend.multi_token_attention(
-                kernel_requests, k_layer, v_layer
-            )
-        elif all(plan.decode_shaped for plan in plans):
-            # All-generation batch: one packed pass over the cache for the
-            # entire batch (vLLM's PagedAttention decode formulation).
-            sub_outputs = self.backend.batched_decode_attention(
-                kernel_requests, k_layer, v_layer
-            )
+            attend = self.backend.multi_token_attention
         else:
-            # Ragged prefill/mixed batch: one segment-packed pass for all
-            # sub-requests (falls back internally to the per-request
-            # vectorized kernel when padding would be pathological).
-            sub_outputs = self.backend.ragged_attention(
-                kernel_requests, k_layer, v_layer
+            # RoPE and the KV store (Figure 8 step c) act on each row
+            # alone, so ONE call over the whole batch leaves the same bits
+            # as one call per request.
+            if cfg.arch == "llama":
+                q = apply_rope(q, plan.positions)
+                k = apply_rope(k, plan.positions)
+            self.storage.write(layer_idx, plan.write_slots, k, v)
+            if packed is not None:
+                # All-decode packed path: the attention reads the cache
+                # through the incremental staging buffers.
+                out = self.backend.decode_attention(
+                    q, packed, layer_idx, k_layer, v_layer
+                )
+                return w.o_proj(out.reshape(x.shape[0], -1))
+            kernel_requests = [
+                AttentionRequest(query=q[lo:hi], slots=slots, query_offset=offset)
+                for lo, hi, slots, offset in plan.spans
+            ]
+            # All-generation batch with explicit context slots: vLLM's
+            # PagedAttention decode formulation.  Anything else — prefill,
+            # mixed, recompute splits — is the ragged kernel's.
+            attend = (
+                self.backend.batched_decode_attention
+                if plan.all_decode
+                else self.backend.ragged_attention
             )
-        for region, out in zip(owners, sub_outputs):
-            outputs[region] = out
+
+        # Sub-requests cover the batch's rows in order.
+        outputs = np.empty_like(q)
+        start = 0
+        for out in attend(kernel_requests, k_layer, v_layer):
+            outputs[start : start + out.shape[0]] = out
+            start += out.shape[0]
         return w.o_proj(outputs.reshape(x.shape[0], -1))

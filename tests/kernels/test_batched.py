@@ -1,8 +1,8 @@
-"""Equivalence tests for the vectorized batched kernels.
+"""Equivalence tests for the batched kernels.
 
-The batched/vectorized layer is a pure performance optimisation: every
-test here pins its outputs to the per-request kernels (the correctness
-oracle) across architectures, GQA ratios, ragged batches and sub-request
+The batched layer is a pure performance optimisation: every test here
+pins its outputs to the per-request kernels (the correctness oracle)
+across architectures, GQA ratios, ragged batches and sub-request
 splits.  ``benchmarks/serving`` measures the speed; these tests pin the
 math.
 """
@@ -16,9 +16,10 @@ from repro.kernels import (
     multi_token_attention,
     reference_attention,
     single_token_attention,
+    ragged_multi_token_attention,
     split_disjoint_query,
-    vectorized_multi_token_attention,
 )
+from repro.kernels.ragged import TILE_ROWS, plan_tiles
 
 from tests.kernels.conftest import make_request, scatter_context
 
@@ -121,38 +122,41 @@ class TestBatchedSingleToken:
 
 
 class TestVectorizedMultiToken:
+    """Fixed-shape cases for the prefill/mixed kernel.  They were written
+    for the per-request ``batched.py`` kernel that the tiled
+    :func:`ragged_multi_token_attention` replaced and now pin the same
+    behaviours on it, next to the random shapes of
+    ``test_ragged_properties.py``."""
+
     @pytest.mark.parametrize("num_heads,kv_heads", [(4, 4), (8, 2), (8, 1)])
     def test_matches_tiled(self, rng, num_heads, kv_heads):
+        """GQA grouping, with one query of three tiles among short ones."""
         requests, k_cache, v_cache = make_batch(
             rng,
-            ctx_lens=[40, 70, 12],
-            q_lens=[6, 33, 12],
+            ctx_lens=[40, 170, 12],
+            q_lens=[6, 2 * TILE_ROWS + 5, 12],
             num_heads=num_heads,
             kv_heads=kv_heads,
         )
-        fast = vectorized_multi_token_attention(requests, k_cache, v_cache)
+        fast = ragged_multi_token_attention(requests, k_cache, v_cache)
         tiled = multi_token_attention(requests, k_cache, v_cache)
         for got, want in zip(fast, tiled):
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_single_tile_fast_path(self, rng):
-        """Contexts below one tile take the non-tiled softmax path."""
-        requests, k_cache, v_cache = make_batch(rng, [20, 31], q_lens=[5, 31])
-        fast = vectorized_multi_token_attention(
-            requests, k_cache, v_cache, tile=64
-        )
-        tiled = multi_token_attention(requests, k_cache, v_cache, tile=8)
-        for got, want in zip(fast, tiled):
-            np.testing.assert_allclose(got, want, **TOL)
-
-    def test_tiled_path_matches_across_tile_sizes(self, rng):
-        requests, k_cache, v_cache = make_batch(rng, [100], q_lens=[37])
-        baseline = multi_token_attention(requests, k_cache, v_cache)[0]
-        for tile in (7, 16, 33, 128):
-            out = vectorized_multi_token_attention(
-                requests, k_cache, v_cache, tile=tile
-            )[0]
-            np.testing.assert_allclose(out, baseline, **TOL)
+        """A one-tile bucket reads the caller's query rows in place; it
+        must not write to them — not even with one head, where the
+        grouped-head reshape is a view."""
+        for num_heads, kv_heads in [(4, 2), (1, 1)]:
+            requests, k_cache, v_cache = make_batch(
+                rng, [40], q_lens=[31], num_heads=num_heads, kv_heads=kv_heads
+            )
+            assert plan_tiles([(31, 9)], num_heads) == [[(31, 40, 0, 0)]]
+            before = requests[0].query.copy()
+            fast = ragged_multi_token_attention(requests, k_cache, v_cache)[0]
+            tiled = multi_token_attention(requests, k_cache, v_cache, tile=8)[0]
+            np.testing.assert_allclose(fast, tiled, **TOL)
+            np.testing.assert_array_equal(requests[0].query, before)
 
     def test_causal_masking_matches_reference(self, rng):
         """Partial-query (prefill continuation) masking is preserved."""
@@ -162,39 +166,35 @@ class TestVectorizedMultiToken:
         )
         query = rng.standard_normal((q_len, 4, 8))
         request = AttentionRequest(query=query, slots=slots)
-        fast = vectorized_multi_token_attention([request], k_cache, v_cache)[0]
+        fast = ragged_multi_token_attention([request], k_cache, v_cache)[0]
         expected = reference_attention(query, k_log, v_log)
         np.testing.assert_allclose(fast, expected, **TOL)
 
     def test_decode_shape_matches_batched(self, rng):
-        """All three kernels agree on a q=1 batch."""
+        """Both performance kernels agree on a q=1 batch."""
         requests, k_cache, v_cache = make_batch(rng, [15, 28, 3])
-        fast = vectorized_multi_token_attention(requests, k_cache, v_cache)
+        fast = ragged_multi_token_attention(requests, k_cache, v_cache)
         batched = batched_single_token_attention(requests, k_cache, v_cache)
         for got, want in zip(fast, batched):
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_subrequest_split_equivalence(self, rng):
-        """Figure 8(d): attention over a split disjoint query is unchanged
-        when computed by the vectorized kernel."""
-        total, dropped, num_query = 40, 12, 20
+        """Figure 8(d): attention over a split disjoint query — a
+        recomputed prefix of more than one tile at a non-trailing
+        ``query_offset`` — is unchanged."""
+        total, dropped, num_query = 140, TILE_ROWS + 6, TILE_ROWS + 20
         k_log, v_log, k_cache, v_cache, slots = scatter_context(
-            rng, total, kv_heads=4, head_dim=8, num_slots=160
+            rng, total, kv_heads=4, head_dim=8, num_slots=300
         )
         query = rng.standard_normal((num_query, 4, 8))
         parts = split_disjoint_query(query, slots, dropped=dropped, shared_prefix=8)
         tiled = multi_token_attention(parts, k_cache, v_cache)
-        fast = vectorized_multi_token_attention(parts, k_cache, v_cache)
+        fast = ragged_multi_token_attention(parts, k_cache, v_cache)
         for got, want in zip(fast, tiled):
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_empty_query(self, rng):
         request = AttentionRequest(query=np.zeros((0, 4, 8)), slots=[0, 1])
         k_cache = rng.standard_normal((4, 4, 8))
-        out = vectorized_multi_token_attention([request], k_cache, k_cache)[0]
+        out = ragged_multi_token_attention([request], k_cache, k_cache)[0]
         assert out.shape == (0, 4, 8)
-
-    def test_rejects_bad_tile(self, rng):
-        request, _, _, k_cache, v_cache = make_request(rng, q_len=2, ctx=6)
-        with pytest.raises(ValueError, match="tile"):
-            vectorized_multi_token_attention([request], k_cache, v_cache, tile=0)

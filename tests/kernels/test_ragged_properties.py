@@ -1,11 +1,20 @@
 """Property-based tests (hypothesis) for the fully-ragged batched kernel.
 
 The contract of :func:`ragged_multi_token_attention` is numerical
-equivalence with the per-request tiled oracle within 1e-6 for *any*
+equivalence with the per-request tiled oracle within 1e-9 for *any*
 unified batch — mixed prefill/decode query lengths, Figure 8(d)
 dropped-prefix recompute splits, shared system-prompt slots, every GQA
-grouping — including when the memory-footprint guard silently routes
-the batch to the vectorized fallback.
+grouping — across the kernel's query-tile and shape-bucket boundaries,
+and a plan (:func:`plan_tiles`) that is a function of the batch's shapes
+alone.
+
+Mutation record.  ``test_ragged_equals_tiled_oracle`` was run against two
+seeded bugs in ``kernels/ragged.py`` and fails both:
+
+- a tile's first position off by one (``first = visibles - tile_rows + 1``
+  in ``_attend_tiles``);
+- a tile's visible length not clamped to its own last row (``plan_tiles``
+  emitting ``offset + q_len`` for every tile of a request).
 """
 
 import numpy as np
@@ -17,9 +26,18 @@ from repro.kernels import (
     multi_token_attention,
     ragged_multi_token_attention,
 )
+from repro.kernels import ragged
+from repro.kernels.ragged import (
+    MAX_PADDING_RATIO,
+    MAX_SCORE_ELEMENTS,
+    TILE_ROWS,
+    plan_tiles,
+)
 
-# The acceptance contract is 1e-6; fp64 should land far below it.
 TOL = dict(rtol=1e-9, atol=1e-9)
+
+#: Row counts on both sides of one, two and three tile boundaries.
+ROW_COUNTS = [0, 1, 2, 5, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 130, 200]
 
 
 @st.composite
@@ -35,11 +53,12 @@ def ragged_batch(draw):
     group = draw(st.sampled_from([1, 2, 4]))
     num_heads = kv_heads * group
     head_dim = draw(st.sampled_from([1, 4, 8]))
-    shared_prefix = draw(st.integers(min_value=0, max_value=4))
+    shared_prefix = draw(st.sampled_from([0, 3, TILE_ROWS + 6]))
     shapes = []
     for _ in range(n):
-        q_len = draw(st.integers(min_value=0, max_value=6))
-        extra = draw(st.integers(min_value=0, max_value=20))
+        q_len = draw(st.sampled_from(ROW_COUNTS))
+        # Contexts of up to several tiles, the query anywhere inside.
+        extra = draw(st.integers(min_value=0, max_value=3 * TILE_ROWS))
         own_ctx = max(q_len + extra, 1)
         offset = draw(st.integers(min_value=0, max_value=own_ctx - q_len))
         shapes.append((q_len, own_ctx, offset))
@@ -82,17 +101,74 @@ def test_ragged_equals_tiled_oracle(batch):
         np.testing.assert_allclose(o, e, **TOL)
 
 
-@settings(max_examples=25, deadline=None)
-@given(batch=ragged_batch())
-def test_fallback_guard_path_is_equivalent(batch):
-    """Forcing the memory-footprint guard (max_score_elements=1) routes
-    through the vectorized fallback, which must satisfy the same
-    contract — callers cannot observe which path ran."""
-    requests, k_cache, v_cache = batch
+@settings(max_examples=200, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(
+            st.sampled_from(ROW_COUNTS + [1000]),
+            st.integers(min_value=0, max_value=5 * TILE_ROWS),
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+    num_heads=st.sampled_from([1, 8, 1 << 16]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_plan_covers_every_row_once_within_bounds(shapes, num_heads, seed):
+    """The planner alone: every query row in exactly one tile, every tile
+    an ordinary trailing query, every bucket padded ≤ 1.25x its useful
+    area (or a single tile) and within the budget (or a single row), and
+    the same plan shape whatever order the requests arrive in."""
+    buckets = plan_tiles(shapes, num_heads)
+    covered = [np.zeros(q_len, dtype=int) for q_len, _ in shapes]
+    for bucket in buckets:
+        assert bucket
+        useful = 0
+        for rows, visible, index, start in bucket:
+            assert 1 <= rows <= TILE_ROWS
+            assert visible == shapes[index][1] + start + rows
+            covered[index][start : start + rows] += 1
+            useful += rows * visible
+        padded = (
+            len(bucket)
+            * max(tile[0] for tile in bucket)
+            * max(tile[1] for tile in bucket)
+        )
+        assert len(bucket) == 1 or padded <= MAX_PADDING_RATIO * useful
+        assert padded * num_heads <= MAX_SCORE_ELEMENTS or (
+            len(bucket) == 1 and bucket[0][0] == 1
+        )
+    for counts in covered:
+        assert (counts == 1).all()
+
+    order = np.random.default_rng(seed).permutation(len(shapes))
+    shuffled = plan_tiles([shapes[i] for i in order], num_heads)
+    assert [[tile[:2] for tile in bucket] for bucket in shuffled] == [
+        [tile[:2] for tile in bucket] for bucket in buckets
+    ]
+
+
+def test_budget_limited_plan_is_equivalent(monkeypatch):
+    """With the element budget shrunk until it cuts tiles to a few rows
+    and closes every bucket early, outputs still match the oracle —
+    callers cannot observe the budget."""
+    monkeypatch.setattr(ragged, "MAX_SCORE_ELEMENTS", 2048)
+    rng = np.random.default_rng(11)
+    k_cache = rng.standard_normal((200, 2, 4))
+    v_cache = rng.standard_normal((200, 2, 4))
+    perm = rng.permutation(200)
+    requests = [
+        AttentionRequest(
+            query=rng.standard_normal((q_len, 4, 4)),
+            slots=list(perm[lo : lo + ctx]),
+            query_offset=offset,
+        )
+        for q_len, lo, ctx, offset in [(70, 0, 100, 20), (5, 100, 40, 35), (1, 140, 30, 29)]
+    ]
+    buckets = plan_tiles([(70, 20), (5, 35), (1, 29)], 4)
+    assert max(tile[0] for bucket in buckets for tile in bucket) < 10
     expected = multi_token_attention(requests, k_cache, v_cache)
-    out = ragged_multi_token_attention(
-        requests, k_cache, v_cache, max_score_elements=1
-    )
+    out = ragged_multi_token_attention(requests, k_cache, v_cache)
     for o, e in zip(out, expected):
         np.testing.assert_allclose(o, e, **TOL)
 
@@ -158,6 +234,13 @@ def test_zero_length_queries_yield_empty_outputs():
     assert out[0].shape == (0, 4, 4) and out[2].shape == (0, 4, 4)
     expected = multi_token_attention([real], k_cache, v_cache)[0]
     np.testing.assert_allclose(out[1], expected, **TOL)
+    # One output per request — distinct objects — and one dtype rule for
+    # empty and non-empty outputs, whatever the cache's own dtype.
+    assert out[0] is not out[2]
+    mixed = ragged_multi_token_attention(
+        [empty, real], k_cache.astype(np.float32), v_cache.astype(np.float32)
+    )
+    assert mixed[0].dtype == mixed[1].dtype == np.float64
 
 
 def test_heterogeneous_head_counts_rejected():

@@ -1,15 +1,18 @@
 """Fast-path vs reference equivalence for the PagedTransformer.
 
 ``use_fast_paths`` switches the forward pass between the per-layer
-reference path (split + write + tiled kernel per layer) and the
-vectorized one (hoisted planning, batched decode kernel, vectorized
-multi-token kernel).  Both must produce the same logits for every batch
-shape — the fast path is pure mechanics, never different math.
+reference path (RoPE + write + split + tiled kernel per request per
+layer) and the vectorized one (hoisted planning, whole-batch RoPE and KV
+store, batched decode kernel, ragged multi-token kernel).  Both must
+produce the same logits for every batch shape — the fast path is pure
+mechanics, never different math.
 """
 
 import numpy as np
 import pytest
 
+from repro.backends import Backend
+from repro.kernels.ragged import TILE_ROWS
 from repro.kvcache import KVStorage
 from repro.model import tiny_llama_config, tiny_opt_config
 from repro.model.transformer import ForwardRequest, PagedTransformer
@@ -171,3 +174,84 @@ class TestFastPathEquivalence:
             got = model.forward(batch_a)[0]
             want = mirror.forward(batch_b)[0]
             np.testing.assert_allclose(got, want, **TOL)
+
+
+class _ReferencePathOverRaggedKernel(Backend):
+    """Hands the reference path the fast path's kernel, so the two differ
+    only in *how* they apply RoPE and store KV — which must not change a
+    bit."""
+
+    def multi_token_attention(self, requests, k_cache, v_cache, scale=0.0):
+        return self.ragged_attention(requests, k_cache, v_cache, scale)
+
+
+def test_whole_batch_rope_and_single_kv_write_are_bit_exact(config):
+    """One forward over a recompute split whose dropped prefix spans more
+    than two query tiles, a short prefill and a decode-shaped request with
+    explicit ``context_slots``, all behind a shared system prefix: logits
+    within 1e-9 of the reference path, and — against the reference path
+    run over the same kernel — logits and stored K/V bitwise equal."""
+    rng = np.random.default_rng(6)
+    shared, dropped, cached, prompt = 5, 2 * TILE_ROWS + 2, 20, 7
+    free = [int(s) for s in rng.permutation(np.arange(shared, 512))]
+    system = list(range(shared))
+
+    def take(n):
+        return system + [free.pop() for _ in range(n)]
+
+    def ids(n):
+        return rng.integers(0, config.vocab_size, size=n)
+
+    long_ids, long_slots = ids(dropped + cached + prompt), take(dropped + cached)
+    decode_ids, decode_slots = ids(10), take(10)
+    warm = [
+        ForwardRequest(
+            input_ids=long_ids[: dropped + cached],
+            context_slots=long_slots,
+            shared_prefix=shared,
+        ),
+        ForwardRequest(
+            input_ids=decode_ids[:9],
+            context_slots=decode_slots[:-1],
+            shared_prefix=shared,
+        ),
+    ]
+    mixed = [
+        ForwardRequest(  # prefix dropped, recomputed into fresh slots
+            input_ids=np.concatenate(
+                [long_ids[:dropped], long_ids[dropped + cached :]]
+            ),
+            context_slots=take(dropped)
+            + long_slots[shared + dropped :]
+            + take(prompt)[shared:],
+            dropped=dropped,
+            shared_prefix=shared,
+        ),
+        ForwardRequest(
+            input_ids=ids(6), context_slots=take(6), shared_prefix=shared
+        ),
+        ForwardRequest(
+            input_ids=decode_ids[9:],
+            context_slots=decode_slots,
+            shared_prefix=shared,
+        ),
+    ]
+    batches = [
+        [ForwardRequest(input_ids=ids(shared), context_slots=system)],
+        warm,
+        mixed,
+    ]
+
+    fast, reference = paired_models(config, num_slots=512)
+    _, same_kernel = paired_models(config, num_slots=512)
+    same_kernel.backend = _ReferencePathOverRaggedKernel()
+    for batch in batches:
+        out_fast = fast.forward(batch)
+        for got, want in zip(out_fast, reference.forward(batch)):
+            np.testing.assert_allclose(got, want, **TOL)
+        for got, want in zip(out_fast, same_kernel.forward(batch)):
+            np.testing.assert_array_equal(got, want)
+    np.testing.assert_allclose(fast.storage.k, reference.storage.k, **TOL)
+    np.testing.assert_allclose(fast.storage.v, reference.storage.v, **TOL)
+    np.testing.assert_array_equal(fast.storage.k, same_kernel.storage.k)
+    np.testing.assert_array_equal(fast.storage.v, same_kernel.storage.v)
