@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import GpuSpec
@@ -46,6 +46,38 @@ from repro.serving.batching import BatchConfig
 from repro.serving.engine import EngineBase
 from repro.serving.request import Request, RequestState
 from repro.sim.events import EventLoop
+
+
+class _RestoreTier(NamedTuple):
+    """How one stored tier's retrieval can fail, and what undoes it."""
+
+    site: FaultSite       #: the transfer; retried with backoff
+    read_site: FaultSite  #: the store's checksum re-verification
+    blamed: FaultSite     #: names the flight ``fault`` and ``<name>_fallback`` events
+    chunks: str           #: ``CachePlan`` field listing the tier's chunks
+    failures: str         #: ``FaultCounters`` field for terminal transfer failures
+    invalidate: str       #: manager verb that gives the tier's chunks up
+
+
+#: The restore fallback, coldest tier first: a disk failure drops the
+#: disk prefix only, and the CPU chunks behind it still swap in.
+RESTORE_TIERS = (
+    _RestoreTier(
+        FaultSite.NVME_STALL, FaultSite.DISK_READ, FaultSite.DISK_READ,
+        "disk_read_chunks", "disk_read_failures", "invalidate_disk_prefix",
+    ),
+    _RestoreTier(
+        FaultSite.SWAP_IN, FaultSite.CPU_READ, FaultSite.SWAP_IN,
+        "swap_in_chunks", "swap_in_failures", "invalidate_cpu_prefix",
+    ),
+)
+
+#: ``FaultCounters`` field counting operations at a site that faulted at
+#: all, retried-and-recovered ones included.
+_FAULTED_AT_ALL = {
+    FaultSite.GPU_ALLOC: "alloc_faults",
+    FaultSite.NVME_STALL: "nvme_stalls",
+}
 
 
 @dataclass
@@ -252,34 +284,38 @@ class PensieveEngine(EngineBase):
     # Batch formation (§4.2)
     # ------------------------------------------------------------------
 
-    def _attempt(self, site: FaultSite, request: Optional[Request] = None) -> bool:
-        """Try one faultable operation, retrying with bounded backoff.
-
-        Retries and their simulated delay are charged to this iteration
-        (the backoff lands on the sim clock via the iteration duration).
-        Returns False on terminal failure.
-        """
-        if self.fault_plan is None:
-            return True
+    def _retry(self, site: FaultSite, request: Optional[Request]) -> bool:
+        """Draw ``site`` once, retrying with bounded backoff; False on
+        terminal failure.  Retries and their simulated delay are charged
+        to this iteration (the backoff lands on the sim clock via the
+        iteration duration)."""
         ok, retries, delay = attempt_with_retries(
             self.fault_plan, site, self.retry_policy, tracer=self.tracer
         )
-        self.metrics.faults.retries += retries
+        faults = self.metrics.faults
+        faults.retries += retries
         self._iter_fault_delay += delay
-        if site is FaultSite.GPU_ALLOC and (retries > 0 or not ok):
-            self.metrics.faults.alloc_faults += 1
+        counter = _FAULTED_AT_ALL.get(site)
+        if counter is not None and (retries > 0 or not ok):
+            faults.bump(counter)
         flight = self.metrics.flight
-        if flight.enabled and request is not None:
-            if retries > 0:
-                flight.record(
-                    request.request_id, "retry", self.loop.now,
-                    count=retries, site=site.name.lower(),
-                )
-            if not ok:
-                flight.record(
-                    request.request_id, "fault", self.loop.now,
-                    site=site.name.lower(),
-                )
+        if flight.enabled and request is not None and retries > 0:
+            flight.record(
+                request.request_id, "retry", self.loop.now,
+                count=retries, site=site.value,
+            )
+        return ok
+
+    def _attempt(self, site: FaultSite, request: Optional[Request] = None) -> bool:
+        """Try one faultable operation; returns False on terminal failure."""
+        if self.fault_plan is None:
+            return True
+        ok = self._retry(site, request)
+        flight = self.metrics.flight
+        if flight.enabled and request is not None and not ok:
+            flight.record(
+                request.request_id, "fault", self.loop.now, site=site.value
+            )
         return ok
 
     def _form_batch(self, now: float) -> List[Request]:
@@ -319,22 +355,24 @@ class PensieveEngine(EngineBase):
             grown.append(request)
         return grown
 
+    def _price_swap_out(self, now: float, tokens: int, num_chunks: int):
+        """Price ``tokens`` leaving the GPU as ONE coalesced D2H transfer
+        of ``num_chunks`` chunks; returns the PCIe record."""
+        record = self.pcie.swap_out(
+            now, tokens * self.model_config.kv_bytes_per_token, num_chunks=num_chunks
+        )
+        if self.metrics.hist.enabled:
+            self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
+                record.end_time - now
+            )
+        return record
+
     def _suspend(self, victim: Request, now: float) -> None:
         copied, dropped = self.manager.release_conversation_gpu(victim.conv_id, now)
         if copied:
-            # Coalesced: all of the victim's chunks cross as one DMA op.
             # Copied chunks are full-size except at most the tail, so the
             # ceiling division recovers the exact chunk count.
-            chunk_size = self.manager.chunk_size
-            record = self.pcie.swap_out(
-                now,
-                copied * self.model_config.kv_bytes_per_token,
-                num_chunks=(copied + chunk_size - 1) // chunk_size,
-            )
-            if self.metrics.hist.enabled:
-                self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
-                    record.end_time - now
-                )
+            self._price_swap_out(now, copied, -(-copied // self.manager.chunk_size))
         victim.state = RequestState.WAITING
         victim.last_enqueue_time = now
         self.running.remove(victim)
@@ -372,9 +410,6 @@ class PensieveEngine(EngineBase):
             0, self._settled_tokens - self.manager.stats["gpu_cpu_exit_tokens"]
         )
 
-    def _log_copy(self, end_time: float, tokens: int) -> None:
-        self._copy_log.append((end_time, tokens))
-
     def _admit(self, now: float) -> List[Request]:
         admitted: List[Request] = []
         batch_tokens = 0
@@ -403,7 +438,7 @@ class PensieveEngine(EngineBase):
             # but never make a feasible request permanently inadmissible.
             reserve = min(base_reserve, max(0, capacity - plan.alloc_tokens))
             if self.manager.gpu_available_tokens - plan.alloc_tokens < reserve:
-                self._demand_swap_out(plan.alloc_tokens + reserve, now)
+                self._swap_out_to(plan.alloc_tokens + reserve, now, "demand")
                 refuse()
                 break
             # Reclaimed slots are only usable once their ahead-of-time
@@ -424,10 +459,9 @@ class PensieveEngine(EngineBase):
 
     def _do_admit(self, request, plan, now: float) -> None:
         self.wait_queue.popleft()
-        if plan.disk_read_tokens > 0:
-            plan = self._disk_read_with_faults(request, plan, now)
-        if plan.swap_in_tokens > 0:
-            plan = self._swap_in_with_faults(request, plan, now)
+        for tier in RESTORE_TIERS:
+            if getattr(plan, tier.chunks):
+                plan = self._restore_with_faults(tier, request, plan, now)
         h2d_enqueue = now
         if plan.disk_read_tokens > 0:
             # One coalesced NVMe read brings the disk prefix into host
@@ -530,95 +564,40 @@ class PensieveEngine(EngineBase):
                     tokens=plan.recompute_tokens,
                 )
 
-    def _swap_in_with_faults(self, request, plan, now: float):
-        """Model the H2D retrieval's failure modes before it is priced.
+    def _restore_with_faults(self, tier: "_RestoreTier", request, plan, now: float):
+        """Model one stored tier's retrieval failure modes before it is
+        priced (``tier`` is a row of :data:`RESTORE_TIERS`).
 
-        A terminally-failed transfer, or a corrupt CPU read caught by the
+        A terminally-failed transfer, or a corrupt read caught by the
         store checksum, falls back to the §4.3.4 recomputation path: the
-        conversation's CPU chunks are invalidated (``CPU -> DROPPED``) and
-        the restore plan is recomputed — ``alloc_tokens`` is unchanged
-        (swap-in tokens become recompute tokens), so the admission checks
-        already performed remain valid.  Returns the effective plan.
-        """
-        if self.fault_plan is None:
-            return plan
-        ok, retries, delay = attempt_with_retries(
-            self.fault_plan, FaultSite.SWAP_IN, self.retry_policy,
-            tracer=self.tracer,
-        )
-        self.metrics.faults.retries += retries
-        self._iter_fault_delay += delay
-        if self.metrics.flight.enabled and retries > 0:
-            self.metrics.flight.record(
-                request.request_id, "retry", now, count=retries,
-                site="swap_in",
-            )
-        corrupt = ok and self.fault_plan.fires(FaultSite.CPU_READ)
-        if ok and not corrupt:
-            return plan
-        if not ok:
-            self.metrics.faults.swap_in_failures += 1
-        if corrupt:
-            self.metrics.faults.corrupted_chunks += len(plan.swap_in_chunks)
-        self.metrics.faults.recompute_fallbacks += 1
-        invalidated = self.manager.invalidate_cpu_prefix(request.conv_id)
-        if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                request.request_id, "fault", now, site="swap_in",
-                corrupt=corrupt, tokens=invalidated,
-            )
-        if self.tracer.enabled:
-            self.tracer.count("fault.recompute_fallbacks")
-            self.tracer.instant(
-                "swap_in_fallback", t=now, track="cache",
-                request_id=request.request_id, conv_id=request.conv_id,
-                tokens=invalidated, corrupt=corrupt,
-            )
-        return self.manager.plan_restore(request.conv_id, request.prompt_tokens)
-
-    def _disk_read_with_faults(self, request, plan, now: float):
-        """Model the NVMe read's failure modes before it is priced.
-
-        A terminal stall, or a corrupt disk chunk caught by the store
-        checksum, invalidates the disk prefix only (``DISK -> DROPPED``) —
-        CPU-resident chunks behind it still swap in normally — and the
-        plan is recomputed; ``alloc_tokens`` is unchanged (disk-read
+        tier's chunks are invalidated (``-> DROPPED``) and the restore
+        plan is recomputed — ``alloc_tokens`` is unchanged (the tier's
         tokens become recompute tokens), so the admission checks already
         performed remain valid.  Returns the effective plan.
         """
         if self.fault_plan is None:
             return plan
-        ok, retries, delay = attempt_with_retries(
-            self.fault_plan, FaultSite.NVME_STALL, self.retry_policy,
-            tracer=self.tracer,
-        )
-        self.metrics.faults.retries += retries
-        self._iter_fault_delay += delay
-        if self.metrics.flight.enabled and retries > 0:
-            self.metrics.flight.record(
-                request.request_id, "retry", now, count=retries,
-                site="nvme_stall",
-            )
-        if retries > 0 or not ok:
-            self.metrics.faults.nvme_stalls += 1
-        corrupt = ok and self.fault_plan.fires(FaultSite.DISK_READ)
+        faults = self.metrics.faults
+        flight = self.metrics.flight
+        ok = self._retry(tier.site, request)
+        corrupt = ok and self.fault_plan.fires(tier.read_site)
         if ok and not corrupt:
             return plan
         if not ok:
-            self.metrics.faults.disk_read_failures += 1
+            faults.bump(tier.failures)
         if corrupt:
-            self.metrics.faults.corrupted_chunks += len(plan.disk_read_chunks)
-        self.metrics.faults.recompute_fallbacks += 1
-        invalidated = self.manager.invalidate_disk_prefix(request.conv_id)
-        if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                request.request_id, "fault", now, site="disk_read",
+            faults.corrupted_chunks += len(getattr(plan, tier.chunks))
+        faults.recompute_fallbacks += 1
+        invalidated = getattr(self.manager, tier.invalidate)(request.conv_id)
+        if flight.enabled:
+            flight.record(
+                request.request_id, "fault", now, site=tier.blamed.value,
                 corrupt=corrupt, tokens=invalidated,
             )
         if self.tracer.enabled:
             self.tracer.count("fault.recompute_fallbacks")
             self.tracer.instant(
-                "disk_read_fallback", t=now, track="cache",
+                f"{tier.blamed.value}_fallback", t=now, track="cache",
                 request_id=request.request_id, conv_id=request.conv_id,
                 tokens=invalidated, corrupt=corrupt,
             )
@@ -631,30 +610,27 @@ class PensieveEngine(EngineBase):
             return max(self._copy_log[0][0] - now, 1e-6)
         return 0.005
 
-    def _demand_swap_out(self, tokens_target: int, now: float) -> None:
-        """Eagerly copy more chunks out when admission is memory-blocked
-        beyond what ahead-of-time swapping anticipated."""
-        deficit = tokens_target - self.manager.gpu_available_tokens
+    def _swap_out_to(self, target: int, now: float, kind: str) -> None:
+        """Copy chunks to the CPU tier until ``target`` GPU tokens are
+        obtainable: in the background after every iteration to hold the
+        §4.3.2 free-space threshold (``kind="ahead_of_time"``), and
+        eagerly when admission is memory-blocked beyond what that
+        anticipated (``"demand"``).  The copies, and the demotions they
+        forced, are priced as one transfer each, and become reclaimable
+        in time only when the transfer lands (:meth:`_reclaim_budget`)."""
+        deficit = target - self.manager.gpu_available_tokens
         if deficit <= 0:
             return
         copied = self.manager.swap_out(self.manager.reclaimable_tokens + deficit, now)
         self._flush_demotions(now)
         copied_tokens = sum(c.num_tokens for c in copied)
         if copied_tokens:
-            record = self.pcie.swap_out(
-                now,
-                copied_tokens * self.model_config.kv_bytes_per_token,
-                num_chunks=len(copied),
-            )
-            self._log_copy(record.end_time, copied_tokens)
-            if self.metrics.hist.enabled:
-                self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
-                    record.end_time - now
-                )
+            record = self._price_swap_out(now, copied_tokens, len(copied))
+            self._copy_log.append((record.end_time, copied_tokens))
             if self.tracer.enabled:
                 self.tracer.complete(
                     "swap_out", now, record.end_time, track="cache",
-                    kind="demand", tokens=copied_tokens,
+                    kind=kind, tokens=copied_tokens,
                 )
 
     # ------------------------------------------------------------------
@@ -707,37 +683,8 @@ class PensieveEngine(EngineBase):
 
     def _complete(self, batch: Sequence[Request]) -> None:
         super()._complete(batch)
-        self._ahead_of_time_swap(self.loop.now)
-
-    def _ahead_of_time_swap(self, now: float) -> None:
-        """Maintain the §4.3.2 free-space threshold by copying chunks to
-        the CPU tier in the background."""
-        cfg = self.config
-        target = int(cfg.swap_out_threshold * self.manager.gpu_capacity_tokens)
-        available = self.manager.gpu_available_tokens
-        if available >= target:
-            return
-        copied = self.manager.swap_out(
-            self.manager.reclaimable_tokens + (target - available), now
-        )
-        self._flush_demotions(now)
-        copied_tokens = sum(c.num_tokens for c in copied)
-        if copied_tokens:
-            record = self.pcie.swap_out(
-                now,
-                copied_tokens * self.model_config.kv_bytes_per_token,
-                num_chunks=len(copied),
-            )
-            self._log_copy(record.end_time, copied_tokens)
-            if self.metrics.hist.enabled:
-                self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
-                    record.end_time - now
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "swap_out", now, record.end_time, track="cache",
-                    kind="ahead_of_time", tokens=copied_tokens,
-                )
+        threshold = self.config.swap_out_threshold * self.manager.gpu_capacity_tokens
+        self._swap_out_to(int(threshold), self.loop.now, "ahead_of_time")
 
     def _on_fail(self, request: Request, now: float) -> None:
         """Degraded request: unpin its conversation but keep the cached

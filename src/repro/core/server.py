@@ -23,13 +23,14 @@ tokens as one with abundant memory.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.engine import RESTORE_TIERS
 from repro.core.eviction import LruPolicy
 from repro.faults import (
-    ChunkCorruptionError,
     FaultCounters,
     FaultPlan,
     FaultSite,
@@ -51,6 +52,20 @@ from repro.model.sampling import GREEDY, SamplingParams, sample_token
 from repro.model.transformer import ForwardRequest, PagedTransformer
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.workload.tokenizer import SimpleTokenizer
+
+
+@dataclass
+class _Turn:
+    """One conversation's turn inside a unified batch."""
+
+    conv_id: int
+    prompt_ids: List[int]
+    table: BlockTable
+    dropped: int          #: leading tokens recomputed this turn (Figure 8)
+    input_ids: List[int]  #: recomputed raw tokens + the new prompt
+    span: int             #: tracer handle of the ``request`` span
+    phase: int            #: tracer handle of its open ``prefill``/``decode`` child
+    generated: List[int] = field(default_factory=list)
 
 
 class StatefulChatServer:
@@ -176,10 +191,10 @@ class StatefulChatServer:
         self._system_slots: List[int] = []
         self._system_slots_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._system_ids: List[int] = []
-        # Deferred ahead-of-time D2H copies: inside a ``_coalesce_copies``
-        # scope, GPU->CPU-bound chunks queue ``(conv_id, chunk_index,
-        # slots)`` here and cross as ONE stacked gather + batched insert
-        # at scope exit.  ``None`` = no scope active (copy immediately).
+        # Deferred D2H copies: inside a ``_coalesce_copies`` scope,
+        # GPU->CPU-bound chunks queue ``(conv_id, chunk_index, slots)``
+        # here and cross as ONE stacked gather + batched insert at scope
+        # exit.  ``None`` = no scope active.
         self._pending_copies: Optional[List[Tuple[int, int, np.ndarray]]] = None
         #: Observability sink (``repro.obs``); the null default keeps the
         #: serving path allocation-free when tracing is off.
@@ -205,17 +220,10 @@ class StatefulChatServer:
         new: ChunkLocation,
     ) -> None:
         table = self._tables[cache.conv_id]
+        conv_id, index = cache.conv_id, chunk.index
         if old is ChunkLocation.GPU and new is ChunkLocation.GPU_CPU:
             # Ahead-of-time copy: data lands in the CPU store, pages stay.
-            # Inside a coalescing scope the copy is deferred: the slots
-            # are captured now (nothing can reallocate them before the
-            # flush) and the data crosses with the batched transfer.
-            slots = table.slots_array(chunk.start, chunk.end)
-            if self._pending_copies is not None:
-                self._pending_copies.append((cache.conv_id, chunk.index, slots))
-            else:
-                k, v = self.storage.read_all_layers(slots)
-                self.cpu_store.put(cache.conv_id, chunk.index, k, v)
+            self._queue_copy(conv_id, chunk, table)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.CPU:
             # Reclaim: the pages are handed back (data only in CPU now).
             # A still-pending deferred copy stays valid: the KVStorage
@@ -224,61 +232,45 @@ class StatefulChatServer:
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.GPU:
             # Promotion on reuse: invalidate the (stale-to-be) CPU copy.
-            # If that copy is still queued in the coalescing scope, flush
-            # first so the store and its counters see the same put+drop
-            # sequence as the per-chunk path.
-            if self._has_pending_copy(cache.conv_id, chunk.index):
-                self._flush_pending_copies()
-            self.cpu_store.drop(cache.conv_id, chunk.index)
+            self._land_copy(conv_id, index)
+            self.cpu_store.drop(conv_id, index)
         elif old is ChunkLocation.GPU and new is ChunkLocation.CPU:
             # Suspension path: copy and vacate in one go.
-            slots = table.slots_array(chunk.start, chunk.end)
-            if self._pending_copies is not None:
-                self._pending_copies.append((cache.conv_id, chunk.index, slots))
-            else:
-                k, v = self.storage.read_all_layers(slots)
-                self.cpu_store.put(cache.conv_id, chunk.index, k, v)
+            self._queue_copy(conv_id, chunk, table)
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU and new is ChunkLocation.DROPPED:
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.DROPPED:
             # Pressure fallback: discard both the GPU slots and the copy.
-            if self._has_pending_copy(cache.conv_id, chunk.index):
-                self._flush_pending_copies()
-            self.cpu_store.drop(cache.conv_id, chunk.index)
+            self._land_copy(conv_id, index)
+            self.cpu_store.drop(conv_id, index)
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.CPU and new is ChunkLocation.DROPPED:
-            if self._has_pending_copy(cache.conv_id, chunk.index):
-                self._flush_pending_copies()
+            self._land_copy(conv_id, index)
             # The entry may already be gone when a partially-popped swap-in
             # prefix is being invalidated after a corrupt read.
-            if self.cpu_store.contains(cache.conv_id, chunk.index):
-                self.cpu_store.drop(cache.conv_id, chunk.index)
+            if self.cpu_store.contains(conv_id, index):
+                self.cpu_store.drop(conv_id, index)
         elif old is ChunkLocation.CPU and new is ChunkLocation.DISK:
             # Demotion under host-memory pressure: the bytes move to the
             # disk store together with their *insertion-time* checksum —
             # no re-verify on the way down, so corruption acquired in host
             # DRAM is still caught at the eventual disk read (end-to-end
-            # integrity).  A still-deferred D2H copy must land first.
-            if self._has_pending_copy(cache.conv_id, chunk.index):
-                self._flush_pending_copies()
-            self.cpu_store.transfer_to(self.disk_store, cache.conv_id, chunk.index)
+            # integrity).
+            self._land_copy(conv_id, index)
+            self.cpu_store.transfer_to(self.disk_store, conv_id, index)
         elif old is ChunkLocation.DISK and new is ChunkLocation.DROPPED:
             # Disk eviction or post-read invalidation; the entry may
             # already be gone when a popped disk prefix is invalidated
             # after a corrupt read.
-            if self.disk_store.contains(cache.conv_id, chunk.index):
-                self.disk_store.drop(cache.conv_id, chunk.index)
-        elif old is ChunkLocation.DISK and new is ChunkLocation.GPU:
-            # Disk restore is orchestrated by chat() alongside the CPU
-            # swap-in batch; nothing here.
+            if self.disk_store.contains(conv_id, index):
+                self.disk_store.drop(conv_id, index)
+        elif new is ChunkLocation.GPU:
+            # From DISK or CPU: ``_restore_context`` moves the whole stored
+            # prefix in one batch per tier (restore_front needs it handled
+            # at once).  From DROPPED: recomputation fills the restored
+            # slots during prefill.  Nothing here.
             pass
-        elif old is ChunkLocation.CPU and new is ChunkLocation.GPU:
-            # Swap-in is orchestrated by chat() (restore_front needs the
-            # whole vacated prefix handled in one batch); nothing here.
-            pass
-        elif old is ChunkLocation.DROPPED and new is ChunkLocation.GPU:
-            pass  # recomputation fills the restored slots during prefill
         else:  # pragma: no cover - no other legal transition exists
             raise AssertionError(f"unexpected transition {old} -> {new}")
 
@@ -286,11 +278,24 @@ class StatefulChatServer:
     # Coalesced D2H copy path (stacked gather + batched CPU-store insert)
     # ------------------------------------------------------------------
 
-    def _has_pending_copy(self, conv_id: int, chunk_index: int) -> bool:
-        return bool(self._pending_copies) and any(
-            c == conv_id and i == chunk_index
-            for c, i, _ in self._pending_copies
-        )
+    def _queue_copy(self, conv_id: int, chunk: Chunk, table: BlockTable) -> None:
+        """Queue one chunk's D2H copy.  The slots are captured now —
+        nothing can reallocate them before the flush — and the data
+        crosses with the enclosing scope's batched transfer; with no
+        scope open the chunk is a scope, and a batch, of one."""
+        with self._coalesce_copies():
+            self._pending_copies.append(
+                (conv_id, chunk.index, table.slots_array(chunk.start, chunk.end))
+            )
+
+    def _land_copy(self, conv_id: int, chunk_index: int) -> None:
+        """Flush now if this chunk's copy is still queued, so the store
+        (and its counters) see its put before the drop or demotion that
+        is about to follow."""
+        if self._pending_copies and any(
+            c == conv_id and i == chunk_index for c, i, _ in self._pending_copies
+        ):
+            self._flush_pending_copies()
 
     def _flush_pending_copies(self) -> None:
         """Move every deferred chunk copy to the CPU store as ONE stacked
@@ -455,10 +460,9 @@ class StatefulChatServer:
             # A recycled conversation id must never alias the dead row.
             self.model.decode_cache.drop(conv_id)
         # ``forget`` bypasses the observer, so mirror the cleanup here.
-        for chunk_index in self.cpu_store.chunks_of(conv_id):
-            self.cpu_store.drop(conv_id, chunk_index)
-        for chunk_index in self.disk_store.chunks_of(conv_id):
-            self.disk_store.drop(conv_id, chunk_index)
+        for store in (self.cpu_store, self.disk_store):
+            for chunk_index in store.chunks_of(conv_id):
+                store.drop(conv_id, chunk_index)
         self.raw_tokens.pop(conv_id, None)
 
     def _fail_request(
@@ -481,15 +485,14 @@ class StatefulChatServer:
         max_new_tokens: int = 16,
         sampling: SamplingParams = GREEDY,
     ) -> List[int]:
-        """Serve one turn: prefill the (possibly partially cached) context
-        and greedily decode ``max_new_tokens`` tokens.
+        """Serve one turn: the :meth:`chat_batch` batch of one.
 
         Args:
             conv_id: conversation identifier.
             user_text: the user's message (tokenised internally); ignored
                 if ``prompt_ids`` is given.
             prompt_ids: raw prompt token ids (for tests/scripted runs).
-            max_new_tokens: number of tokens to generate.
+            max_new_tokens: number of tokens to generate (at least 1).
             sampling: decoding strategy (greedy by default; stochastic
                 strategies draw from the server's seeded sampling stream).
 
@@ -502,85 +505,13 @@ class StatefulChatServer:
                 attempts) and the server remains consistent for every
                 other conversation.
         """
-        self._clock += 1.0
-        now = self._clock
-        if conv_id == self.SYSTEM_CONV_ID:
-            raise ValueError(f"conversation id {conv_id} is reserved")
         if prompt_ids is None:
             prompt_ids = self.tokenizer.encode(user_text)
-        prompt_ids = list(prompt_ids)
-        if not prompt_ids:
-            raise ValueError("empty prompt")
-
-        tracer = self.tracer
-        req_span = 0
-        if tracer.enabled:
-            req_span = tracer.begin(
-                "request", t=now, track="requests",
-                conv_id=conv_id, prompt_tokens=len(prompt_ids),
-            )
-        try:
-            prefill_span = 0
-            if tracer.enabled:
-                prefill_span = tracer.begin(
-                    "prefill", t=now, parent=req_span, track="server",
-                    conv_id=conv_id,
-                )
-            table, dropped, input_ids = self._restore_context(
-                conv_id, prompt_ids, now
-            )
-            history = self.raw_tokens[conv_id]
-            request = ForwardRequest(
-                input_ids=np.asarray(input_ids, dtype=np.int64),
-                context_slots=self._full_context(table),
-                dropped=dropped,
-                shared_prefix=len(self._system_slots),
-            )
-            logits = self.model.forward([request])[0]
-            next_token = sample_token(logits[-1], sampling, self._sampling_rng)
-            if tracer.enabled:
-                tracer.end(
-                    prefill_span, t=self._clock,
-                    tokens=len(input_ids), recomputed=dropped,
-                )
-
-            decode_span = 0
-            if tracer.enabled:
-                decode_span = tracer.begin(
-                    "decode", t=self._clock, parent=req_span, track="server",
-                    conv_id=conv_id,
-                )
-            generated = [next_token]
-            for _ in range(max_new_tokens - 1):
-                self._grow(conv_id, table, now)
-                step = self._decode_request(conv_id, table, generated[-1])
-                step_logits = self.model.next_token_logits([step])[0]
-                generated.append(
-                    sample_token(step_logits, sampling, self._sampling_rng)
-                )
-
-            # Account the final token's KV as part of the cached context.
-            self._grow(conv_id, table, now)
-            step = self._decode_request(conv_id, table, generated[-1])
-            self.model.forward([step])
-            if tracer.enabled:
-                tracer.end(decode_span, t=self._clock, tokens=len(generated))
-        except RequestFaultedError:
-            if tracer.enabled:
-                tracer.count("requests.failed")
-                tracer.end(req_span, t=self._clock, outcome="failed")
-            raise
-
-        history.extend(prompt_ids)
-        history.extend(generated)
-        self.manager.close(conv_id, now)
-        if tracer.enabled:
-            tracer.count("requests.finished")
-            tracer.end(
-                req_span, t=self._clock,
-                outcome="finished", output_tokens=len(generated),
-            )
-        return generated
+        recorded = len(self.failures)
+        generated = self.chat_batch([(conv_id, prompt_ids)], max_new_tokens, sampling)
+        if conv_id not in generated:
+            raise self.failures[recorded]
+        return generated[conv_id]
 
     def _restore_context(
         self, conv_id: int, prompt_ids: List[int], now: float
@@ -615,31 +546,20 @@ class StatefulChatServer:
             raise self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
         plan = self.manager.plan_restore(conv_id, len(prompt_ids))
 
-        # NVMe read fault (disk tier): a terminal stall falls back to
-        # recomputing the disk-resident prefix only — the CPU-resident
-        # chunks behind it are unaffected and still swap in normally.
-        # ``alloc_tokens`` is unchanged (disk-read tokens become recompute
-        # tokens), so the capacity work below is identical either way.
-        if plan.disk_read_chunks:
-            ok, _ = self._attempt(FaultSite.NVME_STALL)
-            if not ok:
-                self.fault_counters.disk_read_failures += 1
-                self.fault_counters.recompute_fallbacks += 1
-                self.manager.invalidate_disk_prefix(conv_id)
-                plan = self.manager.plan_restore(conv_id, len(prompt_ids))
-
-        # PCIe swap-in transfer fault: a terminal failure falls back to
-        # the §4.3.4 recompute path.  ``alloc_tokens`` is unchanged (the
-        # swap-in tokens become recompute tokens), so the capacity work
-        # below is identical either way.  Invalidating the CPU prefix
-        # necessarily takes any preceding disk chunks with it (Figure 5:
-        # the dropped prefix only grows from the front).
-        if plan.swap_in_chunks:
-            ok, _ = self._attempt(FaultSite.SWAP_IN)
-            if not ok:
-                self.fault_counters.swap_in_failures += 1
-                self.fault_counters.recompute_fallbacks += 1
-                self.manager.invalidate_cpu_prefix(conv_id)
+        # Transfer faults, coldest tier first (NVMe read, then PCIe
+        # swap-in): a terminal failure falls back to recomputing that
+        # tier's chunks (§4.3.4).  ``alloc_tokens`` is unchanged (their
+        # tokens become recompute tokens), so the capacity work below is
+        # identical either way.  A failed disk read leaves the CPU chunks
+        # behind it to swap in normally; a failed swap-in necessarily
+        # takes any preceding disk chunks with it (Figure 5: the dropped
+        # prefix only grows from the front).
+        counters = self.fault_counters
+        for tier in RESTORE_TIERS:
+            if getattr(plan, tier.chunks) and not self._attempt(tier.site)[0]:
+                counters.bump(tier.failures)
+                counters.recompute_fallbacks += 1
+                getattr(self.manager, tier.invalidate)(conv_id)
                 plan = self.manager.plan_restore(conv_id, len(prompt_ids))
 
         # Make room (may evict other conversations — the observer moves
@@ -665,40 +585,32 @@ class StatefulChatServer:
         # Capture ranges now: commit_restore may extend the partial tail
         # chunk in place, but the stored data covers the pre-extension
         # token range.
-        restored_data = []
-        corrupt_upto: Optional[Chunk] = None
-        stored_chunks = plan.disk_read_chunks + plan.swap_in_chunks
-        if stored_chunks:
-            by_index = {chunk.index: chunk for chunk in stored_chunks}
-            popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
-            corrupt: List[int] = []
-            if plan.disk_read_chunks:
-                disk_popped, disk_corrupt = self.disk_store.pop_many(
-                    conv_id, [chunk.index for chunk in plan.disk_read_chunks]
+        by_index: Dict[int, Chunk] = {}
+        popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
+        corrupt: List[int] = []
+        for tier, store in zip(RESTORE_TIERS, (self.disk_store, self.cpu_store)):
+            chunks = getattr(plan, tier.chunks)
+            if chunks:
+                by_index.update((chunk.index, chunk) for chunk in chunks)
+                tier_popped, tier_corrupt = store.pop_many(
+                    conv_id, [chunk.index for chunk in chunks]
                 )
-                popped.extend(disk_popped)
-                corrupt.extend(disk_corrupt)
-            if plan.swap_in_chunks:
-                cpu_popped, cpu_corrupt = self.cpu_store.pop_many(
-                    conv_id, [chunk.index for chunk in plan.swap_in_chunks]
-                )
-                popped.extend(cpu_popped)
-                corrupt.extend(cpu_corrupt)
-            self.fault_counters.corrupted_chunks += len(corrupt)
-            if corrupt:
-                # Disk chunks precede CPU chunks (Figure 5 extended), and
-                # each pop preserves request order, so the list ascends.
-                corrupt_upto = by_index[corrupt[-1]]
-            restored_data = [
-                (by_index[index].start, by_index[index].end, data)
-                for index, data in popped
-            ]
-        if corrupt_upto is not None:
+                popped += tier_popped
+                corrupt += tier_corrupt
+        counters.corrupted_chunks += len(corrupt)
+        restored_data = [
+            (by_index[index].start, by_index[index].end, data)
+            for index, data in popped
+        ]
+        if corrupt:
             # Checksum caught corruption: invalidate the stored (disk +
-            # CPU) prefix through the (last) corrupt chunk — the Figure 5
+            # CPU) prefix through the last corrupt chunk — the Figure 5
             # layout only lets the DROPPED prefix grow, so already-popped
             # predecessors are discarded too — and recompute those tokens.
-            self.fault_counters.recompute_fallbacks += 1
+            # Disk chunks precede CPU chunks and each pop preserves
+            # request order, so ``corrupt`` ascends.
+            corrupt_upto = by_index[corrupt[-1]]
+            counters.recompute_fallbacks += 1
             self.manager.invalidate_cpu_prefix(conv_id, upto=corrupt_upto)
             restored_data = [
                 item for item in restored_data if item[0] >= corrupt_upto.end
@@ -772,17 +684,11 @@ class StatefulChatServer:
         the outputs are identical to serving the turns sequentially —
         batching is purely a throughput optimisation.
 
-        The batch is reordered page-aware before serving: conversations
-        already occupying packing-cache rows keep their row order (so the
-        cache extends in place instead of rebuilding), and the rest sort
-        by GPU page residency — fully-resident conversations first, deep
-        swap-ins last.  With greedy sampling the reorder is
-        output-invariant per conversation.
-
         Args:
             prompts: ``(conv_id, prompt_ids)`` pairs; conversation ids
                 must be distinct within one batch.
-            max_new_tokens: tokens to generate per conversation.
+            max_new_tokens: tokens to generate per conversation (at
+                least 1).
             sampling: decoding strategy (stochastic strategies consume the
                 sampling stream in batch — i.e. scheduled — order, so
                 they match sequential serving only in distribution, not
@@ -795,121 +701,121 @@ class StatefulChatServer:
         """
         self._clock += 1.0
         now = self._clock
+        if max_new_tokens < 1:
+            raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
+        prompts = [(conv_id, list(prompt_ids)) for conv_id, prompt_ids in prompts]
         conv_ids = [conv_id for conv_id, _ in prompts]
         if len(set(conv_ids)) != len(conv_ids):
             raise ValueError("duplicate conversation ids in one batch")
         if self.SYSTEM_CONV_ID in conv_ids:
             raise ValueError(f"conversation id {self.SYSTEM_CONV_ID} is reserved")
-        if len(prompts) > 1:
-            prompts = self._page_aware_order(prompts)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "batch_turn", t=now, track="server", batch_size=len(prompts)
-            )
+        for conv_id, prompt_ids in prompts:
+            if not prompt_ids:
+                raise ValueError(f"empty prompt for conversation {conv_id}")
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.instant("batch_turn", t=now, track="server", batch_size=len(prompts))
+
+        def failed(turn_span: int) -> None:
+            # The error itself is already in ``self.failures``.
+            if tracer.enabled:
+                tracer.count("requests.failed")
+                tracer.end(turn_span, t=self._clock, outcome="failed")
 
         # Phase 1: restore/extend every conversation's context (pins all,
         # so later restores cannot evict earlier batch members).  A
         # request that exhausts its fault retries drops out individually;
         # the rest of the batch is served normally.
-        prepared = []
+        turns: List[_Turn] = []
         for conv_id, prompt_ids in prompts:
-            prompt_ids = list(prompt_ids)
-            if not prompt_ids:
-                raise ValueError(f"empty prompt for conversation {conv_id}")
+            span = phase = 0
+            if tracer.enabled:
+                span = tracer.begin(
+                    "request", t=now, track="requests",
+                    conv_id=conv_id, prompt_tokens=len(prompt_ids),
+                )
+                phase = tracer.begin(
+                    "prefill", t=now, parent=span, track="server", conv_id=conv_id
+                )
             try:
                 table, dropped, input_ids = self._restore_context(
                     conv_id, prompt_ids, now
                 )
             except RequestFaultedError:
-                continue  # recorded in self.failures; batch goes on
-            prepared.append((conv_id, prompt_ids, table, dropped, input_ids))
-        if not prepared:
+                failed(span)
+                continue
+            turns.append(
+                _Turn(conv_id, prompt_ids, table, dropped, input_ids, span, phase)
+            )
+        if not turns:
             return {}
 
         # Phase 2: one unified prefill batch.
         shared = len(self._system_slots)
-        requests = [
-            ForwardRequest(
-                input_ids=np.asarray(input_ids, dtype=np.int64),
-                context_slots=self._full_context(table),
-                dropped=dropped,
-                shared_prefix=shared,
-            )
-            for _, _, table, dropped, input_ids in prepared
-        ]
-        logits = self.model.forward(requests)
-        generated: Dict[int, List[int]] = {
-            conv_id: [sample_token(l[-1], sampling, self._sampling_rng)]
-            for (conv_id, _, _, _, _), l in zip(prepared, logits)
-        }
+        logits = self.model.forward(
+            [
+                ForwardRequest(
+                    input_ids=np.asarray(turn.input_ids, dtype=np.int64),
+                    context_slots=self._full_context(turn.table),
+                    dropped=turn.dropped,
+                    shared_prefix=shared,
+                )
+                for turn in turns
+            ]
+        )
+        for turn, l in zip(turns, logits):
+            turn.generated.append(sample_token(l[-1], sampling, self._sampling_rng))
+            if tracer.enabled:
+                tracer.end(
+                    turn.phase, t=self._clock,
+                    tokens=len(turn.input_ids), recomputed=turn.dropped,
+                )
+                turn.phase = tracer.begin(
+                    "decode", t=self._clock, parent=turn.span, track="server",
+                    conv_id=turn.conv_id,
+                )
 
         # Phase 3: batched decode steps (every conversation advances by
         # one token per iteration, like the simulated engine).  A
         # mid-decode terminal fault removes only the affected
         # conversation; its siblings keep decoding.
-        for _ in range(max_new_tokens):
+        for step in range(max_new_tokens):
             steps = []
             survivors = []
-            for item in prepared:
-                conv_id, _, table, _, _ = item
+            for turn in turns:
                 try:
-                    self._grow(conv_id, table, now)
+                    self._grow(turn.conv_id, turn.table, now)
                 except RequestFaultedError:
-                    generated.pop(conv_id, None)
+                    failed(turn.span)
                     continue
-                survivors.append(item)
+                survivors.append(turn)
                 steps.append(
-                    self._decode_request(conv_id, table, generated[conv_id][-1])
+                    self._decode_request(turn.conv_id, turn.table, turn.generated[-1])
                 )
-            prepared = survivors
-            if not prepared:
+            turns = survivors
+            if not turns:
                 return {}
             step_logits = self.model.forward(steps)
-            if len(generated[prepared[0][0]]) >= max_new_tokens:
-                break  # final iteration only wrote the last tokens' KV
-            for (conv_id, _, _, _, _), l in zip(prepared, step_logits):
-                generated[conv_id].append(
-                    sample_token(l[-1], sampling, self._sampling_rng)
-                )
+            if step + 1 < max_new_tokens:  # the last step only writes KV
+                for turn, l in zip(turns, step_logits):
+                    turn.generated.append(
+                        sample_token(l[-1], sampling, self._sampling_rng)
+                    )
 
         # Phase 4: persist raw tokens and unpin.
-        for conv_id, prompt_ids, _, _, _ in prepared:
-            history = self.raw_tokens.setdefault(conv_id, [])
-            history.extend(prompt_ids)
-            history.extend(generated[conv_id])
-            self.manager.close(conv_id, now)
-        return generated
-
-    def _gpu_resident_fraction(self, conv_id: int) -> float:
-        """Fraction of a conversation's cached tokens still holding GPU
-        pages (GPU + GPU_CPU in the Figure 5 layout)."""
-        cache = self.manager.conversation(conv_id)
-        if cache is None or cache.total_tokens == 0:
-            return 0.0
-        seg = cache.segments()
-        resident = seg.get(ChunkLocation.GPU, 0) + seg.get(
-            ChunkLocation.GPU_CPU, 0
-        )
-        return resident / cache.total_tokens
-
-    def _page_aware_order(
-        self, prompts: Sequence[Tuple[int, Sequence[int]]]
-    ) -> List[Tuple[int, Sequence[int]]]:
-        """Schedule a batch page-aware: packing-cache occupants first, in
-        their cached row order (keeping the packed table's extend fast
-        path alive across turns), then the rest by descending GPU page
-        residency so deep swap-ins land at the batch tail.  Ties keep the
-        caller's order (stable)."""
-        cache = self.model.decode_cache
-
-        def sort_key(item: Tuple[int, Tuple[int, Sequence[int]]]):
-            index, (conv_id, _) = item
-            row = cache.row_index(conv_id) if cache is not None else None
-            if row is not None:
-                return (0, row, index)
-            return (1, -self._gpu_resident_fraction(conv_id), index)
-
-        return [pair for _, pair in sorted(enumerate(prompts), key=sort_key)]
+        for turn in turns:
+            history = self.raw_tokens[turn.conv_id]
+            history.extend(turn.prompt_ids)
+            history.extend(turn.generated)
+            self.manager.close(turn.conv_id, now)
+            if tracer.enabled:
+                tracer.end(turn.phase, t=self._clock, tokens=len(turn.generated))
+                tracer.count("requests.finished")
+                tracer.end(
+                    turn.span, t=self._clock,
+                    outcome="finished", output_tokens=len(turn.generated),
+                )
+        return {turn.conv_id: turn.generated for turn in turns}
 
     def chat_text(self, conv_id: int, user_text: str, max_new_tokens: int = 16) -> str:
         """Convenience wrapper returning decoded text."""

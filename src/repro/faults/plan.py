@@ -169,6 +169,10 @@ class FaultCounters:
             "disk_read_failures": self.disk_read_failures,
         }
 
+    def bump(self, counter: str) -> None:
+        """Increment the counter named ``counter`` (table-driven ladders)."""
+        setattr(self, counter, getattr(self, counter) + 1)
+
     @property
     def total(self) -> int:
         return sum(self.as_dict().values())

@@ -322,11 +322,6 @@ class PackedDecodeCache:
             if state is not None and state.key == key:
                 self._rows[row] = None
 
-    def row_index(self, key: Hashable) -> Optional[int]:
-        """Row currently holding ``key``, or ``None``.  Schedulers use
-        this to order batches so occupants keep their rows."""
-        return self._key_to_row.get(key)
-
     # ------------------------------------------------------------------ #
     # gathered-KV staging                                                #
     # ------------------------------------------------------------------ #

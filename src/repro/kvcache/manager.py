@@ -215,7 +215,8 @@ class TieredCacheManager:
             # Disk-tier traffic: tokens demoted CPU -> DISK under host
             # memory pressure, and tokens evicted from the disk tier
             # (each disk eviction also counts into ``dropped_tokens`` —
-            # the tokens become recompute-needing at that moment).
+            # the tokens become recompute-needing at that moment; a
+            # forgotten conversation's disk tokens count here only).
             "demoted_tokens": 0,
             "disk_dropped_tokens": 0,
             # Tokens that left the GPU_CPU state (reclaimed to CPU, or
@@ -399,6 +400,12 @@ class TieredCacheManager:
         assert disk == self._disk_used, (disk, self._disk_used)
         assert reclaimable == self._reclaimable, (reclaimable, self._reclaimable)
         assert evictable == self._evictable, (evictable, self._evictable)
+        # Disk ledger: every demoted token is still on disk, was read
+        # back, or was given up (dropped, or forgotten with its owner).
+        stats = self.stats
+        assert stats["demoted_tokens"] == (
+            disk + stats["disk_hit_tokens"] + stats["disk_dropped_tokens"]
+        ), (disk, stats)
         for loc, index in self._frontier.items():
             assert index.keys() <= self._conversations.keys(), (loc, index)
             for cache in self._conversations.values():
@@ -440,7 +447,11 @@ class TieredCacheManager:
         gpu = cache.tokens_in(*_GPU_STATES)
         self._gpu_resident -= gpu
         self._cpu_used -= cache.tokens_in(*_CPU_STATES)
-        self._disk_used -= cache.tokens_in(ChunkLocation.DISK)
+        disk = cache.tokens_in(ChunkLocation.DISK)
+        self._disk_used -= disk
+        if disk:
+            # Given up unread: keeps the disk ledger of ``_audit`` closed.
+            self._bump("disk_dropped_tokens", disk)
         if not cache.pinned:
             self._reclaimable -= cache.tokens_in(ChunkLocation.GPU_CPU)
             self._evictable -= cache.tokens_in(ChunkLocation.GPU)
@@ -544,53 +555,30 @@ class TieredCacheManager:
         ``upto`` (all of them when ``None``) so the next restore plan
         recomputes those tokens from the raw-token store (§4.3.4 fallback).
 
-        Only the leading prefix may be invalidated — stored chunks sit
-        right after the ``DROPPED`` prefix (disk first, then CPU), so
-        growing that prefix keeps the Figure 5 layout legal by
-        construction.  When ``upto`` is a CPU chunk, every disk chunk
-        necessarily precedes it and is invalidated too: a surviving
-        ``DISK`` chunk after a new ``DROPPED`` one would break
-        monotonicity.  Returns tokens invalidated (0 for an unknown
-        conversation — recovery must not raise anew).
+        Stored chunks sit right after the ``DROPPED`` prefix (disk first,
+        then CPU), so every disk chunk ahead of a CPU ``upto`` goes with
+        it (see :meth:`_drop_leading_prefix`).  Returns tokens invalidated
+        (0 for an unknown conversation — recovery must not raise anew).
         """
         cache = self._conversations.get(conv_id)
         if cache is None:
             return 0
-        invalidated = 0
-        for chunk in cache.chunks_in(ChunkLocation.DISK, ChunkLocation.CPU):
-            if upto is not None and chunk.index > upto.index:
-                break
-            self._move(cache, chunk, ChunkLocation.DROPPED)
-            self._bump("dropped_tokens", chunk.num_tokens)
-            invalidated += chunk.num_tokens
-        cache.check_layout()
-        return invalidated
+        if upto is None:
+            upto = cache.rear(ChunkLocation.DISK, ChunkLocation.CPU)
+        return self._drop_leading_prefix(cache, upto)
 
-    def invalidate_disk_prefix(
-        self, conv_id: int, upto: Optional[Chunk] = None
-    ) -> int:
-        """Recovery path for a failed or corrupt *disk* read: drop the
-        conversation's ``DISK`` chunks from the front through ``upto``
-        (all of them when ``None``).
-
-        Disk chunks sit immediately after the ``DROPPED`` prefix, so this
-        never touches CPU chunks and always leaves a legal layout — the
-        narrower sibling of :meth:`invalidate_cpu_prefix` used when the
-        CPU-resident portion of the context is still healthy.  Returns
-        tokens invalidated.
+    def invalidate_disk_prefix(self, conv_id: int) -> int:
+        """Recovery path for a failed or corrupt *disk* read: drop all of
+        the conversation's ``DISK`` chunks.  They sit immediately after
+        the ``DROPPED`` prefix, so the CPU chunks behind them survive —
+        the narrower sibling of :meth:`invalidate_cpu_prefix` used when
+        the CPU-resident portion of the context is still healthy.
+        Returns tokens invalidated.
         """
         cache = self._conversations.get(conv_id)
         if cache is None:
             return 0
-        invalidated = 0
-        for chunk in cache.chunks_in(ChunkLocation.DISK):
-            if upto is not None and chunk.index > upto.index:
-                break
-            self._move(cache, chunk, ChunkLocation.DROPPED)
-            self._bump("dropped_tokens", chunk.num_tokens)
-            invalidated += chunk.num_tokens
-        cache.check_layout()
-        return invalidated
+        return self._drop_leading_prefix(cache, cache.rear(ChunkLocation.DISK))
 
     # ------------------------------------------------------------------
     # Eviction machinery
@@ -647,6 +635,7 @@ class TieredCacheManager:
         while heap:
             score, conv_id, _, chunk, cache = heap[0]
             yield score, chunk, cache
+            assert chunk.location is not location, f"victim {chunk!r} not evicted"
             successor = frontier.get(conv_id)
             if successor is None:
                 heapq.heappop(heap)
@@ -656,6 +645,17 @@ class TieredCacheManager:
                     (scorer(successor, cache.last_active, now), conv_id,
                      successor.index, successor, cache),
                 )
+
+    def _trace_victim(
+        self, event: str, now: float, cache: ConversationCache, chunk: Chunk,
+        score: float, **attrs: str,
+    ) -> None:
+        """One eviction trace event; it carries the victim's retention
+        score, so traces hold the distribution the policy acted on."""
+        self.tracer.instant(
+            event, t=now, track="cache", conv_id=cache.conv_id,
+            chunk=chunk.index, tokens=chunk.num_tokens, **attrs, score=score,
+        )
 
     def swap_out(self, tokens_needed: int, now: float) -> List[Chunk]:
         """Make ``tokens_needed`` GPU tokens obtainable by copying GPU-only
@@ -679,14 +679,12 @@ class TieredCacheManager:
             if victim is None:
                 break
             score, chunk, cache = victim
-            if self.whole_conversation_eviction:
-                # Granularity ablation: take the whole conversation, even
-                # past the target (the overshoot is the cost of coarse
-                # eviction the paper's design avoids).
-                for victim in list(cache.chunks_in(ChunkLocation.GPU)):
-                    self._swap_out_chunk(cache, victim, now, copied, score=score)
-            else:
-                self._swap_out_chunk(cache, chunk, now, copied, score=score)
+            # Granularity ablation: take the whole conversation, even past
+            # the target (the overshoot is the cost of coarse eviction the
+            # paper's design avoids).
+            whole = self.whole_conversation_eviction
+            for chunk in cache.chunks_in(ChunkLocation.GPU) if whole else [chunk]:
+                self._swap_out_chunk(cache, chunk, now, copied, score)
         return copied
 
     def _swap_out_chunk(
@@ -695,86 +693,64 @@ class TieredCacheManager:
         chunk: Chunk,
         now: float,
         copied: List[Chunk],
-        score: Optional[float] = None,
-    ) -> str:
-        """Move one GPU chunk toward the CPU tier.
-
-        Returns ``"copied"`` or ``"dropped"``; either way the chunk's GPU
-        slots have been made reclaimable or free (guaranteed progress).
-        ``score`` is the victim's retention score, recorded on the
-        eviction trace event so traces carry the score distribution the
-        policy acted on.
-        """
-        outcome = self._swap_out_chunk_inner(cache, chunk, now, copied)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "evict",
-                t=now,
-                track="cache",
-                conv_id=cache.conv_id,
-                chunk=chunk.index,
-                tokens=chunk.num_tokens,
-                outcome=outcome,
-                score=score,
-            )
-        return outcome
-
-    def _swap_out_chunk_inner(
-        self,
-        cache: ConversationCache,
-        chunk: Chunk,
-        now: float,
-        copied: List[Chunk],
-    ) -> str:
-        if self.cpu_capacity_tokens == 0:
-            # GPU-cache-only variant: dropping instead of copying.
-            self._move(cache, chunk, ChunkLocation.DROPPED)
-            self._bump("dropped_tokens", chunk.num_tokens)
-            cache.check_layout()
-            return "dropped"
-        if self.fault_plan is not None and self.fault_plan.fires(FaultSite.SWAP_OUT):
-            # The D2H copy failed: degrade by discarding the candidate's
-            # leading prefix outright — the tokens recompute on return
-            # (§4.3.4), so no served output is ever lost, and the chunk's
-            # GPU slots still free up (guaranteed progress).
-            self.fault_counters.swap_out_failures += 1
-            self._drop_leading_prefix(cache, chunk)
-            return "dropped"
-        if self.cpu_free_tokens < chunk.num_tokens:
+        score: float,
+    ) -> None:
+        """Move one GPU chunk toward the CPU tier: copied, or dropped with
+        the conversation's leading prefix through it (the tokens recompute
+        on return, §4.3.4, so no served output is ever lost).  Either way
+        the chunk's GPU slots have been made reclaimable or free
+        (guaranteed progress)."""
+        copy = self.cpu_capacity_tokens > 0  # else GPU-cache-only variant
+        if copy and self.fault_plan is not None and self.fault_plan.fires(
+            FaultSite.SWAP_OUT
+        ):
+            self.fault_counters.swap_out_failures += 1  # the D2H copy failed
+            copy = False
+        if copy and self.cpu_free_tokens < chunk.num_tokens:
             self.drop_from_cpu(
                 chunk.num_tokens - self.cpu_free_tokens, now, allow_revert=False
             )
-            if self.cpu_free_tokens < chunk.num_tokens:
-                # CPU tier saturated with data that may not be dropped
-                # (pinned conversations' chunks, or copies backing
-                # reclaimable GPU slots).  Fall back to discarding the
-                # candidate conversation's leading chunks outright —
-                # Figure 5 keeps the layout legal because the dropped
-                # prefix only ever grows from the front.
-                self._drop_leading_prefix(cache, chunk)
-                return "dropped"
-        self._move(cache, chunk, ChunkLocation.GPU_CPU)
-        self._bump("swapped_out_tokens", chunk.num_tokens)
-        copied.append(chunk)
-        cache.check_layout()
-        return "copied"
+            # Still short: the CPU tier is saturated with data that may
+            # not be dropped (pinned conversations' chunks, or copies
+            # backing reclaimable GPU slots).
+            copy = self.cpu_free_tokens >= chunk.num_tokens
+        if copy:
+            self._move(cache, chunk, ChunkLocation.GPU_CPU)
+            self._bump("swapped_out_tokens", chunk.num_tokens)
+            copied.append(chunk)
+            cache.check_layout()
+        else:
+            self._drop_leading_prefix(cache, chunk)
+        if self.tracer.enabled:
+            outcome = "copied" if copy else "dropped"
+            self._trace_victim("evict", now, cache, chunk, score, outcome=outcome)
 
-    def _drop_leading_prefix(self, cache: ConversationCache, upto: Chunk) -> None:
-        """Drop a conversation's chunks from the front through ``upto``.
+    def _drop_leading_prefix(
+        self, cache: ConversationCache, upto: Optional[Chunk]
+    ) -> int:
+        """Grow a conversation's ``DROPPED`` prefix through ``upto``: the
+        only way a cached layout shrinks (Figure 5), and the only code
+        that gives chunks up for §4.3.4 recomputation.
 
-        Any ``GPU_CPU`` chunk in the prefix loses both its GPU slots and
-        its CPU copy; ``CPU`` chunks free CPU space; the target ``GPU``
-        chunk frees GPU slots.
+        Every chunk from the front through ``upto`` that still holds data
+        is dropped with it, whatever tier it is in — a surviving ``DISK``
+        or ``CPU`` chunk ahead of a dropped one would break the monotone
+        layout.  ``GPU_CPU`` chunks lose both their GPU slots and their
+        CPU copy.  Returns tokens dropped (0 when ``upto`` is ``None``).
         """
-        for chunk in cache.chunks:
-            if chunk.location is not ChunkLocation.DROPPED:
-                if chunk.location is ChunkLocation.DISK:
-                    self._bump("disk_dropped_tokens", chunk.num_tokens)
-                self._bump("dropped_tokens", chunk.num_tokens)
-                self._move(cache, chunk, ChunkLocation.DROPPED)
-            if chunk is upto:
-                break
+        if upto is None:
+            return 0
+        dropped = 0
+        for chunk in cache.chunks[: upto.index + 1]:
+            if chunk.location is ChunkLocation.DROPPED:
+                continue
+            if chunk.location is ChunkLocation.DISK:
+                self._bump("disk_dropped_tokens", chunk.num_tokens)
+            self._bump("dropped_tokens", chunk.num_tokens)
+            self._move(cache, chunk, ChunkLocation.DROPPED)
+            dropped += chunk.num_tokens
         cache.check_layout()
+        return dropped
 
     def reclaim(
         self, tokens_needed: int, now: float, exclude: Optional[int] = None
@@ -793,15 +769,7 @@ class TieredCacheManager:
             cache.check_layout()
             if self.tracer.enabled:
                 self.tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
-                self.tracer.instant(
-                    "reclaim",
-                    t=now,
-                    track="cache",
-                    conv_id=cache.conv_id,
-                    chunk=chunk.index,
-                    tokens=chunk.num_tokens,
-                    score=score,
-                )
+                self._trace_victim("reclaim", now, cache, chunk, score)
         return freed
 
     def drop_from_cpu(
@@ -830,17 +798,9 @@ class TieredCacheManager:
             score, chunk, cache = victim
             outcome = self._demote_or_drop(cache, chunk, score, now)
             freed += chunk.num_tokens
-            cache.check_layout()
             if self.tracer.enabled:
-                self.tracer.instant(
-                    "cpu_drop",
-                    t=now,
-                    track="cache",
-                    conv_id=cache.conv_id,
-                    chunk=chunk.index,
-                    tokens=chunk.num_tokens,
-                    outcome=outcome,
-                    score=score,
+                self._trace_victim(
+                    "cpu_drop", now, cache, chunk, score, outcome=outcome
                 )
         # Nothing below creates a ``CPU`` chunk, so once the victims run
         # out they stay out.  Fall back to invalidating the CPU copies of
@@ -891,18 +851,11 @@ class TieredCacheManager:
                 if self.disk_free_tokens >= chunk.num_tokens:
                     self._move(cache, chunk, ChunkLocation.DISK)
                     self._bump("demoted_tokens", chunk.num_tokens)
+                    cache.check_layout()
                     return "demoted"
-        # Figure 5: the dropped prefix only grows from the front, so any of
-        # the conversation's chunks still on disk *ahead* of this one must
-        # be discarded with it.
-        for victim in cache.chunks:
-            if victim.location is not ChunkLocation.DROPPED:
-                if victim.location is ChunkLocation.DISK:
-                    self._bump("disk_dropped_tokens", victim.num_tokens)
-                self._move(cache, victim, ChunkLocation.DROPPED)
-                self._bump("dropped_tokens", victim.num_tokens)
-            if victim is chunk:
-                break
+        # Takes any of the conversation's chunks still on disk *ahead* of
+        # this one with it.
+        self._drop_leading_prefix(cache, chunk)
         return "dropped"
 
     def drop_from_disk(
@@ -924,21 +877,10 @@ class TieredCacheManager:
             score, chunk, cache = victim
             if max_score is not None and score >= max_score:
                 break
-            self._move(cache, chunk, ChunkLocation.DROPPED)
-            self._bump("disk_dropped_tokens", chunk.num_tokens)
-            self._bump("dropped_tokens", chunk.num_tokens)
-            freed += chunk.num_tokens
-            cache.check_layout()
+            # A disk frontier has only dropped chunks ahead of it.
+            freed += self._drop_leading_prefix(cache, chunk)
             if self.tracer.enabled:
-                self.tracer.instant(
-                    "disk_drop",
-                    t=now,
-                    track="cache",
-                    conv_id=cache.conv_id,
-                    chunk=chunk.index,
-                    tokens=chunk.num_tokens,
-                    score=score,
-                )
+                self._trace_victim("disk_drop", now, cache, chunk, score)
         return freed
 
     # ------------------------------------------------------------------
@@ -1015,8 +957,7 @@ class TieredCacheManager:
                 elif chunk.location is ChunkLocation.CPU:
                     room += chunk.num_tokens
                 upto = chunk
-        if upto is not None:
-            self._drop_leading_prefix(cache, upto)
+        self._drop_leading_prefix(cache, upto)
         copied = gpu_tokens - dropped
         for chunk in cache.chunks_in(ChunkLocation.GPU):
             self._move(cache, chunk, ChunkLocation.CPU)

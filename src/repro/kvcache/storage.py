@@ -247,29 +247,14 @@ class _ChunkStoreBase:
         k: np.ndarray,
         v: np.ndarray,
     ) -> None:
-        """Insert one chunk's K/V data (arrays ``[layers, tokens, heads, dim]``).
+        """Insert one chunk's K/V data (arrays ``[layers, tokens, heads, dim]``):
+        the :meth:`put_many` batch of one.
 
         Raises:
             MemoryError: if the chunk does not fit.
             KeyError: if the chunk is already stored.
         """
-        key = (conv_id, chunk_index)
-        if key in self._entries:
-            raise KeyError(f"chunk {key} already in {self._LABEL} store")
-        tokens = k.shape[1]
-        if self.used_tokens + tokens > self.capacity_tokens:
-            raise MemoryError(
-                f"{self._LABEL} store full: "
-                f"{self.used_tokens}+{tokens} > {self.capacity_tokens}"
-            )
-        self._entries[key] = (k.copy(), v.copy())
-        self._tokens[key] = tokens
-        self._checksums[key] = _checksum(k, v)
-        self.used_tokens += tokens
-        if self.tracer.enabled:
-            self.tracer.count(f"{self._PREFIX}.put_bytes", k.nbytes + v.nbytes)
-            self.tracer.count(f"{self._PREFIX}.put_chunks")
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+        self.put_many([(conv_id, chunk_index, k, v)])
 
     def put_many(
         self,
@@ -280,10 +265,9 @@ class _ChunkStoreBase:
         ``entries`` holds ``(conv_id, chunk_index, k, v)`` tuples.  The
         insert is atomic: duplicates and capacity are checked for the
         whole batch up front, so either every chunk lands or none does.
-        Counter totals (``<prefix>.put_bytes`` / ``put_chunks`` /
-        ``used_tokens``) match ``len(entries)`` individual :meth:`put`
-        calls exactly — coalescing changes the number of transfers, not
-        the accounting.
+        Counter totals (``<prefix>.put_bytes`` / ``put_chunks``) depend
+        only on the chunks inserted, not on how they are batched —
+        coalescing changes the number of transfers, not the accounting.
 
         Raises:
             MemoryError: if the batch does not fit (nothing inserted).
@@ -293,26 +277,41 @@ class _ChunkStoreBase:
         keys = [(conv_id, chunk_index) for conv_id, chunk_index, _, _ in entries]
         if len(set(keys)) != len(keys):
             raise KeyError(f"duplicate chunks in put_many batch: {keys}")
-        for key in keys:
-            if key in self._entries:
-                raise KeyError(f"chunk {key} already in {self._LABEL} store")
-        total_tokens = sum(k.shape[1] for _, _, k, _ in entries)
-        if self.used_tokens + total_tokens > self.capacity_tokens:
-            raise MemoryError(
-                f"{self._LABEL} store full: {self.used_tokens}+{total_tokens} > "
-                f"{self.capacity_tokens}"
-            )
+        self._reserve(keys, sum(k.shape[1] for _, _, k, _ in entries))
         total_bytes = 0
-        for (key, (_, _, k, v)) in zip(keys, entries):
-            self._entries[key] = (k.copy(), v.copy())
-            self._tokens[key] = k.shape[1]
-            self._checksums[key] = _checksum(k, v)
-            self.used_tokens += k.shape[1]
+        for key, (_, _, k, v) in zip(keys, entries):
+            self._insert(key, k.copy(), v.copy(), _checksum(k, v))
             total_bytes += k.nbytes + v.nbytes
         if self.tracer.enabled and entries:
             self.tracer.count(f"{self._PREFIX}.put_bytes", total_bytes)
             self.tracer.count(f"{self._PREFIX}.put_chunks", len(entries))
             self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+
+    def _reserve(self, keys: Sequence[Tuple[int, int]], tokens: int) -> None:
+        """Raise unless every key is new to this store and ``tokens`` more
+        fit — checked before anything moves, so inserts are atomic."""
+        for key in keys:
+            if key in self._entries:
+                raise KeyError(f"chunk {key} already in {self._LABEL} store")
+        if self.used_tokens + tokens > self.capacity_tokens:
+            raise MemoryError(
+                f"{self._LABEL} store full: {self.used_tokens}+{tokens} > "
+                f"{self.capacity_tokens}"
+            )
+
+    def _insert(
+        self, key: Tuple[int, int], k: np.ndarray, v: np.ndarray, checksum: int
+    ) -> None:
+        self._entries[key] = (k, v)
+        self._tokens[key] = k.shape[1]
+        self._checksums[key] = checksum
+        self.used_tokens += k.shape[1]
+
+    def _remove(self, key: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
+        data = self._entries.pop(key)
+        self._checksums.pop(key)
+        self.used_tokens -= self._tokens.pop(key)
+        return data
 
     def _verify(self, key: Tuple[int, int]) -> None:
         """Check a stored chunk against its insertion-time checksum.
@@ -352,24 +351,18 @@ class _ChunkStoreBase:
         return self._entries[key]
 
     def pop(self, conv_id: int, chunk_index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Remove and return a chunk's K/V data.
+        """Remove and return a chunk's K/V data: the :meth:`pop_many`
+        batch of one, with the corrupt chunk raised instead of reported.
 
         Raises:
             ChunkCorruptionError: if the chunk fails its checksum; the
                 entry is retained so the caller's recovery can drop it
                 via the cache manager's invalidation path.
         """
-        key = (conv_id, chunk_index)
-        self._verify(key)
-        data = self._entries.pop(key)
-        self._checksums.pop(key)
-        self.used_tokens -= self._tokens.pop(key)
-        if self.tracer.enabled:
-            self.tracer.count(
-                f"{self._PREFIX}.read_bytes", data[0].nbytes + data[1].nbytes
-            )
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
-        return data
+        popped, corrupt = self.pop_many(conv_id, [chunk_index])
+        if corrupt:
+            raise ChunkCorruptionError(conv_id=conv_id, chunk_index=chunk_index)
+        return popped[0][1]
 
     def pop_many(
         self, conv_id: int, chunk_indices: Sequence[int]
@@ -377,19 +370,18 @@ class _ChunkStoreBase:
         """Remove several chunks of one conversation as one coalesced
         transfer (the swap-in restore path).
 
-        Every chunk is verified exactly as :meth:`pop` would — the same
-        per-chunk CRC re-check and tier fault-injection site —
-        but a corrupt chunk is *reported* instead of raised (its entry
-        stays in the store, exactly like a failed :meth:`pop`), so the
-        caller can degrade just the affected prefix while the healthy
-        chunks still move in one batch.
+        Every chunk is verified individually — its own CRC re-check and
+        draw from the tier's fault-injection site — and a corrupt chunk
+        is *reported* instead of raised (its entry stays in the store),
+        so the caller can degrade just the affected prefix while the
+        healthy chunks still move in one batch.
 
         Returns:
             ``(popped, corrupt)``: ``popped`` is ``(chunk_index, (k, v))``
             for each healthy chunk, in request order; ``corrupt`` lists
             the chunk indices that failed verification.  Counter totals
-            (``<prefix>.read_bytes`` / ``corrupt_chunks`` /
-            ``used_tokens``) match per-chunk :meth:`pop` calls exactly.
+            (``<prefix>.read_bytes`` / ``corrupt_chunks``) depend only on
+            the chunks read, not on how they are batched.
         """
         popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
         corrupt: List[int] = []
@@ -401,9 +393,7 @@ class _ChunkStoreBase:
             except ChunkCorruptionError:
                 corrupt.append(chunk_index)
                 continue
-            data = self._entries.pop(key)
-            self._checksums.pop(key)
-            self.used_tokens -= self._tokens.pop(key)
+            data = self._remove(key)
             read_bytes += data[0].nbytes + data[1].nbytes
             popped.append((chunk_index, data))
         if self.tracer.enabled and popped:
@@ -413,11 +403,7 @@ class _ChunkStoreBase:
 
     def drop(self, conv_id: int, chunk_index: int) -> None:
         """Discard a chunk (tier eviction)."""
-        key = (conv_id, chunk_index)
-        del self._entries[key]
-        self._checksums.pop(key)
-        dropped = self._tokens.pop(key)
-        self.used_tokens -= dropped
+        dropped = self._remove((conv_id, chunk_index))[0].shape[1]
         if self.tracer.enabled:
             self.tracer.count(f"{self._PREFIX}.dropped_tokens", dropped)
             self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
@@ -441,23 +427,11 @@ class _ChunkStoreBase:
             MemoryError: if ``dst`` cannot fit the chunk (nothing moves).
         """
         key = (conv_id, chunk_index)
-        if key in dst._entries:
-            raise KeyError(f"chunk {key} already in {dst._LABEL} store")
-        k, v = self._entries[key]
         tokens = self._tokens[key]
-        if dst.used_tokens + tokens > dst.capacity_tokens:
-            raise MemoryError(
-                f"{dst._LABEL} store full: {dst.used_tokens}+{tokens} > "
-                f"{dst.capacity_tokens}"
-            )
+        dst._reserve([key], tokens)
         checksum = self._checksums[key]
-        del self._entries[key]
-        self._checksums.pop(key)
-        self.used_tokens -= self._tokens.pop(key)
-        dst._entries[key] = (k, v)
-        dst._tokens[key] = tokens
-        dst._checksums[key] = checksum
-        dst.used_tokens += tokens
+        k, v = self._remove(key)
+        dst._insert(key, k, v, checksum)
         nbytes = k.nbytes + v.nbytes
         if self.tracer.enabled:
             self.tracer.count(f"{self._PREFIX}.demoted_tokens", tokens)
@@ -468,21 +442,12 @@ class _ChunkStoreBase:
             dst.tracer.gauge(f"{dst._PREFIX}.used_tokens", dst.used_tokens)
         return nbytes
 
-    def nbytes_of(self, conv_id: int, chunk_index: int) -> int:
-        """Stored byte size of one chunk (no read, no verification)."""
-        k, v = self._entries[(conv_id, chunk_index)]
-        return k.nbytes + v.nbytes
-
     def contains(self, conv_id: int, chunk_index: int) -> bool:
         return (conv_id, chunk_index) in self._entries
 
     def chunks_of(self, conv_id: int) -> List[int]:
         """Chunk indices stored for one conversation, ascending."""
         return sorted(ci for c, ci in self._entries if c == conv_id)
-
-    def checksum_of(self, conv_id: int, chunk_index: int) -> int:
-        """Stored insertion-time CRC of one chunk (test/audit hook)."""
-        return self._checksums[(conv_id, chunk_index)]
 
     @property
     def free_tokens(self) -> int:

@@ -110,15 +110,18 @@ class TestLifecycle:
         assert cache.stats["repaired_rows"] == 1
         _assert_matches_scratch(cache, batch, _sources(convs))
 
-    def test_drop_forgets_row_and_row_index(self):
+    def test_drop_forgets_row(self):
+        """The next pack of a dropped key rebuilds its row — and only its
+        row — although neither table changed."""
         pool = PagePool(64, 4)
         convs = {0: _table(pool, 8), 1: _table(pool, 8)}
         cache = PackedDecodeCache()
         cache.pack(_sources(convs))
-        assert cache.row_index(1) == 1
+        rebuilt = cache.stats["rebuilt_rows"]
         cache.drop(1)
-        assert cache.row_index(1) is None
         batch = cache.pack(_sources(convs))
+        assert cache.stats["rebuilt_rows"] == rebuilt + 1
+        assert cache.stats["reused_rows"] == 1
         _assert_matches_scratch(cache, batch, _sources(convs))
 
     def test_shared_prefix_is_packed_before_table_slots(self):

@@ -194,6 +194,36 @@ class TestRestorePlanning:
         cache.check_layout()
         mgr._audit()
 
+    @pytest.mark.parametrize(
+        "give_up", ["invalidate_disk_prefix", "invalidate_cpu_prefix", "forget"]
+    )
+    def test_disk_ledger_closes_however_disk_tokens_are_given_up(self, give_up):
+        """``demoted == on disk + read back + disk_dropped`` (the identity
+        ``_audit`` asserts) after each way of giving disk chunks up
+        unread.  Before the front-drop loops became one primitive, both
+        ``invalidate_*`` verbs moved ``DISK -> DROPPED`` without bumping
+        ``disk_dropped_tokens`` and this read 32 == 0.
+
+        Mutation record for ``_drop_leading_prefix``, over the 540 tests
+        of ``tests/{kvcache,faults,core,obs,serving}``: (a) stopping one
+        chunk early (``cache.chunks[: upto.index]``) fails 137 and errors
+        13, four of them in ``test_eviction_order.py`` — through the
+        "victim not evicted" assertion of ``_victims``, added for this:
+        without it ``swap_out`` spins instead of failing; (b) skipping the
+        ``disk_dropped_tokens`` bump fails 16: the two ``invalidate_*``
+        cases here, and the ``_audit`` identity in
+        ``test_eviction_order.py``'s three-tier walk, the chaos-disk
+        differentials and ``test_three_tier_properties.py``.
+        """
+        mgr = make_manager(gpu=128, cpu=32, disk=128)
+        squeeze(mgr)
+        assert mgr.stats["demoted_tokens"] == mgr.disk_used_tokens == 32
+        getattr(mgr, give_up)(0)
+        assert mgr.disk_used_tokens == 0
+        assert mgr.stats["disk_hit_tokens"] == 0
+        assert mgr.stats["disk_dropped_tokens"] == mgr.stats["demoted_tokens"] == 32
+        mgr._audit()
+
 
 class TestBackwardCompatibility:
     def test_two_tier_alias(self):
