@@ -80,9 +80,9 @@ _FAULTED_AT_ALL = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class _PrefillInfo:
-    """Shape bookkeeping for a request admitted this lifetime."""
+    """Shape bookkeeping for a request admitted this iteration."""
 
     recompute_tokens: int
     prompt_tokens: int
@@ -330,30 +330,37 @@ class PensieveEngine(EngineBase):
         return decoders + admitted
 
     def _grow_decoders(self, now: float) -> List[Request]:
-        """Allocate each running request's next KV slot, suspending
-        requests if the GPU cache is exhausted (§4.3.5: the
-        latest-arrived request is the victim).  Surviving decoders keep
-        their running order, so batch composition stays stable between
-        iterations."""
-        decoders = [r for r in self.running if r.state is RequestState.RUNNING]
+        """Allocate each running request's next KV slot, in one manager
+        call for the whole batch, suspending requests if the GPU cache is
+        exhausted (§4.3.5: the latest-arrived request is the victim).
+        Surviving decoders keep their running order, so batch composition
+        stays stable between iterations."""
+        running = RequestState.RUNNING
+        decoders = [r for r in self.running if r.state is running]
         while decoders and self.manager.gpu_available_tokens < len(decoders):
             victim = max(decoders, key=lambda r: (r.arrival_time, r.request_id))
             self._suspend(victim, now)
             decoders.remove(victim)
-        grown: List[Request] = []
-        for request in decoders:
-            if not self._attempt(FaultSite.GPU_ALLOC, request):
-                # Allocation kept failing past the retry budget: this
-                # request alone degrades; its siblings keep decoding.
-                self._fail_request(request, now, "gpu_alloc")
-                continue
-            try:
-                self.manager.append_tokens(request.conv_id, 1)
-            except CacheCapacityError:
-                self._suspend(request, now)
-                continue
-            grown.append(request)
-        return grown
+        if self.fault_plan is not None:
+            survivors = []
+            for request in decoders:
+                if self._attempt(FaultSite.GPU_ALLOC, request):
+                    survivors.append(request)
+                else:
+                    # Allocation kept failing past the retry budget: this
+                    # request alone degrades; its siblings keep decoding.
+                    self._fail_request(request, now, "gpu_alloc")
+            decoders = survivors
+        conv_ids = [r.conv_id for r in decoders]
+        grown = self.manager.append_decode_step(conv_ids)
+        while grown < len(decoders):
+            # Request ``grown`` did not fit: it alone is suspended.  Not
+            # reached after the suspensions above (each growth takes one
+            # of the at least ``len(decoders)`` available slots).
+            self._suspend(decoders.pop(grown), now)
+            del conv_ids[grown]
+            grown += self.manager.append_decode_step(conv_ids[grown:])
+        return decoders
 
     def _price_swap_out(self, now: float, tokens: int, num_chunks: int):
         """Price ``tokens`` leaving the GPU as ONE coalesced D2H transfer
@@ -644,7 +651,9 @@ class PensieveEngine(EngineBase):
                 ctx = self.manager.conversation(request.conv_id).total_tokens
                 items.append((1, ctx))
             else:
-                info = self._prefill_info[request.request_id]
+                # Consumed here: a re-admission after a suspension writes
+                # a fresh one.
+                info = self._prefill_info.pop(request.request_id)
                 # Figure 8(d): the recomputed prefix and the new prompt are
                 # two sub-requests sharing the context.
                 if info.recompute_tokens > 0:

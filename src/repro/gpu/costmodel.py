@@ -209,13 +209,15 @@ class CostModel:
 
     def _ideal_attention_time(self, batch: BatchShape) -> float:
         tp = self.config.num_gpus
-        flop_tokens = sum(
-            causal_attention_flop_tokens(q, c) for q, c in batch.items
-        )
+        # Integer sums of ``causal_attention_flop_tokens`` and of the
+        # contexts: each float term there is an integer below 2**53, so
+        # its sum is exact and these are the same numbers.
+        flop_tokens = contexts = 0
+        for q, c in batch.items:
+            flop_tokens += q * c - q * q + q * (q + 1) // 2
+            contexts += c
         flops = 2.0 * 2.0 * self.config.hidden_size * self.config.num_layers * flop_tokens / tp
-        kv_bytes = sum(
-            c * self.config.kv_bytes_per_token for _, c in batch.items
-        ) / tp
+        kv_bytes = contexts * self.config.kv_bytes_per_token / tp
         compute = flops / self.spec.effective_flops
         memory = kv_bytes / self.spec.effective_hbm_bandwidth
         launch = self.config.num_layers * self.spec.kernel_launch_overhead

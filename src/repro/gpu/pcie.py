@@ -36,7 +36,7 @@ class Direction(enum.Enum):
         return Direction.D2H if self is Direction.H2D else Direction.H2D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
     """Outcome of one enqueued transfer.
 

@@ -23,7 +23,12 @@ the same bookkeeping without tensors.
 """
 
 from repro.kvcache.pages import BlockTable, PagePool, PagePoolExhausted
-from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
+from repro.kvcache.chunks import (
+    Chunk,
+    ChunkLocation,
+    ConversationCache,
+    TailNotOnGpuError,
+)
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.kvcache.manager import CachePlan, TieredCacheManager, TwoTierCacheManager
 
@@ -34,6 +39,7 @@ __all__ = [
     "Chunk",
     "ChunkLocation",
     "ConversationCache",
+    "TailNotOnGpuError",
     "KVStorage",
     "CpuChunkStore",
     "DiskChunkStore",

@@ -42,9 +42,18 @@ _LAYOUT_RANK = {
     ChunkLocation.GPU_CPU: 3,
     ChunkLocation.GPU: 4,
 }
+#: Reading an Enum member off its class costs about ten global reads;
+#: the per-token growth path compares against this instead.
+_GPU = ChunkLocation.GPU
 
 
-@dataclass
+class TailNotOnGpuError(ValueError):
+    """A conversation's partial tail chunk has left the GPU, so the
+    conversation cannot grow: its next token would have to land inside
+    that chunk.  A restore brings the tail back first."""
+
+
+@dataclass(slots=True)
 class Chunk:
     """One eviction unit: a contiguous run of KV-tokens.
 
@@ -84,6 +93,8 @@ class ConversationCache:
     denominator of the retention value) and whether the conversation is
     *pinned* (a request is in flight, so its chunks may not be evicted).
     """
+
+    __slots__ = ("conv_id", "chunk_size", "chunks", "last_active", "pinned")
 
     def __init__(self, conv_id: int, chunk_size: int, now: float = 0.0) -> None:
         if chunk_size <= 0:
@@ -127,22 +138,14 @@ class ConversationCache:
 
         Returns the chunks that were created or extended.
         """
-        if total_tokens < self.total_tokens:
+        have = self.total_tokens
+        if total_tokens < have:
             raise ValueError(
-                f"cannot shrink coverage: have {self.total_tokens}, "
-                f"asked for {total_tokens}"
+                f"cannot shrink coverage: have {have}, asked for {total_tokens}"
             )
         touched: List[Chunk] = []
-        # Complete a partial tail chunk first.
-        if self.chunks:
-            tail = self.chunks[-1]
-            if tail.num_tokens < self.chunk_size and tail.end < total_tokens:
-                if tail.location is not ChunkLocation.GPU:
-                    raise ValueError(
-                        f"cannot extend non-GPU tail chunk {tail!r}"
-                    )
-                tail.end = min(tail.start + self.chunk_size, total_tokens)
-                touched.append(tail)
+        if self.grow_tail(total_tokens - have):
+            touched.append(self.chunks[-1])
         pos = self.total_tokens
         while pos < total_tokens:
             end = min(pos + self.chunk_size, total_tokens)
@@ -157,6 +160,44 @@ class ConversationCache:
             touched.append(chunk)
             pos = end
         return touched
+
+    def grow_tail(self, tokens: int) -> int:
+        """Grow a partial tail chunk in place by up to ``tokens`` tokens
+        (never past ``chunk_size``); returns how many it took, 0 when the
+        tail is full or there is none.  The only code that lengthens an
+        existing chunk: a decode step that lands inside the tail is this
+        and a counter bump.
+
+        Raises:
+            TailNotOnGpuError: see :meth:`check_growable`; nothing changes.
+        """
+        if tokens <= 0 or not self.chunks:
+            return 0
+        tail = self.chunks[-1]
+        room = self.chunk_size - (tail.end - tail.start)
+        if room <= 0:
+            return 0
+        if tail.location is not _GPU:
+            self.check_growable()  # raises: a partial tail off the GPU
+        taken = tokens if tokens < room else room
+        tail.end += taken
+        return taken
+
+    def check_growable(self) -> None:
+        """Refuse growth before anything changes.
+
+        Raises:
+            TailNotOnGpuError: the tail chunk is partial and no longer on
+                GPU, so the next token would land inside a chunk that left.
+        """
+        if not self.chunks:
+            return
+        tail = self.chunks[-1]
+        if tail.location is not _GPU and tail.end - tail.start < self.chunk_size:
+            raise TailNotOnGpuError(
+                f"conversation {self.conv_id} cannot grow: its partial tail "
+                f"{tail!r} is not on GPU"
+            )
 
     # ------------------------------------------------------------------
     # Invariant checking
@@ -181,6 +222,30 @@ class ConversationCache:
             assert chunk.index == i, f"chunk index mismatch at {chunk!r}"
             expected_start = self.chunks[i - 1].end if i else 0
             assert chunk.start == expected_start, f"gap before {chunk!r}"
+
+    def check_neighbours(self, chunk: Chunk) -> None:
+        """:meth:`check_layout` after a move of ``chunk`` alone, in O(1).
+
+        A move changes one chunk's location and no index or range, so if
+        the layout was legal before, only the two pairs the chunk belongs
+        to can have broken; checking both is exactly as strong as the full
+        walk.
+
+        Raises:
+            AssertionError: if ``chunk`` is in a later tier than its
+                successor or an earlier one than its predecessor.
+        """
+        chunks = self.chunks
+        i = chunk.index
+        rank = _LAYOUT_RANK[chunk.location]
+        before = chunks[i - 1] if i else None
+        after = chunks[i + 1] if i + 1 < len(chunks) else None
+        assert (before is None or _LAYOUT_RANK[before.location] <= rank) and (
+            after is None or rank <= _LAYOUT_RANK[after.location]
+        ), (
+            f"layout invariant violated around {chunk!r}: "
+            f"{[str(c.location.value) for c in chunks]}"
+        )
 
     # ------------------------------------------------------------------
     # Tier-transition helpers (called by the manager)

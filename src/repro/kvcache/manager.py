@@ -32,18 +32,24 @@ are incremental.  All tier totals are maintained as counters (O(1)
 reads), and a *frontier index* holds, per location, each conversation's
 earliest chunk there — the only chunk of it an eviction may take.  Every
 location change funnels through :meth:`TieredCacheManager._move`, which
-keeps both exact.  An eviction call scores the location's frontiers once,
-heapifies them, and after each victim pushes only that conversation's
-next frontier (:meth:`TieredCacheManager._victims`): O(N + k log N) for k
-victims among N cached conversations.  :meth:`_audit` re-derives the
-counters and the index from scratch and is exercised by the test suite.
+keeps both exact; a single move is checked against its two neighbours
+only, which by induction is the full layout check.  An eviction call
+scores the location's frontiers once, heapifies them, and after each
+victim pushes only that conversation's next frontier
+(:meth:`TieredCacheManager._victims`): O(N + k log N) for k victims among
+N cached conversations, and one CPU stream serves a whole ``swap_out``
+however often its copies find the CPU tier full.  Decode growth of a
+whole batch is one :meth:`~TieredCacheManager.append_decode_step` call
+whose common case bumps a partial GPU tail in place.  :meth:`_audit`
+re-derives the counters, the index and every layout from scratch and is
+exercised by the test suite.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
@@ -357,15 +363,18 @@ class TieredCacheManager:
             self.observer(cache, chunk, old, new)
 
     def _extend(self, cache: ConversationCache, tokens: int) -> None:
-        """Append ``tokens`` fresh GPU tokens to a conversation."""
-        touched = cache.extend_to(cache.total_tokens + tokens)
+        """Append ``tokens`` fresh GPU tokens to a conversation: a partial
+        tail takes what it can in place, and chunks are created only past
+        it (a decode step does so once every ``chunk_size`` tokens)."""
+        rest = tokens - cache.grow_tail(tokens)
+        if rest:
+            created = cache.extend_to(cache.total_tokens + rest)
+            # With no GPU chunk yet, the first chunk created is the GPU
+            # frontier.
+            self._frontier[ChunkLocation.GPU].setdefault(cache.conv_id, created[0])
         self._gpu_resident += tokens
         if not cache.pinned:
             self._evictable += tokens
-        if touched:
-            # With no GPU chunk yet, nothing was extended in place, so
-            # the first chunk created is the GPU frontier.
-            self._frontier[ChunkLocation.GPU].setdefault(cache.conv_id, touched[0])
 
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
@@ -406,6 +415,8 @@ class TieredCacheManager:
         assert stats["demoted_tokens"] == (
             disk + stats["disk_hit_tokens"] + stats["disk_dropped_tokens"]
         ), (disk, stats)
+        for cache in self._conversations.values():
+            cache.check_layout()
         for loc, index in self._frontier.items():
             assert index.keys() <= self._conversations.keys(), (loc, index)
             for cache in self._conversations.values():
@@ -522,30 +533,67 @@ class TieredCacheManager:
 
     def append_tokens(self, conv_id: int, count: int) -> None:
         """Extend a pinned conversation's context (decode-step growth).
+        A refusal comes before any state changes.
 
         Raises:
             CacheCapacityError: if the GPU tier is full even after
                 reclaiming copies.
+            TailNotOnGpuError: the conversation's partial tail chunk is
+                not on GPU.
         """
         if count <= 0:
             return
         cache = self._conversations[conv_id]
-        if count > self.gpu_free_tokens:
-            deficit = count - self.gpu_free_tokens
-            # Check before reclaiming anything: a partial reclaim mutates
-            # tier state, so refusing *after* it would leave chunks evicted
-            # by an operation that reports failure (non-atomic).
-            available = self._reclaimable
-            if not cache.pinned:
-                available -= cache.tokens_in(ChunkLocation.GPU_CPU)
-            if deficit > available:
-                raise CacheCapacityError(
-                    f"decode growth of {count} tokens does not fit "
-                    f"(free={self.gpu_free_tokens}, reclaimable={available})"
-                )
-            reclaimed = self.reclaim(deficit, now=cache.last_active, exclude=conv_id)
-            assert reclaimed >= deficit, (reclaimed, deficit)
+        # Before _make_room: grow_tail would refuse only after other
+        # conversations' chunks had been reclaimed.
+        cache.check_growable()
+        self._make_room(cache, count)
         self._extend(cache, count)
+
+    def append_decode_step(self, conv_ids: Sequence[int]) -> int:
+        """One decode step for a whole batch: grow each conversation by one
+        token, in order — exactly ``append_tokens(conv_id, 1)`` for each.
+
+        Returns how many conversations grew: all of them, or the position
+        of the first that did not fit, which is left as it was (the caller
+        suspends it and calls again with the rest).
+
+        Raises:
+            TailNotOnGpuError: some conversation's partial tail chunk is not
+                on GPU; checked for all of them before anything changes.
+        """
+        caches = [self._conversations[conv_id] for conv_id in conv_ids]
+        for cache in caches:
+            cache.check_growable()
+        capacity = self.gpu_capacity_tokens
+        for grown, cache in enumerate(caches):
+            if self._gpu_resident >= capacity:
+                try:
+                    self._make_room(cache, 1)
+                except CacheCapacityError:
+                    return grown
+            self._extend(cache, 1)
+        return len(caches)
+
+    def _make_room(self, cache: ConversationCache, tokens: int) -> None:
+        """Reclaim copies until ``tokens`` more fit on the GPU for
+        ``cache``'s growth."""
+        deficit = tokens - self.gpu_free_tokens
+        if deficit <= 0:
+            return
+        # Check before reclaiming anything: a partial reclaim mutates tier
+        # state, so refusing *after* it would leave chunks evicted by an
+        # operation that reports failure (non-atomic).
+        available = self._reclaimable
+        if not cache.pinned:
+            available -= cache.tokens_in(ChunkLocation.GPU_CPU)
+        if deficit > available:
+            raise CacheCapacityError(
+                f"decode growth of {tokens} tokens does not fit "
+                f"(free={self.gpu_free_tokens}, reclaimable={available})"
+            )
+        reclaimed = self.reclaim(deficit, now=cache.last_active, exclude=cache.conv_id)
+        assert reclaimed >= deficit, (reclaimed, deficit)
 
     def invalidate_cpu_prefix(
         self, conv_id: int, upto: Optional[Chunk] = None
@@ -623,10 +671,15 @@ class TieredCacheManager:
         asking for the next.  The location is scanned and scored once, on
         the first request; after a victim only its conversation's next
         frontier is scored and pushed.  That equals rescoring everything
-        per victim because, within one eviction call, ``now`` and every
-        ``last_active`` are fixed and evicting a victim changes ``location``
-        only for the victim's conversation: the nested pressure calls work
-        on colder locations, and the observer mutates no manager state.
+        per victim because, while a stream is drawn from, ``now`` and every
+        ``last_active`` and pin are fixed, no chunk enters ``location``,
+        and a chunk leaves it only as a victim or by a front-drop of its
+        own conversation: the nested pressure calls work on colder
+        locations, and the observer mutates no manager state.  A front-drop
+        between two pulls (:meth:`swap_out` drops a GPU victim, and the CPU
+        chunks ahead of it, while its CPU stream is open) leaves a stale
+        entry; it is skipped, and the conversation's current frontier, if
+        any, takes its place.
         """
         scorer = self._require_scorer()
         frontier = self._frontier[location]
@@ -634,8 +687,9 @@ class TieredCacheManager:
         heapq.heapify(heap)
         while heap:
             score, conv_id, _, chunk, cache = heap[0]
-            yield score, chunk, cache
-            assert chunk.location is not location, f"victim {chunk!r} not evicted"
+            if chunk.location is location:
+                yield score, chunk, cache
+                assert chunk.location is not location, f"victim {chunk!r} not evicted"
             successor = frontier.get(conv_id)
             if successor is None:
                 heapq.heappop(heap)
@@ -674,6 +728,10 @@ class TieredCacheManager:
             return self._reclaimable + (self.gpu_free_tokens - free_start)
 
         victims = self._victims(ChunkLocation.GPU, now)
+        # One CPU victim stream for the whole call, scanned when a copy
+        # first finds the CPU tier full: every later shortfall continues
+        # it instead of rescanning (exact, see :meth:`_victims`).
+        cpu_victims = self._victims(ChunkLocation.CPU, now)
         while progress() < tokens_needed:
             victim = next(victims, None)
             if victim is None:
@@ -684,7 +742,7 @@ class TieredCacheManager:
             # paper's design avoids).
             whole = self.whole_conversation_eviction
             for chunk in cache.chunks_in(ChunkLocation.GPU) if whole else [chunk]:
-                self._swap_out_chunk(cache, chunk, now, copied, score)
+                self._swap_out_chunk(cache, chunk, now, copied, score, cpu_victims)
         return copied
 
     def _swap_out_chunk(
@@ -694,6 +752,7 @@ class TieredCacheManager:
         now: float,
         copied: List[Chunk],
         score: float,
+        cpu_victims: Iterator[Tuple[float, Chunk, ConversationCache]],
     ) -> None:
         """Move one GPU chunk toward the CPU tier: copied, or dropped with
         the conversation's leading prefix through it (the tokens recompute
@@ -707,9 +766,7 @@ class TieredCacheManager:
             self.fault_counters.swap_out_failures += 1  # the D2H copy failed
             copy = False
         if copy and self.cpu_free_tokens < chunk.num_tokens:
-            self.drop_from_cpu(
-                chunk.num_tokens - self.cpu_free_tokens, now, allow_revert=False
-            )
+            self._free_cpu(chunk.num_tokens - self.cpu_free_tokens, now, cpu_victims)
             # Still short: the CPU tier is saturated with data that may
             # not be dropped (pinned conversations' chunks, or copies
             # backing reclaimable GPU slots).
@@ -718,7 +775,7 @@ class TieredCacheManager:
             self._move(cache, chunk, ChunkLocation.GPU_CPU)
             self._bump("swapped_out_tokens", chunk.num_tokens)
             copied.append(chunk)
-            cache.check_layout()
+            cache.check_neighbours(chunk)
         else:
             self._drop_leading_prefix(cache, chunk)
         if self.tracer.enabled:
@@ -766,7 +823,7 @@ class TieredCacheManager:
             score, chunk, cache = victim
             self._move(cache, chunk, ChunkLocation.CPU)
             freed += chunk.num_tokens
-            cache.check_layout()
+            cache.check_neighbours(chunk)
             if self.tracer.enabled:
                 self.tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
                 self._trace_victim("reclaim", now, cache, chunk, score)
@@ -786,22 +843,13 @@ class TieredCacheManager:
         Returns tokens freed.  With ``allow_revert``, chunks still lazily
         resident on the GPU (``GPU_CPU``) may lose their CPU copy as a last
         resort — reverting them to plain ``GPU`` frees CPU space without
-        losing data.  :meth:`swap_out` disables this to guarantee forward
-        progress (a revert would un-do the reclaimability it is building).
+        losing data.  :meth:`swap_out` frees CPU room without this, to
+        guarantee forward progress (a revert would un-do the
+        reclaimability it is building).
         """
-        freed = 0
-        victims = self._victims(ChunkLocation.CPU, now)
-        while freed < tokens_needed:
-            victim = next(victims, None)
-            if victim is None:
-                break
-            score, chunk, cache = victim
-            outcome = self._demote_or_drop(cache, chunk, score, now)
-            freed += chunk.num_tokens
-            if self.tracer.enabled:
-                self._trace_victim(
-                    "cpu_drop", now, cache, chunk, score, outcome=outcome
-                )
+        freed = self._free_cpu(
+            tokens_needed, now, self._victims(ChunkLocation.CPU, now)
+        )
         # Nothing below creates a ``CPU`` chunk, so once the victims run
         # out they stay out.  Fall back to invalidating the CPU copies of
         # lazily-reclaimable chunks (cheap: the data is still on the GPU).
@@ -818,7 +866,30 @@ class TieredCacheManager:
             assert chunk is not None
             self._move(cache, chunk, ChunkLocation.GPU)
             freed += chunk.num_tokens
-            cache.check_layout()
+            cache.check_neighbours(chunk)
+        return freed
+
+    def _free_cpu(
+        self,
+        tokens_needed: int,
+        now: float,
+        victims: Iterator[Tuple[float, Chunk, ConversationCache]],
+    ) -> int:
+        """Demote or drop CPU victims drawn from ``victims`` until
+        ``tokens_needed`` CPU tokens are freed or it runs dry; returns
+        tokens freed."""
+        freed = 0
+        while freed < tokens_needed:
+            victim = next(victims, None)
+            if victim is None:
+                break
+            score, chunk, cache = victim
+            outcome = self._demote_or_drop(cache, chunk, score, now)
+            freed += chunk.num_tokens
+            if self.tracer.enabled:
+                self._trace_victim(
+                    "cpu_drop", now, cache, chunk, score, outcome=outcome
+                )
         return freed
 
     def _demote_or_drop(
@@ -851,7 +922,7 @@ class TieredCacheManager:
                 if self.disk_free_tokens >= chunk.num_tokens:
                     self._move(cache, chunk, ChunkLocation.DISK)
                     self._bump("demoted_tokens", chunk.num_tokens)
-                    cache.check_layout()
+                    cache.check_neighbours(chunk)
                     return "demoted"
         # Takes any of the conversation's chunks still on disk *ahead* of
         # this one with it.

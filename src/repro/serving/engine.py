@@ -268,8 +268,9 @@ class EngineBase:
     def _complete(self, batch: Sequence[Request]) -> None:
         now = self.loop.now
         finished: List[Request] = []
+        running = RequestState.RUNNING
         for request in batch:
-            if request.state is not RequestState.RUNNING:
+            if request.state is not running:
                 continue  # suspended mid-flight
             self._advance(request, now)
             if request.generated_tokens >= request.output_tokens:

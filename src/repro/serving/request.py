@@ -25,7 +25,7 @@ class RequestState(enum.Enum):
     FAILED = "failed"        #: degraded individually after exhausting retries.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     """One scripted turn: the user's prompt size and the reply size."""
 
@@ -39,7 +39,7 @@ class Turn:
             raise ValueError(f"output_tokens must be positive, got {self.output_tokens}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Conversation:
     """A scripted multi-turn conversation.
 
@@ -82,7 +82,7 @@ class Conversation:
         return self.history_tokens(self.num_turns)
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One turn of a conversation, as submitted to an engine.
 

@@ -27,7 +27,7 @@ class SimulationError(RuntimeError):
     """Raised when the event loop is used incorrectly."""
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """A scheduled callback.
 

@@ -197,6 +197,27 @@ class TestCacheManagement:
         assert len(engine.metrics) == 4
         assert driver.outstanding == 0
 
+    @pytest.mark.parametrize("until", [None, 0.2])
+    def test_prefill_shapes_do_not_pile_up(self, until):
+        """Regression: ``_prefill_info`` gained one entry per admission
+        and never lost one (1,871 entries against 107 running requests
+        after one rate of the benchmark sweep).  Suspended requests are
+        re-admitted here, and the cut run stops with requests in flight."""
+        convs = [
+            scripted_conversation(i, [(30, 60)], start=float(i) * 0.01)
+            for i in range(4)
+        ]
+        engine, _ = run_serving_once(
+            pensieve_factory(
+                capacity_tokens=160,
+                batch_config=BatchConfig(max_batch_tokens=512, generation_reserve=0.0),
+            ),
+            convs,
+            until=until,
+        )
+        assert engine.suspensions > 0
+        assert len(engine._prefill_info) <= len(engine.running)
+
     def test_counters_stay_consistent(self):
         convs = [
             scripted_conversation(i, [(20, 15), (6, 10)], start=float(i) * 0.3)

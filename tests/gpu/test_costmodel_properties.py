@@ -3,7 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.gpu import A100_80GB, BatchShape, CostModel, KernelVariant
-from repro.model import LLAMA2_13B, OPT_13B
+from repro.gpu.costmodel import causal_attention_flop_tokens
+from repro.model import LLAMA2_13B, LLAMA2_70B, OPT_13B, OPT_66B
 
 MODELS = [OPT_13B, LLAMA2_13B]
 
@@ -88,3 +89,25 @@ def test_pipelined_swap_never_slower_than_blocking(tokens, swap_bytes, model):
     pipelined = cm.iteration_time(shape, swap_in_bytes=swap_bytes, pipelined=True)
     blocking = cm.iteration_time(shape, swap_in_bytes=swap_bytes, pipelined=False)
     assert pipelined <= blocking + 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decodes=st.lists(st.integers(1, 16384), max_size=64),
+    prefills=batch_items,
+    model=st.sampled_from(MODELS + [OPT_66B, LLAMA2_70B]),
+)
+def test_ideal_attention_time_is_the_float_formula_exactly(decodes, prefills, model):
+    """The integer sums equal summing ``causal_attention_flop_tokens`` and
+    ``context * kv_bytes_per_token`` as before, to the last bit, on batches
+    mixing decode and prefill items (one and four GPUs)."""
+    cm = CostModel(model, A100_80GB)
+    shape = BatchShape.of([(1, c) for c in decodes] + prefills)
+    config, spec = model, A100_80GB
+    flop_tokens = sum(causal_attention_flop_tokens(q, c) for q, c in shape.items)
+    flops = 2.0 * 2.0 * config.hidden_size * config.num_layers * flop_tokens / config.num_gpus
+    kv_bytes = sum(c * config.kv_bytes_per_token for _, c in shape.items) / config.num_gpus
+    expected = max(
+        flops / spec.effective_flops, kv_bytes / spec.effective_hbm_bandwidth
+    ) + config.num_layers * spec.kernel_launch_overhead
+    assert cm._ideal_attention_time(shape) == expected

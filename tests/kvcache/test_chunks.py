@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kvcache import Chunk, ChunkLocation, ConversationCache
+from repro.kvcache import Chunk, ChunkLocation, ConversationCache, TailNotOnGpuError
 
 
 class TestChunk:
@@ -50,8 +50,25 @@ class TestExtendTo:
         cache.extend_to(40)
         cache.chunks[-1].location = ChunkLocation.CPU
         cache.chunks[0].location = ChunkLocation.CPU
-        with pytest.raises(ValueError):
+        with pytest.raises(TailNotOnGpuError):
             cache.extend_to(80)
+        assert cache.total_tokens == 40
+
+    def test_grow_tail_bumps_in_place(self):
+        cache = ConversationCache(conv_id=7, chunk_size=32)
+        cache.extend_to(30)
+        tail = cache.chunks[-1]
+        assert cache.grow_tail(5) == 2  # only up to the chunk boundary
+        assert cache.chunks == [tail] and tail.end == 32
+        assert cache.grow_tail(1) == 0  # full: a new chunk is the caller's
+        cache.check_growable()
+
+    def test_full_non_gpu_tail_still_grows(self):
+        cache = ConversationCache(conv_id=7, chunk_size=32)
+        cache.extend_to(32)
+        cache.chunks[0].location = ChunkLocation.CPU
+        cache.check_growable()
+        assert [c.location for c in cache.extend_to(33)] == [ChunkLocation.GPU]
 
 
 class TestAccounting:
@@ -117,6 +134,37 @@ class TestLayoutInvariant:
         cache.chunks[1].location = ChunkLocation.DROPPED
         with pytest.raises(AssertionError):
             cache.check_layout()
+
+    @pytest.mark.parametrize("location", [
+        ChunkLocation.DROPPED,  # the middle chunk, behind a GPU predecessor
+        ChunkLocation.GPU,      # the middle chunk, ahead of a CPU successor
+    ])
+    def test_neighbour_check_sees_both_sides(self, location):
+        """The O(1) check after a single move: either broken pair fails
+        it, exactly where the full walk would.  A check of the predecessor
+        alone passes the second case, of the successor alone the first;
+        each mutation, tried in a copy of the tree, fails only here."""
+        cache = ConversationCache(conv_id=1, chunk_size=32)
+        cache.extend_to(96)
+        if location is ChunkLocation.GPU:
+            for chunk in cache.chunks:
+                chunk.location = ChunkLocation.CPU
+        moved = cache.chunks[1]
+        moved.location = location
+        with pytest.raises(AssertionError):
+            cache.check_layout()
+        with pytest.raises(AssertionError):
+            cache.check_neighbours(moved)
+
+    def test_neighbour_check_passes_legal_moves(self):
+        cache = ConversationCache(conv_id=1, chunk_size=32)
+        cache.extend_to(96)
+        for chunk, location in zip(
+            cache.chunks, [ChunkLocation.DROPPED, ChunkLocation.CPU, ChunkLocation.GPU]
+        ):
+            chunk.location = location
+            cache.check_neighbours(chunk)
+        cache.check_layout()
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,30 @@ over the unpinned conversations — recomputed here from public state only
 (the conversations' chunk lists), at every single eviction, which is what
 the manager itself did before it kept an index.
 
-A second, count-based test pins the cost: one eviction call scores each
-cached conversation once plus once per victim, not once per victim per
-conversation.
+Under ``swap_out`` the walk also checks the CPU victims that a full CPU
+tier forces, which all come from one CPU stream per call: each must be the
+CPU minimum at that moment, a GPU victim may be dropped only if its copy
+failed or no CPU frontier is left to drop, and nothing an eviction call
+does may move a chunk out of ``DROPPED``.
+
+Count-based tests pin the cost: one eviction call scores each cached
+conversation once plus once per victim, not once per victim per
+conversation, and a ``swap_out`` that keeps finding the CPU tier full
+scans the CPU frontiers once, not once per GPU victim.
+
+Mutations of ``TieredCacheManager._victims``, each tried in a copy of the
+tree against ``tests/kvcache``, ``tests/core`` and ``tests/faults`` under
+the derandomized profile:
+
+- successor pushed with the victim's score instead of its own: fails
+  ``test_the_walk_reaches_every_eviction_path`` (``INTERLEAVED``; the
+  random walks alone did not draw such a case);
+- successor never pushed: fails 67 tests, this file's walks among them;
+- an entry whose chunk already left the location yielded, without the
+  location check: fails ``test_the_walk_reaches_every_eviction_path``
+  (``STALE_CPU_ENTRY``: the dropped chunk moves to disk in three tiers,
+  and in two the GPU victim behind it is dropped although a CPU frontier
+  is left).
 """
 
 from __future__ import annotations
@@ -22,6 +43,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LruPolicy, RetentionValuePolicy
+from repro.faults import FaultPlan, FaultSite
 from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache import ChunkLocation, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
@@ -30,6 +52,7 @@ GPU = ChunkLocation.GPU
 GPU_CPU = ChunkLocation.GPU_CPU
 CPU = ChunkLocation.CPU
 DISK = ChunkLocation.DISK
+DROPPED = ChunkLocation.DROPPED
 
 CHUNK = 16
 #: A steep synthetic cost table, ``Cost(l) = l / 16``: a conversation's
@@ -75,6 +98,10 @@ class Walk:
         #: ``(location, now, exclude)`` of the eviction call in flight.
         self.call = None
         self.picked = None
+        #: Conversation whose front-drop through a GPU victim is under way.
+        self.collateral = None
+        #: ``swap_out_failures`` already matched to a dropped GPU victim.
+        self.failures_seen = 0
         #: Victims checked so far, by the location they left.
         self.checked: Counter = Counter()
 
@@ -85,25 +112,32 @@ class Walk:
             return
         loc, now, exclude = self.call
         key = (cache.conv_id, chunk.index)
+        assert old is not DROPPED, (self.call, chunk)
+        if self.collateral is not None:
+            assert cache.conv_id == self.collateral, (self.collateral, chunk)
         if old is loc:
-            if (
+            if not (
                 self.mgr.whole_conversation_eviction
                 and loc is GPU
                 and self.picked == cache.conv_id
             ):
-                # Granularity ablation: the rest of the picked conversation
-                # follows its frontier out, whatever the other scores are.
-                return
-            # The observer runs after the move: look at the state the
-            # manager chose from.
-            chunk.location = old
-            try:
-                expected = min(scored_frontiers(self.mgr, loc, now, exclude))
-            finally:
-                chunk.location = new
-            assert expected[1:] == key, (self.call, expected, key)
-            self.picked = cache.conv_id
-            self.checked[loc] += 1
+                # (Granularity ablation: the rest of the picked conversation
+                # follows its frontier out, whatever the other scores are.)
+                assert self.min_key(loc, chunk, old, new, exclude) == key, (
+                    self.call, key
+                )
+                self.picked = cache.conv_id
+                self.checked[loc] += 1
+            if loc is GPU and new is DROPPED:
+                self.check_dropped(cache)
+        elif loc is GPU and old is CPU:
+            # Under swap_out a CPU chunk leaves as a victim of the call's
+            # CPU stream, which must be the CPU minimum, or ahead of a GPU
+            # victim of its own conversation that is being dropped.
+            if self.min_key(CPU, chunk, old, new) == key:
+                self.checked["nested cpu"] += 1
+            else:
+                self.collateral = cache.conv_id
         elif loc is CPU and old is GPU_CPU and new is GPU:
             # drop_from_cpu's revert fallback: only once the CPU victims
             # have run out, and from the conversation reclaimed last.
@@ -117,12 +151,34 @@ class Walk:
                 chunk.location = new
             self.checked["revert"] += 1
 
+    def min_key(self, loc, chunk, old, new, exclude=None):
+        """``(conv_id, index)`` of the minimum the manager chose from: the
+        observer runs after the move, so put the chunk back to look."""
+        chunk.location = old
+        try:
+            return min(scored_frontiers(self.mgr, loc, self.call[1], exclude))[1:]
+        finally:
+            chunk.location = new
+
+    def check_dropped(self, cache) -> None:
+        """A GPU victim was dropped: its copy failed, or the CPU tier held
+        nothing the call could drop to make room."""
+        failures = self.mgr.fault_counters.swap_out_failures
+        if failures > self.failures_seen:
+            self.failures_seen = failures
+        else:
+            assert not scored_frontiers(self.mgr, CPU, self.call[1]), self.call
+        self.collateral = None
+
     def evicting(self, loc, now, call, exclude=None):
         self.call, self.picked = (loc, now, exclude), None
+        self.failures_seen = self.mgr.fault_counters.swap_out_failures
         try:
-            return call()
+            result = call()
         finally:
             self.call = None
+        assert self.collateral is None, self.collateral
+        return result
 
     # -- the verbs -----------------------------------------------------
 
@@ -160,9 +216,16 @@ class Walk:
                 mgr.close(conv, now)
                 self.open_convs.discard(conv)
         elif kind == "swap_out":
-            _, tokens = op
+            # ``fail_at``: the call's copy with this ordinal fails (D2H
+            # fault), which drops the victim and everything ahead of it.
+            _, tokens, fail_at = op
+            if fail_at is not None:
+                mgr.fault_plan = FaultPlan(schedules={FaultSite.SWAP_OUT: [fail_at]})
             free = mgr.gpu_free_tokens
-            self.evicting(GPU, now, lambda: mgr.swap_out(tokens, now))
+            try:
+                self.evicting(GPU, now, lambda: mgr.swap_out(tokens, now))
+            finally:
+                mgr.fault_plan = None
             if mgr.reclaimable_tokens + mgr.gpu_free_tokens - free < tokens:
                 assert not scored_frontiers(mgr, GPU, now)
         elif kind == "reclaim":
@@ -217,7 +280,7 @@ OPERATION = st.one_of(
     st.tuples(st.just("turn"), CONVS, st.integers(1, 70)),
     st.tuples(st.just("append"), CONVS, st.integers(1, 8)),
     st.tuples(st.just("close"), CONVS),
-    st.tuples(st.just("swap_out"), TOKENS),
+    st.tuples(st.just("swap_out"), TOKENS, st.one_of(st.none(), st.integers(0, 3))),
     st.tuples(st.just("reclaim"), TOKENS, st.one_of(st.none(), CONVS)),
     st.tuples(st.just("drop_cpu"), TOKENS, st.booleans()),
     st.tuples(st.just("drop_disk"), TOKENS, st.one_of(st.none(), st.integers(0, 5))),
@@ -237,22 +300,67 @@ def test_every_victim_is_the_brute_force_minimum(disk, policy, whole, steps):
         walk.apply(tick, op)
 
 
+#: One ``swap_out`` whose CPU stream outlives a front-drop: conv 1 (A)
+#: keeps two CPU chunks ahead of two GPU chunks, conv 0 (B) and conv 3 (C)
+#: fill the rest of the CPU tier, conv 4 (Y) has four GPU chunks; LRU
+#: stamps B 1 < A 2 < C 4 < Y 5.  The last call copies A's first GPU chunk
+#: (the stream starts and takes B's), fails the copy of A's second (A's
+#: CPU chunks are dropped with it, so the stream's entry for A goes stale)
+#: and copies Y's chunks into the room that freed, the last of them after
+#: the stream skips A's stale entry and takes C's.
+STALE_CPU_ENTRY = [
+    (1.0, ("turn", 0, 16)), (0.0, ("close", 0)),
+    (1.0, ("turn", 1, 64)), (0.0, ("close", 1)),
+    (1.0, ("swap_out", 48, None)), (0.0, ("reclaim", 48, None)),
+    (1.0, ("turn", 3, 80)), (0.0, ("suspend", 3)),
+    (1.0, ("turn", 4, 64)), (0.0, ("close", 4)),
+    (1.0, ("swap_out", 96, 1)),
+]
+
+
+#: Retention values interleave across conversations: at t = 3, conv 0
+#: (three chunks, idle 2 s) scores 0.5, 1.0, 1.5 and conv 1 (one chunk,
+#: idle 1.5 s) 0.67, so the second victim is conv 1's chunk, not conv 0's
+#: next one.
+INTERLEAVED = [
+    (1.0, ("turn", 0, 48)), (0.0, ("close", 0)),
+    (0.5, ("turn", 1, 16)), (0.0, ("close", 1)),
+    (1.5, ("swap_out", 32, None)),
+]
+
+
 def test_the_walk_reaches_every_eviction_path():
-    """The oracle only means something if the walk evicts: a fixed script
-    must have it check victims leaving every tier, and a revert."""
+    """The oracle only means something if the walk evicts: fixed scripts
+    must have it check victims leaving every tier, a revert, a successor
+    whose own score puts it behind another conversation, and CPU victims
+    nested under ``swap_out`` after a front-drop made an entry of its CPU
+    stream stale."""
     walk = Walk(disk=96, policy="lru", whole=False)
     for conv in range(4):
         walk.apply(1.0, ("turn", conv, 64))
         walk.apply(0.0, ("close", conv))
     for op in [
-        ("swap_out", 96), ("reclaim", 96, 0), ("swap_out", 96), ("reclaim", 96, None),
-        ("drop_cpu", 64, False), ("drop_disk", 32, 1), ("drop_disk", 32, None),
-        ("swap_out", 64), ("drop_cpu", 160, True),
+        ("swap_out", 96, None), ("reclaim", 96, 0), ("swap_out", 96, None),
+        ("reclaim", 96, None), ("drop_cpu", 64, False), ("drop_disk", 32, 1),
+        ("drop_disk", 32, None), ("swap_out", 64, None), ("drop_cpu", 160, True),
     ]:
         walk.apply(1.0, op)
     assert all(walk.checked[key] for key in (GPU, GPU_CPU, CPU, DISK, "revert")), (
         walk.checked
     )
+    walk = Walk(disk=0, policy="retention-value", whole=False)
+    for tick, op in INTERLEAVED:
+        walk.apply(tick, op)
+    assert walk.checked[GPU] == 2, walk.checked
+    for disk in (0, 96):
+        walk = Walk(disk=disk, policy="lru", whole=False)
+        for tick, op in STALE_CPU_ENTRY:
+            walk.apply(tick, op)
+        # B's chunk, then C's after the stale entry; A's two dropped CPU
+        # chunks are CPU minima when they go, so they count here too.
+        assert walk.checked["nested cpu"] == 4, walk.checked
+        assert walk.mgr.fault_counters.swap_out_failures == 1
+        assert [c.location for c in walk.mgr.conversation(4).chunks] == [GPU_CPU] * 4
 
 
 class CountingScorer:
@@ -288,4 +396,32 @@ def test_one_eviction_call_scores_each_conversation_once(verb):
         moved = mgr.reclaim(victims * CHUNK, now=10.0)
     assert moved == victims * CHUNK
     assert scorer.calls <= conversations + victims, scorer.calls
+    mgr._audit()
+
+
+def test_swap_out_scans_a_full_cpu_tier_once():
+    """N_cpu = 200 conversations fill the CPU tier with one chunk each and
+    N_gpu = 100 hold two GPU chunks each; a ``swap_out`` of k = 50 chunks
+    must make CPU room for every copy.  One CPU stream for the call keeps
+    it to at most N_gpu + N_cpu + k scorer calls; a CPU scan per GPU
+    victim costs about k * N_cpu (10,000 here)."""
+    n_cpu, n_gpu, victims = 200, 100, 50
+    scorer = CountingScorer()
+    mgr = TieredCacheManager(
+        (n_cpu + 2 * n_gpu) * CHUNK, n_cpu * CHUNK, chunk_size=CHUNK, scorer=scorer
+    )
+    for conv in range(n_cpu + n_gpu):
+        chunks = 1 if conv < n_cpu else 2
+        mgr.open(conv, 0.0)
+        mgr.commit_restore(mgr.plan_restore(conv, chunks * CHUNK), 0.0)
+        mgr.close(conv, float(conv % 7))
+        if conv == n_cpu - 1:
+            mgr.swap_out(n_cpu * CHUNK, now=1.0)
+            mgr.reclaim(n_cpu * CHUNK, now=1.0)
+            assert mgr.cpu_free_tokens == 0
+    scorer.calls = 0
+    copied = mgr.swap_out(victims * CHUNK, now=10.0)
+    assert sum(c.num_tokens for c in copied) == victims * CHUNK
+    assert mgr.stats["dropped_tokens"] == victims * CHUNK  # one CPU victim each
+    assert scorer.calls <= n_gpu + n_cpu + victims, scorer.calls
     mgr._audit()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import LruPolicy, RetentionValuePolicy
 from repro.gpu import A100_80GB, CostModel, OfflineProfiler
-from repro.kvcache import ChunkLocation, TwoTierCacheManager
+from repro.kvcache import ChunkLocation, TailNotOnGpuError, TwoTierCacheManager
 from repro.kvcache.manager import CacheCapacityError
 from repro.model import OPT_13B
 
@@ -289,6 +289,64 @@ class TestAppendTokens:
         # The same growth succeeds once it fits the reclaimable budget.
         mgr.append_tokens(2, 60)
         assert mgr.conversation(2).total_tokens == 90
+        mgr._audit()
+
+    @staticmethod
+    def stranded_tail_manager():
+        """Conv 1's partial tail [32, 40) sits on the CPU, the GPU tier is
+        full, and conv 2's copies are reclaimable: growing conv 1 would
+        first reclaim one of them."""
+        mgr = make_manager(gpu=128, cpu=4096)
+        finish_conversation(mgr, 1, 40, now=0.0)
+        finish_conversation(mgr, 2, 64, now=1.0)
+        mgr.swap_out(104, now=2.0)  # everything -> GPU_CPU
+        mgr.reclaim(40, now=3.0)  # conv 1 -> CPU, its tail too
+        mgr.open(3, 4.0)
+        mgr.commit_restore(mgr.plan_restore(3, 64), now=4.0)
+        assert mgr.gpu_free_tokens == 0 and mgr.reclaimable_tokens == 64
+        assert mgr.conversation(1).chunks[-1].location is ChunkLocation.CPU
+        return mgr
+
+    @staticmethod
+    def snapshot(mgr):
+        return (
+            dict(mgr.stats),
+            (mgr.gpu_resident_tokens, mgr.reclaimable_tokens,
+             mgr.evictable_gpu_tokens, mgr.cpu_used_tokens, mgr.disk_used_tokens),
+            {
+                cache.conv_id: [(c.start, c.end, c.location) for c in cache.chunks]
+                for cache in mgr.conversations()
+            },
+        )
+
+    def test_stranded_tail_refused_before_anything_moves(self):
+        """Regression: growing a conversation whose partial tail has left
+        the GPU used to reclaim another conversation's chunk first and
+        only then raise from ``extend_to``."""
+        mgr = self.stranded_tail_manager()
+        before = self.snapshot(mgr)
+        with pytest.raises(ValueError) as refused:
+            mgr.append_tokens(1, 1)
+        assert self.snapshot(mgr) == before
+        assert isinstance(refused.value, TailNotOnGpuError)
+        mgr._audit()
+
+    def test_decode_step_refuses_the_whole_batch_up_front(self):
+        mgr = self.stranded_tail_manager()
+        before = self.snapshot(mgr)
+        with pytest.raises(TailNotOnGpuError):
+            mgr.append_decode_step([3, 1])
+        assert self.snapshot(mgr) == before
+
+    def test_decode_step_stops_at_the_first_that_does_not_fit(self):
+        mgr = make_manager(gpu=64, cpu=0)
+        for conv, tokens in ((1, 60), (2, 3)):
+            mgr.open(conv, 0.0)
+            mgr.commit_restore(mgr.plan_restore(conv, tokens), now=0.0)
+        assert mgr.append_decode_step([1, 2]) == 1  # conv 1 took the last slot
+        assert mgr.conversation(1).total_tokens == 61
+        assert mgr.conversation(2).total_tokens == 3
+        assert mgr.append_decode_step([]) == 0
         mgr._audit()
 
 

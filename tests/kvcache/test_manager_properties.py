@@ -32,7 +32,12 @@ class ManagerMachine:
             scorer=LruPolicy(),
         )
         self.clock = 0.0
-        self.open_convs: set = set()
+
+    def is_open(self, conv: int) -> bool:
+        """Open means pinned, read from the manager (a failed
+        ``open_commit`` closes an already-open conversation)."""
+        cache = self.manager.conversation(conv)
+        return cache is not None and cache.pinned
 
     def now(self) -> float:
         self.clock += 1.0
@@ -50,18 +55,16 @@ class ManagerMachine:
                 try:
                     mgr.ensure_capacity(plan.alloc_tokens, now)
                     mgr.commit_restore(plan, now)
-                    self.open_convs.add(conv)
                 except CacheCapacityError:
                     mgr.close(conv, now)
             elif kind == "append":
                 _, conv, tokens = op
-                if conv in self.open_convs:
+                if self.is_open(conv):
                     mgr.append_tokens(conv, tokens)
             elif kind == "close":
                 _, conv = op
-                if conv in self.open_convs:
+                if self.is_open(conv):
                     mgr.close(conv, now)
-                    self.open_convs.discard(conv)
             elif kind == "swap_out":
                 _, tokens = op
                 mgr.swap_out(tokens, now)
@@ -77,10 +80,9 @@ class ManagerMachine:
                 _, conv = op
                 if mgr.conversation(conv) is not None:
                     mgr.release_conversation_gpu(conv, now)
-                    self.open_convs.discard(conv)
             elif kind == "forget":
                 _, conv = op
-                if conv not in self.open_convs:
+                if not self.is_open(conv):
                     mgr.forget(conv)
         except CacheCapacityError:
             pass  # legal refusals are fine; invariants must still hold

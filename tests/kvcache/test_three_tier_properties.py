@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import LruPolicy, TieredPlacementPolicy
 from repro.core.server import StatefulChatServer
@@ -46,7 +46,13 @@ class ThreeTierMachine:
             placement=TieredPlacementPolicy(scorer, min_disk_value=min_disk_value),
         )
         self.clock = 0.0
-        self.open_convs: set = set()
+
+    def is_open(self, conv: int) -> bool:
+        """Open means pinned, read from the manager itself: a parallel set
+        kept by the walk drifts as soon as a failed ``open_commit`` closes
+        a conversation the set still lists."""
+        cache = self.manager.conversation(conv)
+        return cache is not None and cache.pinned
 
     def now(self) -> float:
         self.clock += 1.0
@@ -64,18 +70,16 @@ class ThreeTierMachine:
                 try:
                     mgr.ensure_capacity(plan.alloc_tokens, now)
                     mgr.commit_restore(plan, now)
-                    self.open_convs.add(conv)
                 except CacheCapacityError:
                     mgr.close(conv, now)
             elif kind == "append":
                 _, conv, tokens = op
-                if conv in self.open_convs:
+                if self.is_open(conv):
                     mgr.append_tokens(conv, tokens)
             elif kind == "close":
                 _, conv = op
-                if conv in self.open_convs:
+                if self.is_open(conv):
                     mgr.close(conv, now)
-                    self.open_convs.discard(conv)
             elif kind == "swap_out":
                 _, tokens = op
                 mgr.swap_out(tokens, now)
@@ -94,10 +98,9 @@ class ThreeTierMachine:
                 _, conv = op
                 if mgr.conversation(conv) is not None:
                     mgr.release_conversation_gpu(conv, now)
-                    self.open_convs.discard(conv)
             elif kind == "forget":
                 _, conv = op
-                if conv not in self.open_convs:
+                if not self.is_open(conv):
                     mgr.forget(conv)
         except CacheCapacityError:
             pass  # legal refusals are fine; invariants must still hold
@@ -143,6 +146,16 @@ OPERATION = st.one_of(
     disk=st.sampled_from([0, 32, 128, 1024]),
     chunk=st.sampled_from([8, 16, 32]),
     floor=st.sampled_from([0.0, 5.0, 1e9]),
+)
+# A failed ``open_commit`` of an open conversation closes it, and a drop
+# then takes its partial tail: it must not be grown afterwards.
+@example(
+    ops=[
+        ("open_commit", 0, 1), ("open_commit", 0, 36), ("open_commit", 0, 60),
+        ("open_commit", 1, 1), ("open_commit", 1, 31), ("open_commit", 1, 60),
+        ("append", 0, 1),
+    ],
+    gpu=96, cpu=0, disk=0, chunk=8, floor=0.0,
 )
 def test_random_operation_storm_preserves_invariants(
     ops, gpu, cpu, disk, chunk, floor
