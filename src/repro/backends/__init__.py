@@ -7,7 +7,7 @@ a caller can substitute a delegate that records or fakes kernel calls —
 the serving benchmark's per-layer tracing does exactly that.
 
 One backend ships: ``paged`` — pool-backed block tables, the
-natural-layout :class:`~repro.kernels.packed_cache.PackedDecodeCache`
+head-major :class:`~repro.kernels.packed_cache.PackedDecodeCache`
 staging and the packed decode kernel.  ARCHITECTURE.md §15 records the
 alternative layouts that were measured against it on the serving
 benchmark and removed, and what a replacement would have to show.
@@ -35,7 +35,7 @@ __all__ = ["Backend", "get_backend"]
 
 
 class Backend:
-    """Paged block tables + the natural-layout packed decode cache."""
+    """Paged block tables + the head-major packed decode cache."""
 
     name = "paged"
 
@@ -77,8 +77,9 @@ class Backend:
         scale: float = 0.0,
     ) -> List[np.ndarray]:
         """Fused single-token decode for a whole batch without the
-        packing cache — all-decode batches that arrive with explicit
-        ``context_slots``."""
+        packing cache.  The transformer sends explicit-slot decode
+        batches to :meth:`ragged_attention`; this entry point stays
+        because the serving benchmark wraps it by name."""
         return batched_single_token_attention(requests, k_cache, v_cache, scale)
 
     def ragged_attention(

@@ -764,7 +764,7 @@ class StatefulChatServer:
             ]
         )
         for turn, l in zip(turns, logits):
-            turn.generated.append(sample_token(l[-1], sampling, self._sampling_rng))
+            turn.generated.append(sample_token(l, sampling, self._sampling_rng))
             if tracer.enabled:
                 tracer.end(
                     turn.phase, t=self._clock,
@@ -799,7 +799,7 @@ class StatefulChatServer:
             if step + 1 < max_new_tokens:  # the last step only writes KV
                 for turn, l in zip(turns, step_logits):
                     turn.generated.append(
-                        sample_token(l[-1], sampling, self._sampling_rng)
+                        sample_token(l, sampling, self._sampling_rng)
                     )
 
         # Phase 4: persist raw tokens and unpin.

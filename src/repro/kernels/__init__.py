@@ -33,8 +33,8 @@ the paper discusses:
   the causally visible query x context area;
 - :mod:`~repro.kernels.packed_cache` — the **incremental metadata
   layer**: :class:`~repro.kernels.packed_cache.PackedDecodeCache` keeps
-  the decode batch's padded slot table and gathered-KV staging buffers
-  alive across iterations (extend / repair / rebuild lifecycle keyed on
+  the decode batch's padded slot table and head-major gathered-KV
+  staging buffers alive across iterations (extend / repair / rebuild lifecycle keyed on
   block-table version counters), and
   :func:`~repro.kernels.packed_cache.packed_decode_attention` runs the
   same segment-masked decode math over the staged buffers.

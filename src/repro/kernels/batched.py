@@ -11,8 +11,11 @@ gathered in a single fancy-index, and scores/softmax/weighted-sum run as
 segment-masked batched matmuls over the packed axis
 (:func:`segment_masked_decode`, shared with the packed-cache entry point).
 
-Prefill and mixed batches belong to :mod:`~repro.kernels.ragged`, which
-borrows the grouped-head and denominator checks below.
+Prefill, mixed and explicit-slot decode batches belong to
+:mod:`~repro.kernels.ragged`, which borrows the grouped-head and
+denominator checks below; the transformer's decode path is the packed
+cache's.  :func:`batched_single_token_attention` is reached only through
+``Backend.batched_decode_attention``.
 
 The kernel stays numerically equivalent (~1e-6, in practice ~1e-12) to
 the per-request kernels, which remain in-tree as the correctness oracle;
@@ -50,19 +53,21 @@ def segment_masked_decode(
 
     Args:
         q: ``[n, kv_heads, group, head_dim]`` grouped-head query view.
-        k / v: ``[n, C, kv_heads, head_dim]`` gathered context, rows
-            padded to the common width ``C``.
+        k / v: head-major ``[n, kv_heads, C, head_dim]`` gathered
+            context, rows padded to the common width ``C``; each
+            (row, head) ``[C, head_dim]`` tile should be contiguous so
+            both matmuls stay on the BLAS path.
         lengths: ``[n]`` valid context length per row.
         scale: resolved score scale.
 
     Returns:
         ``[n, kv_heads, group, head_dim]`` attention outputs.
     """
-    # scores[i, k, g, c] = q[i, k, g] . K[i, c, k] — one batched matmul
+    # scores[i, k, g, c] = q[i, k, g] . K[i, k, c] — one batched matmul
     # (BLAS) for every request and head at once.
-    scores = q @ k.transpose(0, 2, 3, 1)  # [n, kv, g, C]
+    scores = q @ k.transpose(0, 1, 3, 2)  # [n, kv, g, C]
     scores *= scale
-    max_context = k.shape[1]
+    max_context = k.shape[2]
     if bool((lengths != max_context).any()):
         # Segment mask: positions beyond a request's boundary never
         # attend.  Uniform-length batches (the common decode case) have
@@ -74,7 +79,7 @@ def segment_masked_decode(
     weights = np.exp(scores, out=scores)
     weights /= weights.sum(axis=-1, keepdims=True)
 
-    return weights @ v.transpose(0, 2, 1, 3)  # [n, kv, g, head_dim]
+    return weights @ v  # [n, kv, g, head_dim]
 
 
 def batched_single_token_attention(
@@ -144,9 +149,10 @@ def batched_single_token_attention(
     for i, request in enumerate(requests):
         table[i, : lengths[i]] = request.slots
 
-    # ONE gather over the paged cache for the whole batch.
-    k = k_cache[table]  # [n, C, kv_heads, head_dim]
-    v = v_cache[table]
+    # ONE gather over the paged cache for the whole batch, viewed
+    # head-major [n, kv_heads, C, head_dim].
+    k = k_cache[table].transpose(0, 2, 1, 3)
+    v = v_cache[table].transpose(0, 2, 1, 3)
 
     # Zero-copy GQA: view the queries as [n, kv_heads, group, head_dim] so
     # each KV head meets its group of query heads without np.repeat.

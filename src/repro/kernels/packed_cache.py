@@ -27,8 +27,15 @@ first:
   that shrinks from the tail — the common case when conversations finish
   — only pays for the rows that actually changed.
 
-Capacities (rows and packed context width) grow geometrically and never
-shrink, so the steady state allocates nothing.  Correctness leans on one
+Staging is head-major, ``[rows, kv_heads, ctx, head_dim]`` in the KV
+cache's own dtype, as PagedAttention lays out a block: every (row, head)
+``[ctx, head_dim]`` tile that the decode matmuls multiply is contiguous,
+so numpy keeps them on its BLAS path.  Capacities (rows and packed
+context width) grow geometrically and never shrink, so the steady state
+allocates nothing; a regrow allocates fresh zeroed staging and resets
+every row's gathered watermark instead of copying, so it touches no page
+of the old capacity and the next gather refills only live columns.
+Correctness leans on one
 :class:`~repro.kvcache.pages.BlockTable` invariant: appends never remap
 existing positions (only ``vacate_front`` / ``restore_front`` /
 ``release`` do, and those bump ``structure_version``), and the serving
@@ -94,9 +101,20 @@ class _RowState:
 
 @dataclass
 class _LayerStaging:
-    k: np.ndarray          # [rows_cap, ctx_cap, kv_heads, head_dim]
+    k: np.ndarray          # [rows_cap, kv_heads, ctx_cap, head_dim]
     v: np.ndarray          # same shape as k
     gathered: np.ndarray   # [rows_cap] columns of each row already staged
+
+    @staticmethod
+    def allocate(
+        rows: int, ctx: int, kv_heads: int, head_dim: int, dtype: np.dtype
+    ) -> "_LayerStaging":
+        shape = (rows, kv_heads, ctx, head_dim)
+        return _LayerStaging(
+            k=np.zeros(shape, dtype=dtype),
+            v=np.zeros(shape, dtype=dtype),
+            gathered=np.zeros(rows, dtype=np.int64),
+        )
 
 
 class PackedBatch:
@@ -124,9 +142,9 @@ class PackedBatch:
     def gathered(
         self, layer_key: Hashable, k_cache: np.ndarray, v_cache: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gathered ``[n, max_len, kv_heads, head_dim]`` K/V for this
-        batch, staging only the columns that changed since the last call
-        for ``layer_key``."""
+        """Gathered head-major ``[n, kv_heads, max_len, head_dim]`` K/V
+        for this batch, staging only the columns that changed since the
+        last call for ``layer_key``."""
         return self._cache._gathered(layer_key, k_cache, v_cache, self.n, self.max_len)
 
 
@@ -206,33 +224,33 @@ class PackedDecodeCache:
         return nbytes > self._staging_budget
 
     def _regrow_staging(self, rows: int, ctx: int) -> None:
-        """Reallocate every layer's staging at ``rows`` x ``ctx``,
-        preserving already-gathered data — or, when a grown buffer would
-        exceed the budget, drop staging for good (fresh-gather fallback)."""
-        if any(
-            self._over_budget(rows, ctx, st.k.shape[2:], st.k.dtype)
-            for st in self._staging.values()
-        ):
+        """Reallocate every layer's staging at ``rows`` x ``ctx`` with
+        every gathered watermark reset, so the next gather refills only
+        live columns — or, when a grown buffer would exceed the budget,
+        drop staging for good (fresh-gather fallback)."""
+        tails = {
+            key: ((st.k.shape[1], st.k.shape[3]), st.k.dtype)
+            for key, st in self._staging.items()
+        }
+        if any(self._over_budget(rows, ctx, *tail) for tail in tails.values()):
             self._staging.clear()
             self._staging_disabled = True
             return
-        old_rows, old_ctx = self._rows_cap, self._ctx_cap
-        for st in self._staging.values():
-            shape = (rows, ctx) + st.k.shape[2:]
-            k = np.zeros(shape, dtype=st.k.dtype)
-            v = np.zeros(shape, dtype=st.v.dtype)
-            g = np.zeros(rows, dtype=np.int64)
-            k[:old_rows, :old_ctx], v[:old_rows, :old_ctx] = st.k, st.v
-            g[:old_rows] = st.gathered
-            st.k, st.v, st.gathered = k, v, g
+        for key, ((kv_heads, head_dim), dtype) in tails.items():
+            self._staging[key] = _LayerStaging.allocate(
+                rows, ctx, kv_heads, head_dim, dtype
+            )
 
     def _fallback_gather(
         self, n: int, max_len: int, k_cache: np.ndarray, v_cache: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Full gather used when staging is disabled (over budget); the
-        packed table itself is still incremental."""
+        """Full gather used when staging is disabled (over budget), viewed
+        head-major; the packed table itself is still incremental."""
         table = self._table[:n, :max_len]
-        return k_cache[table], v_cache[table]
+        return (
+            k_cache[table].transpose(0, 2, 1, 3),
+            v_cache[table].transpose(0, 2, 1, 3),
+        )
 
     # ------------------------------------------------------------------ #
     # packing                                                            #
@@ -337,20 +355,18 @@ class PackedDecodeCache:
         if self._staging_disabled:
             return self._fallback_gather(n, max_len, k_cache, v_cache)
         staging = self._staging.get(layer_key)
-        tail_shape = k_cache.shape[1:]
-        if staging is None or staging.k.shape[2:] != tail_shape or (
-            staging.k.dtype != k_cache.dtype
+        kv_heads, head_dim = k_cache.shape[1:]
+        if staging is None or (
+            (staging.k.shape[1], staging.k.shape[3]) != (kv_heads, head_dim)
+            or staging.k.dtype != k_cache.dtype
         ):
             if self._over_budget(
-                self._rows_cap, self._ctx_cap, tail_shape, k_cache.dtype
+                self._rows_cap, self._ctx_cap, (kv_heads, head_dim), k_cache.dtype
             ):
                 self._staging_disabled = True
                 return self._fallback_gather(n, max_len, k_cache, v_cache)
-            shape = (self._rows_cap, self._ctx_cap) + tail_shape
-            staging = _LayerStaging(
-                k=np.zeros(shape, dtype=k_cache.dtype),
-                v=np.zeros(shape, dtype=v_cache.dtype),
-                gathered=np.zeros(self._rows_cap, dtype=np.int64),
+            staging = _LayerStaging.allocate(
+                self._rows_cap, self._ctx_cap, kv_heads, head_dim, k_cache.dtype
             )
             self._staging[layer_key] = staging
 
@@ -364,16 +380,16 @@ class PackedDecodeCache:
                 # one vectorized gather for the whole batch.
                 cols = done[stale]
                 slots = self._table[stale, cols]
-                staging.k[stale, cols] = k_cache[slots]
-                staging.v[stale, cols] = v_cache[slots]
+                staging.k[stale, :, cols] = k_cache[slots]
+                staging.v[stale, :, cols] = v_cache[slots]
             else:
                 for row in stale:
                     a, b = int(done[row]), int(lengths[row])
                     slots = self._table[row, a:b]
-                    staging.k[row, a:b] = k_cache[slots]
-                    staging.v[row, a:b] = v_cache[slots]
+                    staging.k[row, :, a:b] = k_cache[slots].transpose(1, 0, 2)
+                    staging.v[row, :, a:b] = v_cache[slots].transpose(1, 0, 2)
             staging.gathered[:n] = lengths
-        return staging.k[:n, :max_len], staging.v[:n, :max_len]
+        return staging.k[:n, :, :max_len], staging.v[:n, :, :max_len]
 
     # ------------------------------------------------------------------ #
     # reference                                                          #

@@ -63,6 +63,30 @@ def rope_tables(
     return entry
 
 
+def rope_angles(
+    positions: np.ndarray, head_dim: int, base: float = 10000.0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cos, sin)`` of every position's rotation angles, each shaped
+    ``[tokens, 1, head_dim // 2]`` to broadcast over heads.
+
+    Depends only on the positions, so a caller rotating several tensors
+    at the same positions (every layer's q and k) gathers them once.
+    """
+    if (
+        positions.shape[0]
+        and np.issubdtype(positions.dtype, np.integer)
+        and int(positions.min()) >= 0
+    ):
+        max_position = int(positions.max())
+        cos_table, sin_table = rope_tables(head_dim, base, max_position)
+        return cos_table[positions][:, None, :], sin_table[positions][:, None, :]
+    # Non-integer, negative, or empty positions bypass the cache; the
+    # table only covers whole non-negative token positions.
+    freqs = rope_frequencies(head_dim, base)  # [dim/2]
+    angles = positions[:, None].astype(np.float64) * freqs[None, :]
+    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+
 def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
     """Rotate ``x`` by its tokens' positions.
 
@@ -80,22 +104,13 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         raise ValueError(
             f"positions ({positions.shape[0]}) must match tokens ({x.shape[0]})"
         )
-    if (
-        positions.shape[0]
-        and np.issubdtype(positions.dtype, np.integer)
-        and int(positions.min()) >= 0
-    ):
-        max_position = int(positions.max())
-        cos_table, sin_table = rope_tables(x.shape[-1], base, max_position)
-        cos = cos_table[positions][:, None, :]  # [t, 1, dim/2]
-        sin = sin_table[positions][:, None, :]
-    else:
-        # Non-integer, negative, or empty positions bypass the cache; the
-        # table only covers whole non-negative token positions.
-        freqs = rope_frequencies(x.shape[-1], base)  # [dim/2]
-        angles = positions[:, None].astype(np.float64) * freqs[None, :]
-        cos = np.cos(angles)[:, None, :]
-        sin = np.sin(angles)[:, None, :]
+    cos, sin = rope_angles(positions, x.shape[-1], base)
+    return rotate(x, cos, sin)
+
+
+def rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate each (even, odd) coordinate pair of ``x`` by the angles
+    :func:`rope_angles` returned for its rows (input not modified)."""
     x_even = x[..., 0::2]
     x_odd = x[..., 1::2]
     out = np.empty_like(x)

@@ -17,12 +17,21 @@ but architecturally faithful; it exists to prove the serving machinery
 end-to-end: a conversation served over many turns with arbitrary
 swap-out/swap-in/drop traffic must produce *identical* logits to a
 stateless from-scratch run.
+
+A forward has two jobs: write every input row's K/V into the paged cache
+and produce each request's next token.  :meth:`PagedTransformer.forward`
+pays only for those.  Layers ``0..L-2`` run every row, because their K/V
+are the cache; the last layer projects, rotates and writes K/V for every
+row but runs its query, attention, output projection and MLP — and the
+final norm and LM head — on each request's last row only.
+:meth:`~PagedTransformer.forward_all_rows` is the same body keeping every
+row, for teacher-forcing checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +49,7 @@ from repro.kernels.packed_cache import (
 from repro.kvcache.storage import KVStorage
 from repro.model.config import ModelConfig
 from repro.model.layers import LayerNorm, Linear, OptMlp, RMSNorm, SwiGluMlp
-from repro.model.rope import apply_rope
+from repro.model.rope import apply_rope, rope_angles, rotate
 
 
 @dataclass
@@ -82,6 +91,8 @@ class ForwardRequest:
     def __post_init__(self) -> None:
         self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
         n_new = self.input_ids.shape[0]
+        if n_new == 0:
+            raise ValueError("a forward request needs at least one input token")
         if self.context_slots is None:
             if self.slot_view is None:
                 raise ValueError(
@@ -149,37 +160,49 @@ class _BatchPlan:
     """Per-forward precomputation for a whole batch (layer-invariant).
 
     Everything here depends only on the batch's *shape* — token
-    positions, write targets, sub-request spans — so it is computed once
-    per forward pass instead of once per layer.  The arrays cover the
-    batch's rows in order, so RoPE and the KV store each run as ONE call
-    per layer rather than one per request.
+    positions, write targets, RoPE angles, sub-request spans — so it is
+    computed once per forward pass instead of once per layer.  The arrays
+    cover the batch's rows in order, so RoPE and the KV store each run as
+    ONE call per layer rather than one per request.
     """
 
     positions: np.ndarray  # [sum_n] logical position of every input row
     write_slots: np.ndarray  # [sum_n] physical slot of every input row
     #: True iff every request is a pure generation step (one trailing
-    #: query token, no recompute split).
+    #: query token, no recompute split): the packed decode cache's gate.
     all_decode: bool
+    #: RoPE ``(cos, sin)`` of every row (Llama only), gathered once and
+    #: shared by every layer's q and k.
+    angles: Optional[Tuple[np.ndarray, np.ndarray]] = None
     #: ``(lo, hi, slots, query_offset)`` per Figure 8(d) sub-request:
     #: batch rows ``[lo, hi)`` attend over ``slots``.  Filled only when
     #: the batch is not served from the packed decode cache, which reads
     #: the block tables incrementally instead of materialising contexts.
     spans: List[tuple] = field(default_factory=list)
+    #: The same spans for a forward that keeps only each request's last
+    #: row: request ``i``'s one-row query is row ``[i, i + 1)``, at the
+    #: row's own position, over the slots of the span holding it.
+    last_rows: List[tuple] = field(default_factory=list)
 
     @staticmethod
-    def build(batch: Sequence[ForwardRequest]) -> "_BatchPlan":
-        return _BatchPlan(
-            positions=np.concatenate([r.positions for r in batch]),
+    def build(
+        batch: Sequence[ForwardRequest], positions: np.ndarray, config: ModelConfig
+    ) -> "_BatchPlan":
+        plan = _BatchPlan(
+            positions=positions,
             write_slots=np.concatenate([r.write_slots() for r in batch]),
             all_decode=all(
                 r.num_new_tokens == 1 and r.dropped == 0 for r in batch
             ),
         )
+        if config.arch == "llama":
+            plan.angles = rope_angles(positions, config.head_dim)
+        return plan
 
     def build_spans(
         self, batch: Sequence[ForwardRequest], bounds: np.ndarray
     ) -> None:
-        for request, lo in zip(batch, bounds):
+        for i, (request, lo) in enumerate(zip(batch, bounds)):
             # One int64 conversion per request; span slot lists are
             # zero-copy views into it.
             slots = request.full_context_slots()
@@ -192,6 +215,12 @@ class _BatchPlan:
                 self.spans.append(
                     (lo + q_lo, lo + q_hi, slots[:context_end], offset)
                 )
+            # The last span holds the last row.  With all input a dropped
+            # prefix that row sits at shared_prefix + dropped - 1, not at
+            # the end of the context.
+            self.last_rows.append(
+                (i, i + 1, slots[:context_end], offset + q_hi - q_lo - 1)
+            )
 
 
 @dataclass
@@ -213,13 +242,14 @@ class PagedTransformer:
         storage: slot-indexed K/V arrays shared with the cache manager.
         seed: weight initialisation seed (deterministic).
         use_fast_paths: dispatch to the batched kernel layer
-            (:mod:`repro.kernels.batched`, :mod:`repro.kernels.ragged`)
-            with the sub-request split, positions and write slots hoisted
-            into one :class:`_BatchPlan` per forward, and RoPE and the KV
-            store run once per layer for the whole batch.  ``False`` runs
-            the original per-layer, per-request tiled path — kept as the
-            end-to-end baseline the benchmark harness measures against.
-            Fast paths also keep a :class:`PackedDecodeCache`
+            (:mod:`repro.kernels.ragged`, :mod:`repro.kernels.packed_cache`)
+            with the sub-request split, positions, write slots and RoPE
+            angles hoisted into one :class:`_BatchPlan` per forward, RoPE
+            and the KV store run once per layer for the whole batch, and
+            the last layer's discarded rows pruned.  ``False`` runs the
+            original per-layer, per-request tiled path over every row —
+            kept as the end-to-end baseline the benchmark harness measures
+            against.  Fast paths also keep a :class:`PackedDecodeCache`
             (``decode_cache``) so all-decode batches of slot_view-backed
             requests reuse their packed slot table and gathered-KV
             staging buffers across iterations instead of rebuilding both
@@ -292,24 +322,45 @@ class PagedTransformer:
     def forward(self, batch: Sequence[ForwardRequest]) -> List[np.ndarray]:
         """Run one batched iteration.
 
-        Writes the new tokens' K/V into the paged storage (Figure 8 step c)
-        and returns, per request, the ``[n_new, vocab]`` logits of its input
-        tokens (callers typically sample from the last row).
+        Writes every input token's K/V into the paged storage (Figure 8
+        step c) and returns, per request, the ``[vocab]`` next-token
+        logits computed from its last input row.
         """
+        return self._forward(batch, all_rows=False)
+
+    def forward_all_rows(self, batch: Sequence[ForwardRequest]) -> List[np.ndarray]:
+        """:meth:`forward` keeping every row: per request, the
+        ``[n_new, vocab]`` logits of all its input tokens (teacher
+        forcing).  Stores the same K/V bits as :meth:`forward`."""
+        return self._forward(batch, all_rows=True)
+
+    def greedy_token(self, logits: np.ndarray) -> int:
+        """Deterministic argmax sampling."""
+        return int(np.argmax(logits))
+
+    # ------------------------------------------------------------------
+
+    def _forward(
+        self, batch: Sequence[ForwardRequest], all_rows: bool
+    ) -> List[np.ndarray]:
         if not batch:
             return []
-        # Unified batch formation (§4.4.1): concatenate all requests'
-        # input tokens into one token-major activation tensor.
-        hidden = [self._embed(r) for r in batch]
-        x = np.concatenate(hidden, axis=0)  # [sum_n, h]
+        # Unified batch formation (§4.4.1): all requests' input tokens
+        # form one token-major activation tensor, embedded in one gather.
+        positions = np.concatenate([r.positions for r in batch])
+        x = self.embedding[np.concatenate([r.input_ids for r in batch])]
+        if self.pos_embedding is not None:
+            x = x + self.pos_embedding[positions]  # [sum_n, h]
         bounds = np.cumsum([0] + [r.num_new_tokens for r in batch])
+        last_rows = bounds[1:] - 1
         # Layer-invariant structure is derived ONCE per forward pass, not
         # once per layer; the incremental pack repacks only the rows
         # whose block table changed since the previous iteration.
         plan: Optional[_BatchPlan] = None
         packed: Optional[PackedBatch] = None
+        keep: Optional[np.ndarray] = None
         if self.use_fast_paths:
-            plan = _BatchPlan.build(batch)
+            plan = _BatchPlan.build(batch, positions, self.config)
             if (
                 plan.all_decode
                 and self.decode_cache is not None
@@ -318,33 +369,28 @@ class PagedTransformer:
                 packed = self.decode_cache.pack([r.slot_view for r in batch])
             else:
                 plan.build_spans(batch, bounds)
+            if not all_rows and x.shape[0] > len(batch):
+                keep = last_rows
 
+        final = len(self.layers) - 1
         for layer_idx, w in enumerate(self.layers):
-            x = x + self._attention_block(
-                layer_idx, w, x, batch, bounds, plan, packed
+            # Only the last layer may prune: every earlier layer's rows
+            # feed the K/V the cache keeps.
+            rows = keep if layer_idx == final else None
+            out = self._attention_block(
+                layer_idx, w, x, batch, bounds, plan, packed, rows
             )
+            x = (x if rows is None else x[rows]) + out
             x = x + w.mlp(w.mlp_norm(x))
 
         x = self.final_norm(x)
         logits = x @ self.lm_head
-        return [logits[bounds[i] : bounds[i + 1]] for i in range(len(batch))]
-
-    def next_token_logits(self, batch: Sequence[ForwardRequest]) -> List[np.ndarray]:
-        """Logits for the *last* input token of each request (the row used
-        to predict the next token)."""
-        return [logits[-1] for logits in self.forward(batch)]
-
-    def greedy_token(self, logits: np.ndarray) -> int:
-        """Deterministic argmax sampling."""
-        return int(np.argmax(logits))
-
-    # ------------------------------------------------------------------
-
-    def _embed(self, request: ForwardRequest) -> np.ndarray:
-        x = self.embedding[request.input_ids]
-        if self.pos_embedding is not None:
-            x = x + self.pos_embedding[request.positions]
-        return x
+        if all_rows:
+            return [logits[bounds[i] : bounds[i + 1]] for i in range(len(batch))]
+        if logits.shape[0] > len(batch):
+            # The oracle computed every row; it keeps the last of each.
+            logits = logits[last_rows]
+        return list(logits)
 
     def _attention_block(
         self,
@@ -355,10 +401,15 @@ class PagedTransformer:
         bounds: np.ndarray,
         plan: Optional[_BatchPlan] = None,
         packed: Optional[PackedBatch] = None,
+        rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        """Attention output (o_proj applied) of the batch's rows — or,
+        given ``rows``, of those rows only, each a request's last row.
+        K/V are projected and stored for every row either way."""
         cfg = self.config
         normed = w.attn_norm(x)
-        q = w.q_proj(normed).reshape(-1, cfg.num_heads, cfg.head_dim)
+        q_in = normed if rows is None else normed[rows]
+        q = w.q_proj(q_in).reshape(-1, cfg.num_heads, cfg.head_dim)
         k = w.k_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
         v = w.v_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
         k_layer = self.storage.k[layer_idx]
@@ -387,9 +438,12 @@ class PagedTransformer:
             # RoPE and the KV store (Figure 8 step c) act on each row
             # alone, so ONE call over the whole batch leaves the same bits
             # as one call per request.
-            if cfg.arch == "llama":
-                q = apply_rope(q, plan.positions)
-                k = apply_rope(k, plan.positions)
+            if plan.angles is not None:
+                cos, sin = plan.angles
+                k = rotate(k, cos, sin)
+                if rows is not None:
+                    cos, sin = cos[rows], sin[rows]
+                q = rotate(q, cos, sin)
             self.storage.write(layer_idx, plan.write_slots, k, v)
             if packed is not None:
                 # All-decode packed path: the attention reads the cache
@@ -397,24 +451,21 @@ class PagedTransformer:
                 out = self.backend.decode_attention(
                     q, packed, layer_idx, k_layer, v_layer
                 )
-                return w.o_proj(out.reshape(x.shape[0], -1))
+                return w.o_proj(out.reshape(q.shape[0], -1))
             kernel_requests = [
                 AttentionRequest(query=q[lo:hi], slots=slots, query_offset=offset)
-                for lo, hi, slots, offset in plan.spans
+                for lo, hi, slots, offset in (
+                    plan.spans if rows is None else plan.last_rows
+                )
             ]
-            # All-generation batch with explicit context slots: vLLM's
-            # PagedAttention decode formulation.  Anything else — prefill,
-            # mixed, recompute splits — is the ragged kernel's.
-            attend = (
-                self.backend.batched_decode_attention
-                if plan.all_decode
-                else self.backend.ragged_attention
-            )
+            # Prefill, mixed, recompute splits and decode batches with
+            # explicit context slots: one ragged kernel for all of them.
+            attend = self.backend.ragged_attention
 
-        # Sub-requests cover the batch's rows in order.
+        # Sub-requests cover the kept rows in order.
         outputs = np.empty_like(q)
         start = 0
         for out in attend(kernel_requests, k_layer, v_layer):
             outputs[start : start + out.shape[0]] = out
             start += out.shape[0]
-        return w.o_proj(outputs.reshape(x.shape[0], -1))
+        return w.o_proj(outputs.reshape(q.shape[0], -1))

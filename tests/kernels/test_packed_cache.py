@@ -157,7 +157,23 @@ class TestLifecycle:
             PackedDecodeCache(growth=1.0)
 
 
+def _head_major(cache, table):
+    """A fresh gather of ``table`` laid out like the staging:
+    ``[rows, kv_heads, ctx, head_dim]``."""
+    return cache[np.asarray(table)].transpose(0, 2, 1, 3)
+
+
 class TestStaging:
+    """Staging is head-major ``[rows, kv_heads, ctx, head_dim]`` in the
+    cache's dtype.
+
+    Mutation record (run on a copy of the tree): a context regrow that
+    neither copies the old staging nor resets the gathered watermarks
+    fails ``test_first_gather_after_context_regrow_equals_fresh_gather``
+    (and two seeds of the staged-attention property walk, and both
+    ``tests/backends/test_equivalence.py`` transcript checks).
+    """
+
     def _env(self, seed=0, num_pages=64, page_size=4, kv_heads=2, head_dim=8):
         rng = np.random.default_rng(seed)
         pool = PagePool(num_pages, page_size)
@@ -173,11 +189,43 @@ class TestStaging:
         for _ in range(4):
             batch = cache.pack(_sources(convs))
             k, v = batch.gathered("L0", k_cache, v_cache)
-            table = np.asarray(batch.table)
-            np.testing.assert_array_equal(k, k_cache[table])
-            np.testing.assert_array_equal(v, v_cache[table])
+            np.testing.assert_array_equal(k, _head_major(k_cache, batch.table))
+            np.testing.assert_array_equal(v, _head_major(v_cache, batch.table))
             for t in convs.values():
                 t.append_tokens(1)
+
+    def test_first_gather_after_context_regrow_equals_fresh_gather(self):
+        rng, pool, k_cache, v_cache = self._env()
+        convs = {i: _table(pool, 3 + i) for i in range(3)}
+        cache = PackedDecodeCache(initial_rows=4, initial_context=6)
+        cache.pack(_sources(convs)).gathered(0, k_cache, v_cache)
+        for t in convs.values():
+            t.append_tokens(5)
+        batch = cache.pack(_sources(convs))
+        assert cache.stats["ctx_growths"] == 1
+        k, v = batch.gathered(0, k_cache, v_cache)
+        fresh_k = _head_major(k_cache, batch.table)
+        fresh_v = _head_major(v_cache, batch.table)
+        for row, length in enumerate(batch.lengths):  # padding is masked
+            np.testing.assert_array_equal(k[row, :, :length], fresh_k[row, :, :length])
+            np.testing.assert_array_equal(v[row, :, :length], fresh_v[row, :, :length])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_staging_is_head_major_in_the_cache_dtype(self, dtype):
+        """Each (row, head) tile is one contiguous ``[ctx, head_dim]``
+        block, and staging never widens the cache's dtype (a float64
+        staging of a float32 cache costs resident memory)."""
+        rng, pool, k_cache, v_cache = self._env()
+        k_cache, v_cache = k_cache.astype(dtype), v_cache.astype(dtype)
+        cache = PackedDecodeCache()
+        batch = cache.pack(_sources({0: _table(pool, 6), 1: _table(pool, 9)}))
+        k, v = batch.gathered(0, k_cache, v_cache)
+        assert k.shape == v.shape == (2, 2, 9, 8)
+        for staged in (k, v):
+            assert staged.dtype == dtype
+            assert staged.strides[2:] == (8 * staged.itemsize, staged.itemsize)
+        for staging in cache._staging.values():
+            assert staging.k.dtype == staging.v.dtype == dtype
 
     def test_layers_stage_independently(self):
         rng, pool, k_cache, v_cache = self._env()
@@ -195,14 +243,14 @@ class TestStaging:
         cache = PackedDecodeCache(staging_budget_bytes=1)
         batch = cache.pack(_sources(convs))
         k, v = batch.gathered("L0", k_cache, v_cache)
-        table = np.asarray(batch.table)
-        np.testing.assert_array_equal(k, k_cache[table])
+        np.testing.assert_array_equal(k, _head_major(k_cache, batch.table))
         assert cache._staging_disabled
 
     def test_budget_exceeded_on_growth_falls_back_to_fresh_gather(self):
         rng, pool, k_cache, v_cache = self._env()
         table = _table(pool, 8)
-        # Exactly the first allocation: 8 rows x 64 columns x (2, 8) float64.
+        # Exactly the first allocation: 8 rows x 2 heads x 64 columns x 8
+        # float64.
         cache = PackedDecodeCache(staging_budget_bytes=8 * 64 * 2 * 8 * 8)
         cache.pack(_sources({0: table})).gathered(0, k_cache, v_cache)
         assert not cache._staging_disabled

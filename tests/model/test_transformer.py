@@ -23,7 +23,7 @@ def prefill_from_scratch(config, token_ids, slots, seed=0):
     """Reference: a fresh model instance prefilling the whole sequence."""
     model, _ = make_model(config, seed=seed)
     request = ForwardRequest(input_ids=token_ids, context_slots=slots)
-    return model.forward([request])[0]
+    return model.forward_all_rows([request])[0]
 
 
 @pytest.fixture(params=["opt", "llama"])
@@ -38,15 +38,16 @@ class TestBasicForward:
         model, _ = make_model(config)
         tokens = np.arange(10) % config.vocab_size
         request = ForwardRequest(input_ids=tokens, context_slots=list(range(10)))
-        logits = model.forward([request])[0]
+        logits = model.forward_all_rows([request])[0]
         assert logits.shape == (10, config.vocab_size)
+        assert model.forward([request])[0].shape == (config.vocab_size,)
 
     def test_decode_step_shape(self, config):
         model, _ = make_model(config)
         prefill = ForwardRequest(input_ids=[1, 2, 3], context_slots=[0, 1, 2])
         model.forward([prefill])
         decode = ForwardRequest(input_ids=[4], context_slots=[0, 1, 2, 3])
-        logits = model.next_token_logits([decode])[0]
+        logits = model.forward([decode])[0]
         assert logits.shape == (config.vocab_size,)
 
     def test_deterministic(self, config):
@@ -58,6 +59,7 @@ class TestBasicForward:
     def test_empty_batch(self, config):
         model, _ = make_model(config)
         assert model.forward([]) == []
+        assert model.forward_all_rows([]) == []
 
     def test_greedy_token(self, config):
         model, _ = make_model(config)
@@ -82,7 +84,7 @@ class TestStatefulEqualsStateless:
         model.forward(
             [ForwardRequest(input_ids=turn1, context_slots=slots[:9])]
         )
-        logits = model.forward(
+        logits = model.forward_all_rows(
             [ForwardRequest(input_ids=turn2, context_slots=slots)]
         )[0]
         np.testing.assert_allclose(logits, expected[9:], rtol=1e-9, atol=1e-9)
@@ -107,7 +109,7 @@ class TestStatefulEqualsStateless:
                     )
                 ]
             )[0]
-            np.testing.assert_allclose(logits[0], expected[i], rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(logits, expected[i], rtol=1e-9, atol=1e-9)
 
     def test_physical_scattering_is_invisible(self, config):
         """Same logical sequence at two different physical layouts gives
@@ -187,7 +189,7 @@ class TestDroppedPrefixRecompute:
             context_slots=context,
             dropped=dropped,
         )
-        logits = model.forward([request])[0]
+        logits = model.forward_all_rows([request])[0]
         # The last ``prompt`` rows are the new prompt's logits.
         np.testing.assert_allclose(
             logits[dropped:], expected[dropped + cached:], rtol=1e-9, atol=1e-9
@@ -195,6 +197,31 @@ class TestDroppedPrefixRecompute:
         # And the recomputed prefix reproduces its original logits too.
         np.testing.assert_allclose(
             logits[:dropped], expected[:dropped], rtol=1e-9, atol=1e-9
+        )
+
+    def test_all_input_dropped_keeps_the_prefix_row(self, config):
+        """A request whose input is entirely a recomputed prefix, with a
+        cached tail after it: its last input row sits at
+        ``dropped - 1``, not at the end of the context, so its
+        next-token logits must not see the cached tail.  A last-layer
+        query placed at ``total_context - 1`` fails this."""
+        rng = np.random.default_rng(11)
+        dropped, cached = 5, 7
+        tokens = rng.integers(0, config.vocab_size, size=dropped + cached)
+        slots = list(rng.permutation(128)[: dropped + cached])
+        expected = prefill_from_scratch(config, tokens, slots)
+
+        model, storage = make_model(config)
+        model.forward([ForwardRequest(input_ids=tokens, context_slots=slots)])
+        storage.k[:, slots[:dropped]] = 0.0
+        storage.v[:, slots[:dropped]] = 0.0
+        context = list(range(120, 120 + dropped)) + slots[dropped:]
+        request = ForwardRequest(
+            input_ids=tokens[:dropped], context_slots=context, dropped=dropped
+        )
+        (logits,) = model.forward([request])
+        np.testing.assert_allclose(
+            logits, expected[dropped - 1], rtol=1e-9, atol=1e-9
         )
 
 
@@ -209,14 +236,14 @@ class TestUnifiedBatching:
 
         # Isolated runs.
         model_a, _ = make_model(config)
-        expected_pre = model_a.forward(
+        expected_pre = model_a.forward_all_rows(
             [ForwardRequest(input_ids=pre_tokens, context_slots=list(range(6)))]
         )[0]
         model_b, _ = make_model(config)
         model_b.forward(
             [ForwardRequest(input_ids=dec_history, context_slots=list(range(10, 14)))]
         )
-        expected_dec = model_b.forward(
+        expected_dec = model_b.forward_all_rows(
             [ForwardRequest(input_ids=dec_token, context_slots=list(range(10, 15)))]
         )[0]
 
@@ -225,7 +252,7 @@ class TestUnifiedBatching:
         model.forward(
             [ForwardRequest(input_ids=dec_history, context_slots=list(range(10, 14)))]
         )
-        outs = model.forward(
+        outs = model.forward_all_rows(
             [
                 ForwardRequest(input_ids=pre_tokens, context_slots=list(range(6))),
                 ForwardRequest(input_ids=dec_token, context_slots=list(range(10, 15))),
@@ -243,6 +270,10 @@ class TestValidation:
     def test_bad_dropped(self, config):
         with pytest.raises(ValueError):
             ForwardRequest(input_ids=[1, 2], context_slots=[0, 1, 2], dropped=3)
+
+    def test_no_input_tokens(self, config):
+        with pytest.raises(ValueError):
+            ForwardRequest(input_ids=[], context_slots=[0, 1])
 
     def test_positions_length_mismatch(self, config):
         with pytest.raises(ValueError):

@@ -2,10 +2,11 @@
 
 ``use_fast_paths`` switches the forward pass between the per-layer
 reference path (RoPE + write + split + tiled kernel per request per
-layer) and the vectorized one (hoisted planning, whole-batch RoPE and KV
-store, batched decode kernel, ragged multi-token kernel).  Both must
-produce the same logits for every batch shape — the fast path is pure
-mechanics, never different math.
+layer, every row) and the vectorized one (hoisted planning, whole-batch
+RoPE and KV store, packed decode cache, ragged multi-token kernel, last
+layer pruned to each request's last row).  Both must produce the same
+logits for every batch shape — the fast path is pure mechanics, never
+different math.
 """
 
 import numpy as np
@@ -41,13 +42,16 @@ def paired_models(config, num_slots=256, seed=0):
 
 
 def run_both(fast, reference, batches):
-    """Run the same batch sequence through both models, comparing logits."""
+    """Run the same batch sequence through both models, comparing the
+    next-token logits and then every row's logits (the second pass
+    rewrites the same K/V)."""
     for batch in batches:
-        out_fast = fast.forward(batch)
-        out_ref = reference.forward(batch)
-        assert len(out_fast) == len(out_ref)
-        for got, want in zip(out_fast, out_ref):
-            np.testing.assert_allclose(got, want, **TOL)
+        for entry in ("forward", "forward_all_rows"):
+            out_fast = getattr(fast, entry)(batch)
+            out_ref = getattr(reference, entry)(batch)
+            assert len(out_fast) == len(out_ref)
+            for got, want in zip(out_fast, out_ref):
+                np.testing.assert_allclose(got, want, **TOL)
 
 
 class TestFastPathEquivalence:
@@ -67,8 +71,9 @@ class TestFastPathEquivalence:
         run_both(fast, reference, [batch])
 
     def test_decode_batch_dispatches_batched_kernel(self, config):
-        """All-generation batches hit the batched decode kernel; logits
-        and cache writes must still match the per-layer reference."""
+        """All-generation batches with explicit context slots go through
+        the batched ragged kernel, one one-row query each; logits and
+        cache writes must still match the per-layer reference."""
         rng = np.random.default_rng(1)
         fast, reference = paired_models(config)
         prefills, decodes = [], []
@@ -246,12 +251,151 @@ def test_whole_batch_rope_and_single_kv_write_are_bit_exact(config):
     _, same_kernel = paired_models(config, num_slots=512)
     same_kernel.backend = _ReferencePathOverRaggedKernel()
     for batch in batches:
-        out_fast = fast.forward(batch)
-        for got, want in zip(out_fast, reference.forward(batch)):
+        out_fast = fast.forward_all_rows(batch)
+        for got, want in zip(out_fast, reference.forward_all_rows(batch)):
             np.testing.assert_allclose(got, want, **TOL)
-        for got, want in zip(out_fast, same_kernel.forward(batch)):
+        for got, want in zip(out_fast, same_kernel.forward_all_rows(batch)):
             np.testing.assert_array_equal(got, want)
     np.testing.assert_allclose(fast.storage.k, reference.storage.k, **TOL)
     np.testing.assert_allclose(fast.storage.v, reference.storage.v, **TOL)
     np.testing.assert_array_equal(fast.storage.k, same_kernel.storage.k)
     np.testing.assert_array_equal(fast.storage.v, same_kernel.storage.v)
+
+
+def _ids(rng, config, n):
+    return rng.integers(0, config.vocab_size, size=n)
+
+
+def _plain_prefill(rng, config):
+    batch, used = [], 0
+    for n in (7, 12, 3):
+        slots = list(range(used, used + n))
+        batch.append(ForwardRequest(input_ids=_ids(rng, config, n), context_slots=slots))
+        used += n
+    return [], batch
+
+
+def _recompute_split(rng, config):
+    """A Figure 8(d) split, and a request whose whole input is a dropped
+    prefix in front of a cached tail."""
+    dropped, cached, prompt = 3, 5, 4
+    tokens = _ids(rng, config, dropped + cached + prompt)
+    slots = [int(s) for s in rng.permutation(100)[: dropped + cached + prompt]]
+    only = _ids(rng, config, 9)
+    warm = [
+        ForwardRequest(input_ids=tokens[: dropped + cached], context_slots=slots[: dropped + cached]),
+        ForwardRequest(input_ids=only, context_slots=list(range(120, 129))),
+    ]
+    batch = [
+        ForwardRequest(
+            input_ids=np.concatenate([tokens[:dropped], tokens[dropped + cached :]]),
+            context_slots=list(range(110, 110 + dropped)) + slots[dropped:],
+            dropped=dropped,
+        ),
+        ForwardRequest(
+            input_ids=only[:4],
+            context_slots=list(range(130, 134)) + list(range(124, 129)),
+            dropped=4,
+        ),
+    ]
+    return [warm], batch
+
+
+def _shared_prefix(rng, config):
+    system = list(range(4))
+    warm = [ForwardRequest(input_ids=_ids(rng, config, 4), context_slots=system)]
+    batch = [
+        ForwardRequest(
+            input_ids=_ids(rng, config, n),
+            context_slots=system + list(range(lo, lo + n)),
+            shared_prefix=len(system),
+        )
+        for lo, n in ((10, 6), (20, 3))
+    ]
+    return [warm], batch
+
+
+def _mixed_one_and_multi_row(rng, config):
+    warm = [
+        ForwardRequest(input_ids=_ids(rng, config, 4), context_slots=[20, 21, 22, 23]),
+        ForwardRequest(input_ids=_ids(rng, config, 5), context_slots=list(range(30, 35))),
+    ]
+    batch = [
+        ForwardRequest(input_ids=_ids(rng, config, 6), context_slots=list(range(6))),
+        ForwardRequest(input_ids=_ids(rng, config, 1), context_slots=list(range(20, 25))),
+        ForwardRequest(input_ids=_ids(rng, config, 2), context_slots=list(range(40, 42))),
+        ForwardRequest(input_ids=_ids(rng, config, 1), context_slots=list(range(30, 36))),
+    ]
+    return [warm], batch
+
+
+def _empty(rng, config):
+    return [], []
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [_plain_prefill, _recompute_split, _shared_prefix, _mixed_one_and_multi_row, _empty],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_forward_is_the_last_row_of_every_row(config, scenario):
+    """``forward`` (last layer pruned to each request's last row) equals
+    the last row of ``forward_all_rows`` to 1e-12, and leaves the KV
+    storage bitwise equal to it.
+
+    Mutation record (each run on a copy of the tree): keeping each
+    request's first row instead of its last fails every non-empty
+    scenario here, and the serving differentials in ``tests/core``,
+    ``tests/backends`` and ``tests/faults``; skipping the last layer's
+    KV write for the pruned rows fails the storage comparison of every
+    non-empty scenario, and the same differentials.
+    """
+    rng = np.random.default_rng(7)
+    warm, batch = scenario(rng, config)
+    kept = PagedTransformer(config, KVStorage(config, num_slots=256), seed=0)
+    every = PagedTransformer(config, KVStorage(config, num_slots=256), seed=0)
+    for step in warm:
+        kept.forward(step)
+        every.forward(step)
+    got = kept.forward(batch)
+    want = every.forward_all_rows(batch)
+    assert len(got) == len(want) == len(batch)
+    for logits, rows in zip(got, want):
+        assert logits.shape == (config.vocab_size,)
+        np.testing.assert_allclose(logits, rows[-1], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(kept.storage.k, every.storage.k)
+    np.testing.assert_array_equal(kept.storage.v, every.storage.v)
+
+
+class _LmHeadSpy(np.ndarray):
+    """An LM head recording how many rows each ``x @ lm_head`` carries
+    (Python tries a subclass's reflected operator first)."""
+
+    def __rmatmul__(self, x):
+        self.rows.append(x.shape[0])
+        return x @ np.asarray(self)
+
+
+def test_last_layer_mlp_and_lm_head_see_one_row_per_request(config):
+    model = PagedTransformer(config, KVStorage(config, num_slots=64), seed=0)
+    seen = [[] for _ in model.layers]
+    for layer, rows in zip(model.layers, seen):
+        def spy(x, mlp=layer.mlp, rows=rows):
+            rows.append(x.shape[0])
+            return mlp(x)
+
+        layer.mlp = spy
+    head = model.lm_head.view(_LmHeadSpy)
+    head.rows = []
+    model.lm_head = head
+    rng = np.random.default_rng(8)
+    batch = [
+        ForwardRequest(input_ids=_ids(rng, config, 7), context_slots=list(range(7))),
+        ForwardRequest(input_ids=_ids(rng, config, 5), context_slots=list(range(10, 15))),
+        ForwardRequest(input_ids=_ids(rng, config, 1), context_slots=[20]),
+    ]
+    model.forward(batch)
+    assert seen[-1] == [len(batch)] and head.rows == [len(batch)]
+    assert all(rows == [13] for rows in seen[:-1])
+    model.forward_all_rows(batch)
+    assert seen[-1] == [len(batch), 13] and head.rows == [len(batch), 13]
