@@ -11,7 +11,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.gpu.pcie import Direction, PcieEngine
+from repro.gpu.link import Direction, Link
 from repro.serving.engine import EngineBase
 from repro.serving.metrics import RequestRecord
 
@@ -139,12 +139,12 @@ def batch_occupancy(engine: EngineBase) -> BatchOccupancy:
 
 
 def pcie_utilization(
-    pcie: PcieEngine, duration: float
+    pcie: Link, duration: float
 ) -> Dict[str, float]:
     """Host-link utilisation over a run.
 
     Args:
-        pcie: the engine's PCIe transfer engine.
+        pcie: the engine's PCIe link.
         duration: simulated run length in seconds.
 
     Returns:

@@ -25,19 +25,20 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import GpuSpec
-from repro.gpu.nvme import NvmeEngine
-from repro.gpu.pcie import Direction, PcieEngine
+from repro.gpu.link import Direction, Link, TransferRecord
 from repro.gpu.profiler import OfflineProfiler
 from repro.core.eviction import LruPolicy, RetentionValuePolicy
 from repro.faults import FaultPlan, FaultSite, RetryPolicy, attempt_with_retries
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
+    RESTORE_TIERS,
     CacheCapacityError,
     EvictionScorer,
+    RestoreTier,
     TierPlacement,
     TieredCacheManager,
 )
@@ -46,38 +47,6 @@ from repro.serving.batching import BatchConfig
 from repro.serving.engine import EngineBase
 from repro.serving.request import Request, RequestState
 from repro.sim.events import EventLoop
-
-
-class _RestoreTier(NamedTuple):
-    """How one stored tier's retrieval can fail, and what undoes it."""
-
-    site: FaultSite       #: the transfer; retried with backoff
-    read_site: FaultSite  #: the store's checksum re-verification
-    blamed: FaultSite     #: names the flight ``fault`` and ``<name>_fallback`` events
-    chunks: str           #: ``CachePlan`` field listing the tier's chunks
-    failures: str         #: ``FaultCounters`` field for terminal transfer failures
-    invalidate: str       #: manager verb that gives the tier's chunks up
-
-
-#: The restore fallback, coldest tier first: a disk failure drops the
-#: disk prefix only, and the CPU chunks behind it still swap in.
-RESTORE_TIERS = (
-    _RestoreTier(
-        FaultSite.NVME_STALL, FaultSite.DISK_READ, FaultSite.DISK_READ,
-        "disk_read_chunks", "disk_read_failures", "invalidate_disk_prefix",
-    ),
-    _RestoreTier(
-        FaultSite.SWAP_IN, FaultSite.CPU_READ, FaultSite.SWAP_IN,
-        "swap_in_chunks", "swap_in_failures", "invalidate_cpu_prefix",
-    ),
-)
-
-#: ``FaultCounters`` field counting operations at a site that faulted at
-#: all, retried-and-recovered ones included.
-_FAULTED_AT_ALL = {
-    FaultSite.GPU_ALLOC: "alloc_faults",
-    FaultSite.NVME_STALL: "nvme_stalls",
-}
 
 
 @dataclass(slots=True)
@@ -103,7 +72,7 @@ class PensieveEngine(EngineBase):
         disk_cache_tokens: disk (NVMe) tier capacity in tokens behind the
             CPU tier; 0 (the default) disables the tier, reproducing the
             two-tier behaviour exactly.  Demotions and disk reads are
-            priced by an :class:`~repro.gpu.nvme.NvmeEngine` built from
+            priced on an NVMe :class:`~repro.gpu.link.Link` built from
             the spec's ``nvme_*`` fields.
         placement: cross-tier placement policy (see
             :class:`~repro.core.eviction.TieredPlacementPolicy`); ``None``
@@ -174,22 +143,8 @@ class PensieveEngine(EngineBase):
         # whole cluster as ONE coalesced NVMe write.
         self.manager.observer = self._on_transition
         self._pending_demotions: List[int] = []
-        # Tensor parallelism shards the KV feature dimension, so each of
-        # the N workers moves 1/N of the bytes over its own PCIe link
-        # (§4.4.2): aggregate host-link bandwidth scales with num_gpus.
-        self.pcie = PcieEngine(
-            bandwidth=spec.pcie_bandwidth * config.num_gpus,
-            duplex_penalty=spec.pcie_duplex_penalty,
-            prioritize_retrieval=prioritize_retrieval,
-        )
-        # The NVMe drive is a host-side device: unlike the PCIe links its
-        # bandwidth does not scale with tensor-parallel width.
-        self.nvme = NvmeEngine(
-            read_bandwidth=spec.nvme_read_bandwidth,
-            write_bandwidth=spec.nvme_write_bandwidth,
-            mixed_penalty=spec.nvme_mixed_penalty,
-            min_latency=spec.nvme_min_latency,
-        )
+        self.pcie = Link.pcie(spec, config.num_gpus, prioritize_retrieval)
+        self.nvme = Link.nvme(spec)
         self._prefill_info: Dict[int, _PrefillInfo] = {}
         # Per-iteration stash set by _form_batch, consumed by _execute.
         self._iter_swap_in_seconds = 0.0
@@ -265,15 +220,7 @@ class PensieveEngine(EngineBase):
         tokens = sum(self._pending_demotions)
         chunks = len(self._pending_demotions)
         self._pending_demotions.clear()
-        record = self.nvme.write(
-            now,
-            tokens * self.model_config.kv_bytes_per_token,
-            num_chunks=chunks,
-        )
-        if self.metrics.hist.enabled:
-            self.metrics.hist.hist("swap_out_seconds", tier="disk").record(
-                record.end_time - now
-            )
+        record = self._price(self.nvme, Direction.WRITE, now, tokens, chunks)
         if self.tracer.enabled:
             self.tracer.complete(
                 "disk_demote", now, record.end_time, track="cache",
@@ -286,18 +233,14 @@ class PensieveEngine(EngineBase):
 
     def _retry(self, site: FaultSite, request: Optional[Request]) -> bool:
         """Draw ``site`` once, retrying with bounded backoff; False on
-        terminal failure.  Retries and their simulated delay are charged
-        to this iteration (the backoff lands on the sim clock via the
-        iteration duration)."""
+        terminal failure.  The simulated backoff is charged to this
+        iteration (it lands on the sim clock via the iteration
+        duration)."""
         ok, retries, delay = attempt_with_retries(
-            self.fault_plan, site, self.retry_policy, tracer=self.tracer
+            self.fault_plan, site, self.retry_policy, self.metrics.faults,
+            tracer=self.tracer,
         )
-        faults = self.metrics.faults
-        faults.retries += retries
         self._iter_fault_delay += delay
-        counter = _FAULTED_AT_ALL.get(site)
-        if counter is not None and (retries > 0 or not ok):
-            faults.bump(counter)
         flight = self.metrics.flight
         if flight.enabled and request is not None and retries > 0:
             flight.record(
@@ -362,16 +305,34 @@ class PensieveEngine(EngineBase):
             grown += self.manager.append_decode_step(conv_ids[grown:])
         return decoders
 
-    def _price_swap_out(self, now: float, tokens: int, num_chunks: int):
-        """Price ``tokens`` leaving the GPU as ONE coalesced D2H transfer
-        of ``num_chunks`` chunks; returns the PCIe record."""
-        record = self.pcie.swap_out(
-            now, tokens * self.model_config.kv_bytes_per_token, num_chunks=num_chunks
+    def _price(
+        self,
+        link: Link,
+        direction: Direction,
+        now: float,
+        tokens: int,
+        num_chunks: int,
+        enqueue: Optional[float] = None,
+    ) -> TransferRecord:
+        """Price ``tokens`` of KV crossing ``link`` as ONE coalesced
+        transfer of ``num_chunks`` chunks, enqueued at ``enqueue``
+        (default ``now``), and sample its latency from ``now``; returns
+        the link's record."""
+        record = link.transfer(
+            now if enqueue is None else enqueue,
+            tokens * self.model_config.kv_bytes_per_token,
+            direction,
+            num_chunks,
         )
-        if self.metrics.hist.enabled:
-            self.metrics.hist.hist("swap_out_seconds", tier="cpu").record(
-                record.end_time - now
-            )
+        hists = self.metrics.hist
+        if hists.enabled:
+            # Labelled with the tier the bytes come from or go to.
+            tier = "cpu" if link is self.pcie else "disk"
+            if direction is link.evict:
+                sample = hists.hist("swap_out_seconds", tier=tier)
+            else:
+                sample = hists.hist("swap_in_seconds", tier=tier)
+            sample.record(record.end_time - now)
         return record
 
     def _suspend(self, victim: Request, now: float) -> None:
@@ -379,7 +340,8 @@ class PensieveEngine(EngineBase):
         if copied:
             # Copied chunks are full-size except at most the tail, so the
             # ceiling division recovers the exact chunk count.
-            self._price_swap_out(now, copied, -(-copied // self.manager.chunk_size))
+            chunks = -(-copied // self.manager.chunk_size)
+            self._price(self.pcie, Direction.D2H, now, copied, chunks)
         victim.state = RequestState.WAITING
         victim.last_enqueue_time = now
         self.running.remove(victim)
@@ -474,17 +436,11 @@ class PensieveEngine(EngineBase):
             # One coalesced NVMe read brings the disk prefix into host
             # memory; its bytes then ride the same H2D transfer as the
             # CPU-resident chunks, enqueued when the read lands.
-            disk_bytes = (
-                plan.disk_read_tokens * self.model_config.kv_bytes_per_token
-            )
-            record = self.nvme.read(
-                now, disk_bytes, num_chunks=len(plan.disk_read_chunks)
+            record = self._price(
+                self.nvme, Direction.READ, now, plan.disk_read_tokens,
+                len(plan.disk_read_chunks),
             )
             h2d_enqueue = record.end_time
-            if self.metrics.hist.enabled:
-                self.metrics.hist.hist("swap_in_seconds", tier="disk").record(
-                    record.end_time - now
-                )
             if self.metrics.flight.enabled:
                 self.metrics.flight.record(
                     request.request_id, "swap_in", now, tier="disk",
@@ -498,20 +454,15 @@ class PensieveEngine(EngineBase):
                 )
         h2d_tokens = plan.swap_in_tokens + plan.disk_read_tokens
         if h2d_tokens > 0:
-            swap_bytes = h2d_tokens * self.model_config.kv_bytes_per_token
             # One coalesced H2D transfer for every chunk in the plan.
-            record = self.pcie.swap_in(
-                h2d_enqueue,
-                swap_bytes,
-                num_chunks=len(plan.swap_in_chunks) + len(plan.disk_read_chunks),
+            record = self._price(
+                self.pcie, Direction.H2D, now, h2d_tokens,
+                len(plan.swap_in_chunks) + len(plan.disk_read_chunks),
+                enqueue=h2d_enqueue,
             )
             self._iter_swap_in_seconds = max(
                 self._iter_swap_in_seconds, record.end_time - now
             )
-            if self.metrics.hist.enabled:
-                self.metrics.hist.hist("swap_in_seconds", tier="cpu").record(
-                    record.end_time - now
-                )
             if self.metrics.flight.enabled:
                 self.metrics.flight.record(
                     request.request_id, "swap_in", now, tier="cpu",
@@ -571,44 +522,29 @@ class PensieveEngine(EngineBase):
                     tokens=plan.recompute_tokens,
                 )
 
-    def _restore_with_faults(self, tier: "_RestoreTier", request, plan, now: float):
+    def _restore_with_faults(self, tier: RestoreTier, request, plan, now: float):
         """Model one stored tier's retrieval failure modes before it is
-        priced (``tier`` is a row of :data:`RESTORE_TIERS`).
-
-        A terminally-failed transfer, or a corrupt read caught by the
-        store checksum, falls back to the §4.3.4 recomputation path: the
-        tier's chunks are invalidated (``-> DROPPED``) and the restore
-        plan is recomputed — ``alloc_tokens`` is unchanged (the tier's
-        tokens become recompute tokens), so the admission checks already
-        performed remain valid.  Returns the effective plan.
-        """
+        priced (``tier`` is a row of :data:`RESTORE_TIERS`): a terminally
+        failed transfer, or a corrupt read caught by the store checksum,
+        falls back to recomputing the tier's chunks.  Returns the
+        effective plan."""
         if self.fault_plan is None:
             return plan
-        faults = self.metrics.faults
-        flight = self.metrics.flight
         ok = self._retry(tier.site, request)
         corrupt = ok and self.fault_plan.fires(tier.read_site)
         if ok and not corrupt:
             return plan
-        if not ok:
-            faults.bump(tier.failures)
-        if corrupt:
-            faults.corrupted_chunks += len(getattr(plan, tier.chunks))
-        faults.recompute_fallbacks += 1
-        invalidated = getattr(self.manager, tier.invalidate)(request.conv_id)
-        if flight.enabled:
-            flight.record(
+        plan, invalidated = self.manager.fall_back_to_recompute(
+            tier, request.conv_id, request.prompt_tokens, now,
+            corrupt=len(getattr(plan, tier.chunks)) if corrupt else 0,
+            request_id=request.request_id,
+        )
+        if self.metrics.flight.enabled:
+            self.metrics.flight.record(
                 request.request_id, "fault", now, site=tier.blamed.value,
                 corrupt=corrupt, tokens=invalidated,
             )
-        if self.tracer.enabled:
-            self.tracer.count("fault.recompute_fallbacks")
-            self.tracer.instant(
-                f"{tier.blamed.value}_fallback", t=now, track="cache",
-                request_id=request.request_id, conv_id=request.conv_id,
-                tokens=invalidated, corrupt=corrupt,
-            )
-        return self.manager.plan_restore(request.conv_id, request.prompt_tokens)
+        return plan
 
     def _idle_retry_delay(self, now: float) -> Optional[float]:
         """Retry blocked admissions when the next pending copy settles
@@ -632,7 +568,9 @@ class PensieveEngine(EngineBase):
         self._flush_demotions(now)
         copied_tokens = sum(c.num_tokens for c in copied)
         if copied_tokens:
-            record = self._price_swap_out(now, copied_tokens, len(copied))
+            record = self._price(
+                self.pcie, Direction.D2H, now, copied_tokens, len(copied)
+            )
             self._copy_log.append((record.end_time, copied_tokens))
             if self.tracer.enabled:
                 self.tracer.complete(

@@ -28,7 +28,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import RESTORE_TIERS
 from repro.core.eviction import LruPolicy
 from repro.faults import (
     FaultCounters,
@@ -40,6 +39,7 @@ from repro.faults import (
 )
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
+    RESTORE_TIERS,
     EvictionScorer,
     TierPlacement,
     TieredCacheManager,
@@ -439,10 +439,10 @@ class StatefulChatServer:
         if self.fault_plan is None:
             return True, 1
         ok, retries, delay = attempt_with_retries(
-            self.fault_plan, site, self.retry_policy, tracer=self.tracer
+            self.fault_plan, site, self.retry_policy, self.fault_counters,
+            tracer=self.tracer,
         )
         self._clock += delay
-        self.fault_counters.retries += retries
         return ok, 1 + retries
 
     def _abort_conversation(self, conv_id: int) -> None:
@@ -554,13 +554,11 @@ class StatefulChatServer:
         # behind it to swap in normally; a failed swap-in necessarily
         # takes any preceding disk chunks with it (Figure 5: the dropped
         # prefix only grows from the front).
-        counters = self.fault_counters
         for tier in RESTORE_TIERS:
             if getattr(plan, tier.chunks) and not self._attempt(tier.site)[0]:
-                counters.bump(tier.failures)
-                counters.recompute_fallbacks += 1
-                getattr(self.manager, tier.invalidate)(conv_id)
-                plan = self.manager.plan_restore(conv_id, len(prompt_ids))
+                plan, _ = self.manager.fall_back_to_recompute(
+                    tier, conv_id, len(prompt_ids), now
+                )
 
         # Make room (may evict other conversations — the observer moves
         # their tensors; reclaim happens lazily inside commit_restore).
@@ -596,8 +594,9 @@ class StatefulChatServer:
                     conv_id, [chunk.index for chunk in chunks]
                 )
                 popped += tier_popped
-                corrupt += tier_corrupt
-        counters.corrupted_chunks += len(corrupt)
+                if tier_corrupt:
+                    corrupt += tier_corrupt
+                    blamed = tier
         restored_data = [
             (by_index[index].start, by_index[index].end, data)
             for index, data in popped
@@ -608,14 +607,16 @@ class StatefulChatServer:
             # layout only lets the DROPPED prefix grow, so already-popped
             # predecessors are discarded too — and recompute those tokens.
             # Disk chunks precede CPU chunks and each pop preserves
-            # request order, so ``corrupt`` ascends.
+            # request order, so ``corrupt`` ascends and its last chunk
+            # sits in ``blamed``, the last tier that reported any.
             corrupt_upto = by_index[corrupt[-1]]
-            counters.recompute_fallbacks += 1
-            self.manager.invalidate_cpu_prefix(conv_id, upto=corrupt_upto)
+            plan, _ = self.manager.fall_back_to_recompute(
+                blamed, conv_id, len(prompt_ids), now,
+                corrupt=len(corrupt), upto=corrupt_upto,
+            )
             restored_data = [
                 item for item in restored_data if item[0] >= corrupt_upto.end
             ]
-            plan = self.manager.plan_restore(conv_id, len(prompt_ids))
         if self.tracer.enabled:
             self.tracer.instant(
                 "restore", t=now, track="server", conv_id=conv_id,

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import RatePoint, format_curve_table, run_rate_sweep
 from repro.gpu.device import A100_80GB, GpuSpec
-from repro.gpu.nvme import NvmeDirection
+from repro.gpu.link import Direction
 from repro.model.config import LLAMA2_13B, ModelConfig
 from repro.serving.engine import EngineBase
 from repro.workload.dataset import SHAREGPT, DatasetSpec
@@ -47,8 +47,8 @@ def disk_extras(engine: EngineBase) -> Dict[str, float]:
     }
     nvme = getattr(engine, "nvme", None)
     if nvme is not None:
-        extras["nvme_read_gb"] = nvme.bytes_moved[NvmeDirection.READ] / 1e9
-        extras["nvme_write_gb"] = nvme.bytes_moved[NvmeDirection.WRITE] / 1e9
+        extras["nvme_read_gb"] = nvme.bytes_moved[Direction.READ] / 1e9
+        extras["nvme_write_gb"] = nvme.bytes_moved[Direction.WRITE] / 1e9
     return extras
 
 

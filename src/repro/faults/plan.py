@@ -22,7 +22,7 @@ chaos tests guarantee that bounded-retry recovery eventually succeeds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
@@ -137,8 +137,7 @@ class FaultCounters:
     - ``degraded_requests``: requests that failed individually after
       exhausting their retry budget (the batch continued without them);
     - ``worker_stalls``: injected multi-GPU worker stalls absorbed;
-    - ``nvme_stalls``: injected NVMe transfer stalls absorbed (retried
-      in the functional server, modeled as added latency in the engine);
+    - ``nvme_stalls``: NVMe transfers that stalled at least once;
     - ``disk_read_failures``: disk-tier reads that failed terminally
       (after retries) and degraded the disk prefix to recompute.
     """
@@ -153,7 +152,6 @@ class FaultCounters:
     worker_stalls: int = 0
     nvme_stalls: int = 0
     disk_read_failures: int = 0
-    _extra: Dict[str, int] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> Dict[str, int]:
         return {

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from repro.faults.plan import FaultPlan, FaultSite
+from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.obs.tracer import NULL_TRACER, NullTracer
 
 
@@ -54,17 +54,24 @@ def attempt_with_retries(
     plan: FaultPlan,
     site: FaultSite,
     policy: RetryPolicy,
+    counters: FaultCounters,
     tracer: NullTracer = NULL_TRACER,
 ) -> Tuple[bool, int, float]:
     """Draw ``site`` once, retrying per ``policy`` while it keeps failing.
 
     Returns ``(success, retries_used, backoff_seconds)``: the caller charges
-    ``backoff_seconds`` to its clock and counts the retries; on ``False``
-    the operation failed terminally and must enter its degradation path.
-    ``tracer`` receives per-site retry and outcome counters.
+    ``backoff_seconds`` to its clock; on ``False`` the operation failed
+    terminally and must enter its degradation path.  ``counters`` gets
+    the ladder's accounting — every retry, and an allocation or NVMe
+    transfer that faulted at all — and ``tracer`` per-site retry and
+    outcome counters.
     """
     if not plan.fires(site):
         return True, 0, 0.0
+    if site is FaultSite.GPU_ALLOC:
+        counters.alloc_faults += 1
+    elif site is FaultSite.NVME_STALL:
+        counters.nvme_stalls += 1
     retries = 0
     delay = 0.0
     ok = False
@@ -74,6 +81,7 @@ def attempt_with_retries(
         if not plan.fires(site):
             ok = True
             break
+    counters.retries += retries
     if tracer.enabled:
         tracer.count(f"fault.{site.value}.retries", retries)
         tracer.count(

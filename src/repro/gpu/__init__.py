@@ -8,20 +8,17 @@ This subpackage substitutes for the A100 hardware of the paper's testbed:
   batch shapes into kernel execution times, including the Figure 12 kernel
   variants (ideal contiguous, Pensieve multi-token paged, CopyOut straw-man,
   multi-round PagedAttention straw-man);
-- :mod:`repro.gpu.pcie` — a host link transfer engine with the full-duplex
-  contention the paper measured (§5) and the retrieval-over-eviction
-  prioritization optimisation;
-- :mod:`repro.gpu.nvme` — the disk-tier transfer engine: asymmetric
-  read/write bandwidth, mixed-queue contention, reads-over-writes
-  prioritization, and per-I/O command latency;
+- :mod:`repro.gpu.link` — one full-duplex transfer link that times both
+  the PCIe link and the NVMe drive: per-direction bandwidth, the duplex
+  contention the paper measured (§5), restore-before-evict
+  prioritization, and a fixed latency per coalesced transfer;
 - :mod:`repro.gpu.profiler` — the offline power-of-two profiling +
   interpolation used by the retention-value eviction policy (§4.3.1).
 """
 
 from repro.gpu.device import A100_80GB, GpuSpec
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
-from repro.gpu.nvme import NvmeDirection, NvmeEngine, NvmeTransferRecord
-from repro.gpu.pcie import Direction, PcieEngine, TransferRecord
+from repro.gpu.link import Direction, Link, TransferRecord
 from repro.gpu.profiler import AttentionCostProfile, OfflineProfiler
 
 __all__ = [
@@ -30,12 +27,9 @@ __all__ = [
     "CostModel",
     "BatchShape",
     "KernelVariant",
-    "PcieEngine",
+    "Link",
     "Direction",
     "TransferRecord",
-    "NvmeEngine",
-    "NvmeDirection",
-    "NvmeTransferRecord",
     "OfflineProfiler",
     "AttentionCostProfile",
 ]

@@ -30,7 +30,7 @@ from repro.kvcache.chunks import (
     TailNotOnGpuError,
 )
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
-from repro.kvcache.manager import CachePlan, TieredCacheManager, TwoTierCacheManager
+from repro.kvcache.manager import CachePlan, TieredCacheManager
 
 __all__ = [
     "PagePool",
@@ -44,6 +44,5 @@ __all__ = [
     "CpuChunkStore",
     "DiskChunkStore",
     "TieredCacheManager",
-    "TwoTierCacheManager",
     "CachePlan",
 ]

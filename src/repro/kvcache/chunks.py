@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class ChunkLocation(enum.Enum):
@@ -264,13 +264,6 @@ class ConversationCache:
             if chunk.location in locations:
                 return chunk
         return None
-
-    def gpu_segment_bounds(self) -> Tuple[int, int]:
-        """Token range ``[start, end)`` of GPU-resident chunks
-        (``GPU`` or ``GPU_CPU``); ``(total, total)`` when none."""
-        total = self.total_tokens
-        first = self.frontier(ChunkLocation.GPU, ChunkLocation.GPU_CPU)
-        return (total if first is None else first.start, total)
 
     def __repr__(self) -> str:
         seg = self.segments()

@@ -21,7 +21,7 @@ the mechanics of Pensieve's cache design:
   must be recomputed — the Figure 5 decomposition, disk-extended.
 
 The manager is deliberately time-free: it never talks to the PCIe or NVMe
-engines or the clock.  Engines ask it *what* to move and separately model
+links or the clock.  Engines ask it *what* to move and separately model
 *how long* the movement takes, which lets the identical bookkeeping drive
 both the functional layer (real numpy tensors) and the performance
 simulation.
@@ -49,7 +49,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
@@ -132,6 +134,31 @@ class CachePlan:
 _GPU_STATES = (ChunkLocation.GPU, ChunkLocation.GPU_CPU)
 #: Locations that occupy CPU slots.
 _CPU_STATES = (ChunkLocation.CPU, ChunkLocation.GPU_CPU)
+
+
+class RestoreTier(NamedTuple):
+    """How one stored tier's retrieval can fail, and what undoes it."""
+
+    site: FaultSite       #: the transfer; retried with backoff
+    read_site: FaultSite  #: the store's checksum re-verification
+    blamed: FaultSite     #: names the ``fault`` and ``<name>_fallback`` events
+    chunks: str           #: ``CachePlan`` field listing the tier's chunks
+    failures: str         #: ``FaultCounters`` field for terminal transfer failures
+    invalidate: str       #: manager verb that gives the tier's chunks up
+
+
+#: The restore fallback, coldest tier first: a disk failure drops the
+#: disk prefix only, and the CPU chunks behind it still swap in.
+RESTORE_TIERS = (
+    RestoreTier(
+        FaultSite.NVME_STALL, FaultSite.DISK_READ, FaultSite.DISK_READ,
+        "disk_read_chunks", "disk_read_failures", "invalidate_disk_prefix",
+    ),
+    RestoreTier(
+        FaultSite.SWAP_IN, FaultSite.CPU_READ, FaultSite.SWAP_IN,
+        "swap_in_chunks", "swap_in_failures", "invalidate_cpu_prefix",
+    ),
+)
 
 
 class TieredCacheManager:
@@ -615,18 +642,61 @@ class TieredCacheManager:
             upto = cache.rear(ChunkLocation.DISK, ChunkLocation.CPU)
         return self._drop_leading_prefix(cache, upto)
 
-    def invalidate_disk_prefix(self, conv_id: int) -> int:
-        """Recovery path for a failed or corrupt *disk* read: drop all of
-        the conversation's ``DISK`` chunks.  They sit immediately after
-        the ``DROPPED`` prefix, so the CPU chunks behind them survive —
-        the narrower sibling of :meth:`invalidate_cpu_prefix` used when
-        the CPU-resident portion of the context is still healthy.
-        Returns tokens invalidated.
+    def invalidate_disk_prefix(
+        self, conv_id: int, upto: Optional[Chunk] = None
+    ) -> int:
+        """Recovery path for a failed or corrupt *disk* read: drop the
+        conversation's ``DISK`` chunks from the front through ``upto``
+        (all of them when ``None``).  They sit immediately after the
+        ``DROPPED`` prefix, so the CPU chunks behind them survive — the
+        narrower sibling of :meth:`invalidate_cpu_prefix` used when the
+        CPU-resident portion of the context is still healthy.  Returns
+        tokens invalidated.
         """
         cache = self._conversations.get(conv_id)
         if cache is None:
             return 0
-        return self._drop_leading_prefix(cache, cache.rear(ChunkLocation.DISK))
+        if upto is None:
+            upto = cache.rear(ChunkLocation.DISK)
+        return self._drop_leading_prefix(cache, upto)
+
+    def fall_back_to_recompute(
+        self,
+        tier: RestoreTier,
+        conv_id: int,
+        new_tokens: int,
+        now: float,
+        corrupt: int = 0,
+        upto: Optional[Chunk] = None,
+        **attrs: object,
+    ) -> Tuple[CachePlan, int]:
+        """The recompute rung of the restore fault ladder (§4.3.4).
+
+        ``tier`` (a row of :data:`RESTORE_TIERS`) failed its restore: its
+        transfer failed terminally, or, with ``corrupt``, that many of its
+        chunks failed their checksum.  Counts the failure, gives the
+        tier's chunks up through ``upto`` (all of them when ``None``) with
+        the tier's ``invalidate`` verb, traces the fallback (``attrs``
+        ride along on the event) and re-plans: ``alloc_tokens`` is
+        unchanged (the tier's tokens become recompute tokens), so a
+        capacity check made on the old plan stays valid.
+
+        Returns ``(plan, tokens invalidated)``.
+        """
+        counters = self.fault_counters
+        if corrupt:
+            counters.corrupted_chunks += corrupt
+        else:
+            counters.bump(tier.failures)
+        counters.recompute_fallbacks += 1
+        invalidated = getattr(self, tier.invalidate)(conv_id, upto)
+        if self.tracer.enabled:
+            self.tracer.count("fault.recompute_fallbacks")
+            self.tracer.instant(
+                f"{tier.blamed.value}_fallback", t=now, track="cache", **attrs,
+                conv_id=conv_id, tokens=invalidated, corrupt=bool(corrupt),
+            )
+        return self.plan_restore(conv_id, new_tokens), invalidated
 
     # ------------------------------------------------------------------
     # Eviction machinery
@@ -829,45 +899,15 @@ class TieredCacheManager:
                 self._trace_victim("reclaim", now, cache, chunk, score)
         return freed
 
-    def drop_from_cpu(
-        self, tokens_needed: int, now: float, allow_revert: bool = True
-    ) -> int:
-        """Free CPU-tier space under memory pressure.
-
-        Each victim (ascending retention score) is *demoted* to the disk
+    def drop_from_cpu(self, tokens_needed: int, now: float) -> int:
+        """Free CPU-tier space under memory pressure (see :meth:`_free_cpu`):
+        each victim, in ascending retention score, is *demoted* to the disk
         tier when one is configured and the cross-tier placement policy
         approves (``CPU -> DISK``), and dropped outright otherwise
-        (``CPU -> DROPPED``).  Either way its CPU tokens free up, so
-        progress accounting is identical to the two-tier behaviour.
-
-        Returns tokens freed.  With ``allow_revert``, chunks still lazily
-        resident on the GPU (``GPU_CPU``) may lose their CPU copy as a last
-        resort — reverting them to plain ``GPU`` frees CPU space without
-        losing data.  :meth:`swap_out` frees CPU room without this, to
-        guarantee forward progress (a revert would un-do the
-        reclaimability it is building).
-        """
-        freed = self._free_cpu(
+        (``CPU -> DROPPED``).  Returns tokens freed."""
+        return self._free_cpu(
             tokens_needed, now, self._victims(ChunkLocation.CPU, now)
         )
-        # Nothing below creates a ``CPU`` chunk, so once the victims run
-        # out they stay out.  Fall back to invalidating the CPU copies of
-        # lazily-reclaimable chunks (cheap: the data is still on the GPU).
-        # Pick the highest-score conversation (whose copies would be
-        # reclaimed last anyway) and revert its *trailing* GPU_CPU chunk —
-        # the reverted chunk then extends the GPU suffix, keeping the
-        # Figure 5 layout legal.
-        while allow_revert and freed < tokens_needed:
-            scored = self._scored_frontiers(ChunkLocation.GPU_CPU, now)
-            if not scored:
-                break
-            cache = max(scored)[-1]
-            chunk = cache.rear(ChunkLocation.GPU_CPU)
-            assert chunk is not None
-            self._move(cache, chunk, ChunkLocation.GPU)
-            freed += chunk.num_tokens
-            cache.check_neighbours(chunk)
-        return freed
 
     def _free_cpu(
         self,
@@ -1035,9 +1075,3 @@ class TieredCacheManager:
             self._bump("swapped_out_tokens", chunk.num_tokens)
         cache.check_layout()
         return copied, dropped
-
-
-#: Backward-compatible name from before the disk tier existed; with
-#: ``disk_capacity_tokens=0`` (the default) the manager behaves exactly
-#: as the two-tier original.
-TwoTierCacheManager = TieredCacheManager

@@ -116,14 +116,6 @@ class KVStorage:
         idx = np.asarray(slots, dtype=np.int64)
         return self.k[:, idx], self.v[:, idx]
 
-    def write_all_layers(
-        self, slots: Sequence[int], k: np.ndarray, v: np.ndarray
-    ) -> None:
-        """Scatter K/V rows for ``slots`` across all layers at once."""
-        idx = np.asarray(slots, dtype=np.int64)
-        self.k[:, idx] = k
-        self.v[:, idx] = v
-
     def read_slots_stacked(
         self, slot_groups: Sequence[Sequence[int]]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -473,7 +465,7 @@ class DiskChunkStore(_ChunkStoreBase):
     """Modeled-NVMe store of demoted KV chunks (Tier 3).
 
     Functionally identical to :class:`CpuChunkStore` — the timing
-    difference lives in :class:`repro.gpu.nvme.NvmeEngine`, which the
+    difference lives in the NVMe :class:`repro.gpu.link.Link`, which the
     discrete-event engine consults, and the *placement* difference lives
     in the tiered manager's cross-tier retention policy.  The
     ``DISK_READ`` fault site lives inside its verification path; counters

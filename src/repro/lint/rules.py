@@ -150,7 +150,7 @@ class FaultSiteCoverage(Rule):
     - ``attempt_with_retries(...)`` receives a ``FaultSite.<member>``
       (never a bare string);
     - raw ``plan.fires(...)`` draws appear only in the modules that own
-      the recovery ladder (``repro/faults``, the engines/server, the
+      the recovery ladder (``repro/faults``, the simulated engine, the
       cache manager, and the checksum-verifying stores) — transfer
       primitives in ``repro/gpu`` must stay fault-agnostic so every
       modeled I/O failure is reachable through retry → recompute → fail.
@@ -164,7 +164,6 @@ class FaultSiteCoverage(Rule):
     FIRES_ALLOWED = (
         "repro/faults/",
         "repro/core/engine.py",
-        "repro/core/server.py",
         "repro/kvcache/manager.py",
         "repro/kvcache/storage.py",
     )

@@ -79,7 +79,7 @@ class EngineBase:
         """Attach an observability tracer (before the simulation runs).
 
         Subclasses propagate it to the components they own (cache
-        manager, PCIe engine); the base attaches the event loop.
+        manager, PCIe link); the base attaches the event loop.
         """
         self.tracer = tracer
         self.loop.tracer = tracer

@@ -10,7 +10,7 @@ from repro.analysis import (
 )
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.gpu import PcieEngine
+from repro.gpu import Direction, Link
 from repro.obs import Tracer
 from repro.serving import make_vllm
 
@@ -93,9 +93,9 @@ class TestBatchOccupancy:
 
 class TestPcieUtilization:
     def test_busy_fractions(self):
-        pcie = PcieEngine(bandwidth=1e9, min_latency=0.0)
-        pcie.swap_in(0.0, 1e9)   # 1 s busy
-        pcie.swap_out(5.0, 2e9)  # 2 s busy
+        pcie = Link("pcie", 1e9, 1e9, 0.81, min_latency=0.0)
+        pcie.transfer(0.0, 1e9, Direction.H2D)   # 1 s busy
+        pcie.transfer(5.0, 2e9, Direction.D2H)  # 2 s busy
         stats = pcie_utilization(pcie, duration=10.0)
         assert stats["h2d_busy_fraction"] == pytest.approx(0.1)
         assert stats["d2h_busy_fraction"] == pytest.approx(0.2)
@@ -104,7 +104,7 @@ class TestPcieUtilization:
 
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
-            pcie_utilization(PcieEngine(bandwidth=1e9), duration=0.0)
+            pcie_utilization(Link("pcie", 1e9, 1e9, 0.81), duration=0.0)
 
 
 class TestTurnBreakdown:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import PensieveEngine
-from repro.gpu import A100_80GB, CostModel
+from repro.gpu import A100_80GB, CostModel, Direction
 from repro.gpu.costmodel import BatchShape
 from repro.model import OPT_13B, OPT_66B
 from repro.serving import make_vllm
@@ -34,8 +34,9 @@ class TestCapacityScaling:
         """KV is sharded along the feature dimension, so each worker moves
         its slice over its own host link (§4.4.2)."""
         quad = PensieveEngine(EventLoop(), OPT_66B, A100_80GB)
+        bandwidth = 4 * A100_80GB.pcie_bandwidth
         assert quad.pcie.bandwidth == pytest.approx(
-            4 * A100_80GB.pcie_bandwidth
+            {Direction.H2D: bandwidth, Direction.D2H: bandwidth}
         )
 
 

@@ -89,6 +89,19 @@ class TestDifferentialUnderDiskFaults:
         assert drive(server, config, turns=6, convs=3) == ref
         assert server.fault_counters.degraded_requests == 0
 
+    def test_absorbed_nvme_stall_counts_once(self):
+        """One stalled disk read, retried once and recovered: one retry
+        and one ``nvme_stalls``, as the simulated engine counts it."""
+        config = tiny_llama_config()
+        ref = reference_outputs(config)
+        plan = FaultPlan(seed=0, schedules={FaultSite.NVME_STALL: (0,)})
+        server = tight_server(config, fault_plan=plan)
+        assert drive(server, config) == ref
+        counters = server.fault_counters
+        assert (counters.retries, counters.nvme_stalls) == (1, 1)
+        assert counters.disk_read_failures == counters.degraded_requests == 0
+        assert_disk_was_exercised(server)
+
     def test_terminal_nvme_stall_falls_back_to_recompute(self):
         """Exhausting the NVMe retry budget invalidates the disk prefix
         and recomputes it — degraded latency, identical tokens."""

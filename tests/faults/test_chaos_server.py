@@ -15,9 +15,14 @@ import os
 
 import pytest
 
+from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
+from repro.experiments.common import run_serving_once
 from repro.faults import FaultPlan, FaultSite, RequestFaultedError
 from repro.model.config import tiny_llama_config, tiny_opt_config
+from repro.obs import Tracer
+
+from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
 
 # CI arms one extra seed per matrix entry via this env var.
 _EXTRA = os.environ.get("CHAOS_EXTRA_SEED")
@@ -134,6 +139,74 @@ class TestDifferentialUnderFaults:
         assert server.fault_counters.swap_in_failures == 1
         assert server.fault_counters.recompute_fallbacks >= 1
         assert server.fault_counters.degraded_requests == 0
+
+
+class TestFaultAccounting:
+    def test_absorbed_alloc_fault_counts_once(self):
+        """One allocation fault, retried once and recovered: one retry
+        and one ``alloc_faults``, as the simulated engine counts it."""
+        config = tiny_llama_config()
+        reference = StatefulChatServer(
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+        )
+        plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0,)})
+        server = StatefulChatServer(
+            config,
+            gpu_capacity_tokens=256,
+            cpu_capacity_tokens=1024,
+            seed=0,
+            fault_plan=plan,
+        )
+        want = reference.chat(0, prompt_ids=[1, 2, 3, 4], max_new_tokens=4)
+        assert server.chat(0, prompt_ids=[1, 2, 3, 4], max_new_tokens=4) == want
+        counters = server.fault_counters
+        assert (counters.retries, counters.alloc_faults) == (1, 1)
+        assert counters.degraded_requests == 0
+
+    def test_terminal_swap_in_fallback_is_traced_like_the_engine(self):
+        """Both executors give a terminally failed swap-in up through the
+        cache manager's one fallback rung, so both count and trace it the
+        same way: one ``fault.recompute_fallbacks`` and one
+        ``swap_in_fallback`` event (the engine adds its request id)."""
+        schedule = {FaultSite.SWAP_IN: (0, 1, 2, 3)}
+        config = tiny_llama_config()
+        server_tracer = Tracer()
+        server = StatefulChatServer(
+            config,
+            gpu_capacity_tokens=128,
+            cpu_capacity_tokens=1024,
+            seed=0,
+            fault_plan=FaultPlan(seed=0, schedules=schedule),
+            tracer=server_tracer,
+        )
+        drive(server, config, turns=4, convs=3, prompt_len=20, new_tokens=6)
+
+        def engine_factory(loop):
+            return PensieveEngine(
+                loop, TINY, spec_with_capacity(192), chunk_size=16, policy="lru",
+                fault_plan=FaultPlan(seed=0, schedules=schedule),
+            )
+
+        conversations = [
+            scripted_conversation(i, [(24, 12), (16, 12)], start=0.05 * i, think=0.3)
+            for i in range(8)
+        ]
+        engine_tracer = Tracer()
+        engine, _ = run_serving_once(
+            engine_factory, conversations, until=60.0, warmup=0.0,
+            tracer=engine_tracer,
+        )
+        for tracer, counters, own in (
+            (server_tracer, server.fault_counters, set()),
+            (engine_tracer, engine.metrics.faults, {"request_id"}),
+        ):
+            assert counters.swap_in_failures == counters.recompute_fallbacks == 1
+            assert tracer.counter("fault.recompute_fallbacks") == 1
+            (event,) = [i for i in tracer.instants if i[0] == "swap_in_fallback"]
+            attrs = event[-1]
+            assert set(attrs) - own == {"track", "conv_id", "tokens", "corrupt"}
+            assert attrs["track"] == "cache"
+            assert attrs["corrupt"] is False and attrs["tokens"] > 0
 
 
 class TestIndividualRequestFailure:

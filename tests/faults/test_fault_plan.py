@@ -136,27 +136,55 @@ class TestRetryPolicy:
 
     def test_attempt_success_first_try(self):
         plan = FaultPlan(seed=0)  # never fires
+        counters = FaultCounters()
         ok, retries, delay = attempt_with_retries(
-            plan, FaultSite.GPU_ALLOC, RetryPolicy()
+            plan, FaultSite.GPU_ALLOC, RetryPolicy(), counters
         )
         assert (ok, retries, delay) == (True, 0, 0.0)
+        assert counters.total == 0
 
     def test_attempt_recovers_after_transient(self):
         # Occurrences 0 and 1 fail, 2 succeeds.
         plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0, 1)})
         policy = RetryPolicy(max_retries=3, base_backoff=0.01, multiplier=2.0)
-        ok, retries, delay = attempt_with_retries(plan, FaultSite.GPU_ALLOC, policy)
+        counters = FaultCounters()
+        ok, retries, delay = attempt_with_retries(
+            plan, FaultSite.GPU_ALLOC, policy, counters
+        )
         assert ok
         assert retries == 2
         assert delay == pytest.approx(0.01 + 0.02)
+        assert (counters.retries, counters.alloc_faults) == (2, 1)
 
     def test_attempt_exhausts_retries(self):
         plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0, 1, 2, 3)})
         policy = RetryPolicy(max_retries=3, base_backoff=0.01, multiplier=2.0)
-        ok, retries, delay = attempt_with_retries(plan, FaultSite.GPU_ALLOC, policy)
+        counters = FaultCounters()
+        ok, retries, delay = attempt_with_retries(
+            plan, FaultSite.GPU_ALLOC, policy, counters
+        )
         assert not ok
         assert retries == 3
         assert delay == pytest.approx(policy.total_backoff)
+        assert (counters.retries, counters.alloc_faults) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "site, counter",
+        [(FaultSite.GPU_ALLOC, "alloc_faults"), (FaultSite.NVME_STALL, "nvme_stalls"),
+         (FaultSite.SWAP_IN, None)],
+    )
+    def test_attempt_counts_sites_that_faulted_at_all(self, site, counter):
+        """One fault, retried or not, is one count at its own site's
+        counter; a transfer site has none (its terminal failures count
+        where the caller degrades)."""
+        for max_retries in (0, 3):
+            counters = FaultCounters()
+            plan = FaultPlan(seed=0, schedules={site: (0,)})
+            attempt_with_retries(plan, site, RetryPolicy(max_retries), counters)
+            expected = {} if counter is None else {counter: 1}
+            if max_retries:
+                expected["retries"] = 1  # the first retry succeeds
+            assert {k: v for k, v in counters.as_dict().items() if v} == expected
 
 
 class TestFaultCounters:

@@ -1,49 +1,48 @@
-"""NVMe transfer-engine tests: asymmetric bandwidth, queueing, mixed-queue
+"""NVMe link tests: asymmetric bandwidth, queueing, mixed-queue
 contention, reads-over-writes prioritization, and coalescing accounting."""
 
 import pytest
 
-from repro.gpu.nvme import NvmeDirection, NvmeEngine
+from repro.gpu import A100_80GB, Direction, Link
 from repro.obs import Tracer
 
+READ, WRITE = Direction.READ, Direction.WRITE
 READ_BW = 3.2e9
 WRITE_BW = 1.8e9
 LAT = 80e-6
 
 
-def make_engine(**kwargs):
-    defaults = dict(
-        read_bandwidth=READ_BW, write_bandwidth=WRITE_BW, min_latency=LAT
-    )
-    defaults.update(kwargs)
-    return NvmeEngine(**defaults)
+def make_engine(
+    read_bandwidth=READ_BW, write_bandwidth=WRITE_BW, penalty=0.70, restore_first=True
+):
+    return Link("nvme", read_bandwidth, write_bandwidth, penalty, restore_first, LAT)
 
 
 class TestBasics:
     def test_idle_transfer_duration(self):
         engine = make_engine()
-        record = engine.read(0.0, 32e6)
+        record = engine.transfer(0.0, 32e6, READ)
         assert record.start_time == 0.0
         assert record.duration == pytest.approx(LAT + 32e6 / READ_BW)
         assert record.queue_delay == 0.0
 
     def test_asymmetric_bandwidth(self):
         engine = make_engine()
-        read = engine.read(0.0, 64e6)
-        write = engine.write(read.end_time, 64e6)
+        read = engine.transfer(0.0, 64e6, READ)
+        write = engine.transfer(read.end_time, 64e6, WRITE)
         assert write.duration > read.duration
         assert write.duration == pytest.approx(LAT + 64e6 / WRITE_BW)
 
     def test_zero_bytes_costs_nothing(self):
         engine = make_engine()
-        record = engine.write(1.0, 0)
+        record = engine.transfer(1.0, 0, WRITE)
         assert record.duration == 0.0
-        assert engine.bytes_moved[NvmeDirection.WRITE] == 0.0
+        assert engine.bytes_moved[WRITE] == 0.0
 
     def test_fifo_queueing_per_direction(self):
         engine = make_engine()
-        first = engine.read(0.0, 32e6)
-        second = engine.read(0.0, 32e6)
+        first = engine.transfer(0.0, 32e6, READ)
+        second = engine.transfer(0.0, 32e6, READ)
         assert second.start_time == pytest.approx(first.end_time)
         assert second.queue_delay > 0
 
@@ -53,43 +52,52 @@ class TestBasics:
         with pytest.raises(ValueError):
             make_engine(write_bandwidth=-1)
         with pytest.raises(ValueError):
-            make_engine(mixed_penalty=0.0)
+            make_engine(penalty=0.0)
         with pytest.raises(ValueError):
-            make_engine(mixed_penalty=1.5)
+            make_engine(penalty=1.5)
         engine = make_engine()
         with pytest.raises(ValueError):
-            engine.read(0.0, -1)
+            engine.transfer(0.0, -1, READ)
         with pytest.raises(ValueError):
-            engine.read(0.0, 1024, num_chunks=0)
+            engine.transfer(0.0, 1024, READ, 0)
+
+    def test_built_from_the_spec(self):
+        engine = Link.nvme(A100_80GB)
+        assert engine.bandwidth == {
+            READ: A100_80GB.nvme_read_bandwidth, WRITE: A100_80GB.nvme_write_bandwidth
+        }
+        assert engine.penalty == A100_80GB.nvme_mixed_penalty
+        assert engine.min_latency == A100_80GB.nvme_min_latency
+        assert engine.restore_first
 
 
 class TestContention:
     def test_mixed_queue_penalty_slows_read(self):
-        engine = make_engine(mixed_penalty=0.5, prioritize_reads=False)
-        engine.write(0.0, 64e6)
-        read = engine.read(0.0, 32e6)
+        engine = make_engine(penalty=0.5, restore_first=False)
+        engine.transfer(0.0, 64e6, WRITE)
+        read = engine.transfer(0.0, 32e6, READ)
         assert read.duration == pytest.approx(LAT + 32e6 / (READ_BW * 0.5))
 
     def test_writes_defer_to_inflight_reads(self):
         engine = make_engine()
-        read = engine.read(0.0, 64e6)
-        write = engine.write(0.0, 8e6)
+        read = engine.transfer(0.0, 64e6, READ)
+        write = engine.transfer(0.0, 8e6, WRITE)
         # Demotion waits for the promotion to drain entirely...
         assert write.start_time == pytest.approx(read.end_time)
         # ...and then runs at full bandwidth (no longer mixed).
         assert write.duration == pytest.approx(LAT + 8e6 / WRITE_BW)
 
     def test_no_prioritization_means_mixed_write(self):
-        engine = make_engine(prioritize_reads=False, mixed_penalty=0.7)
-        engine.read(0.0, 64e6)
-        write = engine.write(0.0, 8e6)
+        engine = make_engine(restore_first=False, penalty=0.7)
+        engine.transfer(0.0, 64e6, READ)
+        write = engine.transfer(0.0, 8e6, WRITE)
         assert write.start_time == 0.0
         assert write.duration == pytest.approx(LAT + 8e6 / (WRITE_BW * 0.7))
 
     def test_idle_at(self):
         engine = make_engine()
         assert engine.idle_at(0.0)
-        record = engine.read(0.0, 32e6)
+        record = engine.transfer(0.0, 32e6, READ)
         assert not engine.idle_at(record.end_time - 1e-9)
         assert engine.idle_at(record.end_time)
 
@@ -99,21 +107,21 @@ class TestCoalescing:
         """A 4-chunk coalesced submission pays min_latency once; four
         singleton submissions pay it four times."""
         chunk_bytes = 8e6
-        stacked = make_engine().write(0.0, 4 * chunk_bytes, num_chunks=4)
+        stacked = make_engine().transfer(0.0, 4 * chunk_bytes, WRITE, 4)
         singles = make_engine()
         t = 0.0
         for _ in range(4):
-            t = singles.write(t, chunk_bytes).end_time
+            t = singles.transfer(t, chunk_bytes, WRITE).end_time
         assert t - stacked.end_time == pytest.approx(3 * LAT)
 
     def test_history_and_byte_accounting(self):
         engine = make_engine()
-        engine.write(0.0, 1000, num_chunks=2)
-        engine.read(0.0, 500)
-        assert engine.bytes_moved[NvmeDirection.WRITE] == 1000
-        assert engine.bytes_moved[NvmeDirection.READ] == 500
+        engine.transfer(0.0, 1000, WRITE, 2)
+        engine.transfer(0.0, 500, READ)
+        assert engine.bytes_moved[WRITE] == 1000
+        assert engine.bytes_moved[READ] == 500
         assert len(engine.history) == 2
-        assert engine.last().direction is NvmeDirection.READ
+        assert engine.last().direction is READ
         assert engine.history[0].num_chunks == 2
 
 
@@ -121,15 +129,11 @@ class TestTracing:
     def test_counters_reconcile_with_bytes_moved(self):
         engine = make_engine()
         engine.tracer = tracer = Tracer()
-        engine.write(0.0, 1000, num_chunks=3)
-        engine.read(0.0, 500, num_chunks=2)
-        engine.read(1.0, 250)
-        assert tracer.counter("nvme.write_bytes") == engine.bytes_moved[
-            NvmeDirection.WRITE
-        ]
-        assert tracer.counter("nvme.read_bytes") == engine.bytes_moved[
-            NvmeDirection.READ
-        ]
+        engine.transfer(0.0, 1000, WRITE, 3)
+        engine.transfer(0.0, 500, READ, 2)
+        engine.transfer(1.0, 250, READ)
+        assert tracer.counter("nvme.write_bytes") == engine.bytes_moved[WRITE]
+        assert tracer.counter("nvme.read_bytes") == engine.bytes_moved[READ]
         assert tracer.counter("nvme.write_transfers") == 1
         assert tracer.counter("nvme.read_transfers") == 2
         assert tracer.counter("nvme.write_chunks") == 3

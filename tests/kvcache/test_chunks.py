@@ -100,17 +100,6 @@ class TestAccounting:
         assert cache.frontier(ChunkLocation.GPU).index == 3
         assert cache.frontier(ChunkLocation.GPU, ChunkLocation.GPU_CPU).index == 2
 
-    def test_gpu_segment_bounds(self):
-        cache = self.make_cache()
-        assert cache.gpu_segment_bounds() == (64, 128)
-
-    def test_gpu_segment_bounds_empty(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(64)
-        for chunk in cache.chunks:
-            chunk.location = ChunkLocation.CPU
-        assert cache.gpu_segment_bounds() == (64, 64)
-
 
 class TestLayoutInvariant:
     def test_valid_layout_passes(self):

@@ -138,18 +138,10 @@ class Walk:
                 self.checked["nested cpu"] += 1
             else:
                 self.collateral = cache.conv_id
-        elif loc is CPU and old is GPU_CPU and new is GPU:
-            # drop_from_cpu's revert fallback: only once the CPU victims
-            # have run out, and from the conversation reclaimed last.
-            chunk.location = old
-            try:
-                assert not scored_frontiers(self.mgr, CPU, now)
-                expected = max(scored_frontiers(self.mgr, GPU_CPU, now))
-                assert expected[1] == cache.conv_id, (expected, key)
-                assert chunk is cache.rear(GPU_CPU)
-            finally:
-                chunk.location = new
-            self.checked["revert"] += 1
+        elif loc is CPU:
+            # Besides its victims, a CPU drop touches only disk chunks: the
+            # ones a demotion displaces or a drop takes ahead of it.
+            assert old is DISK, (self.call, chunk, old, new)
 
     def min_key(self, loc, chunk, old, new, exclude=None):
         """``(conv_id, index)`` of the minimum the manager chose from: the
@@ -236,13 +228,10 @@ class Walk:
             if freed < tokens:
                 assert not scored_frontiers(mgr, GPU_CPU, now, exclude)
         elif kind == "drop_cpu":
-            _, tokens, allow_revert = op
-            freed = self.evicting(
-                CPU, now, lambda: mgr.drop_from_cpu(tokens, now, allow_revert)
-            )
+            _, tokens = op
+            freed = self.evicting(CPU, now, lambda: mgr.drop_from_cpu(tokens, now))
             if freed < tokens:
                 assert not scored_frontiers(mgr, CPU, now)
-                assert not (allow_revert and scored_frontiers(mgr, GPU_CPU, now))
         elif kind == "drop_disk":
             _, tokens, rank = op
             # A ceiling taken from the scores present, so it both splits
@@ -282,7 +271,7 @@ OPERATION = st.one_of(
     st.tuples(st.just("close"), CONVS),
     st.tuples(st.just("swap_out"), TOKENS, st.one_of(st.none(), st.integers(0, 3))),
     st.tuples(st.just("reclaim"), TOKENS, st.one_of(st.none(), CONVS)),
-    st.tuples(st.just("drop_cpu"), TOKENS, st.booleans()),
+    st.tuples(st.just("drop_cpu"), TOKENS),
     st.tuples(st.just("drop_disk"), TOKENS, st.one_of(st.none(), st.integers(0, 5))),
     st.tuples(st.just("suspend"), CONVS),
     st.tuples(st.just("forget"), CONVS),
@@ -331,7 +320,7 @@ INTERLEAVED = [
 
 def test_the_walk_reaches_every_eviction_path():
     """The oracle only means something if the walk evicts: fixed scripts
-    must have it check victims leaving every tier, a revert, a successor
+    must have it check victims leaving every tier, a successor
     whose own score puts it behind another conversation, and CPU victims
     nested under ``swap_out`` after a front-drop made an entry of its CPU
     stream stale."""
@@ -341,11 +330,11 @@ def test_the_walk_reaches_every_eviction_path():
         walk.apply(0.0, ("close", conv))
     for op in [
         ("swap_out", 96, None), ("reclaim", 96, 0), ("swap_out", 96, None),
-        ("reclaim", 96, None), ("drop_cpu", 64, False), ("drop_disk", 32, 1),
-        ("drop_disk", 32, None), ("swap_out", 64, None), ("drop_cpu", 160, True),
+        ("reclaim", 96, None), ("drop_cpu", 64), ("drop_disk", 32, 1),
+        ("drop_disk", 32, None), ("swap_out", 64, None), ("drop_cpu", 160),
     ]:
         walk.apply(1.0, op)
-    assert all(walk.checked[key] for key in (GPU, GPU_CPU, CPU, DISK, "revert")), (
+    assert all(walk.checked[key] for key in (GPU, GPU_CPU, CPU, DISK)), (
         walk.checked
     )
     walk = Walk(disk=0, policy="retention-value", whole=False)

@@ -4,13 +4,13 @@ import pytest
 
 from repro.core import LruPolicy, RetentionValuePolicy
 from repro.gpu import A100_80GB, CostModel, OfflineProfiler
-from repro.kvcache import ChunkLocation, TailNotOnGpuError, TwoTierCacheManager
+from repro.kvcache import ChunkLocation, TailNotOnGpuError, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 from repro.model import OPT_13B
 
 
 def make_manager(gpu=1024, cpu=4096, chunk=32, scorer=None):
-    return TwoTierCacheManager(
+    return TieredCacheManager(
         gpu_capacity_tokens=gpu,
         cpu_capacity_tokens=cpu,
         chunk_size=chunk,
@@ -77,11 +77,11 @@ class TestAccounting:
 
     def test_invalid_capacities(self):
         with pytest.raises(ValueError):
-            TwoTierCacheManager(0, 100)
+            TieredCacheManager(0, 100)
         with pytest.raises(ValueError):
-            TwoTierCacheManager(100, -1)
+            TieredCacheManager(100, -1)
         with pytest.raises(ValueError):
-            TwoTierCacheManager(100, 100, chunk_size=0)
+            TieredCacheManager(100, 100, chunk_size=0)
 
 
 class TestSwapOutAndReclaim:
@@ -459,7 +459,7 @@ class TestPolicyIntegration:
         assert mgr.conversation(2).chunks[0].location is ChunkLocation.GPU
 
     def test_missing_scorer_raises(self):
-        mgr = TwoTierCacheManager(256, 256, scorer=None)
+        mgr = TieredCacheManager(256, 256, scorer=None)
         finish_conversation(mgr, 1, 64, now=0.0)
         with pytest.raises(RuntimeError):
             mgr.swap_out(32, now=1.0)
@@ -470,7 +470,7 @@ class TestWholeConversationEviction:
     whole-conversation eviction vs Pensieve's token chunks."""
 
     def make(self, whole):
-        return TwoTierCacheManager(
+        return TieredCacheManager(
             gpu_capacity_tokens=1024,
             cpu_capacity_tokens=4096,
             chunk_size=32,

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import LruPolicy
 from repro.faults import FaultPlan, FaultSite
-from repro.kvcache import TwoTierCacheManager
+from repro.kvcache import TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 
 OPS = (
@@ -45,7 +45,7 @@ class ChaosWalk:
             seed=seed,
             rates={FaultSite.SWAP_OUT: 0.25, FaultSite.SWAP_IN: 0.25},
         )
-        self.manager = TwoTierCacheManager(
+        self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu,
             cpu_capacity_tokens=cpu,
             chunk_size=chunk,

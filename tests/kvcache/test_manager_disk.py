@@ -5,7 +5,7 @@ invalidation — the deterministic counterparts of the property walks."""
 import pytest
 
 from repro.core import LruPolicy, TieredPlacementPolicy
-from repro.kvcache import TieredCacheManager, TwoTierCacheManager
+from repro.kvcache import TieredCacheManager
 from repro.kvcache.chunks import ChunkLocation
 
 
@@ -226,11 +226,8 @@ class TestRestorePlanning:
 
 
 class TestBackwardCompatibility:
-    def test_two_tier_alias(self):
-        assert TwoTierCacheManager is TieredCacheManager
-
     def test_disabled_disk_keeps_two_tier_stats_shape(self):
-        mgr = TwoTierCacheManager(
+        mgr = TieredCacheManager(
             gpu_capacity_tokens=128, cpu_capacity_tokens=64,
             chunk_size=16, scorer=LruPolicy(),
         )

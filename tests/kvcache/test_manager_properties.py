@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import LruPolicy
-from repro.kvcache import TwoTierCacheManager
+from repro.kvcache import TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 
 
@@ -25,7 +25,7 @@ class ManagerMachine:
     """Applies a scripted operation list to a fresh manager."""
 
     def __init__(self, gpu: int, cpu: int, chunk: int) -> None:
-        self.manager = TwoTierCacheManager(
+        self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu,
             cpu_capacity_tokens=cpu,
             chunk_size=chunk,

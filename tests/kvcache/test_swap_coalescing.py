@@ -60,7 +60,7 @@ def test_stacked_write_matches_per_chunk_writes_bit_exact():
     a = KVStorage(config, num_slots=total, dtype=np.float64)
     b = KVStorage(config, num_slots=total, dtype=np.float64)
     for group, (k, v) in zip(groups, datas):
-        a.write_all_layers(list(group), k, v)
+        a.write_slots_stacked([group], [(k, v)])  # one chunk per call
     b.write_slots_stacked(groups, datas)
     np.testing.assert_array_equal(a.k, b.k)
     np.testing.assert_array_equal(a.v, b.v)

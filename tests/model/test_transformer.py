@@ -147,7 +147,7 @@ class TestStatefulEqualsStateless:
         storage.k[:, slots[:5]] = 0.0  # slots handed to someone else
         storage.v[:, slots[:5]] = 0.0
         new_slots = list(range(100, 105))
-        storage.write_all_layers(new_slots, host_k, host_v)
+        storage.write_slots_stacked([new_slots], [(host_k, host_v)])
         moved = new_slots + slots[5:]
         logits = model.forward(
             [ForwardRequest(input_ids=tokens[9:], context_slots=moved)]

@@ -1,11 +1,11 @@
 """Disk-tier counter reconciliation: every observability counter the
-NVMe engine and the chunk stores emit must equal — exactly, not
+NVMe link and the chunk stores emit must equal — exactly, not
 approximately — the accounting the components themselves keep.
 
 Three ledgers cover the same traffic and must agree to the byte:
 
 - the tracer counters (``nvme.*``, ``disk_store.*``, ``cache.*``);
-- the component accounting (``NvmeEngine.bytes_moved`` / ``history``,
+- the component accounting (the NVMe link's ``bytes_moved`` / ``history``,
   store ``used_tokens``);
 - the eviction-scope stats (``demoted_tokens``, ``disk_hit_tokens``).
 
@@ -20,7 +20,7 @@ import pytest
 from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 from repro.experiments.common import run_serving_once
-from repro.gpu.nvme import NvmeDirection
+from repro.gpu.link import Direction
 from repro.model.config import tiny_opt_config
 from repro.obs import Tracer
 
@@ -54,13 +54,13 @@ class TestEngineNvmeReconciliation:
     def test_byte_counters_match_engine_accounting(self):
         tracer = Tracer()
         engine, _ = _run(tracer)
-        assert engine.nvme.bytes_moved[NvmeDirection.WRITE] > 0
-        assert engine.nvme.bytes_moved[NvmeDirection.READ] > 0
+        assert engine.nvme.bytes_moved[Direction.WRITE] > 0
+        assert engine.nvme.bytes_moved[Direction.READ] > 0
         assert tracer.counter("nvme.write_bytes") == engine.nvme.bytes_moved[
-            NvmeDirection.WRITE
+            Direction.WRITE
         ]
         assert tracer.counter("nvme.read_bytes") == engine.nvme.bytes_moved[
-            NvmeDirection.READ
+            Direction.READ
         ]
 
     def test_byte_counters_match_eviction_scope(self):
@@ -79,8 +79,8 @@ class TestEngineNvmeReconciliation:
         tracer = Tracer()
         engine, _ = _run(tracer)
         history = engine.nvme.history
-        writes = [r for r in history if r.direction is NvmeDirection.WRITE]
-        reads = [r for r in history if r.direction is NvmeDirection.READ]
+        writes = [r for r in history if r.direction is Direction.WRITE]
+        reads = [r for r in history if r.direction is Direction.READ]
         assert tracer.counter("nvme.write_transfers") == len(writes)
         assert tracer.counter("nvme.read_transfers") == len(reads)
         assert tracer.counter("nvme.write_chunks") == sum(
@@ -110,11 +110,7 @@ class TestEngineNvmeReconciliation:
         engine_b, stats_b = _run(tracer=Tracer())
         assert stats_a.as_dict() == stats_b.as_dict()
         assert engine_a.manager.stats == engine_b.manager.stats
-        for direction in NvmeDirection:
-            assert (
-                engine_a.nvme.bytes_moved[direction]
-                == engine_b.nvme.bytes_moved[direction]
-            )
+        assert engine_a.nvme.bytes_moved == engine_b.nvme.bytes_moved
 
 
 class TestServerStoreReconciliation:

@@ -9,7 +9,7 @@ import pytest
 from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 from repro.experiments.common import run_serving_once
-from repro.gpu.pcie import Direction
+from repro.gpu.link import Direction
 from repro.obs import Tracer, write_trace_artifacts
 
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity

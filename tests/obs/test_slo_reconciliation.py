@@ -24,8 +24,7 @@ import pytest
 
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.gpu.nvme import NvmeDirection
-from repro.gpu.pcie import Direction
+from repro.gpu.link import Direction
 from repro.obs import (
     FlightRecorder,
     HistogramSet,
@@ -89,7 +88,7 @@ class TestLedgerIdentities:
         engine, stats, hist, _ = armed_run
         assert engine.num_waiting == 0 and engine.num_running == 0
         assert not engine.metrics.failures
-        assert engine.nvme.bytes_moved[NvmeDirection.READ] > 0
+        assert engine.nvme.bytes_moved[Direction.READ] > 0
         assert engine.manager.stats["recomputed_tokens"] > 0
         # Every swap histogram × every declared tier label: the registry
         # (not a re-declared literal list) drives the coverage matrix.
@@ -115,8 +114,8 @@ class TestLedgerIdentities:
 
     def test_disk_swap_counts_match_nvme_history(self, armed_run):
         engine, _, hist, flight = armed_run
-        reads = len(_transfers(engine.nvme.history, NvmeDirection.READ))
-        writes = len(_transfers(engine.nvme.history, NvmeDirection.WRITE))
+        reads = len(_transfers(engine.nvme.history, Direction.READ))
+        writes = len(_transfers(engine.nvme.history, Direction.WRITE))
         assert hist.get("swap_in_seconds", tier="disk").count == reads
         assert flight.event_count("swap_in", tier="disk") == reads
         assert hist.get("swap_out_seconds", tier="disk").count == writes
@@ -271,16 +270,8 @@ class TestNoPerturbation:
         )
         assert stats_a.as_dict() == stats_b.as_dict()
         assert engine_a.manager.stats == engine_b.manager.stats
-        for direction in Direction:
-            assert (
-                engine_a.pcie.bytes_moved[direction]
-                == engine_b.pcie.bytes_moved[direction]
-            )
-        for direction in NvmeDirection:
-            assert (
-                engine_a.nvme.bytes_moved[direction]
-                == engine_b.nvme.bytes_moved[direction]
-            )
+        assert engine_a.pcie.bytes_moved == engine_b.pcie.bytes_moved
+        assert engine_a.nvme.bytes_moved == engine_b.nvme.bytes_moved
         assert engine_a.suspensions == engine_b.suspensions
 
     def test_unarmed_engine_keeps_null_sinks(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.engine import _PrefillInfo
-from repro.gpu.pcie import Direction, TransferRecord
+from repro.gpu.link import Direction, TransferRecord
 from repro.kvcache import Chunk, ConversationCache
 from repro.serving.metrics import RequestRecord
 from repro.serving.request import Conversation, Request, Turn
