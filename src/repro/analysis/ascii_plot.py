@@ -126,37 +126,6 @@ class AsciiCanvas:
         return "\n".join(lines)
 
 
-def bar_chart(
-    items: Sequence[Tuple[str, float]],
-    title: str = "",
-    width: int = 48,
-    value_format: str = "{:.6g}",
-) -> str:
-    """Horizontal ASCII bar chart for ``(label, value)`` pairs.
-
-    Used by ``repro trace --summary`` to show where simulated time went
-    without leaving the terminal.  Values must be non-negative; bars are
-    scaled to the largest value.
-    """
-    if not items:
-        raise ValueError("nothing to chart")
-    max_value = max(value for _, value in items)
-    if max_value <= 0:
-        max_value = 1.0
-    label_width = max(len(label) for label, _ in items)
-    lines: List[str] = [title] if title else []
-    for label, value in items:
-        cells = round(max(0.0, value) / max_value * width)
-        if value > 0 and cells == 0:
-            cells = 1
-        bar = "#" * cells
-        lines.append(
-            f"{label:<{label_width}} |{bar:<{width}}| "
-            + value_format.format(value)
-        )
-    return "\n".join(lines)
-
-
 def plot_curves(
     curves: Dict[str, Sequence],
     x_attr: str = "throughput_rps",

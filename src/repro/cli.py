@@ -8,17 +8,17 @@ Run as ``python -m repro <command>``:
 - ``sweep``     — a latency–throughput curve for one system;
 - ``figures``   — the fast analytical figures (3, 4, 12) and Table 2;
 - ``report``    — regenerate EXPERIMENTS.md (slow: full serving sweeps);
-- ``trace``     — run an experiment with full telemetry and export the
-  trace (Chrome trace JSON, JSONL event log, text report);
+- ``trace``     — run a figure sweep (fig13, fig15x) with full telemetry
+  and export the trace (Chrome trace JSON, JSONL event log, text report);
 - ``lint``      — the repo-specific static analysis (ARCHITECTURE.md §14).
 
-``simulate`` also accepts ``--trace-out DIR`` to record the same telemetry
-alongside its normal output; ``simulate`` / ``sweep`` / ``chat`` accept
-``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm the SLO layer
-(``simulate --metrics-out DIR`` writes a Prometheus text snapshot that is
-self-reconciling against the engine/PCIe/NVMe ledgers, a periodic JSONL
-metrics stream and the flight-recorder captures of every SLO-violating or
-failed request).
+``simulate --trace-out DIR`` records the same telemetry for one serving
+run alongside its normal output.  ``simulate`` / ``sweep`` / ``chat``
+accept ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm the SLO
+layer; ``--metrics-out DIR`` writes a Prometheus text snapshot (for
+``simulate`` self-reconciling against the engine/PCIe/NVMe ledgers), the
+flight-recorder captures of every SLO-violating or failed request, and
+for ``simulate`` a periodic JSONL metrics stream.
 """
 
 from __future__ import annotations
@@ -166,32 +166,29 @@ def _print_slo_summary(collector) -> None:
     )
 
 
-def _write_metrics(engine, outdir: str, sampler=None,
-                   prefix: str = "metrics") -> None:
-    """Write the metrics artifacts: Prometheus snapshot (embedding the
-    ledger counters so it is self-reconciling), sampler JSONL, and the
-    flight-recorder capture dump."""
+def _write_metrics(outdir: str, prefix: str, collector=None, hists=None,
+                   counters=None, sampler=None) -> None:
+    """Write the metrics artifacts of ``chat``, ``simulate`` and ``sweep``:
+    ``<prefix>.prom`` (a Prometheus snapshot of ``collector`` / ``hists``
+    plus ``counters``), ``<prefix>_captures.jsonl`` whenever the
+    collector's flight recorder is armed, and ``<prefix>.jsonl`` when a
+    sampler ran."""
     import os
 
-    from repro.obs import ledger_counters, prometheus_snapshot
+    from repro.obs import prometheus_snapshot
 
     os.makedirs(outdir, exist_ok=True)
     prom_path = os.path.join(outdir, f"{prefix}.prom")
     with open(prom_path, "w", encoding="utf-8") as fh:
-        fh.write(
-            prometheus_snapshot(
-                collector=engine.metrics, counters=ledger_counters(engine)
-            )
-        )
+        fh.write(prometheus_snapshot(collector, hists, counters))
     print(f"metrics [prom   ]: {prom_path}")
     if sampler is not None:
         jsonl_path = os.path.join(outdir, f"{prefix}.jsonl")
         sampler.write_jsonl(jsonl_path)
         print(f"metrics [jsonl  ]: {jsonl_path}")
-    flight = engine.metrics.flight
-    if flight.enabled:
+    if collector is not None and collector.flight.enabled:
         cap_path = os.path.join(outdir, f"{prefix}_captures.jsonl")
-        flight.dump_captures(cap_path)
+        collector.flight.dump_captures(cap_path)
         print(f"metrics [flight ]: {cap_path}")
 
 
@@ -236,20 +233,13 @@ def cmd_chat(args: argparse.Namespace) -> int:
         if slo.armed:
             print(f"slo violations: {violations}")
         if args.metrics_out:
-            import os
-
-            from repro.obs import prometheus_snapshot
-
-            os.makedirs(args.metrics_out, exist_ok=True)
-            prom_path = os.path.join(args.metrics_out, "chat_metrics.prom")
             counters = {
                 f"slo_violations.{kind}": float(count)
                 for kind, count in violations.items()
                 if count
             }
-            with open(prom_path, "w", encoding="utf-8") as fh:
-                fh.write(prometheus_snapshot(hists=hist, counters=counters))
-            print(f"metrics [prom   ]: {prom_path}")
+            _write_metrics(args.metrics_out, "chat_metrics", hists=hist,
+                           counters=counters)
         return 0
 
     print(
@@ -279,10 +269,8 @@ def cmd_chat(args: argparse.Namespace) -> int:
             hist.hist("chat_turn_seconds", clock="wall").record(elapsed)
             per_token = elapsed / max(1, args.max_tokens)
             hist.hist("chat_token_seconds", clock="wall").record(per_token)
-            if slo.ttft is not None and elapsed > slo.ttft:
-                violations["ttft"] += 1
-            if slo.tbt is not None and per_token > slo.tbt:
-                violations["tbt"] += 1
+            for kind in slo.violations(elapsed, per_token):
+                violations[kind] += 1
         print(f"bot> {reply}")
 
 
@@ -328,7 +316,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if slo is not None:
         _print_slo_summary(engine.metrics)
     if args.metrics_out:
-        _write_metrics(engine, args.metrics_out, sampler=sampler)
+        from repro.obs import ledger_counters
+
+        _write_metrics(args.metrics_out, "metrics", engine.metrics,
+                       counters=ledger_counters(engine), sampler=sampler)
     if tracer is not None:
         _write_trace(tracer, args.trace_out, prefix="trace_simulate")
     return 0
@@ -341,12 +332,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _model(args.model)
     dataset = ULTRACHAT if args.dataset == "ultrachat" else SHAREGPT
     slo = _slo_config(args)
-    hist = flight = None
+    total = hist = flight = extras_fn = None
     if slo is not None:
-        # Shared sinks aggregate SLO metrics across every rate's engine.
-        from repro.obs import FlightRecorder, HistogramSet
+        # One collector totals the sweep: every rate's engine records into
+        # its histograms and flight recorder, then hands over its
+        # completions, failures and violations when its run ends.
+        from repro.serving.metrics import MetricsCollector
 
-        hist, flight = HistogramSet(), FlightRecorder()
+        total = MetricsCollector().enable_slo(slo=slo)
+        hist, flight = total.hist, total.flight
+
+        def extras_fn(engine):
+            total.absorb(engine.metrics)
+            return {}
+
     points = run_rate_sweep(
         _engine_factory(args.system, config, disk_tokens=args.disk_tokens),
         dataset,
@@ -354,35 +353,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         duration=args.duration,
         think_time_mean=args.think_time,
         seed=args.seed,
+        extras_fn=extras_fn,
         slo=slo,
         hist=hist,
         flight=flight,
     )
     print(format_curve_table(f"{args.system} / {config.name}", points))
-    if hist is not None:
-        from repro.obs import tier_attribution_table
-
-        table = tier_attribution_table(
-            hist,
-            title="-- latency attribution, all rates (sim seconds) --",
-        )
-        if table:
-            print()
-            print(table)
+    if total is not None:
+        _print_slo_summary(total)
     if args.metrics_out:
-        import os
-
-        from repro.obs import prometheus_snapshot
-
-        os.makedirs(args.metrics_out, exist_ok=True)
-        prom_path = os.path.join(args.metrics_out, "sweep_metrics.prom")
-        counters = {
-            f"flight_events.{key}": float(value)
-            for key, value in flight.event_counts.items()
-        }
-        with open(prom_path, "w", encoding="utf-8") as fh:
-            fh.write(prometheus_snapshot(hists=hist, counters=counters))
-        print(f"metrics [prom   ]: {prom_path}")
+        _write_metrics(args.metrics_out, "sweep_metrics", total)
     return 0
 
 
@@ -403,33 +383,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    from repro.experiments.common import run_serving_once
     from repro.obs import Tracer
-    from repro.workload.dataset import SHAREGPT, ULTRACHAT, generate_workload
 
     tracer = Tracer()
-    if args.experiment == "simulate":
-        config = _model(args.model)
-        dataset = ULTRACHAT if args.dataset == "ultrachat" else SHAREGPT
-        conversations = generate_workload(
-            dataset,
-            request_rate=args.rate,
-            duration=args.duration,
-            think_time_mean=args.think_time,
-            seed=args.seed,
-        )
-        engine, stats = run_serving_once(
-            _engine_factory(args.system, config, None,
-                            disk_tokens=args.disk_tokens),
-            conversations,
-            until=args.duration,
-            warmup=args.duration * 0.3,
-            tracer=tracer,
-        )
-        print(f"system        : {engine.name}")
-        for key, value in stats.as_dict().items():
-            print(f"{key:22s}: {value}")
-    elif args.experiment == "fig13":
+    if args.experiment == "fig13":
         from repro.experiments.fig13 import format_fig13, run_fig13
 
         curves = run_fig13(
@@ -451,11 +408,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(format_fig15x(curves))
     else:  # pragma: no cover - argparse choices prevent this
         raise SystemExit(f"unknown experiment {args.experiment!r}")
-    if args.summary:
-        from repro.obs import span_summary
-
-        tracer.close_open(t=args.duration)
-        print(span_summary(tracer, top=args.top))
     _write_trace(tracer, args.out, prefix=f"trace_{args.experiment}")
     return 0
 
@@ -569,30 +521,22 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=cmd_figures)
 
     trace = sub.add_parser(
-        "trace", help="run an experiment with full telemetry recording"
+        "trace", help="run a figure sweep with full telemetry recording "
+                      "(one serving run: simulate --trace-out)"
     )
-    trace.add_argument("experiment", choices=("simulate", "fig13", "fig15x"),
+    trace.add_argument("experiment", choices=("fig13", "fig15x"),
                        help="what to run under the tracer")
     trace.add_argument("--out", default="traces", metavar="DIR",
                        help="output directory for the trace artifacts")
-    trace.add_argument("--system", default="pensieve")
-    trace.add_argument("--model", default="opt-13b")
-    trace.add_argument("--dataset", choices=("sharegpt", "ultrachat"),
-                       default="sharegpt")
-    trace.add_argument("--rate", type=float, default=8.0)
+    trace.add_argument("--model", default="opt-13b",
+                       help="model (fig15x)")
     trace.add_argument("--rates", type=float, nargs="+", default=[2.0, 8.0],
-                       help="request rates (fig13/fig15x)")
+                       help="request rates")
     trace.add_argument("--duration", type=float, default=120.0)
-    trace.add_argument("--think-time", type=float, default=60.0)
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument("--disk-tokens", type=int, default=0,
-                       help="enable the NVMe-modeled disk tier with this "
-                            "many KV-tokens of capacity (simulate/fig15x)")
-    trace.add_argument("--summary", action="store_true",
-                       help="print per-span-name aggregates and the top-N "
-                            "slowest spans before writing the artifacts")
-    trace.add_argument("--top", type=int, default=10,
-                       help="slowest-span count for --summary (default 10)")
+                       help="size the three-tier stack's disk tier in "
+                            "KV-tokens (fig15x)")
     trace.set_defaults(func=cmd_trace)
 
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md (slow)")

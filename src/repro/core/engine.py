@@ -231,7 +231,7 @@ class PensieveEngine(EngineBase):
     # Batch formation (§4.2)
     # ------------------------------------------------------------------
 
-    def _retry(self, site: FaultSite, request: Optional[Request]) -> bool:
+    def _retry(self, site: FaultSite, request: Request) -> bool:
         """Draw ``site`` once, retrying with bounded backoff; False on
         terminal failure.  The simulated backoff is charged to this
         iteration (it lands on the sim clock via the iteration
@@ -241,24 +241,19 @@ class PensieveEngine(EngineBase):
             tracer=self.tracer,
         )
         self._iter_fault_delay += delay
-        flight = self.metrics.flight
-        if flight.enabled and request is not None and retries > 0:
-            flight.record(
-                request.request_id, "retry", self.loop.now,
-                count=retries, site=site.value,
+        if retries > 0 and self._observed:
+            self._event(
+                request, "retry", self.loop.now, count=retries, site=site.value
             )
         return ok
 
-    def _attempt(self, site: FaultSite, request: Optional[Request] = None) -> bool:
+    def _attempt(self, site: FaultSite, request: Request) -> bool:
         """Try one faultable operation; returns False on terminal failure."""
         if self.fault_plan is None:
             return True
         ok = self._retry(site, request)
-        flight = self.metrics.flight
-        if flight.enabled and request is not None and not ok:
-            flight.record(
-                request.request_id, "fault", self.loop.now, site=site.value
-            )
+        if not ok and self._observed:
+            self._event(request, "fault", self.loop.now, site=site.value)
         return ok
 
     def _form_batch(self, now: float) -> List[Request]:
@@ -347,23 +342,14 @@ class PensieveEngine(EngineBase):
         self.running.remove(victim)
         self.wait_queue.appendleft(victim)
         self.suspensions += 1
-        if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                victim.request_id, "suspend", now,
+        if self._observed:
+            self.tracer.count("engine.suspensions")
+            self._event(
+                victim, "suspend", now,
                 copied_tokens=copied, dropped_tokens=dropped,
             )
             if copied:
-                self.metrics.flight.record(
-                    victim.request_id, "swap_out", now, tier="cpu",
-                    tokens=copied,
-                )
-        if self.tracer.enabled:
-            self.tracer.count("engine.suspensions")
-            self.tracer.instant(
-                "suspend", t=now, track="engine",
-                request_id=victim.request_id, conv_id=victim.conv_id,
-                copied_tokens=copied, dropped_tokens=dropped,
-            )
+                self._event(victim, "swap_out", now, tier="cpu", tokens=copied)
 
     def _reclaim_budget(self, now: float) -> int:
         """Tokens whose ahead-of-time copies have settled and are still
@@ -441,15 +427,9 @@ class PensieveEngine(EngineBase):
                 len(plan.disk_read_chunks),
             )
             h2d_enqueue = record.end_time
-            if self.metrics.flight.enabled:
-                self.metrics.flight.record(
-                    request.request_id, "swap_in", now, tier="disk",
-                    tokens=plan.disk_read_tokens,
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "disk_read", now, record.end_time, track="cache",
-                    request_id=request.request_id, conv_id=request.conv_id,
+            if self._observed:
+                self._event(
+                    request, "swap_in", now, record.end_time, tier="disk",
                     tokens=plan.disk_read_tokens,
                 )
         h2d_tokens = plan.swap_in_tokens + plan.disk_read_tokens
@@ -463,15 +443,9 @@ class PensieveEngine(EngineBase):
             self._iter_swap_in_seconds = max(
                 self._iter_swap_in_seconds, record.end_time - now
             )
-            if self.metrics.flight.enabled:
-                self.metrics.flight.record(
-                    request.request_id, "swap_in", now, tier="cpu",
-                    tokens=h2d_tokens,
-                )
-            if self.tracer.enabled:
-                self.tracer.complete(
-                    "swap_in", now, record.end_time, track="cache",
-                    request_id=request.request_id, conv_id=request.conv_id,
+            if self._observed:
+                self._event(
+                    request, "swap_in", now, record.end_time, tier="cpu",
                     tokens=h2d_tokens,
                 )
         self.manager.commit_restore(plan, now)
@@ -480,6 +454,13 @@ class PensieveEngine(EngineBase):
         request.state = RequestState.RUNNING
         self.running.append(request)
         self._note_batch_join(request, now)
+        if self._observed:
+            self._event(
+                request, "batch_join", now,
+                gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
+                disk_read=plan.disk_read_tokens,
+                recompute=plan.recompute_tokens, new=plan.new_tokens,
+            )
         metrics = self.metrics
         if plan.recompute_tokens > 0:
             if metrics.hist.enabled:
@@ -497,30 +478,15 @@ class PensieveEngine(EngineBase):
                         variant=KernelVariant.PENSIEVE_PAGED,
                     )
                 )
-            if metrics.flight.enabled:
-                metrics.flight.record(
-                    request.request_id, "recompute", now,
-                    tokens=plan.recompute_tokens,
+            if self._observed:
+                self._event(
+                    request, "recompute", now, tokens=plan.recompute_tokens
                 )
         self._prefill_info[request.request_id] = _PrefillInfo(
             recompute_tokens=plan.recompute_tokens,
             prompt_tokens=plan.new_tokens,
             total_context=plan.total_context,
         )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "admit", t=now, track="engine",
-                request_id=request.request_id, conv_id=request.conv_id,
-                gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
-                disk_read=plan.disk_read_tokens,
-                recompute=plan.recompute_tokens, new=plan.new_tokens,
-            )
-            if plan.recompute_tokens > 0:
-                self.tracer.instant(
-                    "recompute", t=now, track="cache",
-                    request_id=request.request_id, conv_id=request.conv_id,
-                    tokens=plan.recompute_tokens,
-                )
 
     def _restore_with_faults(self, tier: RestoreTier, request, plan, now: float):
         """Model one stored tier's retrieval failure modes before it is
@@ -539,9 +505,9 @@ class PensieveEngine(EngineBase):
             corrupt=len(getattr(plan, tier.chunks)) if corrupt else 0,
             request_id=request.request_id,
         )
-        if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                request.request_id, "fault", now, site=tier.blamed.value,
+        if self._observed:
+            self._event(
+                request, "fault", now, site=tier.blamed.value,
                 corrupt=corrupt, tokens=invalidated,
             )
         return plan

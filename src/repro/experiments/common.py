@@ -70,21 +70,25 @@ def run_serving_once(
     (:class:`repro.obs.HistogramSet`) or ``flight``
     (:class:`repro.obs.FlightRecorder`) arms the engine's SLO metrics
     layer — shared ``hist``/``flight`` instances let sweeps aggregate
-    across runs.  A :class:`repro.obs.MetricsSampler` passed as
-    ``sampler`` is attached to the loop before the run starts.
+    across runs (the flight rings of requests still in flight at the end
+    are discarded, so the next run's reused request ids start clean).  A
+    :class:`repro.obs.MetricsSampler` passed as ``sampler`` is attached
+    to the loop before the run starts.
     """
     loop = EventLoop()
     engine = engine_factory(loop)
     if tracer is not None:
         engine.set_tracer(tracer)
     if slo is not None or hist is not None or flight is not None:
-        engine.enable_slo_metrics(slo=slo, hist=hist, flight=flight)
+        engine.metrics.enable_slo(slo=slo, hist=hist, flight=flight)
     if sampler is not None:
         sampler.attach(loop, engine)
     driver = ConversationDriver(loop, engine, conversations)
     driver.run(until=until, max_events=max_events)
     if tracer is not None and tracer.enabled:
         tracer.close_open(loop.now)
+    if engine.metrics.flight.enabled:
+        engine.metrics.flight.discard_in_flight()
     return engine, driver.stats(warmup=warmup, until=until)
 
 

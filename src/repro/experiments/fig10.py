@@ -63,17 +63,8 @@ def run_fig10(
     spec: GpuSpec = A100_80GB,
     systems: Optional[Sequence[str]] = None,
     think_time_mean: float = 60.0,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
-    """Sweep all systems on one (model, dataset) panel of Figure 10.
-
-    ``slo`` / ``hist`` / ``flight`` (see
-    :func:`repro.experiments.common.run_rate_sweep`) arm the SLO metrics
-    layer on every engine of the panel; a shared ``hist`` aggregates the
-    per-tier latency attribution across all of its sweeps.
-    """
+    """Sweep all systems on one (model, dataset) panel of Figure 10."""
     factories = system_factories(config, spec)
     if systems is not None:
         factories = {name: factories[name] for name in systems}
@@ -82,7 +73,6 @@ def run_fig10(
         curves[name] = run_rate_sweep(
             factory, dataset, rates, duration=duration, seed=seed,
             think_time_mean=think_time_mean,
-            slo=slo, hist=hist, flight=flight,
         )
     return curves
 
@@ -106,7 +96,6 @@ def format_fig10(
     curves: Dict[str, List[RatePoint]],
     config: ModelConfig,
     dataset: DatasetSpec,
-    hist=None,
 ) -> str:
     parts = [f"Figure 10 — {config.name} on {dataset.name} (1 GPU)"]
     for name, points in curves.items():
@@ -120,14 +109,4 @@ def format_fig10(
             expect = paper.get(system)
             suffix = f" (paper: {expect}x)" if expect else ""
             parts.append(f"  Pensieve / {system}: {ratio:.2f}x{suffix}")
-    parts.append(_attribution_block(hist))
-    return "\n".join(p for p in parts if p)
-
-
-def _attribution_block(hist) -> str:
-    """Per-tier tail-latency attribution appendix (empty without a hist)."""
-    from repro.obs import tier_attribution_table
-
-    return tier_attribution_table(
-        hist, title="-- tail-latency attribution (sim seconds, all sweeps) --"
-    )
+    return "\n".join(parts)

@@ -39,9 +39,6 @@ def run_fig11(
     seed: int = 7,
     spec: GpuSpec = A100_80GB,
     systems: Sequence[str] = None,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
     """Sweep the four systems for one 4-GPU model on ShareGPT."""
     if config.num_gpus < 2:
@@ -54,14 +51,10 @@ def run_fig11(
         seed=seed,
         spec=spec,
         systems=systems,
-        slo=slo,
-        hist=hist,
-        flight=flight,
     )
 
 
-def format_fig11(curves: Dict[str, List[RatePoint]], config: ModelConfig,
-                 hist=None) -> str:
-    return format_fig10(curves, config, SHAREGPT, hist=hist).replace(
+def format_fig11(curves: Dict[str, List[RatePoint]], config: ModelConfig) -> str:
+    return format_fig10(curves, config, SHAREGPT).replace(
         "Figure 10", "Figure 11"
     ).replace("(1 GPU)", f"({config.num_gpus} GPUs)")

@@ -28,9 +28,6 @@ def run_fig13(
     seed: int = 7,
     spec: GpuSpec = A100_80GB,
     tracer=None,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
     """Sweep Pensieve with and without unified scheduling."""
     factories = {
@@ -42,17 +39,14 @@ def run_fig13(
     return {
         name: run_rate_sweep(
             factory, dataset, rates, duration=duration, seed=seed,
-            tracer=tracer, slo=slo, hist=hist, flight=flight,
+            tracer=tracer,
         )
         for name, factory in factories.items()
     }
 
 
-def format_fig13(curves: Dict[str, List[RatePoint]], hist=None) -> str:
-    from repro.experiments.fig10 import _attribution_block
-
+def format_fig13(curves: Dict[str, List[RatePoint]]) -> str:
     parts = ["Figure 13 — unified vs separate prefill/generation scheduling"]
     for name, points in curves.items():
         parts.append(format_curve_table(name, points))
-    parts.append(_attribution_block(hist))
-    return "\n".join(p for p in parts if p)
+    return "\n".join(parts)

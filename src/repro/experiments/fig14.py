@@ -45,9 +45,6 @@ def run_fig14(
     seed: int = 7,
     spec: GpuSpec = A100_80GB,
     cpu_cache_tokens: int = None,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
     """Sweep Pensieve under both eviction policies.
 
@@ -68,15 +65,13 @@ def run_fig14(
     return {
         name: run_rate_sweep(
             factory, dataset, rates, duration=duration, seed=seed,
-            extras_fn=cache_extras, slo=slo, hist=hist, flight=flight,
+            extras_fn=cache_extras,
         )
         for name, factory in factories.items()
     }
 
 
-def format_fig14(curves: Dict[str, List[RatePoint]], hist=None) -> str:
-    from repro.experiments.fig10 import _attribution_block
-
+def format_fig14(curves: Dict[str, List[RatePoint]]) -> str:
     parts = ["Figure 14 — retention-value vs LRU eviction (OPT-13B, ShareGPT)"]
     for name, points in curves.items():
         parts.append(format_curve_table(name, points))
@@ -88,5 +83,4 @@ def format_fig14(curves: Dict[str, List[RatePoint]], hist=None) -> str:
                 for p in points
             )
         )
-    parts.append(_attribution_block(hist))
-    return "\n".join(p for p in parts if p)
+    return "\n".join(parts)

@@ -32,9 +32,6 @@ def run_fig15(
     seed: int = 7,
     spec: GpuSpec = A100_80GB,
     cpu_cache_tokens: int = None,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
     """Sweep Pensieve across think times, plus the vLLM reference curve.
 
@@ -54,9 +51,6 @@ def run_fig15(
             think_time_mean=think,
             seed=seed,
             extras_fn=cache_extras,
-            slo=slo,
-            hist=hist,
-            flight=flight,
         )
     # vLLM reference curves at both extremes, so the *gap* can be compared
     # across think times (the paper plots vLLM at 600 s as the reference).
@@ -68,18 +62,12 @@ def run_fig15(
             duration=duration,
             think_time_mean=think,
             seed=seed,
-            slo=slo,
-            hist=hist,
-            flight=flight,
         )
     return curves
 
 
-def format_fig15(curves: Dict[str, List[RatePoint]], hist=None) -> str:
-    from repro.experiments.fig10 import _attribution_block
-
+def format_fig15(curves: Dict[str, List[RatePoint]]) -> str:
     parts = ["Figure 15 — impact of average user think time (Llama 2-13B, ShareGPT)"]
     for name, points in curves.items():
         parts.append(format_curve_table(name, points))
-    parts.append(_attribution_block(hist))
-    return "\n".join(p for p in parts if p)
+    return "\n".join(parts)

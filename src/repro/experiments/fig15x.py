@@ -63,9 +63,6 @@ def run_fig15x(
     cpu_cache_tokens: Optional[int] = None,
     disk_cache_tokens: Optional[int] = None,
     tracer=None,
-    slo=None,
-    hist=None,
-    flight=None,
 ) -> Dict[str, List[RatePoint]]:
     """Sweep two-tier vs three-tier Pensieve across extreme think times.
 
@@ -89,9 +86,6 @@ def run_fig15x(
             seed=seed,
             extras_fn=disk_extras,
             tracer=tracer,
-            slo=slo,
-            hist=hist,
-            flight=flight,
         )
         curves[f"three-tier think={think:g}s"] = run_rate_sweep(
             lambda loop: PensieveEngine(
@@ -108,21 +102,15 @@ def run_fig15x(
             seed=seed,
             extras_fn=disk_extras,
             tracer=tracer,
-            slo=slo,
-            hist=hist,
-            flight=flight,
         )
     return curves
 
 
-def format_fig15x(curves: Dict[str, List[RatePoint]], hist=None) -> str:
-    from repro.experiments.fig10 import _attribution_block
-
+def format_fig15x(curves: Dict[str, List[RatePoint]]) -> str:
     parts = [
         "Figure 15x — extreme think times, two-tier vs three-tier "
         "(Llama 2-13B, ShareGPT)"
     ]
     for name, points in curves.items():
         parts.append(format_curve_table(name, points))
-    parts.append(_attribution_block(hist))
-    return "\n".join(p for p in parts if p)
+    return "\n".join(parts)

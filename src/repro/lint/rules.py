@@ -448,8 +448,9 @@ class LedgerNameSync(Rule):
     histogram names, flight-recorder event names and tier labels; the
     Prometheus exporter and the reconciliation suites import it.  This
     rule statically extracts every name *recorded* in the tree
-    (``.hist("name")``, ``flight.record(id, "event", ...)``, lookup
-    calls and ``tier=`` labels) and diffs both directions:
+    (``.hist("name")``, ``flight.record(id, "event", ...)``, the engines'
+    ``self._event(request, "event", ...)``, lookup calls and ``tier=``
+    labels) and diffs both directions:
 
     - a recorded name missing from the registry fails (typo, or an
       undeclared metric the exporter/reconciliation would never see);
@@ -602,7 +603,7 @@ class LedgerNameSync(Rule):
                         f"histogram lookup {name!r} is not declared in "
                         "repro.serving.metric_names",
                     )
-            elif method == "record" and flight_sink:
+            elif (method == "record" and flight_sink) or method == "_event":
                 name = (
                     str_const(node.args[1]) if len(node.args) >= 2 else None
                 )

@@ -14,7 +14,8 @@ Three pieces:
   so a disabled run executes the exact pre-instrumentation code path.
 - Exporters (:mod:`repro.obs.export`) — JSONL event log, Chrome
   trace-event JSON (loadable in Perfetto / ``chrome://tracing``), and a
-  human-readable text report with per-stage and per-conversation rollups.
+  human-readable text report: the one span rollup (per-stage count,
+  total, mean and max, the slowest spans, per-conversation totals).
 - SLO metrics (:mod:`repro.obs.histogram` / :mod:`repro.obs.flight`) —
   log-bucketed mergeable latency :class:`Histogram` sets (TTFT, TBT,
   queue wait, per-tier swap, recompute), a bounded per-request
@@ -23,9 +24,10 @@ Three pieces:
   (:func:`prometheus_snapshot`, self-reconciling against
   :func:`ledger_counters`) plus a sim-clock :class:`MetricsSampler`
   JSONL stream.
-- CLI surface — ``repro trace <experiment>`` and the ``--trace-out`` /
-  ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` flags on
-  ``simulate`` / ``sweep`` / ``chat`` (see :mod:`repro.cli`).
+- CLI surface — ``repro simulate --trace-out DIR``, ``repro trace
+  {fig13,fig15x}``, and the ``--slo-ttft`` / ``--slo-tbt`` /
+  ``--metrics-out`` flags on ``simulate`` / ``sweep`` / ``chat`` (see
+  :mod:`repro.cli`).
 """
 
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
@@ -49,8 +51,6 @@ from repro.obs.export import (
     ledger_counters,
     parse_prometheus,
     prometheus_snapshot,
-    read_jsonl,
-    span_summary,
     text_report,
     tier_attribution_table,
     to_chrome_trace,
@@ -78,8 +78,6 @@ __all__ = [
     "ledger_counters",
     "parse_prometheus",
     "prometheus_snapshot",
-    "read_jsonl",
-    "span_summary",
     "text_report",
     "tier_attribution_table",
     "to_chrome_trace",

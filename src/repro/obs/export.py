@@ -11,9 +11,11 @@ them mutate it, so a run can be exported to every format.
 - **Chrome trace-event JSON** — the ``traceEvents`` array format consumed
   by Perfetto and ``chrome://tracing``.  Spans become complete (``"X"``)
   events, instants become ``"i"`` events, gauge samples become counter
-  (``"C"``) tracks.  Timestamps are microseconds on the chosen clock.
-- **Text report** — per-stage (span name) and per-conversation rollups
-  plus counter totals and gauge min/mean/max, for reading in a terminal.
+  (``"C"``) tracks.  Timestamps are microseconds on the primary clock.
+- **Text report** — the one span rollup: per-stage (span name) count,
+  total, mean and max, the slowest spans with their attributes, a
+  per-conversation rollup, counter totals and gauge min/mean/max, for
+  reading in a terminal.
 """
 
 from __future__ import annotations
@@ -88,32 +90,13 @@ def to_jsonl(tracer: Tracer, target: _PathOrFile) -> int:
     return len(records)
 
 
-def read_jsonl(path: _PathOrFile) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace back into record dicts (round-trip support)."""
-    if hasattr(path, "read"):
-        lines = path.read().splitlines()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
-
-
 def _track_of(span_or_attrs: Dict[str, Any]) -> str:
     return str(span_or_attrs.get("track", "main"))
 
 
-def to_chrome_trace(
-    tracer: Tracer,
-    target: _PathOrFile,
-    time_axis: str = "sim",
-    pid: int = 1,
-) -> Dict[str, Any]:
-    """Write a Chrome trace-event JSON file; returns the document.
-
-    Args:
-        tracer: finished tracer.
-        time_axis: ``"sim"`` (primary clock, default) or ``"wall"``.
-        pid: process id stamped on every event.
+def to_chrome_trace(tracer: Tracer, target: _PathOrFile) -> Dict[str, Any]:
+    """Write a Chrome trace-event JSON file on the primary clock; returns
+    the document.
 
     Spans carrying a ``track`` attribute are grouped onto one named
     thread-track each (Perfetto renders them as labelled rows); everything
@@ -130,11 +113,8 @@ def to_chrome_trace(
       viewers require;
     - the document is always valid JSON, open spans or not.
     """
-    if time_axis not in ("sim", "wall"):
-        raise ValueError(f"time_axis must be 'sim' or 'wall', got {time_axis!r}")
-
-    def us(t_sim: float, t_wall: float) -> float:
-        return round((t_sim if time_axis == "sim" else t_wall) * 1e6, 3)
+    def us(t: float) -> float:
+        return round(t * 1e6, 3)
 
     tracks: Dict[str, int] = {}
 
@@ -147,26 +127,19 @@ def to_chrome_trace(
     spans = tracer.spans
     instants = tracer.instants
     gauges = tracer.gauge_samples
-    horizon_sim = 0.0
-    horizon_wall = 0.0
+    horizon = 0.0
     for span in spans:
-        horizon_sim = max(horizon_sim, span.t0 if span.t1 is None else span.t1)
-        horizon_wall = max(
-            horizon_wall, span.wall0 if span.wall1 is None else span.wall1
-        )
-    for _name, t, wall, _parent, _attrs in instants:
-        horizon_sim = max(horizon_sim, t)
-        horizon_wall = max(horizon_wall, wall)
-    for _name, t, wall, _value in gauges:
-        horizon_sim = max(horizon_sim, t)
-        horizon_wall = max(horizon_wall, wall)
+        horizon = max(horizon, span.t0 if span.t1 is None else span.t1)
+    for _name, t, _wall, _parent, _attrs in instants:
+        horizon = max(horizon, t)
+    for _name, t, _wall, _value in gauges:
+        horizon = max(horizon, t)
 
     events: List[Dict[str, Any]] = []
     for span in spans:
         truncated = span.t1 is None
-        t1 = horizon_sim if truncated else span.t1
-        wall1 = horizon_wall if truncated else span.wall1
-        start = us(span.t0, span.wall0)
+        t1 = horizon if truncated else span.t1
+        start = us(span.t0)
         args = {k: _jsonable(v) for k, v in span.attrs.items() if k != "track"}
         if truncated:
             args["truncated"] = True
@@ -176,32 +149,32 @@ def to_chrome_trace(
                 "cat": _track_of(span.attrs),
                 "ph": "X",
                 "ts": start,
-                "dur": max(0.0, us(t1, wall1) - start),
-                "pid": pid,
+                "dur": max(0.0, us(t1) - start),
+                "pid": 1,
                 "tid": tid(_track_of(span.attrs)),
                 "args": args,
             }
         )
-    for name, t, wall, _parent, attrs in instants:
+    for name, t, _wall, _parent, attrs in instants:
         events.append(
             {
                 "name": name,
                 "cat": _track_of(attrs),
                 "ph": "i",
                 "s": "t",
-                "ts": us(t, wall),
-                "pid": pid,
+                "ts": us(t),
+                "pid": 1,
                 "tid": tid(_track_of(attrs)),
                 "args": {k: _jsonable(v) for k, v in attrs.items() if k != "track"},
             }
         )
-    for name, t, wall, value in tracer.gauge_samples:
+    for name, t, _wall, value in gauges:
         events.append(
             {
                 "name": name,
                 "ph": "C",
-                "ts": us(t, wall),
-                "pid": pid,
+                "ts": us(t),
+                "pid": 1,
                 "tid": 0,
                 "args": {"value": value},
             }
@@ -216,7 +189,7 @@ def to_chrome_trace(
                 "name": "thread_name",
                 "ph": "M",
                 "ts": 0,
-                "pid": pid,
+                "pid": 1,
                 "tid": track_tid,
                 "args": {"name": track},
             }
@@ -237,7 +210,7 @@ def to_chrome_trace(
         "otherData": {
             "format": "repro-trace-chrome",
             "version": SCHEMA_VERSION,
-            "timeAxis": time_axis,
+            "timeAxis": "sim",
             "counters": {k: tracer.counters[k] for k in sorted(tracer.counters)},
         },
     }
@@ -249,8 +222,13 @@ def to_chrome_trace(
     return document
 
 
+#: Individual spans listed, longest first, in the text report.
+SLOWEST_SPANS = 10
+
+
 def text_report(tracer: Tracer) -> str:
-    """Human-readable rollups: per-stage, per-conversation, counters, gauges."""
+    """Human-readable rollups: per-stage, slowest spans, per-conversation,
+    counters, gauges."""
     lines: List[str] = ["== trace report =="]
 
     # Per-stage (span-name) rollup on the primary clock.
@@ -263,14 +241,27 @@ def text_report(tracer: Tracer) -> str:
         lines.append("")
         lines.append("-- stages --")
         lines.append(
-            f"{'stage':<24} {'count':>7} {'total_t':>12} {'mean_t':>12} {'wall_s':>10}"
+            f"{'stage':<24} {'count':>7} {'total_t':>12} {'mean_t':>12} "
+            f"{'max_t':>12} {'wall_s':>10}"
         )
         for name in sorted(by_name):
             durations = by_name[name]
             total = sum(durations)
             lines.append(
                 f"{name:<24} {len(durations):>7} {total:>12.6f} "
-                f"{total / len(durations):>12.6f} {wall_by_name[name]:>10.4f}"
+                f"{total / len(durations):>12.6f} {max(durations):>12.6f} "
+                f"{wall_by_name[name]:>10.4f}"
+            )
+        slowest = sorted(tracer.spans, key=lambda s: -s.duration)[:SLOWEST_SPANS]
+        lines.append("")
+        lines.append(f"-- {len(slowest)} slowest spans --")
+        lines.append(f"{'span':<24} {'t0':>12} {'dur_t':>12}  attrs")
+        for span in slowest:
+            attrs = ", ".join(
+                f"{k}={v}" for k, v in span.attrs.items() if k != "track"
+            )
+            lines.append(
+                f"{span.name:<24} {span.t0:>12.6f} {span.duration:>12.6f}  {attrs}"
             )
 
     # Per-conversation rollup over request spans.
@@ -321,15 +312,13 @@ def write_trace_artifacts(
     tracer: Tracer,
     outdir: Union[str, "os.PathLike[str]"],
     prefix: str = "trace",
-    time_axis: str = "sim",
-    close_at: Optional[float] = None,
 ) -> Dict[str, str]:
     """Write all three artifacts into ``outdir``; returns format->path.
 
-    ``close_at`` closes spans still open (requests in flight at the
-    simulation horizon) before exporting.
+    Spans still open (requests in flight at the simulation horizon) are
+    closed at the last recorded time before exporting.
     """
-    tracer.close_open(t=close_at)
+    tracer.close_open()
     os.makedirs(outdir, exist_ok=True)
     paths = {
         "jsonl": os.path.join(outdir, f"{prefix}.jsonl"),
@@ -337,73 +326,10 @@ def write_trace_artifacts(
         "report": os.path.join(outdir, f"{prefix}.txt"),
     }
     to_jsonl(tracer, paths["jsonl"])
-    to_chrome_trace(tracer, paths["chrome"], time_axis=time_axis)
+    to_chrome_trace(tracer, paths["chrome"])
     with open(paths["report"], "w", encoding="utf-8") as fh:
         fh.write(text_report(tracer))
     return paths
-
-
-# ---------------------------------------------------------------------------
-# Span summary (``repro trace --summary``)
-# ---------------------------------------------------------------------------
-
-
-def span_summary(tracer: Tracer, top: int = 10) -> str:
-    """Per-span-name aggregates plus the top-N slowest individual spans.
-
-    Makes a finished trace inspectable without loading Chrome: one table
-    of count/total/mean/max per span name with an ASCII bar chart of
-    where simulated time went, and the N slowest spans with their
-    attribution attributes.
-    """
-    from repro.analysis.ascii_plot import bar_chart
-
-    lines: List[str] = ["== span summary =="]
-    spans = [s for s in tracer.spans if s.t1 is not None]
-    open_spans = len(tracer.spans) - len(spans)
-    if not spans:
-        lines.append("(no closed spans)")
-        return "\n".join(lines)
-
-    by_name: Dict[str, List[float]] = {}
-    for span in spans:
-        by_name.setdefault(span.name, []).append(span.duration)
-    lines.append("")
-    lines.append("-- per-span-name aggregate --")
-    lines.append(
-        f"{'span':<20} {'count':>7} {'total_t':>12} {'mean_t':>12} {'max_t':>12}"
-    )
-    totals: List[Tuple[str, float]] = []
-    for name in sorted(by_name, key=lambda n: -sum(by_name[n])):
-        durations = by_name[name]
-        total = sum(durations)
-        totals.append((name, total))
-        lines.append(
-            f"{name:<20} {len(durations):>7} {total:>12.6f} "
-            f"{total / len(durations):>12.6f} {max(durations):>12.6f}"
-        )
-    if open_spans:
-        lines.append(f"(+{open_spans} spans still open, excluded)")
-
-    lines.append("")
-    lines.append(bar_chart(totals, title="-- total simulated seconds --"))
-
-    slowest = sorted(spans, key=lambda s: -s.duration)[: max(0, top)]
-    if slowest:
-        lines.append("")
-        lines.append(f"-- top {len(slowest)} slowest spans --")
-        lines.append(f"{'span':<20} {'t0':>12} {'dur_t':>12}  attrs")
-        for span in slowest:
-            attrs = ", ".join(
-                f"{k}={span.attrs[k]}"
-                for k in ("request_id", "conv_id", "tokens", "batch_size")
-                if k in span.attrs
-            )
-            lines.append(
-                f"{span.name:<20} {span.t0:>12.6f} {span.duration:>12.6f}  {attrs}"
-            )
-    lines.append("")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -437,12 +363,14 @@ def _prom_labels(labels: Dict[str, str]) -> str:
     return "{" + inner + "}"
 
 
+#: Metric-name prefix of every exported series.
+PROM_NAMESPACE = "repro"
+
+
 def prometheus_snapshot(
     collector: Any = None,
     hists: Any = None,
     counters: Optional[Dict[str, float]] = None,
-    gauges: Optional[Dict[str, float]] = None,
-    namespace: str = "repro",
 ) -> str:
     """Render an SLO metrics snapshot in Prometheus text exposition format.
 
@@ -455,15 +383,13 @@ def prometheus_snapshot(
         counters: extra monotonic counters — pass the engine/PCIe/NVMe
             **ledger totals** here so the snapshot is self-reconciling
             (histogram totals and ledger counters live in one artifact).
-        gauges: extra point-in-time values.
-        namespace: metric-name prefix.
 
     The exposition is parseable by :func:`parse_prometheus` (used by the
     CI metrics-smoke job) and by any Prometheus scraper.
     """
     out: List[str] = []
     counter_lines: Dict[str, float] = dict(counters or {})
-    gauge_lines: Dict[str, float] = dict(gauges or {})
+    gauge_lines: Dict[str, float] = {}
 
     hist_sets: List[Any] = []
     if hists is not None and getattr(hists, "enabled", False):
@@ -490,7 +416,7 @@ def prometheus_snapshot(
     seen_names: set = set()
     for hist_set in hist_sets:
         for hist in hist_set.all():
-            metric = f"{namespace}_{_prom_name(hist.name)}"
+            metric = f"{PROM_NAMESPACE}_{_prom_name(hist.name)}"
             if metric not in seen_names:
                 seen_names.add(metric)
                 out.append(
@@ -514,11 +440,11 @@ def prometheus_snapshot(
             out.append(f"{metric}_count{_prom_labels(labels)} {hist.count}")
 
     for name in sorted(counter_lines):
-        metric = f"{namespace}_{_prom_name(name)}_total"
+        metric = f"{PROM_NAMESPACE}_{_prom_name(name)}_total"
         out.append(f"# TYPE {metric} counter")
         out.append(f"{metric} {_prom_value(counter_lines[name])}")
     for name in sorted(gauge_lines):
-        metric = f"{namespace}_{_prom_name(name)}"
+        metric = f"{PROM_NAMESPACE}_{_prom_name(name)}"
         out.append(f"# TYPE {metric} gauge")
         out.append(f"{metric} {_prom_value(gauge_lines[name])}")
     return "\n".join(out) + "\n"
@@ -535,30 +461,17 @@ def ledger_counters(engine: Any) -> Dict[str, float]:
     two families apart in the exposition).
     """
     counters: Dict[str, float] = {}
-    pcie = getattr(engine, "pcie", None)
-    if pcie is not None:
-        by_dir: Dict[str, int] = {}
-        for record in pcie.history:
-            key = record.direction.value
-            by_dir[key] = by_dir.get(key, 0) + 1
-        for direction in ("h2d", "d2h"):
-            counters[f"ledger.pcie.{direction}_transfers"] = float(
-                by_dir.get(direction, 0)
-            )
-        for direction, moved in pcie.bytes_moved.items():
-            counters[f"ledger.pcie.{direction.value}_bytes"] = float(moved)
-    nvme = getattr(engine, "nvme", None)
-    if nvme is not None:
-        by_dir = {}
-        for record in nvme.history:
-            key = record.direction.value
-            by_dir[key] = by_dir.get(key, 0) + 1
-        for direction in ("read", "write"):
-            counters[f"ledger.nvme.{direction}_transfers"] = float(
-                by_dir.get(direction, 0)
-            )
-        for direction, moved in nvme.bytes_moved.items():
-            counters[f"ledger.nvme.{direction.value}_bytes"] = float(moved)
+    for name in ("pcie", "nvme"):
+        link = getattr(engine, name, None)
+        if link is None:
+            continue
+        transfers = dict.fromkeys(link.bytes_moved, 0)
+        for record in link.history:
+            transfers[record.direction] += 1
+        for direction, moved in link.bytes_moved.items():
+            key = f"ledger.{name}.{direction.value}"
+            counters[f"{key}_transfers"] = float(transfers[direction])
+            counters[f"{key}_bytes"] = float(moved)
     manager = getattr(engine, "manager", None)
     if manager is not None:
         for key, value in getattr(manager, "stats", {}).items():

@@ -29,12 +29,21 @@ from typing import Any, Deque, Dict, IO, List, Optional, Tuple, Union
 __all__ = [
     "FlightEvent",
     "FlightRecorder",
+    "MAX_CAPTURES",
     "NULL_FLIGHT",
     "NullFlightRecorder",
+    "RING_CAPACITY",
     "SloConfig",
 ]
 
 _PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
+
+#: Events retained per in-flight request; older events roll off (the
+#: count ledger still sees them).
+RING_CAPACITY = 64
+#: Slow/failed timelines retained; older captures roll off, with
+#: ``dropped_captures`` keeping the overflow count.
+MAX_CAPTURES = 512
 
 
 @dataclass(frozen=True)
@@ -138,27 +147,16 @@ NULL_FLIGHT = NullFlightRecorder()
 
 
 class FlightRecorder(NullFlightRecorder):
-    """Bounded per-request event rings with an exact event-count ledger.
-
-    Args:
-        ring_capacity: events retained per in-flight request; older events
-            roll off (the count ledger still sees them).
-        max_captures: slow/failed timelines retained; older captures roll
-            off with ``dropped_captures`` keeping the overflow count.
-    """
+    """Bounded per-request event rings (:data:`RING_CAPACITY` events
+    each) with an exact event-count ledger, and up to
+    :data:`MAX_CAPTURES` retained slow/failed timelines."""
 
     enabled = True
 
-    def __init__(self, ring_capacity: int = 64, max_captures: int = 512) -> None:
-        if ring_capacity <= 0:
-            raise ValueError(f"ring_capacity must be positive, got {ring_capacity}")
-        if max_captures <= 0:
-            raise ValueError(f"max_captures must be positive, got {max_captures}")
-        self.ring_capacity = ring_capacity
-        self.max_captures = max_captures
+    def __init__(self) -> None:
         self._rings: Dict[int, Deque[FlightEvent]] = {}
         self._counts: Dict[str, int] = {}
-        self._captures: Deque[Dict[str, Any]] = deque(maxlen=max_captures)
+        self._captures: Deque[Dict[str, Any]] = deque(maxlen=MAX_CAPTURES)
         self.dropped_captures = 0
 
     # -- recording -----------------------------------------------------
@@ -181,7 +179,7 @@ class FlightRecorder(NullFlightRecorder):
         """
         ring = self._rings.get(request_id)
         if ring is None:
-            ring = deque(maxlen=self.ring_capacity)
+            ring = deque(maxlen=RING_CAPACITY)
             self._rings[request_id] = ring
         ring.append(FlightEvent(t, event, attrs))
         key = self._count_key(event, attrs)
@@ -191,6 +189,16 @@ class FlightRecorder(NullFlightRecorder):
         """Pop and return the request's timeline (empty if unknown)."""
         ring = self._rings.pop(request_id, None)
         return list(ring) if ring is not None else []
+
+    def discard_in_flight(self) -> None:
+        """Drop the rings of requests still in flight when a run ends.
+
+        Request ids restart with every run, so a recorder shared across
+        runs (a rate sweep) would otherwise splice the next run's
+        timeline onto a stale ring with the same id.  The exact
+        ``event_counts`` ledger keeps the discarded events.
+        """
+        self._rings.clear()
 
     # -- capture policy ------------------------------------------------
 

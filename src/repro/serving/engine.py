@@ -20,16 +20,19 @@ plus the cache-lifecycle hooks :meth:`_on_admit` / :meth:`_on_finish`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.gpu.costmodel import CostModel
-from repro.obs.flight import FlightRecorder, SloConfig
-from repro.obs.histogram import HistogramSet
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.serving.batching import BatchConfig
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request, RequestState
 from repro.sim.events import EventLoop
+
+#: Request events whose trace form is the ``request`` span's begin and
+#: end (arrival, finish, abort): :meth:`EngineBase._event` sends them to
+#: the ``FlightRecorder`` only.
+_SPAN_BOUNDS = frozenset({"admit", "finish", "abort"})
 
 
 class EngineBase:
@@ -84,25 +87,14 @@ class EngineBase:
         self.tracer = tracer
         self.loop.tracer = tracer
 
-    def enable_slo_metrics(
-        self,
-        slo: Optional[SloConfig] = None,
-        hist: Optional[HistogramSet] = None,
-        flight: Optional[FlightRecorder] = None,
-    ) -> "EngineBase":
-        """Arm the SLO observability layer (histograms + flight recorder,
-        optional TTFT/TBT objectives) before the simulation runs."""
-        self.metrics.enable_slo(slo=slo, hist=hist, flight=flight)
-        return self
-
     def submit(self, request: Request) -> None:
         """Enqueue a request at the current simulated time."""
         request.state = RequestState.WAITING
         request.last_enqueue_time = self.loop.now
         self.wait_queue.append(request)
         if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                request.request_id, "admit", self.loop.now,
+            self._event(
+                request, "admit", self.loop.now,
                 conv_id=request.conv_id, turn=request.turn_index,
                 prompt_tokens=request.prompt_tokens,
             )
@@ -154,9 +146,7 @@ class EngineBase:
         self.failed.append(request)
         self.metrics.faults.degraded_requests += 1
         if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                request.request_id, "abort", now, reason=reason
-            )
+            self._event(request, "abort", now, reason=reason)
         self.metrics.fail(request, now, reason)
         self._on_fail(request, now)
         if self.tracer.enabled:
@@ -168,21 +158,64 @@ class EngineBase:
     def _on_fail(self, request: Request, now: float) -> None:
         """Release engine-specific state of a failed request (hook)."""
 
+    @property
+    def _observed(self) -> bool:
+        """Whether a request event has a sink: the guard every
+        :meth:`_event` call site checks first, so the unarmed path makes
+        no call and builds no attributes."""
+        return self.tracer.enabled or self.metrics.flight.enabled
+
+    def _event(
+        self,
+        request: Request,
+        name: str,
+        now: float,
+        end: Optional[float] = None,
+        **attrs: Any,
+    ) -> None:
+        """Emit one request event, under one name, to both sinks.
+
+        The ``FlightRecorder`` appends it to the request's ring (a
+        ``count`` attribute feeds its exact ledger).  The tracer records
+        an instant at ``now`` — or, when ``end`` is given, a complete
+        span — on the ``requests`` track beside the request span,
+        carrying ``request_id`` and ``conv_id``.  Arrival, ``finish``
+        and ``abort`` reach the ``FlightRecorder`` only: the ``request``
+        span's begin and end are their trace form.
+        """
+        flight = self.metrics.flight
+        if flight.enabled:
+            flight.record(request.request_id, name, now, **attrs)
+        tracer = self.tracer
+        if not tracer.enabled or name in _SPAN_BOUNDS:
+            return
+        if end is None:
+            tracer.instant(
+                name, t=now, track="requests", request_id=request.request_id,
+                conv_id=request.conv_id, **attrs,
+            )
+        else:
+            tracer.complete(
+                name, now, end, track="requests",
+                request_id=request.request_id, conv_id=request.conv_id,
+                **attrs,
+            )
+
     def _note_batch_join(self, request: Request, now: float) -> None:
         """SLO layer: the request left the wait queue for a running batch.
 
         Queue wait is measured per wait *episode* (since the last
         enqueue), so re-admissions after a suspension each contribute
-        their own sample instead of re-counting from arrival.
+        their own sample instead of re-counting from arrival.  The
+        ``batch_join`` event is emitted by the caller, which knows the
+        admission's attributes.
         """
-        metrics = self.metrics
-        if metrics.hist.enabled:
+        hist = self.metrics.hist
+        if hist.enabled:
             since = request.last_enqueue_time
             if since is None:
                 since = request.arrival_time
-            metrics.hist.hist("queue_wait_seconds").record(now - since)
-        if metrics.flight.enabled:
-            metrics.flight.record(request.request_id, "batch_join", now)
+            hist.hist("queue_wait_seconds").record(now - since)
 
     # ------------------------------------------------------------------
     # The serving loop
@@ -281,9 +314,8 @@ class EngineBase:
             self.running.remove(request)
             self._on_finish(request, now)
             if self.metrics.flight.enabled:
-                self.metrics.flight.record(
-                    request.request_id, "finish", now,
-                    output_tokens=request.output_tokens,
+                self._event(
+                    request, "finish", now, output_tokens=request.output_tokens
                 )
             self.metrics.complete(request)
             if self.tracer.enabled:

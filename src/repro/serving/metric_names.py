@@ -1,7 +1,7 @@
 """The declared metric-name registry: the single source of truth.
 
 Every histogram name recorded through a :class:`~repro.serving.metrics.
-MetricsCollector`-armed sink, every flight-recorder lifecycle event, and
+MetricsCollector`-armed sink, every ``FlightRecorder`` lifecycle event, and
 every tier label must be declared here.  The Prometheus exporter and the
 reconciliation suites (``tests/obs/test_slo_reconciliation.py``,
 ``tests/obs/test_disk_reconciliation.py``) import these sets instead of

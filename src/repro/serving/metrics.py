@@ -174,6 +174,17 @@ class MetricsCollector:
             self.slo = slo
         return self
 
+    def absorb(self, other: "MetricsCollector") -> None:
+        """Add another run's completions, failures and SLO violations to
+        this collector's totals (a sweep's one collector over its rates;
+        the histogram and flight sinks are shared, so nothing else
+        moves)."""
+        self._records.extend(other._records)
+        self._failures.extend(other._failures)
+        for kind, count in other.slo_violations.items():
+            self.slo_violations[kind] = self.slo_violations.get(kind, 0) + count
+        self.slo_violated_requests.extend(other.slo_violated_requests)
+
     def complete(self, request: Request) -> RequestRecord:
         """Record a finished request.
 

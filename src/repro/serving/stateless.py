@@ -116,6 +116,8 @@ class StatelessEngine(EngineBase):
             request.state = RequestState.RUNNING
             self.running.append(request)
             self._note_batch_join(request, now)
+            if self._observed:
+                self._event(request, "batch_join", now)
             selected.append(request)
             batch_tokens += prefill
         return selected
@@ -140,15 +142,9 @@ class StatelessEngine(EngineBase):
         self.running.remove(victim)
         # Re-admit before younger requests: push to the queue front.
         self.wait_queue.appendleft(victim)
-        if self.metrics.flight.enabled:
-            self.metrics.flight.record(
-                victim.request_id, "suspend", now, kind="preempt",
-                dropped_tokens=freed,
-            )
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "preempt", t=now, track="engine",
-                request_id=victim.request_id, freed_tokens=freed,
+        if self._observed:
+            self._event(
+                victim, "suspend", now, kind="preempt", dropped_tokens=freed
             )
 
     # ------------------------------------------------------------------

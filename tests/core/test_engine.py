@@ -160,8 +160,8 @@ class TestCacheManagement:
         stats = engine.manager.stats
         assert stats["cpu_hit_tokens"] > 0
         assert len(tracer.spans_named("swap_in")) >= 1
-        admits = [attrs for name, *_, attrs in tracer.instants if name == "admit"]
-        assert sum(a["swap_in"] for a in admits) == stats["cpu_hit_tokens"]
+        joins = [attrs for name, *_, attrs in tracer.instants if name == "batch_join"]
+        assert sum(a["swap_in"] for a in joins) == stats["cpu_hit_tokens"]
 
     def test_gpu_cache_variant_recomputes(self):
         """Without a CPU tier, evicted context must be recomputed."""

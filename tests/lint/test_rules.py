@@ -66,12 +66,23 @@ class TestRPR004LedgerNameSync:
         result = run_lint(fixture_root("rpr004"))
         findings = _by_rule(result, "RPR004")
         messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 5
+        assert len(findings) == 7
         assert "'typo_metric' is not declared" in messages
         assert "tier label 'tpu'" in messages
         assert "'bogus_event' is not declared" in messages
         assert "'dead_metric' is never recorded" in messages
         assert "SAMPLED_HISTOGRAMS" in messages
+
+    def test_event_helper_names_are_recorded_events(self, fixture_root):
+        result = run_lint(fixture_root("rpr004"))
+        findings = [
+            f for f in _by_rule(result, "RPR004")
+            if f.path.endswith("serving/events.py")
+        ]
+        messages = " | ".join(f.message for f in findings)
+        assert len(findings) == 2
+        assert "flight event 'stall' is not declared" in messages
+        assert "tier label 'tpu'" in messages
 
     def test_declared_and_recorded_names_pass(self, fixture_root):
         result = run_lint(fixture_root("rpr004"))

@@ -22,17 +22,19 @@ from repro.obs import (
     ledger_counters,
     parse_prometheus,
     prometheus_snapshot,
-    span_summary,
+    text_report,
     tier_attribution_table,
     to_chrome_trace,
 )
-from repro.obs.export import read_jsonl, to_jsonl
+from repro.obs.export import to_jsonl
+from repro.obs.flight import SloConfig
 from repro.obs.histogram import NULL_HISTOGRAMS, HistogramSet
+from repro.serving.metrics import MetricsCollector
 
 
-def _chrome(tracer, time_axis="sim"):
+def _chrome(tracer):
     buffer = io.StringIO()
-    document = to_chrome_trace(tracer, buffer, time_axis=time_axis)
+    document = to_chrome_trace(tracer, buffer)
     # The write path and the returned document agree.
     assert json.loads(buffer.getvalue()) == json.loads(json.dumps(document))
     return document
@@ -89,13 +91,6 @@ class TestChromeTraceRobustness:
         assert document["traceEvents"] == []
         assert document["otherData"]["format"] == "repro-trace-chrome"
 
-    def test_wall_axis_and_bad_axis(self):
-        tracer = Tracer()
-        tracer.complete("x", 0.0, 1.0)
-        assert _chrome(tracer, time_axis="wall")["otherData"]["timeAxis"] == "wall"
-        with pytest.raises(ValueError):
-            to_chrome_trace(tracer, io.StringIO(), time_axis="gpu")
-
     def test_jsonl_round_trip(self):
         tracer = Tracer()
         span = tracer.begin("request", t=0.0, conv_id=1)
@@ -103,8 +98,7 @@ class TestChromeTraceRobustness:
         tracer.count("pcie.h2d_bytes", 4096)
         buffer = io.StringIO()
         assert to_jsonl(tracer, buffer) == 3  # meta + span + counter
-        buffer.seek(0)
-        records = read_jsonl(buffer)
+        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
         assert records[0]["format"] == "repro-trace-jsonl"
         by_type = {r["type"] for r in records}
         assert by_type == {"meta", "span", "counter"}
@@ -114,23 +108,31 @@ class TestChromeTraceRobustness:
 
 
 class TestSpanSummary:
+    """The text report is the one span rollup."""
+
     def test_empty_tracer(self):
-        assert "(no closed spans)" in span_summary(Tracer())
+        text = text_report(Tracer())
+        assert text.startswith("== trace report ==")
+        assert "-- stages --" not in text and "slowest spans" not in text
 
     def test_aggregates_and_slowest(self):
         tracer = Tracer()
         tracer.complete("decode", 0.0, 0.1)
         tracer.complete("decode", 0.1, 0.3)
         tracer.complete("prefill", 0.0, 1.5, request_id=7, tokens=128)
-        tracer.begin("request", t=0.0)  # open: excluded, but reported
-        text = span_summary(tracer, top=2)
-        assert "per-span-name aggregate" in text
-        assert "top 2 slowest spans" in text
-        assert "request_id=7" in text and "tokens=128" in text
-        assert "(+1 spans still open, excluded)" in text
-        # prefill dominates total time, so it leads the table and chart.
-        agg_lines = [l for l in text.splitlines() if l.startswith(("prefill", "decode"))]
-        assert agg_lines[0].startswith("prefill")
+        for i in range(12):
+            tracer.complete("step", 2.0, 2.0 + 0.01 * i, track="engine")
+        text = text_report(tracer)
+        lines = text.splitlines()
+        decode = next(l for l in lines if l.startswith("decode "))
+        count, total, mean, peak = decode.split()[1:5]
+        assert (count, total, mean, peak) == ("2", "0.300000", "0.150000", "0.200000")
+        assert "-- 10 slowest spans --" in text
+        slowest = lines[lines.index("-- 10 slowest spans --") + 2:][:10]
+        assert slowest[0].startswith("prefill")
+        assert slowest[0].endswith("request_id=7, tokens=128")
+        assert slowest[1].startswith("decode")
+        assert not any("track=" in line for line in slowest)
 
 
 class TestPrometheusRoundTrip:
@@ -138,7 +140,7 @@ class TestPrometheusRoundTrip:
         hists = HistogramSet()
         hists.hist("ttft_seconds").record_many([0.01, 0.05, 0.2])
         hists.hist("swap_in_seconds", tier="cpu").record(0.003)
-        text = prometheus_snapshot(hists=hists, namespace="repro")
+        text = prometheus_snapshot(hists=hists)
         parsed = parse_prometheus(text)
         assert parsed["repro_ttft_seconds_count"][()] == 3
         assert parsed["repro_ttft_seconds_sum"][()] == pytest.approx(0.26)
@@ -152,12 +154,13 @@ class TestPrometheusRoundTrip:
         assert inf_rows == [3]
 
     def test_counters_and_gauges_without_collector(self):
-        text = prometheus_snapshot(
-            counters={"ledger.pcie.h2d_transfers": 7},
-            gauges={"slo_ttft_seconds": 0.5},
+        parsed = parse_prometheus(
+            prometheus_snapshot(counters={"ledger.pcie.h2d_transfers": 7})
         )
-        parsed = parse_prometheus(text)
-        assert parsed["repro_ledger_pcie_h2d_transfers_total"][()] == 7
+        assert parsed == {"repro_ledger_pcie_h2d_transfers_total": {(): 7.0}}
+        # Gauges come from a collector's objectives.
+        collector = MetricsCollector().enable_slo(slo=SloConfig(ttft=0.5))
+        parsed = parse_prometheus(prometheus_snapshot(collector=collector))
         assert parsed["repro_slo_ttft_seconds"][()] == 0.5
 
     def test_malformed_line_raises(self):

@@ -11,13 +11,21 @@ import json
 
 import pytest
 
+from repro.core.engine import PensieveEngine
+from repro.experiments.common import run_rate_sweep
+from repro.gpu.device import A100_80GB
+from repro.model.config import OPT_13B
 from repro.obs.flight import (
+    MAX_CAPTURES,
+    RING_CAPACITY,
     FlightEvent,
     FlightRecorder,
     NULL_FLIGHT,
     NullFlightRecorder,
     SloConfig,
 )
+from repro.obs.histogram import HistogramSet
+from repro.workload.dataset import SHAREGPT
 
 
 class TestSloConfig:
@@ -66,15 +74,18 @@ class TestFlightRecorder:
         assert flight.in_flight == 0
 
     def test_ring_is_bounded_but_ledger_is_exact(self):
-        flight = FlightRecorder(ring_capacity=8)
-        for i in range(100):
+        flight = FlightRecorder()
+        total = RING_CAPACITY + 36
+        for i in range(total):
             flight.record(1, "suspend", float(i))
         events = flight.finish(1)
-        assert len(events) == 8
-        assert [e.t for e in events] == [float(i) for i in range(92, 100)]
-        # Ledger saw every one of the 100 records, evictions included.
-        assert flight.event_counts == {"suspend": 100}
-        assert flight.event_count("suspend") == 100
+        assert len(events) == RING_CAPACITY
+        assert [e.t for e in events] == [
+            float(i) for i in range(total - RING_CAPACITY, total)
+        ]
+        # Ledger saw every record, evictions included.
+        assert flight.event_counts == {"suspend": total}
+        assert flight.event_count("suspend") == total
 
     def test_count_parameter_feeds_ledger_once_per_burst(self):
         flight = FlightRecorder()
@@ -92,11 +103,14 @@ class TestFlightRecorder:
         assert flight.event_count("swap_in", tier="disk") == 1
         assert flight.event_count("swap_in") == 0  # untiered key unused
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(ring_capacity=0)
-        with pytest.raises(ValueError):
-            FlightRecorder(max_captures=0)
+    def test_discard_in_flight_keeps_the_ledger(self):
+        flight = FlightRecorder()
+        flight.record(1, "admit", 0.0)
+        flight.record(2, "admit", 0.1)
+        flight.discard_in_flight()
+        assert flight.in_flight == 0
+        assert flight.finish(1) == []
+        assert flight.event_count("admit") == 2
 
     def test_capture_with_explicit_events(self):
         flight = FlightRecorder()
@@ -119,12 +133,12 @@ class TestFlightRecorder:
         assert len(flight.finish(5)) == 1
 
     def test_capture_rollover_counts_drops(self):
-        flight = FlightRecorder(max_captures=3)
-        for i in range(5):
+        flight = FlightRecorder()
+        for i in range(MAX_CAPTURES + 2):
             flight.capture(i, "slo:tbt", float(i))
-        assert len(flight.captures) == 3
+        assert len(flight.captures) == MAX_CAPTURES
         assert flight.dropped_captures == 2
-        assert flight.captured_request_ids() == [2, 3, 4]
+        assert flight.captured_request_ids() == list(range(2, MAX_CAPTURES + 2))
 
     def test_dump_captures_jsonl(self, tmp_path):
         flight = FlightRecorder()
@@ -163,3 +177,28 @@ class TestNullFlight:
     def test_recording_instance_reports_enabled(self):
         assert FlightRecorder().enabled is True
         assert bool(FlightRecorder())
+
+
+class TestSharedAcrossRuns:
+    def test_sweep_timelines_never_splice(self):
+        """One recorder shared by every rate of a sweep: request ids
+        restart in each run, so a ring left open at one run's horizon
+        must not absorb the next run's request with the same id."""
+        flight = FlightRecorder()
+        run_rate_sweep(
+            lambda loop: PensieveEngine(loop, OPT_13B, A100_80GB),
+            SHAREGPT,
+            rates=(8.0, 20.0),
+            duration=30.0,
+            seed=3,
+            slo=SloConfig(ttft=1e-6),
+            hist=HistogramSet(),
+            flight=flight,
+        )
+        assert flight.captures
+        for capture in flight.captures:
+            names = [e["event"] for e in capture["events"]]
+            times = [e["t"] for e in capture["events"]]
+            assert names.count("admit") == 1, names
+            assert times == sorted(times), times
+        assert flight.in_flight == 0

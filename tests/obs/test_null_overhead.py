@@ -6,14 +6,15 @@ and the flight recorder: every instrumentation site guards on
 ``.enabled`` before computing sample values, so the disabled path does
 zero work — no method dispatch, no dict lookups, no allocations.  This
 test pins that guarantee deterministically by spying on the shared null
-singletons during a full unarmed serving run; the wall-clock companion
-lives in ``benchmarks/perf/test_null_metrics_overhead.py``.
+singletons, and on the engines' one request-event emitter, during a full
+unarmed serving run.
 """
 
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.histogram import NULL_HISTOGRAM, NULL_HISTOGRAMS
+from repro.serving.engine import EngineBase
 
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
 
@@ -32,7 +33,7 @@ def _factory(loop):
 
 class TestNullSinksNeverInvoked:
     def test_unarmed_run_makes_zero_sink_calls(self, monkeypatch):
-        calls = {"hist": 0, "record": 0, "finish": 0, "capture": 0}
+        calls = {"hist": 0, "record": 0, "finish": 0, "capture": 0, "_event": 0}
 
         def spy(name, original):
             def wrapped(*args, **kwargs):
@@ -53,9 +54,12 @@ class TestNullSinksNeverInvoked:
         monkeypatch.setattr(
             type(NULL_FLIGHT), "capture", spy("capture", type(NULL_FLIGHT).capture)
         )
+        monkeypatch.setattr(EngineBase, "_event", spy("_event", EngineBase._event))
         engine, stats = run_serving_once(_factory, _workload(), until=40.0)
-        assert stats.num_requests > 0  # the run actually served traffic
-        assert calls == {"hist": 0, "record": 0, "finish": 0, "capture": 0}
+        assert stats.num_requests > 0  # every admission reached an event site
+        assert calls == {
+            "hist": 0, "record": 0, "finish": 0, "capture": 0, "_event": 0
+        }
 
     def test_unarmed_collector_shares_the_singletons(self):
         engine, _ = run_serving_once(_factory, _workload(), until=40.0)

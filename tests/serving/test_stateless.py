@@ -93,7 +93,10 @@ class TestMemoryManagement:
         tracer = Tracer()
         engine, _ = run_serving_once(vllm_factory(96), convs, tracer=tracer)
         assert len(engine.metrics) == 2
-        assert any(name == "preempt" for name, *_ in tracer.instants)
+        assert any(
+            name == "suspend" and attrs["kind"] == "preempt"
+            for name, *_, attrs in tracer.instants
+        )
         # The preempted request's re-prefill covered generated tokens too.
         victim = engine.metrics.records[-1]
         assert victim.prefilled_tokens > 20

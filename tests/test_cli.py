@@ -1,8 +1,26 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import parse_prometheus
+
+
+@pytest.fixture(scope="module")
+def traced_simulate(tmp_path_factory):
+    """One ``simulate --trace-out`` run shared by the trace tests."""
+    out_dir = tmp_path_factory.mktemp("traced") / "t"
+    rc = main(
+        [
+            "simulate", "--system", "pensieve", "--model", "opt-13b",
+            "--rate", "2", "--duration", "30", "--seed", "3",
+            "--trace-out", str(out_dir),
+        ]
+    )
+    assert rc == 0
+    return out_dir
 
 
 class TestParser:
@@ -121,19 +139,8 @@ class TestFigures:
 
 
 class TestTrace:
-    def test_trace_simulate_writes_artifacts(self, capsys, tmp_path):
-        import json
-
-        out_dir = tmp_path / "traces"
-        rc = main(
-            [
-                "trace", "simulate", "--rate", "2", "--duration", "40",
-                "--seed", "3", "--out", str(out_dir),
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "throughput_rps" in out
+    def test_simulate_trace_out_flag(self, traced_simulate):
+        out_dir = traced_simulate
         chrome = json.loads((out_dir / "trace_simulate.chrome.json").read_text())
         events = chrome["traceEvents"]
         assert any(e["ph"] == "X" and e["name"] == "request" for e in events)
@@ -144,19 +151,6 @@ class TestTrace:
         assert (out_dir / "trace_simulate.txt").read_text().startswith(
             "== trace report =="
         )
-
-    def test_simulate_trace_out_flag(self, capsys, tmp_path):
-        out_dir = tmp_path / "t"
-        rc = main(
-            [
-                "simulate", "--system", "pensieve", "--model", "opt-13b",
-                "--rate", "2", "--duration", "30", "--seed", "3",
-                "--trace-out", str(out_dir),
-            ]
-        )
-        assert rc == 0
-        assert (out_dir / "trace_simulate.chrome.json").exists()
-        assert (out_dir / "trace_simulate.jsonl").exists()
 
 
 class TestObservabilityCli:
@@ -176,12 +170,20 @@ class TestObservabilityCli:
             assert args.metrics_out == "m"
 
     def test_trace_summary_flags(self):
-        args = build_parser().parse_args(["trace", "simulate"])
-        assert args.summary is False and args.top == 10
-        args = build_parser().parse_args(
-            ["trace", "simulate", "--summary", "--top", "3"]
-        )
-        assert args.summary is True and args.top == 3
+        """One traced-simulate command and one rollup: ``trace simulate``
+        and the summary flags are gone; the text report holds the rollup."""
+        parser = build_parser()
+        for argv in (
+            ["trace", "simulate"],
+            ["trace", "fig13", "--summary"],
+            ["trace", "fig13", "--top", "3"],
+            ["trace", "fig13", "--system", "vllm"],
+            ["trace", "fig13", "--dataset", "ultrachat"],
+            ["trace", "fig13", "--think-time", "60"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        assert parser.parse_args(["trace", "fig15x"]).experiment == "fig15x"
 
     def test_simulate_with_slo_writes_metrics_artifacts(self, capsys, tmp_path):
         import json
@@ -198,8 +200,6 @@ class TestObservabilityCli:
         assert rc == 0
         out = capsys.readouterr().out
         assert "slo violations" in out or "flight capture" in out
-        from repro.obs import parse_prometheus
-
         prom_text = (out_dir / "metrics.prom").read_text()
         parsed = parse_prometheus(prom_text)  # must not raise
         assert "repro_requests_completed_total" in parsed
@@ -208,15 +208,34 @@ class TestObservabilityCli:
         assert json.loads(jsonl[0])["format"] == "repro-metrics-jsonl"
         assert (out_dir / "metrics_captures.jsonl").exists()
 
-    def test_trace_summary_prints_aggregate(self, capsys, tmp_path):
+    def test_trace_summary_prints_aggregate(self, traced_simulate):
+        report = (traced_simulate / "trace_simulate.txt").read_text()
+        header = next(l for l in report.splitlines() if l.startswith("stage "))
+        assert header.split() == [
+            "stage", "count", "total_t", "mean_t", "max_t", "wall_s"
+        ]
+        lines = report.splitlines()
+        start = lines.index("-- 10 slowest spans --")
+        slowest = lines[start + 2:start + 12]
+        assert len(slowest) == 10 and all(slowest)
+        assert "request_id=" in "\n".join(slowest)
+
+    def test_sweep_slo_metrics_keep_every_violation(self, capsys, tmp_path):
+        """An unmeetable TTFT objective: every completion of the sweep
+        violates it, and the snapshot and the captures say so."""
+        out_dir = tmp_path / "m"
         rc = main(
             [
-                "trace", "simulate", "--rate", "2", "--duration", "30",
-                "--seed", "3", "--summary", "--top", "3",
-                "--out", str(tmp_path / "t"),
+                "sweep", "--system", "pensieve", "--rates", "2",
+                "--duration", "30", "--seed", "3", "--slo-ttft", "0.001",
+                "--metrics-out", str(out_dir),
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "== span summary ==" in out
-        assert "per-span-name aggregate" in out
+        assert "slo violations: {'ttft': " in capsys.readouterr().out
+        parsed = parse_prometheus((out_dir / "sweep_metrics.prom").read_text())
+        completed = parsed["repro_requests_completed_total"][()]
+        assert completed > 0
+        assert parsed["repro_slo_violations_ttft_total"][()] == completed
+        captures = (out_dir / "sweep_metrics_captures.jsonl").read_text()
+        assert len(captures.splitlines()) == completed

@@ -3,8 +3,10 @@
 Scoped to what can be checked without judgement, in ``README.md``,
 ``DESIGN.md`` and ``ARCHITECTURE.md``: relative links resolve, every
 ``src/repro/...`` path exists, every module DESIGN.md's two tables name
-imports, the module map lists every package under ``src/repro``, and each
-``python -m repro {...}`` subcommand list is the parser's.
+imports, the module map lists every package under ``src/repro``, each
+``python -m repro {...}`` subcommand list is the parser's, and every
+``python -m repro ...`` command line in README.md and ARCHITECTURE.md
+parses.
 """
 
 from __future__ import annotations
@@ -101,3 +103,30 @@ def test_cli_rows_match_the_parser():
     assert any(doc == "DESIGN.md" for doc, _ in rows)
     for doc, commands in rows:
         assert sorted(commands) == sorted(subparsers.choices), doc
+
+
+def _command_lines(doc: str) -> list:
+    """Argument lists of every ``python -m repro ...`` command in ``doc``:
+    code-block lines (``\\`` continuations joined, ``#`` comments
+    dropped) and inline code spans; ``{a,b,...}`` subcommand lists are
+    left to :func:`test_cli_rows_match_the_parser`."""
+    text = re.sub(r"\\\n\s*", " ", _text(doc))
+    commands = []
+    for match in re.finditer(r"python -m repro ([^`\n]*)", text):
+        args = match.group(1).split("#")[0].split()
+        if args and not args[0].startswith("{"):
+            commands.append(args)
+    return commands
+
+
+@pytest.mark.parametrize("doc", ("README.md", "ARCHITECTURE.md"))
+def test_command_lines_parse(doc):
+    commands = _command_lines(doc)
+    assert commands, f"{doc} shows no python -m repro command"
+    rejected = []
+    for args in commands:
+        try:
+            build_parser().parse_args(args)
+        except SystemExit:
+            rejected.append(" ".join(args))
+    assert not rejected, f"{doc} shows commands the CLI rejects: {rejected}"
