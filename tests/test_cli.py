@@ -139,8 +139,19 @@ class TestFigures:
 
 
 class TestTrace:
-    def test_simulate_trace_out_flag(self, traced_simulate):
-        out_dir = traced_simulate
+    def test_trace_simulate_writes_artifacts(self, capsys, tmp_path):
+        """The one traced-simulate command prints its run summary and
+        writes the Chrome trace, the JSONL events and the text report."""
+        out_dir = tmp_path / "traces"
+        rc = main(
+            [
+                "simulate", "--rate", "2", "--duration", "40",
+                "--seed", "3", "--trace-out", str(out_dir),
+            ]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "throughput_rps" in out
         chrome = json.loads((out_dir / "trace_simulate.chrome.json").read_text())
         events = chrome["traceEvents"]
         assert any(e["ph"] == "X" and e["name"] == "request" for e in events)
@@ -151,6 +162,10 @@ class TestTrace:
         assert (out_dir / "trace_simulate.txt").read_text().startswith(
             "== trace report =="
         )
+
+    def test_simulate_trace_out_flag(self, traced_simulate):
+        for suffix in ("chrome.json", "jsonl", "txt"):
+            assert (traced_simulate / f"trace_simulate.{suffix}").exists()
 
 
 class TestObservabilityCli:
