@@ -1,10 +1,11 @@
 """The attention-kernel backend (``repro.backends``).
 
 :class:`~repro.model.transformer.PagedTransformer` reaches every
-attention kernel *through* its :class:`Backend` (enforced by lint rule
-RPR006), looking each entry point up on ``self.backend`` at call time, so
-a caller can substitute a delegate that records or fakes kernel calls —
-the serving benchmark's per-layer tracing does exactly that.
+attention kernel *through* its :class:`Backend`, looking each entry
+point up on ``self.backend`` at call time, so a caller can substitute a
+delegate that records or fakes kernel calls — the serving benchmark's
+per-layer tracing does exactly that, and ``tests/test_benchmark_surface.py``
+fails if a kernel is reached any other way.
 
 One backend ships: ``paged`` — pool-backed block tables, the
 head-major :class:`~repro.kernels.packed_cache.PackedDecodeCache`

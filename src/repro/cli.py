@@ -9,8 +9,7 @@ Run as ``python -m repro <command>``:
 - ``figures``   — the fast analytical figures (3, 4, 12) and Table 2;
 - ``report``    — regenerate EXPERIMENTS.md (slow: full serving sweeps);
 - ``trace``     — run a figure sweep (fig13, fig15x) with full telemetry
-  and export the trace (Chrome trace JSON, JSONL event log, text report);
-- ``lint``      — the repo-specific static analysis (ARCHITECTURE.md §14).
+  and export the trace (Chrome trace JSON, JSONL event log, text report).
 
 ``simulate --trace-out DIR`` records the same telemetry for one serving
 run alongside its normal output.  ``simulate`` / ``sweep`` / ``chat``
@@ -419,22 +418,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import format_json, format_text, run_lint
-
-    result = run_lint(args.root)
-    output = (
-        format_json(result)
-        if args.json
-        else format_text(result, verbose=args.verbose)
-    )
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(output)
-    print(output, end="")
-    return result.exit_code()
-
-
 def _add_slo_flags(parser: argparse.ArgumentParser) -> None:
     """The SLO-objective / metrics-artifact flag trio.
 
@@ -543,22 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--output", default="EXPERIMENTS.md")
     report.add_argument("--duration", type=float, default=500.0)
     report.set_defaults(func=cmd_report)
-
-    lint = sub.add_parser(
-        "lint",
-        help="repo-specific static analysis (sim-clock purity, fault-site "
-             "coverage, hot-path allocation, ledger sync, kernel copies)",
-    )
-    lint.add_argument("--root", default=".",
-                      help="repo root to lint (default: cwd); scans "
-                           "<root>/src/repro")
-    lint.add_argument("--json", action="store_true",
-                      help="emit the machine-readable JSON report")
-    lint.add_argument("--output", default=None, metavar="PATH",
-                      help="also write the report to this file (CI artifact)")
-    lint.add_argument("--verbose", action="store_true",
-                      help="include suppressed findings in the text report")
-    lint.set_defaults(func=cmd_lint)
 
     return parser
 

@@ -377,7 +377,16 @@ class PensieveEngine(EngineBase):
             # candidate's *own* lazily-copied chunks as reclaimable —
             # admitting promotes them back to plain GPU residence.
             self.manager.open(request.conv_id, now)
-            plan = self.manager.plan_restore(request.conv_id, request.prompt_tokens)
+            # A request resumed after a §4.3.5 suspension already holds its
+            # prompt in the cache: it feeds only its last generated token,
+            # the way vLLM swaps a preempted sequence back in.
+            new_tokens = 1 if request.generated_tokens else request.prompt_tokens
+            plan = self.manager.plan_restore(request.conv_id, new_tokens)
+            if plan.total_context + 1 > capacity:
+                # It could never decode on the GPU tier even alone: fail
+                # it now instead of refusing it at the queue head forever.
+                self._fail_request(request, now, "context_exceeds_gpu")
+                continue
             prefill = plan.prefill_tokens
 
             def refuse() -> None:
@@ -501,7 +510,7 @@ class PensieveEngine(EngineBase):
         if ok and not corrupt:
             return plan
         plan, invalidated = self.manager.fall_back_to_recompute(
-            tier, request.conv_id, request.prompt_tokens, now,
+            tier, request.conv_id, plan.new_tokens, now,
             corrupt=len(getattr(plan, tier.chunks)) if corrupt else 0,
             request_id=request.request_id,
         )

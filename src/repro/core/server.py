@@ -40,6 +40,7 @@ from repro.faults import (
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     RESTORE_TIERS,
+    CacheCapacityError,
     EvictionScorer,
     TierPlacement,
     TieredCacheManager,
@@ -473,6 +474,20 @@ class StatefulChatServer:
         self.failures.append(error)
         return error
 
+    def _fail_before_restore(
+        self, conv_id: int, now: float, attempts: int
+    ) -> RequestFaultedError:
+        """Fail a turn whose GPU allocation failed before its restore
+        committed.  Nothing of the turn was applied yet, so unpinning
+        restores the status quo: prior turns' context survives,
+        unpinned, and a conversation with no context is discarded."""
+        cache = self.manager.conversation(conv_id)
+        if cache is not None and cache.total_tokens > 0:
+            self.manager.close(conv_id, now)
+        else:
+            self._abort_conversation(conv_id)
+        return self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
+
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
@@ -533,17 +548,10 @@ class StatefulChatServer:
         # conversation's own chunks out from under the plan.
         self.manager.open(conv_id, now)
         # Transient GPU-allocation fault gate, retried with backoff on the
-        # server clock.  A terminal failure degrades this request alone —
-        # nothing was mutated yet, so unpinning restores the status quo.
+        # server clock.  A terminal failure degrades this request alone.
         ok, attempts = self._attempt(FaultSite.GPU_ALLOC)
         if not ok:
-            cache = self.manager.conversation(conv_id)
-            if cache is not None and cache.total_tokens > 0:
-                # Prior turns' context survives the failed turn, unpinned.
-                self.manager.close(conv_id, now)
-            else:
-                self._abort_conversation(conv_id)
-            raise self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
+            raise self._fail_before_restore(conv_id, now, attempts)
         plan = self.manager.plan_restore(conv_id, len(prompt_ids))
 
         # Transfer faults, coldest tier first (NVMe read, then PCIe
@@ -564,13 +572,18 @@ class StatefulChatServer:
         # their tensors; reclaim happens lazily inside commit_restore).
         # Ahead-of-time copies fired in here coalesce into one stacked
         # gather + batched CPU-store insert at scope exit.
-        with self._coalesce_copies():
-            self.manager.ensure_capacity(plan.alloc_tokens, now)
-            self.manager.reclaim(
-                max(0, plan.alloc_tokens - self.manager.gpu_free_tokens),
-                now,
-                exclude=conv_id,
-            )
+        # A turn that cannot fit beside the pinned batch members fails
+        # alone, like a terminal allocation fault.
+        try:
+            with self._coalesce_copies():
+                self.manager.ensure_capacity(plan.alloc_tokens, now)
+                self.manager.reclaim(
+                    max(0, plan.alloc_tokens - self.manager.gpu_free_tokens),
+                    now,
+                    exclude=conv_id,
+                )
+        except CacheCapacityError:
+            raise self._fail_before_restore(conv_id, now, attempts) from None
 
         # Pull the stored chunks' data out of the disk and CPU stores
         # *before* commit flips their state (the observer drops CPU
@@ -779,24 +792,34 @@ class StatefulChatServer:
         # Phase 3: batched decode steps (every conversation advances by
         # one token per iteration, like the simulated engine).  A
         # mid-decode terminal fault removes only the affected
-        # conversation; its siblings keep decoding.
+        # conversation; its siblings keep decoding.  When the GPU tier
+        # cannot grow the batch, the latest-joined member (§4.3.5's
+        # victim) is aborted the same way, and growth resumes.
         for step in range(max_new_tokens):
-            steps = []
-            survivors = []
-            for turn in turns:
+            grown = 0
+            while grown < len(turns):
+                turn = turns[grown]
                 try:
                     self._grow(turn.conv_id, turn.table, now)
                 except RequestFaultedError:
+                    del turns[grown]
                     failed(turn.span)
                     continue
-                survivors.append(turn)
-                steps.append(
-                    self._decode_request(turn.conv_id, turn.table, turn.generated[-1])
-                )
-            turns = survivors
+                except CacheCapacityError:
+                    victim = turns.pop()
+                    self._abort_conversation(victim.conv_id)
+                    self._fail_request(victim.conv_id, FaultSite.GPU_ALLOC, 1)
+                    failed(victim.span)
+                    continue
+                grown += 1
             if not turns:
                 return {}
-            step_logits = self.model.forward(steps)
+            step_logits = self.model.forward(
+                [
+                    self._decode_request(turn.conv_id, turn.table, turn.generated[-1])
+                    for turn in turns
+                ]
+            )
             if step + 1 < max_new_tokens:  # the last step only writes KV
                 for turn, l in zip(turns, step_logits):
                     turn.generated.append(

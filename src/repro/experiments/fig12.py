@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import A100_80GB, GpuSpec
-from repro.kernels import (  # repro: ignore[RPR006] -- Figure 12 compares the straw-man kernels themselves; no backend choice exists to route through
+from repro.kernels import (
     AttentionRequest,
     copyout_attention,
     multi_token_attention,

@@ -6,13 +6,10 @@ the CLI applies when ``--fault-seed`` arms a uniform ``--fault-rate``
 (checksum-style sites historically run at a quarter of the transfer
 rate).  Consumers must look sites up through :data:`SITES` (or the
 :class:`~repro.faults.plan.FaultSite` enum it mirrors) instead of
-re-declaring string literals — ``repro lint`` rule RPR002 statically
-checks both directions:
-
-- every ``FaultSite.<NAME>`` access and every string fault-site name in
-  the tree resolves to a declared site;
-- this registry and the enum agree member-for-member (also enforced at
-  import time below, so a drift cannot even load).
+re-declaring string literals.  This registry and the enum agree
+member-for-member, in order, or the module fails at import (below), so
+a drift cannot even load; an undeclared ``FaultSite.<NAME>`` or
+``FaultSite("name")`` raises where it runs.
 """
 
 from __future__ import annotations

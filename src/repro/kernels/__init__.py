@@ -42,9 +42,9 @@ the paper discusses:
 The performance and metadata layers are verified (~1e-6) against the
 per-request kernels above, which remain the correctness oracle.
 
-Callers outside this package, :mod:`repro.backends` and the bench harness
-must reach attention kernels through the :mod:`repro.backends` interface
-(lint rule RPR006).
+Model and serving code reaches attention kernels through the
+:mod:`repro.backends` interface (``tests/test_benchmark_surface.py``);
+the Figure 12 experiment imports the kernels it compares directly.
 """
 
 from repro.kernels.request import AttentionRequest

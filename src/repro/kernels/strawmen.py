@@ -37,8 +37,8 @@ def copyout_attention(
     outputs: List[np.ndarray] = []
     for request in requests:
         slots = np.asarray(request.slots, dtype=np.int64)
-        k_contig = np.ascontiguousarray(k_cache[slots])  # repro: ignore[RPR005] -- straw-man deliberately models the per-request copy cost
-        v_contig = np.ascontiguousarray(v_cache[slots])  # repro: ignore[RPR005] -- straw-man deliberately models the per-request copy cost
+        k_contig = np.ascontiguousarray(k_cache[slots])
+        v_contig = np.ascontiguousarray(v_cache[slots])
         outputs.append(
             reference_attention(
                 request.query,
@@ -88,7 +88,6 @@ def multiround_attention(
         for idx, out in zip(round_owner, round_out):
             results[idx].append(out)
     return [
-        # repro: ignore[RPR005] -- straw-man stitches per-round outputs; the copy is the modeled overhead
         np.concatenate(parts, axis=0)
         if parts
         else np.zeros((0, r.num_heads, r.head_dim), dtype=k_cache.dtype)

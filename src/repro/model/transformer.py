@@ -276,8 +276,8 @@ class PagedTransformer:
         self.config = config
         self.storage = storage
         self.use_fast_paths = use_fast_paths
-        # Every attention kernel is reached through the backend (RPR006);
-        # it also owns the decode packing cache's staging layout.
+        # Every attention kernel is reached through the backend; it also
+        # owns the decode packing cache's staging layout.
         self.backend: Backend = get_backend(backend)
         self.decode_cache: Optional[PackedDecodeCache] = (
             self.backend.create_decode_cache() if use_fast_paths else None

@@ -357,24 +357,26 @@ class EngineBase:
         """Apply one iteration's progress to a running request.
 
         Default: the iteration produced one output token (the prefill
-        iteration produces the first).  With the SLO layer armed this is
-        the streaming TTFT/TBT record site: TTFT at the first token ever
-        (not per re-prefill after preemption), TBT per inter-token gap.
+        iteration produces the first).  The first token ever is stamped
+        once: a re-prefill after a preemption or a suspension produces a
+        later token, not a new first one.  With the SLO layer armed this
+        is the streaming TTFT/TBT record site.
         """
         request.generated_tokens += 1
+        first = request.first_token_time is None
         hist = self.metrics.hist
         if hist.enabled:
             # Every produced token is exactly one sample: the request's
             # very first token lands in ``ttft_seconds``, every later one
             # (re-prefills after preemption included) in ``tbt_seconds``
             # — so ttft.count + tbt.count == tokens produced, exactly.
-            if request.first_token_time is None:
+            if first:
                 hist.hist("ttft_seconds").record(now - request.arrival_time)
             elif request.last_token_time is not None:
                 hist.hist("tbt_seconds").record(now - request.last_token_time)
-        if not request.prefill_done:
-            request.prefill_done = True
+        if first:
             request.first_token_time = now
+        request.prefill_done = True
         request.last_token_time = now
 
     def _on_finish(self, request: Request, now: float) -> None:

@@ -5,14 +5,12 @@ MetricsCollector`-armed sink, every ``FlightRecorder`` lifecycle event, and
 every tier label must be declared here.  The Prometheus exporter and the
 reconciliation suites (``tests/obs/test_slo_reconciliation.py``,
 ``tests/obs/test_disk_reconciliation.py``) import these sets instead of
-re-declaring string literals, and ``repro lint`` rule RPR004 statically
-extracts the names used across the tree and diffs them against this
-module — a typo'd metric name, or a declared name nothing records, fails
-the lint gate.
+re-declaring string literals.  The SLO suite checks both directions
+against real runs: a recorded name missing here (a typo), or a declared
+name nothing records, fails it.
 
-This module is deliberately a leaf (no imports) and every set is a plain
-``frozenset({...})`` literal, so the lint rule can read the declarations
-straight off the AST without importing the package.
+This module is deliberately a leaf (no imports), so anything can import
+it without pulling in the package.
 """
 
 from __future__ import annotations

@@ -102,6 +102,10 @@ class StatelessEngine(EngineBase):
                 + request.prompt_tokens
                 + request.generated_tokens
             )
+            if prefill > self.gpu_capacity_tokens:
+                # Larger than the whole tier: it could never be admitted.
+                self._fail_request(request, now, "context_exceeds_gpu")
+                continue
             if len(self.running) + len(selected) >= self.config.max_running:
                 break
             if selected and batch_tokens + prefill > self.config.max_batch_tokens:

@@ -57,8 +57,12 @@ class ConversationDriver:
 
     @property
     def outstanding(self) -> int:
-        """Turns not yet completed (0 when the workload fully drained)."""
-        return self._outstanding
+        """Turns neither completed nor given up (0 when the workload fully
+        drained).  A failed turn gives up the rest of its conversation:
+        no later turn is submitted."""
+        return self._outstanding - sum(
+            r.conversation.num_turns - r.turn_index for r in self.engine.failed
+        )
 
     def _submit_turn(self, conversation: Conversation, turn_index: int) -> None:
         request = Request(

@@ -251,3 +251,50 @@ class TestBatchRequestSpans:
         assert outcomes == {0: "failed", 1: "finished"}
         assert tracer.counter("requests.failed") == 1
         assert tracer.counter("requests.finished") == 1
+
+
+class TestTurnThatCannotFit:
+    """A 64-token GPU tier: the turn that cannot fit fails alone, with a
+    structured error, and leaves nothing pinned (it used to raise
+    ``CacheCapacityError`` out of ``chat_batch`` and wedge the server)."""
+
+    @staticmethod
+    def _small(config):
+        return make_server(config, gpu=64, cpu=256)
+
+    @staticmethod
+    def _pinned(server, conv_ids):
+        return [
+            c for c in conv_ids
+            if server.manager.conversation(c) is not None
+            and server.manager.conversation(c).pinned
+        ]
+
+    def test_decode_growth_aborts_the_latest_joined_member(self, config):
+        server = self._small(config)
+        first, second = list(range(1, 25)), list(range(30, 54))
+        out = server.chat_batch([(0, first), (1, second)], max_new_tokens=20)
+        assert sorted(out) == [0]
+        (error,) = server.failures
+        assert (error.conv_id, error.site) == (1, FaultSite.GPU_ALLOC)
+        assert self._pinned(server, [0, 1]) == []
+        # The sibling's tokens are the ones it gets served alone.
+        assert out[0] == make_server(config).chat(0, prompt_ids=first, max_new_tokens=20)
+        # The server still serves.
+        assert len(server.chat(2, prompt_ids=[5, 6, 7], max_new_tokens=3)) == 3
+        server.manager._audit()
+
+    def test_oversized_prompt_fails_alone_before_its_restore(self, config):
+        server = self._small(config)
+        out = server.chat_batch(
+            [(0, list(range(1, 9))), (1, list(range(10, 80)))], max_new_tokens=4
+        )
+        assert sorted(out) == [0]
+        assert [f.conv_id for f in server.failures] == [1]
+        assert self._pinned(server, [0, 1]) == []
+        # Conversation 0's cached context is exactly its recorded tokens.
+        assert server.context_length(0) == len(server.raw_tokens[0]) == 12
+        with pytest.raises(RequestFaultedError) as raised:
+            server.chat(1, prompt_ids=list(range(10, 80)), max_new_tokens=2)
+        assert raised.value is server.failures[-1]
+        server.manager._audit()

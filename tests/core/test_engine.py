@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.obs import Tracer
+from repro.obs import FlightRecorder, HistogramSet, SloConfig, Tracer
 from repro.serving import BatchConfig, make_vllm
 from repro.sim import EventLoop
 from repro.workload import ConversationDriver
@@ -225,6 +225,71 @@ class TestCacheManagement:
         ]
         engine, _, _ = serve(pensieve_factory(capacity_tokens=256), convs)
         engine.manager._audit()
+
+
+class TestSuspendResume:
+    """§4.3.5 suspension and re-admission under GPU pressure: four
+    conversations of one 40-token prompt and 80 output tokens on a
+    256-token GPU tier suspend, resume and finish."""
+
+    @staticmethod
+    def _run(n, turns, gpu, cpu, disk=0, armed=False):
+        loop = EventLoop()
+        engine = pensieve_factory(
+            capacity_tokens=gpu, cpu_tokens=cpu, disk_cache_tokens=disk
+        )(loop)
+        if armed:
+            engine.metrics.enable_slo(
+                slo=SloConfig(), hist=HistogramSet(), flight=FlightRecorder()
+            )
+        convs = [scripted_conversation(i, turns, start=0.01 * i) for i in range(n)]
+        driver = ConversationDriver(loop, engine, convs)
+        # A livelock dispatches events forever; this cap turns it into a
+        # SimulationError.
+        driver.run(max_events=200_000)
+        return engine, driver
+
+    def test_resumed_request_adds_only_its_last_token(self):
+        """Regression: each resume appended the prompt to the cached
+        context again (contexts ended at 120/120/159/198)."""
+        engine, driver = self._run(4, [(40, 80)], gpu=256, cpu=4096)
+        assert engine.suspensions > 0
+        assert driver.outstanding == 0
+        assert [engine.manager.conversation(i).total_tokens for i in range(4)] == [
+            120
+        ] * 4
+
+    def test_ttft_is_stamped_once_across_resumes(self):
+        """Regression: a resumed request re-stamped its first-token time,
+        so the records' TTFT read the resume while the histogram read the
+        first token."""
+        engine, _ = self._run(4, [(40, 80)], gpu=256, cpu=4096, armed=True)
+        assert engine.suspensions > 0
+        ttft = engine.metrics.hist.get("ttft_seconds")
+        records = engine.metrics.records
+        assert ttft.count == len(records) == 4
+        assert ttft.sum == pytest.approx(sum(r.ttft for r in records), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, output, failed",
+        [
+            (10, 80, 10),  # turn 2's 240-token context outgrows the tier
+            (6, 56, 0),  # the resume inflation alone used to livelock it
+        ],
+    )
+    def test_request_that_can_never_fit_fails_instead_of_spinning(
+        self, n, output, failed
+    ):
+        """Liveness: a request whose context plus its next token cannot
+        fit the 192-token GPU tier on its own fails up front, through
+        ``_fail_request``; everything else drains."""
+        engine, driver = self._run(
+            n, [(40, output)] * 2, gpu=192, cpu=384, disk=4096
+        )
+        assert driver.outstanding == 0
+        assert engine.num_failed == failed
+        assert len(engine.metrics.records) == 2 * n - failed
+        assert {f.reason for f in engine.metrics.failures} <= {"context_exceeds_gpu"}
 
 
 class TestPipelinedSwapIn:

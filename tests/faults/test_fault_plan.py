@@ -23,7 +23,7 @@ from repro.faults import (
 
 class TestSiteRegistry:
     """The SITES registry is the single source of truth for fault-site
-    wire names; the enum, the CLI and the lint rule all derive from it."""
+    wire names; the enum and the CLI derive from it."""
 
     def test_registry_matches_enum_in_order(self):
         # Order matters: per-site RNG streams derive from the ordinal.

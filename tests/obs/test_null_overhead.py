@@ -6,14 +6,15 @@ and the flight recorder: every instrumentation site guards on
 ``.enabled`` before computing sample values, so the disabled path does
 zero work — no method dispatch, no dict lookups, no allocations.  This
 test pins that guarantee deterministically by spying on the shared null
-singletons, and on the engines' one request-event emitter, during a full
-unarmed serving run.
+singletons (null tracer included), and on the engines' one request-event
+emitter, during a full unarmed serving run.
 """
 
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.obs.flight import NULL_FLIGHT
 from repro.obs.histogram import NULL_HISTOGRAM, NULL_HISTOGRAMS
+from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.serving.engine import EngineBase
 
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
@@ -31,35 +32,37 @@ def _factory(loop):
     return PensieveEngine(loop, TINY, spec, chunk_size=16, policy="lru")
 
 
+#: Every method of the shared null sinks; an unarmed run calls none.
+_NULL_METHODS = [
+    (type(NULL_HISTOGRAMS), "hist"),
+    (type(NULL_FLIGHT), "record"),
+    (type(NULL_FLIGHT), "finish"),
+    (type(NULL_FLIGHT), "capture"),
+    (EngineBase, "_event"),
+] + [
+    (NullTracer, name)
+    for name in ("begin", "end", "complete", "span", "instant", "count", "gauge")
+]
+
+
 class TestNullSinksNeverInvoked:
     def test_unarmed_run_makes_zero_sink_calls(self, monkeypatch):
-        calls = {"hist": 0, "record": 0, "finish": 0, "capture": 0, "_event": 0}
+        calls = {f"{owner.__name__}.{name}": 0 for owner, name in _NULL_METHODS}
 
-        def spy(name, original):
+        def spy(key, original):
             def wrapped(*args, **kwargs):
-                calls[name] += 1
+                calls[key] += 1
                 return original(*args, **kwargs)
 
             return wrapped
 
-        monkeypatch.setattr(
-            type(NULL_HISTOGRAMS), "hist", spy("hist", type(NULL_HISTOGRAMS).hist)
-        )
-        monkeypatch.setattr(
-            type(NULL_FLIGHT), "record", spy("record", type(NULL_FLIGHT).record)
-        )
-        monkeypatch.setattr(
-            type(NULL_FLIGHT), "finish", spy("finish", type(NULL_FLIGHT).finish)
-        )
-        monkeypatch.setattr(
-            type(NULL_FLIGHT), "capture", spy("capture", type(NULL_FLIGHT).capture)
-        )
-        monkeypatch.setattr(EngineBase, "_event", spy("_event", EngineBase._event))
+        for owner, name in _NULL_METHODS:
+            key = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, spy(key, getattr(owner, name)))
         engine, stats = run_serving_once(_factory, _workload(), until=40.0)
         assert stats.num_requests > 0  # every admission reached an event site
-        assert calls == {
-            "hist": 0, "record": 0, "finish": 0, "capture": 0, "_event": 0
-        }
+        assert engine.tracer is NULL_TRACER
+        assert calls == dict.fromkeys(calls, 0)
 
     def test_unarmed_collector_shares_the_singletons(self):
         engine, _ = run_serving_once(_factory, _workload(), until=40.0)

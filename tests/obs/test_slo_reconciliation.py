@@ -22,8 +22,10 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
+from repro.faults import SITES, FaultPlan, FaultSite
 from repro.gpu.link import Direction
 from repro.obs import (
     FlightRecorder,
@@ -169,8 +171,7 @@ class TestLedgerIdentities:
 
     def test_recorded_names_are_declared(self, armed_run):
         """Everything this real run recorded is in the declared registry
-        (``repro.serving.metric_names``) — the dynamic complement of the
-        static RPR004 lint rule."""
+        (``repro.serving.metric_names``)."""
         _, _, hist, flight = armed_run
         declared = metric_names.all_histogram_names()
         for h in hist.all():
@@ -179,6 +180,71 @@ class TestLedgerIdentities:
             assert tier is None or tier in metric_names.HISTOGRAM_TIERS
         seen_events = {key.split(".")[0] for key in flight.event_counts}
         assert seen_events <= metric_names.FLIGHT_EVENTS
+
+
+def _faulted_suspending_run():
+    """Four conversations outgrowing a 256-token GPU tier (§4.3.5
+    suspensions and their swap-outs) under an armed fault plan (retries,
+    faults and one aborted request)."""
+    plan = FaultPlan(
+        seed=1, rates={s: 0.15 * SITES[s.value].rate_scale for s in FaultSite}
+    )
+
+    def factory(loop):
+        return PensieveEngine(
+            loop, TINY, spec_with_capacity(256), cpu_cache_tokens=4096,
+            chunk_size=16, policy="lru", fault_plan=plan,
+        )
+
+    hist, flight = HistogramSet(), FlightRecorder()
+    convs = [scripted_conversation(i, [(40, 80)], start=0.01 * i) for i in range(4)]
+    run_serving_once(
+        factory, convs, until=UNTIL, slo=SloConfig(), hist=hist, flight=flight
+    )
+    return hist, flight
+
+
+def _chat_wall_histograms(tmp_path, monkeypatch):
+    """The wall-clock histograms one metrics-armed ``repro chat`` turn
+    records, read back from its Prometheus snapshot."""
+    lines = iter(["hello there"])
+
+    def scripted_input(prompt=""):
+        try:
+            return next(lines)
+        except StopIteration:
+            raise EOFError from None
+
+    monkeypatch.setattr("builtins.input", scripted_input)
+    assert main(["chat", "--max-tokens", "2", "--metrics-out", str(tmp_path)]) == 0
+    parsed = parse_prometheus((tmp_path / "chat_metrics.prom").read_text())
+    return {
+        name for name in metric_names.all_histogram_names()
+        if f"repro_{name}_count" in parsed
+    }
+
+
+class TestDeclaredNames:
+    def test_every_declared_name_is_recorded(self, armed_run, tmp_path, monkeypatch):
+        """The other direction of ``test_recorded_names_are_declared``:
+        every declared histogram, tier label and flight event is recorded
+        by a real run — the drained three-tier run above, a fault-armed
+        run that suspends, and a metrics-armed chat turn.  A registry
+        entry that nothing records fails here."""
+        _, _, hist, flight = armed_run
+        faulted_hist, faulted_flight = _faulted_suspending_run()
+        hists = [*hist.all(), *faulted_hist.all()]
+        names = {h.name for h in hists} | _chat_wall_histograms(tmp_path, monkeypatch)
+        assert names == metric_names.all_histogram_names()
+        tiers = {h.labels["tier"] for h in hists if "tier" in h.labels}
+        assert tiers == metric_names.HISTOGRAM_TIERS
+        events = {
+            key.split(".")[0]
+            for recorder in (flight, faulted_flight)
+            for key in recorder.event_counts
+        }
+        assert events == metric_names.FLIGHT_EVENTS
+        assert metric_names.SAMPLED_HISTOGRAMS <= metric_names.HISTOGRAM_NAMES
 
 
 class TestPrometheusSelfReconciliation:

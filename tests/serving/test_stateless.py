@@ -120,6 +120,20 @@ class TestMemoryManagement:
         ConversationDriver(loop, engine, convs).run(max_events=1_000_000)
         assert peaks and max(peaks) <= 128
 
+    def test_prefill_larger_than_the_tier_fails_alone(self):
+        """Regression: an 80-token prefill on a 64-token tier blocked the
+        queue head forever, starving the request behind it."""
+        convs = [
+            scripted_conversation(0, [(80, 4)], start=0.0),
+            scripted_conversation(1, [(8, 4)], start=0.01),
+        ]
+        engine, driver, _ = serve(vllm_factory(64), convs)
+        assert driver.outstanding == 0
+        assert [r.conv_id for r in engine.metrics.records] == [1]
+        assert [(f.conv_id, f.reason) for f in engine.metrics.failures] == [
+            (0, "context_exceeds_gpu")
+        ]
+
 
 class TestPhaseSeparation:
     def test_batches_are_single_phase(self):

@@ -1,18 +1,19 @@
 """The typed-core gate, run locally when mypy is importable.
 
-CI installs mypy in the lint-smoke job and runs ``mypy -p repro`` with
+CI installs mypy in the typed-core job and runs ``mypy -p repro`` with
 the pyproject configuration (strict on ``repro.sim``, ``repro.faults``
 and ``repro.obs.histogram``); this test runs the identical check so the
 gate is reproducible on a dev box, and skips — rather than fails — where
-mypy is not installed (the pinned test image ships without it).
+mypy is not installed.
 """
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from tests.lint.conftest import REPO_ROOT
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 pytest.importorskip("mypy", reason="mypy not installed; CI runs this gate")
 
