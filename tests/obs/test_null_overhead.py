@@ -33,34 +33,49 @@ def _factory(loop):
 
 
 #: Every method of the shared null sinks; an unarmed run calls none.
-_NULL_METHODS = [
+_NULL_SINK_METHODS = [
     (type(NULL_HISTOGRAMS), "hist"),
     (type(NULL_FLIGHT), "record"),
     (type(NULL_FLIGHT), "finish"),
     (type(NULL_FLIGHT), "capture"),
     (EngineBase, "_event"),
-] + [
+]
+
+#: Every method of the null tracer; an unarmed run calls none.
+_NULL_TRACER_METHODS = [
     (NullTracer, name)
     for name in ("begin", "end", "complete", "span", "instant", "count", "gauge")
 ]
 
 
+def _count_calls_in_unarmed_run(monkeypatch, methods):
+    """Spy on ``methods`` through one unarmed run; return the call counts."""
+    calls = {f"{owner.__name__}.{name}": 0 for owner, name in methods}
+
+    def spy(key, original):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    for owner, name in methods:
+        key = f"{owner.__name__}.{name}"
+        monkeypatch.setattr(owner, name, spy(key, getattr(owner, name)))
+    engine, stats = run_serving_once(_factory, _workload(), until=40.0)
+    assert stats.num_requests > 0  # every admission reached an event site
+    return engine, calls
+
+
 class TestNullSinksNeverInvoked:
     def test_unarmed_run_makes_zero_sink_calls(self, monkeypatch):
-        calls = {f"{owner.__name__}.{name}": 0 for owner, name in _NULL_METHODS}
+        _, calls = _count_calls_in_unarmed_run(monkeypatch, _NULL_SINK_METHODS)
+        assert calls == dict.fromkeys(calls, 0)
 
-        def spy(key, original):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return original(*args, **kwargs)
-
-            return wrapped
-
-        for owner, name in _NULL_METHODS:
-            key = f"{owner.__name__}.{name}"
-            monkeypatch.setattr(owner, name, spy(key, getattr(owner, name)))
-        engine, stats = run_serving_once(_factory, _workload(), until=40.0)
-        assert stats.num_requests > 0  # every admission reached an event site
+    def test_unarmed_run_never_calls_the_null_tracer(self, monkeypatch):
+        engine, calls = _count_calls_in_unarmed_run(
+            monkeypatch, _NULL_TRACER_METHODS
+        )
         assert engine.tracer is NULL_TRACER
         assert calls == dict.fromkeys(calls, 0)
 
