@@ -1,0 +1,241 @@
+"""Golden digests of seeded runs: "no decision moved" as a tier-1 check.
+
+Each row of :data:`DIGESTS` is one seeded run reduced to a 16-hex-digit
+sha256 of everything it decided: every PCIe/NVMe transfer record, the
+fault counters, ``manager.stats``, the serving statistics and the
+iteration count for the simulated engines; the per-rate values the
+serving benchmark's ``sim_sweep`` checks for repeat-exactness for the
+rate sweep; the transcript's ``crc32``, ``manager.stats`` and the fault
+counters for the functional server.  A refactor that moves a victim, a
+byte, a token or a sim-clock value moves a digest.  A change that means
+to move one updates the table and says which row moved and why.
+
+The two ``recipe/`` rows are the manual parent-vs-change recipe earlier
+changes ran by hand; their values are the ones recorded there.
+
+``python -m tests.test_run_digests`` (from the repository root, with
+``src`` on ``PYTHONPATH``) prints the current value of every row.
+
+``test_same_seed_twice_in_one_process`` needs no stored digest, so it
+also runs under ``CHAOS_EXTRA_SEED`` (one more fault seed per CI chaos
+matrix entry): module-level state leaking between two runs in one
+process (a memo, a cached table) would show as two different digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import zlib
+from dataclasses import replace
+
+import pytest
+
+from repro.core.engine import PensieveEngine
+from repro.core.server import StatefulChatServer
+from repro.experiments.common import (
+    run_rate_sweep,
+    run_serving_once,
+    throughput_at_latency,
+)
+from repro.faults import SITES, FaultPlan, FaultSite, RequestFaultedError
+from repro.gpu.device import A100_80GB
+from repro.model.config import OPT_13B, tiny_llama_config
+from repro.serving.stateless import StatelessEngine
+from repro.workload.dataset import SHAREGPT
+
+from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
+
+_EXTRA = os.environ.get("CHAOS_EXTRA_SEED")
+FAULT_SEED = 11
+
+_TRANSFER_FIELDS = (
+    "direction", "num_bytes", "enqueue_time", "start_time", "end_time", "num_chunks",
+)
+
+
+def _hex(blob: object) -> str:
+    return hashlib.sha256(repr(blob).encode()).hexdigest()[:16]
+
+
+def _plan(seed: int, scale: float) -> FaultPlan:
+    """Every fault site armed at ``scale`` x its rate scale."""
+    return FaultPlan(
+        seed=seed, rates={s: scale * SITES[s.value].rate_scale for s in FaultSite}
+    )
+
+
+def _recipe_conversations():
+    return [
+        scripted_conversation(i, [(24, 12), (16, 12), (12, 10)],
+                              start=0.05 * i, think=0.3)
+        for i in range(8)
+    ]
+
+
+def _mixed_conversations():
+    """Contexts from 64 to ~1,200 tokens with staggered think times: the
+    recompute cost of a deep chunk outweighs a longer idle time, so
+    retention and LRU pick different victims."""
+    return [
+        scripted_conversation(
+            i, [(32 + 320 * (i % 4), 32), (64, 16 + 8 * (i % 3)), (48, 24), (32, 16)],
+            start=0.3 * i, think=1.0 + 0.7 * (i % 3),
+        )
+        for i in range(8)
+    ]
+
+
+def _engine_digest(factory, conversations, until: float) -> str:
+    engine, stats = run_serving_once(factory, conversations, until=until, warmup=0.0)
+    records = [
+        tuple(getattr(r, f).value if f == "direction" else getattr(r, f)
+              for f in _TRANSFER_FIELDS)
+        for r in engine.pcie.history + engine.nvme.history
+    ]
+    return _hex((records, engine.metrics.faults.as_dict(), engine.manager.stats,
+                 stats.as_dict(), engine.iterations))
+
+
+def pensieve_digest(disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED) -> str:
+    """OPT-13B on an A100 whose KV cache holds 3,072 tokens and whose host
+    memory holds 1,024, so every tier evicts; ``disk`` adds an NVMe tier."""
+    kv = OPT_13B.kv_bytes_per_token
+
+    def factory(loop):
+        spec = replace(A100_80GB, kv_cache_bytes=kv * 3072, cpu_memory_bytes=kv * 1024)
+        return PensieveEngine(
+            loop, OPT_13B, spec, chunk_size=32, policy=policy,
+            disk_cache_tokens=8192 if disk else 0,
+            fault_plan=_plan(seed, 0.1) if armed else None,
+        )
+
+    return _engine_digest(factory, _mixed_conversations(), until=120.0)
+
+
+def recipe_digest(armed: bool) -> str:
+    """The earlier manual recipe: the tiny model, three tiers, LRU."""
+
+    def factory(loop):
+        spec = spec_with_capacity(192, cpu_memory_bytes=TINY.kv_bytes_per_token * 96)
+        return PensieveEngine(
+            loop, TINY, spec, chunk_size=16, policy="lru", disk_cache_tokens=4096,
+            fault_plan=_plan(FAULT_SEED, 0.3) if armed else None,
+        )
+
+    return _engine_digest(factory, _recipe_conversations(), until=60.0)
+
+
+def stateless_digest() -> str:
+    """The vLLM-shaped stateless engine on the same workload."""
+
+    def factory(loop):
+        spec = replace(A100_80GB, kv_cache_bytes=OPT_13B.kv_bytes_per_token * 3072)
+        return StatelessEngine("vLLM", loop, OPT_13B, spec)
+
+    engine, stats = run_serving_once(
+        factory, _mixed_conversations(), until=120.0, warmup=0.0
+    )
+    records = [
+        (r.request_id, r.arrival_time, r.first_token_time, r.finish_time,
+         r.prefilled_tokens)
+        for r in engine.metrics.records
+    ]
+    return _hex((records, stats.as_dict(), engine.iterations))
+
+
+def sweep_digest() -> str:
+    """A two-rate ``run_rate_sweep`` of the OPT-13B/A100 engine at reduced
+    scale, reduced to the values ``sim_sweep`` checks for repeat-exactness."""
+
+    def extras(engine):
+        return {
+            "iterations": engine.iterations,
+            "events": engine.loop.dispatched,
+            "pcie_transfers": len(engine.pcie.history),
+        }
+
+    points = run_rate_sweep(
+        lambda loop: PensieveEngine(loop, OPT_13B, A100_80GB),
+        SHAREGPT, rates=(6.0, 12.0), duration=40.0, think_time_mean=10.0,
+        seed=7, extras_fn=extras,
+    )
+    return _hex((throughput_at_latency(points, 0.12), points))
+
+
+def server_digest(seed: int = FAULT_SEED) -> str:
+    """A starved three-tier functional server under an armed plan: its
+    transcript, ``manager.stats`` and fault counters."""
+    config = tiny_llama_config()
+    server = StatefulChatServer(
+        config, gpu_capacity_tokens=192, cpu_capacity_tokens=96,
+        disk_capacity_tokens=4096, chunk_size=16, page_size=8, seed=0,
+        fault_plan=_plan(seed, 0.3),
+    )
+    transcript = []
+    for turn in range(5):
+        for conv in range(4):
+            prompt = [(conv * 17 + turn * 5 + i) % config.vocab_size for i in range(13)]
+            try:
+                out = server.chat(conv, prompt_ids=prompt, max_new_tokens=6)
+            except RequestFaultedError:  # a terminal fault fails one request
+                out = []
+            transcript.append((conv, turn, out))
+    crc = zlib.crc32(repr(transcript).encode())
+    return _hex((crc, server.manager.stats, server.fault_counters.as_dict()))
+
+
+RUNS = {
+    "pensieve/2tier/unarmed/retention": lambda: pensieve_digest(False, False, "retention"),
+    "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, False, "lru"),
+    "pensieve/2tier/armed/retention": lambda: pensieve_digest(False, True, "retention"),
+    "pensieve/2tier/armed/lru": lambda: pensieve_digest(False, True, "lru"),
+    "pensieve/3tier/unarmed/retention": lambda: pensieve_digest(True, False, "retention"),
+    "pensieve/3tier/unarmed/lru": lambda: pensieve_digest(True, False, "lru"),
+    "pensieve/3tier/armed/retention": lambda: pensieve_digest(True, True, "retention"),
+    "pensieve/3tier/armed/lru": lambda: pensieve_digest(True, True, "lru"),
+    "recipe/3tier/unarmed/lru": lambda: recipe_digest(False),
+    "recipe/3tier/armed/lru": lambda: recipe_digest(True),
+    "stateless/vllm": stateless_digest,
+    "sweep/opt-13b/2-rates": sweep_digest,
+    "server/3tier/armed": server_digest,
+}
+
+DIGESTS = {
+    "pensieve/2tier/unarmed/retention": "38f516d78915b46a",
+    "pensieve/2tier/unarmed/lru": "15b000cbac6526ca",
+    "pensieve/2tier/armed/retention": "6a16af03ae45f835",
+    "pensieve/2tier/armed/lru": "c1791895348977bc",
+    "pensieve/3tier/unarmed/retention": "f90f415cd902be78",
+    "pensieve/3tier/unarmed/lru": "73f31d64cb21d232",
+    "pensieve/3tier/armed/retention": "ce5a73b3f0018345",
+    "pensieve/3tier/armed/lru": "29738aebe26911c9",
+    "recipe/3tier/unarmed/lru": "494149babdf48bbb",
+    "recipe/3tier/armed/lru": "d31c3134518aae3d",
+    "stateless/vllm": "52f87e287eb88f3a",
+    "sweep/opt-13b/2-rates": "0354b279803b5428",
+    "server/3tier/armed": "3526e06261cb62e4",
+}
+
+
+def test_table_covers_every_run():
+    assert DIGESTS.keys() == RUNS.keys()
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_digest_unchanged(name):
+    assert RUNS[name]() == DIGESTS[name]
+
+
+@pytest.mark.parametrize(
+    "seed", [FAULT_SEED] + ([int(_EXTRA)] if _EXTRA else [])
+)
+def test_same_seed_twice_in_one_process(seed):
+    for run in (lambda: pensieve_digest(True, True, "retention", seed),
+                lambda: server_digest(seed)):
+        assert run() == run()
+
+
+if __name__ == "__main__":
+    for name, run in RUNS.items():
+        print(f"    {name!r}: {run()!r},")
