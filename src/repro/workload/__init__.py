@@ -22,7 +22,6 @@ from repro.workload.dataset import (
 )
 from repro.workload.arrivals import exponential_think_times, poisson_arrivals
 from repro.workload.driver import ConversationDriver
-from repro.workload.trace import load_trace, save_trace
 from repro.workload.tokenizer import SimpleTokenizer
 
 __all__ = [
@@ -34,7 +33,5 @@ __all__ = [
     "poisson_arrivals",
     "exponential_think_times",
     "ConversationDriver",
-    "save_trace",
-    "load_trace",
     "SimpleTokenizer",
 ]
