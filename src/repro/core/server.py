@@ -22,9 +22,8 @@ tokens as one with abundant memory.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,11 +191,10 @@ class StatefulChatServer:
         self._system_slots: List[int] = []
         self._system_slots_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._system_ids: List[int] = []
-        # Deferred D2H copies: inside a ``_coalesce_copies`` scope,
-        # GPU->CPU-bound chunks queue ``(conv_id, chunk_index, slots)``
-        # here and cross as ONE stacked gather + batched insert at scope
-        # exit.  ``None`` = no scope active.
-        self._pending_copies: Optional[List[Tuple[int, int, np.ndarray]]] = None
+        # Deferred D2H copies: each ahead-of-time copy queues
+        # ``(conv_id, chunk_index, slots)`` here, and they cross as ONE
+        # stacked gather + batched insert (see :meth:`_ensure_capacity`).
+        self._pending_copies: List[Tuple[int, int, np.ndarray]] = []
         #: Observability sink (``repro.obs``); the null default keeps the
         #: serving path allocation-free when tracing is off.
         self.tracer = NULL_TRACER
@@ -224,30 +222,29 @@ class StatefulChatServer:
         conv_id, index = cache.conv_id, chunk.index
         if old is ChunkLocation.GPU and new is ChunkLocation.GPU_CPU:
             # Ahead-of-time copy: data lands in the CPU store, pages stay.
-            self._queue_copy(conv_id, chunk, table)
+            # The slots are captured now; nothing can reallocate them
+            # before the flush that ends :meth:`_ensure_capacity`.
+            self._pending_copies.append(
+                (conv_id, index, table.slots_array(chunk.start, chunk.end))
+            )
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.CPU:
             # Reclaim: the pages are handed back (data only in CPU now).
-            # A still-pending deferred copy stays valid: the KVStorage
-            # rows are untouched until the pages are *re-allocated*,
-            # which cannot happen inside a coalescing scope.
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.GPU:
             # Promotion on reuse: invalidate the (stale-to-be) CPU copy.
-            self._land_copy(conv_id, index)
             self.cpu_store.drop(conv_id, index)
-        elif old is ChunkLocation.GPU and new is ChunkLocation.CPU:
-            # Suspension path: copy and vacate in one go.
-            self._queue_copy(conv_id, chunk, table)
-            table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU and new is ChunkLocation.DROPPED:
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.DROPPED:
             # Pressure fallback: discard both the GPU slots and the copy.
-            self._land_copy(conv_id, index)
+            # The only move that can meet a queued copy (a swap-out drops
+            # a prefix it copied part of): land it first, so the store
+            # and its counters see the put before the drop.
+            if any(c == conv_id and i == index for c, i, _ in self._pending_copies):
+                self._flush_pending_copies()
             self.cpu_store.drop(conv_id, index)
             table.vacate_front(chunk.num_tokens)
         elif old is ChunkLocation.CPU and new is ChunkLocation.DROPPED:
-            self._land_copy(conv_id, index)
             # The entry may already be gone when a partially-popped swap-in
             # prefix is being invalidated after a corrupt read.
             if self.cpu_store.contains(conv_id, index):
@@ -258,7 +255,6 @@ class StatefulChatServer:
             # no re-verify on the way down, so corruption acquired in host
             # DRAM is still caught at the eventual disk read (end-to-end
             # integrity).
-            self._land_copy(conv_id, index)
             self.cpu_store.transfer_to(self.disk_store, conv_id, index)
         elif old is ChunkLocation.DISK and new is ChunkLocation.DROPPED:
             # Disk eviction or post-read invalidation; the entry may
@@ -272,30 +268,21 @@ class StatefulChatServer:
             # at once).  From DROPPED: recomputation fills the restored
             # slots during prefill.  Nothing here.
             pass
-        else:  # pragma: no cover - no other legal transition exists
+        else:  # pragma: no cover - no other transition reaches the server
             raise AssertionError(f"unexpected transition {old} -> {new}")
 
     # ------------------------------------------------------------------
     # Coalesced D2H copy path (stacked gather + batched CPU-store insert)
     # ------------------------------------------------------------------
 
-    def _queue_copy(self, conv_id: int, chunk: Chunk, table: BlockTable) -> None:
-        """Queue one chunk's D2H copy.  The slots are captured now —
-        nothing can reallocate them before the flush — and the data
-        crosses with the enclosing scope's batched transfer; with no
-        scope open the chunk is a scope, and a batch, of one."""
-        with self._coalesce_copies():
-            self._pending_copies.append(
-                (conv_id, chunk.index, table.slots_array(chunk.start, chunk.end))
-            )
-
-    def _land_copy(self, conv_id: int, chunk_index: int) -> None:
-        """Flush now if this chunk's copy is still queued, so the store
-        (and its counters) see its put before the drop or demotion that
-        is about to follow."""
-        if self._pending_copies and any(
-            c == conv_id and i == chunk_index for c, i, _ in self._pending_copies
-        ):
+    def _ensure_capacity(self, tokens: int, now: float) -> None:
+        """:meth:`TieredCacheManager.ensure_capacity`, then flush: the
+        only call that queues a copy (``GPU -> GPU_CPU`` happens in its
+        swap-out alone), so every copy it fired crosses as one batch.
+        No GPU page is re-allocated before the flush."""
+        try:
+            self.manager.ensure_capacity(tokens, now)
+        finally:
             self._flush_pending_copies()
 
     def _flush_pending_copies(self) -> None:
@@ -314,30 +301,6 @@ class StatefulChatServer:
                 for (conv_id, chunk_index, _), (k, v) in zip(pending, data)
             ]
         )
-
-    @contextmanager
-    def _coalesce_copies(self) -> Iterator[None]:
-        """Scope within which ahead-of-time D2H chunk copies coalesce.
-
-        Tier transitions fired by the manager inside the scope queue
-        their copies instead of moving one chunk at a time; the flush at
-        scope exit performs a single stacked transfer.  Deferral is safe
-        because no GPU page can be re-allocated before the flush: page
-        allocation (``restore_front`` / ``append_tokens``) only happens
-        after the capacity-making calls the scope wraps.  Re-entrant —
-        an inner scope defers to the outer one's flush.
-        """
-        if self._pending_copies is not None:
-            yield
-            return
-        self._pending_copies = []
-        try:
-            yield
-        finally:
-            try:
-                self._flush_pending_copies()
-            finally:
-                self._pending_copies = None
 
     # ------------------------------------------------------------------
     # Shared system prompt (paper footnote 3)
@@ -570,18 +533,10 @@ class StatefulChatServer:
 
         # Make room (may evict other conversations — the observer moves
         # their tensors; reclaim happens lazily inside commit_restore).
-        # Ahead-of-time copies fired in here coalesce into one stacked
-        # gather + batched CPU-store insert at scope exit.
         # A turn that cannot fit beside the pinned batch members fails
         # alone, like a terminal allocation fault.
         try:
-            with self._coalesce_copies():
-                self.manager.ensure_capacity(plan.alloc_tokens, now)
-                self.manager.reclaim(
-                    max(0, plan.alloc_tokens - self.manager.gpu_free_tokens),
-                    now,
-                    exclude=conv_id,
-                )
+            self._ensure_capacity(plan.alloc_tokens, now)
         except CacheCapacityError:
             raise self._fail_before_restore(conv_id, now, attempts) from None
 
@@ -675,8 +630,7 @@ class StatefulChatServer:
             self._abort_conversation(conv_id)
             raise self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
         if self.manager.gpu_available_tokens < 1:
-            with self._coalesce_copies():
-                self.manager.ensure_capacity(1, now)
+            self._ensure_capacity(1, now)
         self.manager.append_tokens(conv_id, 1)
         table.append_tokens(1)
 

@@ -30,15 +30,21 @@ Implementation note: the serving simulation calls the accounting
 properties on every scheduling round and evicts on most of them, so both
 are incremental.  All tier totals are maintained as counters (O(1)
 reads), and a *frontier index* holds, per location, each conversation's
-earliest chunk there — the only chunk of it an eviction may take.  Every
-location change funnels through :meth:`TieredCacheManager._move`, which
-keeps both exact; a single move is checked against its two neighbours
-only, which by induction is the full layout check.  An eviction call
-scores the location's frontiers once, heapifies them, and after each
-victim pushes only that conversation's next frontier
-(:meth:`TieredCacheManager._victims`): O(N + k log N) for k victims among
-N cached conversations, and one CPU stream serves a whole ``swap_out``
-however often its copies find the CPU tier full.  Decode growth of a
+earliest chunk there — the only chunk of it an eviction may take.
+
+Each cache move is written once.  Every location change is one
+:meth:`TieredCacheManager._move`, which keeps the counters and the index
+exact, bumps the move's ``stats`` key and checks the move against its two
+neighbours, which by induction is the full layout check (a promotion is
+checked with the whole :meth:`~TieredCacheManager.commit_restore` sweep
+instead).  Every eviction is one pass of
+:meth:`TieredCacheManager._evict`, a budgeted loop that draws victims,
+applies the caller's step and traces each one.  It draws from
+:meth:`TieredCacheManager._victims`, which scores the location's frontiers
+once, heapifies them, and after each victim pushes only that
+conversation's next frontier: O(N + k log N) for k victims among N cached
+conversations, and one CPU stream serves a whole ``swap_out`` however
+often its copies find the CPU tier full.  Decode growth of a
 whole batch is one :meth:`~TieredCacheManager.append_decode_step` call
 whose common case bumps a partial GPU tail in place.  :meth:`_audit`
 re-derives the counters, the index and every layout from scratch and is
@@ -130,10 +136,21 @@ class CachePlan:
         )
 
 
+#: The locations as module constants: reading a member off the enum class
+#: is a metaclass lookup, and the manager's hot paths (``_move`` runs on
+#: every tier change) read them constantly.
+_GPU, _GPU_CPU, _CPU, _DISK, _DROPPED = (
+    ChunkLocation.GPU, ChunkLocation.GPU_CPU, ChunkLocation.CPU,
+    ChunkLocation.DISK, ChunkLocation.DROPPED,
+)
 #: Locations that occupy GPU slots.
-_GPU_STATES = (ChunkLocation.GPU, ChunkLocation.GPU_CPU)
+_GPU_STATES = (_GPU, _GPU_CPU)
 #: Locations that occupy CPU slots.
-_CPU_STATES = (ChunkLocation.CPU, ChunkLocation.GPU_CPU)
+_CPU_STATES = (_CPU, _GPU_CPU)
+#: The trace event of an eviction from each location.
+_EVICT_EVENTS = {
+    _GPU: "evict", _GPU_CPU: "reclaim", _CPU: "cpu_drop", _DISK: "disk_drop",
+}
 
 
 class RestoreTier(NamedTuple):
@@ -144,7 +161,7 @@ class RestoreTier(NamedTuple):
     blamed: FaultSite     #: names the ``fault`` and ``<name>_fallback`` events
     chunks: str           #: ``CachePlan`` field listing the tier's chunks
     failures: str         #: ``FaultCounters`` field for terminal transfer failures
-    invalidate: str       #: manager verb that gives the tier's chunks up
+    locations: Tuple[ChunkLocation, ...]  #: what ``invalidate_prefix`` gives up
 
 
 #: The restore fallback, coldest tier first: a disk failure drops the
@@ -152,11 +169,11 @@ class RestoreTier(NamedTuple):
 RESTORE_TIERS = (
     RestoreTier(
         FaultSite.NVME_STALL, FaultSite.DISK_READ, FaultSite.DISK_READ,
-        "disk_read_chunks", "disk_read_failures", "invalidate_disk_prefix",
+        "disk_read_chunks", "disk_read_failures", (_DISK,),
     ),
     RestoreTier(
         FaultSite.SWAP_IN, FaultSite.CPU_READ, FaultSite.SWAP_IN,
-        "swap_in_chunks", "swap_in_failures", "invalidate_cpu_prefix",
+        "swap_in_chunks", "swap_in_failures", (_DISK, _CPU),
     ),
 )
 
@@ -169,12 +186,11 @@ class TieredCacheManager:
         cpu_capacity_tokens: KV-token slots available on the CPU tier
             (0 disables the CPU tier, producing the paper's
             "Pensieve (GPU cache)" variant).
+        scorer: eviction policy.
         disk_capacity_tokens: KV-token slots available on the disk (NVMe)
             tier behind the CPU; 0 (the default) disables the tier,
             reproducing the paper's two-tier behaviour exactly.
         chunk_size: eviction granularity in tokens (32 in the paper).
-        scorer: eviction policy; defaults (when ``None``) must be supplied
-            before any eviction happens.
         placement: cross-tier placement policy deciding whether a chunk
             leaving the CPU tier is demoted to disk or dropped (see
             :class:`repro.core.eviction.TieredPlacementPolicy`); ``None``
@@ -189,8 +205,8 @@ class TieredCacheManager:
         self,
         gpu_capacity_tokens: int,
         cpu_capacity_tokens: int,
+        scorer: EvictionScorer,
         chunk_size: int = 32,
-        scorer: Optional[EvictionScorer] = None,
         whole_conversation_eviction: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         fault_counters: Optional[FaultCounters] = None,
@@ -341,7 +357,9 @@ class TieredCacheManager:
     # ------------------------------------------------------------------
 
     def _move(self, cache: ConversationCache, chunk: Chunk, new: ChunkLocation) -> None:
-        """Move a chunk between tiers, keeping every counter consistent."""
+        """Move a chunk between tiers: the one place that keeps the tier
+        counters, the move's ``stats`` key and the frontier index exact,
+        checks the layout around the chunk and tells the observer."""
         old = chunk.location
         if old is new:
             return
@@ -354,21 +372,29 @@ class TieredCacheManager:
             self._cpu_used -= n
         elif old not in _CPU_STATES and new in _CPU_STATES:
             self._cpu_used += n
-        if old is ChunkLocation.DISK:
+        if old is _DISK:
             self._disk_used -= n
-        elif new is ChunkLocation.DISK:
+        elif new is _DISK:
             self._disk_used += n
         if not cache.pinned:
-            if old is ChunkLocation.GPU_CPU:
+            if old is _GPU_CPU:
                 self._reclaimable -= n
-            if new is ChunkLocation.GPU_CPU:
+            if new is _GPU_CPU:
                 self._reclaimable += n
-            if old is ChunkLocation.GPU:
+            if old is _GPU:
                 self._evictable -= n
-            if new is ChunkLocation.GPU:
+            if new is _GPU:
                 self._evictable += n
-        if old is ChunkLocation.GPU_CPU:
+        if old is _GPU_CPU:
             self._bump("gpu_cpu_exit_tokens", n)
+        if new is _DROPPED:
+            if old is _DISK:
+                self._bump("disk_dropped_tokens", n)
+            self._bump("dropped_tokens", n)
+        elif new is _DISK:
+            self._bump("demoted_tokens", n)
+        elif old is _GPU:
+            self._bump("swapped_out_tokens", n)  # copied, or suspended to CPU
         chunk.location = new
         conv_id = cache.conv_id
         left = self._frontier[old]
@@ -386,6 +412,10 @@ class TieredCacheManager:
         first = entered.get(conv_id)
         if first is None or chunk.index < first.index:
             entered[conv_id] = chunk
+        if new is not _GPU:
+            # Every other move is legal on its own; a promotion is legal
+            # only once :meth:`commit_restore`'s whole sweep lands.
+            cache.check_neighbours(chunk)
         if self.observer is not None:
             self.observer(cache, chunk, old, new)
 
@@ -398,7 +428,7 @@ class TieredCacheManager:
             created = cache.extend_to(cache.total_tokens + rest)
             # With no GPU chunk yet, the first chunk created is the GPU
             # frontier.
-            self._frontier[ChunkLocation.GPU].setdefault(cache.conv_id, created[0])
+            self._frontier[_GPU].setdefault(cache.conv_id, created[0])
         self._gpu_resident += tokens
         if not cache.pinned:
             self._evictable += tokens
@@ -406,8 +436,8 @@ class TieredCacheManager:
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
             return
-        gpu_cpu = cache.tokens_in(ChunkLocation.GPU_CPU)
-        gpu = cache.tokens_in(ChunkLocation.GPU)
+        gpu_cpu = cache.tokens_in(_GPU_CPU)
+        gpu = cache.tokens_in(_GPU)
         if pinned:
             self._reclaimable -= gpu_cpu
             self._evictable -= gpu
@@ -427,10 +457,10 @@ class TieredCacheManager:
         for cache in self._conversations.values():
             gpu += cache.tokens_in(*_GPU_STATES)
             cpu += cache.tokens_in(*_CPU_STATES)
-            disk += cache.tokens_in(ChunkLocation.DISK)
+            disk += cache.tokens_in(_DISK)
             if not cache.pinned:
-                reclaimable += cache.tokens_in(ChunkLocation.GPU_CPU)
-                evictable += cache.tokens_in(ChunkLocation.GPU)
+                reclaimable += cache.tokens_in(_GPU_CPU)
+                evictable += cache.tokens_in(_GPU)
         assert gpu == self._gpu_resident, (gpu, self._gpu_resident)
         assert cpu == self._cpu_used, (cpu, self._cpu_used)
         assert disk == self._disk_used, (disk, self._disk_used)
@@ -485,14 +515,14 @@ class TieredCacheManager:
         gpu = cache.tokens_in(*_GPU_STATES)
         self._gpu_resident -= gpu
         self._cpu_used -= cache.tokens_in(*_CPU_STATES)
-        disk = cache.tokens_in(ChunkLocation.DISK)
+        disk = cache.tokens_in(_DISK)
         self._disk_used -= disk
         if disk:
             # Given up unread: keeps the disk ledger of ``_audit`` closed.
             self._bump("disk_dropped_tokens", disk)
         if not cache.pinned:
-            self._reclaimable -= cache.tokens_in(ChunkLocation.GPU_CPU)
-            self._evictable -= cache.tokens_in(ChunkLocation.GPU)
+            self._reclaimable -= cache.tokens_in(_GPU_CPU)
+            self._evictable -= cache.tokens_in(_GPU)
         for index in self._frontier.values():
             index.pop(conv_id, None)
         return gpu
@@ -515,45 +545,40 @@ class TieredCacheManager:
         cache = self._conversations.get(conv_id)
         if cache is not None:
             plan.gpu_hit_tokens = cache.tokens_in(*_GPU_STATES)
-            plan.swap_in_chunks = cache.chunks_in(ChunkLocation.CPU)
+            plan.swap_in_chunks = cache.chunks_in(_CPU)
             plan.swap_in_tokens = sum(c.num_tokens for c in plan.swap_in_chunks)
-            plan.disk_read_chunks = cache.chunks_in(ChunkLocation.DISK)
+            plan.disk_read_chunks = cache.chunks_in(_DISK)
             plan.disk_read_tokens = sum(
                 c.num_tokens for c in plan.disk_read_chunks
             )
-            plan.recompute_tokens = cache.tokens_in(ChunkLocation.DROPPED)
+            plan.recompute_tokens = cache.tokens_in(_DROPPED)
         return plan
 
     def commit_restore(self, plan: CachePlan, now: float) -> ConversationCache:
         """Apply a restore plan: all chunks become GPU-resident and the
         context is extended by the plan's new tokens.
 
-        The caller must have ensured capacity (see :meth:`ensure_capacity`).
+        The caller must have ensured capacity (see :meth:`ensure_capacity`);
+        the copies that make the room are reclaimed here.
 
         Raises:
-            CacheCapacityError: if the GPU tier cannot hold the result.
+            CacheCapacityError: if the GPU tier cannot hold the result;
+                nothing is counted, pinned or reclaimed then.
         """
-        needed = plan.alloc_tokens
+        self._make_room(plan.conv_id, plan.alloc_tokens, now)
         self._bump("lookup_tokens", plan.total_context - plan.new_tokens)
         self._bump("gpu_hit_tokens", plan.gpu_hit_tokens)
         self._bump("cpu_hit_tokens", plan.swap_in_tokens)
         self._bump("disk_hit_tokens", plan.disk_read_tokens)
         self._bump("recomputed_tokens", plan.recompute_tokens)
         cache = self.open(plan.conv_id, now)
-        if needed > self.gpu_free_tokens + self._reclaimable:
-            raise CacheCapacityError(
-                f"restore needs {needed} tokens; free={self.gpu_free_tokens}, "
-                f"reclaimable={self._reclaimable}"
-            )
-        if needed > self.gpu_free_tokens:
-            self.reclaim(needed - self.gpu_free_tokens, now, exclude=plan.conv_id)
         for chunk in cache.chunks:
             # Everything the request touches becomes GPU-resident: CPU
             # chunks are swapped in, disk chunks read back and promoted,
             # dropped chunks recomputed, and lazily-reclaimable copies are
             # promoted back to GPU-only (their CPU copy is invalidated on
             # reuse for simplicity).
-            self._move(cache, chunk, ChunkLocation.GPU)
+            self._move(cache, chunk, _GPU)
         self._extend(cache, plan.new_tokens)
         cache.check_layout()
         return cache
@@ -574,7 +599,7 @@ class TieredCacheManager:
         # Before _make_room: grow_tail would refuse only after other
         # conversations' chunks had been reclaimed.
         cache.check_growable()
-        self._make_room(cache, count)
+        self._make_room(conv_id, count, cache.last_active)
         self._extend(cache, count)
 
     def append_decode_step(self, conv_ids: Sequence[int]) -> int:
@@ -596,68 +621,56 @@ class TieredCacheManager:
         for grown, cache in enumerate(caches):
             if self._gpu_resident >= capacity:
                 try:
-                    self._make_room(cache, 1)
+                    self._make_room(cache.conv_id, 1, cache.last_active)
                 except CacheCapacityError:
                     return grown
             self._extend(cache, 1)
         return len(caches)
 
-    def _make_room(self, cache: ConversationCache, tokens: int) -> None:
-        """Reclaim copies until ``tokens`` more fit on the GPU for
-        ``cache``'s growth."""
+    def _make_room(self, conv_id: int, tokens: int, now: float) -> None:
+        """Reclaim other conversations' copies until ``tokens`` more fit
+        on the GPU for ``conv_id``."""
         deficit = tokens - self.gpu_free_tokens
         if deficit <= 0:
             return
         # Check before reclaiming anything: a partial reclaim mutates tier
         # state, so refusing *after* it would leave chunks evicted by an
-        # operation that reports failure (non-atomic).
+        # operation that reports failure (non-atomic).  The conversation's
+        # own copies are promoted or kept, never reclaimed for it.
         available = self._reclaimable
-        if not cache.pinned:
-            available -= cache.tokens_in(ChunkLocation.GPU_CPU)
+        cache = self._conversations.get(conv_id)
+        if cache is not None and not cache.pinned:
+            available -= cache.tokens_in(_GPU_CPU)
         if deficit > available:
             raise CacheCapacityError(
-                f"decode growth of {tokens} tokens does not fit "
+                f"{tokens} more GPU tokens do not fit "
                 f"(free={self.gpu_free_tokens}, reclaimable={available})"
             )
-        reclaimed = self.reclaim(deficit, now=cache.last_active, exclude=cache.conv_id)
+        reclaimed = self.reclaim(deficit, now, exclude=conv_id)
         assert reclaimed >= deficit, (reclaimed, deficit)
 
-    def invalidate_cpu_prefix(
-        self, conv_id: int, upto: Optional[Chunk] = None
+    def invalidate_prefix(
+        self,
+        conv_id: int,
+        locations: Tuple[ChunkLocation, ...],
+        upto: Optional[Chunk] = None,
     ) -> int:
-        """Recovery path for a failed or corrupt swap-in: drop the
-        conversation's stored (disk + CPU) chunks from the front through
-        ``upto`` (all of them when ``None``) so the next restore plan
+        """Recovery path for a failed or corrupt restore read: drop the
+        conversation's chunks from the front through ``upto`` (through its
+        last chunk in ``locations`` when ``None``) so the next restore plan
         recomputes those tokens from the raw-token store (§4.3.4 fallback).
 
-        Stored chunks sit right after the ``DROPPED`` prefix (disk first,
-        then CPU), so every disk chunk ahead of a CPU ``upto`` goes with
-        it (see :meth:`_drop_leading_prefix`).  Returns tokens invalidated
+        Stored chunks sit right after the ``DROPPED`` prefix, disk first,
+        then CPU: invalidating ``(DISK,)`` spares the CPU chunks behind
+        it, and invalidating ``(DISK, CPU)`` takes every disk chunk along
+        (see :meth:`_drop_leading_prefix`).  Returns tokens invalidated
         (0 for an unknown conversation — recovery must not raise anew).
         """
         cache = self._conversations.get(conv_id)
         if cache is None:
             return 0
         if upto is None:
-            upto = cache.rear(ChunkLocation.DISK, ChunkLocation.CPU)
-        return self._drop_leading_prefix(cache, upto)
-
-    def invalidate_disk_prefix(
-        self, conv_id: int, upto: Optional[Chunk] = None
-    ) -> int:
-        """Recovery path for a failed or corrupt *disk* read: drop the
-        conversation's ``DISK`` chunks from the front through ``upto``
-        (all of them when ``None``).  They sit immediately after the
-        ``DROPPED`` prefix, so the CPU chunks behind them survive — the
-        narrower sibling of :meth:`invalidate_cpu_prefix` used when the
-        CPU-resident portion of the context is still healthy.  Returns
-        tokens invalidated.
-        """
-        cache = self._conversations.get(conv_id)
-        if cache is None:
-            return 0
-        if upto is None:
-            upto = cache.rear(ChunkLocation.DISK)
+            upto = cache.rear(*locations)
         return self._drop_leading_prefix(cache, upto)
 
     def fall_back_to_recompute(
@@ -676,7 +689,7 @@ class TieredCacheManager:
         transfer failed terminally, or, with ``corrupt``, that many of its
         chunks failed their checksum.  Counts the failure, gives the
         tier's chunks up through ``upto`` (all of them when ``None``) with
-        the tier's ``invalidate`` verb, traces the fallback (``attrs``
+        :meth:`invalidate_prefix`, traces the fallback (``attrs``
         ride along on the event) and re-plans: ``alloc_tokens`` is
         unchanged (the tier's tokens become recompute tokens), so a
         capacity check made on the old plan stays valid.
@@ -689,7 +702,7 @@ class TieredCacheManager:
         else:
             counters.bump(tier.failures)
         counters.recompute_fallbacks += 1
-        invalidated = getattr(self, tier.invalidate)(conv_id, upto)
+        invalidated = self.invalidate_prefix(conv_id, tier.locations, upto)
         if self.tracer.enabled:
             self.tracer.count("fault.recompute_fallbacks")
             self.tracer.instant(
@@ -702,40 +715,17 @@ class TieredCacheManager:
     # Eviction machinery
     # ------------------------------------------------------------------
 
-    def _require_scorer(self) -> EvictionScorer:
-        if self.scorer is None:
-            raise RuntimeError("no eviction scorer configured")
-        return self.scorer
-
-    def _scored_frontiers(
-        self, location: ChunkLocation, now: float, exclude: Optional[int] = None
-    ) -> List[Tuple[float, int, int, Chunk, ConversationCache]]:
-        """``(score, conv_id, chunk.index, chunk, cache)`` for the frontier
-        chunk of every unpinned conversation in ``location``, unordered.
-
-        Only the *earliest* chunk of each conversation in the given
-        location is a candidate, which preserves the Figure 5 layout
-        invariant during front-to-back eviction.  The tuples order by the
-        eviction tie-break ``(score, conv_id, chunk.index)``; a
-        conversation appears once, so comparison never reaches the chunk.
-        """
-        scorer = self._require_scorer()
-        conversations = self._conversations
-        out = []
-        for conv_id, chunk in self._frontier[location].items():
-            cache = conversations[conv_id]
-            if not cache.pinned and conv_id != exclude:
-                out.append(
-                    (scorer(chunk, cache.last_active, now), conv_id, chunk.index,
-                     chunk, cache)
-                )
-        return out
-
     def _victims(
         self, location: ChunkLocation, now: float, exclude: Optional[int] = None
     ) -> Iterator[Tuple[float, Chunk, ConversationCache]]:
         """Lazily yield ``(score, chunk, cache)`` eviction victims of
         ``location`` in ascending ``(score, conv_id, chunk.index)`` order.
+
+        Only the *earliest* chunk of each unpinned conversation in the
+        location (its frontier) is a candidate, which preserves the
+        Figure 5 layout invariant during front-to-back eviction.  A
+        conversation has one heap entry at a time, so comparison never
+        reaches the chunk.
 
         The caller moves each yielded chunk out of ``location`` before
         asking for the next.  The location is scanned and scored once, on
@@ -751,9 +741,17 @@ class TieredCacheManager:
         entry; it is skipped, and the conversation's current frontier, if
         any, takes its place.
         """
-        scorer = self._require_scorer()
+        scorer = self.scorer
+        conversations = self._conversations
         frontier = self._frontier[location]
-        heap = self._scored_frontiers(location, now, exclude)
+        heap = []
+        for conv_id, chunk in frontier.items():
+            cache = conversations[conv_id]
+            if not cache.pinned and conv_id != exclude:
+                heap.append(
+                    (scorer(chunk, cache.last_active, now), conv_id, chunk.index,
+                     chunk, cache)
+                )
         heapq.heapify(heap)
         while heap:
             score, conv_id, _, chunk, cache = heap[0]
@@ -770,16 +768,50 @@ class TieredCacheManager:
                      successor.index, successor, cache),
                 )
 
-    def _trace_victim(
-        self, event: str, now: float, cache: ConversationCache, chunk: Chunk,
-        score: float, **attrs: str,
-    ) -> None:
-        """One eviction trace event; it carries the victim's retention
-        score, so traces hold the distribution the policy acted on."""
-        self.tracer.instant(
-            event, t=now, track="cache", conv_id=cache.conv_id,
-            chunk=chunk.index, tokens=chunk.num_tokens, **attrs, score=score,
-        )
+    def _evict(
+        self,
+        location: ChunkLocation,
+        tokens_needed: int,
+        now: float,
+        step: Callable[[ConversationCache, Chunk, float, float], Optional[str]],
+        exclude: Optional[int] = None,
+        victims: Optional[Iterator[Tuple[float, Chunk, ConversationCache]]] = None,
+        max_score: Optional[float] = None,
+    ) -> int:
+        """The one eviction loop: take victims of ``location`` (from the
+        open stream ``victims``, else a new one) until ``tokens_needed``
+        tokens have left it, the stream runs dry, or, with ``max_score``,
+        the next victim scores at least that.  ``step(cache, chunk, score,
+        now)`` moves each victim out and returns its trace ``outcome`` or
+        ``None``; the loop traces it.  Returns tokens evicted.
+
+        The budget is checked *before* the next pull: ``swap_out`` keeps
+        one CPU stream open across many calls, and the stream asserts
+        that each victim it yields has left before the next is pulled.
+        Granularity ablation: a GPU victim takes its conversation's whole
+        GPU context along, even past the target (the overshoot is the
+        cost of coarse eviction the paper's design avoids).
+        """
+        if victims is None:
+            victims = self._victims(location, now, exclude)
+        whole = self.whole_conversation_eviction and location is _GPU
+        freed = 0
+        while freed < tokens_needed:
+            victim = next(victims, None)
+            if victim is None or (max_score is not None and victim[0] >= max_score):
+                break
+            score, chunk, cache = victim
+            for chunk in cache.chunks_in(location) if whole else (chunk,):
+                outcome = step(cache, chunk, score, now)
+                freed += chunk.num_tokens
+                if self.tracer.enabled:
+                    attrs = {} if outcome is None else {"outcome": outcome}
+                    self.tracer.instant(
+                        _EVICT_EVENTS[location], t=now, track="cache",
+                        conv_id=cache.conv_id, chunk=chunk.index,
+                        tokens=chunk.num_tokens, **attrs, score=score,
+                    )
+        return freed
 
     def swap_out(self, tokens_needed: int, now: float) -> List[Chunk]:
         """Make ``tokens_needed`` GPU tokens obtainable by copying GPU-only
@@ -788,31 +820,20 @@ class TieredCacheManager:
 
         Copied chunks move ``GPU -> GPU_CPU``; their GPU slots stay
         occupied until :meth:`reclaim`.  Progress is counted as
-        reclaimable tokens plus tokens freed by drops.  Returns the chunks
-        copied, in order, so the engine can model the PCIe traffic.
+        reclaimable tokens plus tokens freed by drops: each victim adds its
+        own tokens either way.  Returns the chunks copied, in order, so the
+        engine can model the PCIe traffic.
         """
         copied: List[Chunk] = []
-        free_start = self.gpu_free_tokens
-
-        def progress() -> int:
-            return self._reclaimable + (self.gpu_free_tokens - free_start)
-
-        victims = self._victims(ChunkLocation.GPU, now)
         # One CPU victim stream for the whole call, scanned when a copy
         # first finds the CPU tier full: every later shortfall continues
         # it instead of rescanning (exact, see :meth:`_victims`).
-        cpu_victims = self._victims(ChunkLocation.CPU, now)
-        while progress() < tokens_needed:
-            victim = next(victims, None)
-            if victim is None:
-                break
-            score, chunk, cache = victim
-            # Granularity ablation: take the whole conversation, even past
-            # the target (the overshoot is the cost of coarse eviction the
-            # paper's design avoids).
-            whole = self.whole_conversation_eviction
-            for chunk in cache.chunks_in(ChunkLocation.GPU) if whole else [chunk]:
-                self._swap_out_chunk(cache, chunk, now, copied, score, cpu_victims)
+        cpu_victims = self._victims(_CPU, now)
+
+        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> str:
+            return self._swap_out_chunk(cache, chunk, now, copied, cpu_victims)
+
+        self._evict(_GPU, tokens_needed - self._reclaimable, now, step)
         return copied
 
     def _swap_out_chunk(
@@ -821,14 +842,13 @@ class TieredCacheManager:
         chunk: Chunk,
         now: float,
         copied: List[Chunk],
-        score: float,
         cpu_victims: Iterator[Tuple[float, Chunk, ConversationCache]],
-    ) -> None:
+    ) -> str:
         """Move one GPU chunk toward the CPU tier: copied, or dropped with
         the conversation's leading prefix through it (the tokens recompute
         on return, §4.3.4, so no served output is ever lost).  Either way
         the chunk's GPU slots have been made reclaimable or free
-        (guaranteed progress)."""
+        (guaranteed progress).  Returns ``"copied"`` or ``"dropped"``."""
         copy = self.cpu_capacity_tokens > 0  # else GPU-cache-only variant
         if copy and self.fault_plan is not None and self.fault_plan.fires(
             FaultSite.SWAP_OUT
@@ -836,21 +856,20 @@ class TieredCacheManager:
             self.fault_counters.swap_out_failures += 1  # the D2H copy failed
             copy = False
         if copy and self.cpu_free_tokens < chunk.num_tokens:
-            self._free_cpu(chunk.num_tokens - self.cpu_free_tokens, now, cpu_victims)
+            self._evict(
+                _CPU, chunk.num_tokens - self.cpu_free_tokens, now,
+                self._demote_or_drop, victims=cpu_victims,
+            )
             # Still short: the CPU tier is saturated with data that may
             # not be dropped (pinned conversations' chunks, or copies
             # backing reclaimable GPU slots).
             copy = self.cpu_free_tokens >= chunk.num_tokens
         if copy:
-            self._move(cache, chunk, ChunkLocation.GPU_CPU)
-            self._bump("swapped_out_tokens", chunk.num_tokens)
+            self._move(cache, chunk, _GPU_CPU)
             copied.append(chunk)
-            cache.check_neighbours(chunk)
-        else:
-            self._drop_leading_prefix(cache, chunk)
-        if self.tracer.enabled:
-            outcome = "copied" if copy else "dropped"
-            self._trace_victim("evict", now, cache, chunk, score, outcome=outcome)
+            return "copied"
+        self._drop_leading_prefix(cache, chunk)
+        return "dropped"
 
     def _drop_leading_prefix(
         self, cache: ConversationCache, upto: Optional[Chunk]
@@ -869,14 +888,9 @@ class TieredCacheManager:
             return 0
         dropped = 0
         for chunk in cache.chunks[: upto.index + 1]:
-            if chunk.location is ChunkLocation.DROPPED:
-                continue
-            if chunk.location is ChunkLocation.DISK:
-                self._bump("disk_dropped_tokens", chunk.num_tokens)
-            self._bump("dropped_tokens", chunk.num_tokens)
-            self._move(cache, chunk, ChunkLocation.DROPPED)
-            dropped += chunk.num_tokens
-        cache.check_layout()
+            if chunk.location is not _DROPPED:
+                dropped += chunk.num_tokens
+                self._move(cache, chunk, _DROPPED)
         return dropped
 
     def reclaim(
@@ -884,53 +898,19 @@ class TieredCacheManager:
     ) -> int:
         """Actually free GPU slots of already-copied chunks
         (``GPU_CPU -> CPU``).  Returns tokens freed (may fall short)."""
-        freed = 0
-        victims = self._victims(ChunkLocation.GPU_CPU, now, exclude=exclude)
-        while freed < tokens_needed:
-            victim = next(victims, None)
-            if victim is None:
-                break
-            score, chunk, cache = victim
-            self._move(cache, chunk, ChunkLocation.CPU)
-            freed += chunk.num_tokens
-            cache.check_neighbours(chunk)
+
+        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
+            self._move(cache, chunk, _CPU)
             if self.tracer.enabled:
                 self.tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
-                self._trace_victim("reclaim", now, cache, chunk, score)
-        return freed
+
+        return self._evict(_GPU_CPU, tokens_needed, now, step, exclude)
 
     def drop_from_cpu(self, tokens_needed: int, now: float) -> int:
-        """Free CPU-tier space under memory pressure (see :meth:`_free_cpu`):
-        each victim, in ascending retention score, is *demoted* to the disk
-        tier when one is configured and the cross-tier placement policy
-        approves (``CPU -> DISK``), and dropped outright otherwise
-        (``CPU -> DROPPED``).  Returns tokens freed."""
-        return self._free_cpu(
-            tokens_needed, now, self._victims(ChunkLocation.CPU, now)
-        )
-
-    def _free_cpu(
-        self,
-        tokens_needed: int,
-        now: float,
-        victims: Iterator[Tuple[float, Chunk, ConversationCache]],
-    ) -> int:
-        """Demote or drop CPU victims drawn from ``victims`` until
-        ``tokens_needed`` CPU tokens are freed or it runs dry; returns
-        tokens freed."""
-        freed = 0
-        while freed < tokens_needed:
-            victim = next(victims, None)
-            if victim is None:
-                break
-            score, chunk, cache = victim
-            outcome = self._demote_or_drop(cache, chunk, score, now)
-            freed += chunk.num_tokens
-            if self.tracer.enabled:
-                self._trace_victim(
-                    "cpu_drop", now, cache, chunk, score, outcome=outcome
-                )
-        return freed
+        """Free CPU-tier space under memory pressure: each victim, in
+        ascending retention score, is *demoted* to the disk tier or dropped
+        (see :meth:`_demote_or_drop`).  Returns tokens freed."""
+        return self._evict(_CPU, tokens_needed, now, self._demote_or_drop)
 
     def _demote_or_drop(
         self, cache: ConversationCache, chunk: Chunk, score: float, now: float
@@ -950,9 +930,9 @@ class TieredCacheManager:
             target = (
                 self.placement(chunk, cache.last_active, now)
                 if self.placement is not None
-                else ChunkLocation.DISK
+                else _DISK
             )
-            if target is ChunkLocation.DISK:
+            if target is _DISK:
                 if self.disk_free_tokens < chunk.num_tokens:
                     self.drop_from_disk(
                         chunk.num_tokens - self.disk_free_tokens,
@@ -960,9 +940,7 @@ class TieredCacheManager:
                         max_score=score,
                     )
                 if self.disk_free_tokens >= chunk.num_tokens:
-                    self._move(cache, chunk, ChunkLocation.DISK)
-                    self._bump("demoted_tokens", chunk.num_tokens)
-                    cache.check_neighbours(chunk)
+                    self._move(cache, chunk, _DISK)
                     return "demoted"
         # Takes any of the conversation's chunks still on disk *ahead* of
         # this one with it.
@@ -979,20 +957,14 @@ class TieredCacheManager:
         are evicted — the incoming chunk may not displace disk residents
         the policy values at least as much.  Returns tokens freed.
         """
-        freed = 0
-        victims = self._victims(ChunkLocation.DISK, now)
-        while freed < tokens_needed:
-            victim = next(victims, None)
-            if victim is None:
-                break
-            score, chunk, cache = victim
-            if max_score is not None and score >= max_score:
-                break
+
+        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
             # A disk frontier has only dropped chunks ahead of it.
-            freed += self._drop_leading_prefix(cache, chunk)
-            if self.tracer.enabled:
-                self._trace_victim("disk_drop", now, cache, chunk, score)
-        return freed
+            self._move(cache, chunk, _DROPPED)
+
+        return self._evict(
+            _DISK, tokens_needed, now, step, max_score=max_score
+        )
 
     # ------------------------------------------------------------------
     # Capacity orchestration for the scheduler
@@ -1036,10 +1008,11 @@ class TieredCacheManager:
         self._set_pinned(cache, False)
         # Already-copied chunks (possible only if the conversation was
         # never promoted after an ahead-of-time copy) reclaim for free.
-        # They precede all GPU chunks, so this keeps the layout legal.
-        for chunk in cache.chunks_in(ChunkLocation.GPU_CPU):
-            self._move(cache, chunk, ChunkLocation.CPU)
-        gpu_tokens = cache.tokens_in(ChunkLocation.GPU)
+        # They precede all GPU chunks, so each move keeps the layout legal,
+        # and so does each of the front-to-back moves below.
+        for chunk in cache.chunks_in(_GPU_CPU):
+            self._move(cache, chunk, _CPU)
+        gpu_tokens = cache.tokens_in(_GPU)
         room = 0 if self.cpu_capacity_tokens == 0 else self.cpu_free_tokens
         dropped = 0
         upto: Optional[Chunk] = None
@@ -1052,7 +1025,7 @@ class TieredCacheManager:
             # The suspension's batched D2H copy failed: degrade every chunk
             # to a drop; the suspended request recomputes them on resume.
             self.fault_counters.swap_out_failures += 1
-            dropped, upto = gpu_tokens, cache.rear(ChunkLocation.GPU)
+            dropped, upto = gpu_tokens, cache.rear(_GPU)
         else:
             # When the CPU tier cannot hold everything, drop the
             # conversation's *leading* chunks (cheapest to recompute,
@@ -1063,15 +1036,13 @@ class TieredCacheManager:
             for chunk in cache.chunks:
                 if gpu_tokens - dropped <= room:
                     break
-                if chunk.location is ChunkLocation.GPU:
+                if chunk.location is _GPU:
                     dropped += chunk.num_tokens
-                elif chunk.location is ChunkLocation.CPU:
+                elif chunk.location is _CPU:
                     room += chunk.num_tokens
                 upto = chunk
         self._drop_leading_prefix(cache, upto)
         copied = gpu_tokens - dropped
-        for chunk in cache.chunks_in(ChunkLocation.GPU):
-            self._move(cache, chunk, ChunkLocation.CPU)
-            self._bump("swapped_out_tokens", chunk.num_tokens)
-        cache.check_layout()
+        for chunk in cache.chunks_in(_GPU):
+            self._move(cache, chunk, _CPU)
         return copied, dropped

@@ -33,6 +33,12 @@ the derandomized profile:
   (``STALE_CPU_ENTRY``: the dropped chunk moves to disk in three tiers,
   and in two the GPU victim behind it is dropped although a CPU frontier
   is left).
+
+And of ``TieredCacheManager._evict``, the one loop that draws from those
+streams: pulling the next victim before checking the budget (a victim
+pulled past the budget is left in place) fails
+``test_swap_out_scans_a_full_cpu_tier_once`` through the shared CPU
+stream's "victim not evicted" assertion, among 45 tests.
 """
 
 from __future__ import annotations

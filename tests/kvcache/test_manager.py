@@ -77,11 +77,11 @@ class TestAccounting:
 
     def test_invalid_capacities(self):
         with pytest.raises(ValueError):
-            TieredCacheManager(0, 100)
+            TieredCacheManager(0, 100, LruPolicy())
         with pytest.raises(ValueError):
-            TieredCacheManager(100, -1)
+            TieredCacheManager(100, -1, LruPolicy())
         with pytest.raises(ValueError):
-            TieredCacheManager(100, 100, chunk_size=0)
+            TieredCacheManager(100, 100, LruPolicy(), chunk_size=0)
 
 
 class TestSwapOutAndReclaim:
@@ -222,6 +222,25 @@ class TestRestore:
         plan = mgr.plan_restore(1, new_tokens=256)
         with pytest.raises(CacheCapacityError):
             mgr.commit_restore(plan, now=0.0)
+
+    def test_refused_commit_counts_and_pins_nothing(self):
+        """A restore that cannot fit is refused before it bumps a hit
+        counter or pins (and restamps) the returning conversation."""
+        mgr = make_manager(gpu=64, cpu=128)
+        finish_conversation(mgr, 1, 32, now=0.0)
+        mgr.swap_out(32, now=1.0)
+        mgr.reclaim(32, now=1.0)                  # conversation 1: 32 CPU tokens
+        mgr.open(2, 2.0)
+        mgr.commit_restore(mgr.plan_restore(2, 64), now=2.0)  # pinned, GPU full
+        stats = dict(mgr.stats)
+        plan = mgr.plan_restore(1, new_tokens=0)
+        assert plan.swap_in_tokens == 32
+        with pytest.raises(CacheCapacityError):
+            mgr.commit_restore(plan, now=3.0)
+        assert mgr.stats == stats
+        cache = mgr.conversation(1)
+        assert not cache.pinned and cache.last_active == 0.0
+        mgr._audit()
 
     def test_stats_track_hits_at_commit(self):
         mgr = self.make_spread_conversation()
@@ -457,12 +476,6 @@ class TestPolicyIntegration:
         mgr.swap_out(32, now=100.0)
         assert mgr.conversation(1).chunks[0].location is ChunkLocation.GPU_CPU
         assert mgr.conversation(2).chunks[0].location is ChunkLocation.GPU
-
-    def test_missing_scorer_raises(self):
-        mgr = TieredCacheManager(256, 256, scorer=None)
-        finish_conversation(mgr, 1, 64, now=0.0)
-        with pytest.raises(RuntimeError):
-            mgr.swap_out(32, now=1.0)
 
 
 class TestWholeConversationEviction:

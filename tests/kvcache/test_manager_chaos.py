@@ -3,7 +3,7 @@
 Complements ``test_manager_properties.py`` (fault-free hypothesis storms)
 with plain seeded random walks whose manager has fault injection armed:
 swap-outs degrade to drops mid-walk, and the walk itself interleaves the
-recovery entry points (``invalidate_cpu_prefix``) with ordinary traffic.
+recovery entry point (``invalidate_prefix``) with ordinary traffic.
 After *every* step the incremental counters must match a from-scratch
 recount and every conversation's layout must obey the Figure 5 invariant
 — injected failures may cost data locality, never accounting integrity.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.core import LruPolicy
 from repro.faults import FaultPlan, FaultSite
-from repro.kvcache import TieredCacheManager
+from repro.kvcache import ChunkLocation, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 
 OPS = (
@@ -102,7 +102,7 @@ class ChaosWalk:
             elif kind == "invalidate":
                 # The corruption-recovery entry point, fired at random.
                 if conv not in self.open_convs:
-                    mgr.invalidate_cpu_prefix(conv)
+                    mgr.invalidate_prefix(conv, (ChunkLocation.DISK, ChunkLocation.CPU))
         except CacheCapacityError:
             pass  # legal refusals are fine; invariants must still hold
 

@@ -8,6 +8,13 @@ from repro.core import LruPolicy, TieredPlacementPolicy
 from repro.kvcache import TieredCacheManager
 from repro.kvcache.chunks import ChunkLocation
 
+#: What a failed swap-in invalidates: the stored prefix, disk and CPU.
+CPU_PREFIX = (ChunkLocation.DISK, ChunkLocation.CPU)
+GIVE_UP = {
+    "invalidate_disk_prefix": (ChunkLocation.DISK,),
+    "invalidate_cpu_prefix": CPU_PREFIX,
+}
+
 
 def make_manager(gpu=128, cpu=64, disk=128, chunk=16, scorer=None, placement=None):
     return TieredCacheManager(
@@ -173,7 +180,7 @@ class TestRestorePlanning:
         disk_before = cache.tokens_in(ChunkLocation.DISK)
         cpu_before = cache.tokens_in(ChunkLocation.CPU)
         assert disk_before > 0 and cpu_before > 0
-        invalidated = mgr.invalidate_disk_prefix(0)
+        invalidated = mgr.invalidate_prefix(0, (ChunkLocation.DISK,))
         assert invalidated == disk_before
         assert cache.tokens_in(ChunkLocation.DISK) == 0
         assert cache.tokens_in(ChunkLocation.CPU) == cpu_before
@@ -187,7 +194,7 @@ class TestRestorePlanning:
         stored = cache.tokens_in(ChunkLocation.DISK) + cache.tokens_in(
             ChunkLocation.CPU
         )
-        invalidated = mgr.invalidate_cpu_prefix(0)
+        invalidated = mgr.invalidate_prefix(0, CPU_PREFIX)
         assert invalidated == stored
         assert cache.tokens_in(ChunkLocation.DISK) == 0
         assert cache.tokens_in(ChunkLocation.CPU) == 0
@@ -201,7 +208,7 @@ class TestRestorePlanning:
         """``demoted == on disk + read back + disk_dropped`` (the identity
         ``_audit`` asserts) after each way of giving disk chunks up
         unread.  Before the front-drop loops became one primitive, both
-        ``invalidate_*`` verbs moved ``DISK -> DROPPED`` without bumping
+        invalidations (then two verbs) moved ``DISK -> DROPPED`` without bumping
         ``disk_dropped_tokens`` and this read 32 == 0.
 
         Mutation record for ``_drop_leading_prefix``, over the 540 tests
@@ -210,7 +217,7 @@ class TestRestorePlanning:
         13, four of them in ``test_eviction_order.py`` — through the
         "victim not evicted" assertion of ``_victims``, added for this:
         without it ``swap_out`` spins instead of failing; (b) skipping the
-        ``disk_dropped_tokens`` bump fails 16: the two ``invalidate_*``
+        ``disk_dropped_tokens`` bump fails 16: the two invalidation
         cases here, and the ``_audit`` identity in
         ``test_eviction_order.py``'s three-tier walk, the chaos-disk
         differentials and ``test_three_tier_properties.py``.
@@ -218,7 +225,10 @@ class TestRestorePlanning:
         mgr = make_manager(gpu=128, cpu=32, disk=128)
         squeeze(mgr)
         assert mgr.stats["demoted_tokens"] == mgr.disk_used_tokens == 32
-        getattr(mgr, give_up)(0)
+        if give_up == "forget":
+            mgr.forget(0)
+        else:
+            mgr.invalidate_prefix(0, GIVE_UP[give_up])
         assert mgr.disk_used_tokens == 0
         assert mgr.stats["disk_hit_tokens"] == 0
         assert mgr.stats["disk_dropped_tokens"] == mgr.stats["demoted_tokens"] == 32
