@@ -6,8 +6,10 @@ fault counters, ``manager.stats``, the serving statistics and the
 iteration count for the simulated engines; the per-rate values the
 serving benchmark's ``sim_sweep`` checks for repeat-exactness for the
 rate sweep; the transcript's ``crc32``, ``manager.stats`` and the fault
-counters for the functional server.  A refactor that moves a victim, a
-byte, a token or a sim-clock value moves a digest.  A change that means
+counters for the functional server; the exact bits of the functional
+model's logits and stored K/V over float64 storage.  A refactor that
+moves a victim, a byte, a token, a sim-clock value or a float64 logit
+moves a digest.  A change that means
 to move one updates the table and says which row moved and why.
 
 The two ``recipe/`` rows are the manual parent-vs-change recipe earlier
@@ -29,6 +31,7 @@ import os
 import zlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.engine import PensieveEngine
@@ -40,7 +43,9 @@ from repro.experiments.common import (
 )
 from repro.faults import SITES, FaultPlan, FaultSite, RequestFaultedError
 from repro.gpu.device import A100_80GB
-from repro.model.config import OPT_13B, tiny_llama_config
+from repro.kvcache import KVStorage
+from repro.model.config import OPT_13B, tiny_llama_config, tiny_opt_config
+from repro.model.transformer import ForwardRequest, PagedTransformer
 from repro.serving.stateless import StatelessEngine
 from repro.workload.dataset import SHAREGPT
 
@@ -185,6 +190,46 @@ def server_digest(seed: int = FAULT_SEED) -> str:
     return _hex((crc, server.manager.stats, server.fault_counters.as_dict()))
 
 
+def model_digest() -> str:
+    """Both tiny architectures over float64 storage: the exact bits of the
+    ``forward_all_rows`` logits of a prefill batch, then of one mixed
+    batch (a Figure 8(d) recompute split, a decode step, a fresh
+    prefill), then of a decode batch, and of the stored K/V."""
+    digest = hashlib.sha256()
+    for config in (tiny_opt_config(), tiny_llama_config()):
+        storage = KVStorage(config, num_slots=64, dtype=np.float64)
+        model = PagedTransformer(config, storage, seed=0)
+
+        def ids(n: int, start: int) -> list:
+            return [(start + 7 * i) % config.vocab_size for i in range(n)]
+
+        batches = [
+            [
+                ForwardRequest(ids(12, 1), list(range(12))),
+                ForwardRequest(ids(5, 2), list(range(20, 25))),
+            ],
+            [
+                ForwardRequest(  # positions 0-2 dropped, recomputed elsewhere
+                    ids(3, 1) + ids(4, 3),
+                    list(range(40, 43)) + list(range(3, 16)),
+                    dropped=3,
+                ),
+                ForwardRequest(ids(1, 4), list(range(20, 26))),
+                ForwardRequest(ids(6, 5), list(range(30, 36))),
+            ],
+            [
+                ForwardRequest(ids(1, 6), list(range(20, 27))),
+                ForwardRequest(ids(1, 7), list(range(30, 37))),
+            ],
+        ]
+        for batch in batches:
+            for logits in model.forward_all_rows(batch):
+                digest.update(logits.tobytes())
+        digest.update(storage.k.tobytes())
+        digest.update(storage.v.tobytes())
+    return digest.hexdigest()[:16]
+
+
 RUNS = {
     "pensieve/2tier/unarmed/retention": lambda: pensieve_digest(False, False, "retention"),
     "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, False, "lru"),
@@ -199,6 +244,7 @@ RUNS = {
     "stateless/vllm": stateless_digest,
     "sweep/opt-13b/2-rates": sweep_digest,
     "server/3tier/armed": server_digest,
+    "model/float64/mixed-batch": model_digest,
 }
 
 DIGESTS = {
@@ -215,6 +261,7 @@ DIGESTS = {
     "stateless/vllm": "52f87e287eb88f3a",
     "sweep/opt-13b/2-rates": "0354b279803b5428",
     "server/3tier/armed": "3526e06261cb62e4",
+    "model/float64/mixed-batch": "a1d82ab27d933482",
 }
 
 
