@@ -98,10 +98,12 @@ def _attend_one(
     query = request.query  # [q, H, d]
     q_positions = request.query_positions()  # [q]
 
-    # Online softmax running state, per (query token, head).
-    running_max = np.full((q_len, num_heads), -np.inf)
-    denom = np.zeros((q_len, num_heads))
-    accum = np.zeros((q_len, num_heads, head_dim))
+    # Online softmax running state, per (query token, head), in the
+    # operands' dtype.
+    dtype = np.result_type(query, k_cache)
+    running_max = np.full((q_len, num_heads), -np.inf, dtype)
+    denom = np.zeros((q_len, num_heads), dtype)
+    accum = np.zeros((q_len, num_heads, head_dim), dtype)
 
     for start in range(0, visible, tile):
         stop = min(start + tile, visible)

@@ -56,8 +56,9 @@ TILE_ROWS = 64
 MAX_PADDING_RATIO = 1.25
 
 #: Score-tensor element budget of one bucket (``[tiles, heads, rows,
-#: visible]``; ~128 MiB as float64).  A tile whose context alone would
-#: exceed it is cut to fewer rows.
+#: visible]``; ~64 MiB as float32, the model's dtype over the default
+#: cache).  A tile whose context alone would exceed it is cut to fewer
+#: rows.
 MAX_SCORE_ELEMENTS = 1 << 24
 
 #: ``(rows, visible, request, row_start)``: query rows ``[row_start,
@@ -242,10 +243,12 @@ def _attend_tiles(
     # never past the tile's last real row (the segment boundary).  Padding
     # rows are clamped to that boundary too, so they see the whole
     # segment: their softmax stays finite and no NaN can reach a
-    # reduction.  One additive 0 / -inf bias, one pass over the scores.
+    # reduction.  One additive 0 / -inf bias in the scores' dtype, one
+    # pass over the scores.
     first = visibles - tile_rows
     limit = np.minimum(first[:, None] + np.arange(rows), visibles[:, None] - 1)
     bias = np.where(np.arange(width) <= limit[:, :, None], 0.0, -np.inf)
+    bias = bias.astype(scores.dtype, copy=False)
     scores += bias[:, None, :, None, :]
 
     # Every row sees at least its own position, so the max is finite and

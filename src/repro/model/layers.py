@@ -5,6 +5,11 @@ Only what the two paper architectures need: LayerNorm (OPT) and RMSNorm
 layers are pure functions over explicit weight arrays so the model can be
 constructed deterministically from a seed and weights can be shared or
 sharded without hidden state.
+
+Every constructor takes the parameters' ``dtype``.  Random weights are
+drawn from the float64 stream and rounded once to it, so a float32 model
+holds exactly its float64 twin's weights rounded, and no layer carries a
+float64 array that would upcast a float32 activation.
 """
 
 from __future__ import annotations
@@ -31,6 +36,22 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
+def scaled_normal(
+    rng: np.random.Generator,
+    shape: tuple,
+    scale: float,
+    dtype: np.dtype = np.float64,
+) -> np.ndarray:
+    """``rng.standard_normal(shape) * scale`` rounded once to ``dtype``.
+
+    The draw is always float64, so the random stream (and with it every
+    later draw) is the same whatever ``dtype`` is; the product is written
+    straight into a ``dtype`` array, one pass, no float64 copy kept.
+    """
+    draw = rng.standard_normal(shape)
+    return np.multiply(draw, scale, out=np.empty(shape, dtype), casting="same_kind")
+
+
 @dataclass
 class LayerNorm:
     """Standard layer normalisation with learned gain and bias."""
@@ -40,8 +61,8 @@ class LayerNorm:
     eps: float = 1e-5
 
     @classmethod
-    def identity(cls, dim: int) -> "LayerNorm":
-        return cls(gain=np.ones(dim), bias=np.zeros(dim))
+    def identity(cls, dim: int, dtype: np.dtype = np.float64) -> "LayerNorm":
+        return cls(gain=np.ones(dim, dtype), bias=np.zeros(dim, dtype))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
@@ -57,8 +78,8 @@ class RMSNorm:
     eps: float = 1e-5
 
     @classmethod
-    def identity(cls, dim: int) -> "RMSNorm":
-        return cls(gain=np.ones(dim))
+    def identity(cls, dim: int, dtype: np.dtype = np.float64) -> "RMSNorm":
+        return cls(gain=np.ones(dim, dtype))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
@@ -80,12 +101,14 @@ class Linear:
         out_dim: int,
         with_bias: bool = True,
         scale: float = 0.0,
+        dtype: np.dtype = np.float64,
     ) -> "Linear":
-        """Gaussian init scaled for unit-variance activations."""
+        """Gaussian init scaled for unit-variance activations, drawn in
+        float64 and rounded once to ``dtype``."""
         if scale == 0.0:
             scale = 1.0 / np.sqrt(in_dim)
-        weight = rng.standard_normal((in_dim, out_dim)) * scale
-        bias = np.zeros(out_dim) if with_bias else None
+        weight = scaled_normal(rng, (in_dim, out_dim), scale, dtype)
+        bias = np.zeros(out_dim, dtype) if with_bias else None
         return cls(weight=weight, bias=bias)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -103,10 +126,16 @@ class OptMlp:
     down: Linear
 
     @classmethod
-    def init(cls, rng: np.random.Generator, hidden: int, intermediate: int) -> "OptMlp":
+    def init(
+        cls,
+        rng: np.random.Generator,
+        hidden: int,
+        intermediate: int,
+        dtype: np.dtype = np.float64,
+    ) -> "OptMlp":
         return cls(
-            up=Linear.init(rng, hidden, intermediate),
-            down=Linear.init(rng, intermediate, hidden),
+            up=Linear.init(rng, hidden, intermediate, dtype=dtype),
+            down=Linear.init(rng, intermediate, hidden, dtype=dtype),
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -123,12 +152,19 @@ class SwiGluMlp:
 
     @classmethod
     def init(
-        cls, rng: np.random.Generator, hidden: int, intermediate: int
+        cls,
+        rng: np.random.Generator,
+        hidden: int,
+        intermediate: int,
+        dtype: np.dtype = np.float64,
     ) -> "SwiGluMlp":
+        def linear(in_dim: int, out_dim: int) -> Linear:
+            return Linear.init(rng, in_dim, out_dim, with_bias=False, dtype=dtype)
+
         return cls(
-            gate=Linear.init(rng, hidden, intermediate, with_bias=False),
-            up=Linear.init(rng, hidden, intermediate, with_bias=False),
-            down=Linear.init(rng, intermediate, hidden, with_bias=False),
+            gate=linear(hidden, intermediate),
+            up=linear(hidden, intermediate),
+            down=linear(intermediate, hidden),
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

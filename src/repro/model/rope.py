@@ -7,10 +7,13 @@ function of *absolute position*, cached K rows remain valid after being
 swapped out and back in — position never changes — which is what lets
 Pensieve reuse KV-tokens across requests without re-rotation.
 
-The sin/cos tables depend only on ``(head_dim, base)`` and the largest
-position ever seen, so they are cached at module level and grown on demand
-rather than rebuilt (``np.outer`` + trig) on every :func:`apply_rope` call
-— the tables are read every layer of every forward pass.
+The sin/cos tables depend only on ``(head_dim, base, dtype)`` and the
+largest position ever seen, so they are cached at module level and grown
+on demand rather than rebuilt (``np.outer`` + trig) on every
+:func:`apply_rope` call — the tables are read every layer of every
+forward pass.  Angles and their sin/cos are always computed in float64
+and rounded once to the table's dtype; :func:`apply_rope` rotates in the
+dtype of its input, so a float32 query is never upcast.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-#: Module-level sin/cos tables keyed by ``(head_dim, base)``; each value
-#: is ``(cos, sin)`` of shape ``[max_position + 1, head_dim // 2]``.
-_TABLE_CACHE: Dict[Tuple[int, float], Tuple[np.ndarray, np.ndarray]] = {}
+#: Module-level sin/cos tables keyed by ``(head_dim, base, dtype)``; each
+#: value is ``(cos, sin)`` of shape ``[height, head_dim // 2]``, with
+#: ``height > max_position``.
+_TABLE_CACHE: Dict[Tuple[int, float, np.dtype], Tuple[np.ndarray, np.ndarray]] = {}
 
 #: Initial table height; tables double until they cover the request.
 _MIN_TABLE = 256
@@ -40,34 +44,52 @@ def clear_rope_cache() -> None:
     _TABLE_CACHE.clear()
 
 
+def _cos_sin(
+    positions: np.ndarray, head_dim: int, base: float, dtype: np.dtype
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(cos, sin)`` of ``positions x frequencies``, ``[len, dim/2]``,
+    computed in float64 and rounded once to ``dtype``."""
+    freqs = rope_frequencies(head_dim, base)  # [dim/2]
+    angles = positions[:, None].astype(np.float64) * freqs[None, :]
+    return (
+        np.cos(angles).astype(dtype, copy=False),
+        np.sin(angles).astype(dtype, copy=False),
+    )
+
+
 def rope_tables(
-    head_dim: int, base: float = 10000.0, max_position: int = 0
+    head_dim: int,
+    base: float = 10000.0,
+    max_position: int = 0,
+    dtype: np.dtype = np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Cached ``(cos, sin)`` tables covering positions ``[0, max_position]``.
 
     Tables are grown geometrically: a request beyond the current height
     rebuilds the entry at at least double its size, so amortised cost per
-    call is O(1).  Entries are keyed by ``(head_dim, base)``.  The returned
-    arrays are shared — callers must not write to them.
+    call is O(1).  Entries are keyed by ``(head_dim, base, dtype)``, so a
+    float32 and a float64 model in one process never share a table.  The
+    returned arrays are shared — callers must not write to them.
     """
-    key = (head_dim, float(base))
+    key = (head_dim, float(base), np.dtype(dtype))
     entry = _TABLE_CACHE.get(key)
     if entry is None or entry[0].shape[0] <= max_position:
         height = _MIN_TABLE if entry is None else entry[0].shape[0]
         while height <= max_position:
             height *= 2
-        freqs = rope_frequencies(head_dim, base)  # [dim/2]
-        angles = np.arange(height)[:, None].astype(np.float64) * freqs[None, :]
-        entry = (np.cos(angles), np.sin(angles))
+        entry = _cos_sin(np.arange(height), head_dim, base, key[2])
         _TABLE_CACHE[key] = entry
     return entry
 
 
 def rope_angles(
-    positions: np.ndarray, head_dim: int, base: float = 10000.0
+    positions: np.ndarray,
+    head_dim: int,
+    base: float = 10000.0,
+    dtype: np.dtype = np.float64,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """``(cos, sin)`` of every position's rotation angles, each shaped
-    ``[tokens, 1, head_dim // 2]`` to broadcast over heads.
+    """``(cos, sin)`` of every position's rotation angles in ``dtype``,
+    each shaped ``[tokens, 1, head_dim // 2]`` to broadcast over heads.
 
     Depends only on the positions, so a caller rotating several tensors
     at the same positions (every layer's q and k) gathers them once.
@@ -78,13 +100,12 @@ def rope_angles(
         and int(positions.min()) >= 0
     ):
         max_position = int(positions.max())
-        cos_table, sin_table = rope_tables(head_dim, base, max_position)
+        cos_table, sin_table = rope_tables(head_dim, base, max_position, dtype)
         return cos_table[positions][:, None, :], sin_table[positions][:, None, :]
     # Non-integer, negative, or empty positions bypass the cache; the
     # table only covers whole non-negative token positions.
-    freqs = rope_frequencies(head_dim, base)  # [dim/2]
-    angles = positions[:, None].astype(np.float64) * freqs[None, :]
-    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    cos, sin = _cos_sin(positions, head_dim, base, dtype)
+    return cos[:, None, :], sin[:, None, :]
 
 
 def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> np.ndarray:
@@ -96,7 +117,7 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         base: RoPE frequency base.
 
     Returns:
-        The rotated tensor (same shape; input not modified).
+        The rotated tensor (same shape and dtype; input not modified).
     """
     if x.ndim != 3:
         raise ValueError(f"x must be [tokens, heads, head_dim], got {x.shape}")
@@ -104,7 +125,7 @@ def apply_rope(x: np.ndarray, positions: np.ndarray, base: float = 10000.0) -> n
         raise ValueError(
             f"positions ({positions.shape[0]}) must match tokens ({x.shape[0]})"
         )
-    cos, sin = rope_angles(positions, x.shape[-1], base)
+    cos, sin = rope_angles(positions, x.shape[-1], base, x.dtype)
     return rotate(x, cos, sin)
 
 

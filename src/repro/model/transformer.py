@@ -26,6 +26,14 @@ row but runs its query, attention, output projection and MLP — and the
 final norm and LM head — on each request's last row only.
 :meth:`~PagedTransformer.forward_all_rows` is the same body keeping every
 row, for teacher-forcing checks.
+
+The model computes in one dtype: its storage's (``storage.k.dtype``).
+Weights, norm gains and RoPE tables are rounded to it once, at
+construction, so every activation, query and attention output has the
+dtype of the K/V it is written beside — float32 over the default
+:class:`~repro.kvcache.storage.KVStorage`.  The same seed over a float64
+storage gives the float64 model, the reference a float32 run's drift is
+measured against.
 """
 
 from __future__ import annotations
@@ -48,7 +56,14 @@ from repro.kernels.packed_cache import (
 )
 from repro.kvcache.storage import KVStorage
 from repro.model.config import ModelConfig
-from repro.model.layers import LayerNorm, Linear, OptMlp, RMSNorm, SwiGluMlp
+from repro.model.layers import (
+    LayerNorm,
+    Linear,
+    OptMlp,
+    RMSNorm,
+    SwiGluMlp,
+    scaled_normal,
+)
 from repro.model.rope import apply_rope, rope_angles, rotate
 
 
@@ -186,7 +201,10 @@ class _BatchPlan:
 
     @staticmethod
     def build(
-        batch: Sequence[ForwardRequest], positions: np.ndarray, config: ModelConfig
+        batch: Sequence[ForwardRequest],
+        positions: np.ndarray,
+        config: ModelConfig,
+        dtype: np.dtype,
     ) -> "_BatchPlan":
         plan = _BatchPlan(
             positions=positions,
@@ -196,7 +214,7 @@ class _BatchPlan:
             ),
         )
         if config.arch == "llama":
-            plan.angles = rope_angles(positions, config.head_dim)
+            plan.angles = rope_angles(positions, config.head_dim, dtype=dtype)
         return plan
 
     def build_spans(
@@ -235,12 +253,16 @@ class _LayerWeights:
 
 
 class PagedTransformer:
-    """Decoder-only transformer executing over a paged KV storage.
+    """Decoder-only transformer executing over a paged KV storage, in the
+    storage's dtype (``self.dtype``): every parameter is drawn from the
+    seed's float64 stream and rounded once to it.
 
     Args:
         config: model hyper-parameters (use the tiny presets for tests).
-        storage: slot-indexed K/V arrays shared with the cache manager.
-        seed: weight initialisation seed (deterministic).
+        storage: slot-indexed K/V arrays shared with the cache manager;
+            their dtype is the model's compute dtype.
+        seed: weight initialisation seed (deterministic; the same seed
+            gives the same weights, rounded, at every dtype).
         use_fast_paths: dispatch to the batched kernel layer
             (:mod:`repro.kernels.ragged`, :mod:`repro.kernels.packed_cache`)
             with the sub-request split, positions, write slots and RoPE
@@ -282,39 +304,40 @@ class PagedTransformer:
         self.decode_cache: Optional[PackedDecodeCache] = (
             self.backend.create_decode_cache() if use_fast_paths else None
         )
+        self.dtype = dtype = storage.k.dtype
         rng = np.random.default_rng(seed)
         h = config.hidden_size
         kv = config.kv_dim
-        self.embedding = rng.standard_normal((config.vocab_size, h)) * 0.02
+        self.embedding = scaled_normal(rng, (config.vocab_size, h), 0.02, dtype)
         if config.arch == "opt":
-            self.pos_embedding = rng.standard_normal((config.max_position, h)) * 0.02
+            self.pos_embedding: Optional[np.ndarray] = scaled_normal(
+                rng, (config.max_position, h), 0.02, dtype
+            )
         else:
             self.pos_embedding = None
-        self.layers: List[_LayerWeights] = []
+        norm = LayerNorm if config.arch == "opt" else RMSNorm
+        mlp_type = OptMlp if config.arch == "opt" else SwiGluMlp
         with_bias = config.arch == "opt"
+
+        def linear(out_dim: int) -> Linear:
+            return Linear.init(rng, h, out_dim, with_bias=with_bias, dtype=dtype)
+
+        self.layers: List[_LayerWeights] = []
         for _ in range(config.num_layers):
-            if config.arch == "opt":
-                attn_norm: object = LayerNorm.identity(h)
-                mlp_norm: object = LayerNorm.identity(h)
-                mlp: object = OptMlp.init(rng, h, config.intermediate_size)
-            else:
-                attn_norm = RMSNorm.identity(h)
-                mlp_norm = RMSNorm.identity(h)
-                mlp = SwiGluMlp.init(rng, h, config.intermediate_size)
+            # The MLP draws before the projections: the seed's stream order.
+            mlp = mlp_type.init(rng, h, config.intermediate_size, dtype)
             self.layers.append(
                 _LayerWeights(
-                    attn_norm=attn_norm,
-                    q_proj=Linear.init(rng, h, h, with_bias=with_bias),
-                    k_proj=Linear.init(rng, h, kv, with_bias=with_bias),
-                    v_proj=Linear.init(rng, h, kv, with_bias=with_bias),
-                    o_proj=Linear.init(rng, h, h, with_bias=with_bias),
-                    mlp_norm=mlp_norm,
+                    attn_norm=norm.identity(h, dtype),
+                    q_proj=linear(h),
+                    k_proj=linear(kv),
+                    v_proj=linear(kv),
+                    o_proj=linear(h),
+                    mlp_norm=norm.identity(h, dtype),
                     mlp=mlp,
                 )
             )
-        self.final_norm = (
-            LayerNorm.identity(h) if config.arch == "opt" else RMSNorm.identity(h)
-        )
+        self.final_norm = norm.identity(h, dtype)
         self.lm_head = self.embedding.T  # weight tying
 
     # ------------------------------------------------------------------
@@ -360,7 +383,7 @@ class PagedTransformer:
         packed: Optional[PackedBatch] = None
         keep: Optional[np.ndarray] = None
         if self.use_fast_paths:
-            plan = _BatchPlan.build(batch, positions, self.config)
+            plan = _BatchPlan.build(batch, positions, self.config, self.dtype)
             if (
                 plan.all_decode
                 and self.decode_cache is not None

@@ -1,8 +1,16 @@
 """Tests for rotary positional embeddings."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.kvcache import KVStorage
+from repro.model import tiny_llama_config
 from repro.model.rope import (
     _TABLE_CACHE,
     apply_rope,
@@ -10,6 +18,24 @@ from repro.model.rope import (
     rope_frequencies,
     rope_tables,
 )
+from repro.model.transformer import ForwardRequest, PagedTransformer
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def llama_logits(dtype) -> np.ndarray:
+    """Every row's logits of a tiny Llama prefilling 300 tokens, so the
+    RoPE table grows past its initial 256 rows."""
+    config = tiny_llama_config()
+    model = PagedTransformer(
+        config, KVStorage(config, num_slots=300, dtype=dtype), seed=0
+    )
+    ids = np.arange(300) % config.vocab_size
+    return model.forward_all_rows([ForwardRequest(ids, list(range(300)))])[0]
+
+
+def float64_logits_digest() -> str:
+    return hashlib.sha256(llama_logits(np.float64).tobytes()).hexdigest()
 
 
 @pytest.fixture
@@ -71,6 +97,21 @@ class TestApplyRope:
         apply_rope(x, np.array([5, 9]))
         np.testing.assert_array_equal(x, original)
 
+    def test_rotates_in_the_input_dtype(self, rng):
+        """A float32 input is rotated by the float64 angles' sin/cos
+        rounded once to float32, and is never upcast."""
+        x = rng.standard_normal((4, 2, 8)).astype(np.float32)
+        pos = np.array([0, 3, 300, 1000])
+        out = apply_rope(x, pos)
+        assert out.dtype == np.float32
+        cos, sin = rope_tables(8, max_position=1000)
+        cos, sin = cos[pos][:, None, :], sin[pos][:, None, :]
+        expected = np.empty_like(x)
+        c32, s32 = cos.astype(np.float32), sin.astype(np.float32)
+        expected[..., 0::2] = x[..., 0::2] * c32 - x[..., 1::2] * s32
+        expected[..., 1::2] = x[..., 0::2] * s32 + x[..., 1::2] * c32
+        np.testing.assert_array_equal(out, expected)
+
     def test_validation(self, rng):
         with pytest.raises(ValueError):
             apply_rope(rng.standard_normal((2, 4)), np.array([0, 1]))
@@ -115,7 +156,11 @@ class TestTableCache:
         rope_tables(8, max_position=1)
         rope_tables(8, base=500.0, max_position=1)
         rope_tables(4, max_position=1)
-        assert set(_TABLE_CACHE) == {(8, 10000.0), (8, 500.0), (4, 10000.0)}
+        rope_tables(4, max_position=1, dtype=np.float32)
+        f64, f32 = np.dtype(np.float64), np.dtype(np.float32)
+        assert set(_TABLE_CACHE) == {
+            (8, 10000.0, f64), (8, 500.0, f64), (4, 10000.0, f64), (4, 10000.0, f32)
+        }
 
     def test_clear(self):
         rope_tables(8, max_position=1)
@@ -136,3 +181,26 @@ class TestTableCache:
         via_cache = apply_rope(x, np.array([1, 7, 30]))
         direct = apply_rope(x, np.array([1.0, 7.0, 30.0]))
         np.testing.assert_allclose(via_cache, direct, atol=1e-12)
+
+    def test_float64_model_after_float32_model_gets_its_own_tables(self):
+        """A float64 model built after a float32 one in the same process
+        reads its own float64 tables, so its logits are bit-identical to
+        a fresh process's.  A cache keyed without the dtype hands it the
+        float32-rounded table and moves them."""
+        llama_logits(np.float32)
+        in_process = float64_logits_digest()
+        assert {key[2] for key in _TABLE_CACHE} == {
+            np.dtype(np.float32), np.dtype(np.float64)
+        }
+        path = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
+        script = "from tests.model.test_rope import float64_logits_digest as d; print(d())"
+        fresh = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=REPO_ROOT,
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert fresh.stdout.strip() == in_process

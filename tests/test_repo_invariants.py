@@ -10,10 +10,22 @@
   so every modeled I/O failure is recoverable.  A transfer primitive in
   ``repro.gpu`` that drew a fault itself would fail outside the ladder,
   on a path no fault-armed test happens to reach.
+- *One dtype.*  The functional model computes in its KV storage's
+  dtype.  A float64 norm gain, bias or RoPE table would upcast a float32
+  forward back to float64 without moving a token — only the serving
+  benchmark's wall clock would see it — so a spy on the projections and
+  both attention kernels checks every activation a float32 server makes.
 """
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from repro.backends import Backend
+from repro.core.server import StatefulChatServer
+from repro.model import tiny_llama_config, tiny_opt_config
+from repro.model.layers import Linear
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -67,3 +79,42 @@ def test_fault_draws_stay_in_the_ladder_owners():
     ]
     assert draws, "the walk found no fault draws at all"
     assert [d for d in draws if not d.startswith(LADDER_OWNERS)] == []
+
+
+def test_a_float32_server_computes_in_float32(monkeypatch):
+    """Prefill, recompute and packed decode of a float32 server: every
+    query, activation and output the projections and kernels see is
+    float32."""
+    seen = {}
+
+    def spy(owner, name, arrays):
+        """Record the dtype of every array ``arrays(args, out)`` names."""
+        original = getattr(owner, name)
+        dtypes = seen.setdefault(f"{owner.__name__}.{name}", set())
+
+        def wrapper(self, *args, **kwargs):
+            out = original(self, *args, **kwargs)
+            dtypes.update(a.dtype.name for a in arrays(args, out))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(Linear, "__call__", lambda args, out: [args[0], out])
+    spy(Backend, "decode_attention", lambda args, out: [args[0], out])
+    spy(Backend, "ragged_attention", lambda args, out: [r.query for r in args[0]] + out)
+
+    for config in (tiny_opt_config(), tiny_llama_config()):
+        server = StatefulChatServer(
+            config, gpu_capacity_tokens=96, cpu_capacity_tokens=16,
+            chunk_size=16, page_size=8, seed=0,
+        )
+        assert server.storage.k.dtype == np.float32
+        for turn in range(3):
+            for convs in ((0, 1), (2, 3)):
+                server.chat_batch(
+                    [(c, [(7 * c + turn + i) % config.vocab_size for i in range(13)])
+                     for c in convs],
+                    max_new_tokens=4,
+                )
+        assert server.manager.stats["recomputed_tokens"] > 0
+    assert seen == {name: {"float32"} for name in seen}

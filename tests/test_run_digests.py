@@ -49,6 +49,7 @@ from repro.model.transformer import ForwardRequest, PagedTransformer
 from repro.serving.stateless import StatelessEngine
 from repro.workload.dataset import SHAREGPT
 
+from tests.model.test_float32_drift import DRIFT_BOUND, top2_margin
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
 
 _EXTRA = os.environ.get("CHAOS_EXTRA_SEED")
@@ -168,25 +169,35 @@ def sweep_digest() -> str:
     return _hex((throughput_at_latency(points, 0.12), points))
 
 
-def server_digest(seed: int = FAULT_SEED) -> str:
-    """A starved three-tier functional server under an armed plan: its
-    transcript, ``manager.stats`` and fault counters."""
-    config = tiny_llama_config()
-    server = StatefulChatServer(
-        config, gpu_capacity_tokens=192, cpu_capacity_tokens=96,
+def starved_server(seed: int = FAULT_SEED) -> StatefulChatServer:
+    """A starved three-tier functional server under an armed plan."""
+    return StatefulChatServer(
+        tiny_llama_config(), gpu_capacity_tokens=192, cpu_capacity_tokens=96,
         disk_capacity_tokens=4096, chunk_size=16, page_size=8, seed=0,
         fault_plan=_plan(seed, 0.3),
     )
+
+
+def serve_script(server: StatefulChatServer) -> list:
+    """Five turns of four conversations; a failed request's output is []."""
+    vocab = server.config.vocab_size
     transcript = []
     for turn in range(5):
         for conv in range(4):
-            prompt = [(conv * 17 + turn * 5 + i) % config.vocab_size for i in range(13)]
+            prompt = [(conv * 17 + turn * 5 + i) % vocab for i in range(13)]
             try:
                 out = server.chat(conv, prompt_ids=prompt, max_new_tokens=6)
             except RequestFaultedError:  # a terminal fault fails one request
                 out = []
             transcript.append((conv, turn, out))
-    crc = zlib.crc32(repr(transcript).encode())
+    return transcript
+
+
+def server_digest(seed: int = FAULT_SEED) -> str:
+    """The starved server's transcript, ``manager.stats`` and fault
+    counters."""
+    server = starved_server(seed)
+    crc = zlib.crc32(repr(serve_script(server)).encode())
     return _hex((crc, server.manager.stats, server.fault_counters.as_dict()))
 
 
@@ -272,6 +283,26 @@ def test_table_covers_every_run():
 @pytest.mark.parametrize("name", list(RUNS))
 def test_digest_unchanged(name):
     assert RUNS[name]() == DIGESTS[name]
+
+
+def test_server_row_tokens_clear_the_float32_drift_bound():
+    """Every greedy token of the ``server/3tier/armed`` run wins by a
+    top-2 margin over 10x the float32 model's drift bound, so another
+    host's sgemm (another CPU or numpy build) cannot flip one, and the
+    row's ``crc32`` does not depend on it."""
+    server = starved_server()
+    forward = server.model.forward
+    margins = []
+
+    def observed(batch):
+        logits = forward(batch)
+        margins.extend(top2_margin(row) for row in logits)
+        return logits
+
+    server.model.forward = observed
+    serve_script(server)
+    assert len(margins) > 100
+    assert min(margins) > 10 * DRIFT_BOUND
 
 
 @pytest.mark.parametrize(
