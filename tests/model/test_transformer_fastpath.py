@@ -33,6 +33,7 @@ def tol(dtype):
 
 
 def model(config, dtype, num_slots=256, seed=0, **kwargs):
+    """A model over fresh ``dtype`` storage (its compute dtype)."""
     return PagedTransformer(
         config, KVStorage(config, num_slots=num_slots, dtype=dtype), seed=seed,
         **kwargs,
@@ -51,14 +52,14 @@ def run_both(fast, reference, batches):
     """Run the same batch sequence through both models, comparing the
     next-token logits and then every row's logits (the second pass
     rewrites the same K/V)."""
-    TOL = tol(fast.dtype)
+    bound = tol(fast.dtype)
     for batch in batches:
         for entry in ("forward", "forward_all_rows"):
             out_fast = getattr(fast, entry)(batch)
             out_ref = getattr(reference, entry)(batch)
             assert len(out_fast) == len(out_ref)
             for got, want in zip(out_fast, out_ref):
-                np.testing.assert_allclose(got, want, **TOL)
+                np.testing.assert_allclose(got, want, **bound)
 
 
 class TestFastPathEquivalence:
@@ -201,7 +202,7 @@ def test_whole_batch_rope_and_single_kv_write_are_bit_exact(config, dtype):
     within 1e-9 (float32: :data:`FLOAT32_TOL`) of the reference path, and
     — against the reference path run over the same kernel — logits and
     stored K/V bitwise equal."""
-    TOL = tol(dtype)
+    bound = tol(dtype)
     rng = np.random.default_rng(6)
     shared, dropped, cached, prompt = 5, 2 * TILE_ROWS + 2, 20, 7
     free = [int(s) for s in rng.permutation(np.arange(shared, 512))]
@@ -259,11 +260,11 @@ def test_whole_batch_rope_and_single_kv_write_are_bit_exact(config, dtype):
     for batch in batches:
         out_fast = fast.forward_all_rows(batch)
         for got, want in zip(out_fast, reference.forward_all_rows(batch)):
-            np.testing.assert_allclose(got, want, **TOL)
+            np.testing.assert_allclose(got, want, **bound)
         for got, want in zip(out_fast, same_kernel.forward_all_rows(batch)):
             np.testing.assert_array_equal(got, want)
-    np.testing.assert_allclose(fast.storage.k, reference.storage.k, **TOL)
-    np.testing.assert_allclose(fast.storage.v, reference.storage.v, **TOL)
+    np.testing.assert_allclose(fast.storage.k, reference.storage.k, **bound)
+    np.testing.assert_allclose(fast.storage.v, reference.storage.v, **bound)
     np.testing.assert_array_equal(fast.storage.k, same_kernel.storage.k)
     np.testing.assert_array_equal(fast.storage.v, same_kernel.storage.v)
 

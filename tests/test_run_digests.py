@@ -9,8 +9,8 @@ rate sweep; the transcript's ``crc32``, ``manager.stats`` and the fault
 counters for the functional server; the exact bits of the functional
 model's logits and stored K/V over float64 storage.  A refactor that
 moves a victim, a byte, a token, a sim-clock value or a float64 logit
-moves a digest.  A change that means
-to move one updates the table and says which row moved and why.
+moves a digest.  A change that means to move one updates the table and
+says which row moved and why.
 
 The two ``recipe/`` rows are the manual parent-vs-change recipe earlier
 changes ran by hand; their values are the ones recorded there.
