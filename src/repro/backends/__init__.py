@@ -8,8 +8,8 @@ per-layer tracing does exactly that, and ``tests/test_benchmark_surface.py``
 fails if a kernel is reached any other way.
 
 One backend ships: ``paged`` — pool-backed block tables, the
-head-major :class:`~repro.kernels.packed_cache.PackedDecodeCache`
-staging and the packed decode kernel.  ARCHITECTURE.md §15 records the
+:class:`~repro.kernels.packed_cache.PackedDecodeCache` staging (K
+key-transposed, V head-major) and the packed decode kernel.  ARCHITECTURE.md §15 records the
 alternative layouts that were measured against it on the serving
 benchmark and removed, and what a replacement would have to show.
 """
@@ -36,7 +36,7 @@ __all__ = ["Backend", "get_backend"]
 
 
 class Backend:
-    """Paged block tables + the head-major packed decode cache."""
+    """Paged block tables + the packed decode cache."""
 
     name = "paged"
 

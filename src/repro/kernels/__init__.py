@@ -33,11 +33,13 @@ the paper discusses:
   the causally visible query x context area;
 - :mod:`~repro.kernels.packed_cache` — the **incremental metadata
   layer**: :class:`~repro.kernels.packed_cache.PackedDecodeCache` keeps
-  the decode batch's padded slot table and head-major gathered-KV
-  staging buffers alive across iterations (extend / repair / rebuild lifecycle keyed on
-  block-table version counters), and
-  :func:`~repro.kernels.packed_cache.packed_decode_attention` runs the
-  same segment-masked decode math over the staged buffers.
+  the decode batch's padded slot table and gathered-KV staging buffers
+  (K key-transposed, V head-major) alive across iterations (extend /
+  repair / rebuild lifecycle keyed on block-table version counters),
+  and :func:`~repro.kernels.packed_cache.packed_decode_attention` runs
+  the same segment-masked decode math over the staged buffers,
+  bit-identical to ``batched_single_token_attention`` for grouped-query
+  models.
 
 The performance and metadata layers are verified (~1e-6) against the
 per-request kernels above, which remain the correctness oracle.
@@ -53,6 +55,7 @@ from repro.kernels.multi_token import multi_token_attention
 from repro.kernels.single_token import single_token_attention
 from repro.kernels.batched import (
     batched_single_token_attention,
+    segment_bias,
     segment_masked_decode,
 )
 from repro.kernels.packed_cache import (
@@ -72,6 +75,7 @@ __all__ = [
     "multi_token_attention",
     "single_token_attention",
     "batched_single_token_attention",
+    "segment_bias",
     "segment_masked_decode",
     "DecodeSlotSource",
     "PackedBatch",

@@ -19,12 +19,15 @@ cache's.  :func:`batched_single_token_attention` is reached only through
 
 The kernel stays numerically equivalent (~1e-6, in practice ~1e-12) to
 the per-request kernels, which remain in-tree as the correctness oracle;
-``tests/kernels/test_batched.py`` pins the equivalence.
+``tests/kernels/test_batched.py`` pins the equivalence.  The packed-cache
+entry point runs the same math over its own staging and, for
+grouped-query models, is bit-identical to
+:func:`batched_single_token_attention`.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,11 +44,30 @@ def _grouped_heads(num_heads: int, kv_heads: int) -> int:
     return num_heads // kv_heads
 
 
+def segment_bias(
+    lengths: np.ndarray, width: int, dtype: np.dtype
+) -> Optional[np.ndarray]:
+    """The additive segment mask of a packed decode batch: ``[n, 1, 1,
+    width]`` in ``dtype``, 0 where a column is inside its row's context
+    and ``-inf`` past it.  ``None`` when no row is padded (every row is
+    ``width`` long), so uniform batches skip the masking pass.
+
+    Adding 0 leaves a finite score's bits unchanged (``-0.0`` becomes
+    ``+0.0``, which the softmax cannot tell apart), so this is the same
+    mask as ``np.where(valid, scores, -inf)``.
+    """
+    if not bool((lengths != width).any()):
+        return None
+    valid = np.arange(width)[None, :] < lengths[:, None]
+    bias = np.where(valid, 0.0, -np.inf).astype(dtype, copy=False)
+    return bias[:, None, None, :]
+
+
 def segment_masked_decode(
     q: np.ndarray,
-    k: np.ndarray,
+    k_t: np.ndarray,
     v: np.ndarray,
-    lengths: np.ndarray,
+    bias: Optional[np.ndarray],
     scale: float,
 ) -> np.ndarray:
     """The decode-batch math shared by the packed-table and packed-cache
@@ -53,11 +75,15 @@ def segment_masked_decode(
 
     Args:
         q: ``[n, kv_heads, group, head_dim]`` grouped-head query view.
-        k / v: head-major ``[n, kv_heads, C, head_dim]`` gathered
-            context, rows padded to the common width ``C``; each
-            (row, head) ``[C, head_dim]`` tile should be contiguous so
-            both matmuls stay on the BLAS path.
-        lengths: ``[n]`` valid context length per row.
+        k_t: key-transposed ``[n, kv_heads, head_dim, C]`` gathered
+            keys, rows padded to the common width ``C``.  With each
+            (row, head) ``[head_dim, C]`` tile at unit stride along ``C``
+            the score product is a plain batched GEMM, no transposed
+            operand.
+        v: ``[n, kv_heads, C, head_dim]`` gathered values, each
+            (row, head) ``[C, head_dim]`` tile at unit stride along
+            ``head_dim``.
+        bias: the batch's :func:`segment_bias` (``None``: no padding).
         scale: resolved score scale.
 
     Returns:
@@ -65,15 +91,12 @@ def segment_masked_decode(
     """
     # scores[i, k, g, c] = q[i, k, g] . K[i, k, c] — one batched matmul
     # (BLAS) for every request and head at once.
-    scores = q @ k.transpose(0, 1, 3, 2)  # [n, kv, g, C]
+    scores = q @ k_t  # [n, kv, g, C]
     scores *= scale
-    max_context = k.shape[2]
-    if bool((lengths != max_context).any()):
+    if bias is not None:
         # Segment mask: positions beyond a request's boundary never
-        # attend.  Uniform-length batches (the common decode case) have
-        # no padding and skip the masking pass entirely.
-        valid = np.arange(max_context)[None, :] < lengths[:, None]
-        scores = np.where(valid[:, None, None, :], scores, -np.inf)
+        # attend.
+        scores += bias
 
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores, out=scores)
@@ -97,9 +120,10 @@ def batched_single_token_attention(
     segment boundaries), so the cache gather, the score computation, the
     softmax and the value aggregation each run **once** for the whole
     batch as segment-masked batched matmuls — positions past a request's
-    boundary are masked to ``-inf`` before the softmax.  GQA is handled by
-    viewing the queries as ``[batch, kv_heads, group, head_dim]`` (a
-    zero-copy reshape) rather than materialising broadcast K/V copies.
+    boundary get the additive ``-inf`` of :func:`segment_bias` before the
+    softmax.  GQA is handled by viewing the queries as ``[batch,
+    kv_heads, group, head_dim]`` (a zero-copy reshape) rather than
+    materialising broadcast K/V copies.
 
     Args:
         requests: the decode batch (``num_query_tokens == 1`` each, query
@@ -149,9 +173,10 @@ def batched_single_token_attention(
     for i, request in enumerate(requests):
         table[i, : lengths[i]] = request.slots
 
-    # ONE gather over the paged cache for the whole batch, viewed
-    # head-major [n, kv_heads, C, head_dim].
-    k = k_cache[table].transpose(0, 2, 1, 3)
+    # ONE gather over the paged cache for the whole batch, K viewed
+    # key-transposed [n, kv_heads, head_dim, C] and V head-major
+    # [n, kv_heads, C, head_dim].
+    k_t = k_cache[table].transpose(0, 2, 3, 1)
     v = v_cache[table].transpose(0, 2, 1, 3)
 
     # Zero-copy GQA: view the queries as [n, kv_heads, group, head_dim] so
@@ -160,7 +185,8 @@ def batched_single_token_attention(
         n, kv_heads, group, head_dim
     )
 
-    out = segment_masked_decode(q, k, v, lengths, scale)
+    bias = segment_bias(lengths, max_context, k_cache.dtype)
+    out = segment_masked_decode(q, k_t, v, bias, scale)
     return [out[i].reshape(1, num_heads, head_dim) for i in range(n)]
 
 

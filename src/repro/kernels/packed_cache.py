@@ -27,10 +27,18 @@ first:
   that shrinks from the tail — the common case when conversations finish
   — only pays for the rows that actually changed.
 
-Staging is head-major, ``[rows, kv_heads, ctx, head_dim]`` in the KV
-cache's own dtype, as PagedAttention lays out a block: every (row, head)
-``[ctx, head_dim]`` tile that the decode matmuls multiply is contiguous,
-so numpy keeps them on its BLAS path.  Capacities (rows and packed
+Staging is in the KV cache's own dtype and shapes K and V for the
+product each feeds, as PagedAttention keeps K and V blocks in different
+layouts.  K is key-transposed, ``[rows, kv_heads, head_dim, ctx]``:
+every (row, head) ``[head_dim, ctx]`` tile has unit stride along the
+context, so the score product ``q @ K^T`` is a plain batched GEMM with
+no transposed operand.  A model without grouped query heads (a group
+of one, e.g. OPT) is the exception: its score product is a
+matrix-vector product whose rounding follows K's layout, so its K stays
+head-major in memory (and is still indexed key-transposed).  V is
+head-major, ``[rows, kv_heads, ctx, head_dim]``: every ``[ctx,
+head_dim]`` tile the weighted sum multiplies has unit stride along
+``head_dim``.  Capacities (rows and packed
 context width) grow geometrically and never shrink, so the steady state
 allocates nothing; a regrow allocates fresh zeroed staging and resets
 every row's gathered watermark instead of copying, so it touches no page
@@ -43,11 +51,15 @@ layer only writes K/V for *newly appended* slots while a request is
 resident — so staged KV columns stay valid exactly as long as the
 structure version holds still.
 
-The cache is numerically transparent: outputs of
-:func:`packed_decode_attention` match the batched kernel (and therefore
-the per-request oracle) to ~1e-12, pinned by
-``tests/kernels/test_packed_cache.py`` under randomized mutation
-interleavings.
+The cache is numerically transparent: for grouped-query models the
+outputs of :func:`packed_decode_attention` are bit-identical to
+:func:`~repro.kernels.batched.batched_single_token_attention` (with a
+group of one they agree to float32 rounding), so they match the
+per-request oracle as closely as it does; pinned by
+``tests/kernels/test_packed_cache.py``, also under randomized mutation
+interleavings.  Each pack builds its additive segment mask
+(:func:`~repro.kernels.batched.segment_bias`) once, on the first layer
+that asks, and every layer adds that one array.
 """
 
 from __future__ import annotations
@@ -57,7 +69,11 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kernels.batched import _grouped_heads, segment_masked_decode
+from repro.kernels.batched import (
+    _grouped_heads,
+    segment_bias,
+    segment_masked_decode,
+)
 from repro.kernels.reference import resolve_scale
 
 _EMPTY_PREFIX = np.empty(0, dtype=np.int64)
@@ -99,21 +115,31 @@ class _RowState:
     packed_len: int
 
 
+#: ``(kv_heads, head_dim, dtype, key_transposed)`` of one layer's staging.
+_Layout = Tuple[int, int, np.dtype, bool]
+
+
 @dataclass
 class _LayerStaging:
-    k: np.ndarray          # [rows_cap, kv_heads, ctx_cap, head_dim]
-    v: np.ndarray          # same shape as k
+    k: np.ndarray          # indexed [rows_cap, kv_heads, head_dim, ctx_cap]
+    v: np.ndarray          # [rows_cap, kv_heads, ctx_cap, head_dim]
     gathered: np.ndarray   # [rows_cap] columns of each row already staged
+    layout: _Layout
 
     @staticmethod
-    def allocate(
-        rows: int, ctx: int, kv_heads: int, head_dim: int, dtype: np.dtype
-    ) -> "_LayerStaging":
-        shape = (rows, kv_heads, ctx, head_dim)
+    def allocate(rows: int, ctx: int, layout: _Layout) -> "_LayerStaging":
+        kv_heads, head_dim, dtype, key_transposed = layout
+        if key_transposed:
+            k = np.zeros((rows, kv_heads, head_dim, ctx), dtype=dtype)
+        else:
+            # Head-major memory, indexed like the key-transposed layout.
+            k = np.zeros((rows, kv_heads, ctx, head_dim), dtype=dtype)
+            k = k.transpose(0, 1, 3, 2)
         return _LayerStaging(
-            k=np.zeros(shape, dtype=dtype),
-            v=np.zeros(shape, dtype=dtype),
+            k=k,
+            v=np.zeros((rows, kv_heads, ctx, head_dim), dtype=dtype),
             gathered=np.zeros(rows, dtype=np.int64),
+            layout=layout,
         )
 
 
@@ -128,6 +154,8 @@ class PackedBatch:
         self._cache = cache
         self.n = n
         self.max_len = max_len
+        self._bias: Optional[np.ndarray] = None
+        self._bias_built = False
 
     @property
     def lengths(self) -> np.ndarray:
@@ -139,13 +167,30 @@ class PackedBatch:
         """``[n, max_len]`` packed slot table (zero-padded past lengths)."""
         return self._cache._table[: self.n, : self.max_len]
 
+    def bias(self, dtype: np.dtype) -> Optional[np.ndarray]:
+        """The batch's additive segment mask
+        (:func:`~repro.kernels.batched.segment_bias`) in ``dtype``, built
+        on the first call and shared by every later one."""
+        if not self._bias_built:
+            self._bias = segment_bias(self.lengths, self.max_len, dtype)
+            self._bias_built = True
+        return self._bias
+
     def gathered(
-        self, layer_key: Hashable, k_cache: np.ndarray, v_cache: np.ndarray
+        self,
+        layer_key: Hashable,
+        k_cache: np.ndarray,
+        v_cache: np.ndarray,
+        key_transposed: bool = True,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gathered head-major ``[n, kv_heads, max_len, head_dim]`` K/V
-        for this batch, staging only the columns that changed since the
-        last call for ``layer_key``."""
-        return self._cache._gathered(layer_key, k_cache, v_cache, self.n, self.max_len)
+        """Gathered K/V for this batch — K indexed key-transposed ``[n,
+        kv_heads, head_dim, max_len]``, V ``[n, kv_heads, max_len,
+        head_dim]`` — staging only the columns that changed since the
+        last call for ``layer_key``.  ``key_transposed=False`` keeps K's
+        memory head-major and returns its transposed view."""
+        return self._cache._gathered(
+            layer_key, k_cache, v_cache, self.n, self.max_len, key_transposed
+        )
 
 
 class PackedDecodeCache:
@@ -215,12 +260,11 @@ class PackedDecodeCache:
             self._ctx_cap = new_ctx
             self.stats["ctx_growths"] += 1
 
-    def _over_budget(
-        self, rows: int, ctx: int, tail_shape: Tuple[int, ...], dtype: np.dtype
-    ) -> bool:
+    def _over_budget(self, rows: int, ctx: int, layout: _Layout) -> bool:
         """Whether one layer's K staging at ``rows`` x ``ctx`` slots of
-        ``tail_shape`` would exceed the staging budget."""
-        nbytes = rows * ctx * int(np.prod(tail_shape)) * np.dtype(dtype).itemsize
+        ``layout`` would exceed the staging budget."""
+        kv_heads, head_dim, dtype, _ = layout
+        nbytes = rows * ctx * kv_heads * head_dim * np.dtype(dtype).itemsize
         return nbytes > self._staging_budget
 
     def _regrow_staging(self, rows: int, ctx: int) -> None:
@@ -228,27 +272,23 @@ class PackedDecodeCache:
         every gathered watermark reset, so the next gather refills only
         live columns — or, when a grown buffer would exceed the budget,
         drop staging for good (fresh-gather fallback)."""
-        tails = {
-            key: ((st.k.shape[1], st.k.shape[3]), st.k.dtype)
-            for key, st in self._staging.items()
-        }
-        if any(self._over_budget(rows, ctx, *tail) for tail in tails.values()):
+        layouts = {key: st.layout for key, st in self._staging.items()}
+        if any(self._over_budget(rows, ctx, lay) for lay in layouts.values()):
             self._staging.clear()
             self._staging_disabled = True
             return
-        for key, ((kv_heads, head_dim), dtype) in tails.items():
-            self._staging[key] = _LayerStaging.allocate(
-                rows, ctx, kv_heads, head_dim, dtype
-            )
+        for key, layout in layouts.items():
+            self._staging[key] = _LayerStaging.allocate(rows, ctx, layout)
 
     def _fallback_gather(
         self, n: int, max_len: int, k_cache: np.ndarray, v_cache: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Full gather used when staging is disabled (over budget), viewed
-        head-major; the packed table itself is still incremental."""
+        in the staging layout; the packed table itself is still
+        incremental."""
         table = self._table[:n, :max_len]
         return (
-            k_cache[table].transpose(0, 2, 1, 3),
+            k_cache[table].transpose(0, 2, 3, 1),
             v_cache[table].transpose(0, 2, 1, 3),
         )
 
@@ -351,23 +391,18 @@ class PackedDecodeCache:
         v_cache: np.ndarray,
         n: int,
         max_len: int,
+        key_transposed: bool,
     ) -> Tuple[np.ndarray, np.ndarray]:
         if self._staging_disabled:
             return self._fallback_gather(n, max_len, k_cache, v_cache)
         staging = self._staging.get(layer_key)
         kv_heads, head_dim = k_cache.shape[1:]
-        if staging is None or (
-            (staging.k.shape[1], staging.k.shape[3]) != (kv_heads, head_dim)
-            or staging.k.dtype != k_cache.dtype
-        ):
-            if self._over_budget(
-                self._rows_cap, self._ctx_cap, (kv_heads, head_dim), k_cache.dtype
-            ):
+        layout = (kv_heads, head_dim, k_cache.dtype, key_transposed)
+        if staging is None or staging.layout != layout:
+            if self._over_budget(self._rows_cap, self._ctx_cap, layout):
                 self._staging_disabled = True
                 return self._fallback_gather(n, max_len, k_cache, v_cache)
-            staging = _LayerStaging.allocate(
-                self._rows_cap, self._ctx_cap, kv_heads, head_dim, k_cache.dtype
-            )
+            staging = _LayerStaging.allocate(self._rows_cap, self._ctx_cap, layout)
             self._staging[layer_key] = staging
 
         lengths = self._lengths[:n]
@@ -380,16 +415,16 @@ class PackedDecodeCache:
                 # one vectorized gather for the whole batch.
                 cols = done[stale]
                 slots = self._table[stale, cols]
-                staging.k[stale, :, cols] = k_cache[slots]
+                staging.k[stale, :, :, cols] = k_cache[slots]
                 staging.v[stale, :, cols] = v_cache[slots]
             else:
                 for row in stale:
                     a, b = int(done[row]), int(lengths[row])
                     slots = self._table[row, a:b]
-                    staging.k[row, :, a:b] = k_cache[slots].transpose(1, 0, 2)
+                    staging.k[row, :, :, a:b] = k_cache[slots].transpose(1, 2, 0)
                     staging.v[row, :, a:b] = v_cache[slots].transpose(1, 0, 2)
             staging.gathered[:n] = lengths
-        return staging.k[:n, :, :max_len], staging.v[:n, :, :max_len]
+        return staging.k[:n, :, :, :max_len], staging.v[:n, :, :max_len]
 
     # ------------------------------------------------------------------ #
     # reference                                                          #
@@ -425,11 +460,12 @@ def packed_decode_attention(
 ) -> np.ndarray:
     """Single-token decode attention over a :class:`PackedBatch`.
 
-    Numerically identical to
-    :func:`~repro.kernels.batched.batched_single_token_attention` (it
-    shares the same :func:`segment_masked_decode` math); the difference
-    is purely where K/V come from — the cache's incremental staging
-    buffers instead of a fresh full gather.
+    The same :func:`segment_masked_decode` math as
+    :func:`~repro.kernels.batched.batched_single_token_attention`, and
+    bit-identical to it for grouped-query models; the difference is
+    where K/V come from — the cache's incremental staging buffers
+    instead of a fresh full gather — and that the segment mask is built
+    once per pack.
 
     Args:
         queries: ``[n, num_heads, head_dim]`` newest-token queries in row
@@ -446,7 +482,13 @@ def packed_decode_attention(
         raise ValueError(f"query batch {n} does not match packed batch {batch.n}")
     kv_heads = k_cache.shape[1]
     group = _grouped_heads(num_heads, kv_heads)
-    k, v = batch.gathered(layer_key, k_cache, v_cache)
+    # Wider groups make the score product a GEMM, which rounds the same
+    # in either K layout and runs without a transposed operand in the
+    # key-transposed one.  A group of one makes it a matrix-vector
+    # product whose rounding follows K's memory layout, so that K stays
+    # head-major: faster key-transposed scores would move its tokens.
+    k_t, v = batch.gathered(layer_key, k_cache, v_cache, key_transposed=group > 1)
     q = np.ascontiguousarray(queries).reshape(n, kv_heads, group, head_dim)
-    out = segment_masked_decode(q, k, v, batch.lengths, resolve_scale(scale, head_dim))
+    bias = batch.bias(k_cache.dtype)
+    out = segment_masked_decode(q, k_t, v, bias, resolve_scale(scale, head_dim))
     return out.reshape(n, num_heads, head_dim)

@@ -25,8 +25,12 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    """Sigmoid-weighted linear unit (SiLU / swish), used by Llama 2."""
-    return x / (1.0 + np.exp(-x))
+    """Sigmoid-weighted linear unit (SiLU / swish), used by Llama 2:
+    ``x / (1 + exp(-x))``, computed in one scratch array."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(x, out, out=out)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -82,8 +86,12 @@ class RMSNorm:
         return cls(gain=np.ones(dim, dtype))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + self.eps)
-        return x / rms * self.gain
+        # np.mean's ufuncs without its Python wrapper.  np.mean divides
+        # the same sum by an intp count in float64 and rounds to x's
+        # dtype; a float64 quotient rounded to float32 is the float32
+        # quotient, so the bits are the same.
+        mean_square = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+        return x / np.sqrt(mean_square + self.eps) * self.gain
 
 
 @dataclass
@@ -110,6 +118,21 @@ class Linear:
         weight = scaled_normal(rng, (in_dim, out_dim), scale, dtype)
         bias = np.zeros(out_dim, dtype) if with_bias else None
         return cls(weight=weight, bias=bias)
+
+    @classmethod
+    def fuse(cls, *parts: "Linear") -> "Linear":
+        """One projection computing ``parts`` side by side: their weights
+        (and biases) concatenated along the output axis, so one matmul
+        yields every part's output as a column block."""
+        weight = np.concatenate([p.weight for p in parts], axis=1)
+        biases = [p.bias for p in parts if p.bias is not None]
+        return cls(weight=weight, bias=np.concatenate(biases) if biases else None)
+
+    def columns(self, lo: int, hi: int) -> "Linear":
+        """The projection onto output columns ``[lo, hi)``: views of this
+        weight and bias, no copy."""
+        bias = None if self.bias is None else self.bias[lo:hi]
+        return Linear(weight=self.weight[:, lo:hi], bias=bias)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         y = x @ self.weight
@@ -144,11 +167,24 @@ class OptMlp:
 
 @dataclass
 class SwiGluMlp:
-    """Llama 2's gated feed-forward network: ``down(silu(gate(x)) * up(x))``."""
+    """Llama 2's gated feed-forward network: ``down(silu(gate(x)) * up(x))``,
+    with gate and up computed by one projection whose weight stacks
+    theirs, ``[2, hidden, intermediate]``: one matmul yields ``[2, rows,
+    intermediate]``, whose two halves are contiguous, so the activation
+    and the product read no strided column block."""
 
-    gate: Linear
-    up: Linear
+    gate_up: Linear
     down: Linear
+
+    @property
+    def gate(self) -> Linear:
+        """The gate projection: a view of ``gate_up``'s weight."""
+        return Linear(weight=self.gate_up.weight[0])
+
+    @property
+    def up(self) -> Linear:
+        """The up projection: a view of ``gate_up``'s weight."""
+        return Linear(weight=self.gate_up.weight[1])
 
     @classmethod
     def init(
@@ -161,11 +197,14 @@ class SwiGluMlp:
         def linear(in_dim: int, out_dim: int) -> Linear:
             return Linear.init(rng, in_dim, out_dim, with_bias=False, dtype=dtype)
 
-        return cls(
-            gate=linear(hidden, intermediate),
-            up=linear(hidden, intermediate),
-            down=linear(intermediate, hidden),
-        )
+        # Gate, up, down: the seed's stream order; the stacked matrix is
+        # the only copy kept.
+        gate, up = linear(hidden, intermediate), linear(hidden, intermediate)
+        gate_up = Linear(weight=np.stack([gate.weight, up.weight]))
+        return cls(gate_up=gate_up, down=linear(intermediate, hidden))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.down(silu(self.gate(x)) * self.up(x))
+        gate, up = self.gate_up(x)
+        hidden = silu(gate)
+        hidden *= up
+        return self.down(hidden)

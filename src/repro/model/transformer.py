@@ -27,6 +27,13 @@ final norm and LM head — on each request's last row only.
 :meth:`~PagedTransformer.forward_all_rows` is the same body keeping every
 row, for teacher-forcing checks.
 
+A layer pays per numpy call as much as per FLOP, so it makes few: one
+matmul projects q, k and v, one RoPE call rotates q and k, and the
+SwiGLU MLP computes gate and up with one matmul.  The fused matrices are
+built once, at construction, from parameters drawn in the unfused
+stream order; they are the only copies, and the per-projection weights
+that remain are views of them.
+
 The model computes in one dtype: its storage's (``storage.k.dtype``).
 Weights, norm gains and RoPE tables are rounded to it once, at
 construction, so every activation, query and attention output has the
@@ -244,9 +251,13 @@ class _BatchPlan:
 @dataclass
 class _LayerWeights:
     attn_norm: object
+    #: One projection for q, k and v: ``[hidden, hidden + 2 kv_dim]``,
+    #: columns q | k | v — the only copy of the three weights.
+    qkv_proj: Linear
+    #: Column views of ``qkv_proj``, for the pruned last layer, whose
+    #: queries cover fewer rows than its keys and values.
     q_proj: Linear
-    k_proj: Linear
-    v_proj: Linear
+    kv_proj: Linear
     o_proj: Linear
     mlp_norm: object
     mlp: object
@@ -324,14 +335,15 @@ class PagedTransformer:
 
         self.layers: List[_LayerWeights] = []
         for _ in range(config.num_layers):
-            # The MLP draws before the projections: the seed's stream order.
+            # The seed's stream order: MLP, q, k, v, o.
             mlp = mlp_type.init(rng, h, config.intermediate_size, dtype)
+            qkv = Linear.fuse(linear(h), linear(kv), linear(kv))
             self.layers.append(
                 _LayerWeights(
                     attn_norm=norm.identity(h, dtype),
-                    q_proj=linear(h),
-                    k_proj=linear(kv),
-                    v_proj=linear(kv),
+                    qkv_proj=qkv,
+                    q_proj=qkv.columns(0, h),
+                    kv_proj=qkv.columns(h, h + 2 * kv),
                     o_proj=linear(h),
                     mlp_norm=norm.identity(h, dtype),
                     mlp=mlp,
@@ -430,11 +442,18 @@ class PagedTransformer:
         given ``rows``, of those rows only, each a request's last row.
         K/V are projected and stored for every row either way."""
         cfg = self.config
+        heads, kv_heads = cfg.num_heads, cfg.num_kv_heads
         normed = w.attn_norm(x)
-        q_in = normed if rows is None else normed[rows]
-        q = w.q_proj(q_in).reshape(-1, cfg.num_heads, cfg.head_dim)
-        k = w.k_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
-        v = w.v_proj(normed).reshape(-1, cfg.num_kv_heads, cfg.head_dim)
+        if rows is None:
+            # One projection; q, k and v are head views of its columns.
+            qkv = w.qkv_proj(normed).reshape(-1, heads + 2 * kv_heads, cfg.head_dim)
+            q = qkv[:, :heads]
+            k = qkv[:, heads : heads + kv_heads]
+            v = qkv[:, heads + kv_heads :]
+        else:
+            q = w.q_proj(normed[rows]).reshape(-1, heads, cfg.head_dim)
+            kv = w.kv_proj(normed).reshape(-1, 2 * kv_heads, cfg.head_dim)
+            k, v = kv[:, :kv_heads], kv[:, kv_heads:]
         k_layer = self.storage.k[layer_idx]
         v_layer = self.storage.v[layer_idx]
 
@@ -463,10 +482,13 @@ class PagedTransformer:
             # as one call per request.
             if plan.angles is not None:
                 cos, sin = plan.angles
-                k = rotate(k, cos, sin)
-                if rows is not None:
-                    cos, sin = cos[rows], sin[rows]
-                q = rotate(q, cos, sin)
+                if rows is None:
+                    # q and k share their rows' angles: one rotation.
+                    qk = rotate(qkv[:, : heads + kv_heads], cos, sin)
+                    q, k = qk[:, :heads], qk[:, heads:]
+                else:
+                    k = rotate(k, cos, sin)
+                    q = rotate(q, cos[rows], sin[rows])
             self.storage.write(layer_idx, plan.write_slots, k, v)
             if packed is not None:
                 # All-decode packed path: the attention reads the cache

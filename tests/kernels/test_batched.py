@@ -17,6 +17,8 @@ from repro.kernels import (
     reference_attention,
     single_token_attention,
     ragged_multi_token_attention,
+    segment_bias,
+    segment_masked_decode,
     split_disjoint_query,
 )
 from repro.kernels.ragged import TILE_ROWS, plan_tiles
@@ -119,6 +121,46 @@ class TestBatchedSingleToken:
         req_b = AttentionRequest(query=query_b, slots=[s + 1 for s in req_a.slots[:3]])
         with pytest.raises(ValueError, match="heterogeneous"):
             batched_single_token_attention([req_a, req_b], k_cache, v_cache)
+
+
+def _where_masked_decode(q, k_t, v, lengths, scale):
+    """The decode math with the segment mask as an ``np.where`` select,
+    the formulation the additive bias replaced."""
+    scores = q @ k_t
+    scores *= scale
+    valid = np.arange(k_t.shape[-1])[None, :] < lengths[:, None]
+    scores = np.where(valid[:, None, None, :], scores, -np.inf)
+    scores -= scores.max(axis=-1, keepdims=True)
+    weights = np.exp(scores, out=scores)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights @ v
+
+
+class TestSegmentBias:
+    """The additive 0 / -inf bias is the ``np.where`` mask, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_additive_bias_equals_where_mask(self, rng, dtype):
+        # Padded rows, a full-length row and a one-token row.
+        lengths = np.array([5, 11, 1, 8])
+        n, kv_heads, group, head_dim, width = 4, 2, 2, 8, 11
+        q = rng.standard_normal((n, kv_heads, group, head_dim)).astype(dtype)
+        k_t = rng.standard_normal((n, kv_heads, head_dim, width)).astype(dtype)
+        v = rng.standard_normal((n, kv_heads, width, head_dim)).astype(dtype)
+        bias = segment_bias(lengths, width, dtype)
+        assert bias.dtype == dtype and bias.shape == (n, 1, 1, width)
+        scores = (q @ k_t).astype(dtype)
+        valid = np.arange(width)[None, :] < lengths[:, None]
+        np.testing.assert_array_equal(
+            scores + bias, np.where(valid[:, None, None, :], scores, -np.inf)
+        )
+        got = segment_masked_decode(q, k_t, v, bias, 0.35)
+        want = _where_masked_decode(q, k_t, v, lengths, 0.35)
+        assert got.dtype == want.dtype == dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_uniform_batch_has_no_bias(self):
+        assert segment_bias(np.array([7, 7, 7]), 7, np.float32) is None
 
 
 class TestVectorizedMultiToken:

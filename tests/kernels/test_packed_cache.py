@@ -157,21 +157,32 @@ class TestLifecycle:
             PackedDecodeCache(growth=1.0)
 
 
+def _key_transposed(cache, table):
+    """A fresh gather of ``table`` laid out like the K staging:
+    ``[rows, kv_heads, head_dim, ctx]``."""
+    return cache[np.asarray(table)].transpose(0, 2, 3, 1)
+
+
 def _head_major(cache, table):
-    """A fresh gather of ``table`` laid out like the staging:
+    """A fresh gather of ``table`` laid out like the V staging:
     ``[rows, kv_heads, ctx, head_dim]``."""
     return cache[np.asarray(table)].transpose(0, 2, 1, 3)
 
 
 class TestStaging:
-    """Staging is head-major ``[rows, kv_heads, ctx, head_dim]`` in the
-    cache's dtype.
+    """Staging is in the cache's dtype, K key-transposed ``[rows,
+    kv_heads, head_dim, ctx]`` and V head-major ``[rows, kv_heads, ctx,
+    head_dim]``.
 
     Mutation record (run on a copy of the tree): a context regrow that
     neither copies the old staging nor resets the gathered watermarks
     fails ``test_first_gather_after_context_regrow_equals_fresh_gather``
     (and two seeds of the staged-attention property walk, and both
-    ``tests/backends/test_equivalence.py`` transcript checks).
+    ``tests/backends/test_equivalence.py`` transcript checks).  K staged
+    head-major and handed to the kernel as its transposed view rounds
+    the same and moves no token, so only
+    ``test_staging_is_key_transposed_in_the_cache_dtype`` (both dtypes)
+    fails on it.
     """
 
     def _env(self, seed=0, num_pages=64, page_size=4, kv_heads=2, head_dim=8):
@@ -189,7 +200,7 @@ class TestStaging:
         for _ in range(4):
             batch = cache.pack(_sources(convs))
             k, v = batch.gathered("L0", k_cache, v_cache)
-            np.testing.assert_array_equal(k, _head_major(k_cache, batch.table))
+            np.testing.assert_array_equal(k, _key_transposed(k_cache, batch.table))
             np.testing.assert_array_equal(v, _head_major(v_cache, batch.table))
             for t in convs.values():
                 t.append_tokens(1)
@@ -204,28 +215,85 @@ class TestStaging:
         batch = cache.pack(_sources(convs))
         assert cache.stats["ctx_growths"] == 1
         k, v = batch.gathered(0, k_cache, v_cache)
-        fresh_k = _head_major(k_cache, batch.table)
+        fresh_k = _key_transposed(k_cache, batch.table)
         fresh_v = _head_major(v_cache, batch.table)
         for row, length in enumerate(batch.lengths):  # padding is masked
-            np.testing.assert_array_equal(k[row, :, :length], fresh_k[row, :, :length])
+            np.testing.assert_array_equal(
+                k[row, :, :, :length], fresh_k[row, :, :, :length]
+            )
             np.testing.assert_array_equal(v[row, :, :length], fresh_v[row, :, :length])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_staging_is_head_major_in_the_cache_dtype(self, dtype):
-        """Each (row, head) tile is one contiguous ``[ctx, head_dim]``
-        block, and staging never widens the cache's dtype (a float64
-        staging of a float32 cache costs resident memory)."""
+    def test_staging_is_key_transposed_in_the_cache_dtype(self, dtype):
+        """Each (row, head) K tile is ``[head_dim, ctx]`` with unit stride
+        along the context, so ``q @ K`` is a plain GEMM; each V tile is
+        one contiguous ``[ctx, head_dim]`` block.  Staging never widens
+        the cache's dtype (a float64 staging of a float32 cache costs
+        resident memory)."""
         rng, pool, k_cache, v_cache = self._env()
         k_cache, v_cache = k_cache.astype(dtype), v_cache.astype(dtype)
         cache = PackedDecodeCache()
         batch = cache.pack(_sources({0: _table(pool, 6), 1: _table(pool, 9)}))
         k, v = batch.gathered(0, k_cache, v_cache)
-        assert k.shape == v.shape == (2, 2, 9, 8)
-        for staged in (k, v):
-            assert staged.dtype == dtype
-            assert staged.strides[2:] == (8 * staged.itemsize, staged.itemsize)
+        assert k.shape == (2, 2, 8, 9)
+        assert v.shape == (2, 2, 9, 8)
+        assert k.dtype == v.dtype == dtype
+        item = k.itemsize
+        # K: unit stride along the context, one full row pitch per
+        # head_dim step.
+        assert k.strides[3] == item and k.strides[2] >= 9 * item
+        assert v.strides[2:] == (8 * item, item)
         for staging in cache._staging.values():
             assert staging.k.dtype == staging.v.dtype == dtype
+
+    def test_group_of_one_keeps_k_head_major_in_memory(self):
+        """Without query-head groups the score product is a matrix-vector
+        product whose rounding follows K's layout; that K is staged
+        head-major and handed out as its key-transposed view."""
+        rng, pool, k_cache, v_cache = self._env()
+        cache = PackedDecodeCache()
+        batch = cache.pack(_sources({0: _table(pool, 9), 1: _table(pool, 9)}))
+        k, v = batch.gathered(0, k_cache, v_cache, key_transposed=False)
+        np.testing.assert_array_equal(k, _key_transposed(k_cache, batch.table))
+        assert k.shape == (2, 2, 8, 9)
+        assert k.strides[2:] == (k.itemsize, 8 * k.itemsize)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num_heads", [2, 4, 8])
+    def test_attention_is_bit_identical_to_batched_kernel(self, dtype, num_heads):
+        """Query-head groups of two and four, padded rows and a
+        full-length row: the packed kernel's bits are the batched
+        kernel's.  A group of one (two heads over two KV heads) is a
+        matrix-vector product whose rounding follows K's row pitch,
+        which differs between the staging and a fresh gather; it is
+        held to float32 rounding."""
+        rng, pool, k_cache, v_cache = self._env()
+        k_cache, v_cache = k_cache.astype(dtype), v_cache.astype(dtype)
+        convs = {i: _table(pool, 3 + 7 * i) for i in range(3)}
+        cache = PackedDecodeCache()
+        for _ in range(3):
+            sources = _sources(convs)
+            queries = rng.standard_normal((3, num_heads, 8)).astype(dtype)
+            out = packed_decode_attention(
+                queries, cache.pack(sources), 0, k_cache, v_cache
+            )
+            ref = batched_single_token_attention(
+                [
+                    AttentionRequest(
+                        query=queries[i : i + 1],
+                        slots=s.table.slots_array(0, s.table.length),
+                    )
+                    for i, s in enumerate(sources)
+                ],
+                k_cache,
+                v_cache,
+            )
+            if num_heads == 2:
+                np.testing.assert_allclose(out, np.concatenate(ref), atol=1e-6)
+            else:
+                np.testing.assert_array_equal(out, np.concatenate(ref))
+            for t in convs.values():
+                t.append_tokens(1)
 
     def test_layers_stage_independently(self):
         rng, pool, k_cache, v_cache = self._env()
@@ -243,7 +311,8 @@ class TestStaging:
         cache = PackedDecodeCache(staging_budget_bytes=1)
         batch = cache.pack(_sources(convs))
         k, v = batch.gathered("L0", k_cache, v_cache)
-        np.testing.assert_array_equal(k, _head_major(k_cache, batch.table))
+        np.testing.assert_array_equal(k, _key_transposed(k_cache, batch.table))
+        np.testing.assert_array_equal(v, _head_major(v_cache, batch.table))
         assert cache._staging_disabled
 
     def test_budget_exceeded_on_growth_falls_back_to_fresh_gather(self):

@@ -19,6 +19,7 @@ import pytest
 
 from repro.kvcache import KVStorage
 from repro.model import tiny_llama_config, tiny_opt_config
+from repro.model.layers import Linear, scaled_normal
 from repro.model.transformer import ForwardRequest, PagedTransformer
 
 from tests.model.conftest import CASES
@@ -126,6 +127,60 @@ class TestOneDtype:
         assert model.forward_all_rows([request])[0].dtype == dtype
         assert model.forward([request])[0].dtype == dtype
         assert storage.k.dtype == storage.v.dtype == dtype
+
+
+class TestFusedProjections:
+    def test_fused_blocks_are_the_parameters_drawn_in_stream_order(
+        self, config, dtype
+    ):
+        """Each layer draws MLP, q, k, v, o from the seed's stream, as the
+        unfused model did.  Every column block of the fused QKV (and
+        SwiGLU gate-up) matrix is the parameter drawn for that
+        projection, and every per-projection weight kept is a view of a
+        fused matrix, so the weights are stored once."""
+        model, _ = make_model(config, dtype, seed=3)
+        rng = np.random.default_rng(3)
+        h, kv, inter = config.hidden_size, config.kv_dim, config.intermediate_size
+        opt = config.arch == "opt"
+        want = scaled_normal(rng, (config.vocab_size, h), 0.02, dtype)
+        np.testing.assert_array_equal(model.embedding, want)
+        if opt:
+            want = scaled_normal(rng, (config.max_position, h), 0.02, dtype)
+            np.testing.assert_array_equal(model.pos_embedding, want)
+
+        def draw(in_dim, out_dim):
+            return Linear.init(rng, in_dim, out_dim, with_bias=opt, dtype=dtype)
+
+        def assert_same(got, want):
+            np.testing.assert_array_equal(got.weight, want.weight)
+            if opt:
+                np.testing.assert_array_equal(got.bias, want.bias)
+            else:
+                assert got.bias is None
+
+        for layer in model.layers:
+            mlp = layer.mlp
+            if opt:
+                assert_same(mlp.up, draw(h, inter))
+            else:
+                assert_same(mlp.gate, draw(h, inter))
+                assert_same(mlp.up, draw(h, inter))
+                for view in (mlp.gate, mlp.up):
+                    assert np.shares_memory(view.weight, mlp.gate_up.weight)
+            assert_same(mlp.down, draw(inter, h))
+            qkv = layer.qkv_proj
+            assert qkv.weight.shape == (h, h + 2 * kv)
+            for (lo, hi), part in zip(
+                ((0, h), (h, h + kv), (h + kv, h + 2 * kv)),
+                (draw(h, h), draw(h, kv), draw(h, kv)),
+            ):
+                assert_same(qkv.columns(lo, hi), part)
+            assert_same(layer.q_proj, qkv.columns(0, h))
+            assert_same(layer.kv_proj, qkv.columns(h, h + 2 * kv))
+            for view in (layer.q_proj, layer.kv_proj):
+                assert np.shares_memory(view.weight, qkv.weight)
+            assert_same(layer.o_proj, draw(h, h))
+        assert model.lm_head.base is model.embedding
 
 
 class TestStatefulEqualsStateless:

@@ -15,9 +15,15 @@
   forward back to float64 without moving a token — only the serving
   benchmark's wall clock would see it — so a spy on the projections and
   both attention kernels checks every activation a float32 server makes.
+- *A decode step's dispatch budget.*  A decode step pays per numpy call,
+  not per FLOP.  Per layer it makes 4 projection calls (fused QKV, o,
+  fused gate-up, down), 1 RoPE rotation and 1 decode attention call; an
+  unfused projection would leave every token as it is and only cost
+  wall time.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +31,7 @@ import numpy as np
 from repro.backends import Backend
 from repro.core.server import StatefulChatServer
 from repro.model import tiny_llama_config, tiny_opt_config
+from repro.model import transformer
 from repro.model.layers import Linear
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -118,3 +125,45 @@ def test_a_float32_server_computes_in_float32(monkeypatch):
                 )
         assert server.manager.stats["recomputed_tokens"] > 0
     assert seen == {name: {"float32"} for name in seen}
+
+
+def test_a_decode_step_stays_within_its_dispatch_budget(monkeypatch):
+    """Every decode forward of a float32 llama server makes, per layer,
+    exactly 4 ``Linear`` calls, 1 ``rotate`` and 1 decode attention."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(Linear, "__call__")
+    count(transformer, "rotate")
+    count(Backend, "decode_attention")
+    decode_steps = []
+    forward = transformer.PagedTransformer.forward
+
+    def counted_forward(self, batch):
+        calls.clear()
+        logits = forward(self, batch)
+        if all(r.num_new_tokens == 1 for r in batch):
+            decode_steps.append(dict(calls))
+        return logits
+
+    monkeypatch.setattr(transformer.PagedTransformer, "forward", counted_forward)
+    config = tiny_llama_config()
+    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0)
+    assert server.storage.k.dtype == np.float32
+    for turn in range(2):
+        server.chat_batch(
+            [(c, [(5 * c + turn + i) % config.vocab_size for i in range(6 + c)])
+             for c in range(3)],
+            max_new_tokens=3,
+        )
+    layers = config.num_layers
+    budget = {"__call__": 4 * layers, "rotate": layers, "decode_attention": layers}
+    assert decode_steps and decode_steps == [budget] * len(decode_steps)
