@@ -181,7 +181,7 @@ class TestStaging:
     ``tests/backends/test_equivalence.py`` transcript checks).  K staged
     head-major and handed to the kernel as its transposed view rounds
     the same and moves no token, so only
-    ``test_staging_is_key_transposed_in_the_cache_dtype`` (both dtypes)
+    ``test_staging_is_head_major_in_the_cache_dtype`` (both dtypes)
     fails on it.
     """
 
@@ -224,8 +224,9 @@ class TestStaging:
             np.testing.assert_array_equal(v[row, :, :length], fresh_v[row, :, :length])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_staging_is_key_transposed_in_the_cache_dtype(self, dtype):
-        """Each (row, head) K tile is ``[head_dim, ctx]`` with unit stride
+    def test_staging_is_head_major_in_the_cache_dtype(self, dtype):
+        """Both tiles keep the KV-head axis outside the context.  Each
+        (row, head) K tile is ``[head_dim, ctx]`` with unit stride
         along the context, so ``q @ K`` is a plain GEMM; each V tile is
         one contiguous ``[ctx, head_dim]`` block.  Staging never widens
         the cache's dtype (a float64 staging of a float32 cache costs
