@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
 from repro.gpu.device import GpuSpec
@@ -289,7 +289,7 @@ class PensieveEngine(EngineBase):
                     # request alone degrades; its siblings keep decoding.
                     self._fail_request(request, now, "gpu_alloc")
             decoders = survivors
-        conv_ids = [r.conv_id for r in decoders]
+        conv_ids = [r.conversation.conv_id for r in decoders]
         grown = self.manager.append_decode_step(conv_ids)
         while grown < len(decoders):
             # Request ``grown`` did not fit: it alone is suspended.  Not
@@ -558,11 +558,14 @@ class PensieveEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _execute(self, batch: Sequence[Request], now: float) -> float:
-        items = []
+        # Every decoder's context from one manager call for the batch.
+        contexts = iter(self.manager.context_lengths(
+            [r.conversation.conv_id for r in batch if r.prefill_done]
+        ))
+        items: List[Tuple[int, int]] = []
         for request in batch:
             if request.prefill_done:
-                ctx = self.manager.conversation(request.conv_id).total_tokens
-                items.append((1, ctx))
+                items.append((1, next(contexts)))
             else:
                 # Consumed here: a re-admission after a suspension writes
                 # a fresh one.
@@ -573,9 +576,8 @@ class PensieveEngine(EngineBase):
                     items.append((info.recompute_tokens, info.recompute_tokens))
                 if info.prompt_tokens > 0:
                     items.append((info.prompt_tokens, info.total_context))
-        shape = BatchShape.of(items)
         compute = self.cost_model.iteration_time(
-            shape, variant=KernelVariant.PENSIEVE_PAGED
+            BatchShape(tuple(items)), variant=KernelVariant.PENSIEVE_PAGED
         )
         # Retry backoff spent this iteration, plus any injected worker
         # stall: with tensor parallelism every iteration ends in an

@@ -61,12 +61,17 @@ class RetentionValuePolicy:
         self._cost: Dict[int, float] = {}
 
     def __call__(self, chunk: Chunk, last_active: float, now: float) -> float:
-        idle = max(now - last_active, self.min_idle)
+        # ``max(now - last_active, min_idle)`` without the builtin call:
+        # the same float either way.
+        idle = now - last_active
+        if idle < self.min_idle:
+            idle = self.min_idle
         # ``l`` is the context size the chunk attends to during
         # recomputation: everything up to and including the chunk itself.
         context_len = chunk.end
-        cost = self._cost.get(context_len)
-        if cost is None:
+        try:
+            cost = self._cost[context_len]
+        except KeyError:
             cost = self._cost[context_len] = self.profile.recompute_cost(context_len)
         return cost / idle
 

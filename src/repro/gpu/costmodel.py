@@ -67,9 +67,12 @@ class BatchShape:
 
     def __post_init__(self) -> None:
         for query_len, context_len in self.items:
-            if query_len < 0 or context_len < 0:
-                raise ValueError(f"negative batch item ({query_len}, {context_len})")
-            if query_len > context_len:
+            # One test for a valid item; a refusal then picks its message.
+            if not 0 <= query_len <= context_len:
+                if query_len < 0 or context_len < 0:
+                    raise ValueError(
+                        f"negative batch item ({query_len}, {context_len})"
+                    )
                 raise ValueError(
                     f"query_len {query_len} exceeds context_len {context_len}"
                 )

@@ -39,6 +39,9 @@ class Direction(enum.Enum):
     READ = "read"    #: SSD to host: chunk promotion (restore path).
     WRITE = "write"  #: host to SSD: chunk demotion (eviction path).
 
+    #: Identity hashing, as :class:`~repro.kvcache.chunks.ChunkLocation`.
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Direction":
         return _OPPOSITE[self]

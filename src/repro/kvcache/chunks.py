@@ -33,6 +33,11 @@ class ChunkLocation(enum.Enum):
     DISK = "disk"        #: NVMe tier; must be read back through the host.
     DROPPED = "dropped"  #: discarded; must be recomputed from raw tokens.
 
+    #: Members are singletons and compare by identity, so identity hashing
+    #: agrees with equality; ``Enum.__hash__`` is a Python-level call on
+    #: every dict lookup keyed by a location.
+    __hash__ = object.__hash__
+
 
 #: Layout order used to validate the Figure 5 invariant (disk-extended).
 _LAYOUT_RANK = {

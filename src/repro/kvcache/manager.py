@@ -44,11 +44,14 @@ applies the caller's step and traces each one.  It draws from
 once, heapifies them, and after each victim pushes only that
 conversation's next frontier: O(N + k log N) for k victims among N cached
 conversations, and one CPU stream serves a whole ``swap_out`` however
-often its copies find the CPU tier full.  Decode growth of a
-whole batch is one :meth:`~TieredCacheManager.append_decode_step` call
-whose common case bumps a partial GPU tail in place.  :meth:`_audit`
-re-derives the counters, the index and every layout from scratch and is
-exercised by the test suite.
+often its copies find the CPU tier full.  The scan is one comprehension
+that calls the scorer through its bound ``__call__``, fetched once per
+scan.  Decode growth of a whole batch is one
+:meth:`~TieredCacheManager.append_decode_step` call whose common case
+bumps a partial GPU tail and the two counters in place; it calls
+:meth:`~TieredCacheManager._extend` only to create a chunk.
+:meth:`_audit` re-derives the counters, the index and every layout from
+scratch and is exercised by the test suite.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
@@ -352,6 +356,15 @@ class TieredCacheManager:
     def conversations(self) -> List[ConversationCache]:
         return list(self._conversations.values())
 
+    def context_lengths(self, conv_ids: Iterable[int]) -> List[int]:
+        """Each conversation's cached context length (its
+        ``total_tokens``), in order: a whole decode batch's in one call."""
+        conversations = self._conversations
+        return [
+            chunks[-1].end if (chunks := conversations[conv_id].chunks) else 0
+            for conv_id in conv_ids
+        ]
+
     # ------------------------------------------------------------------
     # Counter maintenance
     # ------------------------------------------------------------------
@@ -614,9 +627,15 @@ class TieredCacheManager:
             TailNotOnGpuError: some conversation's partial tail chunk is not
                 on GPU; checked for all of them before anything changes.
         """
-        caches = [self._conversations[conv_id] for conv_id in conv_ids]
+        conversations = self._conversations
+        caches = [conversations[conv_id] for conv_id in conv_ids]
+        chunk_size = self.chunk_size
         for cache in caches:
-            cache.check_growable()
+            chunks = cache.chunks
+            if chunks:
+                tail = chunks[-1]
+                if tail.location is not _GPU and tail.end - tail.start < chunk_size:
+                    cache.check_growable()  # raises
         capacity = self.gpu_capacity_tokens
         for grown, cache in enumerate(caches):
             if self._gpu_resident >= capacity:
@@ -624,6 +643,16 @@ class TieredCacheManager:
                     self._make_room(cache.conv_id, 1, cache.last_active)
                 except CacheCapacityError:
                     return grown
+            chunks = cache.chunks
+            if chunks:
+                tail = chunks[-1]
+                if tail.location is _GPU and tail.end - tail.start < chunk_size:
+                    # ``_extend(cache, 1)`` when the tail takes the token.
+                    tail.end += 1
+                    self._gpu_resident += 1
+                    if not cache.pinned:
+                        self._evictable += 1
+                    continue
             self._extend(cache, 1)
         return len(caches)
 
@@ -741,17 +770,16 @@ class TieredCacheManager:
         entry; it is skipped, and the conversation's current frontier, if
         any, takes its place.
         """
-        scorer = self.scorer
+        # Bound once: calling an instance through its type's ``__call__``
+        # slot costs about as much again as the bound method.
+        scorer = self.scorer.__call__
         conversations = self._conversations
         frontier = self._frontier[location]
-        heap = []
-        for conv_id, chunk in frontier.items():
-            cache = conversations[conv_id]
-            if not cache.pinned and conv_id != exclude:
-                heap.append(
-                    (scorer(chunk, cache.last_active, now), conv_id, chunk.index,
-                     chunk, cache)
-                )
+        heap = [
+            (scorer(chunk, cache.last_active, now), conv_id, chunk.index, chunk, cache)
+            for conv_id, chunk in frontier.items()
+            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
+        ]
         heapq.heapify(heap)
         while heap:
             score, conv_id, _, chunk, cache = heap[0]

@@ -23,6 +23,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.gpu.costmodel import CostModel
+from repro.obs.histogram import NullHistogramSet
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.serving.batching import BatchConfig
 from repro.serving.metrics import MetricsCollector
@@ -302,11 +303,14 @@ class EngineBase:
         now = self.loop.now
         finished: List[Request] = []
         running = RequestState.RUNNING
+        hist = self.metrics.hist
         for request in batch:
             if request.state is not running:
                 continue  # suspended mid-flight
-            self._advance(request, now)
-            if request.generated_tokens >= request.output_tokens:
+            self._advance(request, now, hist)
+            # ``request.output_tokens`` without its two property calls.
+            turn = request.conversation.turns[request.turn_index]
+            if request.generated_tokens >= turn.output_tokens:
                 finished.append(request)
         for request in finished:
             request.state = RequestState.FINISHED
@@ -353,18 +357,20 @@ class EngineBase:
         """Return the simulated duration of one iteration over ``batch``."""
         raise NotImplementedError
 
-    def _advance(self, request: Request, now: float) -> None:
+    def _advance(
+        self, request: Request, now: float, hist: NullHistogramSet
+    ) -> None:
         """Apply one iteration's progress to a running request.
 
         Default: the iteration produced one output token (the prefill
         iteration produces the first).  The first token ever is stamped
         once: a re-prefill after a preemption or a suspension produces a
-        later token, not a new first one.  With the SLO layer armed this
+        later token, not a new first one.  With the SLO layer armed
+        (``hist``, the collector's histograms, read once per batch) this
         is the streaming TTFT/TBT record site.
         """
         request.generated_tokens += 1
         first = request.first_token_time is None
-        hist = self.metrics.hist
         if hist.enabled:
             # Every produced token is exactly one sample: the request's
             # very first token lands in ``ttft_seconds``, every later one

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER
@@ -27,19 +27,19 @@ class SimulationError(RuntimeError):
     """Raised when the event loop is used incorrectly."""
 
 
-@dataclass(order=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """A scheduled callback.
 
-    Events sort by ``(time, seq)``.  ``seq`` is a monotonically increasing
-    insertion counter, giving same-time events FIFO semantics.
+    The loop orders events by ``(time, seq)``.  ``seq`` is a monotonically
+    increasing insertion counter, giving same-time events FIFO semantics.
     """
 
     time: float
     seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    callback: Callable[..., None]
+    args: Tuple[Any, ...] = ()
+    cancelled: bool = False
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when popped."""
@@ -59,7 +59,9 @@ class EventLoop:
 
     def __init__(self) -> None:
         self._clock = Clock()
-        self._queue: list[Event] = []
+        # ``(time, seq, event)``: the heap orders by a C tuple compare,
+        # and ``seq`` is unique, so it never compares two events.
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._running = False
         self._dispatched = 0
@@ -75,7 +77,7 @@ class EventLoop:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     @property
     def dispatched(self) -> int:
@@ -94,8 +96,10 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule event at {time!r} before now={self._clock.now!r}"
             )
-        event = Event(time=float(time), seq=next(self._seq), callback=callback, args=args)
-        heapq.heappush(self._queue, event)
+        time = float(time)
+        seq = next(self._seq)
+        event = Event(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_after(
@@ -125,16 +129,17 @@ class EventLoop:
             raise SimulationError("EventLoop.run is not re-entrant")
         self._running = True
         dispatched = 0
+        queue = self._queue
         try:
-            while self._queue:
-                event = self._queue[0]
+            while queue:
+                time, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heapq.heappop(queue)
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self._clock.advance_to(event.time)
+                heapq.heappop(queue)
+                self._clock.advance_to(time)
                 event.callback(*event.args)
                 dispatched += 1
                 self._dispatched += 1

@@ -24,12 +24,15 @@ class TestBatchShape:
         assert shape.items == ((1, 10), (2, 20))
 
     def test_rejects_query_longer_than_context(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"query_len 11 exceeds context_len 10"):
             BatchShape.of([(11, 10)])
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            BatchShape.of([(-1, 10)])
+        # (0, -1) also has its query longer than its context: the
+        # negative length is the refusal it names.
+        for item in [(-1, 10), (0, -1)]:
+            with pytest.raises(ValueError, match=r"negative batch item"):
+                BatchShape.of([item])
 
 
 class TestCausalFlopTokens:

@@ -10,25 +10,39 @@ and carries on with the rest).  Twin managers take the same random walk;
 one grows each batch in one call, the other one request at a time, and
 after every step both must agree on every chunk, every move the observer
 saw, ``stats``, the tier totals and the frontier index, and both pass
-``_audit()``.
+``_audit()``.  The walks run under LRU and under the paper's retention
+scorer (the random walk draws one per example): a growth reclaims at
+``now = last_active`` of the growing conversation, where the retention
+scorer ranks victims by cost over idle time, and LRU by age alone.
 
 Mutations tried in a copy of the tree: growing without reclaiming first
-fails both tests here; skipping the up-front tail check fails
+fails every test here; skipping the up-front tail check fails
 ``tests/kvcache/test_manager.py::TestAppendTokens::
-test_decode_step_refuses_the_whole_batch_up_front``.
+test_decode_step_refuses_the_whole_batch_up_front``; reclaiming at
+``now = 0`` in ``append_decode_step``, or in it and ``append_tokens``
+both, fails only ``test_a_growth_reclaims_at_the_growers_clock[retention]``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import LruPolicy
+from repro.core import LruPolicy, RetentionValuePolicy
+from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache import TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 
 CHUNK = 8
+#: ``Cost(l) = l / 8``: a conversation's n-th chunk costs n, so retention
+#: values of different conversations interleave instead of degenerating
+#: to oldest-first.
+PROFILE = AttentionCostProfile(
+    chunk_size=CHUNK, context_sizes=(8, 1024), costs=(1.0, 128.0), constant_cost=0.0
+)
+SCORERS = {"lru": LruPolicy, "retention": lambda: RetentionValuePolicy(PROFILE)}
 
 
 def batch_step(mgr, conv_ids):
@@ -52,8 +66,8 @@ def one_by_one(mgr, conv_ids):
 
 
 class Twin:
-    def __init__(self, gpu: int, cpu: int) -> None:
-        self.mgr = TieredCacheManager(gpu, cpu, chunk_size=CHUNK, scorer=LruPolicy())
+    def __init__(self, gpu: int, cpu: int, scorer) -> None:
+        self.mgr = TieredCacheManager(gpu, cpu, chunk_size=CHUNK, scorer=scorer)
         self.moves = []
         self.mgr.observer = lambda cache, chunk, old, new: self.moves.append(
             (cache.conv_id, chunk.index, old, new)
@@ -123,8 +137,9 @@ def apply(mgr, now, op, grow):
     return None
 
 
-def walk(ops, gpu, cpu):
-    batched, single = Twin(gpu, cpu), Twin(gpu, cpu)
+def walk(ops, gpu, cpu, make_scorer):
+    batched = Twin(gpu, cpu, make_scorer())
+    single = Twin(gpu, cpu, make_scorer())
     paths = Counter()
     for now, op in enumerate(ops):
         exits = batched.mgr.stats["gpu_cpu_exit_tokens"]
@@ -137,17 +152,18 @@ def walk(ops, gpu, cpu):
         if op[0] == "step":
             paths["reclaimed"] += batched.mgr.stats["gpu_cpu_exit_tokens"] > exits
             paths["skipped"] += bool(got)
-    return paths
+    return paths, batched.mgr
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     ops=st.lists(OPERATION, min_size=1, max_size=60),
     gpu=st.integers(32, 96),
     cpu=st.sampled_from([0, 32, 512]),
+    scorer=st.sampled_from(sorted(SCORERS)),
 )
-def test_decode_step_equals_one_append_per_request(ops, gpu, cpu):
-    walk(ops, gpu, cpu)
+def test_decode_step_equals_one_append_per_request(ops, gpu, cpu, scorer):
+    walk(ops, gpu, cpu, SCORERS[scorer])
 
 
 def test_the_walk_reaches_the_reclaim_and_skip_paths():
@@ -158,5 +174,28 @@ def test_the_walk_reaches_the_reclaim_and_skip_paths():
         ("turn", 0, 24), ("close", 0), ("turn", 1, 23), ("swap_out", 24),
         ("turn", 2, 17), ("step", every, 6), ("step", every, 6), ("step", every, 6),
     ]
-    paths = walk(ops, gpu=64, cpu=512)
-    assert paths["reclaimed"] and paths["skipped"], paths
+    for scorer, make_scorer in SCORERS.items():
+        paths, _ = walk(ops, gpu=64, cpu=512, make_scorer=make_scorer)
+        assert paths["reclaimed"] and paths["skipped"], (scorer, paths)
+
+
+@pytest.mark.parametrize("scorer", sorted(SCORERS))
+def test_a_growth_reclaims_at_the_growers_clock(scorer):
+    """Conversation 0 (idle since t=1, its copied frontier costs 3) and
+    conversation 1 (idle since t=6, costs 1) both hold a copy; growing
+    conversation 2 (active at t=8) on a full GPU reclaims one.  At the
+    grower's ``last_active`` both scorers take conversation 0 (retention
+    3/7 < 1/2); a reclaim scored at any ``now`` before t=6 would take
+    conversation 1 under the retention scorer, which LRU cannot see."""
+    ops = [
+        ("turn", 0, 24), ("close", 0), ("swap_out", 24), ("reclaim", 16),
+        ("turn", 1, 8), ("close", 5), ("close", 1), ("swap_out", 16),
+        ("turn", 2, 48), ("step", (2,), 1),
+    ]
+    paths, mgr = walk(ops, gpu=64, cpu=512, make_scorer=SCORERS[scorer])
+    assert paths["reclaimed"] == 1, paths
+    copies = {
+        conv_id: [c.location.value for c in mgr.conversation(conv_id).chunks]
+        for conv_id in (0, 1)
+    }
+    assert copies == {0: ["cpu"] * 3, 1: ["gpu_cpu"]}, copies

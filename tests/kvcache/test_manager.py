@@ -75,6 +75,19 @@ class TestAccounting:
         assert mgr.gpu_resident_tokens == 150
         assert mgr.gpu_free_tokens == 362
 
+    def test_context_lengths_are_each_conversations_total_tokens(self):
+        """Context counts every token whatever its tier; a conversation
+        opened but not yet filled has none."""
+        mgr = make_manager(gpu=512, chunk=32)
+        finish_conversation(mgr, 1, 100, now=0.0)
+        finish_conversation(mgr, 2, 64, now=1.0)
+        mgr.swap_out(64, now=2.0)
+        mgr.reclaim(64, now=2.0)
+        mgr.open(3, now=3.0)
+        assert mgr.conversation(1).segments()[ChunkLocation.CPU] == 64
+        assert mgr.context_lengths([2, 3, 1, 2]) == [64, 0, 100, 64]
+        assert mgr.context_lengths([]) == []
+
     def test_invalid_capacities(self):
         with pytest.raises(ValueError):
             TieredCacheManager(0, 100, LruPolicy())
