@@ -7,7 +7,8 @@ iteration count for the simulated engines; the per-rate values the
 serving benchmark's ``sim_sweep`` checks for repeat-exactness for the
 rate sweep; the transcript's ``crc32``, ``manager.stats`` and the fault
 counters for the functional server; the exact bits of the functional
-model's logits and stored K/V over float64 storage.  A refactor that
+model's logits and stored K/V over float64 storage, and of every
+forward result and the stored K/V of ``chat_batch`` decode steps.  A refactor that
 moves a victim, a byte, a token, a sim-clock value or a float64 logit
 moves a digest.  A change that means to move one updates the table and
 says which row moved and why.
@@ -241,6 +242,57 @@ def model_digest() -> str:
     return digest.hexdigest()[:16]
 
 
+def decode_digest() -> str:
+    """``chat_batch`` decode steps behind a system prompt, for both tiny
+    architectures over float32 and float64 storage: the bits of every
+    forward result, the outputs, the packing cache's row counts and the
+    final stored K/V.  The script covers steady +1 extends, rows grown by
+    a whole prompt between packs, a swap-out and restore between two
+    turns of one row (repair), a context regrow, a reordered batch
+    (rebuild) and a batch that shrinks from the tail."""
+    digest = hashlib.sha256()
+    script = [  # (conversations, prompt tokens, new tokens)
+        ([0, 1, 2], 6, 6),
+        ([0, 1, 2], 5, 4),
+        ([3], 100, 4),  # swaps the others' leading chunks out
+        ([0, 1, 2], 5, 4),
+        ([2, 0, 1], 5, 4),
+        ([2, 0], 5, 4),
+    ]
+    for config in (tiny_opt_config(), tiny_llama_config()):
+        vocab = config.vocab_size
+        for dtype in (np.float32, np.float64):
+            server = StatefulChatServer(
+                config, gpu_capacity_tokens=160, cpu_capacity_tokens=512,
+                chunk_size=16, page_size=8, seed=0,
+            )
+            server.storage = KVStorage(
+                config, num_slots=server.pool.capacity_tokens, dtype=dtype
+            )
+            server.model = PagedTransformer(config, server.storage, seed=0)
+            forward = server.model.forward
+
+            def observed(batch):
+                logits = forward(batch)
+                for row in logits:
+                    digest.update(row.tobytes())
+                return logits
+
+            server.model.forward = observed
+            server.set_system_prompt(prompt_ids=[(3 * i + 1) % vocab for i in range(5)])
+            for turn, (convs, n, new) in enumerate(script):
+                prompts = [
+                    (c, [(11 * c + 7 * turn + i) % vocab for i in range(n)])
+                    for c in convs
+                ]
+                out = server.chat_batch(prompts, max_new_tokens=new)
+                digest.update(repr(sorted(out.items())).encode())
+            digest.update(repr(sorted(server.model.decode_cache.stats.items())).encode())
+            digest.update(server.storage.k.tobytes())
+            digest.update(server.storage.v.tobytes())
+    return digest.hexdigest()[:16]
+
+
 RUNS = {
     "pensieve/2tier/unarmed/retention": lambda: pensieve_digest(False, False, "retention"),
     "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, False, "lru"),
@@ -256,6 +308,7 @@ RUNS = {
     "sweep/opt-13b/2-rates": sweep_digest,
     "server/3tier/armed": server_digest,
     "model/float64/mixed-batch": model_digest,
+    "server/decode-steps": decode_digest,
 }
 
 DIGESTS = {
@@ -273,6 +326,7 @@ DIGESTS = {
     "sweep/opt-13b/2-rates": "0354b279803b5428",
     "server/3tier/armed": "3526e06261cb62e4",
     "model/float64/mixed-batch": "a1d82ab27d933482",
+    "server/decode-steps": "9c84e30947782f29",
 }
 
 
