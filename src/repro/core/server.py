@@ -23,7 +23,7 @@ tokens as one with abundant memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,8 +48,8 @@ from repro.kvcache.pages import BlockTable, PagePool
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.kernels.packed_cache import DecodeSlotSource
 from repro.model.config import ModelConfig, tiny_opt_config
-from repro.model.sampling import GREEDY, SamplingParams, sample_token
-from repro.model.transformer import ForwardRequest, PagedTransformer
+from repro.model.sampling import GREEDY, SamplingParams, sample_tokens
+from repro.model.transformer import DecodeRequest, ForwardRequest, PagedTransformer
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.workload.tokenizer import SimpleTokenizer
 
@@ -66,6 +66,9 @@ class _Turn:
     span: int             #: tracer handle of the ``request`` span
     phase: int            #: tracer handle of its open ``prefill``/``decode`` child
     generated: List[int] = field(default_factory=list)
+    #: The turn's generation step, reused by every decode step (``None``
+    #: without the packed decode cache).
+    decode: Optional[DecodeRequest] = None
 
 
 class StatefulChatServer:
@@ -368,30 +371,22 @@ class StatefulChatServer:
             [self._system_slots_arr, table.slots_array(0, table.length)]
         )
 
-    def _decode_request(
-        self, conv_id: int, table: BlockTable, last_token: int
-    ) -> ForwardRequest:
-        """One generation step's request.  With the packing cache active
-        the context is passed *by reference* (a slot view keyed on the
-        conversation), so the transformer's incremental decode path packs
-        only the slots that changed since the previous step instead of
-        re-materialising the whole context array."""
-        input_ids = np.asarray([last_token], dtype=np.int64)
-        shared = len(self._system_slots)
-        if self.model.decode_cache is not None:
+    def _decode_request(self, turn: _Turn) -> Union[DecodeRequest, ForwardRequest]:
+        """One generation step's request, fed the turn's last token.
+
+        With the packed decode cache it is the turn's own
+        :class:`DecodeRequest`, which names the context by reference, so
+        the transformer packs only the slots that changed since the
+        previous step.  The oracle (no decode cache) gets explicit context
+        slots, rebuilt every step."""
+        if turn.decode is None:
             return ForwardRequest(
-                input_ids=input_ids,
-                context_slots=None,
-                shared_prefix=shared,
-                slot_view=DecodeSlotSource(
-                    key=conv_id, table=table, prefix=self._system_slots_arr
-                ),
+                input_ids=turn.generated[-1:],
+                context_slots=self._full_context(turn.table),
+                shared_prefix=len(self._system_slots),
             )
-        return ForwardRequest(
-            input_ids=input_ids,
-            context_slots=self._full_context(table),
-            shared_prefix=shared,
-        )
+        turn.decode.token = turn.generated[-1]
+        return turn.decode
 
     # ------------------------------------------------------------------
     # Fault handling
@@ -652,6 +647,12 @@ class StatefulChatServer:
         the outputs are identical to serving the turns sequentially —
         batching is purely a throughput optimisation.
 
+        Each turn builds its :class:`DecodeRequest` once, after the
+        prefill; a decode step sets its token and passes the live turns'
+        requests to ``model.forward``, and greedy sampling takes one
+        ``argmax`` over the step's logits.  A turn that fails or is
+        aborted leaves the batch with its request.
+
         Args:
             prompts: ``(conv_id, prompt_ids)`` pairs; conversation ids
                 must be distinct within one batch.
@@ -731,8 +732,17 @@ class StatefulChatServer:
                 for turn in turns
             ]
         )
-        for turn, l in zip(turns, logits):
-            turn.generated.append(sample_token(l, sampling, self._sampling_rng))
+        decode_cache = self.model.decode_cache
+        tokens = sample_tokens(logits, sampling, self._sampling_rng)
+        for turn, token in zip(turns, tokens):
+            turn.generated.append(token)
+            if decode_cache is not None:
+                turn.decode = DecodeRequest(
+                    DecodeSlotSource(
+                        key=turn.conv_id, table=turn.table,
+                        prefix=self._system_slots_arr,
+                    )
+                )
             if tracer.enabled:
                 tracer.end(
                     turn.phase, t=self._clock,
@@ -769,16 +779,12 @@ class StatefulChatServer:
             if not turns:
                 return {}
             step_logits = self.model.forward(
-                [
-                    self._decode_request(turn.conv_id, turn.table, turn.generated[-1])
-                    for turn in turns
-                ]
+                [self._decode_request(turn) for turn in turns]
             )
             if step + 1 < max_new_tokens:  # the last step only writes KV
-                for turn, l in zip(turns, step_logits):
-                    turn.generated.append(
-                        sample_token(l, sampling, self._sampling_rng)
-                    )
+                tokens = sample_tokens(step_logits, sampling, self._sampling_rng)
+                for turn, token in zip(turns, tokens):
+                    turn.generated.append(token)
 
         # Phase 4: persist raw tokens and unpin.
         for turn in turns:

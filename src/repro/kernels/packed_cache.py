@@ -16,7 +16,8 @@ first:
 - **extend** — same request in the same row, block table only appended
   to since the last pack (``structure_version`` unchanged): write the new
   tail slots into the row and gather only the delta columns.  This is the
-  +1-slot steady state of a decode loop.
+  +1-slot steady state of a decode loop, where the new slot costs one
+  ``BlockTable.slot`` lookup (a longer extend reads ``slots_array``).
 - **repair** — same request in the same row, but its block table's
   ``structure_version`` moved (swap-out / swap-in / recompute rebuilt the
   mapping): repack that row from scratch and invalidate its staging
@@ -59,7 +60,12 @@ per-request oracle as closely as it does; pinned by
 ``tests/kernels/test_packed_cache.py``, also under randomized mutation
 interleavings.  Each pack builds its additive segment mask
 (:func:`~repro.kernels.batched.segment_bias`) once, on the first layer
-that asks, and every layer adds that one array.
+that asks, and every layer adds that one array.  Its stale-row index —
+which rows a layer's staging lacks, at which columns and slots — is
+built once per distinct gathered watermark: every layer of a steady
+decode step holds the same one, so one index serves them all, while a
+layer whose watermark differs (a layer key first gathered mid-run, one
+that skipped a pack) gets its own.
 """
 
 from __future__ import annotations
@@ -115,6 +121,19 @@ class _RowState:
     packed_len: int
 
 
+@dataclass
+class _StaleIndex:
+    """The columns a layer's staging lacks for one pack."""
+
+    rows: np.ndarray  # rows whose watermark is below their length
+    cols: np.ndarray  # each such row's watermark
+    #: With every stale row one column behind: that column's slot per
+    #: row.  Otherwise ``None``, and ``spans`` holds each row's
+    #: ``(row, watermark, length)``.
+    slots: Optional[np.ndarray]
+    spans: List[Tuple[int, int, int]]
+
+
 #: ``(kv_heads, head_dim, dtype, key_transposed)`` of one layer's staging.
 _Layout = Tuple[int, int, np.dtype, bool]
 
@@ -161,6 +180,11 @@ class PackedBatch:
     def lengths(self) -> np.ndarray:
         """``[n]`` valid context length per row."""
         return self._cache._lengths[: self.n]
+
+    @property
+    def prefix_lengths(self) -> np.ndarray:
+        """``[n]`` shared-prefix length per row."""
+        return self._cache._prefix_lengths[: self.n]
 
     @property
     def table(self) -> np.ndarray:
@@ -213,10 +237,13 @@ class PackedDecodeCache:
         self._ctx_cap = initial_context
         self._table = np.zeros((initial_rows, initial_context), dtype=np.int64)
         self._lengths = np.zeros(initial_rows, dtype=np.int64)
+        self._prefix_lengths = np.zeros(initial_rows, dtype=np.int64)
         self._rows: List[Optional[_RowState]] = [None] * initial_rows
-        self._key_to_row: Dict[Hashable, int] = {}
         self._active = 0
         self._staging: Dict[Hashable, _LayerStaging] = {}
+        #: The latest pack's stale-row indexes, keyed by the watermark
+        #: bytes each was computed from (see :meth:`_gathered`).
+        self._stale: Dict[bytes, _StaleIndex] = {}
         self._staging_budget = staging_budget_bytes
         self._staging_disabled = False
         self.stats: Dict[str, int] = {
@@ -246,7 +273,10 @@ class PackedDecodeCache:
             table[: self._rows_cap] = self._table
             lengths = np.zeros(new_rows, dtype=np.int64)
             lengths[: self._rows_cap] = self._lengths
+            prefix_lengths = np.zeros(new_rows, dtype=np.int64)
+            prefix_lengths[: self._rows_cap] = self._prefix_lengths
             self._table, self._lengths = table, lengths
+            self._prefix_lengths = prefix_lengths
             self._rows.extend([None] * (new_rows - self._rows_cap))
             self._regrow_staging(new_rows, self._ctx_cap)
             self._rows_cap = new_rows
@@ -297,7 +327,7 @@ class PackedDecodeCache:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _row_matches(state: _RowState, source: DecodeSlotSource) -> bool:
+    def _row_matches(state: _RowState, source: DecodeSlotSource, total: int) -> bool:
         if state.table is not source.table:
             return False
         if state.structure_version != source.table.structure_version:
@@ -306,7 +336,7 @@ class PackedDecodeCache:
             return False
         if state.prefix_len and state.prefix is not source.prefix:
             return False
-        return state.packed_len <= source.total_len
+        return state.packed_len <= total
 
     def _write_row(self, row: int, source: DecodeSlotSource) -> None:
         prefix_len = len(source.prefix)
@@ -320,6 +350,7 @@ class PackedDecodeCache:
         # from-scratch pack (and stale slot ids can never be gathered).
         self._table[row, total:] = 0
         self._lengths[row] = total
+        self._prefix_lengths[row] = prefix_len
         for st in self._staging.values():
             st.gathered[row] = 0
 
@@ -329,26 +360,36 @@ class PackedDecodeCache:
         n = len(sources)
         if n == 0:
             raise ValueError("cannot pack an empty decode batch")
-        max_len = max(s.total_len for s in sources)
+        totals = [s.total_len for s in sources]
+        max_len = max(totals)
         self._ensure_capacity(n, max_len)
-        self.stats["packs"] += 1
+        self._stale = {}
+        table, lengths = self._table, self._lengths
+        extended = reused = 0
 
-        for i, source in enumerate(sources):
+        for i, (source, total) in enumerate(zip(sources, totals)):
             state = self._rows[i]
-            if state is not None and state.key == source.key and self._row_matches(
-                state, source
+            if (
+                state is not None
+                and state.key == source.key
+                and self._row_matches(state, source, total)
             ):
-                total = source.total_len
-                if total > state.packed_len:
-                    start = state.packed_len - state.prefix_len
-                    self._table[i, state.packed_len : total] = (
-                        source.table.slots_array(start, source.table.length)
+                packed_len = state.packed_len
+                if total == packed_len + 1:
+                    # The decode steady state: one new slot, one lookup.
+                    table[i, packed_len] = source.table.slot(
+                        packed_len - state.prefix_len
                     )
-                    self._lengths[i] = total
-                    state.packed_len = total
-                    self.stats["extended_rows"] += 1
+                elif total > packed_len:
+                    table[i, packed_len:total] = source.table.slots_array(
+                        packed_len - state.prefix_len, source.table.length
+                    )
                 else:
-                    self.stats["reused_rows"] += 1
+                    reused += 1
+                    continue
+                lengths[i] = total
+                state.packed_len = total
+                extended += 1
             else:
                 changed_occupant = state is None or state.key != source.key
                 self._write_row(i, source)
@@ -365,17 +406,19 @@ class PackedDecodeCache:
                 else:
                     self.stats["repaired_rows"] += 1
 
+        stats = self.stats
+        stats["packs"] += 1
+        stats["extended_rows"] += extended
+        stats["reused_rows"] += reused
         self._active = n
-        self._key_to_row = {s.key: i for i, s in enumerate(sources)}
         return PackedBatch(self, n, max_len)
 
     def drop(self, key: Hashable) -> None:
         """Forget a request (e.g. an aborted conversation).  The row it
-        occupied will be repacked on the next pack that lands there —
-        essential when conversation ids are recycled, since a fresh
-        :class:`BlockTable` restarts its version counters."""
-        row = self._key_to_row.pop(key, None)
-        if row is not None:
+        occupied in the latest pack will be repacked on the next pack
+        that lands there — essential when conversation ids are recycled,
+        since a fresh :class:`BlockTable` restarts its version counters."""
+        for row in range(self._active):
             state = self._rows[row]
             if state is not None and state.key == key:
                 self._rows[row] = None
@@ -405,26 +448,37 @@ class PackedDecodeCache:
             staging = _LayerStaging.allocate(self._rows_cap, self._ctx_cap, layout)
             self._staging[layer_key] = staging
 
-        lengths = self._lengths[:n]
         done = staging.gathered[:n]
-        stale = np.nonzero(done < lengths)[0]
-        if stale.size:
-            deltas = lengths[stale] - done[stale]
-            if bool((deltas == 1).all()):
+        # Every layer of a pack usually holds the same watermark, so the
+        # index computed for one serves all whose watermark is equal.
+        watermark = done.tobytes()
+        index = self._stale.get(watermark)
+        if index is None:
+            index = self._stale[watermark] = self._stale_index(done)
+        if index.rows.size:
+            if index.slots is not None:
                 # Steady-state decode: every stale row grew by one slot —
                 # one vectorized gather for the whole batch.
-                cols = done[stale]
-                slots = self._table[stale, cols]
-                staging.k[stale, :, :, cols] = k_cache[slots]
-                staging.v[stale, :, cols] = v_cache[slots]
+                staging.k[index.rows, :, :, index.cols] = k_cache[index.slots]
+                staging.v[index.rows, :, index.cols] = v_cache[index.slots]
             else:
-                for row in stale:
-                    a, b = int(done[row]), int(lengths[row])
+                for row, a, b in index.spans:
                     slots = self._table[row, a:b]
                     staging.k[row, :, :, a:b] = k_cache[slots].transpose(1, 2, 0)
                     staging.v[row, :, a:b] = v_cache[slots].transpose(1, 0, 2)
-            staging.gathered[:n] = lengths
+            done[:] = self._lengths[:n]
         return staging.k[:n, :, :, :max_len], staging.v[:n, :, :max_len]
+
+    def _stale_index(self, done: np.ndarray) -> "_StaleIndex":
+        """Which of the packed rows a layer whose watermark is ``done``
+        must gather, and where: the latest pack's columns past ``done``."""
+        lengths = self._lengths[: done.shape[0]]
+        rows = np.nonzero(done < lengths)[0]
+        cols = done[rows]
+        if bool((lengths[rows] - cols == 1).all()):
+            return _StaleIndex(rows, cols, self._table[rows, cols], [])
+        spans = [(int(row), int(done[row]), int(lengths[row])) for row in rows]
+        return _StaleIndex(rows, cols, None, spans)
 
     # ------------------------------------------------------------------ #
     # reference                                                          #

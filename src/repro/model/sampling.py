@@ -9,7 +9,7 @@ filtering — behind one seeded, deterministic interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -94,3 +94,16 @@ def sample_token(
         return int(np.argmax(logits))
     probs = probs / total
     return int(rng.choice(probs.shape[0], p=probs))
+
+
+def sample_tokens(
+    logits: np.ndarray,
+    params: SamplingParams = GREEDY,
+    rng: Optional[np.random.Generator] = None,
+) -> List[int]:
+    """:func:`sample_token` of every row of ``[n, vocab]`` ``logits``, in
+    row order.  Greedy sampling is one ``argmax`` over the batch, which
+    picks each row's first maximum like the per-row call."""
+    if params.is_greedy:
+        return np.argmax(logits, axis=1).tolist()
+    return [sample_token(row, params, rng) for row in logits]

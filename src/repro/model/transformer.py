@@ -18,6 +18,15 @@ end-to-end: a conversation served over many turns with arbitrary
 swap-out/swap-in/drop traffic must produce *identical* logits to a
 stateless from-scratch run.
 
+A forward takes one of two batches.  A batch of :class:`ForwardRequest`
+names each context by its explicit slots; prefills, recompute splits and
+mixed batches use it, and the per-request oracle runs every batch as one.
+A batch of :class:`DecodeRequest` is the serving loop's generation step:
+each names its context by block table, the packed decode cache
+(:mod:`repro.kernels.packed_cache`) packs the batch, and the step's
+positions, write slots, embedding gather and RoPE angles are whole-batch
+reads of the packed table, with no per-request object built per step.
+
 A forward has two jobs: write every input row's K/V into the paged cache
 and produce each request's next token.  :meth:`PagedTransformer.forward`
 pays only for those.  Layers ``0..L-2`` run every row, because their K/V
@@ -45,7 +54,7 @@ measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +85,8 @@ from repro.model.rope import apply_rope, rope_angles, rotate
 
 @dataclass
 class ForwardRequest:
-    """One request's share of a batched forward pass.
+    """One request's share of a batched forward pass, its context given as
+    explicit slots.
 
     Attributes:
         input_ids: ``[n_new]`` raw token ids to process this step: for a
@@ -94,39 +104,23 @@ class ForwardRequest:
         shared_prefix: tokens of always-resident shared context (e.g. a
             common system prompt) at the very front of ``context_slots``;
             they are never recomputed and never written by this request.
-        slot_view: optional :class:`~repro.kernels.packed_cache.DecodeSlotSource`
-            describing the context *by reference* (block table + shared
-            prefix slots) instead of as a materialised array.  When given,
-            ``context_slots`` may be ``None``: the packed decode path
-            reads the table incrementally and the full array is only
-            materialised when the batch takes another kernel.  Requires
-            ``dropped == 0`` (a recompute split has no single table).
+
+    A serving loop's generation steps use :class:`DecodeRequest` instead,
+    which names its context by reference.
     """
 
     input_ids: np.ndarray
-    context_slots: Optional[Sequence[int]]
+    context_slots: Sequence[int]
     positions: Optional[np.ndarray] = None
     dropped: int = 0
     shared_prefix: int = 0
-    slot_view: Optional[DecodeSlotSource] = None
 
     def __post_init__(self) -> None:
         self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
         n_new = self.input_ids.shape[0]
         if n_new == 0:
             raise ValueError("a forward request needs at least one input token")
-        if self.context_slots is None:
-            if self.slot_view is None:
-                raise ValueError(
-                    "context_slots may only be omitted with a slot_view"
-                )
-            if self.dropped != 0:
-                raise ValueError(
-                    "slot_view-backed requests cannot carry a recompute split"
-                )
-            total = self.slot_view.total_len
-        else:
-            total = len(self.context_slots)
+        total = len(self.context_slots)
         self.total_context = total
         if self.dropped < 0 or self.dropped > n_new:
             raise ValueError(f"invalid dropped count {self.dropped}")
@@ -149,37 +143,39 @@ class ForwardRequest:
         return int(self.input_ids.shape[0])
 
     def full_context_slots(self) -> np.ndarray:
-        """The entire context's physical slots in logical order,
-        materialising from the slot view when ``context_slots`` is
-        omitted."""
-        if self.context_slots is not None:
-            return np.asarray(self.context_slots, dtype=np.int64)
-        view = self.slot_view
-        table_slots = view.table.slots_array(0, view.table.length)
-        if len(view.prefix) == 0:
-            return table_slots
-        return np.concatenate(
-            [np.asarray(view.prefix, dtype=np.int64), table_slots]
-        )
+        """The entire context's physical slots in logical order."""
+        return np.asarray(self.context_slots, dtype=np.int64)
 
     def write_slots(self) -> np.ndarray:
         """Physical slots the new tokens' KV rows are written to."""
-        if self.context_slots is not None:
-            return np.asarray(self.context_slots, dtype=np.int64)[self.positions]
-        view = self.slot_view
-        prefix_len = len(view.prefix)
-        # New tokens always live past the shared prefix, so their slots
-        # come straight from the block table — no full materialisation.
-        return np.fromiter(
-            (view.table.slot(int(p) - prefix_len) for p in self.positions),
-            dtype=np.int64,
-            count=self.num_new_tokens,
-        )
+        return self.full_context_slots()[self.positions]
+
+
+class DecodeRequest:
+    """One conversation's generation step, built once per turn and reused
+    by every step of it.
+
+    It names the context by reference (``source``: the block table and
+    the shared prefix's slots) and feeds one token, which the caller sets
+    before each step.  A batch of decode requests takes the packed decode
+    path of :meth:`PagedTransformer.forward`: the batch's positions, write
+    slots, embeddings and RoPE angles all come from the packed slot table.
+    """
+
+    __slots__ = ("source", "token")
+
+    #: A generation step feeds exactly one token.
+    num_new_tokens = 1
+
+    def __init__(self, source: DecodeSlotSource, token: int = 0) -> None:
+        self.source = source
+        self.token = token
 
 
 @dataclass
 class _BatchPlan:
-    """Per-forward precomputation for a whole batch (layer-invariant).
+    """Per-forward precomputation for a batch of :class:`ForwardRequest`
+    (layer-invariant).
 
     Everything here depends only on the batch's *shape* — token
     positions, write targets, RoPE angles, sub-request spans — so it is
@@ -188,64 +184,51 @@ class _BatchPlan:
     ONE call per layer rather than one per request.
     """
 
-    positions: np.ndarray  # [sum_n] logical position of every input row
     write_slots: np.ndarray  # [sum_n] physical slot of every input row
-    #: True iff every request is a pure generation step (one trailing
-    #: query token, no recompute split): the packed decode cache's gate.
-    all_decode: bool
     #: RoPE ``(cos, sin)`` of every row (Llama only), gathered once and
     #: shared by every layer's q and k.
-    angles: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    angles: Optional[Tuple[np.ndarray, np.ndarray]]
     #: ``(lo, hi, slots, query_offset)`` per Figure 8(d) sub-request:
-    #: batch rows ``[lo, hi)`` attend over ``slots``.  Filled only when
-    #: the batch is not served from the packed decode cache, which reads
-    #: the block tables incrementally instead of materialising contexts.
-    spans: List[tuple] = field(default_factory=list)
+    #: batch rows ``[lo, hi)`` attend over ``slots``.
+    spans: List[tuple]
     #: The same spans for a forward that keeps only each request's last
     #: row: request ``i``'s one-row query is row ``[i, i + 1)``, at the
     #: row's own position, over the slots of the span holding it.
-    last_rows: List[tuple] = field(default_factory=list)
+    last_rows: List[tuple]
 
     @staticmethod
     def build(
         batch: Sequence[ForwardRequest],
         positions: np.ndarray,
+        bounds: np.ndarray,
         config: ModelConfig,
         dtype: np.dtype,
     ) -> "_BatchPlan":
-        plan = _BatchPlan(
-            positions=positions,
-            write_slots=np.concatenate([r.write_slots() for r in batch]),
-            all_decode=all(
-                r.num_new_tokens == 1 and r.dropped == 0 for r in batch
-            ),
-        )
-        if config.arch == "llama":
-            plan.angles = rope_angles(positions, config.head_dim, dtype=dtype)
-        return plan
-
-    def build_spans(
-        self, batch: Sequence[ForwardRequest], bounds: np.ndarray
-    ) -> None:
+        write_slots: List[np.ndarray] = []
+        spans: List[tuple] = []
+        last_rows: List[tuple] = []
         for i, (request, lo) in enumerate(zip(batch, bounds)):
-            # One int64 conversion per request; span slot lists are
-            # zero-copy views into it.
+            # One int64 conversion per request; its write slots and span
+            # slot lists are taken from it.
             slots = request.full_context_slots()
+            write_slots.append(slots[request.positions])
             for q_lo, q_hi, context_end, offset in disjoint_query_spans(
                 request.num_new_tokens,
                 len(slots),
                 request.dropped,
                 shared_prefix=request.shared_prefix,
             ):
-                self.spans.append(
-                    (lo + q_lo, lo + q_hi, slots[:context_end], offset)
-                )
+                spans.append((lo + q_lo, lo + q_hi, slots[:context_end], offset))
             # The last span holds the last row.  With all input a dropped
             # prefix that row sits at shared_prefix + dropped - 1, not at
             # the end of the context.
-            self.last_rows.append(
+            last_rows.append(
                 (i, i + 1, slots[:context_end], offset + q_hi - q_lo - 1)
             )
+        angles = None
+        if config.arch == "llama":
+            angles = rope_angles(positions, config.head_dim, dtype=dtype)
+        return _BatchPlan(np.concatenate(write_slots), angles, spans, last_rows)
 
 
 @dataclass
@@ -274,19 +257,21 @@ class PagedTransformer:
             their dtype is the model's compute dtype.
         seed: weight initialisation seed (deterministic; the same seed
             gives the same weights, rounded, at every dtype).
-        use_fast_paths: dispatch to the batched kernel layer
-            (:mod:`repro.kernels.ragged`, :mod:`repro.kernels.packed_cache`)
-            with the sub-request split, positions, write slots and RoPE
-            angles hoisted into one :class:`_BatchPlan` per forward, RoPE
-            and the KV store run once per layer for the whole batch, and
-            the last layer's discarded rows pruned.  ``False`` runs the
-            original per-layer, per-request tiled path over every row —
-            kept as the end-to-end baseline the benchmark harness measures
-            against.  Fast paths also keep a :class:`PackedDecodeCache`
-            (``decode_cache``) so all-decode batches of slot_view-backed
-            requests reuse their packed slot table and gathered-KV
+        use_fast_paths: dispatch :class:`ForwardRequest` batches to the
+            ragged kernel (:mod:`repro.kernels.ragged`) with the
+            sub-request split, write slots and RoPE angles hoisted into
+            one :class:`_BatchPlan` per forward, RoPE and the KV store run
+            once per layer for the whole batch, and the last layer's
+            discarded rows pruned.  ``False`` runs the original per-layer,
+            per-request tiled path over every row — kept as the
+            end-to-end baseline the benchmark harness measures against.
+            Fast paths also keep a :class:`PackedDecodeCache`
+            (``decode_cache``), which batches of :class:`DecodeRequest`
+            need: it keeps their packed slot table and gathered-KV
             staging buffers across iterations instead of rebuilding both
-            every step; numerically transparent.
+            every step, and the step's positions, write slots and RoPE
+            angles are read from it in whole-batch calls; numerically
+            transparent.
         backend: name of the :class:`~repro.backends.Backend` every
             attention kernel is looked up on (``self.backend``) at call
             time.
@@ -354,13 +339,17 @@ class PagedTransformer:
 
     # ------------------------------------------------------------------
 
-    def forward(self, batch: Sequence[ForwardRequest]) -> List[np.ndarray]:
+    def forward(self, batch: Sequence) -> np.ndarray:
         """Run one batched iteration.
 
         Writes every input token's K/V into the paged storage (Figure 8
-        step c) and returns, per request, the ``[vocab]`` next-token
-        logits computed from its last input row.
+        step c) and returns the ``[len(batch), vocab]`` next-token logits,
+        row ``i`` computed from request ``i``'s last input row.  A batch
+        of :class:`DecodeRequest` takes the packed decode path; any other
+        is a batch of :class:`ForwardRequest`.
         """
+        if batch and type(batch[0]) is DecodeRequest:
+            return self._decode(batch)
         return self._forward(batch, all_rows=False)
 
     def forward_all_rows(self, batch: Sequence[ForwardRequest]) -> List[np.ndarray]:
@@ -375,9 +364,63 @@ class PagedTransformer:
 
     # ------------------------------------------------------------------
 
+    def _layers(self, x: np.ndarray, attention, keep: Optional[np.ndarray]) -> np.ndarray:
+        """Every layer over ``x``, then the final norm and LM head.
+        ``attention(layer_idx, w, x, rows)`` returns the attention block's
+        output for ``x``'s rows, or for ``rows`` only; only the last layer
+        is given ``keep`` as its rows, because every earlier layer's rows
+        feed the K/V the cache keeps."""
+        final = len(self.layers) - 1
+        for layer_idx, w in enumerate(self.layers):
+            rows = keep if layer_idx == final else None
+            out = attention(layer_idx, w, x, rows)
+            x = (x if rows is None else x[rows]) + out
+            x = x + w.mlp(w.mlp_norm(x))
+        return self.final_norm(x) @ self.lm_head
+
+    def _decode(self, batch: Sequence[DecodeRequest]) -> np.ndarray:
+        """One generation step of every request, read from the packed batch.
+
+        The packed slot table gives the step's positions (``lengths - 1``)
+        and write slots (``table[i, lengths[i] - 1]``); the embedding
+        gather and the RoPE angles take those in one call each, and every
+        layer attends through the packed cache's staging buffers.
+        """
+        if self.decode_cache is None:
+            raise ValueError("decode requests need the packed decode cache")
+        n = len(batch)
+        tokens = np.array([r.token for r in batch], dtype=np.int64)
+        if tokens.shape != (n,):
+            raise ValueError("a decode request feeds exactly one input token")
+        packed = self.decode_cache.pack([r.source for r in batch])
+        lengths = packed.lengths
+        if not (lengths > packed.prefix_lengths).all():
+            raise ValueError(
+                "a decode request's shared prefix must be shorter than its context"
+            )
+        positions = lengths - 1
+        write_slots = packed.table[np.arange(n), positions]
+        x = self.embedding[tokens]
+        angles = None
+        if self.pos_embedding is not None:
+            x = x + self.pos_embedding[positions]
+        else:
+            angles = rope_angles(positions, self.config.head_dim, dtype=self.dtype)
+        storage, backend = self.storage, self.backend
+
+        def attention(layer_idx, w, x, rows):
+            q, k, v = self._qkv(w, x, None, angles)
+            storage.write(layer_idx, write_slots, k, v)
+            out = backend.decode_attention(
+                q, packed, layer_idx, storage.k[layer_idx], storage.v[layer_idx]
+            )
+            return w.o_proj(out.reshape(n, -1))
+
+        return self._layers(x, attention, None)
+
     def _forward(
         self, batch: Sequence[ForwardRequest], all_rows: bool
-    ) -> List[np.ndarray]:
+    ) -> np.ndarray | List[np.ndarray]:
         if not batch:
             return []
         # Unified batch formation (§4.4.1): all requests' input tokens
@@ -389,43 +432,56 @@ class PagedTransformer:
         bounds = np.cumsum([0] + [r.num_new_tokens for r in batch])
         last_rows = bounds[1:] - 1
         # Layer-invariant structure is derived ONCE per forward pass, not
-        # once per layer; the incremental pack repacks only the rows
-        # whose block table changed since the previous iteration.
+        # once per layer.
         plan: Optional[_BatchPlan] = None
-        packed: Optional[PackedBatch] = None
         keep: Optional[np.ndarray] = None
         if self.use_fast_paths:
-            plan = _BatchPlan.build(batch, positions, self.config, self.dtype)
-            if (
-                plan.all_decode
-                and self.decode_cache is not None
-                and all(r.slot_view is not None for r in batch)
-            ):
-                packed = self.decode_cache.pack([r.slot_view for r in batch])
-            else:
-                plan.build_spans(batch, bounds)
+            plan = _BatchPlan.build(batch, positions, bounds, self.config, self.dtype)
             if not all_rows and x.shape[0] > len(batch):
                 keep = last_rows
 
-        final = len(self.layers) - 1
-        for layer_idx, w in enumerate(self.layers):
-            # Only the last layer may prune: every earlier layer's rows
-            # feed the K/V the cache keeps.
-            rows = keep if layer_idx == final else None
-            out = self._attention_block(
-                layer_idx, w, x, batch, bounds, plan, packed, rows
-            )
-            x = (x if rows is None else x[rows]) + out
-            x = x + w.mlp(w.mlp_norm(x))
+        def attention(layer_idx, w, x, rows):
+            return self._attention_block(layer_idx, w, x, batch, bounds, plan, rows)
 
-        x = self.final_norm(x)
-        logits = x @ self.lm_head
+        logits = self._layers(x, attention, keep)
         if all_rows:
             return [logits[bounds[i] : bounds[i + 1]] for i in range(len(batch))]
         if logits.shape[0] > len(batch):
             # The oracle computed every row; it keeps the last of each.
             logits = logits[last_rows]
-        return list(logits)
+        return logits
+
+    def _qkv(
+        self,
+        w: _LayerWeights,
+        x: np.ndarray,
+        rows: Optional[np.ndarray],
+        angles: Optional[Tuple[np.ndarray, np.ndarray]],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``[rows, heads, head_dim]`` q, k and v of ``x``'s rows — q of
+        ``rows`` only, when given — rotated by ``angles`` when given.
+        RoPE acts on each row alone, so ONE call over the whole batch
+        leaves the same bits as one call per request."""
+        cfg = self.config
+        heads, kv_heads = cfg.num_heads, cfg.num_kv_heads
+        normed = w.attn_norm(x)
+        if rows is None:
+            # One projection; q, k and v are head views of its columns.
+            qkv = w.qkv_proj(normed).reshape(-1, heads + 2 * kv_heads, cfg.head_dim)
+            v = qkv[:, heads + kv_heads :]
+            if angles is None:
+                return qkv[:, :heads], qkv[:, heads : heads + kv_heads], v
+            # q and k share their rows' angles: one rotation.
+            qk = rotate(qkv[:, : heads + kv_heads], *angles)
+            return qk[:, :heads], qk[:, heads:], v
+        q = w.q_proj(normed[rows]).reshape(-1, heads, cfg.head_dim)
+        kv = w.kv_proj(normed).reshape(-1, 2 * kv_heads, cfg.head_dim)
+        k, v = kv[:, :kv_heads], kv[:, kv_heads:]
+        if angles is not None:
+            cos, sin = angles
+            k = rotate(k, cos, sin)
+            q = rotate(q, cos[rows], sin[rows])
+        return q, k, v
 
     def _attention_block(
         self,
@@ -434,26 +490,13 @@ class PagedTransformer:
         x: np.ndarray,
         batch: Sequence[ForwardRequest],
         bounds: np.ndarray,
-        plan: Optional[_BatchPlan] = None,
-        packed: Optional[PackedBatch] = None,
-        rows: Optional[np.ndarray] = None,
+        plan: Optional[_BatchPlan],
+        rows: Optional[np.ndarray],
     ) -> np.ndarray:
         """Attention output (o_proj applied) of the batch's rows — or,
         given ``rows``, of those rows only, each a request's last row.
         K/V are projected and stored for every row either way."""
-        cfg = self.config
-        heads, kv_heads = cfg.num_heads, cfg.num_kv_heads
-        normed = w.attn_norm(x)
-        if rows is None:
-            # One projection; q, k and v are head views of its columns.
-            qkv = w.qkv_proj(normed).reshape(-1, heads + 2 * kv_heads, cfg.head_dim)
-            q = qkv[:, :heads]
-            k = qkv[:, heads : heads + kv_heads]
-            v = qkv[:, heads + kv_heads :]
-        else:
-            q = w.q_proj(normed[rows]).reshape(-1, heads, cfg.head_dim)
-            kv = w.kv_proj(normed).reshape(-1, 2 * kv_heads, cfg.head_dim)
-            k, v = kv[:, :kv_heads], kv[:, kv_heads:]
+        q, k, v = self._qkv(w, x, rows, None if plan is None else plan.angles)
         k_layer = self.storage.k[layer_idx]
         v_layer = self.storage.v[layer_idx]
 
@@ -465,7 +508,7 @@ class PagedTransformer:
             for i, request in enumerate(batch):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
                 q_i, k_i, v_i = q[lo:hi], k[lo:hi], v[lo:hi]
-                if cfg.arch == "llama":
+                if self.config.arch == "llama":
                     q_i = apply_rope(q_i, request.positions)
                     k_i = apply_rope(k_i, request.positions)
                 self.storage.write(layer_idx, request.write_slots(), k_i, v_i)
@@ -477,26 +520,7 @@ class PagedTransformer:
                 )
             attend = self.backend.multi_token_attention
         else:
-            # RoPE and the KV store (Figure 8 step c) act on each row
-            # alone, so ONE call over the whole batch leaves the same bits
-            # as one call per request.
-            if plan.angles is not None:
-                cos, sin = plan.angles
-                if rows is None:
-                    # q and k share their rows' angles: one rotation.
-                    qk = rotate(qkv[:, : heads + kv_heads], cos, sin)
-                    q, k = qk[:, :heads], qk[:, heads:]
-                else:
-                    k = rotate(k, cos, sin)
-                    q = rotate(q, cos[rows], sin[rows])
             self.storage.write(layer_idx, plan.write_slots, k, v)
-            if packed is not None:
-                # All-decode packed path: the attention reads the cache
-                # through the incremental staging buffers.
-                out = self.backend.decode_attention(
-                    q, packed, layer_idx, k_layer, v_layer
-                )
-                return w.o_proj(out.reshape(q.shape[0], -1))
             kernel_requests = [
                 AttentionRequest(query=q[lo:hi], slots=slots, query_offset=offset)
                 for lo, hi, slots, offset in (

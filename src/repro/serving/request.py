@@ -82,9 +82,13 @@ class Conversation:
         return self.history_tokens(self.num_turns)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Request:
     """One turn of a conversation, as submitted to an engine.
+
+    A request compares by identity: each submission is its own object,
+    and the schedulers' ``list.remove`` and ``in`` tests then cost one
+    pointer comparison instead of a field-by-field ``__eq__``.
 
     Attributes:
         request_id: unique per submission.

@@ -296,6 +296,58 @@ class TestStaging:
             for t in convs.values():
                 t.append_tokens(1)
 
+    def test_each_layer_gathers_from_its_own_watermark(self):
+        """A pack computes its stale-row index once and shares it among
+        layers whose gathered watermarks are equal.  Here they disagree
+        within one pack: a layer key first gathered mid-run, a layer that
+        skipped a pack, a context regrow between packs, and a layer whose
+        staging would exceed the budget arriving mid-pack (every later
+        gather falls back to a fresh one).  Every layer's staged K/V must
+        still be a fresh gather of the packed table."""
+        rng, pool, k_cache, v_cache = self._env(num_pages=128)
+        wide_shape = (k_cache.shape[0], 4, 16)
+        layers = {
+            "L0": (k_cache, v_cache),
+            "L1": (2.0 * k_cache, 2.0 * v_cache),
+            "L2": (3.0 * k_cache, 3.0 * v_cache),
+            # Four times the others' staging: over the budget below.
+            "wide": (rng.standard_normal(wide_shape), rng.standard_normal(wide_shape)),
+        }
+        convs = {i: _table(pool, 5 + i) for i in range(3)}
+        # Rows 4 x 33 columns x 2 heads x 8 dims x 8 bytes fit; "wide"
+        # does not.
+        cache = PackedDecodeCache(
+            initial_rows=4, initial_context=16, staging_budget_bytes=20_000
+        )
+        schedule = [  # (tokens appended before the pack, layers in order)
+            (0, ("L0", "L1")),
+            (1, ("L0", "L1")),
+            (1, ("L0", "L2", "L1")),  # L2 first gathered mid-run
+            (1, ("L0", "L2")),  # L1 skips this pack
+            (1, ("L1", "L0", "L2")),  # L1 two columns behind
+            (12, ("L0", "L1", "L2")),  # the context regrows
+            (1, ("L0", "L1")),
+            (1, ("L0", "wide", "L1", "L2")),  # the budget fallback
+        ]
+        for grow, order in schedule:
+            for t in convs.values():
+                t.append_tokens(grow)
+            batch = cache.pack(_sources(convs))
+            for key in order:
+                k_layer, v_layer = layers[key]
+                k, v = batch.gathered(key, k_layer, v_layer)
+                fresh_k = _key_transposed(k_layer, batch.table)
+                fresh_v = _head_major(v_layer, batch.table)
+                for row, length in enumerate(batch.lengths):  # padding is masked
+                    np.testing.assert_array_equal(
+                        k[row, :, :, :length], fresh_k[row, :, :, :length]
+                    )
+                    np.testing.assert_array_equal(
+                        v[row, :, :length], fresh_v[row, :, :length]
+                    )
+        assert cache.stats["ctx_growths"] == 1
+        assert cache._staging_disabled
+
     def test_layers_stage_independently(self):
         rng, pool, k_cache, v_cache = self._env()
         k2, v2 = k_cache * 2.0, v_cache * 2.0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.sampling import GREEDY, SamplingParams, sample_token
+from repro.model.sampling import GREEDY, SamplingParams, sample_token, sample_tokens
 
 
 @pytest.fixture
@@ -134,3 +134,21 @@ class TestServerIntegration:
     def test_vector_logits_required(self):
         with pytest.raises(ValueError):
             sample_token(np.zeros((2, 3)))
+
+
+class TestSampleTokens:
+    def test_greedy_is_each_rows_first_maximum(self):
+        logits = np.random.default_rng(3).standard_normal((6, 16)).astype(np.float32)
+        logits[1, [2, 9]] = logits[1].max() + 1.0  # a tie: the first wins
+        logits[4, :] = 0.0  # all equal
+        tokens = sample_tokens(logits)
+        assert tokens == [int(np.argmax(row)) for row in logits]
+        assert tokens[1] == 2 and tokens[4] == 0
+        assert all(type(t) is int for t in tokens)
+
+    def test_stochastic_draws_row_by_row_in_order(self):
+        params = SamplingParams(temperature=0.8, top_k=5, top_p=0.9)
+        logits = np.random.default_rng(4).standard_normal((5, 32))
+        got = sample_tokens(logits, params, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        assert got == [sample_token(row, params, rng) for row in logits]

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from repro.backends import Backend
+from repro.kernels.packed_cache import DecodeSlotSource
 from repro.kernels.ragged import TILE_ROWS
-from repro.kvcache import KVStorage
-from repro.model.transformer import ForwardRequest, PagedTransformer
+from repro.kvcache import BlockTable, KVStorage, PagePool
+from repro.model.transformer import DecodeRequest, ForwardRequest, PagedTransformer
 
 #: The largest float32 gap measured across this module's comparisons is
 #: 2.3e-6 absolute, on stored K of magnitude up to 4.4 after a 130-token
@@ -409,3 +410,77 @@ def test_last_layer_mlp_and_lm_head_see_one_row_per_request(config, dtype):
     assert all(rows == [13] for rows in seen[:-1])
     pruned.forward_all_rows(batch)
     assert seen[-1] == [len(batch), 13] and head.rows == [len(batch), 13]
+
+
+class TestDecodeRequests:
+    """A batch of :class:`DecodeRequest` — the serving loop's generation
+    step, its context named by block table — takes the packed decode
+    path: positions, write slots, embeddings and RoPE angles come from
+    the packed slot table."""
+
+    def _conversations(self, config, dtype, prefix_len=3):
+        """A fast and a reference model over one page pool, a shared
+        prefix prefilled in both, and three prefilled conversations."""
+        pool = PagePool(num_pages=32, page_size=4)
+        fast, reference = paired_models(config, dtype, num_slots=pool.capacity_tokens)
+        rng = np.random.default_rng(9)
+        prefix = BlockTable(pool)
+        prefix.append_tokens(prefix_len)
+        prefix_slots = prefix.slots_array(0, prefix_len)
+        tables = []
+        batches = [[ForwardRequest(_ids(rng, config, prefix_len), prefix_slots)]]
+        prefill = []
+        for n in (4, 7, 5):
+            table = BlockTable(pool)
+            table.append_tokens(n)
+            tables.append(table)
+            prefill.append(
+                ForwardRequest(
+                    _ids(rng, config, n),
+                    np.concatenate([prefix_slots, table.slots_array(0, n)]),
+                    shared_prefix=prefix_len,
+                )
+            )
+        batches.append(prefill)
+        for batch in batches:
+            fast.forward(batch)
+            reference.forward(batch)
+        return fast, reference, pool, tables, prefix_slots, rng
+
+    def test_a_decode_batch_matches_the_reference(self, config, dtype):
+        fast, reference, _, tables, prefix, rng = self._conversations(config, dtype)
+        requests = [
+            DecodeRequest(DecodeSlotSource(key=i, table=t, prefix=prefix))
+            for i, t in enumerate(tables)
+        ]
+        for _ in range(3):
+            tokens = _ids(rng, config, len(tables))
+            explicit = []
+            for request, table, token in zip(requests, tables, tokens):
+                table.append_tokens(1)
+                request.token = int(token)
+                explicit.append(
+                    ForwardRequest(
+                        [token],
+                        np.concatenate([prefix, table.slots_array(0, table.length)]),
+                        shared_prefix=len(prefix),
+                    )
+                )
+            got = fast.forward(requests)
+            want = reference.forward(explicit)
+            assert got.shape == (len(tables), config.vocab_size)
+            np.testing.assert_allclose(got, np.asarray(want), **tol(dtype))
+        np.testing.assert_allclose(fast.storage.k, reference.storage.k, **tol(dtype))
+        np.testing.assert_allclose(fast.storage.v, reference.storage.v, **tol(dtype))
+        assert fast.decode_cache.stats["extended_rows"] == 2 * len(tables)
+
+    def test_a_decode_batch_is_checked_like_a_forward_request(self, config, dtype):
+        fast, reference, pool, tables, prefix, _ = self._conversations(config, dtype)
+        source = DecodeSlotSource(key=0, table=tables[0], prefix=prefix)
+        with pytest.raises(ValueError, match="one input token"):
+            fast.forward([DecodeRequest(source, token=[1, 2])])
+        empty = BlockTable(pool)
+        with pytest.raises(ValueError, match="shorter than its context"):
+            fast.forward([DecodeRequest(DecodeSlotSource(key=1, table=empty, prefix=prefix))])
+        with pytest.raises(ValueError, match="packed decode cache"):
+            reference.forward([DecodeRequest(source)])

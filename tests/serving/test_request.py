@@ -68,6 +68,13 @@ class TestRequest:
         assert not req.is_last_turn
         assert self.make_request(turn_index=2).is_last_turn
 
+    def test_requests_compare_by_identity(self):
+        a, b = self.make_request(), self.make_request()
+        assert a == a and a != b
+        running = [a, b]
+        running.remove(b)
+        assert running == [a] and running[0] is a
+
     def test_initial_state(self):
         req = self.make_request()
         assert req.state is RequestState.WAITING

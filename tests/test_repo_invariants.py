@@ -20,6 +20,12 @@
   fused gate-up, down), 1 RoPE rotation and 1 decode attention call; an
   unfused projection would leave every token as it is and only cost
   wall time.
+- *A decode step's scaffolding budget.*  What a steady-state decode step
+  derives from its batch's shape is derived from the packed batch, once:
+  it builds no ``ForwardRequest``, calls no ``BlockTable.slots_array``
+  (each row grew by one slot, one ``slot`` lookup), and builds one
+  stale-row index for all its layers.  Per-row or per-layer rebuilding
+  leaves every bit as it is, so only this count sees it.
 """
 
 import ast
@@ -30,6 +36,8 @@ import numpy as np
 
 from repro.backends import Backend
 from repro.core.server import StatefulChatServer
+from repro.kernels.packed_cache import PackedDecodeCache
+from repro.kvcache.pages import BlockTable
 from repro.model import tiny_llama_config, tiny_opt_config
 from repro.model import transformer
 from repro.model.layers import Linear
@@ -167,3 +175,49 @@ def test_a_decode_step_stays_within_its_dispatch_budget(monkeypatch):
     layers = config.num_layers
     budget = {"__call__": 4 * layers, "rotate": layers, "decode_attention": layers}
     assert decode_steps and decode_steps == [budget] * len(decode_steps)
+
+
+def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
+    """Every decode forward of a float32 llama server that follows
+    another decode forward constructs no ``ForwardRequest``, calls
+    ``BlockTable.slots_array`` zero times and builds one stale-row index
+    for all its layers."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    count(transformer.ForwardRequest, "__post_init__")
+    count(BlockTable, "slots_array")
+    count(PackedDecodeCache, "_stale_index")
+    steady_steps = []
+    previous = []
+    forward = transformer.PagedTransformer.forward
+
+    def counted_forward(self, batch):
+        calls.clear()
+        logits = forward(self, batch)
+        decode = all(r.num_new_tokens == 1 for r in batch)
+        if decode and previous[-1:] == [True]:
+            steady_steps.append(dict(calls))
+        previous.append(decode)
+        return logits
+
+    monkeypatch.setattr(transformer.PagedTransformer, "forward", counted_forward)
+    config = tiny_llama_config()
+    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0)
+    assert server.storage.k.dtype == np.float32
+    for turn in range(2):
+        server.chat_batch(
+            [(c, [(5 * c + turn + i) % config.vocab_size for i in range(6 + c)])
+             for c in range(3)],
+            max_new_tokens=4,
+        )
+    assert len(steady_steps) == 2 * 3
+    assert steady_steps == [{"_stale_index": 1}] * len(steady_steps)
