@@ -127,11 +127,9 @@ class _StaleIndex:
 
     rows: np.ndarray  # rows whose watermark is below their length
     cols: np.ndarray  # each such row's watermark
-    #: With every stale row one column behind: that column's slot per
-    #: row.  Otherwise ``None``, and ``spans`` holds each row's
-    #: ``(row, watermark, length)``.
+    #: With every stale row one column behind, that column's slot per
+    #: row; otherwise ``None``, and each row gathers its own range.
     slots: Optional[np.ndarray]
-    spans: List[Tuple[int, int, int]]
 
 
 #: ``(kv_heads, head_dim, dtype, key_transposed)`` of one layer's staging.
@@ -462,23 +460,23 @@ class PackedDecodeCache:
                 staging.k[index.rows, :, :, index.cols] = k_cache[index.slots]
                 staging.v[index.rows, :, index.cols] = v_cache[index.slots]
             else:
-                for row, a, b in index.spans:
+                for row, a in zip(index.rows.tolist(), index.cols.tolist()):
+                    b = int(self._lengths[row])
                     slots = self._table[row, a:b]
                     staging.k[row, :, :, a:b] = k_cache[slots].transpose(1, 2, 0)
                     staging.v[row, :, a:b] = v_cache[slots].transpose(1, 0, 2)
             done[:] = self._lengths[:n]
         return staging.k[:n, :, :, :max_len], staging.v[:n, :, :max_len]
 
-    def _stale_index(self, done: np.ndarray) -> "_StaleIndex":
+    def _stale_index(self, done: np.ndarray) -> _StaleIndex:
         """Which of the packed rows a layer whose watermark is ``done``
         must gather, and where: the latest pack's columns past ``done``."""
         lengths = self._lengths[: done.shape[0]]
         rows = np.nonzero(done < lengths)[0]
         cols = done[rows]
         if bool((lengths[rows] - cols == 1).all()):
-            return _StaleIndex(rows, cols, self._table[rows, cols], [])
-        spans = [(int(row), int(done[row]), int(lengths[row])) for row in rows]
-        return _StaleIndex(rows, cols, None, spans)
+            return _StaleIndex(rows, cols, self._table[rows, cols])
+        return _StaleIndex(rows, cols, None)
 
     # ------------------------------------------------------------------ #
     # reference                                                          #

@@ -65,11 +65,7 @@ from repro.kernels import (
     disjoint_query_spans,
     split_disjoint_query,
 )
-from repro.kernels.packed_cache import (
-    DecodeSlotSource,
-    PackedBatch,
-    PackedDecodeCache,
-)
+from repro.kernels.packed_cache import DecodeSlotSource, PackedDecodeCache
 from repro.kvcache.storage import KVStorage
 from repro.model.config import ModelConfig
 from repro.model.layers import (
@@ -364,7 +360,9 @@ class PagedTransformer:
 
     # ------------------------------------------------------------------
 
-    def _layers(self, x: np.ndarray, attention, keep: Optional[np.ndarray]) -> np.ndarray:
+    def _layers(
+        self, x: np.ndarray, attention, keep: Optional[np.ndarray]
+    ) -> np.ndarray:
         """Every layer over ``x``, then the final norm and LM head.
         ``attention(layer_idx, w, x, rows)`` returns the attention block's
         output for ``x``'s rows, or for ``rows`` only; only the last layer

@@ -178,8 +178,9 @@ def test_a_decode_step_stays_within_its_dispatch_budget(monkeypatch):
 
 
 def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
-    """Every decode forward of a float32 llama server that follows
-    another decode forward constructs no ``ForwardRequest``, calls
+    """A float32 llama server's decode step that follows another — the
+    server's work from the end of the previous forward through the end
+    of its own — constructs no ``ForwardRequest``, calls
     ``BlockTable.slots_array`` zero times and builds one stale-row index
     for all its layers."""
     calls = Counter()
@@ -201,12 +202,12 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
     forward = transformer.PagedTransformer.forward
 
     def counted_forward(self, batch):
-        calls.clear()
         logits = forward(self, batch)
         decode = all(r.num_new_tokens == 1 for r in batch)
         if decode and previous[-1:] == [True]:
             steady_steps.append(dict(calls))
         previous.append(decode)
+        calls.clear()
         return logits
 
     monkeypatch.setattr(transformer.PagedTransformer, "forward", counted_forward)
