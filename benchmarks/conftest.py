@@ -4,7 +4,8 @@ Every benchmark regenerates one figure/table of the paper at reduced scale
 (shorter simulated durations, fewer sweep points) and asserts the paper's
 *qualitative* claims: who wins, by roughly what factor, where crossovers
 fall.  The printed tables are the reduced-scale counterparts of the
-figures; ``EXPERIMENTS.md`` records a full-scale run.
+figures; ``python -m repro report`` runs them at full scale and writes
+``EXPERIMENTS.md``, which is generated and not committed.
 """
 
 from __future__ import annotations

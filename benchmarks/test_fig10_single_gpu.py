@@ -1,7 +1,7 @@
 """Figure 10 — single-GPU end-to-end serving performance.
 
-Reduced-scale sweeps (shorter simulated duration, fewer rates than the
-full EXPERIMENTS.md run) asserting the paper's qualitative claims:
+Reduced-scale sweeps (shorter simulated duration, fewer rates than a
+full-scale ``python -m repro report`` run) asserting the paper's qualitative claims:
 
 - Pensieve achieves the best throughput at the paper's latency targets;
 - TensorRT-LLM beats vLLM (compiled kernels) but not Pensieve;

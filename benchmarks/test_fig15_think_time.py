@@ -5,8 +5,8 @@ before the user returns, so Pensieve's throughput falls and its advantage
 over vLLM narrows — but never disappears.
 
 At benchmark scale the simulated window is 400 s, so the think-time sweep
-uses 30/120/400 s (the full-scale EXPERIMENTS.md run uses the paper's
-60-600 s); the CPU tier is shrunk so cache pressure appears in-window.
+uses 30/120/400 s (the paper sweeps 60-600 s over hour-long runs); the
+CPU tier is shrunk so cache pressure appears in-window.
 """
 
 from repro.experiments.common import throughput_at_latency

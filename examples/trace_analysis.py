@@ -4,7 +4,7 @@ Serves a ShareGPT-like workload with Pensieve and with vLLM, then uses
 :mod:`repro.analysis` to compare what actually happened inside: cache hit
 rates, batch occupancy, PCIe utilisation, and how per-turn latency evolves
 as conversations accumulate history — the mechanism behind every headline
-number, plus an ASCII rendering of the latency–throughput curves.
+number.
 
 Run:  python examples/trace_analysis.py
 """
@@ -15,9 +15,8 @@ from repro.analysis import (
     pcie_utilization,
     turn_latency_breakdown,
 )
-from repro.analysis.ascii_plot import plot_curves
 from repro.core import PensieveEngine
-from repro.experiments.common import run_rate_sweep, run_serving_once
+from repro.experiments.common import run_serving_once
 from repro.gpu import A100_80GB
 from repro.model import OPT_13B
 from repro.obs import Tracer
@@ -76,17 +75,6 @@ def main() -> None:
         )
     print("\n(The vLLM column degrades with turn index as the re-prefilled "
           "history grows; Pensieve's stays flat.)")
-
-    print("\n== Latency-throughput curves (ASCII Figure 10) ==")
-    curves = {}
-    for name, factory in (
-        ("vLLM", lambda loop: make_vllm(loop, OPT_13B, A100_80GB)),
-        ("Pensieve", lambda loop: PensieveEngine(loop, OPT_13B, A100_80GB)),
-    ):
-        curves[name] = run_rate_sweep(
-            factory, SHAREGPT, rates=[2, 5, 8, 11], duration=DURATION
-        )
-    print(plot_curves(curves, title="OPT-13B / ShareGPT"))
 
 
 if __name__ == "__main__":

@@ -15,11 +15,6 @@ from repro.analysis.traces import (
     pcie_utilization,
     turn_latency_breakdown,
 )
-from repro.analysis.curves import (
-    crossover_rate,
-    curve_dominates,
-    speedup_at,
-)
 
 __all__ = [
     "cache_summary",
@@ -28,7 +23,4 @@ __all__ = [
     "BatchOccupancy",
     "pcie_utilization",
     "turn_latency_breakdown",
-    "speedup_at",
-    "curve_dominates",
-    "crossover_rate",
 ]

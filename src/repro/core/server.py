@@ -48,11 +48,14 @@ from repro.kvcache.pages import BlockTable, PagePool
 from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.kernels.packed_cache import DecodeSlotSource
 from repro.model.config import ModelConfig, tiny_opt_config
-from repro.model.sampling import GREEDY, SamplingParams, sample_tokens
 from repro.model.transformer import DecodeRequest, ForwardRequest, PagedTransformer
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.workload.tokenizer import SimpleTokenizer
 
+#: Bound on concurrently tracked conversations, used to size the page
+#: pool's internal-fragmentation allowance (each conversation wastes at
+#: most one partially-filled tail page, exactly like a vLLM sequence).
+MAX_CONVERSATIONS = 64
 
 @dataclass
 class _Turn:
@@ -93,10 +96,6 @@ class StatefulChatServer:
         scorer: eviction policy (default LRU — the functional layer does
             not need the profiled cost table, though one can be passed).
         seed: model weight seed.
-        max_conversations: bound on concurrently tracked conversations,
-            used to size the page pool's internal-fragmentation allowance
-            (each conversation wastes at most one partially-filled tail
-            page, exactly like a vLLM sequence).
         fault_plan: optional seeded failure schedule (chaos testing); the
             server recovers along the retry → recompute-fallback →
             per-request-failure ladder, counting into ``fault_counters``.
@@ -124,8 +123,6 @@ class StatefulChatServer:
         page_size: int = 8,
         scorer: Optional[EvictionScorer] = None,
         seed: int = 0,
-        tokenizer: Optional[SimpleTokenizer] = None,
-        max_conversations: int = 64,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         use_fast_paths: bool = True,
@@ -140,10 +137,9 @@ class StatefulChatServer:
         if gpu_capacity_tokens % page_size != 0:
             raise ValueError("gpu_capacity_tokens must be a multiple of page_size")
         self.config = config or tiny_opt_config()
-        self.max_conversations = max_conversations
         # The manager accounts logical tokens; the pool additionally loses
         # up to one page per conversation to tail fragmentation.
-        pool_tokens = gpu_capacity_tokens + page_size * max_conversations
+        pool_tokens = gpu_capacity_tokens + page_size * MAX_CONVERSATIONS
         self.pool = PagePool(
             num_pages=pool_tokens // page_size, page_size=page_size
         )
@@ -170,7 +166,7 @@ class StatefulChatServer:
             use_fast_paths=use_fast_paths,
             backend=backend,
         )
-        self.tokenizer = tokenizer or SimpleTokenizer(self.config.vocab_size)
+        self.tokenizer = SimpleTokenizer(self.config.vocab_size)
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu_capacity_tokens,
             cpu_capacity_tokens=cpu_capacity_tokens,
@@ -187,8 +183,6 @@ class StatefulChatServer:
         #: token ids, used to recompute dropped chunks.
         self.raw_tokens: Dict[int, List[int]] = {}
         self._clock = 0.0
-        # Dedicated sampling stream, independent of the weight seed.
-        self._sampling_rng = np.random.default_rng(seed + 104729)
         # Shared system-prompt state (paper footnote 3): prefilled once,
         # pinned forever, prepended to every conversation's context.
         self._system_slots: List[int] = []
@@ -456,7 +450,6 @@ class StatefulChatServer:
         user_text: str = "",
         prompt_ids: Optional[Sequence[int]] = None,
         max_new_tokens: int = 16,
-        sampling: SamplingParams = GREEDY,
     ) -> List[int]:
         """Serve one turn: the :meth:`chat_batch` batch of one.
 
@@ -466,8 +459,6 @@ class StatefulChatServer:
                 if ``prompt_ids`` is given.
             prompt_ids: raw prompt token ids (for tests/scripted runs).
             max_new_tokens: number of tokens to generate (at least 1).
-            sampling: decoding strategy (greedy by default; stochastic
-                strategies draw from the server's seeded sampling stream).
 
         Returns:
             The generated token ids (decode with ``server.tokenizer``).
@@ -481,7 +472,7 @@ class StatefulChatServer:
         if prompt_ids is None:
             prompt_ids = self.tokenizer.encode(user_text)
         recorded = len(self.failures)
-        generated = self.chat_batch([(conv_id, prompt_ids)], max_new_tokens, sampling)
+        generated = self.chat_batch([(conv_id, prompt_ids)], max_new_tokens)
         if conv_id not in generated:
             raise self.failures[recorded]
         return generated[conv_id]
@@ -637,19 +628,18 @@ class StatefulChatServer:
         self,
         prompts: Sequence[Tuple[int, Sequence[int]]],
         max_new_tokens: int = 16,
-        sampling: SamplingParams = GREEDY,
     ) -> Dict[int, List[int]]:
         """Serve several conversations' turns in unified batches.
 
         All prefills run in one forward pass (mixing fresh and returning
         conversations, exactly the §4.2 unified batch) and every decode
-        step advances all conversations together.  With greedy sampling
+        step advances all conversations together.  Decoding is greedy, so
         the outputs are identical to serving the turns sequentially —
         batching is purely a throughput optimisation.
 
         Each turn builds its :class:`DecodeRequest` once, after the
         prefill; a decode step sets its token and passes the live turns'
-        requests to ``model.forward``, and greedy sampling takes one
+        requests to ``model.forward``, and the next tokens are one
         ``argmax`` over the step's logits.  A turn that fails or is
         aborted leaves the batch with its request.
 
@@ -658,18 +648,12 @@ class StatefulChatServer:
                 must be distinct within one batch.
             max_new_tokens: tokens to generate per conversation (at
                 least 1).
-            sampling: decoding strategy (stochastic strategies consume the
-                sampling stream in batch — i.e. scheduled — order, so
-                they match sequential serving only in distribution, not
-                token-for-token).
 
         Returns:
             Mapping of conversation id to its generated token ids.
             Conversations whose requests failed individually under an
             armed fault plan are omitted (see ``self.failures``).
         """
-        self._clock += 1.0
-        now = self._clock
         if max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
         prompts = [(conv_id, list(prompt_ids)) for conv_id, prompt_ids in prompts]
@@ -681,6 +665,10 @@ class StatefulChatServer:
         for conv_id, prompt_ids in prompts:
             if not prompt_ids:
                 raise ValueError(f"empty prompt for conversation {conv_id}")
+        # The clock moves only for a call that passed validation: a
+        # rejected call must not shift later turns' retention T.
+        self._clock += 1.0
+        now = self._clock
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("batch_turn", t=now, track="server", batch_size=len(prompts))
@@ -733,7 +721,7 @@ class StatefulChatServer:
             ]
         )
         decode_cache = self.model.decode_cache
-        tokens = sample_tokens(logits, sampling, self._sampling_rng)
+        tokens = np.argmax(logits, axis=1).tolist()
         for turn, token in zip(turns, tokens):
             turn.generated.append(token)
             if decode_cache is not None:
@@ -782,7 +770,7 @@ class StatefulChatServer:
                 [self._decode_request(turn) for turn in turns]
             )
             if step + 1 < max_new_tokens:  # the last step only writes KV
-                tokens = sample_tokens(step_logits, sampling, self._sampling_rng)
+                tokens = np.argmax(step_logits, axis=1).tolist()
                 for turn, token in zip(turns, tokens):
                     turn.generated.append(token)
 

@@ -23,6 +23,10 @@ from repro.workload.driver import ConversationDriver
 #: Builds a fresh engine bound to the given loop.
 EngineFactory = Callable[[EventLoop], EngineBase]
 
+#: Share of a sweep point's duration spent warming up, excluded from its
+#: statistics.
+WARMUP_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -34,16 +38,6 @@ class RatePoint:
     p90_norm_latency: float
     num_requests: int
     extras: Dict[str, float]
-
-    def as_row(self) -> Dict[str, float]:
-        row = {
-            "rate": self.request_rate,
-            "throughput_rps": round(self.throughput_rps, 4),
-            "mean_norm_latency_ms": round(self.mean_norm_latency * 1e3, 2),
-            "p90_norm_latency_ms": round(self.p90_norm_latency * 1e3, 2),
-        }
-        row.update(self.extras)
-        return row
 
 
 def run_serving_once(
@@ -97,7 +91,6 @@ def run_rate_sweep(
     dataset: DatasetSpec,
     rates: Sequence[float],
     duration: float = 600.0,
-    warmup_fraction: float = 0.3,
     think_time_mean: float = 60.0,
     seed: int = 7,
     extras_fn: Optional[Callable[[EngineBase], Dict[str, float]]] = None,
@@ -111,7 +104,7 @@ def run_rate_sweep(
     For each rate, conversation arrivals are sustained over ``duration``
     simulated seconds (open-loop: the offered load never dries up inside
     the measurement window) and statistics are taken over
-    ``(warmup_fraction * duration, duration]`` — so in the stable regime
+    ``(WARMUP_FRACTION * duration, duration]`` — so in the stable regime
     the measured throughput tracks the offered rate, and past saturation
     it plateaus at system capacity while latency climbs, which is exactly
     the curve shape of Figures 10/11.
@@ -140,7 +133,7 @@ def run_rate_sweep(
             engine_factory,
             conversations,
             until=duration,
-            warmup=warmup_fraction * duration,
+            warmup=WARMUP_FRACTION * duration,
             tracer=tracer,
             slo=slo,
             hist=hist,

@@ -18,13 +18,15 @@ from repro.model.config import OPT_13B, ModelConfig
 
 DEFAULT_HISTORY_SIZES = (0, 512, 1024, 2048, 4096, 8192, 12288)
 
+#: Decode steps whose cost the prefill curves are set against.
+GENERATION_STEPS = 200
+
 
 def run_fig03(
     config: ModelConfig = OPT_13B,
     spec: GpuSpec = A100_80GB,
     batch_size: int = 32,
     prompt_tokens: int = 200,
-    generation_steps: int = 200,
     history_sizes: Sequence[int] = DEFAULT_HISTORY_SIZES,
 ) -> List[Dict[str, float]]:
     """Compute the Figure 3 series.
@@ -41,7 +43,7 @@ def run_fig03(
         stateless = cm.prefill_time(batch_size, prompt_tokens + history, 0)
         stateful = cm.prefill_time(batch_size, prompt_tokens, history)
         generation = cm.generation_time(
-            batch_size, history + prompt_tokens, generation_steps
+            batch_size, history + prompt_tokens, GENERATION_STEPS
         )
         rows.append(
             {

@@ -17,9 +17,7 @@ site/recovery matrix.
 from repro.faults.errors import (
     ChunkCorruptionError,
     FaultError,
-    GpuAllocationFaultError,
     RequestFaultedError,
-    TransferFaultError,
 )
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.faults.retry import RetryPolicy, attempt_with_retries
@@ -31,12 +29,10 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "FaultSite",
-    "GpuAllocationFaultError",
     "RequestFaultedError",
     "RetryPolicy",
     "SITES",
     "SiteSpec",
-    "TransferFaultError",
     "attempt_with_retries",
     "site_names",
 ]

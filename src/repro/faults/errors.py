@@ -8,28 +8,9 @@ batch keeps running.
 
 from __future__ import annotations
 
-from typing import Optional
-
 
 class FaultError(RuntimeError):
     """Base class of all injected-fault errors."""
-
-
-class TransferFaultError(FaultError):
-    """A PCIe swap-in or swap-out transfer failed."""
-
-    def __init__(self, direction: str, conv_id: Optional[int] = None) -> None:
-        self.direction = direction
-        self.conv_id = conv_id
-        super().__init__(f"{direction} transfer failed (conv={conv_id})")
-
-
-class GpuAllocationFaultError(FaultError):
-    """A transient GPU page/slot allocation failure."""
-
-    def __init__(self, conv_id: Optional[int] = None) -> None:
-        self.conv_id = conv_id
-        super().__init__(f"GPU allocation failed (conv={conv_id})")
 
 
 class ChunkCorruptionError(FaultError):

@@ -92,11 +92,6 @@ class BatchShape:
         """Total number of input tokens processed this iteration."""
         return sum(q for q, _ in self.items)
 
-    @property
-    def total_context_tokens(self) -> int:
-        """Total number of KV-tokens attended to across the batch."""
-        return sum(c for _, c in self.items)
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -273,33 +268,23 @@ class CostModel:
         self,
         batch: BatchShape,
         variant: KernelVariant = KernelVariant.PENSIEVE_PAGED,
-        swap_in_bytes: float = 0.0,
-        pipelined: bool = True,
     ) -> float:
-        """Time for one full model iteration over ``batch``.
+        """Compute time of one full model iteration over ``batch``.
+
+        Swap-in transfers are priced by the caller on its PCIe link and
+        overlapped with this time through :meth:`pipelined_time`.
 
         Args:
             batch: the iteration's batch shape.
             variant: attention kernel implementation.
-            swap_in_bytes: KV bytes that must arrive from the CPU tier
-                before the corresponding layer's attention can run.
-            pipelined: overlap per-layer transfers with compute (§4.3.3);
-                when ``False`` the whole transfer completes before compute
-                starts (the ablation baseline).
         """
         if len(batch) == 0:
             return 0.0
-        compute = (
+        return (
             self.linear_time(batch.total_query_tokens)
             + self.attention_time(batch, variant)
             + self.spec.step_overhead * self.fusion_factor
         )
-        if swap_in_bytes <= 0.0:
-            return compute
-        transfer = swap_in_bytes / self.spec.pcie_bandwidth
-        if not pipelined:
-            return transfer + compute
-        return self.pipelined_time(compute, transfer, self.config.num_layers)
 
     @staticmethod
     def pipelined_time(compute: float, transfer: float, num_layers: int) -> float:

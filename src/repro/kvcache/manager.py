@@ -120,11 +120,6 @@ class CachePlan:
         )
 
     @property
-    def cached_tokens(self) -> int:
-        """Tokens reused without recomputation (hits + swap-ins + disk reads)."""
-        return self.gpu_hit_tokens + self.swap_in_tokens + self.disk_read_tokens
-
-    @property
     def prefill_tokens(self) -> int:
         """Tokens that must actually run through the model."""
         return self.recompute_tokens + self.new_tokens

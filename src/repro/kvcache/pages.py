@@ -335,10 +335,6 @@ class BlockTable:
         """Flat slot indices of all resident positions, in logical order."""
         return self.slots(self._vacated, self._length)
 
-    def page_ids(self) -> List[Optional[int]]:
-        """The raw page list (``None`` marks vacated pages)."""
-        return list(self._pages)
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.resident_slots())
 

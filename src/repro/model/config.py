@@ -139,10 +139,6 @@ class ModelConfig:
         """
         return self.num_layers * 2.0 * 2.0 * self.hidden_size * context_len
 
-    def kv_read_bytes_per_token(self, context_len: int) -> float:
-        """HBM bytes of KV cache read when one token attends to a context."""
-        return float(context_len) * self.kv_bytes_per_token
-
     # ------------------------------------------------------------------
 
     def scaled_to(self, num_gpus: int) -> "ModelConfig":

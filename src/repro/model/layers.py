@@ -33,13 +33,6 @@ def silu(x: np.ndarray) -> np.ndarray:
     return np.divide(x, out, out=out)
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def scaled_normal(
     rng: np.random.Generator,
     shape: tuple,

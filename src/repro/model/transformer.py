@@ -354,10 +354,6 @@ class PagedTransformer:
         forcing).  Stores the same K/V bits as :meth:`forward`."""
         return self._forward(batch, all_rows=True)
 
-    def greedy_token(self, logits: np.ndarray) -> int:
-        """Deterministic argmax sampling."""
-        return int(np.argmax(logits))
-
     # ------------------------------------------------------------------
 
     def _layers(

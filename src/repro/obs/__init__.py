@@ -17,7 +17,7 @@ Three pieces:
   human-readable text report: the one span rollup (per-stage count,
   total, mean and max, the slowest spans, per-conversation totals).
 - SLO metrics (:mod:`repro.obs.histogram` / :mod:`repro.obs.flight`) —
-  log-bucketed mergeable latency :class:`Histogram` sets (TTFT, TBT,
+  log-bucketed latency :class:`Histogram` sets (TTFT, TBT,
   queue wait, per-tier swap, recompute), a bounded per-request
   :class:`FlightRecorder` of lifecycle events with slow/failed-request
   capture, and exporters: Prometheus text snapshots

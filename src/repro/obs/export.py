@@ -21,6 +21,7 @@ them mutate it, so a run can be exported to every format.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
@@ -28,7 +29,7 @@ from typing import Any, Dict, IO, List, Optional, Tuple, Union
 from repro.obs.tracer import Tracer
 
 #: Schema version stamped into the JSONL meta line and chrome metadata.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
 
@@ -60,14 +61,13 @@ def to_jsonl(tracer: Tracer, target: _PathOrFile) -> int:
         {"type": "meta", "version": SCHEMA_VERSION, "format": "repro-trace-jsonl"}
     ]
     records.extend(_span_record(s) for s in tracer.spans)
-    for name, t, wall, parent, attrs in tracer.instants:
+    for name, t, wall, attrs in tracer.instants:
         records.append(
             {
                 "type": "event",
                 "name": name,
                 "t": t,
                 "wall": round(wall, 9),
-                "parent": parent,
                 "attrs": {k: _jsonable(v) for k, v in attrs.items()},
             }
         )
@@ -130,7 +130,7 @@ def to_chrome_trace(tracer: Tracer, target: _PathOrFile) -> Dict[str, Any]:
     horizon = 0.0
     for span in spans:
         horizon = max(horizon, span.t0 if span.t1 is None else span.t1)
-    for _name, t, _wall, _parent, _attrs in instants:
+    for _name, t, _wall, _attrs in instants:
         horizon = max(horizon, t)
     for _name, t, _wall, _value in gauges:
         horizon = max(horizon, t)
@@ -155,7 +155,7 @@ def to_chrome_trace(tracer: Tracer, target: _PathOrFile) -> Dict[str, Any]:
                 "args": args,
             }
         )
-    for name, t, _wall, _parent, attrs in instants:
+    for name, t, _wall, attrs in instants:
         events.append(
             {
                 "name": name,
@@ -349,6 +349,11 @@ def _prom_name(name: str) -> str:
 
 
 def _prom_value(value: float) -> str:
+    # The exposition format's own spellings; ``int()`` cannot take them.
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return format(value, ".9g")

@@ -61,9 +61,10 @@ class SloConfig:
     tbt: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.ttft is not None and self.ttft <= 0:
+        # ``not x > 0`` also rejects NaN, an objective nothing can violate.
+        if self.ttft is not None and not self.ttft > 0:
             raise ValueError(f"slo ttft must be positive, got {self.ttft}")
-        if self.tbt is not None and self.tbt <= 0:
+        if self.tbt is not None and not self.tbt > 0:
             raise ValueError(f"slo tbt must be positive, got {self.tbt}")
 
     @property

@@ -14,9 +14,6 @@ Design constraints mirror the tracer (ARCHITECTURE.md §9):
   samples were measured on (``"sim"`` for discrete-event seconds,
   ``"wall"`` for ``time.perf_counter`` seconds) so exporters can label
   the axis; the two are never mixed in one histogram.
-- **Mergeable.**  Two histograms with the same bucketing configuration
-  merge by adding bucket counts — rate sweeps merge per-point histograms
-  into one distribution without re-recording.
 - **Free when off.**  :class:`NullHistogramSet` implements the registry
   interface as allocation-free no-ops, and instrumentation sites guard on
   :attr:`NullHistogramSet.enabled` exactly like tracer sites, so the
@@ -203,30 +200,7 @@ class Histogram:
     def p99(self) -> float:
         return self.percentile(99.0)
 
-    # -- merge & export ------------------------------------------------
-
-    def compatible(self, other: "Histogram") -> bool:
-        return (
-            self.min_value == other.min_value
-            and self.base == other.base
-            and self.clock == other.clock
-        )
-
-    def merge(self, other: "Histogram") -> None:
-        """Add ``other``'s buckets into this histogram (exact: merged
-        counts equal the counts of recording every sample into one)."""
-        if not self.compatible(other):
-            raise ValueError(
-                f"cannot merge histogram {other.name!r} "
-                f"(min_value/base/clock differ from {self.name!r})"
-            )
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-        self._count += other._count
-        self._sum += other._sum
-        if other._count:
-            self._min = min(self._min, other._min)
-            self._max = max(self._max, other._max)
+    # -- export --------------------------------------------------------
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly snapshot (used by the JSONL sampler and tests)."""
@@ -319,10 +293,6 @@ class NullHistogramSet:
     def all(self) -> List[Histogram]:
         return []
 
-    def merge_from(self, other: "NullHistogramSet") -> None:
-        """No-op; accepts any set (``HistogramSet`` subclasses this)."""
-        return None
-
     def total_count(self, name: str) -> int:
         return 0
 
@@ -400,15 +370,6 @@ class HistogramSet(NullHistogramSet):
     def total_sum(self, name: str) -> float:
         """Exact value sum across all label variants of ``name``."""
         return sum(h.sum for h in self.named(name))
-
-    def merge_from(self, other: "NullHistogramSet") -> None:
-        """Merge every histogram of ``other`` into this set (creating
-        missing ones); exact in counts and sums."""
-        if not getattr(other, "enabled", False):
-            return
-        for hist in other.all():
-            mine = self.hist(hist.name, clock=hist.clock, **hist.labels)
-            mine.merge(hist)
 
     def __iter__(self) -> Iterator[Histogram]:
         return iter(self.all())

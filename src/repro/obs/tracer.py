@@ -10,10 +10,9 @@ Design constraints (see ARCHITECTURE.md §9):
 - **Asynchronous spans.**  The discrete-event engines open a span in one
   callback and close it in another, so the core API is explicit
   :meth:`Tracer.begin` / :meth:`Tracer.end` (parent passed explicitly, or
-  none).  Synchronous code uses the :meth:`Tracer.span` context manager,
-  which maintains a nesting stack and parents automatically.  Spans whose
-  interval is already known (a simulated iteration) are emitted in one
-  shot with :meth:`Tracer.complete`.
+  none).  Spans whose interval is already known (a simulated iteration)
+  are emitted in one shot with :meth:`Tracer.complete`.  Instants carry
+  no parent.
 - **Free when off.**  :class:`NullTracer` implements the full interface as
   no-ops that allocate nothing, and instrumentation sites that would
   otherwise *compute* payload values guard on :attr:`NullTracer.enabled`.
@@ -69,21 +68,6 @@ class Span:
         return f"Span({self.id}, {self.name!r}, {state})"
 
 
-class _NullSpanContext:
-    """Shared, stateless no-op context manager (one instance per process)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
 class NullTracer:
     """The disabled tracer: every operation is an allocation-free no-op.
 
@@ -116,9 +100,6 @@ class NullTracer:
     ) -> int:
         return 0
 
-    def span(self, name: str, t: float = 0.0, **attrs: Any) -> _NullSpanContext:
-        return _NULL_SPAN_CONTEXT
-
     def instant(self, name: str, t: float = 0.0, **attrs: Any) -> None:
         return None
 
@@ -136,36 +117,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class _SpanContext:
-    """Context manager returned by :meth:`Tracer.span`."""
-
-    __slots__ = ("_tracer", "_name", "_t", "_attrs", "_span_id")
-
-    def __init__(
-        self, tracer: "Tracer", name: str, t: Optional[float], attrs: Dict[str, Any]
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._t = t
-        self._attrs = attrs
-        self._span_id = 0
-
-    def __enter__(self) -> int:
-        tr = self._tracer
-        parent = tr._stack[-1] if tr._stack else None
-        self._span_id = tr.begin(
-            self._name, t=tr._resolve_time(self._t), parent=parent, **self._attrs
-        )
-        tr._stack.append(self._span_id)
-        return self._span_id
-
-    def __exit__(self, *exc: object) -> bool:
-        tr = self._tracer
-        tr._stack.pop()
-        tr.end(self._span_id, t=tr._resolve_time(self._t))
-        return False
-
-
 class Tracer(NullTracer):
     """Recording tracer.
 
@@ -181,8 +132,7 @@ class Tracer(NullTracer):
         self._ids = itertools.count(1)
         self._spans: List[Span] = []
         self._open: Dict[int, Span] = {}
-        self._stack: List[int] = []
-        self._instants: List[Tuple[str, float, float, Optional[int], Dict[str, Any]]] = []
+        self._instants: List[Tuple[str, float, float, Dict[str, Any]]] = []
         self._counters: Dict[str, float] = {}
         self._gauges: List[Tuple[str, float, float, float]] = []
         self._last_time = 0.0
@@ -238,9 +188,6 @@ class Tracer(NullTracer):
         self._spans.append(span)
         return span.id
 
-    def span(self, name: str, t: Optional[float] = None, **attrs: Any) -> _SpanContext:
-        return _SpanContext(self, name, t, attrs)
-
     def close_open(self, t: Optional[float] = None) -> None:
         """Close every still-open span (e.g. requests in flight when the
         simulation horizon is reached) at ``t``."""
@@ -250,10 +197,7 @@ class Tracer(NullTracer):
     # -- instants, counters, gauges -------------------------------------
 
     def instant(self, name: str, t: Optional[float] = None, **attrs: Any) -> None:
-        parent = self._stack[-1] if self._stack else None
-        self._instants.append(
-            (name, self._resolve_time(t), self._wall(), parent, attrs)
-        )
+        self._instants.append((name, self._resolve_time(t), self._wall(), attrs))
 
     def count(self, name: str, delta: float = 1.0) -> None:
         self._counters[name] = self._counters.get(name, 0.0) + delta
@@ -269,8 +213,8 @@ class Tracer(NullTracer):
         return list(self._spans)
 
     @property
-    def instants(self) -> List[Tuple[str, float, float, Optional[int], Dict[str, Any]]]:
-        """``(name, t, wall, parent, attrs)`` tuples in record order."""
+    def instants(self) -> List[Tuple[str, float, float, Dict[str, Any]]]:
+        """``(name, t, wall, attrs)`` tuples in record order."""
         return list(self._instants)
 
     @property

@@ -151,10 +151,6 @@ class Request:
     def is_last_turn(self) -> bool:
         return self.turn_index == self.conversation.num_turns - 1
 
-    @property
-    def remaining_tokens(self) -> int:
-        return self.output_tokens - self.generated_tokens
-
     def latency(self) -> float:
         """End-to-end latency; only valid after the request finished."""
         if self.finish_time is None:

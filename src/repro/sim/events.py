@@ -2,7 +2,8 @@
 
 The loop dispatches callbacks in timestamp order; ties are broken by
 insertion order so that a sequence of events scheduled for the same instant
-runs in FIFO order, which keeps scheduler behaviour deterministic.
+runs in FIFO order, which keeps scheduler behaviour deterministic.  A
+scheduled event cannot be withdrawn: it dispatches once its time comes.
 
 Typical usage::
 
@@ -39,11 +40,6 @@ class Event:
     seq: int
     callback: Callable[..., None]
     args: Tuple[Any, ...] = ()
-    cancelled: bool = False
-
-    def cancel(self) -> None:
-        """Mark the event so the loop skips it when popped."""
-        self.cancelled = True
 
 
 class EventLoop:
@@ -76,8 +72,8 @@ class EventLoop:
 
     @property
     def pending(self) -> int:
-        """Number of not-yet-cancelled events still queued."""
-        return sum(1 for _, _, e in self._queue if not e.cancelled)
+        """Number of events still queued."""
+        return len(self._queue)
 
     @property
     def dispatched(self) -> int:
@@ -133,9 +129,6 @@ class EventLoop:
         try:
             while queue:
                 time, _, event = queue[0]
-                if event.cancelled:
-                    heapq.heappop(queue)
-                    continue
                 if until is not None and time > until:
                     break
                 heapq.heappop(queue)

@@ -128,7 +128,6 @@ def generate_conversations(
     request_rate: float,
     think_time_mean: float = 60.0,
     seed: int = 0,
-    start_offset: float = 0.0,
 ) -> List[Conversation]:
     """Generate a timed workload.
 
@@ -145,7 +144,6 @@ def generate_conversations(
         think_time_mean: mean user think time in seconds.
         seed: RNG seed; the same seed yields the same workload for every
             engine under test.
-        start_offset: shift applied to all start times.
     """
     if num_conversations <= 0:
         raise ValueError("num_conversations must be positive")
@@ -162,7 +160,7 @@ def generate_conversations(
     conv_rate = request_rate / realized_mean_turns
     starts = poisson_arrivals(rng, rate=conv_rate, count=num_conversations)
     for conversation, start in zip(conversations, starts):
-        conversation.start_time = start + start_offset
+        conversation.start_time = start
         conversation.think_times = exponential_think_times(
             rng, mean=think_time_mean, count=conversation.num_turns - 1
         )

@@ -6,7 +6,6 @@ import pytest
 from repro.core import StatefulChatServer
 from repro.faults import FaultPlan, FaultSite, RequestFaultedError
 from repro.model import tiny_llama_config, tiny_opt_config
-from repro.model.sampling import SamplingParams
 from repro.obs import Tracer
 
 
@@ -121,18 +120,6 @@ class TestBatchSemantics:
         )
         assert out_shared == out_base
 
-    def test_stochastic_batch_is_deterministic_per_seed(self, config):
-        rng = np.random.default_rng(61)
-        prompts = random_round(rng, 3)
-        params = SamplingParams(temperature=0.9, top_k=16)
-        a = make_server(config, seed=2).chat_batch(
-            prompts, max_new_tokens=4, sampling=params
-        )
-        b = make_server(config, seed=2).chat_batch(
-            prompts, max_new_tokens=4, sampling=params
-        )
-        assert a == b
-
     @pytest.mark.parametrize("max_new_tokens", [0, -1])
     def test_nonpositive_max_new_tokens_rejected(self, config, max_new_tokens):
         """Zero used to return one token whose KV row was never written."""
@@ -142,12 +129,48 @@ class TestBatchSemantics:
         with pytest.raises(ValueError, match="max_new_tokens"):
             server.chat(1, prompt_ids=[1, 2], max_new_tokens=max_new_tokens)
 
+    @pytest.mark.parametrize(
+        "rejected, max_new_tokens",
+        [
+            ([(0, [])], 2),
+            ([(0, [1]), (0, [2])], 2),
+            ([(StatefulChatServer.SYSTEM_CONV_ID, [1, 2])], 2),
+            ([(0, [1, 2])], 0),
+        ],
+        ids=["empty", "duplicate", "reserved", "max_new_tokens"],
+    )
+    def test_rejected_call_leaves_the_clock_alone(
+        self, config, rejected, max_new_tokens
+    ):
+        """A call that fails validation serves nothing, so it must not
+        advance the server clock: every later turn's ``now`` (and with it
+        a retention scorer's T) is what it would be without the call."""
+        clean, probed = (
+            StatefulChatServer(
+                config, gpu_capacity_tokens=512, cpu_capacity_tokens=1024,
+                chunk_size=16, page_size=8, seed=1, tracer=Tracer(),
+            )
+            for _ in range(2)
+        )
+        for server in (clean, probed):
+            server.chat_batch([(0, [5, 6, 7])], max_new_tokens=2)
+        with pytest.raises(ValueError):
+            probed.chat_batch(rejected, max_new_tokens=max_new_tokens)
+        for server in (clean, probed):
+            server.chat_batch([(0, [8, 9]), (1, [3, 4])], max_new_tokens=2)
+        assert _trace_record(clean.tracer) == _trace_record(probed.tracer)
+        for conv in (0, 1):
+            assert (
+                clean.manager.conversation(conv).last_active
+                == probed.manager.conversation(conv).last_active
+            )
+
 
 def _trace_record(tracer):
     """Everything a tracer recorded except wall-clock stamps."""
     return (
         [(s.id, s.name, s.parent, s.t0, s.t1, s.attrs) for s in tracer.spans],
-        [(name, t, parent, attrs) for name, t, _, parent, attrs in tracer.instants],
+        [(name, t, attrs) for name, t, _, attrs in tracer.instants],
         tracer.counters,
     )
 
@@ -158,12 +181,7 @@ class TestBatchOfOne:
     so the single-turn entry point can never become a second path again."""
 
     @pytest.mark.parametrize("system_prompt", [False, True])
-    @pytest.mark.parametrize(
-        "sampling",
-        [SamplingParams(), SamplingParams(temperature=0.9, top_k=16)],
-        ids=["greedy", "top_k"],
-    )
-    def test_chat_equals_single_element_batch(self, config, system_prompt, sampling):
+    def test_chat_equals_single_element_batch(self, config, system_prompt):
         single, batched = (
             StatefulChatServer(
                 config, gpu_capacity_tokens=96, cpu_capacity_tokens=64,
@@ -178,8 +196,8 @@ class TestBatchOfOne:
         for turn in range(12):
             conv = turn % 4  # rotating conversations evict one another
             ids = [int(t) for t in rng.integers(4, 120, int(rng.integers(4, 14)))]
-            a = single.chat(conv, prompt_ids=ids, max_new_tokens=5, sampling=sampling)
-            b = batched.chat_batch([(conv, ids)], max_new_tokens=5, sampling=sampling)
+            a = single.chat(conv, prompt_ids=ids, max_new_tokens=5)
+            b = batched.chat_batch([(conv, ids)], max_new_tokens=5)
             assert a == b[conv]
         stats = single.manager.stats
         assert stats["swapped_out_tokens"] > 0 and stats["recomputed_tokens"] > 0

@@ -11,11 +11,9 @@ from repro.faults import (
     FaultError,
     FaultPlan,
     FaultSite,
-    GpuAllocationFaultError,
     RequestFaultedError,
     RetryPolicy,
     SiteSpec,
-    TransferFaultError,
     attempt_with_retries,
     site_names,
 )
@@ -216,8 +214,6 @@ class TestFaultCounters:
 
 class TestErrors:
     def test_hierarchy(self):
-        assert issubclass(TransferFaultError, FaultError)
-        assert issubclass(GpuAllocationFaultError, FaultError)
         assert issubclass(ChunkCorruptionError, FaultError)
         assert issubclass(RequestFaultedError, FaultError)
         assert issubclass(FaultError, RuntimeError)

@@ -84,11 +84,10 @@ def test_pipelined_time_bounds(compute, transfer, layers):
     model=st.sampled_from(MODELS),
 )
 def test_pipelined_swap_never_slower_than_blocking(tokens, swap_bytes, model):
-    cm = CostModel(model, A100_80GB)
-    shape = BatchShape.uniform(4, 1, tokens)
-    pipelined = cm.iteration_time(shape, swap_in_bytes=swap_bytes, pipelined=True)
-    blocking = cm.iteration_time(shape, swap_in_bytes=swap_bytes, pipelined=False)
-    assert pipelined <= blocking + 1e-12
+    compute = CostModel(model, A100_80GB).iteration_time(BatchShape.uniform(4, 1, tokens))
+    transfer = swap_bytes / A100_80GB.pcie_bandwidth
+    pipelined = CostModel.pipelined_time(compute, transfer, model.num_layers)
+    assert pipelined <= compute + transfer + 1e-12
 
 
 @settings(max_examples=150, deadline=None)

@@ -151,7 +151,6 @@ class TestRestorePlanning:
         assert plan.disk_read_tokens == disk_tokens
         assert [c.index for c in plan.disk_read_chunks] == [0, 1, 2, 3]
         assert plan.alloc_tokens == disk_tokens + 8
-        assert plan.cached_tokens == disk_tokens
         assert plan.prefill_tokens == 8
 
     def test_commit_promotes_and_counts_hits(self):

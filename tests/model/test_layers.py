@@ -11,7 +11,6 @@ from repro.model.layers import (
     SwiGluMlp,
     relu,
     silu,
-    softmax,
 )
 
 DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -34,16 +33,6 @@ class TestActivations:
 
     def test_silu_approaches_identity_for_large_x(self):
         assert silu(np.array([20.0]))[0] == pytest.approx(20.0, rel=1e-6)
-
-    def test_softmax_sums_to_one(self):
-        x = np.random.default_rng(0).standard_normal((3, 5))
-        s = softmax(x)
-        np.testing.assert_allclose(s.sum(axis=-1), 1.0)
-
-    def test_softmax_stable_for_large_inputs(self):
-        s = softmax(np.array([1e4, 1e4 + 1.0]))
-        assert np.all(np.isfinite(s))
-        assert s[1] > s[0]
 
 
 class TestNorms:

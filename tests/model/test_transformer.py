@@ -79,12 +79,6 @@ class TestBasicForward:
         assert model.forward([]) == []
         assert model.forward_all_rows([]) == []
 
-    def test_greedy_token(self, config, dtype):
-        model, _ = make_model(config, dtype)
-        logits = np.zeros(config.vocab_size)
-        logits[17] = 5.0
-        assert model.greedy_token(logits) == 17
-
 
 def parameters(model):
     """``(name, array)`` of every parameter, in construction order."""

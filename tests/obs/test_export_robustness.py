@@ -13,6 +13,7 @@ any of them):
 
 import io
 import json
+import math
 
 import pytest
 
@@ -162,6 +163,20 @@ class TestPrometheusRoundTrip:
         collector = MetricsCollector().enable_slo(slo=SloConfig(ttft=0.5))
         parsed = parse_prometheus(prometheus_snapshot(collector=collector))
         assert parsed["repro_slo_ttft_seconds"][()] == 0.5
+
+    def test_non_finite_values_round_trip(self):
+        """``--slo-ttft inf`` is a legal objective; its gauge (and any
+        non-finite counter) is written in the exposition's own spelling
+        instead of crashing the snapshot after the run."""
+        collector = MetricsCollector().enable_slo(slo=SloConfig(ttft=float("inf")))
+        text = prometheus_snapshot(
+            collector=collector, counters={"down": float("-inf"), "odd": float("nan")}
+        )
+        assert "repro_slo_ttft_seconds +Inf" in text
+        parsed = parse_prometheus(text)
+        assert parsed["repro_slo_ttft_seconds"][()] == float("inf")
+        assert parsed["repro_down_total"][()] == float("-inf")
+        assert math.isnan(parsed["repro_odd_total"][()])
 
     def test_malformed_line_raises(self):
         with pytest.raises(ValueError):

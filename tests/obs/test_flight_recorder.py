@@ -43,6 +43,12 @@ class TestSloConfig:
         with pytest.raises(ValueError):
             SloConfig(tbt=0.0)
 
+    @pytest.mark.parametrize("field", ["ttft", "tbt"])
+    def test_nan_objective_rejected(self, field):
+        """No latency exceeds NaN, so a NaN objective would arm nothing."""
+        with pytest.raises(ValueError, match="positive"):
+            SloConfig(**{field: float("nan")})
+
     def test_violations_by_kind(self):
         slo = SloConfig(ttft=0.5, tbt=0.1)
         assert slo.armed

@@ -109,40 +109,6 @@ class TestHistogram:
         hist.record(2.0)  # exactly the upper bound of bucket 1
         assert hist.buckets() == [(2.0, 1)]
 
-    def test_merge_equals_single_recording(self):
-        rng = np.random.default_rng(2)
-        values = [float(v) for v in rng.lognormal(-2.0, 1.0, size=400)]
-        merged = Histogram("a")
-        merged.record_many(values[:150])
-        other = Histogram("b")
-        other.record_many(values[150:])
-        merged.merge(other)
-        reference = Histogram("ref")
-        reference.record_many(values)
-        assert merged.count == reference.count
-        assert merged.sum == pytest.approx(reference.sum)
-        assert merged.buckets() == reference.buckets()
-        assert merged.min == reference.min and merged.max == reference.max
-        for q in (50, 90, 99, 100):
-            assert merged.percentile(q) == reference.percentile(q)
-
-    def test_merge_empty_keeps_min_max(self):
-        hist = Histogram("a")
-        hist.record(0.5)
-        hist.merge(Histogram("b"))
-        assert hist.min == 0.5 and hist.max == 0.5
-
-    def test_incompatible_merge_raises(self):
-        base = Histogram("a")
-        for other in (
-            Histogram("b", min_value=1e-3),
-            Histogram("b", base=2.0),
-            Histogram("b", clock="wall"),
-        ):
-            assert not base.compatible(other)
-            with pytest.raises(ValueError):
-                base.merge(other)
-
     def test_as_dict_json_serializable(self):
         hist = Histogram("h", labels={"tier": "cpu"}, clock="wall")
         hist.record_many([0.01, 0.2])
@@ -193,19 +159,6 @@ class TestHistogramSet:
         names = [(h.name, h.labels.get("tier")) for h in hists.all()]
         assert names == [("a", "c"), ("a", "z"), ("b", None)]
         assert list(hists) == hists.all()
-
-    def test_merge_from_creates_and_adds(self):
-        target = HistogramSet()
-        target.hist("ttft_seconds").record(0.1)
-        source = HistogramSet()
-        source.hist("ttft_seconds").record(0.2)
-        source.hist("queue_wait_seconds").record(0.3)
-        target.merge_from(source)
-        assert target.total_count("ttft_seconds") == 2
-        assert target.total_count("queue_wait_seconds") == 1
-        # Merging a null set is a no-op, not an error.
-        target.merge_from(NULL_HISTOGRAMS)
-        assert target.total_count("ttft_seconds") == 2
 
     def test_set_is_truthy_even_when_empty(self):
         assert bool(HistogramSet())

@@ -67,7 +67,7 @@ class TestEngineSpans:
         assert tracer.spans_named("swap_out")
         evicts = [i for i in tracer.instants if i[0] == "evict"]
         assert evicts
-        for _name, _t, _wall, _parent, attrs in evicts:
+        for _name, _t, _wall, attrs in evicts:
             assert "tokens" in attrs and "conv_id" in attrs
 
     def test_kv_pool_gauges_sampled(self):
@@ -89,7 +89,7 @@ class TestEngineSpans:
         def key(tracer):
             return (
                 [(s.id, s.name, s.parent, s.t0, s.t1, s.attrs) for s in tracer.spans],
-                [(n, t, p, a) for n, t, _w, p, a in tracer.instants],
+                [(n, t, a) for n, t, _w, a in tracer.instants],
                 tracer.counters,
                 [(n, t, v) for n, t, _w, v in tracer.gauge_samples],
             )

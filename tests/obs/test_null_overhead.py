@@ -44,7 +44,7 @@ _NULL_SINK_METHODS = [
 #: Every method of the null tracer; an unarmed run calls none.
 _NULL_TRACER_METHODS = [
     (NullTracer, name)
-    for name in ("begin", "end", "complete", "span", "instant", "count", "gauge")
+    for name in ("begin", "end", "complete", "instant", "count", "gauge")
 ]
 
 

@@ -79,7 +79,6 @@ class TestRequest:
         req = self.make_request()
         assert req.state is RequestState.WAITING
         assert req.generated_tokens == 0
-        assert req.remaining_tokens == 30
 
     def test_latency_requires_finish(self):
         req = self.make_request()

@@ -52,16 +52,6 @@ def test_run_until_stops_and_advances_clock():
     assert seen == [1, 5]
 
 
-def test_cancelled_events_are_skipped():
-    loop = EventLoop()
-    seen = []
-    event = loop.schedule(1.0, seen.append, "cancelled")
-    loop.schedule(2.0, seen.append, "kept")
-    event.cancel()
-    loop.run()
-    assert seen == ["kept"]
-
-
 def test_scheduling_in_the_past_rejected():
     loop = EventLoop()
     loop.schedule(1.0, lambda: None)

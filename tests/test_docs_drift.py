@@ -2,8 +2,9 @@
 
 Scoped to what can be checked without judgement, in ``README.md``,
 ``DESIGN.md`` and ``ARCHITECTURE.md``: relative links resolve, every
-``src/repro/...`` path exists, every module DESIGN.md's two tables name
-imports, the module map lists every package under ``src/repro``, each
+``src/repro/...`` and ``examples/*.py`` path exists, every backticked
+``repro.…`` dotted name resolves, every module DESIGN.md's two tables
+name imports, the module map lists every package under ``src/repro``, each
 ``python -m repro {...}`` subcommand list is the parser's, and every
 ``python -m repro ...`` command line in README.md and ARCHITECTURE.md
 parses.
@@ -72,6 +73,36 @@ def test_source_paths_exist(doc):
     paths = {p.rstrip(".,:;") for p in re.findall(r"src/repro/[\w/.\-]+", _text(doc))}
     missing = sorted(p for p in paths if not (ROOT / p).exists())
     assert not missing, f"{doc} names source paths that do not exist: {missing}"
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_example_paths_exist(doc):
+    paths = set(re.findall(r"examples/[\w\-]+\.py", _text(doc)))
+    missing = sorted(p for p in paths if not (ROOT / p).exists())
+    assert not missing, f"{doc} names examples that do not exist: {missing}"
+
+
+def _resolves(dotted: str) -> bool:
+    """``dotted`` imports, or is an attribute path on a module that does."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for name in parts[split:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_dotted_names_resolve(doc):
+    names = set(re.findall(r"`(repro(?:\.\w+)+)", _text(doc)))
+    stale = sorted(name for name in names if not _resolves(name))
+    assert not stale, f"{doc} names repro objects that do not exist: {stale}"
 
 
 @pytest.mark.parametrize("module", _design_modules())

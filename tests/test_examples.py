@@ -47,14 +47,6 @@ class TestKernelMicrobenchmark:
         assert "multiround / ideal" in out
 
 
-class TestPaperFigures:
-    def test_runs(self, capsys):
-        load_example("paper_figures").main()
-        out = capsys.readouterr().out
-        for label in ("Figure 3", "Figure 4", "Figure 12", "Table 2"):
-            assert label in out
-
-
 class TestServingComparison:
     def test_runs_at_reduced_scale(self, capsys, monkeypatch):
         module = load_example("serving_comparison")
