@@ -84,7 +84,8 @@ def test_pipelined_time_bounds(compute, transfer, layers):
     model=st.sampled_from(MODELS),
 )
 def test_pipelined_swap_never_slower_than_blocking(tokens, swap_bytes, model):
-    compute = CostModel(model, A100_80GB).iteration_time(BatchShape.uniform(4, 1, tokens))
+    cm = CostModel(model, A100_80GB)
+    compute = cm.iteration_time(BatchShape.uniform(4, 1, tokens))
     transfer = swap_bytes / A100_80GB.pcie_bandwidth
     pipelined = CostModel.pipelined_time(compute, transfer, model.num_layers)
     assert pipelined <= compute + transfer + 1e-12

@@ -70,16 +70,12 @@ def test_relative_links_resolve(doc):
 
 @pytest.mark.parametrize("doc", DOCS)
 def test_source_paths_exist(doc):
-    paths = {p.rstrip(".,:;") for p in re.findall(r"src/repro/[\w/.\-]+", _text(doc))}
+    paths = {
+        p.rstrip(".,:;")
+        for p in re.findall(r"src/repro/[\w/.\-]+|examples/[\w\-]+\.py", _text(doc))
+    }
     missing = sorted(p for p in paths if not (ROOT / p).exists())
     assert not missing, f"{doc} names source paths that do not exist: {missing}"
-
-
-@pytest.mark.parametrize("doc", DOCS)
-def test_example_paths_exist(doc):
-    paths = set(re.findall(r"examples/[\w\-]+\.py", _text(doc)))
-    missing = sorted(p for p in paths if not (ROOT / p).exists())
-    assert not missing, f"{doc} names examples that do not exist: {missing}"
 
 
 def _resolves(dotted: str) -> bool:
