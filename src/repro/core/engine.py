@@ -140,13 +140,17 @@ class PensieveEngine(EngineBase):
         )
         # Demotions (CPU -> DISK) happen inside manager eviction calls;
         # the observer collects them so each call site can price the
-        # whole cluster as ONE coalesced NVMe write.
-        self.manager.observer = self._on_transition
+        # whole cluster as ONE coalesced NVMe write.  Without a disk tier
+        # there is nothing to collect.
+        if disk_cache_tokens > 0:
+            self.manager.observer = self._on_transition
         self._pending_demotions: List[int] = []
         self.pcie = Link.pcie(spec, config.num_gpus, prioritize_retrieval)
         self.nvme = Link.nvme(spec)
         self._prefill_info: Dict[int, _PrefillInfo] = {}
-        # Per-iteration stash set by _form_batch, consumed by _execute.
+        # Per-iteration stash set by _form_batch, consumed by _execute:
+        # the batch's decoders' conversation ids (they lead the batch).
+        self._iter_decode_ids: List[int] = []
         self._iter_swap_in_seconds = 0.0
         # Simulated seconds spent in fault-retry backoff this iteration.
         self._iter_fault_delay = 0.0
@@ -259,20 +263,22 @@ class PensieveEngine(EngineBase):
     def _form_batch(self, now: float) -> List[Request]:
         self._iter_swap_in_seconds = 0.0
         self._iter_fault_delay = 0.0
-        decoders = self._grow_decoders(now)
+        decoders, self._iter_decode_ids = self._grow_decoders(now)
         admitted = self._admit(now)
         if admitted and not self.unified:
             # Figure 13 ablation: prefill runs as its own (often small)
             # batch while decoders stall for the iteration.
+            self._iter_decode_ids = []
             return admitted
         return decoders + admitted
 
-    def _grow_decoders(self, now: float) -> List[Request]:
+    def _grow_decoders(self, now: float) -> Tuple[List[Request], List[int]]:
         """Allocate each running request's next KV slot, in one manager
         call for the whole batch, suspending requests if the GPU cache is
         exhausted (§4.3.5: the latest-arrived request is the victim).
         Surviving decoders keep their running order, so batch composition
-        stays stable between iterations."""
+        stays stable between iterations.  Returns them and their
+        conversation ids."""
         running = RequestState.RUNNING
         decoders = [r for r in self.running if r.state is running]
         while decoders and self.manager.gpu_available_tokens < len(decoders):
@@ -298,7 +304,7 @@ class PensieveEngine(EngineBase):
             self._suspend(decoders.pop(grown), now)
             del conv_ids[grown]
             grown += self.manager.append_decode_step(conv_ids[grown:])
-        return decoders
+        return decoders, conv_ids
 
     def _price(
         self,
@@ -558,26 +564,22 @@ class PensieveEngine(EngineBase):
     # ------------------------------------------------------------------
 
     def _execute(self, batch: Sequence[Request], now: float) -> float:
-        # Every decoder's context from one manager call for the batch.
-        contexts = iter(self.manager.context_lengths(
-            [r.conversation.conv_id for r in batch if r.prefill_done]
-        ))
+        decode_ids = self._iter_decode_ids
         items: List[Tuple[int, int]] = []
-        for request in batch:
-            if request.prefill_done:
-                items.append((1, next(contexts)))
-            else:
-                # Consumed here: a re-admission after a suspension writes
-                # a fresh one.
-                info = self._prefill_info.pop(request.request_id)
-                # Figure 8(d): the recomputed prefix and the new prompt are
-                # two sub-requests sharing the context.
-                if info.recompute_tokens > 0:
-                    items.append((info.recompute_tokens, info.recompute_tokens))
-                if info.prompt_tokens > 0:
-                    items.append((info.prompt_tokens, info.total_context))
+        for request in batch[len(decode_ids):]:
+            # Consumed here: a re-admission after a suspension writes a
+            # fresh one.
+            info = self._prefill_info.pop(request.request_id)
+            # Figure 8(d): the recomputed prefix and the new prompt are
+            # two sub-requests sharing the context.
+            if info.recompute_tokens > 0:
+                items.append((info.recompute_tokens, info.recompute_tokens))
+            if info.prompt_tokens > 0:
+                items.append((info.prompt_tokens, info.total_context))
+        # Every decoder's context from one manager call for the batch.
+        shape = BatchShape(tuple(items), self.manager.context_lengths(decode_ids))
         compute = self.cost_model.iteration_time(
-            BatchShape(tuple(items)), variant=KernelVariant.PENSIEVE_PAGED
+            shape, variant=KernelVariant.PENSIEVE_PAGED
         )
         # Retry backoff spent this iteration, plus any injected worker
         # stall: with tensor parallelism every iteration ends in an

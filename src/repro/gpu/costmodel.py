@@ -25,7 +25,8 @@ reproduces the structural effects every Pensieve result rests on:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Tuple
 
 from repro.gpu.device import GpuSpec
@@ -55,32 +56,57 @@ class KernelVariant(enum.Enum):
 class BatchShape:
     """Shape of one batched model iteration.
 
-    Each element of ``items`` is ``(query_len, context_len)`` for one
-    request: ``query_len`` is the number of new tokens being processed this
-    step (1 for a request in its generation phase, the prompt length for a
-    request in its prefill phase) and ``context_len`` is the total context
-    the *last* of those tokens attends to, i.e. cached history plus
-    ``query_len``.
+    A request contributes ``(query_len, context_len)``: ``query_len`` is
+    the number of new tokens it processes this step (1 in its generation
+    phase, the prompt length in its prefill phase) and ``context_len`` is
+    the total context the *last* of those tokens attends to, i.e. cached
+    history plus ``query_len``.  Decoders, whose ``query_len`` is always 1,
+    are given as ``decode_contexts`` (their context lengths); every other
+    item, such as a prefill or a recompute sub-request, as ``prefill_items``.
+
+    The shape computes its three totals once: query tokens, causal
+    flop-tokens (``causal_attention_flop_tokens`` summed, which is ``c``
+    for a decoder) and context tokens.  Each is an integer sum, so the
+    order of the items does not matter.
+
+    Raises:
+        TypeError: a count is not a whole number (``operator.index``
+            refuses it; NumPy integers pass).
+        ValueError: an item does not satisfy ``0 <= query_len <=
+            context_len``.
     """
 
-    items: Tuple[Tuple[int, int], ...]
+    prefill_items: Tuple[Tuple[int, int], ...] = ()
+    decode_contexts: Sequence[int] = ()
+    total_query_tokens: int = field(init=False)
+    flop_tokens: int = field(init=False)
+    context_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
-        for query_len, context_len in self.items:
-            # One test for a valid item; a refusal then picks its message.
-            if not 0 <= query_len <= context_len:
-                if query_len < 0 or context_len < 0:
-                    raise ValueError(
-                        f"negative batch item ({query_len}, {context_len})"
-                    )
-                raise ValueError(
-                    f"query_len {query_len} exceeds context_len {context_len}"
-                )
+        query = flop_tokens = contexts = 0
+        for query_len, context_len in self.prefill_items:
+            q, c = _whole(query_len, context_len)
+            _check(q, c)
+            query += q
+            flop_tokens += q * c - q * q + q * (q + 1) // 2
+            contexts += c
+        decode = self.decode_contexts
+        if len(decode):
+            # A sum of integers is an integer: a fractional context makes
+            # it a float, which ``_whole`` refuses.
+            total = _whole(1, sum(decode))[1]
+            _check(1, min(decode))
+            query += len(decode)
+            flop_tokens += total
+            contexts += total
+        object.__setattr__(self, "total_query_tokens", query)
+        object.__setattr__(self, "flop_tokens", flop_tokens)
+        object.__setattr__(self, "context_tokens", contexts)
 
     @classmethod
     def of(cls, items: Iterable[Sequence[int]]) -> "BatchShape":
         """Build a shape from any iterable of ``(query_len, context_len)``."""
-        return cls(tuple((int(q), int(c)) for q, c in items))
+        return cls(tuple(_whole(q, c) for q, c in items))
 
     @classmethod
     def uniform(cls, batch_size: int, query_len: int, context_len: int) -> "BatchShape":
@@ -88,12 +114,30 @@ class BatchShape:
         return cls(((query_len, context_len),) * batch_size)
 
     @property
-    def total_query_tokens(self) -> int:
-        """Total number of input tokens processed this iteration."""
-        return sum(q for q, _ in self.items)
+    def items(self) -> Tuple[Tuple[int, int], ...]:
+        """Every ``(query_len, context_len)``: the decoders, then the rest."""
+        return tuple((1, c) for c in self.decode_contexts) + tuple(self.prefill_items)
 
     def __len__(self) -> int:
-        return len(self.items)
+        return len(self.decode_contexts) + len(self.prefill_items)
+
+
+def _whole(query_len: int, context_len: int) -> Tuple[int, int]:
+    """Both counts as ``int``; a fraction (or a float at all) is refused."""
+    try:
+        return operator.index(query_len), operator.index(context_len)
+    except TypeError:
+        raise TypeError(
+            f"batch item ({query_len!r}, {context_len!r}) is not whole numbers"
+        ) from None
+
+
+def _check(query_len: int, context_len: int) -> None:
+    # One test for a valid item; a refusal then picks its message.
+    if not 0 <= query_len <= context_len:
+        if query_len < 0 or context_len < 0:
+            raise ValueError(f"negative batch item ({query_len}, {context_len})")
+        raise ValueError(f"query_len {query_len} exceeds context_len {context_len}")
 
 
 def causal_attention_flop_tokens(query_len: int, context_len: int) -> float:
@@ -134,6 +178,18 @@ class CostModel:
         self.config = config
         self.spec = spec
         self.fusion_factor = fusion_factor
+        # Per-model constants, computed once: ``config`` and ``spec`` are
+        # frozen, and each is the value the formulas below recomputed on
+        # every call.
+        tp = config.num_gpus
+        self._linear_flops_per_token = config.linear_flops_per_token()
+        self._weight_bytes = config.weight_bytes / tp
+        self._flops = spec.effective_flops
+        self._hbm_bandwidth = spec.effective_hbm_bandwidth
+        self._attention_flops_per_token = 2.0 * 2.0 * config.hidden_size * config.num_layers
+        self._kv_bytes_per_token = config.kv_bytes_per_token
+        self._launch = config.num_layers * spec.kernel_launch_overhead
+        self._step_overhead = spec.step_overhead * fusion_factor
 
     # ------------------------------------------------------------------
     # Non-attention (linear) operators
@@ -149,15 +205,14 @@ class CostModel:
         """
         if num_tokens <= 0:
             return 0.0
-        tp = self.config.num_gpus
-        flops = num_tokens * self.config.linear_flops_per_token() / tp
-        weight_bytes = self.config.weight_bytes / tp
+        config = self.config
+        flops = num_tokens * self._linear_flops_per_token / config.num_gpus
         activation_bytes = (
-            3.0 * num_tokens * self.config.hidden_size * self.config.dtype_bytes
-            * self.config.num_layers
+            3.0 * num_tokens * config.hidden_size * config.dtype_bytes
+            * config.num_layers
         )
-        compute = flops / self.spec.effective_flops
-        memory = (weight_bytes + activation_bytes) / self.spec.effective_hbm_bandwidth
+        compute = flops / self._flops
+        memory = (self._weight_bytes + activation_bytes) / self._hbm_bandwidth
         return max(compute, memory) * self.fusion_factor + self._allreduce_time(num_tokens)
 
     def _allreduce_time(self, num_tokens: int) -> float:
@@ -207,19 +262,14 @@ class CostModel:
 
     def _ideal_attention_time(self, batch: BatchShape) -> float:
         tp = self.config.num_gpus
-        # Integer sums of ``causal_attention_flop_tokens`` and of the
-        # contexts: each float term there is an integer below 2**53, so
-        # its sum is exact and these are the same numbers.
-        flop_tokens = contexts = 0
-        for q, c in batch.items:
-            flop_tokens += q * c - q * q + q * (q + 1) // 2
-            contexts += c
-        flops = 2.0 * 2.0 * self.config.hidden_size * self.config.num_layers * flop_tokens / tp
-        kv_bytes = contexts * self.config.kv_bytes_per_token / tp
-        compute = flops / self.spec.effective_flops
-        memory = kv_bytes / self.spec.effective_hbm_bandwidth
-        launch = self.config.num_layers * self.spec.kernel_launch_overhead
-        return max(compute, memory) + launch
+        # The shape's integer sums of ``causal_attention_flop_tokens`` and
+        # of the contexts: each float term there is an integer below
+        # 2**53, so its sum is exact and these are the same numbers.
+        flops = self._attention_flops_per_token * batch.flop_tokens / tp
+        kv_bytes = batch.context_tokens * self._kv_bytes_per_token / tp
+        compute = flops / self._flops
+        memory = kv_bytes / self._hbm_bandwidth
+        return max(compute, memory) + self._launch
 
     def _copyout_time(self, batch: BatchShape) -> float:
         """Cost of copying past KV-tokens into fresh contiguous memory.
@@ -228,7 +278,7 @@ class CostModel:
         per layer because each layer's cache pages are independent).
         """
         tp = self.config.num_gpus
-        past_tokens = sum(c - q for q, c in batch.items)
+        past_tokens = batch.context_tokens - batch.total_query_tokens
         copy_bytes = 2.0 * past_tokens * self.config.kv_bytes_per_token / tp
         launch = self.config.num_layers * self.spec.kernel_launch_overhead
         return copy_bytes / self.spec.effective_hbm_bandwidth + launch
@@ -283,7 +333,7 @@ class CostModel:
         return (
             self.linear_time(batch.total_query_tokens)
             + self.attention_time(batch, variant)
-            + self.spec.step_overhead * self.fusion_factor
+            + self._step_overhead
         )
 
     @staticmethod

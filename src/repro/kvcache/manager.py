@@ -44,12 +44,14 @@ applies the caller's step and traces each one.  It draws from
 once, heapifies them, and after each victim pushes only that
 conversation's next frontier: O(N + k log N) for k victims among N cached
 conversations, and one CPU stream serves a whole ``swap_out`` however
-often its copies find the CPU tier full.  The scan is one comprehension
-that calls the scorer through its bound ``__call__``, fetched once per
-scan.  Decode growth of a whole batch is one
-:meth:`~TieredCacheManager.append_decode_step` call whose common case
-bumps a partial GPU tail and the two counters in place; it calls
-:meth:`~TieredCacheManager._extend` only to create a chunk.
+often its copies find the CPU tier full.  The scan is one
+:data:`ScanScorer` call: a built-in policy scores every candidate in one
+comprehension, and any other scorer is adapted once, when the manager is
+built, to one call per candidate (:func:`scan_of`).  Decode growth of a
+whole batch is one :meth:`~TieredCacheManager.append_decode_step` call
+whose common case bumps a partial GPU tail and the GPU total in place; it
+calls :meth:`~TieredCacheManager._extend` only to create a chunk.  A
+``swap_out`` with no evictable GPU token returns before it scans.
 :meth:`_audit` re-derives the counters, the index and every layout from
 scratch and is exercised by the test suite.
 """
@@ -59,8 +61,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
@@ -70,6 +72,42 @@ from repro.obs.tracer import NULL_TRACER
 #: Eviction scorer: ``(chunk, last_active, now) -> score``.  Chunks are
 #: evicted in ascending score order (low retention value goes first).
 EvictionScorer = Callable[[Chunk, float, float], float]
+
+#: A victim scan's heap entry: ``(score, conv_id, chunk, cache)``.
+ScanEntry = Tuple[float, int, Chunk, ConversationCache]
+
+#: Scores one victim scan: ``(frontier, conversations, exclude, now) ->
+#: entries``.  The candidates are the chunks of ``frontier`` (``conv_id ->
+#: chunk``, a location's frontier index) whose conversation is unpinned
+#: and is not ``exclude``; each gets one entry, in ``frontier`` order,
+#: whose score is exactly ``scorer(chunk, cache.last_active, now)``.  A
+#: scorer may provide one as its ``scan`` method (the built-in policies
+#: do, as one comprehension); :func:`scan_of` adapts any other.
+ScanScorer = Callable[
+    [Mapping[int, Chunk], Mapping[int, ConversationCache], Optional[int], float],
+    List[ScanEntry],
+]
+
+
+def scan_of(scorer: EvictionScorer) -> ScanScorer:
+    """The scorer's own ``scan``, or one that calls it per candidate."""
+    scan = getattr(scorer, "scan", None)
+    if scan is not None:
+        return scan
+
+    def scan_each(
+        frontier: Mapping[int, Chunk],
+        conversations: Mapping[int, ConversationCache],
+        exclude: Optional[int],
+        now: float,
+    ) -> List[ScanEntry]:
+        return [
+            (scorer(chunk, cache.last_active, now), conv_id, chunk, cache)
+            for conv_id, chunk in frontier.items()
+            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
+        ]
+
+    return scan_each
 
 #: Cross-tier placement policy: ``(chunk, last_active, now) -> location``,
 #: deciding where a chunk leaving the CPU tier lands (``DISK`` or
@@ -277,6 +315,16 @@ class TieredCacheManager:
         #: increment into a ``cache.*`` counter so a trace's totals
         #: reconcile exactly with :attr:`stats`.
         self.tracer = NULL_TRACER
+
+    @property
+    def scorer(self) -> EvictionScorer:
+        """The eviction policy; setting it also adapts its scan."""
+        return self._scorer
+
+    @scorer.setter
+    def scorer(self, scorer: EvictionScorer) -> None:
+        self._scorer = scorer
+        self._scan = scan_of(scorer)
 
     def _bump(self, key: str, tokens: int) -> None:
         """Increment one ``stats`` counter, mirrored into the tracer."""
@@ -632,23 +680,31 @@ class TieredCacheManager:
                 if tail.location is not _GPU and tail.end - tail.start < chunk_size:
                     cache.check_growable()  # raises
         capacity = self.gpu_capacity_tokens
+        # The GPU total stays in a local while tails grow in place, and is
+        # written back around every call that reads or changes it.
+        resident = self._gpu_resident
         for grown, cache in enumerate(caches):
-            if self._gpu_resident >= capacity:
+            if resident >= capacity:
+                self._gpu_resident = resident
                 try:
                     self._make_room(cache.conv_id, 1, cache.last_active)
                 except CacheCapacityError:
                     return grown
+                resident = self._gpu_resident
             chunks = cache.chunks
             if chunks:
                 tail = chunks[-1]
                 if tail.location is _GPU and tail.end - tail.start < chunk_size:
                     # ``_extend(cache, 1)`` when the tail takes the token.
                     tail.end += 1
-                    self._gpu_resident += 1
+                    resident += 1
                     if not cache.pinned:
                         self._evictable += 1
                     continue
+            self._gpu_resident = resident
             self._extend(cache, 1)
+            resident = self._gpu_resident
+        self._gpu_resident = resident
         return len(caches)
 
     def _make_room(self, conv_id: int, tokens: int, now: float) -> None:
@@ -743,7 +799,7 @@ class TieredCacheManager:
         self, location: ChunkLocation, now: float, exclude: Optional[int] = None
     ) -> Iterator[Tuple[float, Chunk, ConversationCache]]:
         """Lazily yield ``(score, chunk, cache)`` eviction victims of
-        ``location`` in ascending ``(score, conv_id, chunk.index)`` order.
+        ``location`` in ascending ``(score, conv_id)`` order.
 
         Only the *earliest* chunk of each unpinned conversation in the
         location (its frontier) is a candidate, which preserves the
@@ -765,19 +821,15 @@ class TieredCacheManager:
         entry; it is skipped, and the conversation's current frontier, if
         any, takes its place.
         """
+        frontier = self._frontier[location]
+        # The whole scan is scored in one call (see ``ScanScorer``).
+        heap = self._scan(frontier, self._conversations, exclude, now)
+        heapq.heapify(heap)
         # Bound once: calling an instance through its type's ``__call__``
         # slot costs about as much again as the bound method.
-        scorer = self.scorer.__call__
-        conversations = self._conversations
-        frontier = self._frontier[location]
-        heap = [
-            (scorer(chunk, cache.last_active, now), conv_id, chunk.index, chunk, cache)
-            for conv_id, chunk in frontier.items()
-            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
-        ]
-        heapq.heapify(heap)
+        scorer = self._scorer.__call__
         while heap:
-            score, conv_id, _, chunk, cache = heap[0]
+            score, conv_id, chunk, cache = heap[0]
             if chunk.location is location:
                 yield score, chunk, cache
                 assert chunk.location is not location, f"victim {chunk!r} not evicted"
@@ -787,8 +839,7 @@ class TieredCacheManager:
             else:
                 heapq.heapreplace(
                     heap,
-                    (scorer(successor, cache.last_active, now), conv_id,
-                     successor.index, successor, cache),
+                    (scorer(successor, cache.last_active, now), conv_id, successor, cache),
                 )
 
     def _evict(
@@ -848,6 +899,10 @@ class TieredCacheManager:
         engine can model the PCIe traffic.
         """
         copied: List[Chunk] = []
+        if self._evictable == 0:
+            # Every GPU frontier belongs to a pinned conversation (a chunk
+            # holds at least one token): there is no victim to scan for.
+            return copied
         # One CPU victim stream for the whole call, scanned when a copy
         # first finds the CPU tier full: every later shortfall continues
         # it instead of rescanning (exact, see :meth:`_victims`).

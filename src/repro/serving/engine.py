@@ -6,15 +6,15 @@ event ``iteration_time`` in the future, and the scheduler re-forms the
 batch at every completion ("clocked for action by the completion of a
 generation step", §4.2).
 
-Subclasses implement three hooks:
+Subclasses implement two hooks:
 
 - :meth:`_form_batch` — pick the requests (and admission work) for the
   next iteration;
 - :meth:`_execute` — return the iteration's simulated duration;
-- :meth:`_advance` — apply per-request progress when the iteration
-  completes (token generated, prefill finished, ...).
 
-plus the cache-lifecycle hooks :meth:`_on_admit` / :meth:`_on_finish`.
+plus the cache-lifecycle hooks :meth:`_on_fail` / :meth:`_on_finish`.
+:meth:`EngineBase._complete` applies an iteration's progress: every
+running request of the batch produced one token.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.gpu.costmodel import CostModel
-from repro.obs.histogram import NullHistogramSet
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.serving.batching import BatchConfig
 from repro.serving.metrics import MetricsCollector
@@ -300,14 +299,35 @@ class EngineBase:
         """Engine-specific per-iteration gauges (hook; tracer enabled)."""
 
     def _complete(self, batch: Sequence[Request]) -> None:
+        """Apply one iteration's progress: each request still running
+        produced one output token (the prefill iteration produces the
+        first), and those that reached their turn's output length finish.
+
+        The first token ever is stamped once: a re-prefill after a
+        preemption or a suspension produces a later token, not a new
+        first one.  With the SLO layer armed this is the streaming
+        TTFT/TBT record site: every produced token is exactly one sample,
+        the request's very first in ``ttft_seconds`` and every later one
+        (re-prefills after preemption included) in ``tbt_seconds``, so
+        ttft.count + tbt.count == tokens produced, exactly.
+        """
         now = self.loop.now
         finished: List[Request] = []
         running = RequestState.RUNNING
         hist = self.metrics.hist
+        record = hist.enabled
         for request in batch:
             if request.state is not running:
                 continue  # suspended mid-flight
-            self._advance(request, now, hist)
+            request.generated_tokens += 1
+            if request.first_token_time is None:
+                if record:
+                    hist.hist("ttft_seconds").record(now - request.arrival_time)
+                request.first_token_time = now
+            elif record and request.last_token_time is not None:
+                hist.hist("tbt_seconds").record(now - request.last_token_time)
+            request.prefill_done = True
+            request.last_token_time = now
             # ``request.output_tokens`` without its two property calls.
             turn = request.conversation.turns[request.turn_index]
             if request.generated_tokens >= turn.output_tokens:
@@ -356,34 +376,6 @@ class EngineBase:
     def _execute(self, batch: Sequence[Request], now: float) -> float:
         """Return the simulated duration of one iteration over ``batch``."""
         raise NotImplementedError
-
-    def _advance(
-        self, request: Request, now: float, hist: NullHistogramSet
-    ) -> None:
-        """Apply one iteration's progress to a running request.
-
-        Default: the iteration produced one output token (the prefill
-        iteration produces the first).  The first token ever is stamped
-        once: a re-prefill after a preemption or a suspension produces a
-        later token, not a new first one.  With the SLO layer armed
-        (``hist``, the collector's histograms, read once per batch) this
-        is the streaming TTFT/TBT record site.
-        """
-        request.generated_tokens += 1
-        first = request.first_token_time is None
-        if hist.enabled:
-            # Every produced token is exactly one sample: the request's
-            # very first token lands in ``ttft_seconds``, every later one
-            # (re-prefills after preemption included) in ``tbt_seconds``
-            # — so ttft.count + tbt.count == tokens produced, exactly.
-            if first:
-                hist.hist("ttft_seconds").record(now - request.arrival_time)
-            elif request.last_token_time is not None:
-                hist.hist("tbt_seconds").record(now - request.last_token_time)
-        if first:
-            request.first_token_time = now
-        request.prefill_done = True
-        request.last_token_time = now
 
     def _on_finish(self, request: Request, now: float) -> None:
         """Release or retain the request's cache state."""

@@ -55,6 +55,8 @@ class StatelessEngine(EngineBase):
         total_kv_bytes = spec.kv_cache_bytes * config.num_gpus
         self.gpu_capacity_tokens = int(total_kv_bytes // config.kv_bytes_per_token)
         self._allocated: Dict[int, int] = {}
+        # ``sum(self._allocated.values())``, kept as it changes.
+        self._used = 0
         self._phase = "decode"
 
     # ------------------------------------------------------------------
@@ -63,19 +65,22 @@ class StatelessEngine(EngineBase):
 
     @property
     def used_tokens(self) -> int:
-        return sum(self._allocated.values())
+        return self._used
 
     @property
     def free_tokens(self) -> int:
-        return self.gpu_capacity_tokens - self.used_tokens
+        return self.gpu_capacity_tokens - self._used
 
     def _allocate(self, request: Request, tokens: int) -> None:
         self._allocated[request.request_id] = (
             self._allocated.get(request.request_id, 0) + tokens
         )
+        self._used += tokens
 
     def _release(self, request: Request) -> int:
-        return self._allocated.pop(request.request_id, 0)
+        freed = self._allocated.pop(request.request_id, 0)
+        self._used -= freed
+        return freed
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -134,8 +139,10 @@ class StatelessEngine(EngineBase):
             victim = max(decoders, key=lambda r: (r.arrival_time, r.request_id))
             self._preempt(victim, now)
             decoders.remove(victim)
+        allocated = self._allocated
         for request in decoders:
-            self._allocate(request, 1)
+            allocated[request.request_id] += 1
+        self._used += len(decoders)
         return decoders
 
     def _preempt(self, victim: Request, now: float) -> None:
@@ -157,15 +164,16 @@ class StatelessEngine(EngineBase):
 
     def _execute(self, batch: Sequence[Request], now: float) -> float:
         if self._phase == "prefill":
-            shape = BatchShape.of(
-                [(r.prefill_tokens, r.prefill_tokens) for r in batch]
+            shape = BatchShape(
+                tuple((r.prefill_tokens, r.prefill_tokens) for r in batch)
             )
         else:
             # The allocation count is exactly the context size including
             # this iteration's new token (slots were taken in
             # ``_decode_batch``).
-            shape = BatchShape.of(
-                [(1, self._allocated[r.request_id]) for r in batch]
+            allocated = self._allocated
+            shape = BatchShape(
+                decode_contexts=[allocated[r.request_id] for r in batch]
             )
         return self.cost_model.iteration_time(
             shape, variant=KernelVariant.IDEAL_CONTIGUOUS

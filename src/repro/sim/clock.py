@@ -7,6 +7,8 @@ the loop dispatches an event; user code must never set it backwards.
 
 from __future__ import annotations
 
+import math
+
 
 class Clock:
     """A monotonically non-decreasing simulated clock.
@@ -20,8 +22,11 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0.0:
-            raise ValueError(f"clock cannot start at negative time {start!r}")
+        # One chained compare also refuses NaN, which fails every compare.
+        if not 0.0 <= start < math.inf:
+            raise ValueError(
+                f"clock must start at a finite non-negative time, got {start!r}"
+            )
         self._now = float(start)
 
     @property
@@ -33,9 +38,12 @@ class Clock:
         """Advance the clock to ``time``.
 
         Raises:
-            ValueError: if ``time`` is earlier than the current time.
+            ValueError: if ``time`` is earlier than the current time, or
+                not finite (a NaN would pass every later past-time check).
         """
-        if time < self._now:
+        if not self._now <= time < math.inf:
+            if not math.isfinite(time):
+                raise ValueError(f"clock cannot move to non-finite time {time!r}")
             raise ValueError(
                 f"clock cannot move backwards: now={self._now!r}, target={time!r}"
             )

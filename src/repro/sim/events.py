@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
@@ -86,9 +87,12 @@ class EventLoop:
         """Schedule ``callback(*args)`` to run at absolute ``time``.
 
         Raises:
-            SimulationError: if ``time`` is in the simulated past.
+            SimulationError: if ``time`` is in the simulated past, or not
+                finite (a NaN would pass every later past-time check).
         """
-        if time < self._clock.now:
+        if not self._clock.now <= time < math.inf:
+            if not math.isfinite(time):
+                raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
             raise SimulationError(
                 f"cannot schedule event at {time!r} before now={self._clock.now!r}"
             )
@@ -101,9 +105,13 @@ class EventLoop:
     def schedule_after(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0.0:
-            raise SimulationError(f"delay must be non-negative, got {delay!r}")
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Raises:
+            SimulationError: if ``delay`` is negative or not finite.
+        """
+        if not 0.0 <= delay < math.inf:
+            raise SimulationError(f"delay must be finite and non-negative, got {delay!r}")
         return self.schedule(self._clock.now + delay, callback, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

@@ -1,5 +1,6 @@
 """Tests for the roofline cost model."""
 
+import numpy as np
 import pytest
 
 from repro.gpu import A100_80GB, BatchShape, CostModel, KernelVariant
@@ -32,6 +33,24 @@ class TestBatchShape:
         for item in [(-1, 10), (0, -1)]:
             with pytest.raises(ValueError, match=r"negative batch item"):
                 BatchShape.of([item])
+
+    def test_rejects_fractional_counts(self):
+        """``(1.5, 3.0)`` used to be accepted: the integer flop-token sum
+        floor-divided it to 3.25 where ``causal_attention_flop_tokens``
+        says 4.125, and ``of`` truncated 1.9 to 1."""
+        for item in [(1.5, 3.0), (1.9, 4), (2, 3.0), (1, float("nan"))]:
+            with pytest.raises(TypeError, match=r"not whole numbers"):
+                BatchShape((item,))
+            with pytest.raises(TypeError, match=r"not whole numbers"):
+                BatchShape.of([item])
+        with pytest.raises(TypeError, match=r"not whole numbers"):
+            BatchShape(decode_contexts=[4, 2.5])
+
+    def test_numpy_integers_pass(self):
+        shape = BatchShape.of([(np.int64(2), np.int32(5))])
+        assert shape.items == ((2, 5),) and type(shape.items[0][0]) is int
+        summed = BatchShape(decode_contexts=np.array([3, 4], dtype=np.int64))
+        assert summed.context_tokens == 7 and type(summed.context_tokens) is int
 
 
 class TestCausalFlopTokens:

@@ -111,3 +111,70 @@ def test_ideal_attention_time_is_the_float_formula_exactly(decodes, prefills, mo
         flops / spec.effective_flops, kv_bytes / spec.effective_hbm_bandwidth
     ) + config.num_layers * spec.kernel_launch_overhead
     assert cm._ideal_attention_time(shape) == expected
+
+
+#: A batch item, valid or not: counts may be negative, exceed the
+#: context, or be fractional.
+any_count = st.one_of(
+    st.integers(-2, 4096), st.floats(-2.0, 4096.0), st.just(float("nan"))
+)
+
+
+def _price_or_refusal(build, cm, variant):
+    """``cm.iteration_time`` of the built shape, or the refusal's type."""
+    try:
+        shape = build()
+    except (TypeError, ValueError) as refusal:
+        return type(refusal)
+    return cm.iteration_time(shape, variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decodes=st.lists(st.integers(1, 16384), max_size=64),
+    prefills=st.one_of(st.just([]), batch_items),
+    model=st.sampled_from(MODELS + [OPT_66B, LLAMA2_70B]),
+    variant=st.sampled_from(list(KernelVariant)),
+)
+def test_summed_decode_contexts_price_like_explicit_items(
+    decodes, prefills, model, variant
+):
+    """A shape given its decoders as ``decode_contexts`` prices to the
+    bit what the explicit ``(1, c)`` items price to, under every kernel
+    variant, and has the same items, length and totals."""
+    cm = CostModel(model, A100_80GB)
+    summed = BatchShape(tuple(prefills), decodes)
+    explicit = BatchShape.of([(1, c) for c in decodes] + prefills)
+    assert summed.items == explicit.items
+    assert len(summed) == len(explicit)
+    for total in ("total_query_tokens", "flop_tokens", "context_tokens"):
+        assert getattr(summed, total) == getattr(explicit, total)
+    assert cm.iteration_time(summed, variant) == cm.iteration_time(explicit, variant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    decodes=st.lists(st.integers(1, 4096), max_size=8),
+    bad=any_count,
+    at=st.integers(0, 8),
+    prefill=st.tuples(any_count, any_count),
+)
+def test_summed_and_explicit_shapes_refuse_the_same_input(decodes, bad, at, prefill):
+    """One possibly invalid count at a time (zero, negative or
+    fractional), as a decode context or in a prefill item: both forms
+    accept it and price alike, or refuse it with the same exception."""
+    cm = CostModel(OPT_13B, A100_80GB)
+    with_bad = decodes[:at] + [bad] + decodes[at:]
+    cases = [
+        ((), with_bad, ()),
+        ((prefill,), decodes, (prefill,)),
+    ]
+    for prefills, contexts, tail in cases:
+        summed = _price_or_refusal(
+            lambda: BatchShape(prefills, contexts), cm, KernelVariant.PENSIEVE_PAGED
+        )
+        explicit = _price_or_refusal(
+            lambda: BatchShape(tuple((1, c) for c in contexts) + tail),
+            cm, KernelVariant.PENSIEVE_PAGED,
+        )
+        assert summed == explicit

@@ -34,3 +34,15 @@ def test_advance_backwards_rejected():
 
 def test_repr_mentions_time():
     assert "2.5" in repr(Clock(2.5))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_time_rejected(bad):
+    """NaN fails every compare, so a ``time < now`` test let it through
+    and left the clock at NaN, after which every past-time check passed."""
+    clock = Clock(2.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        clock.advance_to(bad)
+    assert clock.now == 2.0
+    with pytest.raises(ValueError):
+        Clock(bad)

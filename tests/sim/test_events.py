@@ -101,3 +101,31 @@ def test_run_is_not_reentrant():
     loop.schedule(0.0, reenter)
     loop.run()
     assert len(errors) == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_time_rejected(bad):
+    """Scheduling NaN, then 1.0, then 0.5 used to dispatch the NaN event
+    first with ``now`` = NaN, then 0.5 before 1.0, and raise nothing."""
+    loop = EventLoop()
+    with pytest.raises(SimulationError, match="non-finite"):
+        loop.schedule(bad, lambda: None)
+    order = []
+    loop.schedule(1.0, order.append, 1.0)
+    loop.schedule(0.5, order.append, 0.5)
+    loop.run()
+    assert order == [0.5, 1.0]
+    assert loop.now == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_delay_rejected(bad):
+    """``schedule_after(nan)`` at ``now`` = 2.0 used to leave the clock at
+    NaN once the event ran."""
+    loop = EventLoop()
+    loop.schedule(2.0, lambda: None)
+    loop.run()
+    with pytest.raises(SimulationError):
+        loop.schedule_after(bad, lambda: None)
+    loop.run()
+    assert loop.now == 2.0
