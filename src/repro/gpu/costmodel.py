@@ -86,16 +86,24 @@ class BatchShape:
         query = flop_tokens = contexts = 0
         for query_len, context_len in self.prefill_items:
             q, c = _whole(query_len, context_len)
-            _check(q, c)
+            if not 0 <= q <= c:
+                _refuse(q, c)
             query += q
             flop_tokens += q * c - q * q + q * (q + 1) // 2
             contexts += c
         decode = self.decode_contexts
         if len(decode):
             # A sum of integers is an integer: a fractional context makes
-            # it a float, which ``_whole`` refuses.
-            total = _whole(1, sum(decode))[1]
-            _check(1, min(decode))
+            # it a float, which ``operator.index`` refuses.
+            try:
+                total = operator.index(sum(decode))
+            except TypeError:
+                raise TypeError(
+                    f"decode contexts {decode!r} are not whole numbers"
+                ) from None
+            smallest = min(decode)
+            if smallest < 1:
+                _refuse(1, smallest)
             query += len(decode)
             flop_tokens += total
             contexts += total
@@ -132,12 +140,11 @@ def _whole(query_len: int, context_len: int) -> Tuple[int, int]:
         ) from None
 
 
-def _check(query_len: int, context_len: int) -> None:
-    # One test for a valid item; a refusal then picks its message.
-    if not 0 <= query_len <= context_len:
-        if query_len < 0 or context_len < 0:
-            raise ValueError(f"negative batch item ({query_len}, {context_len})")
-        raise ValueError(f"query_len {query_len} exceeds context_len {context_len}")
+def _refuse(query_len: int, context_len: int) -> None:
+    """Name why an item fails ``0 <= query_len <= context_len``."""
+    if query_len < 0 or context_len < 0:
+        raise ValueError(f"negative batch item ({query_len}, {context_len})")
+    raise ValueError(f"query_len {query_len} exceeds context_len {context_len}")
 
 
 def causal_attention_flop_tokens(query_len: int, context_len: int) -> float:
