@@ -263,6 +263,7 @@ class TieredCacheManager:
         self.disk_capacity_tokens = disk_capacity_tokens
         self.chunk_size = chunk_size
         self.scorer = scorer
+        self._scan = scan_of(scorer)
         self.placement = placement
         self.fault_plan = fault_plan
         self.fault_counters = fault_counters or FaultCounters()
@@ -315,16 +316,6 @@ class TieredCacheManager:
         #: increment into a ``cache.*`` counter so a trace's totals
         #: reconcile exactly with :attr:`stats`.
         self.tracer = NULL_TRACER
-
-    @property
-    def scorer(self) -> EvictionScorer:
-        """The eviction policy; setting it also adapts its scan."""
-        return self._scorer
-
-    @scorer.setter
-    def scorer(self, scorer: EvictionScorer) -> None:
-        self._scorer = scorer
-        self._scan = scan_of(scorer)
 
     def _bump(self, key: str, tokens: int) -> None:
         """Increment one ``stats`` counter, mirrored into the tracer."""
@@ -827,7 +818,7 @@ class TieredCacheManager:
         heapq.heapify(heap)
         # Bound once: calling an instance through its type's ``__call__``
         # slot costs about as much again as the bound method.
-        scorer = self._scorer.__call__
+        scorer = self.scorer.__call__
         while heap:
             score, conv_id, chunk, cache = heap[0]
             if chunk.location is location:
