@@ -193,7 +193,9 @@ class CostModel:
         self._weight_bytes = config.weight_bytes / tp
         self._flops = spec.effective_flops
         self._hbm_bandwidth = spec.effective_hbm_bandwidth
-        self._attention_flops_per_token = 2.0 * 2.0 * config.hidden_size * config.num_layers
+        self._attention_flops_per_token = (
+            2.0 * 2.0 * config.hidden_size * config.num_layers
+        )
         self._kv_bytes_per_token = config.kv_bytes_per_token
         self._launch = config.num_layers * spec.kernel_launch_overhead
         self._step_overhead = spec.step_overhead * fusion_factor

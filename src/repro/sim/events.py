@@ -92,7 +92,9 @@ class EventLoop:
         """
         if not self._clock.now <= time < math.inf:
             if not math.isfinite(time):
-                raise SimulationError(f"cannot schedule event at non-finite time {time!r}")
+                raise SimulationError(
+                    f"cannot schedule event at non-finite time {time!r}"
+                )
             raise SimulationError(
                 f"cannot schedule event at {time!r} before now={self._clock.now!r}"
             )
@@ -111,7 +113,9 @@ class EventLoop:
             SimulationError: if ``delay`` is negative or not finite.
         """
         if not 0.0 <= delay < math.inf:
-            raise SimulationError(f"delay must be finite and non-negative, got {delay!r}")
+            raise SimulationError(
+                f"delay must be finite and non-negative, got {delay!r}"
+            )
         return self.schedule(self._clock.now + delay, callback, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
