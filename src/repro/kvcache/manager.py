@@ -109,6 +109,7 @@ def scan_of(scorer: EvictionScorer) -> ScanScorer:
 
     return scan_each
 
+
 #: Cross-tier placement policy: ``(chunk, last_active, now) -> location``,
 #: deciding where a chunk leaving the CPU tier lands (``DISK`` or
 #: ``DROPPED``).  ``None`` means "always try disk" when the tier exists.
