@@ -2,10 +2,7 @@
 
 A policy is an :data:`~repro.kvcache.manager.EvictionScorer`: a callable
 ``(chunk, last_active, now) -> score``; the cache manager evicts candidate
-chunks in **ascending** score order.  Each built-in policy also scores a
-whole victim scan in one comprehension (``scan``, a
-:data:`~repro.kvcache.manager.ScanScorer`), to the same bits as calling
-it once per candidate.  Because only the earliest chunk of
+chunks in **ascending** score order.  Because only the earliest chunk of
 each conversation in a given tier is ever a candidate, front-to-back
 ordering within a conversation is structural; the policy chooses *between*
 conversations.
@@ -33,11 +30,10 @@ residents.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict
 
 from repro.gpu.profiler import AttentionCostProfile
-from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
-from repro.kvcache.manager import ScanEntry
+from repro.kvcache.chunks import Chunk, ChunkLocation
 
 
 class RetentionValuePolicy:
@@ -79,36 +75,6 @@ class RetentionValuePolicy:
             cost = self._cost[context_len] = self.profile.recompute_cost(context_len)
         return cost / idle
 
-    def scan(
-        self,
-        frontier: Mapping[int, Chunk],
-        conversations: Mapping[int, ConversationCache],
-        exclude: Optional[int],
-        now: float,
-    ) -> List[ScanEntry]:
-        """A :data:`~repro.kvcache.manager.ScanScorer`: ``__call__`` for
-        every candidate, inlined — the same idle time, floored by the same
-        compare, the same memo and the same division."""
-        min_idle = self.min_idle
-        cost = self._cost
-        try:
-            return [
-                (
-                    cost[chunk.end]
-                    / (min_idle if (idle := now - cache.last_active) < min_idle else idle),
-                    conv_id, chunk, cache,
-                )
-                for conv_id, chunk in frontier.items()
-                if not (cache := conversations[conv_id]).pinned and conv_id != exclude
-            ]
-        except KeyError:
-            # A context length not seen yet: fill the memo for the whole
-            # frontier, then score it (the second pass cannot miss).
-            for chunk in frontier.values():
-                if chunk.end not in cost:
-                    cost[chunk.end] = self.profile.recompute_cost(chunk.end)
-            return self.scan(frontier, conversations, exclude, now)
-
     def __repr__(self) -> str:
         return f"RetentionValuePolicy(chunk_size={self.profile.chunk_size})"
 
@@ -125,21 +91,6 @@ class LruPolicy:
 
     def __call__(self, chunk: Chunk, last_active: float, now: float) -> float:
         return last_active
-
-    def scan(
-        self,
-        frontier: Mapping[int, Chunk],
-        conversations: Mapping[int, ConversationCache],
-        exclude: Optional[int],
-        now: float,
-    ) -> List[ScanEntry]:
-        """A :data:`~repro.kvcache.manager.ScanScorer`: ``__call__`` for
-        every candidate, inlined."""
-        return [
-            (cache.last_active, conv_id, chunk, cache)
-            for conv_id, chunk in frontier.items()
-            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
-        ]
 
     def __repr__(self) -> str:
         return "LruPolicy()"

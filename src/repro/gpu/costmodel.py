@@ -67,7 +67,11 @@ class BatchShape:
     The shape computes its three totals once: query tokens, causal
     flop-tokens (``causal_attention_flop_tokens`` summed, which is ``c``
     for a decoder) and context tokens.  Each is an integer sum, so the
-    order of the items does not matter.
+    order of the items does not matter.  Both sequences are stored as
+    tuples, so changing the caller's list afterwards leaves the shape
+    as it was.  Two shapes are equal when they were given in the same
+    form: decoders given as ``(1, c)`` prefill items make a shape with
+    the same ``items`` and price, but not an equal one.
 
     Raises:
         TypeError: a count is not a whole number (``operator.index``
@@ -83,16 +87,19 @@ class BatchShape:
     context_tokens: int = field(init=False)
 
     def __post_init__(self) -> None:
+        prefill = tuple(self.prefill_items)
+        decode = tuple(self.decode_contexts)
+        object.__setattr__(self, "prefill_items", prefill)
+        object.__setattr__(self, "decode_contexts", decode)
         query = flop_tokens = contexts = 0
-        for query_len, context_len in self.prefill_items:
+        for query_len, context_len in prefill:
             q, c = _whole(query_len, context_len)
             if not 0 <= q <= c:
                 _refuse(q, c)
             query += q
             flop_tokens += q * c - q * q + q * (q + 1) // 2
             contexts += c
-        decode = self.decode_contexts
-        if len(decode):
+        if decode:
             # A sum of integers is an integer: a fractional context makes
             # it a float, which ``operator.index`` refuses.
             try:
@@ -124,7 +131,7 @@ class BatchShape:
     @property
     def items(self) -> Tuple[Tuple[int, int], ...]:
         """Every ``(query_len, context_len)``: the decoders, then the rest."""
-        return tuple((1, c) for c in self.decode_contexts) + tuple(self.prefill_items)
+        return tuple((1, c) for c in self.decode_contexts) + self.prefill_items
 
     def __len__(self) -> int:
         return len(self.decode_contexts) + len(self.prefill_items)

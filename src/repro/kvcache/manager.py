@@ -44,13 +44,12 @@ applies the caller's step and traces each one.  It draws from
 once, heapifies them, and after each victim pushes only that
 conversation's next frontier: O(N + k log N) for k victims among N cached
 conversations, and one CPU stream serves a whole ``swap_out`` however
-often its copies find the CPU tier full.  The scan is one
-:data:`ScanScorer` call: a built-in policy scores every candidate in one
-comprehension, and any other scorer is adapted once, when the manager is
-built, to one call per candidate (:func:`scan_of`).  Decode growth of a
-whole batch is one :meth:`~TieredCacheManager.append_decode_step` call
-whose common case bumps a partial GPU tail and the GPU total in place; it
-calls :meth:`~TieredCacheManager._extend` only to create a chunk.  A
+often its copies find the CPU tier full.  The scan is one comprehension
+that calls the scorer through its bound ``__call__``, fetched once per
+scan.  Decode growth of a whole batch is one
+:meth:`~TieredCacheManager.append_decode_step` call whose common case
+bumps a partial GPU tail and the GPU total in place; it calls
+:meth:`~TieredCacheManager._extend` only to create a chunk.  A
 ``swap_out`` with no evictable GPU token returns before it scans.
 :meth:`_audit` re-derives the counters, the index and every layout from
 scratch and is exercised by the test suite.
@@ -61,8 +60,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
-    Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+    Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
@@ -72,43 +71,6 @@ from repro.obs.tracer import NULL_TRACER
 #: Eviction scorer: ``(chunk, last_active, now) -> score``.  Chunks are
 #: evicted in ascending score order (low retention value goes first).
 EvictionScorer = Callable[[Chunk, float, float], float]
-
-#: A victim scan's heap entry: ``(score, conv_id, chunk, cache)``.
-ScanEntry = Tuple[float, int, Chunk, ConversationCache]
-
-#: Scores one victim scan: ``(frontier, conversations, exclude, now) ->
-#: entries``.  The candidates are the chunks of ``frontier`` (``conv_id ->
-#: chunk``, a location's frontier index) whose conversation is unpinned
-#: and is not ``exclude``; each gets one entry, in ``frontier`` order,
-#: whose score is exactly ``scorer(chunk, cache.last_active, now)``.  A
-#: scorer may provide one as its ``scan`` method (the built-in policies
-#: do, as one comprehension); :func:`scan_of` adapts any other.
-ScanScorer = Callable[
-    [Mapping[int, Chunk], Mapping[int, ConversationCache], Optional[int], float],
-    List[ScanEntry],
-]
-
-
-def scan_of(scorer: EvictionScorer) -> ScanScorer:
-    """The scorer's own ``scan``, or one that calls it per candidate."""
-    scan = getattr(scorer, "scan", None)
-    if scan is not None:
-        return scan
-
-    def scan_each(
-        frontier: Mapping[int, Chunk],
-        conversations: Mapping[int, ConversationCache],
-        exclude: Optional[int],
-        now: float,
-    ) -> List[ScanEntry]:
-        return [
-            (scorer(chunk, cache.last_active, now), conv_id, chunk, cache)
-            for conv_id, chunk in frontier.items()
-            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
-        ]
-
-    return scan_each
-
 
 #: Cross-tier placement policy: ``(chunk, last_active, now) -> location``,
 #: deciding where a chunk leaving the CPU tier lands (``DISK`` or
@@ -264,7 +226,6 @@ class TieredCacheManager:
         self.disk_capacity_tokens = disk_capacity_tokens
         self.chunk_size = chunk_size
         self.scorer = scorer
-        self._scan = scan_of(scorer)
         self.placement = placement
         self.fault_plan = fault_plan
         self.fault_counters = fault_counters or FaultCounters()
@@ -813,13 +774,19 @@ class TieredCacheManager:
         entry; it is skipped, and the conversation's current frontier, if
         any, takes its place.
         """
-        frontier = self._frontier[location]
-        # The whole scan is scored in one call (see ``ScanScorer``).
-        heap = self._scan(frontier, self._conversations, exclude, now)
-        heapq.heapify(heap)
         # Bound once: calling an instance through its type's ``__call__``
         # slot costs about as much again as the bound method.
         scorer = self.scorer.__call__
+        conversations = self._conversations
+        frontier = self._frontier[location]
+        # A conversation has one entry at a time, so a tie in score is
+        # settled by its ``conv_id`` and never compares chunks.
+        heap = [
+            (scorer(chunk, cache.last_active, now), conv_id, chunk, cache)
+            for conv_id, chunk in frontier.items()
+            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
+        ]
+        heapq.heapify(heap)
         while heap:
             score, conv_id, chunk, cache = heap[0]
             if chunk.location is location:

@@ -55,8 +55,6 @@ class StatelessEngine(EngineBase):
         total_kv_bytes = spec.kv_cache_bytes * config.num_gpus
         self.gpu_capacity_tokens = int(total_kv_bytes // config.kv_bytes_per_token)
         self._allocated: Dict[int, int] = {}
-        # ``sum(self._allocated.values())``, kept as it changes.
-        self._used = 0
         self._phase = "decode"
 
     # ------------------------------------------------------------------
@@ -65,22 +63,19 @@ class StatelessEngine(EngineBase):
 
     @property
     def used_tokens(self) -> int:
-        return self._used
+        return sum(self._allocated.values())
 
     @property
     def free_tokens(self) -> int:
-        return self.gpu_capacity_tokens - self._used
+        return self.gpu_capacity_tokens - self.used_tokens
 
     def _allocate(self, request: Request, tokens: int) -> None:
         self._allocated[request.request_id] = (
             self._allocated.get(request.request_id, 0) + tokens
         )
-        self._used += tokens
 
     def _release(self, request: Request) -> int:
-        freed = self._allocated.pop(request.request_id, 0)
-        self._used -= freed
-        return freed
+        return self._allocated.pop(request.request_id, 0)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -139,10 +134,8 @@ class StatelessEngine(EngineBase):
             victim = max(decoders, key=lambda r: (r.arrival_time, r.request_id))
             self._preempt(victim, now)
             decoders.remove(victim)
-        allocated = self._allocated
         for request in decoders:
-            allocated[request.request_id] += 1
-        self._used += len(decoders)
+            self._allocate(request, 1)
         return decoders
 
     def _preempt(self, victim: Request, now: float) -> None:
@@ -164,8 +157,8 @@ class StatelessEngine(EngineBase):
 
     def _execute(self, batch: Sequence[Request], now: float) -> float:
         if self._phase == "prefill":
-            shape = BatchShape(
-                tuple((r.prefill_tokens, r.prefill_tokens) for r in batch)
+            shape = BatchShape.of(
+                [(r.prefill_tokens, r.prefill_tokens) for r in batch]
             )
         else:
             # The allocation count is exactly the context size including

@@ -143,13 +143,22 @@ def test_summed_decode_contexts_price_like_explicit_items(
     bit what the explicit ``(1, c)`` items price to, under every kernel
     variant, and has the same items, length and totals."""
     cm = CostModel(model, A100_80GB)
-    summed = BatchShape(tuple(prefills), decodes)
+    given_prefills, given_decodes = list(prefills), list(decodes)
+    summed = BatchShape(given_prefills, given_decodes)
     explicit = BatchShape.of([(1, c) for c in decodes] + prefills)
     assert summed.items == explicit.items
     assert len(summed) == len(explicit)
     for total in ("total_query_tokens", "flop_tokens", "context_tokens"):
         assert getattr(summed, total) == getattr(explicit, total)
     assert cm.iteration_time(summed, variant) == cm.iteration_time(explicit, variant)
+    # The shape keeps its own copy: changing the caller's list afterwards
+    # moves neither its items nor its totals.
+    before = (summed.items, summed.total_query_tokens, summed.flop_tokens,
+              summed.context_tokens, hash(summed))
+    given_decodes.append(7)
+    given_prefills.append((1, 1))
+    assert (summed.items, summed.total_query_tokens, summed.flop_tokens,
+            summed.context_tokens, hash(summed)) == before
 
 
 @settings(max_examples=150, deadline=None)

@@ -52,8 +52,7 @@ from repro.core import LruPolicy, RetentionValuePolicy
 from repro.faults import FaultPlan, FaultSite
 from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache import ChunkLocation, TieredCacheManager
-from repro.kvcache.chunks import Chunk, ConversationCache
-from repro.kvcache.manager import CacheCapacityError, scan_of
+from repro.kvcache.manager import CacheCapacityError
 
 GPU = ChunkLocation.GPU
 GPU_CPU = ChunkLocation.GPU_CPU
@@ -360,9 +359,7 @@ def test_the_walk_reaches_every_eviction_path():
 
 
 class CountingScorer:
-    """LRU that counts how often the manager asks.  It has no ``scan``, so
-    the manager scores its scans through ``scan_of``'s adapter, one call
-    per candidate."""
+    """LRU that counts how often the manager asks."""
 
     def __init__(self) -> None:
         self.calls = 0
@@ -423,61 +420,3 @@ def test_swap_out_scans_a_full_cpu_tier_once():
     assert mgr.stats["dropped_tokens"] == victims * CHUNK  # one CPU victim each
     assert scorer.calls <= n_gpu + n_cpu + victims, scorer.calls
     mgr._audit()
-
-
-#: Idle times (``now - last_active``) to draw from: ordinary ones, ones
-#: at or below the retention policy's ``min_idle`` floor (1e-3), and
-#: negative ones (a conversation active after the scan's ``now``, the
-#: stale-``now`` case of a decode-step growth).
-IDLE = st.one_of(
-    st.floats(-5.0, 50.0),
-    st.sampled_from([0.0, 1e-4, 1e-3, 2e-3, -1e-4, -0.0]),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    frontiers=st.lists(
-        st.tuples(st.integers(1, 40 * CHUNK), IDLE, st.booleans()), max_size=30
-    ),
-    now=st.floats(0.0, 100.0),
-    exclude=st.one_of(st.none(), st.integers(0, 30)),
-    warm=st.sets(st.integers(1, 40 * CHUNK), max_size=20),
-    policy=st.sampled_from(["lru", "retention"]),
-)
-def test_a_scan_scores_exactly_as_one_call_per_candidate(
-    frontiers, now, exclude, warm, policy
-):
-    """Each built-in policy's ``scan`` returns, bit for bit and in order,
-    the entries that calling the policy once per candidate gives: the
-    same candidates (unpinned, not excluded), the same scores.  The
-    retention scan starts from a partly warm memo, so some lengths miss
-    in the middle of the comprehension."""
-    make = LruPolicy if policy == "lru" else lambda: RetentionValuePolicy(PROFILE)
-    batched, per_call = make(), make()
-    if policy == "retention":
-        for length in warm:
-            batched(Chunk(0, 0, 0, length, GPU), now, now)
-    frontier, conversations = {}, {}
-    for conv_id, (end, idle, pinned) in enumerate(frontiers):
-        index = (end - 1) // CHUNK
-        frontier[conv_id] = Chunk(conv_id, index, index * CHUNK, end, GPU)
-        conversations[conv_id] = cache = ConversationCache(conv_id, CHUNK, now=now - idle)
-        cache.pinned = pinned
-    # A plain function has no ``scan``: the adapter calls it per candidate.
-    adapted = scan_of(lambda chunk, last_active, now: per_call(chunk, last_active, now))
-    got = batched.scan(frontier, conversations, exclude, now)
-    want = adapted(frontier, conversations, exclude, now)
-
-    def bits(entries):
-        return [
-            (score.hex(), conv_id, id(chunk), id(cache))
-            for score, conv_id, chunk, cache in entries
-        ]
-
-    assert bits(got) == bits(want)
-    assert [conv_id for _, conv_id, _, _ in got] == [
-        conv_id for conv_id, cache in conversations.items()
-        if not cache.pinned and conv_id != exclude
-    ]
-    assert scan_of(batched) == batched.scan

@@ -120,36 +120,6 @@ class TestMemoryManagement:
         ConversationDriver(loop, engine, convs).run(max_events=1_000_000)
         assert peaks and max(peaks) <= 128
 
-    def test_running_total_is_the_sum_of_allocations(self):
-        """``used_tokens`` is kept as a running total: at every iteration,
-        through admissions, growth, preemptions and finishes, it equals
-        the sum of the per-request allocations."""
-        convs = [
-            scripted_conversation(i, [(20, 40), (6, 12)], start=0.01 * i)
-            for i in range(4)
-        ]
-        loop = EventLoop()
-        engine = make_vllm(loop, TINY, spec_with_capacity(96))
-        orig = engine._execute
-        seen = []
-
-        def checked(batch, now):
-            seen.append(engine.used_tokens)
-            assert engine.used_tokens == sum(engine._allocated.values())
-            return orig(batch, now)
-
-        engine._execute = checked
-        tracer = Tracer()
-        engine.set_tracer(tracer)
-        from repro.workload import ConversationDriver
-
-        ConversationDriver(loop, engine, convs).run(max_events=1_000_000)
-        assert any(
-            name == "suspend" and attrs["kind"] == "preempt"
-            for name, *_, attrs in tracer.instants
-        )
-        assert seen and engine.used_tokens == 0 == sum(engine._allocated.values())
-
     def test_prefill_larger_than_the_tier_fails_alone(self):
         """Regression: an 80-token prefill on a 64-token tier blocked the
         queue head forever, starving the request behind it."""
