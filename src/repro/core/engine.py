@@ -263,14 +263,18 @@ class PensieveEngine(EngineBase):
     def _form_batch(self, now: float) -> List[Request]:
         self._iter_swap_in_seconds = 0.0
         self._iter_fault_delay = 0.0
-        decoders, self._iter_decode_ids = self._grow_decoders(now)
-        admitted = self._admit(now)
-        if admitted and not self.unified:
+        if not self.unified:
             # Figure 13 ablation: prefill runs as its own (often small)
-            # batch while decoders stall for the iteration.
-            self._iter_decode_ids = []
-            return admitted
-        return decoders + admitted
+            # batch while decoders stall for the iteration, so admission
+            # is decided first and a stalled decoder grows no KV slot.
+            admitted = self._admit(now)
+            if admitted:
+                self._iter_decode_ids = []
+                return admitted
+            decoders, self._iter_decode_ids = self._grow_decoders(now)
+            return decoders
+        decoders, self._iter_decode_ids = self._grow_decoders(now)
+        return decoders + self._admit(now)
 
     def _grow_decoders(self, now: float) -> Tuple[List[Request], List[int]]:
         """Allocate each running request's next KV slot, in one manager

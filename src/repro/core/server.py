@@ -307,10 +307,6 @@ class StatefulChatServer:
     #: the manager's accounting.
     SYSTEM_CONV_ID = -1
 
-    @property
-    def system_prompt_tokens(self) -> int:
-        return len(self._system_ids)
-
     def set_system_prompt(
         self,
         text: str = "",
@@ -409,9 +405,6 @@ class StatefulChatServer:
         table = self._tables.pop(conv_id, None)
         if table is not None:
             table.release()
-        if self.model.decode_cache is not None:
-            # A recycled conversation id must never alias the dead row.
-            self.model.decode_cache.drop(conv_id)
         # ``forget`` bypasses the observer, so mirror the cleanup here.
         for store in (self.cpu_store, self.disk_store):
             for chunk_index in store.chunks_of(conv_id):
@@ -589,7 +582,7 @@ class StatefulChatServer:
         if restore_tokens:
             table.restore_front(restore_tokens)
         if restored_data:
-            # One stacked scatter instead of a write per chunk.
+            # One all-layer scatter per chunk.
             self.storage.write_slots_stacked(
                 [table.slots_array(start, end) for start, end, _ in restored_data],
                 [data for _, _, data in restored_data],
@@ -726,10 +719,7 @@ class StatefulChatServer:
             turn.generated.append(token)
             if decode_cache is not None:
                 turn.decode = DecodeRequest(
-                    DecodeSlotSource(
-                        key=turn.conv_id, table=turn.table,
-                        prefix=self._system_slots_arr,
-                    )
+                    DecodeSlotSource(turn.table, self._system_slots_arr)
                 )
             if tracer.enabled:
                 tracer.end(

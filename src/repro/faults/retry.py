@@ -44,11 +44,6 @@ class RetryPolicy:
             yield delay
             delay *= self.multiplier
 
-    @property
-    def total_backoff(self) -> float:
-        """Worst-case simulated seconds spent backing off."""
-        return sum(self.backoffs())
-
 
 def attempt_with_retries(
     plan: FaultPlan,

@@ -34,10 +34,11 @@ the paper discusses:
 - :mod:`~repro.kernels.packed_cache` — the **incremental metadata
   layer**: :class:`~repro.kernels.packed_cache.PackedDecodeCache` keeps
   the decode batch's padded slot table and gathered-KV staging buffers
-  (K key-transposed, V head-major) alive across iterations (extend /
-  repair / rebuild lifecycle keyed on block-table version counters),
-  and :func:`~repro.kernels.packed_cache.packed_decode_attention` runs
-  the same segment-masked decode math over the staged buffers,
+  (K key-transposed, V head-major) alive across the decode steps of a
+  turn (each row follows the slot source it was packed from and extends
+  by the one slot a step adds), and
+  :func:`~repro.kernels.packed_cache.packed_decode_attention` runs the
+  same segment-masked decode math over the staged buffers,
   bit-identical to ``batched_single_token_attention`` for grouped-query
   models.
 

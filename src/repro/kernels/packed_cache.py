@@ -9,24 +9,31 @@ profiling (PAPERS.md) says exactly this: long-context decode is
 bottlenecked by KV movement and metadata churn, not matmuls.
 
 :class:`PackedDecodeCache` keeps the packed slot table, per-row segment
-lengths and per-layer gathered-KV staging buffers alive across decode
-iterations and maintains them with a three-tier lifecycle, cheapest
-first:
+lengths and per-layer gathered-KV staging buffers alive across the
+decode steps of a turn.  The serving loop builds one
+:class:`DecodeSlotSource` per turn, after the prefill, and passes that
+same object to every decode step of the turn.  A row's state is the
+source object it was packed from, that source's ``structure_version``
+and the packed length, and each pack does one of four things per row:
 
-- **extend** — same request in the same row, block table only appended
-  to since the last pack (``structure_version`` unchanged): write the new
-  tail slots into the row and gather only the delta columns.  This is the
-  +1-slot steady state of a decode loop, where the new slot costs one
-  ``BlockTable.slot`` lookup (a longer extend reads ``slots_array``).
-- **repair** — same request in the same row, but its block table's
-  ``structure_version`` moved (swap-out / swap-in / recompute rebuilt the
-  mapping): repack that row from scratch and invalidate its staging
-  columns.  Other rows are untouched.
-- **rebuild** — a different request occupies the row (batch membership
-  or order changed): repack the row and reset its staging.  Rows whose
-  occupant is unchanged still take the extend/repair path, so a batch
-  that shrinks from the tail — the common case when conversations finish
-  — only pays for the rows that actually changed.
+- **extend** — same source, same structure version, one slot longer:
+  write the new slot into the row (one ``BlockTable.slot`` lookup) and
+  gather only that column.  This is the decode step.
+- **reuse** — same source, same structure version, same length.
+- **repair** — the same source otherwise (its structure version moved,
+  or its length changed by more than one slot): rewrite the row and
+  reset its staging columns.
+- **rebuild** — a different source occupies the row (a new turn, or a
+  batch whose order or membership changed): rewrite the row the same
+  way.  Rows are not matched across turns: a conversation's next turn
+  arrives with a new source and rebuilds its row.
+
+A row holds a reference to its source, so no new object can take that
+source's identity while the row names it; a recycled conversation id
+arrives with a new source and cannot alias a dead row.  ``chat_batch``
+pins every member for the whole turn, so a live source's table only
+grows, by the one slot each decode step appends; the structure-version
+check guards the rows should that contract ever break.
 
 Staging is in the KV cache's own dtype and shapes K and V for the
 product each feeds, as PagedAttention keeps K and V blocks in different
@@ -40,11 +47,13 @@ head-major in memory (and is still indexed key-transposed).  V is
 head-major, ``[rows, kv_heads, ctx, head_dim]``: every ``[ctx,
 head_dim]`` tile the weighted sum multiplies has unit stride along
 ``head_dim``.  Capacities (rows and packed
-context width) grow geometrically and never shrink, so the steady state
-allocates nothing; a regrow allocates fresh zeroed staging and resets
-every row's gathered watermark instead of copying, so it touches no page
-of the old capacity and the next gather refills only live columns.
-Correctness leans on one
+context width) start at :data:`INITIAL_ROWS` x :data:`INITIAL_CONTEXT`,
+grow by :data:`GROWTH` and never shrink, so the steady state allocates
+nothing; a regrow allocates fresh zeroed staging and resets every row's
+gathered watermark instead of copying, so it touches no page of the old
+capacity and the next gather refills only live columns.  A layer whose
+staging would exceed :data:`STAGING_BUDGET_BYTES` turns staging off for
+good, and every later gather is a fresh one.  Correctness leans on one
 :class:`~repro.kvcache.pages.BlockTable` invariant: appends never remap
 existing positions (only ``vacate_front`` / ``restore_front`` /
 ``release`` do, and those bump ``structure_version``), and the serving
@@ -84,25 +93,30 @@ from repro.kernels.reference import resolve_scale
 
 _EMPTY_PREFIX = np.empty(0, dtype=np.int64)
 
+#: Starting row and packed-context capacities, and the factor both grow by.
+INITIAL_ROWS = 8
+INITIAL_CONTEXT = 64
+GROWTH = 2.0
+#: Bytes one layer's K staging may take before staging is turned off.
+STAGING_BUDGET_BYTES = 256 * 2**20
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class DecodeSlotSource:
-    """One decode request's slot layout, described by reference.
+    """One turn's slot layout, described by reference.
+
+    A packed row follows the source object it was packed from, by
+    identity: pass the same object to every decode step of a turn, and
+    build a new one for the next turn.
 
     Args:
-        key: stable identity of the request (conversation id).  Rows are
-            reused across packs only while the key occupying them is
-            unchanged.
         table: the request's :class:`~repro.kvcache.pages.BlockTable`
-            (anything with ``length`` / ``structure_version`` /
-            ``slots_array`` works).
+            (anything with ``length`` / ``structure_version`` / ``slot``
+            / ``slots_array`` works).
         prefix: flat slot indices of a shared prefix (e.g. the pinned
-            system prompt) that precedes the table's positions.  Pass the
-            **same array object** every step — prefix identity is part of
-            the row-reuse check.
+            system prompt) that precedes the table's positions.
     """
 
-    key: Hashable
     table: Any
     prefix: np.ndarray = field(default_factory=lambda: _EMPTY_PREFIX)
 
@@ -113,11 +127,8 @@ class DecodeSlotSource:
 
 @dataclass
 class _RowState:
-    key: Hashable
-    table: Any
+    source: DecodeSlotSource
     structure_version: int
-    prefix: np.ndarray
-    prefix_len: int
     packed_len: int
 
 
@@ -219,30 +230,18 @@ class PackedDecodeCache:
     """Keeps decode-batch packing metadata and gathered KV alive across
     iterations.  See the module docstring for the lifecycle."""
 
-    def __init__(
-        self,
-        initial_rows: int = 8,
-        initial_context: int = 64,
-        growth: float = 2.0,
-        staging_budget_bytes: int = 256 * 2**20,
-    ) -> None:
-        if initial_rows <= 0 or initial_context <= 0:
-            raise ValueError("initial capacities must be positive")
-        if growth <= 1.0:
-            raise ValueError(f"growth factor must exceed 1.0, got {growth}")
-        self._growth = growth
-        self._rows_cap = initial_rows
-        self._ctx_cap = initial_context
-        self._table = np.zeros((initial_rows, initial_context), dtype=np.int64)
-        self._lengths = np.zeros(initial_rows, dtype=np.int64)
-        self._prefix_lengths = np.zeros(initial_rows, dtype=np.int64)
-        self._rows: List[Optional[_RowState]] = [None] * initial_rows
-        self._active = 0
+    def __init__(self) -> None:
+        rows, ctx = INITIAL_ROWS, INITIAL_CONTEXT
+        self._rows_cap = rows
+        self._ctx_cap = ctx
+        self._table = np.zeros((rows, ctx), dtype=np.int64)
+        self._lengths = np.zeros(rows, dtype=np.int64)
+        self._prefix_lengths = np.zeros(rows, dtype=np.int64)
+        self._rows: List[Optional[_RowState]] = [None] * rows
         self._staging: Dict[Hashable, _LayerStaging] = {}
         #: The latest pack's stale-row indexes, keyed by the watermark
         #: bytes each was computed from (see :meth:`_gathered`).
         self._stale: Dict[bytes, _StaleIndex] = {}
-        self._staging_budget = staging_budget_bytes
         self._staging_disabled = False
         self.stats: Dict[str, int] = {
             "packs": 0,
@@ -261,7 +260,7 @@ class PackedDecodeCache:
     def _grow_to(self, current: int, required: int) -> int:
         target = current
         while target < required:
-            target = int(target * self._growth) + 1
+            target = int(target * GROWTH) + 1
         return target
 
     def _ensure_capacity(self, rows: int, ctx: int) -> None:
@@ -293,7 +292,7 @@ class PackedDecodeCache:
         ``layout`` would exceed the staging budget."""
         kv_heads, head_dim, dtype, _ = layout
         nbytes = rows * ctx * kv_heads * head_dim * np.dtype(dtype).itemsize
-        return nbytes > self._staging_budget
+        return nbytes > STAGING_BUDGET_BYTES
 
     def _regrow_staging(self, rows: int, ctx: int) -> None:
         """Reallocate every layer's staging at ``rows`` x ``ctx`` with
@@ -324,18 +323,6 @@ class PackedDecodeCache:
     # packing                                                            #
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _row_matches(state: _RowState, source: DecodeSlotSource, total: int) -> bool:
-        if state.table is not source.table:
-            return False
-        if state.structure_version != source.table.structure_version:
-            return False
-        if state.prefix_len != len(source.prefix):
-            return False
-        if state.prefix_len and state.prefix is not source.prefix:
-            return False
-        return state.packed_len <= total
-
     def _write_row(self, row: int, source: DecodeSlotSource) -> None:
         prefix_len = len(source.prefix)
         total = source.total_len
@@ -362,64 +349,35 @@ class PackedDecodeCache:
         max_len = max(totals)
         self._ensure_capacity(n, max_len)
         self._stale = {}
-        table, lengths = self._table, self._lengths
+        table, lengths, stats = self._table, self._lengths, self.stats
         extended = reused = 0
 
         for i, (source, total) in enumerate(zip(sources, totals)):
             state = self._rows[i]
-            if (
-                state is not None
-                and state.key == source.key
-                and self._row_matches(state, source, total)
-            ):
+            same = state is not None and state.source is source
+            version = source.table.structure_version
+            if same and state.structure_version == version:
                 packed_len = state.packed_len
                 if total == packed_len + 1:
-                    # The decode steady state: one new slot, one lookup.
+                    # The decode step: one new slot, one lookup.
                     table[i, packed_len] = source.table.slot(
-                        packed_len - state.prefix_len
+                        packed_len - len(source.prefix)
                     )
-                elif total > packed_len:
-                    table[i, packed_len:total] = source.table.slots_array(
-                        packed_len - state.prefix_len, source.table.length
-                    )
-                else:
+                    lengths[i] = total
+                    state.packed_len = total
+                    extended += 1
+                    continue
+                if total == packed_len:
                     reused += 1
                     continue
-                lengths[i] = total
-                state.packed_len = total
-                extended += 1
-            else:
-                changed_occupant = state is None or state.key != source.key
-                self._write_row(i, source)
-                self._rows[i] = _RowState(
-                    key=source.key,
-                    table=source.table,
-                    structure_version=source.table.structure_version,
-                    prefix=source.prefix,
-                    prefix_len=len(source.prefix),
-                    packed_len=source.total_len,
-                )
-                if changed_occupant:
-                    self.stats["rebuilt_rows"] += 1
-                else:
-                    self.stats["repaired_rows"] += 1
+            self._write_row(i, source)
+            self._rows[i] = _RowState(source, version, total)
+            stats["repaired_rows" if same else "rebuilt_rows"] += 1
 
-        stats = self.stats
         stats["packs"] += 1
         stats["extended_rows"] += extended
         stats["reused_rows"] += reused
-        self._active = n
         return PackedBatch(self, n, max_len)
-
-    def drop(self, key: Hashable) -> None:
-        """Forget a request (e.g. an aborted conversation).  The row it
-        occupied in the latest pack will be repacked on the next pack
-        that lands there — essential when conversation ids are recycled,
-        since a fresh :class:`BlockTable` restarts its version counters."""
-        for row in range(self._active):
-            state = self._rows[row]
-            if state is not None and state.key == key:
-                self._rows[row] = None
 
     # ------------------------------------------------------------------ #
     # gathered-KV staging                                                #

@@ -9,11 +9,17 @@ kernel must handle (Figure 6 of the paper).
 Pages are identified by small integers.  The *flat slot index* of logical
 token ``i`` is ``page_id * page_size + (i % page_size)``; the numpy storage
 layer and the attention kernels address K/V arrays by flat slot index.
+
+A table keeps no derived state: :meth:`BlockTable.slots_array` computes
+its range on every call.  Its one counter, ``structure_version``, moves
+only when existing positions remap (vacate, restore, release); appends
+leave it alone, which is what lets the packed decode cache extend a row
+by the one slot a decode step adds.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -106,45 +112,25 @@ class BlockTable:
     been vacated so invariants can be checked cheaply.
     """
 
-    #: Cap on memoized ``slots_array`` results per table.  Callers hit a
-    #: handful of distinct ranges (full context, restore windows), so a
-    #: small cap bounds memory without hurting the hit rate.
-    _MEMO_CAP = 64
-
     def __init__(self, pool: PagePool) -> None:
         self._pool = pool
         self._pages: List[Optional[int]] = []
         self._length = 0          # logical sequence length (tokens appended)
         self._vacated = 0         # leading tokens no longer resident
-        self._version = 0         # bumps on every mutation (append included)
         self._structure_version = 0  # bumps only when existing slots remap
-        self._slots_memo: dict = {}  # (start, end) -> read-only int64 array
 
     @property
     def page_size(self) -> int:
         return self._pool.page_size
 
     @property
-    def version(self) -> int:
-        """Monotonic counter bumped by **every** successful mutation
-        (append / vacate / restore / release).  Consumers that memoize
-        derived arrays key them on this value."""
-        return self._version
-
-    @property
     def structure_version(self) -> int:
         """Monotonic counter bumped only when the mapping of *existing*
         logical positions changes (vacate / restore / release).  Appends
         leave it untouched: previously returned slots stay valid, which
-        is exactly the invariant the incremental decode packing cache
-        relies on for its +1-slot extend fast path."""
+        is the invariant the packed decode cache's +1-slot extend relies
+        on."""
         return self._structure_version
-
-    def _bump(self, structural: bool) -> None:
-        self._version += 1
-        if structural:
-            self._structure_version += 1
-        self._slots_memo.clear()
 
     @property
     def length(self) -> int:
@@ -184,8 +170,6 @@ class BlockTable:
         for _ in range(max(0, pages_needed)):
             self._pages.append(self._pool.allocate_page())
         self._length = new_length
-        if count > 0:
-            self._bump(structural=False)
 
     def slot(self, position: int) -> int:
         """Flat physical slot index of logical ``position``.
@@ -215,9 +199,6 @@ class BlockTable:
         """
         if start >= end:
             return np.empty(0, dtype=np.int64)
-        memo = self._slots_memo.get((start, end))
-        if memo is not None:
-            return memo
         if start < 0 or start >= self._length:
             raise KeyError(f"position {start} out of range [0, {self._length})")
         if end > self._length:
@@ -233,14 +214,7 @@ class BlockTable:
             raise KeyError(f"position {bad} has been vacated")
         positions = np.arange(start, end, dtype=np.int64)
         page_vec = np.asarray(pages, dtype=np.int64)
-        result = page_vec[positions // ps - first_page] * ps + positions % ps
-        # Memoized results are shared across callers; freeze them so one
-        # caller's in-place edit cannot corrupt another's view.
-        result.setflags(write=False)
-        if len(self._slots_memo) >= self._MEMO_CAP:
-            self._slots_memo.clear()
-        self._slots_memo[(start, end)] = result
-        return result
+        return page_vec[positions // ps - first_page] * ps + positions % ps
 
     def vacate_front(self, count: int) -> None:
         """Release the slots of the ``count`` leading resident tokens.
@@ -277,7 +251,7 @@ class BlockTable:
                 self._pool.free_page(page)
                 self._pages[idx] = None
         self._vacated = new_vacated
-        self._bump(structural=True)
+        self._structure_version += 1
 
     def restore_front(self, count: int) -> List[int]:
         """Re-allocate slots for ``count`` tokens at the front of the
@@ -319,7 +293,7 @@ class BlockTable:
             if self._pages[idx] is None:
                 self._pages[idx] = self._pool.allocate_page()
         self._vacated = new_vacated
-        self._bump(structural=True)
+        self._structure_version += 1
         return self.slots(new_vacated, new_vacated + count)
 
     def release(self) -> None:
@@ -329,7 +303,7 @@ class BlockTable:
                 self._pool.free_page(page)
                 self._pages[idx] = None
         self._vacated = self._length
-        self._bump(structural=True)
+        self._structure_version += 1
 
     def resident_slots(self) -> List[int]:
         """Flat slot indices of all resident positions, in logical order."""

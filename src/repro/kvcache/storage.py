@@ -55,30 +55,6 @@ class KVStorage:
         shape = (config.num_layers, num_slots, config.num_kv_heads, config.head_dim)
         self.k = np.zeros(shape, dtype=dtype)
         self.v = np.zeros(shape, dtype=dtype)
-        # Persistent scratch for write_slots_stacked: grown geometrically
-        # to the largest transfer seen, then reused, so steady-state
-        # coalesced swap-ins allocate nothing.
-        self._stack_idx = np.empty(0, dtype=np.int64)
-        self._stack_k = np.empty((config.num_layers, 0) + shape[2:], dtype=dtype)
-        self._stack_v = np.empty((config.num_layers, 0) + shape[2:], dtype=dtype)
-
-    def _stacked_scratch(
-        self, total: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scratch views holding ``total`` stacked tokens, reallocating
-        only when the capacity high-water mark moves."""
-        if self._stack_idx.shape[0] < total:
-            cap = max(total, 2 * self._stack_idx.shape[0])
-            tail = self.k.shape[2:]
-            layers = self.k.shape[0]
-            self._stack_idx = np.empty(cap, dtype=np.int64)
-            self._stack_k = np.empty((layers, cap) + tail, dtype=self.k.dtype)
-            self._stack_v = np.empty((layers, cap) + tail, dtype=self.v.dtype)
-        return (
-            self._stack_idx[:total],
-            self._stack_k[:, :total],
-            self._stack_v[:, :total],
-        )
 
     def write(
         self,
@@ -148,20 +124,19 @@ class KVStorage:
         slot_groups: Sequence[Sequence[int]],
         kvs: Sequence[Tuple[np.ndarray, np.ndarray]],
     ) -> None:
-        """Scatter several chunks' ``(k, v)`` data in ONE all-layer
-        fancy-index over the concatenated indices (coalesced swap-in).
+        """Scatter several chunks' ``(k, v)`` data (the swap-in restore),
+        one all-layer scatter per chunk.
 
         ``kvs[i]`` carries group ``i``'s arrays, each
         ``[num_layers, len(slot_groups[i]), kv_heads, head_dim]``.
         Groups must reference distinct slots (chunk slot sets are
-        disjoint by construction).
+        disjoint by construction).  Every shape is checked before any
+        slot is written.
         """
         if len(slot_groups) != len(kvs):
             raise ValueError(
                 f"{len(slot_groups)} slot groups but {len(kvs)} K/V pairs"
             )
-        if not slot_groups:
-            return
         groups = [np.asarray(group, dtype=np.int64) for group in slot_groups]
         for group, (k, v) in zip(groups, kvs):
             if k.shape[1] != len(group) or v.shape[1] != len(group):
@@ -169,20 +144,9 @@ class KVStorage:
                     f"K/V token count {k.shape[1]}/{v.shape[1]} != "
                     f"slot count {len(group)}"
                 )
-        # Fill persistent scratch instead of np.concatenate-ing three
-        # temporaries per call: tests/kvcache/test_swap_coalescing.py
-        # asserts the steady state allocates nothing.
-        total = sum(len(group) for group in groups)
-        idx, stack_k, stack_v = self._stacked_scratch(total)
-        offset = 0
         for group, (k, v) in zip(groups, kvs):
-            end = offset + len(group)
-            idx[offset:end] = group
-            stack_k[:, offset:end] = k
-            stack_v[:, offset:end] = v
-            offset = end
-        self.k[:, idx] = stack_k
-        self.v[:, idx] = stack_v
+            self.k[:, group] = k
+            self.v[:, group] = v
 
 
 def _checksum(k: np.ndarray, v: np.ndarray) -> int:

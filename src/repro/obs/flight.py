@@ -249,9 +249,6 @@ class FlightRecorder(NullFlightRecorder):
         """Requests with a live (unfinished) ring."""
         return len(self._rings)
 
-    def captured_request_ids(self) -> List[int]:
-        return [c["request_id"] for c in self._captures]
-
     def dump_captures(self, target: _PathOrFile) -> int:
         """Write retained timelines as JSONL; returns the line count."""
         lines = [json.dumps(entry, sort_keys=True) for entry in self._captures]

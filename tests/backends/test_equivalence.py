@@ -46,6 +46,7 @@ def _decode_loop(batch, ctx, steps, num_heads, kv_heads, head_dim):
         v_cache[slots] = vals[i, :ctx]
         tables.append(table)
     cache = backend.create_decode_cache()
+    sources = [DecodeSlotSource(t) for t in tables]
     outs, oracle = [], []
     for step in range(steps):
         pos = ctx + step
@@ -54,9 +55,7 @@ def _decode_loop(batch, ctx, steps, num_heads, kv_heads, head_dim):
             slot = table.slot(pos)
             k_cache[slot] = keys[i, pos]
             v_cache[slot] = vals[i, pos]
-        packed = cache.pack(
-            [DecodeSlotSource(key=i, table=t) for i, t in enumerate(tables)]
-        )
+        packed = cache.pack(sources)
         outs.append(
             backend.decode_attention(queries[step], packed, 0, k_cache, v_cache)
         )

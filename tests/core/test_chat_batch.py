@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import StatefulChatServer
 from repro.faults import FaultPlan, FaultSite, RequestFaultedError
+from repro.kernels import PackedDecodeCache
 from repro.model import tiny_llama_config, tiny_opt_config
 from repro.obs import Tracer
 
@@ -316,3 +317,54 @@ class TestTurnThatCannotFit:
             server.chat(1, prompt_ids=list(range(10, 80)), max_new_tokens=2)
         assert raised.value is server.failures[-1]
         server.manager._audit()
+
+
+class TestPackedDecodeState:
+    """On every decode step the server's packed slot table and lengths
+    are exactly a fresh pack of that step's sources, whatever happened
+    to the rows between steps."""
+
+    def test_every_pack_equals_a_fresh_pack(self, config):
+        server = make_server(config, gpu=96, cpu=512)
+        server.set_system_prompt(prompt_ids=[9, 8, 7, 6, 5])
+        cache = server.model.decode_cache
+        pack = cache.pack
+        checked = []
+
+        def checked_pack(sources):
+            batch = pack(sources)
+            table, lengths = PackedDecodeCache.pack_from_scratch(sources)
+            np.testing.assert_array_equal(np.asarray(batch.table), table)
+            np.testing.assert_array_equal(np.asarray(batch.lengths), lengths)
+            checked.append(len(sources))
+            return batch
+
+        cache.pack = checked_pack
+
+        script = [  # (conversations in row order, prompt tokens, new tokens)
+            ([0, 1, 2], 6, 4),
+            ([1, 0], 5, 3),  # 0 and 1 swap rows ...
+            ([0, 1], 5, 3),  # ... and return to the rows they left
+            ([3], 40, 4),  # swaps the others' leading chunks out
+            ([0, 2], 5, 3),  # restores them
+            ([4, 5], 30, 30),  # decode growth aborts 5, the latest joined
+        ]
+        turns = 0
+        for turn, (convs, n, new) in enumerate(script):
+            prompts = [
+                (c, [(13 * c + 7 * turn + 3 * i) % 120 + 4 for i in range(n)])
+                for c in convs
+            ]
+            out = server.chat_batch(prompts, new)
+            turns += len(convs)
+        assert sorted(out) == [4]
+        (error,) = server.failures
+        assert (error.conv_id, error.site) == (5, FaultSite.GPU_ALLOC)
+        stats = server.manager.stats
+        assert stats["swapped_out_tokens"] > 0 and stats["cpu_hit_tokens"] > 0
+        assert cache.stats["packs"] == len(checked)
+        # Each turn's row is rebuilt once, from the source built after its
+        # prefill, and extended by one slot on every later step.
+        assert cache.stats["rebuilt_rows"] == turns
+        assert cache.stats["extended_rows"] == sum(checked) - turns
+        assert cache.stats["repaired_rows"] == cache.stats["reused_rows"] == 0

@@ -1,15 +1,20 @@
 """Tests for the Pensieve serving engine (simulation layer)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
+from repro.gpu.device import A100_80GB
+from repro.model.config import OPT_13B
 from repro.obs import FlightRecorder, HistogramSet, SloConfig, Tracer
 from repro.serving import BatchConfig, make_vllm
 from repro.sim import EventLoop
 from repro.workload import ConversationDriver
 
 from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with_capacity
+from tests.test_run_digests import _mixed_conversations
 
 
 def pensieve_factory(capacity_tokens=4096, cpu_tokens=None, **kwargs):
@@ -120,6 +125,53 @@ class TestUnifiedBatching:
         engine._execute = spy
         ConversationDriver(loop, engine, convs).run(max_events=1_000_000)
         assert all(len(p) == 1 for p in phases)
+
+
+class TestKvLedger:
+    """The engine caches exactly the tokens its iterations produced: when
+    a turn finishes, its conversation's cached context is the history,
+    the prompt and the output tokens.  ``_on_finish`` may refuse the last
+    token's row when the cache is brim-full, which leaves that
+    conversation one token short from then on.
+
+    Mutation record: growing the decoders before a separate-mode
+    iteration that runs only prefills (the Figure 13 ablation's old
+    order) caches a row no decode wrote, and fails the ``unified=False``
+    cases."""
+
+    @pytest.mark.parametrize("unified", [True, False], ids=["unified", "separate"])
+    @pytest.mark.parametrize("policy", ["retention", "lru"])
+    def test_cached_context_is_history_prompt_and_output(self, unified, policy):
+        kv = OPT_13B.kv_bytes_per_token
+        spec = replace(A100_80GB, kv_cache_bytes=kv * 3072, cpu_memory_bytes=kv * 1024)
+        loop = EventLoop()
+        engine = PensieveEngine(
+            loop, OPT_13B, spec, chunk_size=32, policy=policy, unified=unified
+        )
+        short = {}  # conversations whose final token was refused once
+        finished = []
+        on_finish = engine._on_finish
+
+        def checked(request, now):
+            conv = request.conv_id
+            (before,) = engine.manager.context_lengths([conv])
+            on_finish(request, now)
+            (after,) = engine.manager.context_lengths([conv])
+            expected = request.total_context - short.get(conv, 0)
+            assert before == expected - 1, (request.request_id, before, expected)
+            if after == before:
+                short[conv] = short.get(conv, 0) + 1
+            else:
+                assert after == expected
+            finished.append(request)
+
+        engine._on_finish = checked
+        conversations = _mixed_conversations()
+        ConversationDriver(loop, engine, conversations).run(
+            until=120.0, max_events=2_000_000
+        )
+        assert len(finished) == sum(c.num_turns for c in conversations)
+        assert engine.manager.stats["swapped_out_tokens"] > 0
 
 
 class TestCacheManagement:

@@ -105,9 +105,12 @@ class TestSharing:
 
         assert system.tokens_in(ChunkLocation.GPU) == len(SYSTEM)
 
-    def test_system_prompt_tokens_property(self, config):
-        assert make_server(config, shared=True).system_prompt_tokens == len(SYSTEM)
-        assert make_server(config, shared=False).system_prompt_tokens == 0
+    def test_system_prompt_is_cached_once(self, config):
+        """The prompt's tokens are cached once, under the reserved id."""
+        shared = make_server(config, shared=True)
+        assert shared.context_length(shared.SYSTEM_CONV_ID) == len(SYSTEM)
+        plain = make_server(config, shared=False)
+        assert plain.context_length(plain.SYSTEM_CONV_ID) == 0
 
 
 class TestValidation:

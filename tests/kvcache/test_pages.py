@@ -233,67 +233,28 @@ class TestSlotsArray:
         ]
 
 
-class TestVersioningAndMemo:
-    """Version counters and the memoized ``slots_array`` results the
-    incremental decode packing cache keys its lifecycle on."""
+class TestStructureVersion:
+    """The one counter a table keeps: it moves only when existing
+    positions remap, which the packed decode cache's extend relies on."""
 
     @pytest.fixture
     def pool(self):
         return PagePool(num_pages=16, page_size=4)
 
-    def test_append_bumps_version_but_not_structure(self, pool):
+    def test_append_leaves_structure_version(self, pool):
         table = BlockTable(pool)
-        v, sv = table.version, table.structure_version
+        sv = table.structure_version
         table.append_tokens(5)
-        assert table.version == v + 1
+        table.append_tokens(0)
         assert table.structure_version == sv
 
-    def test_zero_token_append_is_not_a_mutation(self, pool):
-        table = BlockTable(pool)
-        table.append_tokens(4)
-        v = table.version
-        table.append_tokens(0)
-        assert table.version == v
-
-    def test_structural_ops_bump_both_counters(self, pool):
+    def test_structural_ops_bump_structure_version(self, pool):
         table = BlockTable(pool)
         table.append_tokens(12)
-        v, sv = table.version, table.structure_version
+        sv = table.structure_version
         table.vacate_front(8)
-        assert (table.version, table.structure_version) == (v + 1, sv + 1)
+        assert table.structure_version == sv + 1
         table.restore_front(8)
-        assert (table.version, table.structure_version) == (v + 2, sv + 2)
+        assert table.structure_version == sv + 2
         table.release()
-        assert (table.version, table.structure_version) == (v + 3, sv + 3)
-
-    def test_slots_array_memoized_until_mutation(self, pool):
-        table = BlockTable(pool)
-        table.append_tokens(9)
-        first = table.slots_array(0, 9)
-        assert table.slots_array(0, 9) is first  # memo hit
-        table.append_tokens(1)
-        second = table.slots_array(0, 9)
-        assert second is not first  # invalidated by the append
-        assert second.tolist() == first.tolist()  # appends never remap
-
-    def test_memoized_array_is_read_only(self, pool):
-        table = BlockTable(pool)
-        table.append_tokens(6)
-        arr = table.slots_array(0, 6)
-        with pytest.raises(ValueError):
-            arr[0] = 99
-
-    def test_memo_cap_bounds_entries(self, pool):
-        table = BlockTable(pool)
-        table.append_tokens(60)
-        for start in range(BlockTable._MEMO_CAP + 8):
-            table.slots_array(start % 50, 50)
-        assert len(table._slots_memo) <= BlockTable._MEMO_CAP
-
-    def test_distinct_ranges_memoized_separately(self, pool):
-        table = BlockTable(pool)
-        table.append_tokens(10)
-        a = table.slots_array(0, 10)
-        b = table.slots_array(2, 7)
-        assert b.tolist() == a[2:7].tolist()
-        assert table.slots_array(2, 7) is b
+        assert table.structure_version == sv + 3

@@ -56,28 +56,17 @@ def test_stacked_read_matches_per_group_reads():
 
 
 def test_stacked_write_matches_per_chunk_writes_bit_exact():
+    """Several chunks in one call land exactly as per-layer ``write``
+    calls of each chunk would put them."""
     config, total, groups, datas = _make_case()
     a = KVStorage(config, num_slots=total, dtype=np.float64)
     b = KVStorage(config, num_slots=total, dtype=np.float64)
     for group, (k, v) in zip(groups, datas):
-        a.write_slots_stacked([group], [(k, v)])  # one chunk per call
+        for layer in range(config.num_layers):
+            a.write(layer, group, k[layer], v[layer])
     b.write_slots_stacked(groups, datas)
     np.testing.assert_array_equal(a.k, b.k)
     np.testing.assert_array_equal(a.v, b.v)
-
-
-def test_stacked_write_reuses_scratch_in_steady_state():
-    """After one warm-up transfer, a second of the same size leaves the
-    staging scratch the same objects: coalesced swap-in allocates nothing
-    in the steady state."""
-    config, total, groups, datas = _make_case()
-    storage = KVStorage(config, num_slots=total, dtype=np.float64)
-    storage.write_slots_stacked(groups, datas)
-    scratch = (storage._stack_idx, storage._stack_k, storage._stack_v)
-    storage.write_slots_stacked(groups, datas)
-    assert storage._stack_idx is scratch[0]
-    assert storage._stack_k is scratch[1]
-    assert storage._stack_v is scratch[2]
 
 
 def test_stacked_roundtrip_preserves_bytes():
@@ -99,9 +88,11 @@ def test_stacked_write_validates_shapes():
     storage = KVStorage(config, num_slots=total, dtype=np.float64)
     with pytest.raises(ValueError):
         storage.write_slots_stacked(groups[:2], datas[:1])
-    k, v = datas[0]
+    k, v = datas[1]
     with pytest.raises(ValueError):
-        storage.write_slots_stacked([groups[0]], [(k[:, :-1], v)])
+        # The bad second chunk is refused before the first one lands.
+        storage.write_slots_stacked(groups[:2], [datas[0], (k[:, :-1], v)])
+    assert not storage.k.any() and not storage.v.any()
 
 
 @pytest.mark.parametrize("store_cls", [CpuChunkStore, DiskChunkStore])

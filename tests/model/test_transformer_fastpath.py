@@ -450,8 +450,7 @@ class TestDecodeRequests:
     def test_a_decode_batch_matches_the_reference(self, config, dtype):
         fast, reference, _, tables, prefix, rng = self._conversations(config, dtype)
         requests = [
-            DecodeRequest(DecodeSlotSource(key=i, table=t, prefix=prefix))
-            for i, t in enumerate(tables)
+            DecodeRequest(DecodeSlotSource(t, prefix)) for t in tables
         ]
         for _ in range(3):
             tokens = _ids(rng, config, len(tables))
@@ -476,11 +475,11 @@ class TestDecodeRequests:
 
     def test_a_decode_batch_is_checked_like_a_forward_request(self, config, dtype):
         fast, reference, pool, tables, prefix, _ = self._conversations(config, dtype)
-        source = DecodeSlotSource(key=0, table=tables[0], prefix=prefix)
+        source = DecodeSlotSource(tables[0], prefix)
         with pytest.raises(ValueError, match="one input token"):
             fast.forward([DecodeRequest(source, token=[1, 2])])
         empty = BlockTable(pool)
         with pytest.raises(ValueError, match="shorter than its context"):
-            fast.forward([DecodeRequest(DecodeSlotSource(key=1, table=empty, prefix=prefix))])
+            fast.forward([DecodeRequest(DecodeSlotSource(empty, prefix))])
         with pytest.raises(ValueError, match="packed decode cache"):
             reference.forward([DecodeRequest(source)])

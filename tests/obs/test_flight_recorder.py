@@ -144,7 +144,9 @@ class TestFlightRecorder:
             flight.capture(i, "slo:tbt", float(i))
         assert len(flight.captures) == MAX_CAPTURES
         assert flight.dropped_captures == 2
-        assert flight.captured_request_ids() == list(range(2, MAX_CAPTURES + 2))
+        assert [c["request_id"] for c in flight.captures] == list(
+            range(2, MAX_CAPTURES + 2)
+        )
 
     def test_dump_captures_jsonl(self, tmp_path):
         flight = FlightRecorder()

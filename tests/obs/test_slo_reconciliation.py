@@ -303,9 +303,9 @@ class TestCapturePolicy:
         )
         collector = engine.metrics
         assert collector.slo_violated_requests
-        assert set(collector.slo_violated_requests) <= set(
-            flight.captured_request_ids()
-        )
+        assert set(collector.slo_violated_requests) <= {
+            c["request_id"] for c in flight.captures
+        }
         assert len(collector.slo_violated_requests) == len(collector.records)
         assert collector.slo_violations["ttft"] == len(collector.records)
         report = collector.slo_report()

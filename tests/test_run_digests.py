@@ -104,9 +104,12 @@ def _engine_digest(factory, conversations, until: float) -> str:
                  stats.as_dict(), engine.iterations))
 
 
-def pensieve_digest(disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED) -> str:
+def pensieve_digest(
+    disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
+) -> str:
     """OPT-13B on an A100 whose KV cache holds 3,072 tokens and whose host
-    memory holds 1,024, so every tier evicts; ``disk`` adds an NVMe tier."""
+    memory holds 1,024, so every tier evicts; ``disk`` adds an NVMe tier
+    and ``unified=False`` runs Figure 13's separate-batch ablation."""
     kv = OPT_13B.kv_bytes_per_token
 
     def factory(loop):
@@ -114,7 +117,7 @@ def pensieve_digest(disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED
         return PensieveEngine(
             loop, OPT_13B, spec, chunk_size=32, policy=policy,
             disk_cache_tokens=8192 if disk else 0,
-            fault_plan=_plan(seed, 0.1) if armed else None,
+            fault_plan=_plan(seed, 0.1) if armed else None, unified=unified,
         )
 
     return _engine_digest(factory, _mixed_conversations(), until=120.0)
@@ -246,10 +249,11 @@ def decode_digest() -> str:
     """``chat_batch`` decode steps behind a system prompt, for both tiny
     architectures over float32 and float64 storage: the bits of every
     forward result, the outputs, the packing cache's row counts and the
-    final stored K/V.  The script covers steady +1 extends, rows grown by
-    a whole prompt between packs, a swap-out and restore between two
-    turns of one row (repair), a context regrow, a reordered batch
-    (rebuild) and a batch that shrinks from the tail."""
+    final stored K/V.  Each turn rebuilds its row once and extends it by
+    one slot per later step; the script covers a row that returns to the
+    conversation it left, a swap-out and restore between two turns of one
+    conversation, a context regrow, a reordered batch and a batch that
+    shrinks from the tail."""
     digest = hashlib.sha256()
     script = [  # (conversations, prompt tokens, new tokens)
         ([0, 1, 2], 6, 6),
@@ -298,6 +302,9 @@ RUNS = {
     "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, False, "lru"),
     "pensieve/2tier/armed/retention": lambda: pensieve_digest(False, True, "retention"),
     "pensieve/2tier/armed/lru": lambda: pensieve_digest(False, True, "lru"),
+    "pensieve/2tier/separate": lambda: pensieve_digest(
+        False, False, "retention", unified=False
+    ),
     "pensieve/3tier/unarmed/retention": lambda: pensieve_digest(True, False, "retention"),
     "pensieve/3tier/unarmed/lru": lambda: pensieve_digest(True, False, "lru"),
     "pensieve/3tier/armed/retention": lambda: pensieve_digest(True, True, "retention"),
@@ -316,6 +323,7 @@ DIGESTS = {
     "pensieve/2tier/unarmed/lru": "15b000cbac6526ca",
     "pensieve/2tier/armed/retention": "6a16af03ae45f835",
     "pensieve/2tier/armed/lru": "c1791895348977bc",
+    "pensieve/2tier/separate": "ab7e8c9b20377131",
     "pensieve/3tier/unarmed/retention": "f90f415cd902be78",
     "pensieve/3tier/unarmed/lru": "73f31d64cb21d232",
     "pensieve/3tier/armed/retention": "ce5a73b3f0018345",
@@ -326,7 +334,7 @@ DIGESTS = {
     "sweep/opt-13b/2-rates": "0354b279803b5428",
     "server/3tier/armed": "3526e06261cb62e4",
     "model/float64/mixed-batch": "a1d82ab27d933482",
-    "server/decode-steps": "9c84e30947782f29",
+    "server/decode-steps": "28aaad44af5b20a2",
 }
 
 
