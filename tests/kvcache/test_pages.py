@@ -245,8 +245,18 @@ class TestStructureVersion:
         table = BlockTable(pool)
         sv = table.structure_version
         table.append_tokens(5)
-        table.append_tokens(0)
+        assert table.length == 5
         assert table.structure_version == sv
+
+    def test_zero_token_append_changes_nothing(self, pool):
+        table = BlockTable(pool)
+        table.append_tokens(4)
+        sv, pages, free = (
+            table.structure_version, table.num_pages, pool.num_free_pages)
+        table.append_tokens(0)
+        assert table.length == 4
+        assert (table.structure_version, table.num_pages) == (sv, pages)
+        assert pool.num_free_pages == free
 
     def test_structural_ops_bump_structure_version(self, pool):
         table = BlockTable(pool)
