@@ -13,7 +13,10 @@ physically moving KV data exactly as the cache manager decides —
   or dropped and later *recomputed* from the raw-token persistent store
   via the Figure 8 sub-request path;
 - returning conversations swap their CPU chunks back into (different!)
-  GPU pages, exercising the non-contiguous multi-token attention kernel.
+  GPU pages, exercising the non-contiguous multi-token attention kernel;
+- a turn's last generated token gets its KV slot but no forward: the
+  conversation's next prefill feeds it as one more input row, so a turn
+  of N tokens runs one prefill and N - 1 decode forwards.
 
 Because every movement is real, tests can assert the headline correctness
 property: a server under heavy eviction produces *exactly* the same output
@@ -23,7 +26,7 @@ tokens as one with abundant memory.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -70,7 +73,7 @@ class _Turn:
     phase: int            #: tracer handle of its open ``prefill``/``decode`` child
     generated: List[int] = field(default_factory=list)
     #: The turn's generation step, reused by every decode step (``None``
-    #: without the packed decode cache).
+    #: without the packed decode cache, or for a one-token turn).
     decode: Optional[DecodeRequest] = None
 
 
@@ -182,6 +185,10 @@ class StatefulChatServer:
         #: The "persistent store" of Figure 7: every conversation's raw
         #: token ids, used to recompute dropped chunks.
         self.raw_tokens: Dict[int, List[int]] = {}
+        #: Conversations whose last token (the last of ``raw_tokens``)
+        #: holds an allocated KV slot that no forward has written yet;
+        #: their next prefill feeds that token (see :meth:`chat_batch`).
+        self._unwritten: Set[int] = set()
         self._clock = 0.0
         # Shared system-prompt state (paper footnote 3): prefilled once,
         # pinned forever, prepended to every conversation's context.
@@ -189,8 +196,9 @@ class StatefulChatServer:
         self._system_slots_arr: np.ndarray = np.empty(0, dtype=np.int64)
         self._system_ids: List[int] = []
         # Deferred D2H copies: each ahead-of-time copy queues
-        # ``(conv_id, chunk_index, slots)`` here, and they cross as ONE
-        # stacked gather + batched insert (see :meth:`_ensure_capacity`).
+        # ``(conv_id, chunk_index, slots)`` here, and they cross as one
+        # gather per chunk + one batched insert (see
+        # :meth:`_ensure_capacity`).
         self._pending_copies: List[Tuple[int, int, np.ndarray]] = []
         #: Observability sink (``repro.obs``); the null default keeps the
         #: serving path allocation-free when tracing is off.
@@ -269,7 +277,7 @@ class StatefulChatServer:
             raise AssertionError(f"unexpected transition {old} -> {new}")
 
     # ------------------------------------------------------------------
-    # Coalesced D2H copy path (stacked gather + batched CPU-store insert)
+    # Coalesced D2H copy path (per-chunk gathers + batched CPU-store insert)
     # ------------------------------------------------------------------
 
     def _ensure_capacity(self, tokens: int, now: float) -> None:
@@ -283,8 +291,9 @@ class StatefulChatServer:
             self._flush_pending_copies()
 
     def _flush_pending_copies(self) -> None:
-        """Move every deferred chunk copy to the CPU store as ONE stacked
-        all-layer gather and one batched insert."""
+        """Move every deferred chunk copy to the CPU store: one all-layer
+        gather per chunk, into the array the store keeps, and one batched
+        insert."""
         pending = self._pending_copies
         if not pending:
             return
@@ -410,6 +419,7 @@ class StatefulChatServer:
             for chunk_index in store.chunks_of(conv_id):
                 store.drop(conv_id, chunk_index)
         self.raw_tokens.pop(conv_id, None)
+        self._unwritten.discard(conv_id)
 
     def _fail_request(
         self, conv_id: int, site: FaultSite, attempts: int
@@ -479,7 +489,9 @@ class StatefulChatServer:
         physically swaps CPU chunks back in, allocates slots for the new
         prompt, and returns ``(block_table, dropped, input_ids)`` where
         ``input_ids`` is the Figure 8(a) concatenation of recomputed raw
-        tokens and the new prompt.
+        tokens and the new prompt.  An unwritten last token (see
+        :meth:`chat_batch`) is fed just ahead of the prompt, at its own
+        position; a recompute of the whole history already feeds it.
         """
         history = self.raw_tokens.setdefault(conv_id, [])
         table = self._tables.get(conv_id)
@@ -572,6 +584,8 @@ class StatefulChatServer:
                 recompute=plan.recompute_tokens, new=plan.new_tokens,
             )
         self.manager.commit_restore(plan, now)
+        carried = conv_id in self._unwritten
+        self._unwritten.discard(conv_id)
 
         # Physically restore the vacated prefix: dropped tokens get fresh
         # (empty) slots to be filled by recomputation; disk and CPU tokens
@@ -589,9 +603,14 @@ class StatefulChatServer:
             )
         table.append_tokens(len(prompt_ids))
 
-        # Figure 8(a): recomputed raw tokens are prepended to the prompt.
+        # Figure 8(a): recomputed raw tokens are prepended to the prompt,
+        # and so is a carried token unless the recompute covers it; the
+        # trailing-position rule of ``ForwardRequest`` places it.
         dropped = plan.recompute_tokens
-        input_ids = history[:dropped] + prompt_ids
+        input_ids = history[:dropped]
+        if carried and dropped < len(history):
+            input_ids.append(history[-1])
+        input_ids += prompt_ids
         return table, dropped, input_ids
 
     def _grow(self, conv_id: int, table: BlockTable, now: float) -> None:
@@ -635,6 +654,15 @@ class StatefulChatServer:
         requests to ``model.forward``, and the next tokens are one
         ``argmax`` over the step's logits.  A turn that fails or is
         aborted leaves the batch with its request.
+
+        A turn of N tokens runs one prefill and N - 1 decode forwards.
+        Its last step grows every member by the last token's KV slot
+        (fault gate, capacity, manager and block table, as any step)
+        but runs no forward: the token's K/V would only be written, its
+        logits discarded.  The conversation's next prefill computes it
+        as one more input row, writing it at every layer before that
+        layer's attention reads it; only the owner's forwards read the
+        slot, so nothing reads it earlier.
 
         Args:
             prompts: ``(conv_id, prompt_ids)`` pairs; conversation ids
@@ -717,7 +745,7 @@ class StatefulChatServer:
         tokens = np.argmax(logits, axis=1).tolist()
         for turn, token in zip(turns, tokens):
             turn.generated.append(token)
-            if decode_cache is not None:
+            if decode_cache is not None and max_new_tokens > 1:
                 turn.decode = DecodeRequest(
                     DecodeSlotSource(turn.table, self._system_slots_arr)
                 )
@@ -756,19 +784,21 @@ class StatefulChatServer:
                 grown += 1
             if not turns:
                 return {}
-            step_logits = self.model.forward(
-                [self._decode_request(turn) for turn in turns]
-            )
-            if step + 1 < max_new_tokens:  # the last step only writes KV
+            if step + 1 < max_new_tokens:  # the last step runs no forward
+                step_logits = self.model.forward(
+                    [self._decode_request(turn) for turn in turns]
+                )
                 tokens = np.argmax(step_logits, axis=1).tolist()
                 for turn, token in zip(turns, tokens):
                     turn.generated.append(token)
 
-        # Phase 4: persist raw tokens and unpin.
+        # Phase 4: persist raw tokens and unpin; the last token's slot is
+        # left for the next prefill to write.
         for turn in turns:
             history = self.raw_tokens[turn.conv_id]
             history.extend(turn.prompt_ids)
             history.extend(turn.generated)
+            self._unwritten.add(turn.conv_id)
             self.manager.close(turn.conv_id, now)
             if tracer.enabled:
                 tracer.end(turn.phase, t=self._clock, tokens=len(turn.generated))

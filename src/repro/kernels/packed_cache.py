@@ -57,9 +57,11 @@ good, and every later gather is a fresh one.  Correctness leans on one
 :class:`~repro.kvcache.pages.BlockTable` invariant: appends never remap
 existing positions (only ``vacate_front`` / ``restore_front`` /
 ``release`` do, and those bump ``structure_version``), and the serving
-layer only writes K/V for *newly appended* slots while a request is
-resident — so staged KV columns stay valid exactly as long as the
-structure version holds still.
+layer only writes K/V for slots no live row has gathered: a decode
+step's newly appended slot, or, in the next turn's prefill (before that
+turn's new source is packed), the previous turn's unwritten last slot —
+so staged KV columns stay valid exactly as long as the structure
+version holds still.
 
 The cache is numerically transparent: for grouped-query models the
 outputs of :func:`packed_decode_attention` are bit-identical to

@@ -445,8 +445,14 @@ class TieredCacheManager:
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
             return
-        gpu_cpu = cache.tokens_in(_GPU_CPU)
-        gpu = cache.tokens_in(_GPU)
+        # One pass over the chunk list for both counts.
+        gpu_cpu = gpu = 0
+        for chunk in cache.chunks:
+            location = chunk.location
+            if location is _GPU:
+                gpu += chunk.end - chunk.start
+            elif location is _GPU_CPU:
+                gpu_cpu += chunk.end - chunk.start
         if pinned:
             self._reclaimable -= gpu_cpu
             self._evictable -= gpu
@@ -553,14 +559,27 @@ class TieredCacheManager:
         plan = CachePlan(conv_id=conv_id, new_tokens=new_tokens)
         cache = self._conversations.get(conv_id)
         if cache is not None:
-            plan.gpu_hit_tokens = cache.tokens_in(*_GPU_STATES)
-            plan.swap_in_chunks = cache.chunks_in(_CPU)
-            plan.swap_in_tokens = sum(c.num_tokens for c in plan.swap_in_chunks)
-            plan.disk_read_chunks = cache.chunks_in(_DISK)
-            plan.disk_read_tokens = sum(
-                c.num_tokens for c in plan.disk_read_chunks
-            )
-            plan.recompute_tokens = cache.tokens_in(_DROPPED)
+            # One pass over the chunk list collects every count and list.
+            gpu_hit = swap_in = disk_read = recompute = 0
+            swap_in_chunks = plan.swap_in_chunks
+            disk_read_chunks = plan.disk_read_chunks
+            for chunk in cache.chunks:
+                location = chunk.location
+                tokens = chunk.end - chunk.start
+                if location is _GPU or location is _GPU_CPU:
+                    gpu_hit += tokens
+                elif location is _CPU:
+                    swap_in_chunks.append(chunk)
+                    swap_in += tokens
+                elif location is _DISK:
+                    disk_read_chunks.append(chunk)
+                    disk_read += tokens
+                else:  # dropped
+                    recompute += tokens
+            plan.gpu_hit_tokens = gpu_hit
+            plan.swap_in_tokens = swap_in
+            plan.disk_read_tokens = disk_read
+            plan.recompute_tokens = recompute
         return plan
 
     def commit_restore(self, plan: CachePlan, now: float) -> ConversationCache:

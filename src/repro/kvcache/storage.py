@@ -9,6 +9,12 @@ verified data path (per-chunk CRC32, coalesced batch insert/remove,
 fault-injection hooks) and differ only in their counter namespace and
 fault site.
 
+A swapped chunk crosses with one copy each way: swap-out gathers each
+chunk once, into the array the store keeps, and the CRC32 is taken over
+that array's own buffer; swap-in verifies the kept buffer in place and
+scatters it into the GPU slots.  Every chunk is checksummed on insert
+and verified on read, whether a fault plan is armed or not.
+
 Demotion between tiers uses :meth:`_ChunkStoreBase.transfer_to`, which
 moves a chunk *with its insertion-time checksum* — the CRC computed when
 the chunk first left the GPU travels to disk unchanged, so corruption
@@ -95,29 +101,21 @@ class KVStorage:
     def read_slots_stacked(
         self, slot_groups: Sequence[Sequence[int]]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Gather several slot groups (e.g. swap-out chunks) in ONE
-        all-layer fancy-index over the concatenated indices.
+        """Gather several slot groups (e.g. swap-out chunks), one
+        all-layer gather per group.
 
-        Returns one ``(k, v)`` pair per group, each of shape
-        ``[num_layers, len(group), kv_heads, head_dim]`` — views into
-        the stacked gather, split back along the slot axis.  Equivalent
-        to calling :meth:`read_all_layers` per group, but the cache is
-        traversed once for the whole transfer (the coalesced data path
-        of the two-tier manager).
+        Returns one ``(k, v)`` pair per group, each a fresh C-contiguous
+        array of shape ``[num_layers, len(group), kv_heads, head_dim]``
+        that owns its data, so :meth:`_ChunkStoreBase.put_many` keeps it
+        without another copy.  Equal to :meth:`read_all_layers` per group.
         """
-        sizes = [len(group) for group in slot_groups]
-        if not sizes:
-            return []
-        idx = np.concatenate(
-            [np.asarray(group, dtype=np.int64) for group in slot_groups]
-        )
-        k = self.k[:, idx]
-        v = self.v[:, idx]
-        bounds = np.cumsum([0] + sizes)
-        return [
-            (k[:, bounds[i] : bounds[i + 1]], v[:, bounds[i] : bounds[i + 1]])
-            for i in range(len(sizes))
-        ]
+        out = []
+        for group in slot_groups:
+            idx = np.asarray(group, dtype=np.int64)
+            # ``take`` writes the layer-major result directly; ``k[:, idx]``
+            # would return a transposed view of a slot-major buffer.
+            out.append((np.take(self.k, idx, axis=1), np.take(self.v, idx, axis=1)))
+        return out
 
     def write_slots_stacked(
         self,
@@ -150,8 +148,18 @@ class KVStorage:
 
 
 def _checksum(k: np.ndarray, v: np.ndarray) -> int:
-    """CRC32 over a chunk's K and V bytes (cheap end-to-end integrity)."""
-    return zlib.crc32(v.tobytes(), zlib.crc32(k.tobytes()))
+    """CRC32 over a chunk's K and V bytes (cheap end-to-end integrity),
+    read from the arrays' own buffers: both must be C-contiguous, as
+    every stored chunk is.  The value equals the CRC of ``k.tobytes()``
+    followed by ``v.tobytes()``."""
+    return zlib.crc32(v, zlib.crc32(k))
+
+
+def _owned(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it owns a C-contiguous buffer, else a copy."""
+    if array.flags.owndata and array.flags.c_contiguous:
+        return array
+    return array.copy()
 
 
 class _ChunkStoreBase:
@@ -218,8 +226,13 @@ class _ChunkStoreBase:
     ) -> None:
         """Insert several chunks as one coalesced transfer.
 
-        ``entries`` holds ``(conv_id, chunk_index, k, v)`` tuples.  The
-        insert is atomic: duplicates and capacity are checked for the
+        ``entries`` holds ``(conv_id, chunk_index, k, v)`` tuples.  An
+        array that owns a C-contiguous buffer (a fresh gather, as
+        :meth:`KVStorage.read_slots_stacked` returns) is kept as given:
+        the store takes it over, and the caller must not write to it
+        afterwards.  Any other array (a view, a non-contiguous array) is
+        copied first.  Each chunk's CRC32 is taken over the kept arrays.
+        The insert is atomic: duplicates and capacity are checked for the
         whole batch up front, so either every chunk lands or none does.
         Counter totals (``<prefix>.put_bytes`` / ``put_chunks``) depend
         only on the chunks inserted, not on how they are batched —
@@ -236,7 +249,8 @@ class _ChunkStoreBase:
         self._reserve(keys, sum(k.shape[1] for _, _, k, _ in entries))
         total_bytes = 0
         for key, (_, _, k, v) in zip(keys, entries):
-            self._insert(key, k.copy(), v.copy(), _checksum(k, v))
+            k, v = _owned(k), _owned(v)
+            self._insert(key, k, v, _checksum(k, v))
             total_bytes += k.nbytes + v.nbytes
         if self.tracer.enabled and entries:
             self.tracer.count(f"{self._PREFIX}.put_bytes", total_bytes)

@@ -370,7 +370,9 @@ class PagedTransformer:
             out = attention(layer_idx, w, x, rows)
             x = (x if rows is None else x[rows]) + out
             x = x + w.mlp(w.mlp_norm(x))
-        return self.final_norm(x) @ self.lm_head
+        # ``(E @ h^T)^T`` reads the tied embedding E in its stored,
+        # row-major orientation; the bits equal ``h @ E^T``'s.
+        return (self.lm_head.T @ self.final_norm(x).T).T
 
     def _decode(self, batch: Sequence[DecodeRequest]) -> np.ndarray:
         """One generation step of every request, read from the packed batch.

@@ -8,6 +8,8 @@ checksums, and exactly matching tracer counter totals — coalescing
 changes the number of transfers, not the accounting.
 """
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,27 @@ def test_stacked_read_matches_per_group_reads():
         k_ref, v_ref = storage.read_all_layers(list(group))
         np.testing.assert_array_equal(k, k_ref)
         np.testing.assert_array_equal(v, v_ref)
+
+
+def test_stacked_read_returns_owned_contiguous_arrays():
+    """Each group comes back as its own C-contiguous array — what the CPU
+    store keeps without another copy — equal to the group's slice of one
+    stacked gather over the concatenated slots."""
+    config, total, groups, _ = _make_case()
+    storage = KVStorage(config, num_slots=total, dtype=np.float32)
+    rng = np.random.default_rng(3)
+    storage.k[:] = rng.standard_normal(storage.k.shape)
+    storage.v[:] = rng.standard_normal(storage.v.shape)
+    idx = np.concatenate(groups)
+    stacked_k, stacked_v = storage.k[:, idx], storage.v[:, idx]
+    lo = 0
+    for group, (k, v) in zip(groups, storage.read_slots_stacked(groups)):
+        hi = lo + len(group)
+        for got, want in ((k, stacked_k[:, lo:hi]), (v, stacked_v[:, lo:hi])):
+            assert got.flags.c_contiguous and got.flags.owndata
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+        lo = hi
 
 
 def test_stacked_write_matches_per_chunk_writes_bit_exact():
@@ -186,3 +209,40 @@ def test_pop_many_reports_corrupt_chunks_and_retains_them():
     with pytest.raises(ChunkCorruptionError):
         store.pop(0, 2)
 
+
+
+def test_put_many_keeps_an_owned_array_and_copies_a_view():
+    """An array owning a C-contiguous buffer is stored as given; a
+    non-contiguous view is copied, so a later write to the caller's array
+    does not reach the store and the chunk still verifies."""
+    _, total, _, datas = _make_case()
+    store = CpuChunkStore(total)
+    k, v = datas[0]
+    wide_k, wide_v = (np.repeat(a, 2, axis=1) for a in datas[1])
+    view_k, view_v = wide_k[:, ::2], wide_v[:, ::2]
+    assert not view_k.flags.c_contiguous
+    store.put_many([(0, 0, k, v), (0, 1, view_k, view_v)])
+    kept_k, kept_v = store._entries[(0, 0)]
+    assert kept_k is k and kept_v is v
+    stored_k, stored_v = store._entries[(0, 1)]
+    assert not np.shares_memory(stored_k, wide_k)
+    assert not np.shares_memory(stored_v, wide_v)
+    wide_k[:] = 0.0
+    wide_v[:] = 0.0
+    got_k, got_v = store.pop(0, 1)
+    np.testing.assert_array_equal(got_k, datas[1][0])
+    np.testing.assert_array_equal(got_v, datas[1][1])
+
+
+def test_stored_checksum_is_the_crc_of_the_chunk_bytes():
+    """The CRC taken over a stored chunk's buffers equals the CRC of its
+    K bytes followed by its V bytes, for owned arrays and copied views."""
+    _, total, _, datas = _make_case()
+    store = CpuChunkStore(total)
+    entries = [(0, i, k, v) for i, (k, v) in enumerate(datas[:3])]
+    k, v = datas[3]
+    entries.append((0, 3, k[:, ::-1], v[:, ::-1]))
+    store.put_many(entries)
+    for _, index, k, v in entries:
+        want = zlib.crc32(v.tobytes(), zlib.crc32(k.tobytes()))
+        assert store._checksums[(0, index)] == want

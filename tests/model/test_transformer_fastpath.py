@@ -379,12 +379,16 @@ def test_forward_is_the_last_row_of_every_row(config, dtype, scenario):
 
 
 class _LmHeadSpy(np.ndarray):
-    """An LM head recording how many rows each ``x @ lm_head`` carries
-    (Python tries a subclass's reflected operator first)."""
+    """An LM head recording how many rows each product with it carries.
+    The head multiplies as ``(lm_head.T @ x.T).T``; its transpose is a
+    view of the same subclass sharing the record, and sees ``x.T``."""
 
-    def __rmatmul__(self, x):
-        self.rows.append(x.shape[0])
-        return x @ np.asarray(self)
+    def __array_finalize__(self, obj):
+        self.rows = getattr(obj, "rows", None)
+
+    def __matmul__(self, xt):
+        self.rows.append(xt.shape[1])
+        return np.asarray(self) @ xt
 
 
 def test_last_layer_mlp_and_lm_head_see_one_row_per_request(config, dtype):

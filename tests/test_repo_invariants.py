@@ -218,7 +218,7 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
         server.chat_batch(
             [(c, [(5 * c + turn + i) % config.vocab_size for i in range(6 + c)])
              for c in range(3)],
-            max_new_tokens=4,
+            max_new_tokens=5,  # four decode forwards a turn, three steady
         )
     assert len(steady_steps) == 2 * 3
     assert steady_steps == [{"_stale_index": 1}] * len(steady_steps)

@@ -334,7 +334,7 @@ DIGESTS = {
     "sweep/opt-13b/2-rates": "0354b279803b5428",
     "server/3tier/armed": "3526e06261cb62e4",
     "model/float64/mixed-batch": "a1d82ab27d933482",
-    "server/decode-steps": "28aaad44af5b20a2",
+    "server/decode-steps": "62c9d98cb2c59beb",
 }
 
 
