@@ -9,7 +9,10 @@ fails if a kernel is reached any other way.
 
 One backend ships: ``paged`` — pool-backed block tables, the
 :class:`~repro.kernels.packed_cache.PackedDecodeCache` staging (K
-key-transposed, V head-major) and the packed decode kernel.  ARCHITECTURE.md §15 records the
+key-transposed, V head-major) and the packed decode kernel.  It is
+stateless (per-run state, the decode cache, comes from
+:meth:`Backend.create_decode_cache`), so each transformer builds its
+own; there is no lookup by name.  ARCHITECTURE.md §15 records the
 alternative layouts that were measured against it on the serving
 benchmark and removed, and what a replacement would have to show.
 """
@@ -32,7 +35,7 @@ from repro.kernels.packed_cache import (
     packed_decode_attention,
 )
 
-__all__ = ["Backend", "get_backend"]
+__all__ = ["Backend"]
 
 
 class Backend:
@@ -92,21 +95,3 @@ class Backend:
     ) -> List[np.ndarray]:
         """Fused mixed prefill+decode attention for a ragged batch."""
         return ragged_multi_token_attention(requests, k_cache, v_cache, scale)
-
-
-# Stateless — per-run state (the decode cache) comes from the factory
-# method — so one shared instance serves every caller.
-_PAGED = Backend()
-
-
-def get_backend(name: str) -> Backend:
-    """The backend called ``name``.
-
-    Raises:
-        ValueError: for any name but ``"paged"``.
-    """
-    if name != _PAGED.name:
-        raise ValueError(
-            f"unknown backend {name!r}; the only backend is {_PAGED.name!r}"
-        )
-    return _PAGED

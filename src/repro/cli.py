@@ -73,9 +73,10 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         raise SystemExit(
             "--fault-seed requires a stateful system (pensieve, pensieve-gpu)"
         )
-    if disk_tokens and system not in stateful:
+    if disk_tokens and system != "pensieve":
         raise SystemExit(
-            "--disk-tokens requires a stateful system (pensieve, pensieve-gpu)"
+            "--disk-tokens requires the pensieve system: a disk tier needs "
+            "a CPU tier in front of it"
         )
     if system == "vllm":
         return lambda loop: make_vllm(loop, config, A100_80GB)
@@ -88,8 +89,7 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         )
     if system in ("pensieve-gpu", "pensieve-gpu-cache"):
         return lambda loop: PensieveEngine(
-            loop, config, A100_80GB, cpu_cache_tokens=0,
-            fault_plan=fault_plan, disk_cache_tokens=disk_tokens,
+            loop, config, A100_80GB, cpu_cache_tokens=0, fault_plan=fault_plan,
         )
     raise SystemExit(
         f"unknown system {system!r}; choose from vllm, tensorrt-llm, "
@@ -198,13 +198,16 @@ def cmd_chat(args: argparse.Namespace) -> int:
     from repro.model.config import tiny_llama_config, tiny_opt_config
 
     config = tiny_llama_config() if args.arch == "llama" else tiny_opt_config()
-    server = StatefulChatServer(
-        config,
-        gpu_capacity_tokens=args.gpu_tokens,
-        cpu_capacity_tokens=args.cpu_tokens,
-        disk_capacity_tokens=args.disk_tokens,
-        seed=args.seed,
-    )
+    try:
+        server = StatefulChatServer(
+            config,
+            gpu_capacity_tokens=args.gpu_tokens,
+            cpu_capacity_tokens=args.cpu_tokens,
+            disk_capacity_tokens=args.disk_tokens,
+            seed=args.seed,
+        )
+    except ValueError as error:  # tier sizes the flags gave
+        raise SystemExit(f"repro chat: {error}") from None
     if args.system_prompt:
         server.set_system_prompt(args.system_prompt)
 
@@ -471,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument("--disk-tokens", type=int, default=0,
                           help="enable the NVMe-modeled disk tier with this "
-                               "many KV-tokens of capacity (stateful systems)")
+                               "many KV-tokens of capacity (pensieve only)")
     simulate.add_argument("--fault-seed", type=int, default=None,
                           help="arm deterministic fault injection (stateful "
                                "systems only) seeded with this value")
@@ -496,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=7)
     sweep.add_argument("--disk-tokens", type=int, default=0,
                        help="enable the NVMe-modeled disk tier with this "
-                            "many KV-tokens of capacity (stateful systems)")
+                            "many KV-tokens of capacity (pensieve only)")
     _add_slo_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -6,22 +6,16 @@
 - :class:`~repro.core.server.StatefulChatServer` — the functional serving
   stack running real tensors through the numpy transformer with physical
   swap/drop/recompute;
-- eviction policies (:class:`RetentionValuePolicy`, :class:`LruPolicy`)
-  and the cross-tier :class:`TieredPlacementPolicy` for the disk tier.
+- eviction policies (:class:`RetentionValuePolicy`, :class:`LruPolicy`).
 """
 
-from repro.core.eviction import (
-    LruPolicy,
-    RetentionValuePolicy,
-    TieredPlacementPolicy,
-)
+from repro.core.eviction import LruPolicy, RetentionValuePolicy
 from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 
 __all__ = [
     "RetentionValuePolicy",
     "LruPolicy",
-    "TieredPlacementPolicy",
     "PensieveEngine",
     "StatefulChatServer",
 ]

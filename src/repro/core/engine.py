@@ -4,7 +4,7 @@ A stateful, unified-batching engine built on:
 
 - the tiered :class:`~repro.kvcache.manager.TieredCacheManager`
   (token-chunk eviction, lazy reclamation, Figure 5 restore planning,
-  optional disk tier with cross-tier retention-value placement);
+  optional disk tier behind the CPU tier, ordered by the same score);
 - the retention-value eviction policy (§4.3.1) driven by offline
   power-of-two profiling;
 - ahead-of-time swap-out below a free-space threshold (§4.3.2);
@@ -39,7 +39,6 @@ from repro.kvcache.manager import (
     CacheCapacityError,
     EvictionScorer,
     RestoreTier,
-    TierPlacement,
     TieredCacheManager,
 )
 from repro.model.config import ModelConfig
@@ -47,6 +46,10 @@ from repro.serving.batching import BatchConfig
 from repro.serving.engine import EngineBase
 from repro.serving.request import Request, RequestState
 from repro.sim.events import EventLoop
+
+
+#: Simulated duration of one injected worker stall (``WORKER_STEP``).
+WORKER_STALL_SECONDS = 0.05
 
 
 @dataclass(slots=True)
@@ -73,11 +76,8 @@ class PensieveEngine(EngineBase):
             CPU tier; 0 (the default) disables the tier, reproducing the
             two-tier behaviour exactly.  Demotions and disk reads are
             priced on an NVMe :class:`~repro.gpu.link.Link` built from
-            the spec's ``nvme_*`` fields.
-        placement: cross-tier placement policy (see
-            :class:`~repro.core.eviction.TieredPlacementPolicy`); ``None``
-            demotes to disk whenever the tier has room.
-        policy: ``"retention"`` (default), ``"lru"``, or a custom scorer.
+            the spec's ``nvme_*`` fields.  It needs a CPU tier.
+        policy: ``"retention"`` (default) or ``"lru"``.
         chunk_size: eviction granularity (32 in the paper).
         unified: batch prefill and generation together (§4.2); ``False``
             reproduces the separate-scheduling ablation of Figure 13.
@@ -100,8 +100,7 @@ class PensieveEngine(EngineBase):
         batch_config: Optional[BatchConfig] = None,
         cpu_cache_tokens: Optional[int] = None,
         disk_cache_tokens: int = 0,
-        placement: Optional[TierPlacement] = None,
-        policy: object = "retention",
+        policy: str = "retention",
         chunk_size: int = 32,
         unified: bool = True,
         pipelined_swap_in: bool = True,
@@ -131,7 +130,6 @@ class PensieveEngine(EngineBase):
             gpu_capacity_tokens=gpu_tokens,
             cpu_capacity_tokens=cpu_cache_tokens,
             disk_capacity_tokens=disk_cache_tokens,
-            placement=placement,
             chunk_size=chunk_size,
             scorer=scorer,
             whole_conversation_eviction=whole_conversation_eviction,
@@ -188,7 +186,7 @@ class PensieveEngine(EngineBase):
 
     @staticmethod
     def _resolve_policy(
-        policy: object, cost_model: CostModel, chunk_size: int
+        policy: str, cost_model: CostModel, chunk_size: int
     ) -> EvictionScorer:
         if policy == "retention":
             profile = OfflineProfiler.from_cost_model(cost_model).profile(
@@ -197,8 +195,6 @@ class PensieveEngine(EngineBase):
             return RetentionValuePolicy(profile)
         if policy == "lru":
             return LruPolicy()
-        if callable(policy):
-            return policy  # custom scorer
         raise ValueError(f"unknown eviction policy {policy!r}")
 
     # ------------------------------------------------------------------
@@ -594,7 +590,7 @@ class PensieveEngine(EngineBase):
             and self.model_config.num_gpus > 1
             and self.fault_plan.fires(FaultSite.WORKER_STEP)
         ):
-            extra += self.fault_plan.stall_seconds
+            extra += WORKER_STALL_SECONDS
             self.metrics.faults.worker_stalls += 1
         transfer = self._iter_swap_in_seconds
         if transfer <= 0.0:

@@ -18,22 +18,18 @@ Two scoring policies are provided:
 - :class:`LruPolicy` — the classic baseline of Figure 14: evict the least
   recently active conversation first, ignoring recomputation cost.
 
-With the disk tier enabled, the same score additionally chooses *which
-tier* a chunk leaving the CPU lands in: :class:`TieredPlacementPolicy`
-wraps any scorer and demotes a chunk to disk only when its retention
-value clears a configurable floor (below it, the NVMe write is not worth
-the rescue — the chunk recomputes more cheaply than it restores).  The
-manager layers displacement on top: an approved chunk may still be
-dropped if disk room can only be made by evicting higher-valued
-residents.
+With the disk tier enabled, the same score also orders the disk tier:
+a chunk leaving the CPU lands on disk when there is room, or when room
+can be made by displacing strictly lower-scored disk chunks, and is
+dropped otherwise (:meth:`~repro.kvcache.manager.TieredCacheManager.drop_from_cpu`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.gpu.profiler import AttentionCostProfile
-from repro.kvcache.chunks import Chunk, ChunkLocation
+from repro.kvcache.chunks import Chunk
 
 
 class RetentionValuePolicy:
@@ -94,58 +90,3 @@ class LruPolicy:
 
     def __repr__(self) -> str:
         return "LruPolicy()"
-
-
-class TieredPlacementPolicy:
-    """Cross-tier extension of the retention score (disk tier, ROADMAP 3).
-
-    Decides where a chunk leaving the CPU tier lands: ``DISK`` when its
-    retention value ``V = Cost(s, l) / T`` is at least ``min_disk_value``,
-    ``DROPPED`` otherwise.  The intuition mirrors §4.3.1: ``V`` prices
-    what per-second rescue of the chunk is worth, so a floor on it is a
-    floor on how valuable a chunk must be before the system spends NVMe
-    write bandwidth (and disk capacity) keeping it restorable instead of
-    recomputable.
-
-    ``min_disk_value=0.0`` (the default) demotes everything the disk can
-    hold — pure capacity extension; raising it makes the disk tier
-    selective.  The manager applies this policy *per eviction decision*
-    and separately enforces value-ordered displacement within the disk
-    tier, so the full cross-tier ordering is: GPU ⊇ CPU ⊇ DISK by
-    descending retention value, with DROPPED below the floor.
-
-    Args:
-        scorer: any eviction scorer (``(chunk, last_active, now) ->
-            score``); typically the same :class:`RetentionValuePolicy`
-            instance the manager evicts with, so both decisions read one
-            consistent value.
-        min_disk_value: retention-value floor for disk placement.
-    """
-
-    name = "tiered-placement"
-
-    def __init__(
-        self,
-        scorer: Callable[[Chunk, float, float], float],
-        min_disk_value: float = 0.0,
-    ) -> None:
-        if min_disk_value < 0.0:
-            raise ValueError(
-                f"min_disk_value must be non-negative, got {min_disk_value}"
-            )
-        self.scorer = scorer
-        self.min_disk_value = min_disk_value
-
-    def __call__(
-        self, chunk: Chunk, last_active: float, now: float
-    ) -> ChunkLocation:
-        score = self.scorer(chunk, last_active, now)
-        if score >= self.min_disk_value:
-            return ChunkLocation.DISK
-        return ChunkLocation.DROPPED
-
-    def __repr__(self) -> str:
-        return (
-            f"TieredPlacementPolicy(scorer={self.scorer!r}, "
-            f"min_disk_value={self.min_disk_value})"
-        )

@@ -9,8 +9,8 @@ physically moving KV data exactly as the cache manager decides —
 - under GPU pressure, leading chunks are *copied* to the CPU store
   (§4.3.2), their pages vacated only on reclaim;
 - under CPU pressure, leading chunks are demoted to the disk store (when
-  a disk tier is configured and the cross-tier retention score approves)
-  or dropped and later *recomputed* from the raw-token persistent store
+  a disk tier is configured and has, or can make, room for them) or
+  dropped and later *recomputed* from the raw-token persistent store
   via the Figure 8 sub-request path;
 - returning conversations swap their CPU chunks back into (different!)
   GPU pages, exercising the non-contiguous multi-token attention kernel;
@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from repro.backends import Backend
 from repro.core.eviction import LruPolicy
 from repro.faults import (
     FaultCounters,
@@ -43,8 +44,6 @@ from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     RESTORE_TIERS,
     CacheCapacityError,
-    EvictionScorer,
-    TierPlacement,
     TieredCacheManager,
 )
 from repro.kvcache.pages import BlockTable, PagePool
@@ -88,16 +87,10 @@ class StatefulChatServer:
         cpu_capacity_tokens: CPU-tier size (0 = GPU-cache-only variant).
         disk_capacity_tokens: disk (NVMe) tier size behind the CPU; 0
             (the default) disables the tier, reproducing the two-tier
-            behaviour exactly.
-        placement: cross-tier placement policy deciding whether a chunk
-            leaving the CPU is demoted to disk or dropped (see
-            :class:`~repro.core.eviction.TieredPlacementPolicy`);
-            ``None`` demotes whenever the disk tier has room.
+            behaviour exactly.  It needs a CPU tier.
         chunk_size: eviction granularity; must be a multiple of
             ``page_size``.
         page_size: tokens per GPU page.
-        scorer: eviction policy (default LRU — the functional layer does
-            not need the profiled cost table, though one can be passed).
         seed: model weight seed.
         fault_plan: optional seeded failure schedule (chaos testing); the
             server recovers along the retry → recompute-fallback →
@@ -113,6 +106,10 @@ class StatefulChatServer:
             ``benchmarks/serving/workloads.py`` passes it and a PR may
             not edit the benchmark it is measured by; once a
             benchmark PR drops the argument there, delete it here.
+
+    The server evicts by :class:`~repro.core.eviction.LruPolicy`: the
+    functional layer has no profiled cost table.  A tracer is attached
+    with :meth:`set_tracer`.
     """
 
     def __init__(
@@ -121,17 +118,19 @@ class StatefulChatServer:
         gpu_capacity_tokens: int = 512,
         cpu_capacity_tokens: int = 2048,
         disk_capacity_tokens: int = 0,
-        placement: Optional[TierPlacement] = None,
         chunk_size: int = 16,
         page_size: int = 8,
-        scorer: Optional[EvictionScorer] = None,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
         retry_policy: Optional[RetryPolicy] = None,
         use_fast_paths: bool = True,
         backend: str = "paged",
-        tracer: Optional[NullTracer] = None,
     ) -> None:
+        if backend != Backend.name:
+            raise ValueError(
+                f"unknown backend {backend!r}; the only backend is "
+                f"{Backend.name!r}"
+            )
         if chunk_size % page_size != 0:
             raise ValueError(
                 f"chunk_size ({chunk_size}) must be a multiple of "
@@ -167,16 +166,14 @@ class StatefulChatServer:
             self.storage,
             seed=seed,
             use_fast_paths=use_fast_paths,
-            backend=backend,
         )
         self.tokenizer = SimpleTokenizer(self.config.vocab_size)
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu_capacity_tokens,
             cpu_capacity_tokens=cpu_capacity_tokens,
             disk_capacity_tokens=disk_capacity_tokens,
-            placement=placement,
             chunk_size=chunk_size,
-            scorer=scorer or LruPolicy(),
+            scorer=LruPolicy(),
             fault_plan=fault_plan,
             fault_counters=self.fault_counters,
         )
@@ -203,7 +200,6 @@ class StatefulChatServer:
         #: Observability sink (``repro.obs``); the null default keeps the
         #: serving path allocation-free when tracing is off.
         self.tracer = NULL_TRACER
-        self.set_tracer(tracer if tracer is not None else NULL_TRACER)
 
     def set_tracer(self, tracer: NullTracer) -> None:
         """Attach a tracer, propagating it to the cache tiers."""

@@ -27,6 +27,10 @@ EngineFactory = Callable[[EventLoop], EngineBase]
 #: statistics.
 WARMUP_FRACTION = 0.3
 
+#: Safety valve on one serving run's event count: a run that dispatches
+#: more events than this has stopped making progress.
+MAX_EVENTS = 50_000_000
+
 
 @dataclass(frozen=True)
 class RatePoint:
@@ -43,7 +47,6 @@ class RatePoint:
 def run_serving_once(
     engine_factory: EngineFactory,
     conversations: Sequence[Conversation],
-    max_events: int = 50_000_000,
     until: Optional[float] = None,
     warmup: float = 0.0,
     tracer=None,
@@ -78,7 +81,7 @@ def run_serving_once(
     if sampler is not None:
         sampler.attach(loop, engine)
     driver = ConversationDriver(loop, engine, conversations)
-    driver.run(until=until, max_events=max_events)
+    driver.run(until=until, max_events=MAX_EVENTS)
     if tracer is not None and tracer.enabled:
         tracer.close_open(loop.now)
     if engine.metrics.flight.enabled:
@@ -156,9 +159,8 @@ def run_rate_sweep(
 def throughput_at_latency(
     points: Sequence[RatePoint],
     latency_target: float,
-    use_p90: bool = False,
 ) -> float:
-    """Maximum achieved throughput whose normalized latency is within
+    """Maximum achieved throughput whose mean normalized latency is within
     ``latency_target`` seconds/token, linearly interpolating between the
     last compliant and the first violating point of the curve.
 
@@ -168,20 +170,16 @@ def throughput_at_latency(
     if not points:
         raise ValueError("empty curve")
     ordered = sorted(points, key=lambda p: p.request_rate)
-    metric = (
-        (lambda p: p.p90_norm_latency) if use_p90
-        else (lambda p: p.mean_norm_latency)
-    )
     best = 0.0
     for i, point in enumerate(ordered):
-        if metric(point) <= latency_target:
+        if point.mean_norm_latency <= latency_target:
             best = max(best, point.throughput_rps)
             nxt = ordered[i + 1] if i + 1 < len(ordered) else None
-            if nxt is not None and metric(nxt) > latency_target:
+            if nxt is not None and nxt.mean_norm_latency > latency_target:
                 # Interpolate the crossing between this point and the next.
-                span = metric(nxt) - metric(point)
+                span = nxt.mean_norm_latency - point.mean_norm_latency
                 if span > 0:
-                    frac = (latency_target - metric(point)) / span
+                    frac = (latency_target - point.mean_norm_latency) / span
                     best = max(
                         best,
                         point.throughput_rps

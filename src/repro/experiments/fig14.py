@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
+from repro.analysis.traces import cache_summary
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import RatePoint, format_curve_table, run_rate_sweep
 from repro.gpu.device import A100_80GB, GpuSpec
@@ -26,14 +27,19 @@ DEFAULT_RATES = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
 
 
 def cache_extras(engine: EngineBase) -> Dict[str, float]:
-    """Cache statistics for one finished run (per the §6.6 analysis)."""
-    stats = engine.manager.stats
-    lookups = max(1, stats["lookup_tokens"])
+    """Cache statistics for one finished run (per the §6.6 analysis).
+
+    The rates are :func:`~repro.analysis.traces.cache_summary`'s, the
+    ones ``repro simulate`` prints: ``hit_rate`` counts disk hits, and a
+    run that looked up no history token has a hit rate of 1.0 (nothing
+    was missed) and a CPU hit rate of 0.0.
+    """
+    summary = cache_summary(engine)
     return {
-        "hit_rate": (stats["gpu_hit_tokens"] + stats["cpu_hit_tokens"]) / lookups,
-        "cpu_hit_rate": stats["cpu_hit_tokens"] / lookups,
-        "recomputed_tokens": stats["recomputed_tokens"],
-        "dropped_tokens": stats["dropped_tokens"],
+        "hit_rate": summary.hit_rate,
+        "cpu_hit_rate": summary.cpu_hit_rate,
+        "recomputed_tokens": summary.recomputed_tokens,
+        "dropped_tokens": summary.dropped_tokens,
     }
 
 

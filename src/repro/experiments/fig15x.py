@@ -6,7 +6,8 @@ shrink Pensieve's advantage.  This extension pushes think time past the
 paper's range — the long-idle-user regime where even the CPU tier cannot
 hold parked conversations — and compares the two-tier system against the
 three-tier stack, which demotes cold context to an NVMe-modeled disk
-store (cross-tier retention-value placement) instead of dropping it.
+store (value-ordered: a demotion displaces only lower-scored disk chunks)
+instead of dropping it.
 
 The hypothesis being measured: as think time grows, the two-tier curve
 degrades toward stateless recompute while the three-tier curve holds its
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.traces import cache_summary
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import RatePoint, format_curve_table, run_rate_sweep
 from repro.gpu.device import A100_80GB, GpuSpec
@@ -31,19 +33,14 @@ DEFAULT_THINK_TIMES = (600.0, 1800.0, 7200.0)
 
 
 def disk_extras(engine: EngineBase) -> Dict[str, float]:
-    """Cache and NVMe statistics for one finished three-tier run."""
-    stats = engine.manager.stats
-    lookups = max(1, stats["lookup_tokens"])
+    """Cache and NVMe statistics for one finished three-tier run (the
+    rates are :func:`~repro.analysis.traces.cache_summary`'s)."""
+    summary = cache_summary(engine)
     extras = {
-        "hit_rate": (
-            stats["gpu_hit_tokens"]
-            + stats["cpu_hit_tokens"]
-            + stats["disk_hit_tokens"]
-        )
-        / lookups,
-        "disk_hit_rate": stats["disk_hit_tokens"] / lookups,
-        "demoted_tokens": stats["demoted_tokens"],
-        "recomputed_tokens": stats["recomputed_tokens"],
+        "hit_rate": summary.hit_rate,
+        "disk_hit_rate": summary.disk_hit_rate,
+        "demoted_tokens": engine.manager.stats["demoted_tokens"],
+        "recomputed_tokens": summary.recomputed_tokens,
     }
     nvme = getattr(engine, "nvme", None)
     if nvme is not None:

@@ -52,7 +52,6 @@ class FaultPlan:
             never fail by rate).
         schedules: per-site occurrence indices that fail unconditionally.
         max_failures: per-site cap on injected failures (``None`` = no cap).
-        stall_seconds: duration of one injected worker stall (§4.4.2 path).
     """
 
     def __init__(
@@ -61,21 +60,17 @@ class FaultPlan:
         rates: Optional[Mapping[FaultSite, float]] = None,
         schedules: Optional[Mapping[FaultSite, Iterable[int]]] = None,
         max_failures: Optional[Mapping[FaultSite, int]] = None,
-        stall_seconds: float = 0.05,
     ) -> None:
         rates = dict(rates or {})
         for site, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"rate for {site} must be in [0, 1], got {rate}")
-        if stall_seconds < 0:
-            raise ValueError(f"stall_seconds must be >= 0, got {stall_seconds}")
         self.seed = seed
         self.rates = rates
         self.schedules: Dict[FaultSite, FrozenSet[int]] = {
             site: frozenset(idx) for site, idx in (schedules or {}).items()
         }
         self.max_failures: Dict[FaultSite, int] = dict(max_failures or {})
-        self.stall_seconds = stall_seconds
         sites = list(FaultSite)
         self._rng = {
             site: np.random.default_rng([seed, ordinal])
@@ -85,11 +80,6 @@ class FaultPlan:
         self.occurrences: Dict[FaultSite, int] = {s: 0 for s in sites}
         #: Failures injected per site.
         self.fired: Dict[FaultSite, int] = {s: 0 for s in sites}
-
-    @classmethod
-    def quiet(cls, seed: int = 0) -> "FaultPlan":
-        """A plan that never injects anything (useful as a default)."""
-        return cls(seed=seed)
 
     def fires(self, site: FaultSite) -> bool:
         """Consume one occurrence at ``site``; True when it must fail.
@@ -110,10 +100,6 @@ class FaultPlan:
         if fire:
             self.fired[site] += 1
         return fire
-
-    @property
-    def total_fired(self) -> int:
-        return sum(self.fired.values())
 
     def __repr__(self) -> str:
         fired = {s.value: n for s, n in self.fired.items() if n}

@@ -10,10 +10,9 @@ the mechanics of Pensieve's cache design:
   below a threshold, and their GPU slots are only truly handed over when an
   allocation needs them;
 - **CPU-tier demotion/dropping** under CPU memory pressure: with the
-  optional disk tier enabled, the paper's retention value V = Cost(s,l)/T
-  is extended *cross-tier* — a chunk leaving the CPU lands on disk when
-  its score justifies NVMe traffic (and may displace strictly
-  lower-scored disk chunks), and is dropped for §4.3.4 recomputation
+  optional disk tier enabled, a chunk leaving the CPU lands on disk when
+  there is room, or when room can be made by displacing strictly
+  lower-scored disk chunks, and is dropped for §4.3.4 recomputation
   otherwise;
 - **restore planning** (:class:`CachePlan`): given a returning
   conversation, compute exactly which tokens are GPU hits, which must be
@@ -71,12 +70,6 @@ from repro.obs.tracer import NULL_TRACER
 #: Eviction scorer: ``(chunk, last_active, now) -> score``.  Chunks are
 #: evicted in ascending score order (low retention value goes first).
 EvictionScorer = Callable[[Chunk, float, float], float]
-
-#: Cross-tier placement policy: ``(chunk, last_active, now) -> location``,
-#: deciding where a chunk leaving the CPU tier lands (``DISK`` or
-#: ``DROPPED``).  ``None`` means "always try disk" when the tier exists.
-TierPlacement = Callable[[Chunk, float, float], ChunkLocation]
-
 
 class CacheCapacityError(RuntimeError):
     """Raised when an operation cannot fit in the configured tiers."""
@@ -189,12 +182,10 @@ class TieredCacheManager:
         scorer: eviction policy.
         disk_capacity_tokens: KV-token slots available on the disk (NVMe)
             tier behind the CPU; 0 (the default) disables the tier,
-            reproducing the paper's two-tier behaviour exactly.
+            reproducing the paper's two-tier behaviour exactly.  Chunks
+            reach disk only from the CPU tier, so a disk tier needs a
+            CPU tier in front of it.
         chunk_size: eviction granularity in tokens (32 in the paper).
-        placement: cross-tier placement policy deciding whether a chunk
-            leaving the CPU tier is demoted to disk or dropped (see
-            :class:`repro.core.eviction.TieredPlacementPolicy`); ``None``
-            demotes whenever the disk tier has (or can make) room.
         fault_plan: optional seeded failure schedule; when set, D2H copies
             may fail and the affected chunks degrade to ``DROPPED`` (their
             tokens recompute later) instead of crashing the manager.
@@ -211,7 +202,6 @@ class TieredCacheManager:
         fault_plan: Optional[FaultPlan] = None,
         fault_counters: Optional[FaultCounters] = None,
         disk_capacity_tokens: int = 0,
-        placement: Optional[TierPlacement] = None,
     ) -> None:
         if gpu_capacity_tokens <= 0:
             raise ValueError("gpu_capacity_tokens must be positive")
@@ -219,6 +209,11 @@ class TieredCacheManager:
             raise ValueError("cpu_capacity_tokens must be non-negative")
         if disk_capacity_tokens < 0:
             raise ValueError("disk_capacity_tokens must be non-negative")
+        if disk_capacity_tokens > 0 and cpu_capacity_tokens == 0:
+            raise ValueError(
+                "a disk tier needs a CPU tier in front of it: chunks reach "
+                "disk only from the CPU tier"
+            )
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.gpu_capacity_tokens = gpu_capacity_tokens
@@ -226,7 +221,6 @@ class TieredCacheManager:
         self.disk_capacity_tokens = disk_capacity_tokens
         self.chunk_size = chunk_size
         self.scorer = scorer
-        self.placement = placement
         self.fault_plan = fault_plan
         self.fault_counters = fault_counters or FaultCounters()
         #: CachedAttention-style eviction granularity (paper Table 3):
@@ -973,31 +967,23 @@ class TieredCacheManager:
     ) -> str:
         """Send one CPU frontier chunk down the hierarchy.
 
-        The cross-tier extension of the paper's retention value: the chunk
-        lands on disk iff (a) the tier exists, (b) the placement policy
-        says its score justifies NVMe traffic, and (c) room exists or can
-        be made by evicting *strictly lower-scored* disk chunks — a chunk
-        never displaces disk residents worth more than itself.  Otherwise
-        it is dropped for §4.3.4 recomputation.
+        The chunk lands on disk iff the tier exists and room exists or
+        can be made by evicting *strictly lower-scored* disk chunks — a
+        chunk never displaces disk residents worth more than itself.
+        Otherwise it is dropped for §4.3.4 recomputation.
 
         Returns ``"demoted"`` or ``"dropped"``.
         """
         if self.disk_capacity_tokens > 0 and chunk.num_tokens <= self.disk_capacity_tokens:
-            target = (
-                self.placement(chunk, cache.last_active, now)
-                if self.placement is not None
-                else _DISK
-            )
-            if target is _DISK:
-                if self.disk_free_tokens < chunk.num_tokens:
-                    self.drop_from_disk(
-                        chunk.num_tokens - self.disk_free_tokens,
-                        now,
-                        max_score=score,
-                    )
-                if self.disk_free_tokens >= chunk.num_tokens:
-                    self._move(cache, chunk, _DISK)
-                    return "demoted"
+            if self.disk_free_tokens < chunk.num_tokens:
+                self.drop_from_disk(
+                    chunk.num_tokens - self.disk_free_tokens,
+                    now,
+                    max_score=score,
+                )
+            if self.disk_free_tokens >= chunk.num_tokens:
+                self._move(cache, chunk, _DISK)
+                return "demoted"
         # Takes any of the conversation's chunks still on disk *ahead* of
         # this one with it.
         self._drop_leading_prefix(cache, chunk)

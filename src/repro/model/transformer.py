@@ -59,7 +59,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backends import Backend, get_backend
+from repro.backends import Backend
 from repro.kernels import (
     AttentionRequest,
     disjoint_query_spans,
@@ -268,9 +268,10 @@ class PagedTransformer:
             every step, and the step's positions, write slots and RoPE
             angles are read from it in whole-batch calls; numerically
             transparent.
-        backend: name of the :class:`~repro.backends.Backend` every
-            attention kernel is looked up on (``self.backend``) at call
-            time.
+
+    Every attention kernel is looked up on ``self.backend`` (the one
+    :class:`~repro.backends.Backend`) at call time, so a caller can
+    substitute a delegate that records or fakes kernel calls.
     """
 
     def __init__(
@@ -279,7 +280,6 @@ class PagedTransformer:
         storage: KVStorage,
         seed: int = 0,
         use_fast_paths: bool = True,
-        backend: str = "paged",
     ) -> None:
         if storage.config is not config and (
             storage.config.num_layers != config.num_layers
@@ -292,7 +292,7 @@ class PagedTransformer:
         self.use_fast_paths = use_fast_paths
         # Every attention kernel is reached through the backend; it also
         # owns the decode packing cache's staging layout.
-        self.backend: Backend = get_backend(backend)
+        self.backend: Backend = Backend()
         self.decode_cache: Optional[PackedDecodeCache] = (
             self.backend.create_decode_cache() if use_fast_paths else None
         )

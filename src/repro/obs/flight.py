@@ -24,7 +24,7 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, IO, List, Optional, Sequence, Union
 
 __all__ = [
     "FlightEvent",
@@ -123,7 +123,7 @@ class NullFlightRecorder:
         request_id: int,
         reason: str,
         t: float,
-        events: Optional[List[FlightEvent]] = None,
+        events: Optional[Sequence[FlightEvent]] = None,
         **attrs: Any,
     ) -> None:
         return None
@@ -208,7 +208,7 @@ class FlightRecorder(NullFlightRecorder):
         request_id: int,
         reason: str,
         t: float,
-        events: Optional[List[FlightEvent]] = None,
+        events: Optional[Sequence[FlightEvent]] = None,
         **attrs: Any,
     ) -> None:
         """Retain a full timeline for a slow or failed request.

@@ -318,19 +318,14 @@ class HistogramSet(NullHistogramSet):
 
         hists.hist("swap_in_seconds", tier="cpu").record(record.duration)
 
-    All histograms created through one set share the same bucketing
-    configuration, which makes every same-name histogram mergeable.
+    All histograms created through one set share the default bucketing
+    (:data:`DEFAULT_MIN_VALUE`, :data:`DEFAULT_BASE`), which makes every
+    same-name histogram mergeable.
     """
 
     enabled = True
 
-    def __init__(
-        self,
-        min_value: float = DEFAULT_MIN_VALUE,
-        base: float = DEFAULT_BASE,
-    ) -> None:
-        self._min_value = min_value
-        self._base = base
+    def __init__(self) -> None:
         self._hists: Dict[Tuple[str, _LabelKey], Histogram] = {}
 
     @staticmethod
@@ -345,8 +340,6 @@ class HistogramSet(NullHistogramSet):
                 name,
                 labels={k: str(v) for k, v in labels.items()},
                 clock=clock,
-                min_value=self._min_value,
-                base=self._base,
             )
             self._hists[key] = found
         return found

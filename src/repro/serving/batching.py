@@ -4,7 +4,9 @@ All engines perform iteration-level (token-granularity) batching
 [BatchMaker 17, ORCA 52]: after every model iteration, finished requests
 leave the batch and waiting requests may join.  :class:`BatchConfig`
 captures the admission limits shared by every engine plus the
-Pensieve-specific thresholds of §4.3.
+Pensieve-specific thresholds of §4.3.  The evaluation's 16384-token
+context cap is not among them: it belongs to the workload
+(``DatasetSpec.max_context``), and no engine truncates a request.
 """
 
 from __future__ import annotations
@@ -26,15 +28,12 @@ class BatchConfig:
         generation_reserve: stop admitting new requests unless more than
             this fraction of GPU KV slots is free, protecting running
             generations from suspension (§4.3.5, 10 %).
-        max_context: hard per-request context limit (the evaluation caps
-            conversations at 16384 tokens).
     """
 
     max_batch_tokens: int = 4096
     max_running: int = 256
     swap_out_threshold: float = 0.25
     generation_reserve: float = 0.10
-    max_context: int = 16384
 
     def __post_init__(self) -> None:
         if self.max_batch_tokens <= 0:
@@ -45,5 +44,3 @@ class BatchConfig:
             raise ValueError("swap_out_threshold must be in [0, 1)")
         if not 0.0 <= self.generation_reserve < 1.0:
             raise ValueError("generation_reserve must be in [0, 1)")
-        if self.max_context <= 0:
-            raise ValueError("max_context must be positive")

@@ -43,8 +43,10 @@ class EngineBase:
         loop: the discrete-event loop driving the simulation.
         cost_model: converts batch shapes to iteration durations.
         config: batching/admission thresholds.
-        tracer: observability sink (:mod:`repro.obs`); the default null
-            tracer keeps every instrumentation site allocation-free.
+
+    The observability sink (:mod:`repro.obs`) is attached with
+    :meth:`set_tracer`; the default null tracer keeps every
+    instrumentation site allocation-free.
     """
 
     def __init__(
@@ -53,7 +55,6 @@ class EngineBase:
         loop: EventLoop,
         cost_model: CostModel,
         config: Optional[BatchConfig] = None,
-        tracer: Optional[NullTracer] = None,
     ) -> None:
         self.name = name
         self.loop = loop
@@ -65,7 +66,7 @@ class EngineBase:
         #: retries; the batch they rode in keeps running without them.
         self.failed: List[Request] = []
         self.metrics = MetricsCollector()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer: NullTracer = NULL_TRACER
         #: Open request-lifecycle span ids, by request id.
         self._request_spans: Dict[int, int] = {}
         #: Called as ``on_finish(request, now)`` when a request completes;

@@ -14,7 +14,7 @@ so benchmarks can quantify the overhead of graceful degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -47,9 +47,6 @@ class RequestRecord:
     history_tokens: int
     output_tokens: int
     prefilled_tokens: int
-    #: Flight-recorder lifecycle timeline (bounded ring contents at
-    #: completion); empty unless the SLO layer is enabled.
-    events: Tuple[FlightEvent, ...] = ()
 
     @property
     def latency(self) -> float:
@@ -85,8 +82,6 @@ class FailureRecord:
     conv_id: int
     time: float
     reason: str
-    #: Flight-recorder timeline at failure time (SLO layer only).
-    events: Tuple[FlightEvent, ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -193,9 +188,11 @@ class MetricsCollector:
         """
         if request.finish_time is None or request.first_token_time is None:
             raise RuntimeError(f"request {request.request_id} is incomplete")
-        events: Tuple[FlightEvent, ...] = ()
+        # The request's flight timeline: kept only if the request violates
+        # an objective (a capture), but popped either way.
+        events: Sequence[FlightEvent] = ()
         if self.flight.enabled:
-            events = tuple(self.flight.finish(request.request_id))
+            events = self.flight.finish(request.request_id)
         record = RequestRecord(
             request_id=request.request_id,
             conv_id=request.conv_id,
@@ -207,7 +204,6 @@ class MetricsCollector:
             history_tokens=request.history_tokens,
             output_tokens=request.output_tokens,
             prefilled_tokens=request.prefill_tokens,
-            events=events,
         )
         self._records.append(record)
         if self.hist.enabled:
@@ -228,7 +224,7 @@ class MetricsCollector:
                         record.request_id,
                         "slo:" + "+".join(violated),
                         record.finish_time,
-                        events=list(events),
+                        events=events,
                         conv_id=record.conv_id,
                         ttft=round(record.ttft, 9),
                         mean_tbt=round(record.mean_tbt, 9),
@@ -240,14 +236,12 @@ class MetricsCollector:
         """Record an individually-degraded request (it never completes, so
         it would otherwise be invisible to the collector).  With the SLO
         layer armed, every failure captures its flight timeline."""
-        events: Tuple[FlightEvent, ...] = ()
         if self.flight.enabled:
-            events = tuple(self.flight.finish(request.request_id))
             self.flight.capture(
                 request.request_id,
                 f"failed:{reason}",
                 now,
-                events=list(events),
+                events=self.flight.finish(request.request_id),
                 conv_id=request.conv_id,
             )
         record = FailureRecord(
@@ -255,7 +249,6 @@ class MetricsCollector:
             conv_id=request.conv_id,
             time=now,
             reason=reason,
-            events=events,
         )
         self._failures.append(record)
         return record

@@ -10,6 +10,8 @@ from repro.analysis import (
 )
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
+from repro.experiments.fig14 import cache_extras
+from repro.experiments.fig15x import disk_extras
 from repro.gpu import Direction, Link
 from repro.obs import Tracer
 from repro.serving import make_vllm
@@ -19,6 +21,25 @@ from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with
 
 def pensieve(loop):
     return PensieveEngine(loop, TINY, spec_with_capacity(2048))
+
+
+def three_tier_run():
+    """A small disk tier behind small GPU and CPU tiers: the run both
+    hits on disk and recomputes."""
+    engine, _, _ = serve(
+        lambda loop: PensieveEngine(
+            loop, TINY, spec_with_capacity(256), chunk_size=16,
+            policy="lru", cpu_cache_tokens=128, disk_cache_tokens=512,
+        ),
+        [
+            scripted_conversation(
+                i, [(40, 12), (12, 12), (12, 12)],
+                start=float(i), think=30.0,
+            )
+            for i in range(12)
+        ],
+    )
+    return engine
 
 
 class TestCacheSummary:
@@ -43,24 +64,28 @@ class TestCacheSummary:
     def test_three_tier_counts_disk_hits(self):
         """Every looked-up token is a hit in some tier or recomputed; a
         small disk tier makes the run do both."""
-        engine, _, _ = serve(
-            lambda loop: PensieveEngine(
-                loop, TINY, spec_with_capacity(256), chunk_size=16,
-                policy="lru", cpu_cache_tokens=128, disk_cache_tokens=512,
-            ),
-            [
-                scripted_conversation(
-                    i, [(40, 12), (12, 12), (12, 12)],
-                    start=float(i), think=30.0,
-                )
-                for i in range(12)
-            ],
-        )
-        summary = cache_summary(engine)
+        summary = cache_summary(three_tier_run())
         assert summary.hit_rate + summary.recompute_rate == pytest.approx(1.0)
         assert summary.disk_hit_rate > 0
         assert summary.recompute_rate > 0
         assert summary.as_dict()["disk_hit_rate"] == round(summary.disk_hit_rate, 4)
+
+    def test_figure_extras_are_the_summary(self):
+        """The figures' cache extras and the summary ``repro simulate``
+        prints are one formula: disk hits count as hits in both, and a
+        run with no lookup reads a hit rate of 1.0 in both."""
+        engine = three_tier_run()
+        summary = cache_summary(engine)
+        assert summary.disk_hit_rate > 0
+        extras = cache_extras(engine)
+        assert extras["hit_rate"] == summary.hit_rate
+        assert extras["cpu_hit_rate"] == summary.cpu_hit_rate
+        assert extras["recomputed_tokens"] == summary.recomputed_tokens
+        assert extras["dropped_tokens"] == summary.dropped_tokens
+        assert disk_extras(engine)["hit_rate"] == summary.hit_rate
+        assert disk_extras(engine)["disk_hit_rate"] == summary.disk_hit_rate
+        single, _, _ = serve(pensieve, [scripted_conversation(0, [(5, 3)])])
+        assert cache_extras(single)["hit_rate"] == cache_summary(single).hit_rate
 
     def test_stateless_engine_has_no_summary(self):
         engine, _, _ = serve(

@@ -10,7 +10,7 @@ the same workload).
 import numpy as np
 import pytest
 
-from repro.backends import get_backend
+from repro.backends import Backend
 from repro.core.server import StatefulChatServer
 from repro.kernels import (
     AttentionRequest,
@@ -27,7 +27,7 @@ TOLERANCE = 1e-6
 def _decode_loop(batch, ctx, steps, num_heads, kv_heads, head_dim):
     """Run a serving-shaped decode loop through the backend's cache +
     kernel stack; returns (outs, oracle_outs)."""
-    backend = get_backend("paged")
+    backend = Backend()
     rng = np.random.default_rng(0)
     page_size = 16
     tokens = ctx + steps
@@ -79,7 +79,7 @@ class TestKernelMatrix:
             assert np.abs(got - want).max() <= TOLERANCE
 
     def test_prefill_and_mixed_entry_points_match_oracle(self):
-        backend = get_backend("paged")
+        backend = Backend()
         rng = np.random.default_rng(1)
         num_slots = 96
         k_cache = rng.standard_normal((num_slots, 2, 16))

@@ -1,19 +1,18 @@
-"""Lookup tests for ``repro.backends``."""
+"""Tests for ``repro.backends``: one backend, chosen by no name lookup."""
 
 import pytest
 
-from repro.backends import Backend, get_backend
+from repro.backends import Backend
+from repro.core.server import StatefulChatServer
+from repro.model.config import tiny_opt_config
 
 
 class TestRegistry:
-    def test_instances_are_shared(self):
-        assert get_backend("paged") is get_backend("paged")
-
     def test_every_backend_names_itself(self):
-        backend = get_backend("paged")
+        backend = StatefulChatServer(tiny_opt_config()).model.backend
         assert isinstance(backend, Backend)
         assert backend.name == "paged"
 
     def test_unknown_name_lists_the_legal_ones(self):
         with pytest.raises(ValueError, match=r"unknown backend 'flash'.*'paged'"):
-            get_backend("flash")
+            StatefulChatServer(tiny_opt_config(), backend="flash")

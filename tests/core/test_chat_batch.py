@@ -17,6 +17,12 @@ def make_server(config, gpu=512, cpu=1024, seed=1, fault_plan=None):
     )
 
 
+def traced(server, tracer=None):
+    """``server`` with a recording tracer attached."""
+    server.set_tracer(tracer if tracer is not None else Tracer())
+    return server
+
+
 @pytest.fixture(params=["opt", "llama"])
 def config(request):
     return tiny_opt_config() if request.param == "opt" else tiny_llama_config()
@@ -146,13 +152,7 @@ class TestBatchSemantics:
         """A call that fails validation serves nothing, so it must not
         advance the server clock: every later turn's ``now`` (and with it
         a retention scorer's T) is what it would be without the call."""
-        clean, probed = (
-            StatefulChatServer(
-                config, gpu_capacity_tokens=512, cpu_capacity_tokens=1024,
-                chunk_size=16, page_size=8, seed=1, tracer=Tracer(),
-            )
-            for _ in range(2)
-        )
+        clean, probed = (traced(make_server(config)) for _ in range(2))
         for server in (clean, probed):
             server.chat_batch([(0, [5, 6, 7])], max_new_tokens=2)
         with pytest.raises(ValueError):
@@ -184,10 +184,7 @@ class TestBatchOfOne:
     @pytest.mark.parametrize("system_prompt", [False, True])
     def test_chat_equals_single_element_batch(self, config, system_prompt):
         single, batched = (
-            StatefulChatServer(
-                config, gpu_capacity_tokens=96, cpu_capacity_tokens=64,
-                chunk_size=16, page_size=8, seed=3, tracer=Tracer(),
-            )
+            traced(make_server(config, gpu=96, cpu=64, seed=3))
             for _ in range(2)
         )
         if system_prompt:
@@ -238,10 +235,7 @@ class TestBatchRequestSpans:
         with one ``prefill`` and one ``decode`` child, closed with an
         outcome; the finished counter counts conversations, not calls."""
         tracer = Tracer()
-        server = StatefulChatServer(
-            config, gpu_capacity_tokens=512, cpu_capacity_tokens=512,
-            chunk_size=16, page_size=8, seed=1, tracer=tracer,
-        )
+        server = traced(make_server(config, cpu=512), tracer)
         prompts = random_round(np.random.default_rng(71), 4)
         out = server.chat_batch(prompts, max_new_tokens=3)
         requests = tracer.spans_named("request")

@@ -41,10 +41,9 @@ class TestThroughputAtLatency:
         curve = [point(1, 1.0, 0.9)]
         assert throughput_at_latency(curve, 0.1) == 0.0
 
-    def test_p90_selector(self):
+    def test_reads_mean_latency_not_p90(self):
         curve = [point(1, 1.0, 0.05, p90=0.5)]
-        assert throughput_at_latency(curve, 0.1, use_p90=True) == 0.0
-        assert throughput_at_latency(curve, 0.1, use_p90=False) == 1.0
+        assert throughput_at_latency(curve, 0.1) == 1.0
 
     def test_empty_curve_rejected(self):
         with pytest.raises(ValueError):

@@ -66,12 +66,12 @@ class TestEngineUnderFaults:
         plan = FaultPlan(seed=seed, rates=RATES)
         engine, stats = run_chaotic(config, plan)
         assert stats.num_requests > 0
-        assert plan.total_fired > 0
+        assert sum(plan.fired.values()) > 0
         engine.manager._audit()
 
     def test_faults_cost_time_not_throughput_collapse(self):
         config = PAPER_MODELS["OPT-13B"]
-        quiet_engine, quiet = run_chaotic(config, FaultPlan.quiet())
+        quiet_engine, quiet = run_chaotic(config, FaultPlan(seed=0))
         chaotic_engine, chaotic = run_chaotic(
             config, FaultPlan(seed=3, rates=RATES)
         )

@@ -76,7 +76,7 @@ class TestDifferentialUnderFaults:
         )
         assert drive(server, config) == ref
         # Tight memory + high rates: the run must actually have been chaotic.
-        assert plan.total_fired > 0
+        assert sum(plan.fired.values()) > 0
         assert server.fault_counters.degraded_requests == 0
 
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
@@ -118,7 +118,7 @@ class TestDifferentialUnderFaults:
             got = chaotic.chat_batch(prompts, max_new_tokens=6)
             assert got == want
             chaotic.manager._audit()
-        assert plan.total_fired > 0
+        assert sum(plan.fired.values()) > 0
 
     def test_terminal_swap_in_falls_back_to_recompute(self):
         """Exhausting SWAP_IN retries degrades to recompute, not an error."""
@@ -177,8 +177,8 @@ class TestFaultAccounting:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=FaultPlan(seed=0, schedules=schedule),
-            tracer=server_tracer,
         )
+        server.set_tracer(server_tracer)
         drive(server, config, turns=4, convs=3, prompt_len=20, new_tokens=6)
 
         def engine_factory(loop):

@@ -135,7 +135,7 @@ def test_chaos_walk_is_deterministic(seed):
         for _ in range(STEPS_PER_WALK):
             walk.step()
         return (
-            walk.plan.total_fired,
+            sum(walk.plan.fired.values()),
             dict(walk.manager.stats),
             sorted(
                 (c.conv_id, c.total_tokens) for c in walk.manager.conversations()

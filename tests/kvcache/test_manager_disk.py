@@ -4,9 +4,12 @@ invalidation — the deterministic counterparts of the property walks."""
 
 import pytest
 
-from repro.core import LruPolicy, TieredPlacementPolicy
+from repro.core import LruPolicy, PensieveEngine, StatefulChatServer
+from repro.gpu import A100_80GB
 from repro.kvcache import TieredCacheManager
 from repro.kvcache.chunks import ChunkLocation
+from repro.model import tiny_opt_config
+from repro.sim import EventLoop
 
 #: What a failed swap-in invalidates: the stored prefix, disk and CPU.
 CPU_PREFIX = (ChunkLocation.DISK, ChunkLocation.CPU)
@@ -16,14 +19,13 @@ GIVE_UP = {
 }
 
 
-def make_manager(gpu=128, cpu=64, disk=128, chunk=16, scorer=None, placement=None):
+def make_manager(gpu=128, cpu=64, disk=128, chunk=16):
     return TieredCacheManager(
         gpu_capacity_tokens=gpu,
         cpu_capacity_tokens=cpu,
         disk_capacity_tokens=disk,
         chunk_size=chunk,
-        scorer=scorer or LruPolicy(),
-        placement=placement,
+        scorer=LruPolicy(),
     )
 
 
@@ -69,15 +71,22 @@ class TestDemotion:
         assert mgr.stats["dropped_tokens"] == 32
         mgr._audit()
 
-    def test_placement_floor_vetoes_demotion(self):
-        scorer = LruPolicy()
-        mgr = make_manager(
-            gpu=128, cpu=32, disk=128, scorer=scorer,
-            placement=TieredPlacementPolicy(scorer, min_disk_value=1e9),
-        )
-        squeeze(mgr)
-        assert mgr.disk_used_tokens == 0
-        assert mgr.stats["dropped_tokens"] == 32
+    def test_disk_tier_without_cpu_tier_rejected(self):
+        """Chunks reach disk only from the CPU tier, so a disk tier behind
+        an empty CPU tier would never hold a token: every chunk leaving
+        the GPU drops.  Both constructors go through the manager."""
+        with pytest.raises(ValueError, match="needs a CPU tier"):
+            make_manager(gpu=64, cpu=0, disk=1024)
+        with pytest.raises(ValueError, match="needs a CPU tier"):
+            PensieveEngine(
+                EventLoop(), tiny_opt_config(), A100_80GB,
+                cpu_cache_tokens=0, disk_cache_tokens=1024,
+            )
+        with pytest.raises(ValueError, match="needs a CPU tier"):
+            StatefulChatServer(
+                tiny_opt_config(), cpu_capacity_tokens=0,
+                disk_capacity_tokens=1024,
+            )
 
     def test_disk_overflow_collapses_unusable_prefix(self):
         mgr = make_manager(gpu=128, cpu=32, disk=16)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core import LruPolicy, TieredPlacementPolicy
+from repro.core import LruPolicy
 from repro.core.server import StatefulChatServer
 from repro.kvcache import TieredCacheManager
 from repro.kvcache.chunks import ChunkLocation
@@ -33,17 +33,13 @@ from repro.model.config import tiny_opt_config
 class ThreeTierMachine:
     """Applies a scripted operation list to a fresh three-tier manager."""
 
-    def __init__(
-        self, gpu: int, cpu: int, disk: int, chunk: int, min_disk_value: float
-    ) -> None:
-        scorer = LruPolicy()
+    def __init__(self, gpu: int, cpu: int, disk: int, chunk: int) -> None:
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu,
             cpu_capacity_tokens=cpu,
             disk_capacity_tokens=disk,
             chunk_size=chunk,
-            scorer=scorer,
-            placement=TieredPlacementPolicy(scorer, min_disk_value=min_disk_value),
+            scorer=LruPolicy(),
         )
         self.clock = 0.0
 
@@ -142,10 +138,11 @@ OPERATION = st.one_of(
 @given(
     ops=st.lists(OPERATION, min_size=1, max_size=60),
     gpu=st.integers(min_value=96, max_value=512),
-    cpu=st.sampled_from([0, 64, 256, 2048]),
-    disk=st.sampled_from([0, 32, 128, 1024]),
+    # A disk tier needs a CPU tier in front of it: no ``cpu=0, disk>0``.
+    tiers=st.sampled_from([(0, 0)] + [
+        (cpu, disk) for cpu in (64, 256, 2048) for disk in (0, 32, 128, 1024)
+    ]),
     chunk=st.sampled_from([8, 16, 32]),
-    floor=st.sampled_from([0.0, 5.0, 1e9]),
 )
 # A failed ``open_commit`` of an open conversation closes it, and a drop
 # then takes its partial tail: it must not be grown afterwards.
@@ -155,14 +152,11 @@ OPERATION = st.one_of(
         ("open_commit", 1, 1), ("open_commit", 1, 31), ("open_commit", 1, 60),
         ("append", 0, 1),
     ],
-    gpu=96, cpu=0, disk=0, chunk=8, floor=0.0,
+    gpu=96, tiers=(0, 0), chunk=8,
 )
-def test_random_operation_storm_preserves_invariants(
-    ops, gpu, cpu, disk, chunk, floor
-):
-    machine = ThreeTierMachine(
-        gpu=gpu, cpu=cpu, disk=disk, chunk=chunk, min_disk_value=floor
-    )
+def test_random_operation_storm_preserves_invariants(ops, gpu, tiers, chunk):
+    cpu, disk = tiers
+    machine = ThreeTierMachine(gpu=gpu, cpu=cpu, disk=disk, chunk=chunk)
     for op in ops:
         machine.apply(op)
         machine.check()
@@ -173,7 +167,7 @@ def test_random_operation_storm_preserves_invariants(
 def test_tokens_are_conserved_across_three_tiers(ops):
     """No tier transition — demotion, disk eviction, promotion included —
     may create or destroy a conversation's tokens."""
-    machine = ThreeTierMachine(gpu=384, cpu=256, disk=256, chunk=16, min_disk_value=0.0)
+    machine = ThreeTierMachine(gpu=384, cpu=256, disk=256, chunk=16)
     for op in ops:
         before = {
             c.conv_id: c.total_tokens for c in machine.manager.conversations()
@@ -193,7 +187,7 @@ def test_tokens_are_conserved_across_three_tiers(ops):
 def test_restore_promotes_disk_chunks_fully(requests):
     """A committed restore leaves the conversation entirely GPU-resident
     even when parts of it had been demoted all the way to disk."""
-    machine = ThreeTierMachine(gpu=256, cpu=64, disk=1024, chunk=16, min_disk_value=0.0)
+    machine = ThreeTierMachine(gpu=256, cpu=64, disk=1024, chunk=16)
     mgr = machine.manager
     expected = {}
     for conv, tokens in requests:
@@ -271,39 +265,3 @@ def test_server_random_walk_keeps_tiers_coherent(seed):
         "walk must actually exercise the disk tier"
     )
     assert server.manager.stats["disk_hit_tokens"] > 0
-
-
-@pytest.mark.parametrize(
-    "floor,expect_demotions", [(6.0, True), (1e9, False)]
-)
-def test_server_walk_under_retention_floor(floor, expect_demotions):
-    """With a placement floor, evictions below it drop instead of
-    demoting (an infinite floor reproduces the pure two-tier behaviour) —
-    the stores must stay coherent either way."""
-    config = tiny_opt_config()
-    scorer = LruPolicy()
-    server = StatefulChatServer(
-        config,
-        gpu_capacity_tokens=192,
-        cpu_capacity_tokens=96,
-        disk_capacity_tokens=2048,
-        placement=TieredPlacementPolicy(scorer, min_disk_value=floor),
-        chunk_size=16,
-        page_size=8,
-        scorer=scorer,
-        seed=3,
-    )
-    rng = np.random.default_rng(3)
-    for _turn in range(20):
-        conv = int(rng.integers(0, 6))
-        prompt = [int(t) for t in rng.integers(1, config.vocab_size, size=rng.integers(8, 20))]
-        server.chat(conv, prompt_ids=prompt, max_new_tokens=int(rng.integers(2, 9)))
-        server.manager._audit()
-        _assert_stores_mirror_manager(server)
-    stats = server.manager.stats
-    assert stats["dropped_tokens"] > 0, "floor should force some drops"
-    if expect_demotions:
-        assert stats["demoted_tokens"] > 0
-    else:
-        assert stats["demoted_tokens"] == 0
-        assert len(server.disk_store) == 0

@@ -124,8 +124,9 @@ class TestServerStoreReconciliation:
             chunk_size=16,
             page_size=8,
             seed=0,
-            tracer=tracer,
         )
+        if tracer is not None:
+            server.set_tracer(tracer)
         rng = np.random.default_rng(0)
         outputs = []
         for _ in range(20):

@@ -156,8 +156,9 @@ class TestNoPerturbation:
                 chunk_size=16,
                 page_size=8,
                 seed=3,
-                tracer=tracer,
             )
+            if tracer is not None:
+                server.set_tracer(tracer)
             out = []
             for turn in range(2):
                 for conv in range(3):
@@ -178,8 +179,8 @@ class TestFunctionalServerSpans:
             cpu_capacity_tokens=256,
             chunk_size=16,
             page_size=8,
-            tracer=tracer,
         )
+        server.set_tracer(tracer)
         server.chat(1, prompt_ids=[3, 4, 5], max_new_tokens=4)
         names = {s.name for s in tracer.spans}
         assert {"request", "prefill", "decode"} <= names
@@ -196,8 +197,8 @@ class TestFunctionalServerSpans:
             cpu_capacity_tokens=512,
             chunk_size=16,
             page_size=8,
-            tracer=tracer,
         )
+        server.set_tracer(tracer)
         for conv in range(4):
             server.chat(conv, prompt_ids=list(range(2, 20)), max_new_tokens=8)
         assert tracer.counter("cpu_store.put_chunks") > 0

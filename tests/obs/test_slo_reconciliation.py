@@ -153,14 +153,23 @@ class TestLedgerIdentities:
         assert flight.event_count("admit") == len(records)
         assert flight.event_count("finish") == len(records)
 
-    def test_record_timelines_bookended(self, armed_run):
-        engine, _, _, _ = armed_run
-        for record in engine.metrics.records:
-            names = [e.event for e in record.events]
+    def test_record_timelines_bookended(self):
+        """An objective every request violates captures every completed
+        request's flight timeline, bookended by its admit and finish."""
+        flight = FlightRecorder()
+        engine, _ = _run(slo=SloConfig(ttft=1e-9), flight=flight)
+        records = engine.metrics.records
+        assert records and not engine.metrics.failures
+        captures = flight.captures
+        assert [c["request_id"] for c in captures] == [
+            r.request_id for r in records
+        ]
+        for capture in captures:
+            names = [e["event"] for e in capture["events"]]
             assert names[0] == "admit"
             assert names[-1] == "finish"
             assert "batch_join" in names
-            times = [e.t for e in record.events]
+            times = [e["t"] for e in capture["events"]]
             assert times == sorted(times)
 
     def test_fault_ledger_zero_without_plan(self, armed_run):

@@ -121,7 +121,6 @@ class TestBatchConfig:
         cfg = BatchConfig()
         assert cfg.swap_out_threshold == 0.25   # §4.3.2
         assert cfg.generation_reserve == 0.10   # §4.3.5
-        assert cfg.max_context == 16384         # §6.1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -131,7 +130,7 @@ class TestBatchConfig:
             {"swap_out_threshold": 1.0},
             {"swap_out_threshold": -0.1},
             {"generation_reserve": 1.0},
-            {"max_context": 0},
+            {"generation_reserve": -0.1},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

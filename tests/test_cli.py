@@ -105,6 +105,20 @@ class TestSimulate:
                 ]
             )
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--rate", "2"], ["sweep", "--rates", "2"],
+    ])
+    def test_disk_tokens_rejected_without_a_cpu_tier(self, command):
+        """``pensieve-gpu`` has no CPU tier, and chunks reach disk only
+        from it: a disk tier there would hold nothing."""
+        with pytest.raises(SystemExit, match="requires the pensieve system"):
+            main(
+                command + [
+                    "--system", "pensieve-gpu", "--model", "opt-13b",
+                    "--duration", "40", "--disk-tokens", "1024",
+                ]
+            )
+
     def test_model_name_normalisation(self, capsys):
         rc = main(
             [
@@ -114,6 +128,12 @@ class TestSimulate:
         )
         assert rc == 0
         assert "Llama 2-13B" in capsys.readouterr().out
+
+
+class TestChat:
+    def test_disk_tier_without_a_cpu_tier_rejected(self):
+        with pytest.raises(SystemExit, match="needs a CPU tier"):
+            main(["chat", "--cpu-tokens", "0", "--disk-tokens", "64"])
 
 
 class TestSweep:

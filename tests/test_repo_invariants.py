@@ -26,21 +26,39 @@
   (each row grew by one slot, one ``slot`` lookup), and builds one
   stale-row index for all its layers.  Per-row or per-layer rebuilding
   leaves every bit as it is, so only this count sees it.
+- *A settings budget.*  Every value a caller can set on the engines, the
+  server, the cache manager, the transformer, the fault plan, the
+  histogram registry, the serving runner, the curve query and
+  ``BatchConfig`` is listed in :data:`SETTINGS`, within
+  :data:`SETTINGS_BUDGET`.  Each setting doubles the configurations
+  tests and benchmarks must cover, and one that only tests set goes
+  unnoticed by every run-based test; a PR that adds one edits the list
+  and names the caller (in ``src/``, ``benchmarks/``, ``examples/`` or
+  the CLI) that needs it.
 """
 
 import ast
+import dataclasses
+import inspect
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from repro.backends import Backend
+from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
+from repro.experiments.common import run_serving_once, throughput_at_latency
+from repro.faults import FaultPlan
 from repro.kernels.packed_cache import PackedDecodeCache
+from repro.kvcache.manager import TieredCacheManager
 from repro.kvcache.pages import BlockTable
 from repro.model import tiny_llama_config, tiny_opt_config
 from repro.model import transformer
 from repro.model.layers import Linear
+from repro.obs.histogram import HistogramSet
+from repro.serving.batching import BatchConfig
+from repro.serving.engine import EngineBase
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -222,3 +240,51 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
         )
     assert len(steady_steps) == 2 * 3
     assert steady_steps == [{"_stale_index": 1}] * len(steady_steps)
+
+
+#: The settable values of each public signature (``BatchConfig``: its
+#: fields), in order.
+SETTINGS = {
+    PensieveEngine: (
+        "loop", "config", "spec", "batch_config", "cpu_cache_tokens",
+        "disk_cache_tokens", "policy", "chunk_size", "unified",
+        "pipelined_swap_in", "prioritize_retrieval", "name",
+        "whole_conversation_eviction", "fault_plan", "retry_policy",
+    ),
+    StatefulChatServer: (
+        "config", "gpu_capacity_tokens", "cpu_capacity_tokens",
+        "disk_capacity_tokens", "chunk_size", "page_size", "seed",
+        "fault_plan", "retry_policy", "use_fast_paths", "backend",
+    ),
+    TieredCacheManager: (
+        "gpu_capacity_tokens", "cpu_capacity_tokens", "scorer", "chunk_size",
+        "whole_conversation_eviction", "fault_plan", "fault_counters",
+        "disk_capacity_tokens",
+    ),
+    EngineBase: ("name", "loop", "cost_model", "config"),
+    transformer.PagedTransformer: ("config", "storage", "seed", "use_fast_paths"),
+    FaultPlan: ("seed", "rates", "schedules", "max_failures"),
+    HistogramSet: (),
+    run_serving_once: (
+        "engine_factory", "conversations", "until", "warmup", "tracer",
+        "slo", "hist", "flight", "sampler",
+    ),
+    throughput_at_latency: ("points", "latency_target"),
+    BatchConfig: (
+        "max_batch_tokens", "max_running", "swap_out_threshold",
+        "generation_reserve",
+    ),
+}
+SETTINGS_BUDGET = 61
+
+
+def _settings(owner):
+    if dataclasses.is_dataclass(owner):
+        return tuple(field.name for field in dataclasses.fields(owner))
+    return tuple(inspect.signature(owner).parameters)
+
+
+def test_every_setting_is_listed_and_within_budget():
+    found = {owner: _settings(owner) for owner in SETTINGS}
+    assert found == SETTINGS
+    assert sum(len(names) for names in found.values()) <= SETTINGS_BUDGET
