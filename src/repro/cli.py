@@ -43,21 +43,17 @@ def _fault_plan(args: argparse.Namespace):
     """Build a FaultPlan from ``--fault-seed`` / ``--fault-rate`` (or None)."""
     if getattr(args, "fault_seed", None) is None:
         return None
-    from repro.faults import SITES, FaultPlan, FaultSite
+    from repro.faults import FaultPlan, FaultSite
 
     rate = args.fault_rate
     if not 0.0 <= rate <= 1.0:
         raise SystemExit(f"--fault-rate must be in [0, 1], got {rate}")
-    # Every declared site is armed, scaled by its registry rate_scale
-    # (corruption-style sites run quieter than transfer-style sites).
-    # Disk-tier sites are only drawn when --disk-tokens configures a
-    # disk tier, harmless otherwise.
+    # Every site is armed, scaled by its rate_scale.  Disk-tier sites
+    # are only drawn when --disk-tokens configures a disk tier, harmless
+    # otherwise.
     return FaultPlan(
         seed=args.fault_seed,
-        rates={
-            FaultSite(name): rate * spec.rate_scale
-            for name, spec in SITES.items()
-        },
+        rates={site: rate * site.rate_scale for site in FaultSite},
     )
 
 
@@ -283,13 +279,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     config = _model(args.model)
     dataset = ULTRACHAT if args.dataset == "ultrachat" else SHAREGPT
-    conversations = generate_workload(
-        dataset,
-        request_rate=args.rate,
-        duration=args.duration,
-        think_time_mean=args.think_time,
-        seed=args.seed,
-    )
+    try:
+        conversations = generate_workload(
+            dataset,
+            request_rate=args.rate,
+            duration=args.duration,
+            think_time_mean=args.think_time,
+            seed=args.seed,
+        )
+    except ValueError as error:  # the rate, duration or think time given
+        raise SystemExit(f"repro simulate: {error}") from None
     fault_plan = _fault_plan(args)
     tracer = _make_tracer(args)
     slo = _slo_config(args)
@@ -348,18 +347,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             total.absorb(engine.metrics)
             return {}
 
-    points = run_rate_sweep(
-        _engine_factory(args.system, config, disk_tokens=args.disk_tokens),
-        dataset,
-        rates=args.rates,
-        duration=args.duration,
-        think_time_mean=args.think_time,
-        seed=args.seed,
-        extras_fn=extras_fn,
-        slo=slo,
-        hist=hist,
-        flight=flight,
-    )
+    try:
+        points = run_rate_sweep(
+            _engine_factory(args.system, config, disk_tokens=args.disk_tokens),
+            dataset,
+            rates=args.rates,
+            duration=args.duration,
+            think_time_mean=args.think_time,
+            seed=args.seed,
+            extras_fn=extras_fn,
+            slo=slo,
+            hist=hist,
+            flight=flight,
+        )
+    except ValueError as error:  # a rate, the duration or the think time
+        raise SystemExit(f"repro sweep: {error}") from None
     print(format_curve_table(f"{args.system} / {config.name}", points))
     if total is not None:
         _print_slo_summary(total)

@@ -35,6 +35,7 @@ from repro.core.eviction import LruPolicy, RetentionValuePolicy
 from repro.faults import FaultPlan, FaultSite, RetryPolicy, attempt_with_retries
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
+    CHUNK_SIZE,
     RESTORE_TIERS,
     CacheCapacityError,
     EvictionScorer,
@@ -78,7 +79,8 @@ class PensieveEngine(EngineBase):
             priced on an NVMe :class:`~repro.gpu.link.Link` built from
             the spec's ``nvme_*`` fields.  It needs a CPU tier.
         policy: ``"retention"`` (default) or ``"lru"``.
-        chunk_size: eviction granularity (32 in the paper).
+        chunk_size: eviction granularity
+            (:data:`~repro.kvcache.manager.CHUNK_SIZE`).
         unified: batch prefill and generation together (§4.2); ``False``
             reproduces the separate-scheduling ablation of Figure 13.
         pipelined_swap_in: overlap per-layer transfers with compute
@@ -101,7 +103,7 @@ class PensieveEngine(EngineBase):
         cpu_cache_tokens: Optional[int] = None,
         disk_cache_tokens: int = 0,
         policy: str = "retention",
-        chunk_size: int = 32,
+        chunk_size: int = CHUNK_SIZE,
         unified: bool = True,
         pipelined_swap_in: bool = True,
         prioritize_retrieval: bool = True,

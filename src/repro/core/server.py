@@ -42,6 +42,7 @@ from repro.faults import (
 )
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
+    CHUNK_SIZE,
     RESTORE_TIERS,
     CacheCapacityError,
     TieredCacheManager,
@@ -88,8 +89,9 @@ class StatefulChatServer:
         disk_capacity_tokens: disk (NVMe) tier size behind the CPU; 0
             (the default) disables the tier, reproducing the two-tier
             behaviour exactly.  It needs a CPU tier.
-        chunk_size: eviction granularity; must be a multiple of
-            ``page_size``.
+        chunk_size: eviction granularity
+            (:data:`~repro.kvcache.manager.CHUNK_SIZE`); must be a
+            multiple of ``page_size``.
         page_size: tokens per GPU page.
         seed: model weight seed.
         fault_plan: optional seeded failure schedule (chaos testing); the
@@ -118,7 +120,7 @@ class StatefulChatServer:
         gpu_capacity_tokens: int = 512,
         cpu_capacity_tokens: int = 2048,
         disk_capacity_tokens: int = 0,
-        chunk_size: int = 16,
+        chunk_size: int = CHUNK_SIZE,
         page_size: int = 8,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,

@@ -121,15 +121,19 @@ def run_rate_sweep(
     :class:`repro.obs.FlightRecorder` aggregates SLO metrics across the
     whole sweep (each rate gets a fresh engine, the sinks persist).
     """
-    points: List[RatePoint] = []
-    for rate in rates:
-        conversations = generate_workload(
+    # Draw every workload first: a bad input is refused before any run.
+    workloads = [
+        generate_workload(
             dataset,
             request_rate=rate,
             duration=duration,
             think_time_mean=think_time_mean,
             seed=seed,
         )
+        for rate in rates
+    ]
+    points: List[RatePoint] = []
+    for rate, conversations in zip(rates, workloads):
         if tracer is not None and tracer.enabled:
             tracer.instant("sweep_point", track="experiment", rate=rate)
         engine, stats = run_serving_once(

@@ -10,6 +10,9 @@ engines and the CPU store recover along a fixed ladder —
     (§4.3.4)  →  the single affected request fails with a structured
     error while the batch continues.
 
+The :class:`FaultSite` enum is the one declaration of the injection
+sites: its order fixes each site's RNG stream, and
+:attr:`FaultSite.rate_scale` scales a uniform ``--fault-rate`` per site.
 See ``ARCHITECTURE.md`` ("Fault model & degradation paths") for the full
 site/recovery matrix.
 """
@@ -21,7 +24,6 @@ from repro.faults.errors import (
 )
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.faults.retry import RetryPolicy, attempt_with_retries
-from repro.faults.sites import SITES, SiteSpec, site_names
 
 __all__ = [
     "ChunkCorruptionError",
@@ -31,8 +33,5 @@ __all__ = [
     "FaultSite",
     "RequestFaultedError",
     "RetryPolicy",
-    "SITES",
-    "SiteSpec",
     "attempt_with_retries",
-    "site_names",
 ]

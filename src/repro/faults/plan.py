@@ -22,7 +22,7 @@ chaos tests guarantee that bounded-retry recovery eventually succeeds.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional
 
 import numpy as np
@@ -41,6 +41,13 @@ class FaultSite(enum.Enum):
     # bit-identically.
     DISK_READ = "disk_read"      #: disk-store read (checksum corruption).
     NVME_STALL = "nvme_stall"    #: NVMe transfer stall (disk-tier I/O).
+
+    @property
+    def rate_scale(self) -> float:
+        """Multiplier on a uniform fault rate (``repro --fault-rate``):
+        checksum reads and worker stalls run at a quarter of the rate."""
+        quiet = (FaultSite.CPU_READ, FaultSite.WORKER_STEP, FaultSite.DISK_READ)
+        return 0.25 if self in quiet else 1.0
 
 
 class FaultPlan:
@@ -140,23 +147,8 @@ class FaultCounters:
     disk_read_failures: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "swap_in_failures": self.swap_in_failures,
-            "swap_out_failures": self.swap_out_failures,
-            "alloc_faults": self.alloc_faults,
-            "corrupted_chunks": self.corrupted_chunks,
-            "recompute_fallbacks": self.recompute_fallbacks,
-            "retries": self.retries,
-            "degraded_requests": self.degraded_requests,
-            "worker_stalls": self.worker_stalls,
-            "nvme_stalls": self.nvme_stalls,
-            "disk_read_failures": self.disk_read_failures,
-        }
+        return asdict(self)
 
     def bump(self, counter: str) -> None:
         """Increment the counter named ``counter`` (table-driven ladders)."""
         setattr(self, counter, getattr(self, counter) + 1)
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_dict().values())

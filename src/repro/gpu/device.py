@@ -45,8 +45,6 @@ class GpuSpec:
             operations block reads).
         nvme_min_latency: fixed seconds per NVMe I/O submission (command
             round-trip), charged once per coalesced transfer.
-        nvme_capacity_bytes: SSD capacity available for the disk cache
-            tier, per GPU.
         gemm_efficiency: fraction of ``peak_flops`` sustained by large
             dense GEMMs (prefill-phase linear layers).
         attention_efficiency: fraction of ``hbm_bandwidth`` sustained by
@@ -70,7 +68,6 @@ class GpuSpec:
     nvme_write_bandwidth: float = 1.8e9
     nvme_mixed_penalty: float = 0.70
     nvme_min_latency: float = 80e-6
-    nvme_capacity_bytes: int = 2 * 1024**4
     gemm_efficiency: float = 0.55
     attention_efficiency: float = 0.60
     kernel_launch_overhead: float = 5e-6

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.gpu.device import GpuSpec
 from repro.obs.tracer import NULL_TRACER
@@ -81,10 +81,6 @@ class TransferRecord:
     @property
     def duration(self) -> float:
         return self.end_time - self.start_time
-
-    @property
-    def queue_delay(self) -> float:
-        return self.start_time - self.enqueue_time
 
 
 class Link:
@@ -223,15 +219,7 @@ class Link:
             self.tracer.count(f"{name}_chunks", num_chunks)
         return record
 
-    def idle_at(self, now: float) -> bool:
-        """True when both directions have drained by ``now``."""
-        return all(t <= now for t in self._busy_until.values())
-
     @property
     def history(self) -> List[TransferRecord]:
         """All transfers performed so far, in enqueue order."""
         return list(self._history)
-
-    def last(self) -> Optional[TransferRecord]:
-        """Most recently enqueued transfer, if any."""
-        return self._history[-1] if self._history else None

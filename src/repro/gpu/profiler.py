@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from repro.gpu.costmodel import CostModel
-
-#: Default chunk size the paper found to work well (§4.3.1).
-DEFAULT_CHUNK_SIZE = 32
+from repro.kvcache.manager import CHUNK_SIZE
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,7 @@ class OfflineProfiler:
 
     def profile(
         self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: int = CHUNK_SIZE,
         max_context: int = 16384,
         context_sizes: Sequence[int] = (),
     ) -> AttentionCostProfile:

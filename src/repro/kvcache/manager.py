@@ -67,6 +67,10 @@ from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.obs.tracer import NULL_TRACER
 
+#: Eviction granularity in tokens (§4.3: 32-token chunks); the default of
+#: every constructor that takes a ``chunk_size``.
+CHUNK_SIZE = 32
+
 #: Eviction scorer: ``(chunk, last_active, now) -> score``.  Chunks are
 #: evicted in ascending score order (low retention value goes first).
 EvictionScorer = Callable[[Chunk, float, float], float]
@@ -185,7 +189,7 @@ class TieredCacheManager:
             reproducing the paper's two-tier behaviour exactly.  Chunks
             reach disk only from the CPU tier, so a disk tier needs a
             CPU tier in front of it.
-        chunk_size: eviction granularity in tokens (32 in the paper).
+        chunk_size: eviction granularity in tokens (:data:`CHUNK_SIZE`).
         fault_plan: optional seeded failure schedule; when set, D2H copies
             may fail and the affected chunks degrade to ``DROPPED`` (their
             tokens recompute later) instead of crashing the manager.
@@ -197,7 +201,7 @@ class TieredCacheManager:
         gpu_capacity_tokens: int,
         cpu_capacity_tokens: int,
         scorer: EvictionScorer,
-        chunk_size: int = 32,
+        chunk_size: int = CHUNK_SIZE,
         whole_conversation_eviction: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         fault_counters: Optional[FaultCounters] = None,

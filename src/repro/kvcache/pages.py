@@ -138,11 +138,6 @@ class BlockTable:
         return self._length
 
     @property
-    def vacated(self) -> int:
-        """Number of leading tokens whose slots were released."""
-        return self._vacated
-
-    @property
     def resident_tokens(self) -> int:
         """Tokens currently occupying GPU slots."""
         return self._length - self._vacated

@@ -81,13 +81,6 @@ class KVStorage:
         self.k[layer, idx] = k
         self.v[layer, idx] = v
 
-    def read(
-        self, layer: int, slots: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Gather K/V rows for ``slots`` in ``layer`` (logical order)."""
-        idx = np.asarray(slots, dtype=np.int64)
-        return self.k[layer, idx], self.v[layer, idx]
-
     def read_all_layers(
         self, slots: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray]:

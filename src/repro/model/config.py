@@ -18,7 +18,7 @@ Derived quantities used throughout the repository:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 
@@ -138,12 +138,6 @@ class ModelConfig:
         FLOPs (query heads all participate regardless of GQA grouping).
         """
         return self.num_layers * 2.0 * 2.0 * self.hidden_size * context_len
-
-    # ------------------------------------------------------------------
-
-    def scaled_to(self, num_gpus: int) -> "ModelConfig":
-        """Return a copy configured for a different tensor-parallel degree."""
-        return replace(self, num_gpus=num_gpus)
 
     def __str__(self) -> str:
         return (

@@ -136,9 +136,6 @@ class NullFlightRecorder:
     def captures(self) -> List[Dict[str, Any]]:
         return []
 
-    def event_count(self, event: str, **attrs: str) -> int:
-        return 0
-
     def dump_captures(self, target: _PathOrFile) -> int:
         return 0
 
@@ -162,12 +159,6 @@ class FlightRecorder(NullFlightRecorder):
 
     # -- recording -----------------------------------------------------
 
-    @staticmethod
-    def _count_key(event: str, attrs: Dict[str, Any]) -> str:
-        """Ledger key: ``event`` or ``event.tier`` when tier-attributed."""
-        tier = attrs.get("tier")
-        return f"{event}.{tier}" if tier is not None else event
-
     def record(
         self, request_id: int, event: str, t: float, count: int = 1, **attrs: Any
     ) -> None:
@@ -183,7 +174,9 @@ class FlightRecorder(NullFlightRecorder):
             ring = deque(maxlen=RING_CAPACITY)
             self._rings[request_id] = ring
         ring.append(FlightEvent(t, event, attrs))
-        key = self._count_key(event, attrs)
+        # Ledger key: ``event``, or ``event.tier`` when tier-attributed.
+        tier = attrs.get("tier")
+        key = event if tier is None else f"{event}.{tier}"
         self._counts[key] = self._counts.get(key, 0) + count
 
     def finish(self, request_id: int) -> List[FlightEvent]:
@@ -237,17 +230,9 @@ class FlightRecorder(NullFlightRecorder):
         """Exact monotonic totals per event key (survives ring bounds)."""
         return dict(self._counts)
 
-    def event_count(self, event: str, **attrs: str) -> int:
-        return self._counts.get(self._count_key(event, attrs), 0)
-
     @property
     def captures(self) -> List[Dict[str, Any]]:
         return list(self._captures)
-
-    @property
-    def in_flight(self) -> int:
-        """Requests with a live (unfinished) ring."""
-        return len(self._rings)
 
     def dump_captures(self, target: _PathOrFile) -> int:
         """Write retained timelines as JSONL; returns the line count."""
@@ -260,9 +245,6 @@ class FlightRecorder(NullFlightRecorder):
                 for line in lines:
                     fh.write(line + "\n")
         return len(lines)
-
-    def __bool__(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         total = sum(self._counts.values())

@@ -23,7 +23,7 @@ Design constraints mirror the tracer (ARCHITECTURE.md §9):
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = [
     "Histogram",
@@ -116,10 +116,6 @@ class Histogram:
             self._min = value
         if value > self._max:
             self._max = value
-
-    def record_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.record(value)
 
     # -- read API ------------------------------------------------------
 
@@ -250,9 +246,6 @@ class NullHistogram:
     def record(self, value: float) -> None:
         return None
 
-    def record_many(self, values: Iterable[float]) -> None:
-        return None
-
     def buckets(self) -> List[Tuple[float, int]]:
         return []
 
@@ -292,12 +285,6 @@ class NullHistogramSet:
 
     def all(self) -> List[Histogram]:
         return []
-
-    def total_count(self, name: str) -> int:
-        return 0
-
-    def total_sum(self, name: str) -> float:
-        return 0.0
 
     def __iter__(self) -> Iterator[Histogram]:
         return iter(())
@@ -351,18 +338,6 @@ class HistogramSet(NullHistogramSet):
     def all(self) -> List[Histogram]:
         """Every histogram, ordered by (name, labels) for stable export."""
         return [self._hists[key] for key in sorted(self._hists)]
-
-    def named(self, name: str) -> List[Histogram]:
-        """All label variants of ``name`` (e.g. one per tier)."""
-        return [h for h in self.all() if h.name == name]
-
-    def total_count(self, name: str) -> int:
-        """Exact sample count across all label variants of ``name``."""
-        return sum(h.count for h in self.named(name))
-
-    def total_sum(self, name: str) -> float:
-        """Exact value sum across all label variants of ``name``."""
-        return sum(h.sum for h in self.named(name))
 
     def __iter__(self) -> Iterator[Histogram]:
         return iter(self.all())

@@ -12,10 +12,10 @@ engines the paper compares against:
   TensorRT-LLM's compiled runtime.
 
 The stateful Pensieve engine lives in :mod:`repro.core.engine` and builds
-on the same primitives.
+on the same primitives.  Metric names are written where they are
+recorded; the SLO reconciliation suite checks them against real runs.
 """
 
-from repro.serving import metric_names
 from repro.serving.request import Conversation, Request, RequestState, Turn
 from repro.serving.metrics import MetricsCollector, RequestRecord, ServingStats
 from repro.serving.batching import BatchConfig
@@ -23,7 +23,6 @@ from repro.serving.engine import EngineBase
 from repro.serving.stateless import StatelessEngine, make_tensorrt_llm, make_vllm
 
 __all__ = [
-    "metric_names",
     "Request",
     "RequestState",
     "Conversation",

@@ -18,9 +18,8 @@ from typing import List, Optional
 class RequestState(enum.Enum):
     """Lifecycle of a request inside an engine."""
 
-    WAITING = "waiting"      #: in the scheduler's wait queue.
+    WAITING = "waiting"      #: in the wait queue (a suspended request returns here).
     RUNNING = "running"      #: member of the running batch.
-    SUSPENDED = "suspended"  #: preempted; KV swapped out / discarded.
     FINISHED = "finished"    #: all output tokens emitted.
     FAILED = "failed"        #: degraded individually after exhausting retries.
 
@@ -143,23 +142,8 @@ class Request:
         return self.turn.output_tokens
 
     @property
-    def total_context(self) -> int:
-        """Context size when this turn finishes."""
-        return self.history_tokens + self.prompt_tokens + self.output_tokens
-
-    @property
     def is_last_turn(self) -> bool:
         return self.turn_index == self.conversation.num_turns - 1
-
-    def latency(self) -> float:
-        """End-to-end latency; only valid after the request finished."""
-        if self.finish_time is None:
-            raise RuntimeError(f"request {self.request_id} has not finished")
-        return self.finish_time - self.arrival_time
-
-    def normalized_latency(self) -> float:
-        """End-to-end latency divided by output length (the paper's metric)."""
-        return self.latency() / self.output_tokens
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.clock import Clock
 
 
 class SimulationError(RuntimeError):
@@ -44,18 +43,19 @@ class Event:
 
 
 class EventLoop:
-    """A deterministic discrete-event loop.
+    """A deterministic discrete-event loop that owns the simulated clock.
 
-    The loop owns a :class:`~repro.sim.clock.Clock`.  Callbacks may schedule
-    further events (at or after the current time).  ``run`` processes events
-    until the queue is empty or an optional horizon is reached.
+    ``now`` starts at 0 and only dispatch moves it, never backwards:
+    ``schedule`` refuses a past or non-finite time and ``run`` a
+    non-finite horizon.  ``run`` processes events until the queue is
+    empty or an optional horizon is reached.
     """
 
     #: Gauge the event-queue depth every this many dispatches (traced runs).
     TRACE_GAUGE_EVERY = 512
 
     def __init__(self) -> None:
-        self._clock = Clock()
+        self._now = 0.0
         # ``(time, seq, event)``: the heap orders by a C tuple compare,
         # and ``seq`` is unique, so it never compares two events.
         self._queue: list[tuple[float, int, Event]] = []
@@ -69,7 +69,7 @@ class EventLoop:
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
-        return self._clock.now
+        return self._now
 
     @property
     def pending(self) -> int:
@@ -90,13 +90,13 @@ class EventLoop:
             SimulationError: if ``time`` is in the simulated past, or not
                 finite (a NaN would pass every later past-time check).
         """
-        if not self._clock.now <= time < math.inf:
+        if not self._now <= time < math.inf:
             if not math.isfinite(time):
                 raise SimulationError(
                     f"cannot schedule event at non-finite time {time!r}"
                 )
             raise SimulationError(
-                f"cannot schedule event at {time!r} before now={self._clock.now!r}"
+                f"cannot schedule event at {time!r} before now={self._now!r}"
             )
         time = float(time)
         seq = next(self._seq)
@@ -116,7 +116,7 @@ class EventLoop:
             raise SimulationError(
                 f"delay must be finite and non-negative, got {delay!r}"
             )
-        return self.schedule(self._clock.now + delay, callback, *args)
+        return self.schedule(self._now + delay, callback, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Dispatch queued events in order.
@@ -130,11 +130,14 @@ class EventLoop:
             The number of events dispatched by this call.
 
         Raises:
-            SimulationError: on re-entrant ``run`` or when ``max_events`` is
-                exceeded (which almost always indicates a scheduling loop).
+            SimulationError: on re-entrant ``run``, a non-finite ``until``
+                (before anything dispatches), or more than ``max_events``
+                dispatches (almost always a scheduling loop).
         """
         if self._running:
             raise SimulationError("EventLoop.run is not re-entrant")
+        if until is not None and not math.isfinite(until):
+            raise SimulationError(f"cannot run until non-finite time {until!r}")
         self._running = True
         dispatched = 0
         queue = self._queue
@@ -144,7 +147,7 @@ class EventLoop:
                 if until is not None and time > until:
                     break
                 heapq.heappop(queue)
-                self._clock.advance_to(time)
+                self._now = time
                 event.callback(*event.args)
                 dispatched += 1
                 self._dispatched += 1
@@ -152,18 +155,18 @@ class EventLoop:
                     self.tracer.count("sim.events_dispatched")
                     if self._dispatched % self.TRACE_GAUGE_EVERY == 0:
                         self.tracer.gauge(
-                            "sim.pending_events", self.pending, t=self._clock.now
+                            "sim.pending_events", self.pending, t=self._now
                         )
                 if max_events is not None and dispatched > max_events:
                     raise SimulationError(
                         f"dispatched more than max_events={max_events} events; "
                         "likely a scheduling loop"
                     )
-            if until is not None and self._clock.now < until:
-                self._clock.advance_to(until)
+            if until is not None and self._now < until:
+                self._now = float(until)
         finally:
             self._running = False
         return dispatched
 
     def __repr__(self) -> str:
-        return f"EventLoop(now={self.now:.6f}, pending={self.pending})"
+        return f"EventLoop(now={self._now:.6f}, pending={self.pending})"

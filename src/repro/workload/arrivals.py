@@ -8,6 +8,7 @@ up to 600 s in Figure 15).
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -20,15 +21,15 @@ def poisson_arrivals(
 
     Args:
         rng: random generator.
-        rate: events per second (must be positive).
+        rate: events per second (must be positive and finite).
         count: number of arrivals to draw.
         start: time of reference (first arrival is after ``start``).
 
     Returns:
         ``count`` strictly increasing timestamps.
     """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise ValueError(f"rate must be positive and finite, got {rate}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     gaps = rng.exponential(1.0 / rate, size=count)
@@ -39,8 +40,10 @@ def exponential_think_times(
     rng: np.random.Generator, mean: float, count: int
 ) -> List[float]:
     """Per-turn user think times, exponentially distributed."""
-    if mean < 0:
-        raise ValueError(f"mean must be non-negative, got {mean}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(
+            f"think-time mean must be non-negative and finite, got {mean}"
+        )
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:

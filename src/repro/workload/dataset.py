@@ -147,8 +147,10 @@ def generate_conversations(
     """
     if num_conversations <= 0:
         raise ValueError("num_conversations must be positive")
-    if request_rate <= 0:
-        raise ValueError("request_rate must be positive")
+    if not 0 < request_rate < math.inf:
+        raise ValueError(
+            f"request_rate must be positive and finite, got {request_rate}"
+        )
     rng = np.random.default_rng(seed)
     conversations = [
         generate_conversation(spec, conv_id, rng)
@@ -183,10 +185,14 @@ def generate_workload(
     right construction for measuring saturation throughput, where arrivals
     must not dry up before the measurement window closes.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if request_rate <= 0:
-        raise ValueError("request_rate must be positive")
+    # The chained compares refuse NaN, which fails every compare, and an
+    # infinite duration, which the arrival loop below would never leave.
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    if not 0 < request_rate < math.inf:
+        raise ValueError(
+            f"request_rate must be positive and finite, got {request_rate}"
+        )
     rng = np.random.default_rng(seed)
     conv_rate = request_rate / spec.mean_turns
     conversations: List[Conversation] = []

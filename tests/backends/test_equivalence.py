@@ -138,4 +138,4 @@ class TestServingMatrix:
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend 'paged-ring'"):
-            StatefulChatServer(tiny_opt_config(), backend="paged-ring")
+            StatefulChatServer(tiny_opt_config(), backend="paged-ring", chunk_size=16)

@@ -9,10 +9,10 @@ from repro.model.config import tiny_opt_config
 
 class TestRegistry:
     def test_every_backend_names_itself(self):
-        backend = StatefulChatServer(tiny_opt_config()).model.backend
+        backend = StatefulChatServer(tiny_opt_config(), chunk_size=16).model.backend
         assert isinstance(backend, Backend)
         assert backend.name == "paged"
 
     def test_unknown_name_lists_the_legal_ones(self):
         with pytest.raises(ValueError, match=r"unknown backend 'flash'.*'paged'"):
-            StatefulChatServer(tiny_opt_config(), backend="flash")
+            StatefulChatServer(tiny_opt_config(), backend="flash", chunk_size=16)

@@ -157,7 +157,10 @@ class TestKvLedger:
             (before,) = engine.manager.context_lengths([conv])
             on_finish(request, now)
             (after,) = engine.manager.context_lengths([conv])
-            expected = request.total_context - short.get(conv, 0)
+            expected = (
+                request.history_tokens + request.prompt_tokens
+                + request.output_tokens - short.get(conv, 0)
+            )
             assert before == expected - 1, (request.request_id, before, expected)
             if after == before:
                 short[conv] = short.get(conv, 0) + 1

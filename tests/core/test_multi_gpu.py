@@ -1,5 +1,7 @@
 """Tests for tensor-parallel (multi-GPU) serving (§4.4.2)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import PensieveEngine
@@ -16,7 +18,7 @@ from tests.serving.conftest import scripted_conversation
 class TestCapacityScaling:
     def test_kv_capacity_scales_with_gpus(self):
         """Each GPU contributes its 40 GB KV reservation (§6.1)."""
-        single = PensieveEngine(EventLoop(), OPT_66B.scaled_to(1), A100_80GB)
+        single = PensieveEngine(EventLoop(), replace(OPT_66B, num_gpus=1), A100_80GB)
         quad = PensieveEngine(EventLoop(), OPT_66B, A100_80GB)
         assert quad.manager.gpu_capacity_tokens == pytest.approx(
             4 * single.manager.gpu_capacity_tokens, rel=0.01
@@ -24,7 +26,7 @@ class TestCapacityScaling:
 
     def test_cpu_capacity_scales_with_gpus(self):
         """220 GB of host memory per GPU (§6.1)."""
-        single = PensieveEngine(EventLoop(), OPT_66B.scaled_to(1), A100_80GB)
+        single = PensieveEngine(EventLoop(), replace(OPT_66B, num_gpus=1), A100_80GB)
         quad = PensieveEngine(EventLoop(), OPT_66B, A100_80GB)
         assert quad.manager.cpu_capacity_tokens == pytest.approx(
             4 * single.manager.cpu_capacity_tokens, rel=0.01
@@ -43,7 +45,7 @@ class TestCapacityScaling:
 class TestCostScaling:
     def test_tensor_parallel_speeds_up_iterations(self):
         shape = BatchShape.uniform(16, 1, 2048)
-        single = CostModel(OPT_66B.scaled_to(1), A100_80GB).iteration_time(shape)
+        single = CostModel(replace(OPT_66B, num_gpus=1), A100_80GB).iteration_time(shape)
         quad = CostModel(OPT_66B, A100_80GB).iteration_time(shape)
         assert quad < single
         # All-reduce overhead keeps the speedup below ideal 4x.

@@ -37,25 +37,25 @@ def config(request):
 
 class TestBasicChat:
     def test_generates_requested_tokens(self, config):
-        server = StatefulChatServer(config, seed=3)
+        server = StatefulChatServer(config, seed=3, chunk_size=16)
         out = server.chat(0, prompt_ids=[5, 6, 7], max_new_tokens=4)
         assert len(out) == 4
         assert all(0 <= t < config.vocab_size for t in out)
 
     def test_text_round_trip(self, config):
-        server = StatefulChatServer(config, seed=3)
+        server = StatefulChatServer(config, seed=3, chunk_size=16)
         reply = server.chat_text(0, "hello world how are you", max_new_tokens=3)
         assert isinstance(reply, str) and reply
 
     def test_context_accumulates_across_turns(self, config):
-        server = StatefulChatServer(config, seed=3)
+        server = StatefulChatServer(config, seed=3, chunk_size=16)
         server.chat(0, prompt_ids=[1, 2, 3], max_new_tokens=4)
         assert server.context_length(0) == 7
         server.chat(0, prompt_ids=[4, 5], max_new_tokens=4)
         assert server.context_length(0) == 13
 
     def test_empty_prompt_rejected(self, config):
-        server = StatefulChatServer(config)
+        server = StatefulChatServer(config, chunk_size=16)
         with pytest.raises(ValueError):
             server.chat(0, prompt_ids=[])
 
@@ -66,8 +66,8 @@ class TestBasicChat:
     def test_determinism(self, config):
         rng = np.random.default_rng(0)
         turns = scripted_turns(rng)
-        a = run_script(StatefulChatServer(config, seed=2), turns)
-        b = run_script(StatefulChatServer(config, seed=2), turns)
+        a = run_script(StatefulChatServer(config, seed=2, chunk_size=16), turns)
+        b = run_script(StatefulChatServer(config, seed=2, chunk_size=16), turns)
         assert a == b
 
 
@@ -154,7 +154,7 @@ class TestPlacementIntrospection:
         assert "dropped" in locations
 
     def test_unknown_conversation_empty(self):
-        server = StatefulChatServer(tiny_opt_config())
+        server = StatefulChatServer(tiny_opt_config(), chunk_size=16)
         assert server.placement(404) == {}
         assert server.context_length(404) == 0
 
@@ -163,7 +163,7 @@ class TestRawTokenStore:
     def test_history_matches_serving(self):
         """The persistent store (Figure 7) holds prompt + reply tokens."""
         config = tiny_opt_config()
-        server = StatefulChatServer(config, seed=3)
+        server = StatefulChatServer(config, seed=3, chunk_size=16)
         out1 = server.chat(0, prompt_ids=[1, 2, 3], max_new_tokens=4)
         out2 = server.chat(0, prompt_ids=[9], max_new_tokens=2)
         assert server.raw_tokens[0] == [1, 2, 3] + out1 + [9] + out2

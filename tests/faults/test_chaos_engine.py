@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.faults import FaultPlan, FaultSite, RetryPolicy
+from repro.faults import FaultCounters, FaultPlan, FaultSite, RetryPolicy
 from repro.gpu.device import A100_80GB
 from repro.model.config import PAPER_MODELS
 from repro.serving.request import RequestState
@@ -75,10 +75,10 @@ class TestEngineUnderFaults:
         chaotic_engine, chaotic = run_chaotic(
             config, FaultPlan(seed=3, rates=RATES)
         )
-        assert chaotic_engine.metrics.faults.total > 0
+        assert chaotic_engine.metrics.faults != FaultCounters()
         # Recoverable faults degrade latency/throughput, within reason.
         assert chaotic.num_requests >= 0.5 * quiet.num_requests
-        assert quiet_engine.metrics.faults.total == 0
+        assert quiet_engine.metrics.faults == FaultCounters()
 
     def test_swap_sites_fire_under_pressure(self):
         config = PAPER_MODELS["OPT-13B"]

@@ -57,6 +57,7 @@ def reference_outputs(config, **kwargs):
         gpu_capacity_tokens=1 << 20,
         cpu_capacity_tokens=1 << 20,
         seed=0,
+        chunk_size=16,
     )
     return drive(server, config, **kwargs)
 
@@ -73,6 +74,7 @@ class TestDifferentialUnderFaults:
             cpu_capacity_tokens=512,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         assert drive(server, config) == ref
         # Tight memory + high rates: the run must actually have been chaotic.
@@ -90,13 +92,15 @@ class TestDifferentialUnderFaults:
             cpu_capacity_tokens=512,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         assert drive(server, config, turns=5, convs=3) == ref
 
     def test_batched_serving_identical_under_faults(self):
         config = tiny_llama_config()
         reference = StatefulChatServer(
-            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0,
+            chunk_size=16,
         )
         plan = FaultPlan(seed=11, rates=RECOVERABLE_RATES)
         # A batch pins all its members, so pressure comes from *rotating*
@@ -107,6 +111,7 @@ class TestDifferentialUnderFaults:
             cpu_capacity_tokens=512,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         for turn in range(6):
             pair = (0, 1) if turn % 2 == 0 else (2, 3)
@@ -133,6 +138,7 @@ class TestDifferentialUnderFaults:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         got = drive(server, config, turns=4, convs=3, prompt_len=20, new_tokens=6)
         assert got == ref
@@ -147,7 +153,8 @@ class TestFaultAccounting:
         and one ``alloc_faults``, as the simulated engine counts it."""
         config = tiny_llama_config()
         reference = StatefulChatServer(
-            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0,
+            chunk_size=16,
         )
         plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0,)})
         server = StatefulChatServer(
@@ -156,6 +163,7 @@ class TestFaultAccounting:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         want = reference.chat(0, prompt_ids=[1, 2, 3, 4], max_new_tokens=4)
         assert server.chat(0, prompt_ids=[1, 2, 3, 4], max_new_tokens=4) == want
@@ -177,6 +185,7 @@ class TestFaultAccounting:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=FaultPlan(seed=0, schedules=schedule),
+            chunk_size=16,
         )
         server.set_tracer(server_tracer)
         drive(server, config, turns=4, convs=3, prompt_len=20, new_tokens=6)
@@ -219,6 +228,7 @@ class TestIndividualRequestFailure:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         with pytest.raises(RequestFaultedError) as excinfo:
             server.chat(0, prompt_ids=[1, 2, 3, 4], max_new_tokens=4)
@@ -244,12 +254,14 @@ class TestIndividualRequestFailure:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         with pytest.raises(RequestFaultedError):
             server.chat(0, prompt_ids=[1, 2, 3], max_new_tokens=4)
         # Same conv id, fresh history: behaves like a brand-new conversation.
         reference = StatefulChatServer(
-            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0,
+            chunk_size=16,
         )
         want = reference.chat(0, prompt_ids=[9, 8, 7], max_new_tokens=5)
         assert server.chat(0, prompt_ids=[9, 8, 7], max_new_tokens=5) == want
@@ -257,7 +269,8 @@ class TestIndividualRequestFailure:
     def test_batch_continues_around_failed_request(self):
         config = tiny_llama_config()
         reference = StatefulChatServer(
-            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0,
+            chunk_size=16,
         )
         # Conversation 0's restore is the batch's first GPU_ALLOC draw;
         # four consecutive fires exhaust the default retry budget, so it
@@ -269,6 +282,7 @@ class TestIndividualRequestFailure:
             cpu_capacity_tokens=1024,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         first = [(conv, [conv * 5 + 1, conv * 5 + 2]) for conv in range(3)]
         want = reference.chat_batch(first, max_new_tokens=4)
@@ -289,7 +303,8 @@ class TestIndividualRequestFailure:
         # Conversation 0 lost its first turn, so compare it against a
         # reference that never saw that turn.
         fresh = StatefulChatServer(
-            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0
+            config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20, seed=0,
+            chunk_size=16,
         )
         assert got[0] == fresh.chat(0, prompt_ids=[3, 4], max_new_tokens=4)
         server.manager._audit()
@@ -306,6 +321,7 @@ class TestCorruptionRecovery:
             cpu_capacity_tokens=512,
             seed=0,
             fault_plan=plan,
+            chunk_size=16,
         )
         assert drive(server, config, turns=6, convs=3) == ref
         assert server.fault_counters.corrupted_chunks > 0

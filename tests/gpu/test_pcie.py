@@ -58,7 +58,7 @@ class TestSerialization:
         first = eng.transfer(0.0, 1e9, H2D)
         second = eng.transfer(0.0, 1e9, H2D)
         assert second.start_time == pytest.approx(first.end_time)
-        assert second.queue_delay == pytest.approx(1.0)
+        assert second.start_time - second.enqueue_time == pytest.approx(1.0)
 
     def test_later_enqueue_after_drain_starts_immediately(self):
         eng = make_engine()
@@ -116,18 +116,23 @@ class TestAccounting:
 
     def test_history_and_last(self):
         eng = make_engine()
-        assert eng.last() is None
+        assert eng.history == []
         eng.transfer(0.0, 100, H2D)
         eng.transfer(0.0, 200, D2H)
-        assert len(eng.history) == 2
-        assert eng.last().direction is D2H
+        assert [r.direction for r in eng.history] == [H2D, D2H]
 
     def test_idle_at(self):
-        eng = make_engine()
-        assert eng.idle_at(0.0)
-        eng.transfer(0.0, 1e9, H2D)
-        assert not eng.idle_at(0.5)
-        assert eng.idle_at(1.0)
+        """A transfer enqueued while the other direction is busy waits for
+        it; once the link has drained, one starts at once."""
+        def d2h_after_one_second_h2d(now):
+            eng = make_engine()
+            eng.transfer(0.0, 1e9, H2D)
+            return eng.transfer(now, 1e9, D2H)
+
+        assert d2h_after_one_second_h2d(0.5).start_time == 1.0
+        idle = d2h_after_one_second_h2d(1.0)
+        assert idle.start_time == 1.0
+        assert idle.duration == pytest.approx(1.0)
 
 
 class TestChunkAccounting:

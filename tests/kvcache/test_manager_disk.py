@@ -86,6 +86,7 @@ class TestDemotion:
             StatefulChatServer(
                 tiny_opt_config(), cpu_capacity_tokens=0,
                 disk_capacity_tokens=1024,
+                chunk_size=16,
             )
 
     def test_disk_overflow_collapses_unusable_prefix(self):

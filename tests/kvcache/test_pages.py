@@ -105,7 +105,7 @@ class TestBlockTable:
         free_before = pool.num_free_pages
         table.vacate_front(8)
         assert pool.num_free_pages == free_before + 2
-        assert table.vacated == 8
+        assert table.length - table.resident_tokens == 8
         assert table.resident_tokens == 4
         with pytest.raises(KeyError):
             table.slot(0)
@@ -135,7 +135,7 @@ class TestBlockTable:
         table.vacate_front(8)
         slots = table.restore_front(4)
         assert len(slots) == 4
-        assert table.vacated == 4
+        assert table.length - table.resident_tokens == 4
         # Restored positions are addressable again.
         assert table.slot(4) == slots[0]
 

@@ -120,12 +120,6 @@ class TestValidation:
                 num_heads=4, num_kv_heads=4, head_dim=16, intermediate_size=64,
             )
 
-    def test_scaled_to_changes_only_gpus(self):
-        scaled = OPT_13B.scaled_to(8)
-        assert scaled.num_gpus == 8
-        assert scaled.num_layers == OPT_13B.num_layers
-        assert OPT_13B.num_gpus == 1  # original untouched
-
 
 class TestTinyConfigs:
     def test_tiny_opt_valid(self):

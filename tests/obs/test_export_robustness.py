@@ -139,7 +139,8 @@ class TestSpanSummary:
 class TestPrometheusRoundTrip:
     def test_histogram_exposition_round_trips(self):
         hists = HistogramSet()
-        hists.hist("ttft_seconds").record_many([0.01, 0.05, 0.2])
+        for value in (0.01, 0.05, 0.2):
+            hists.hist("ttft_seconds").record(value)
         hists.hist("swap_in_seconds", tier="cpu").record(0.003)
         text = prometheus_snapshot(hists=hists)
         parsed = parse_prometheus(text)

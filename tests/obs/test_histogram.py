@@ -75,7 +75,8 @@ class TestHistogram:
         rng = np.random.default_rng(1)
         values = [float(v) for v in rng.lognormal(-2.0, 1.5, size=2000)]
         hist = Histogram("p")
-        hist.record_many(values)
+        for value in values:
+            hist.record(value)
         for q in (50, 90, 99):
             true = float(np.percentile(values, q, method="inverted_cdf"))
             reported = hist.percentile(q)
@@ -85,7 +86,8 @@ class TestHistogram:
 
     def test_percentile_100_is_exact_max(self):
         hist = Histogram("max")
-        hist.record_many([0.1, 0.7, 0.03])
+        for value in (0.1, 0.7, 0.03):
+            hist.record(value)
         assert hist.percentile(100) == 0.7
         assert hist.p99 <= 0.7
 
@@ -111,7 +113,8 @@ class TestHistogram:
 
     def test_as_dict_json_serializable(self):
         hist = Histogram("h", labels={"tier": "cpu"}, clock="wall")
-        hist.record_many([0.01, 0.2])
+        hist.record(0.01)
+        hist.record(0.2)
         payload = hist.as_dict()
         text = json.dumps(payload)
         back = json.loads(text)
@@ -141,15 +144,21 @@ class TestHistogramSet:
         assert hists.get("never_recorded") is None
 
     def test_named_and_totals(self):
+        """Label variants of one name keep separate, exact totals."""
         hists = HistogramSet()
-        hists.hist("swap_in_seconds", tier="cpu").record_many([0.1, 0.2])
+        cpu = hists.hist("swap_in_seconds", tier="cpu")
+        cpu.record(0.1)
+        cpu.record(0.2)
         hists.hist("swap_in_seconds", tier="disk").record(0.4)
         hists.hist("ttft_seconds").record(0.05)
-        assert len(hists.named("swap_in_seconds")) == 2
-        assert hists.total_count("swap_in_seconds") == 3
-        assert hists.total_sum("swap_in_seconds") == pytest.approx(0.7)
-        assert hists.total_count("missing") == 0
-        assert hists.total_sum("missing") == 0.0
+        totals = {
+            (h.name, h.labels.get("tier")): (h.count, h.sum) for h in hists
+        }
+        assert totals == {
+            ("swap_in_seconds", "cpu"): (2, pytest.approx(0.3)),
+            ("swap_in_seconds", "disk"): (1, 0.4),
+            ("ttft_seconds", None): (1, 0.05),
+        }
 
     def test_all_is_sorted_and_stable(self):
         hists = HistogramSet()
@@ -171,12 +180,10 @@ class TestNullPath:
         handle = NULL_HISTOGRAMS.hist("anything", tier="cpu")
         assert handle is NULL_HISTOGRAM
         handle.record(1.0)
-        handle.record_many([1.0, 2.0])
         assert handle.count == 0 and handle.sum == 0.0
         assert handle.percentile(99) == 0.0
         assert NULL_HISTOGRAMS.get("anything") is None
         assert NULL_HISTOGRAMS.all() == []
-        assert NULL_HISTOGRAMS.total_count("anything") == 0
         assert len(NULL_HISTOGRAMS) == 0
         assert list(NULL_HISTOGRAMS) == []
 

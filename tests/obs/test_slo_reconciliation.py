@@ -25,7 +25,7 @@ import pytest
 from repro.cli import main
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.faults import SITES, FaultPlan, FaultSite
+from repro.faults import FaultPlan, FaultSite
 from repro.gpu.link import Direction
 from repro.obs import (
     FlightRecorder,
@@ -36,11 +36,38 @@ from repro.obs import (
     parse_prometheus,
     prometheus_snapshot,
 )
-from repro.serving import metric_names
 
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
 
 UNTIL = 200.0
+
+#: Every histogram recorded on the sim clock by the engines and the
+#: metrics collector, and on the wall clock by ``repro chat`` (the last
+#: two); exported to Prometheus as ``repro_<name>``.
+HISTOGRAMS = frozenset({
+    "latency_seconds", "norm_latency_seconds", "queue_wait_seconds",
+    "ttft_seconds", "tbt_seconds", "swap_in_seconds", "swap_out_seconds",
+    "recompute_tokens", "recompute_est_seconds",
+    "chat_turn_seconds", "chat_token_seconds",
+})
+#: ``tier=`` labels of the swap histograms and the flight swap events.
+TIERS = frozenset({"cpu", "disk"})
+#: Flight-recorder lifecycle events (ledger keys are ``event`` or
+#: ``event.tier``; a preemption records as ``suspend``).
+FLIGHT_EVENTS = frozenset({
+    "admit", "batch_join", "suspend", "swap_out", "swap_in", "recompute",
+    "retry", "fault", "abort", "finish",
+})
+
+
+def _events(flight, key):
+    """The flight ledger's exact count for ``event`` or ``event.tier``."""
+    return flight.event_counts.get(key, 0)
+
+
+def _total(hist, name, field):
+    """``count`` or ``sum`` over every label variant of histogram ``name``."""
+    return sum(getattr(h, field) for h in hist.all() if h.name == name)
 
 
 def _workload():
@@ -92,10 +119,9 @@ class TestLedgerIdentities:
         assert not engine.metrics.failures
         assert engine.nvme.bytes_moved[Direction.READ] > 0
         assert engine.manager.stats["recomputed_tokens"] > 0
-        # Every swap histogram × every declared tier label: the registry
-        # (not a re-declared literal list) drives the coverage matrix.
+        # Every swap histogram × every tier label.
         for name in ("swap_in_seconds", "swap_out_seconds"):
-            for tier in sorted(metric_names.HISTOGRAM_TIERS):
+            for tier in sorted(TIERS):
                 found = hist.get(name, tier=tier)
                 assert found is not None and found.count > 0, (name, tier)
 
@@ -103,7 +129,7 @@ class TestLedgerIdentities:
         engine, _, hist, flight = armed_run
         h2d = len(_transfers(engine.pcie.history, Direction.H2D))
         assert hist.get("swap_in_seconds", tier="cpu").count == h2d
-        assert flight.event_count("swap_in", tier="cpu") == h2d
+        assert _events(flight, "swap_in.cpu") == h2d
 
     def test_cpu_swap_out_count_matches_pcie(self, armed_run):
         engine, _, hist, flight = armed_run
@@ -112,31 +138,31 @@ class TestLedgerIdentities:
         # Flight swap-outs are attributed to a suspended request; demand /
         # ahead-of-time background copies have no single owner, so the
         # flight ledger can only undercount — never overcount.
-        assert 0 <= flight.event_count("swap_out", tier="cpu") <= d2h
+        assert 0 <= _events(flight, "swap_out.cpu") <= d2h
 
     def test_disk_swap_counts_match_nvme_history(self, armed_run):
         engine, _, hist, flight = armed_run
         reads = len(_transfers(engine.nvme.history, Direction.READ))
         writes = len(_transfers(engine.nvme.history, Direction.WRITE))
         assert hist.get("swap_in_seconds", tier="disk").count == reads
-        assert flight.event_count("swap_in", tier="disk") == reads
+        assert _events(flight, "swap_in.disk") == reads
         assert hist.get("swap_out_seconds", tier="disk").count == writes
 
     def test_recompute_mass_matches_cache_ledger(self, armed_run):
         engine, _, hist, flight = armed_run
-        assert hist.total_sum("recompute_tokens") == (
+        assert _total(hist, "recompute_tokens", "sum") == (
             engine.manager.stats["recomputed_tokens"]
         )
-        assert hist.total_count("recompute_tokens") == flight.event_count(
-            "recompute"
+        assert _total(hist, "recompute_tokens", "count") == _events(
+            flight, "recompute"
         )
-        assert hist.total_count("recompute_est_seconds") == hist.total_count(
-            "recompute_tokens"
+        assert _total(hist, "recompute_est_seconds", "count") == _total(
+            hist, "recompute_tokens", "count"
         )
 
     def test_queue_wait_counts_batch_joins(self, armed_run):
         _, _, hist, flight = armed_run
-        joins = flight.event_count("batch_join")
+        joins = _events(flight, "batch_join")
         assert joins > 0
         assert hist.get("queue_wait_seconds").count == joins
 
@@ -150,8 +176,8 @@ class TestLedgerIdentities:
             sum(r.output_tokens for r in records)
         )
         assert hist.get("latency_seconds").count == len(records)
-        assert flight.event_count("admit") == len(records)
-        assert flight.event_count("finish") == len(records)
+        assert _events(flight, "admit") == len(records)
+        assert _events(flight, "finish") == len(records)
 
     def test_record_timelines_bookended(self):
         """An objective every request violates captures every completed
@@ -175,20 +201,19 @@ class TestLedgerIdentities:
     def test_fault_ledger_zero_without_plan(self, armed_run):
         engine, _, _, flight = armed_run
         assert engine.metrics.faults.retries == 0
-        assert flight.event_count("retry") == 0
-        assert flight.event_count("fault") == 0
+        assert _events(flight, "retry") == 0
+        assert _events(flight, "fault") == 0
 
     def test_recorded_names_are_declared(self, armed_run):
-        """Everything this real run recorded is in the declared registry
-        (``repro.serving.metric_names``)."""
+        """Everything this real run recorded is a name this suite expects
+        (a typo in a recording site fails here)."""
         _, _, hist, flight = armed_run
-        declared = metric_names.all_histogram_names()
         for h in hist.all():
-            assert h.name in declared, h.name
+            assert h.name in HISTOGRAMS, h.name
             tier = h.labels.get("tier")
-            assert tier is None or tier in metric_names.HISTOGRAM_TIERS
+            assert tier is None or tier in TIERS
         seen_events = {key.split(".")[0] for key in flight.event_counts}
-        assert seen_events <= metric_names.FLIGHT_EVENTS
+        assert seen_events <= FLIGHT_EVENTS
 
 
 def _faulted_suspending_run():
@@ -196,7 +221,7 @@ def _faulted_suspending_run():
     suspensions and their swap-outs) under an armed fault plan (retries,
     faults and one aborted request)."""
     plan = FaultPlan(
-        seed=1, rates={s: 0.15 * SITES[s.value].rate_scale for s in FaultSite}
+        seed=1, rates={s: 0.15 * s.rate_scale for s in FaultSite}
     )
 
     def factory(loop):
@@ -228,32 +253,30 @@ def _chat_wall_histograms(tmp_path, monkeypatch):
     assert main(["chat", "--max-tokens", "2", "--metrics-out", str(tmp_path)]) == 0
     parsed = parse_prometheus((tmp_path / "chat_metrics.prom").read_text())
     return {
-        name for name in metric_names.all_histogram_names()
-        if f"repro_{name}_count" in parsed
+        name for name in HISTOGRAMS if f"repro_{name}_count" in parsed
     }
 
 
 class TestDeclaredNames:
     def test_every_declared_name_is_recorded(self, armed_run, tmp_path, monkeypatch):
         """The other direction of ``test_recorded_names_are_declared``:
-        every declared histogram, tier label and flight event is recorded
+        every expected histogram, tier label and flight event is recorded
         by a real run — the drained three-tier run above, a fault-armed
-        run that suspends, and a metrics-armed chat turn.  A registry
-        entry that nothing records fails here."""
+        run that suspends, and a metrics-armed chat turn.  An expected
+        name that nothing records fails here."""
         _, _, hist, flight = armed_run
         faulted_hist, faulted_flight = _faulted_suspending_run()
         hists = [*hist.all(), *faulted_hist.all()]
         names = {h.name for h in hists} | _chat_wall_histograms(tmp_path, monkeypatch)
-        assert names == metric_names.all_histogram_names()
+        assert names == HISTOGRAMS
         tiers = {h.labels["tier"] for h in hists if "tier" in h.labels}
-        assert tiers == metric_names.HISTOGRAM_TIERS
+        assert tiers == TIERS
         events = {
             key.split(".")[0]
             for recorder in (flight, faulted_flight)
             for key in recorder.event_counts
         }
-        assert events == metric_names.FLIGHT_EVENTS
-        assert metric_names.SAMPLED_HISTOGRAMS <= metric_names.HISTOGRAM_NAMES
+        assert events == FLIGHT_EVENTS
 
 
 class TestPrometheusSelfReconciliation:

@@ -96,14 +96,14 @@ class TestFaultCounters:
     def test_collector_carries_fault_counters(self):
         collector = MetricsCollector()
         assert isinstance(collector.faults, FaultCounters)
-        assert collector.faults.total == 0
+        assert collector.faults == FaultCounters()
 
     def test_counters_accumulate_independently_of_records(self):
         collector = MetricsCollector()
         collector.faults.retries += 2
         collector.faults.swap_in_failures += 1
         collector.faults.recompute_fallbacks += 1
-        assert collector.faults.total == 4
+        assert sum(collector.faults.as_dict().values()) == 4
         assert len(collector) == 0  # request records are untouched
 
     def test_as_dict_snapshot(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serving import Conversation, Request, RequestState, Turn
+from repro.serving import Conversation, MetricsCollector, Request, RequestState, Turn
 
 
 def make_conversation(turn_sizes=((10, 20), (5, 30), (8, 12)), conv_id=1):
@@ -64,7 +64,6 @@ class TestRequest:
         assert req.prompt_tokens == 5
         assert req.history_tokens == 30
         assert req.output_tokens == 30
-        assert req.total_context == 65
         assert not req.is_last_turn
         assert self.make_request(turn_index=2).is_last_turn
 
@@ -81,12 +80,17 @@ class TestRequest:
         assert req.generated_tokens == 0
 
     def test_latency_requires_finish(self):
+        """Latency is read off the completion record, which an unfinished
+        request cannot produce."""
         req = self.make_request()
+        collector = MetricsCollector()
         with pytest.raises(RuntimeError):
-            req.latency()
+            collector.complete(req)
+        req.first_token_time = 101.0
         req.finish_time = 109.0
-        assert req.latency() == pytest.approx(9.0)
-        assert req.normalized_latency() == pytest.approx(0.3)
+        record = collector.complete(req)
+        assert record.latency == pytest.approx(9.0)
+        assert record.normalized_latency == pytest.approx(0.3)
 
 
 class TestAttentionRequestHelpers:

@@ -119,6 +119,34 @@ class TestSimulate:
                 ]
             )
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--rate", "nan", "--duration", "30"],
+        ["simulate", "--think-time", "nan"],
+        ["simulate", "--duration", "nan"],
+        ["sweep", "--rates", "nan"],
+    ], ids=["simulate-rate", "simulate-think", "simulate-duration", "sweep-rates"])
+    def test_nan_workload_input_exits_with_the_message(self, command):
+        """Not a one-conversation run (NaN rate) or a traceback from the
+        event loop (NaN think time): the generator's message."""
+        with pytest.raises(SystemExit, match=r"^repro \w+: .*finite, got nan"):
+            main(command + ["--model", "opt-13b"])
+
+    def test_sweep_refuses_a_bad_rate_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the bad rate was refused")
+
+        monkeypatch.setattr("repro.experiments.common.run_serving_once", no_run)
+        with pytest.raises(SystemExit, match="got nan"):
+            main(["sweep", "--rates", "2", "nan", "--model", "opt-13b"])
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--duration", "inf"],
+        ["sweep", "--rates", "2", "--duration", "inf"],
+    ], ids=["simulate", "sweep"])
+    def test_infinite_duration_exits_with_the_message(self, command):
+        with pytest.raises(SystemExit, match=r"^repro \w+: duration .*got inf"):
+            main(command + ["--model", "opt-13b"])
+
     def test_model_name_normalisation(self, capsys):
         rc = main(
             [

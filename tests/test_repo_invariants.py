@@ -35,6 +35,14 @@
   unnoticed by every run-based test; a PR that adds one edits the list
   and names the caller (in ``src/``, ``benchmarks/``, ``examples/`` or
   the CLI) that needs it.
+- *One chunk size.*  The engine, the server, the cache manager and the
+  offline profile default to ``CHUNK_SIZE``; a second default would let
+  the simulated and the functional caches evict at different sizes.
+- *Every module has a reader.*  Each module under ``src/repro`` defines
+  a public top-level name that some other file in ``src/``,
+  ``benchmarks/`` or ``examples/`` uses; its own package ``__init__``
+  re-exporting it does not count.  A module that only tests read passes
+  every test while it drifts from the code that runs.
 """
 
 import ast
@@ -50,17 +58,21 @@ from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 from repro.experiments.common import run_serving_once, throughput_at_latency
 from repro.faults import FaultPlan
+from repro.gpu.device import A100_80GB
+from repro.gpu.profiler import OfflineProfiler
 from repro.kernels.packed_cache import PackedDecodeCache
-from repro.kvcache.manager import TieredCacheManager
+from repro.kvcache.manager import CHUNK_SIZE, TieredCacheManager
 from repro.kvcache.pages import BlockTable
-from repro.model import tiny_llama_config, tiny_opt_config
+from repro.model import OPT_13B, tiny_llama_config, tiny_opt_config
 from repro.model import transformer
 from repro.model.layers import Linear
 from repro.obs.histogram import HistogramSet
 from repro.serving.batching import BatchConfig
 from repro.serving.engine import EngineBase
+from repro.sim import EventLoop
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: Trees that run on the simulated clock.
 SIM_CLOCK_TREES = ("sim", "core", "serving", "kvcache", "gpu")
@@ -182,7 +194,7 @@ def test_a_decode_step_stays_within_its_dispatch_budget(monkeypatch):
 
     monkeypatch.setattr(transformer.PagedTransformer, "forward", counted_forward)
     config = tiny_llama_config()
-    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0)
+    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0, chunk_size=16)
     assert server.storage.k.dtype == np.float32
     for turn in range(2):
         server.chat_batch(
@@ -230,7 +242,7 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
 
     monkeypatch.setattr(transformer.PagedTransformer, "forward", counted_forward)
     config = tiny_llama_config()
-    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0)
+    server = StatefulChatServer(config, gpu_capacity_tokens=256, seed=0, chunk_size=16)
     assert server.storage.k.dtype == np.float32
     for turn in range(2):
         server.chat_batch(
@@ -288,3 +300,60 @@ def test_every_setting_is_listed_and_within_budget():
     found = {owner: _settings(owner) for owner in SETTINGS}
     assert found == SETTINGS
     assert sum(len(names) for names in found.values()) <= SETTINGS_BUDGET
+
+
+def test_one_chunk_size_default():
+    """The scheduler's and the functional server's caches default to the
+    paper's 32-token chunks (§4.3), as does the offline profile that
+    prices them."""
+    assert CHUNK_SIZE == 32
+    engine = PensieveEngine(EventLoop(), OPT_13B, A100_80GB)
+    server = StatefulChatServer(tiny_opt_config())
+    manager = TieredCacheManager(64, 0, scorer=lambda chunk, last, now: 0.0)
+    assert engine.manager.chunk_size == CHUNK_SIZE
+    assert server.manager.chunk_size == CHUNK_SIZE
+    assert manager.chunk_size == CHUNK_SIZE
+    profile_default = inspect.signature(OfflineProfiler.profile).parameters
+    assert profile_default["chunk_size"].default == CHUNK_SIZE
+
+
+def _public_names(module):
+    """The public names a module defines at its top level."""
+    names = set()
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _used_names(module):
+    """Every identifier a module reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def test_every_module_is_read_outside_the_tests():
+    readers = {
+        path: _used_names(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        for top in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        public = _public_names(ast.parse(path.read_text(encoding="utf-8")))
+        own = {path, path.parent / "__init__.py"}
+        if not any(public & used for other, used in readers.items() if other not in own):
+            unread.append(path.relative_to(SRC).as_posix())
+    assert unread == []

@@ -42,7 +42,7 @@ from repro.experiments.common import (
     run_serving_once,
     throughput_at_latency,
 )
-from repro.faults import SITES, FaultPlan, FaultSite, RequestFaultedError
+from repro.faults import FaultPlan, FaultSite, RequestFaultedError
 from repro.gpu.device import A100_80GB
 from repro.kvcache import KVStorage
 from repro.model.config import OPT_13B, tiny_llama_config, tiny_opt_config
@@ -68,7 +68,7 @@ def _hex(blob: object) -> str:
 def _plan(seed: int, scale: float) -> FaultPlan:
     """Every fault site armed at ``scale`` x its rate scale."""
     return FaultPlan(
-        seed=seed, rates={s: scale * SITES[s.value].rate_scale for s in FaultSite}
+        seed=seed, rates={s: scale * s.rate_scale for s in FaultSite}
     )
 
 

@@ -32,6 +32,11 @@ class TestPoissonArrivals:
         with pytest.raises(ValueError):
             poisson_arrivals(rng, rate=1.0, count=-1)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="finite"):
+            poisson_arrivals(np.random.default_rng(0), rate=rate, count=5)
+
 
 class TestThinkTimes:
     def test_mean(self):
@@ -43,6 +48,11 @@ class TestThinkTimes:
 
     def test_empty(self):
         assert exponential_think_times(np.random.default_rng(0), 60.0, 0) == []
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="finite"):
+            exponential_think_times(np.random.default_rng(0), mean, 3)
 
 
 class TestTokenizer:

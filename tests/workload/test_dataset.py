@@ -1,5 +1,7 @@
 """Tests for the synthetic conversation datasets (Table 2)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,19 @@ class TestTimedWorkloads:
             generate_workload(SHAREGPT, request_rate=1, duration=0)
         with pytest.raises(ValueError):
             generate_conversations(SHAREGPT, 0, request_rate=1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["request_rate", "duration", "think_time_mean"])
+    def test_non_finite_inputs_rejected(self, name, value):
+        """NaN fails every compare, so an ``x <= 0`` check passes it: a
+        NaN rate or duration would give one conversation, a NaN mean NaN
+        think times.  An infinite duration would never leave the arrival
+        loop."""
+        params = dict(request_rate=1.0, duration=30.0, think_time_mean=60.0)
+        params[name] = value
+        with pytest.raises(ValueError, match="finite"):
+            generate_workload(SHAREGPT, **params)
+        if name != "duration":  # generate_conversations has no horizon
+            del params["duration"]
+            with pytest.raises(ValueError, match="finite"):
+                generate_conversations(SHAREGPT, 5, **params)
