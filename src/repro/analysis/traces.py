@@ -119,7 +119,7 @@ def batch_occupancy(engine: EngineBase) -> BatchOccupancy:
         ValueError: if no iteration spans were recorded.
     """
     tracer = engine.tracer
-    spans = tracer.spans_named("iteration") if tracer.enabled else []
+    spans = tracer.spans_named("iteration") if tracer is not None else []
     if not spans:
         raise ValueError(
             "no iteration spans recorded; run the engine with a recording "

@@ -181,9 +181,10 @@ def _write_metrics(outdir: str, prefix: str, collector=None, hists=None,
         jsonl_path = os.path.join(outdir, f"{prefix}.jsonl")
         sampler.write_jsonl(jsonl_path)
         print(f"metrics [jsonl  ]: {jsonl_path}")
-    if collector is not None and collector.flight.enabled:
+    flight = None if collector is None else collector.flight
+    if flight is not None:
         cap_path = os.path.join(outdir, f"{prefix}_captures.jsonl")
-        collector.flight.dump_captures(cap_path)
+        flight.dump_captures(cap_path)
         print(f"metrics [flight ]: {cap_path}")
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
@@ -43,6 +44,7 @@ from repro.kvcache.manager import (
     TieredCacheManager,
 )
 from repro.model.config import ModelConfig
+from repro.obs.tracer import Tracer
 from repro.serving.batching import BatchConfig
 from repro.serving.engine import EngineBase
 from repro.serving.request import Request, RequestState
@@ -51,6 +53,19 @@ from repro.sim.events import EventLoop
 
 #: Simulated duration of one injected worker stall (``WORKER_STEP``).
 WORKER_STALL_SECONDS = 0.05
+
+
+def _collect_demotions(
+    pending: List[int],
+    cache: ConversationCache,
+    chunk: Chunk,
+    old: ChunkLocation,
+    new: ChunkLocation,
+) -> None:
+    """Manager observer: collect CPU -> DISK demotions into ``pending``
+    for coalesced NVMe pricing."""
+    if old is ChunkLocation.CPU and new is ChunkLocation.DISK:
+        pending.append(chunk.num_tokens)
 
 
 @dataclass(slots=True)
@@ -141,10 +156,13 @@ class PensieveEngine(EngineBase):
         # Demotions (CPU -> DISK) happen inside manager eviction calls;
         # the observer collects them so each call site can price the
         # whole cluster as ONE coalesced NVMe write.  Without a disk tier
-        # there is nothing to collect.
-        if disk_cache_tokens > 0:
-            self.manager.observer = self._on_transition
+        # there is nothing to collect.  The observer holds the list, not
+        # the engine, so the manager does not keep a dropped engine alive.
         self._pending_demotions: List[int] = []
+        if disk_cache_tokens > 0:
+            self.manager.observer = partial(
+                _collect_demotions, self._pending_demotions
+            )
         self.pcie = Link.pcie(spec, config.num_gpus, prioritize_retrieval)
         self.nvme = Link.nvme(spec)
         self._prefill_info: Dict[int, _PrefillInfo] = {}
@@ -166,14 +184,13 @@ class PensieveEngine(EngineBase):
     # Observability (repro.obs)
     # ------------------------------------------------------------------
 
-    def set_tracer(self, tracer) -> None:
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
         super().set_tracer(tracer)
-        self.manager.tracer = self.tracer
-        self.pcie.tracer = self.tracer
-        self.nvme.tracer = self.tracer
+        self.manager.tracer = tracer
+        self.pcie.tracer = tracer
+        self.nvme.tracer = tracer
 
-    def _trace_gauges(self, now: float) -> None:
-        tracer = self.tracer
+    def _trace_gauges(self, tracer: Tracer, now: float) -> None:
         manager = self.manager
         tracer.gauge("kv.gpu_resident_tokens", manager.gpu_resident_tokens, t=now)
         tracer.gauge("kv.gpu_free_tokens", manager.gpu_free_tokens, t=now)
@@ -203,17 +220,6 @@ class PensieveEngine(EngineBase):
     # Disk-tier (NVMe) traffic
     # ------------------------------------------------------------------
 
-    def _on_transition(
-        self,
-        cache: ConversationCache,
-        chunk: Chunk,
-        old: ChunkLocation,
-        new: ChunkLocation,
-    ) -> None:
-        """Collect CPU -> DISK demotions for coalesced NVMe pricing."""
-        if old is ChunkLocation.CPU and new is ChunkLocation.DISK:
-            self._pending_demotions.append(chunk.num_tokens)
-
     def _flush_demotions(self, now: float) -> None:
         """Price every demotion since the last flush as ONE stacked NVMe
         write — the disk-tier analogue of coalesced PCIe swap-out."""
@@ -223,8 +229,9 @@ class PensieveEngine(EngineBase):
         chunks = len(self._pending_demotions)
         self._pending_demotions.clear()
         record = self._price(self.nvme, Direction.WRITE, now, tokens, chunks)
-        if self.tracer.enabled:
-            self.tracer.complete(
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.complete(
                 "disk_demote", now, record.end_time, track="cache",
                 tokens=tokens, chunks=chunks,
             )
@@ -328,7 +335,7 @@ class PensieveEngine(EngineBase):
             num_chunks,
         )
         hists = self.metrics.hist
-        if hists.enabled:
+        if hists is not None:
             # Labelled with the tier the bytes come from or go to.
             tier = "cpu" if link is self.pcie else "disk"
             if direction is link.evict:
@@ -350,8 +357,9 @@ class PensieveEngine(EngineBase):
         self.running.remove(victim)
         self.wait_queue.appendleft(victim)
         self.suspensions += 1
-        if self._observed:
+        if self.tracer is not None:
             self.tracer.count("engine.suspensions")
+        if self._observed:
             self._event(
                 victim, "suspend", now,
                 copied_tokens=copied, dropped_tokens=dropped,
@@ -478,16 +486,14 @@ class PensieveEngine(EngineBase):
                 disk_read=plan.disk_read_tokens,
                 recompute=plan.recompute_tokens, new=plan.new_tokens,
             )
-        metrics = self.metrics
         if plan.recompute_tokens > 0:
-            if metrics.hist.enabled:
-                metrics.hist.hist("recompute_tokens").record(
-                    plan.recompute_tokens
-                )
+            hists = self.metrics.hist
+            if hists is not None:
+                hists.hist("recompute_tokens").record(plan.recompute_tokens)
                 # Attribute the modeled cost of re-prefetching dropped
                 # tokens: priced exactly like the Figure 8(d) sub-request
                 # the kernel would run.
-                metrics.hist.hist("recompute_est_seconds").record(
+                hists.hist("recompute_est_seconds").record(
                     self.cost_model.iteration_time(
                         BatchShape.of(
                             [(plan.recompute_tokens, plan.recompute_tokens)]
@@ -555,8 +561,9 @@ class PensieveEngine(EngineBase):
                 self.pcie, Direction.D2H, now, copied_tokens, len(copied)
             )
             self._copy_log.append((record.end_time, copied_tokens))
-            if self.tracer.enabled:
-                self.tracer.complete(
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.complete(
                     "swap_out", now, record.end_time, track="cache",
                     kind=kind, tokens=copied_tokens,
                 )

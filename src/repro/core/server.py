@@ -25,7 +25,9 @@ tokens as one with abundant memory.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -52,7 +54,7 @@ from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
 from repro.kernels.packed_cache import DecodeSlotSource
 from repro.model.config import ModelConfig, tiny_opt_config
 from repro.model.transformer import DecodeRequest, ForwardRequest, PagedTransformer
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.tracer import Tracer
 from repro.workload.tokenizer import SimpleTokenizer
 
 #: Bound on concurrently tracked conversations, used to size the page
@@ -179,7 +181,11 @@ class StatefulChatServer:
             fault_plan=fault_plan,
             fault_counters=self.fault_counters,
         )
-        self.manager.observer = self._on_transition
+        # Bound to a weak proxy: the manager must not hold the server, or
+        # every dropped server would wait for the cyclic collector.
+        self.manager.observer = MethodType(
+            type(self)._on_transition, weakref.proxy(self)
+        )
         self._tables: Dict[int, BlockTable] = {}
         #: The "persistent store" of Figure 7: every conversation's raw
         #: token ids, used to recompute dropped chunks.
@@ -199,11 +205,11 @@ class StatefulChatServer:
         # gather per chunk + one batched insert (see
         # :meth:`_ensure_capacity`).
         self._pending_copies: List[Tuple[int, int, np.ndarray]] = []
-        #: Observability sink (``repro.obs``); the null default keeps the
-        #: serving path allocation-free when tracing is off.
-        self.tracer = NULL_TRACER
+        #: Observability sink (``repro.obs``); ``None`` (the default)
+        #: skips every instrumentation site.
+        self.tracer: Optional[Tracer] = None
 
-    def set_tracer(self, tracer: NullTracer) -> None:
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach a tracer, propagating it to the cache tiers."""
         self.tracer = tracer
         self.manager.tracer = tracer
@@ -574,8 +580,9 @@ class StatefulChatServer:
             restored_data = [
                 item for item in restored_data if item[0] >= corrupt_upto.end
             ]
-        if self.tracer.enabled:
-            self.tracer.instant(
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.instant(
                 "restore", t=now, track="server", conv_id=conv_id,
                 gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
                 disk_read=plan.disk_read_tokens,
@@ -689,12 +696,12 @@ class StatefulChatServer:
         self._clock += 1.0
         now = self._clock
         tracer = self.tracer
-        if tracer.enabled:
+        if tracer is not None:
             tracer.instant("batch_turn", t=now, track="server", batch_size=len(prompts))
 
         def failed(turn_span: int) -> None:
             # The error itself is already in ``self.failures``.
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.count("requests.failed")
                 tracer.end(turn_span, t=self._clock, outcome="failed")
 
@@ -705,7 +712,7 @@ class StatefulChatServer:
         turns: List[_Turn] = []
         for conv_id, prompt_ids in prompts:
             span = phase = 0
-            if tracer.enabled:
+            if tracer is not None:
                 span = tracer.begin(
                     "request", t=now, track="requests",
                     conv_id=conv_id, prompt_tokens=len(prompt_ids),
@@ -747,7 +754,7 @@ class StatefulChatServer:
                 turn.decode = DecodeRequest(
                     DecodeSlotSource(turn.table, self._system_slots_arr)
                 )
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.end(
                     turn.phase, t=self._clock,
                     tokens=len(turn.input_ids), recomputed=turn.dropped,
@@ -798,7 +805,7 @@ class StatefulChatServer:
             history.extend(turn.generated)
             self._unwritten.add(turn.conv_id)
             self.manager.close(turn.conv_id, now)
-            if tracer.enabled:
+            if tracer is not None:
                 tracer.end(turn.phase, t=self._clock, tokens=len(turn.generated))
                 tracer.count("requests.finished")
                 tracer.end(

@@ -82,10 +82,11 @@ def run_serving_once(
         sampler.attach(loop, engine)
     driver = ConversationDriver(loop, engine, conversations)
     driver.run(until=until, max_events=MAX_EVENTS)
-    if tracer is not None and tracer.enabled:
+    if tracer is not None:
         tracer.close_open(loop.now)
-    if engine.metrics.flight.enabled:
-        engine.metrics.flight.discard_in_flight()
+    flight = engine.metrics.flight
+    if flight is not None:
+        flight.discard_in_flight()
     return engine, driver.stats(warmup=warmup, until=until)
 
 
@@ -134,7 +135,7 @@ def run_rate_sweep(
     ]
     points: List[RatePoint] = []
     for rate, conversations in zip(rates, workloads):
-        if tracer is not None and tracer.enabled:
+        if tracer is not None:
             tracer.instant("sweep_point", track="experiment", rate=rate)
         engine, stats = run_serving_once(
             engine_factory,

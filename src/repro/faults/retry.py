@@ -9,10 +9,10 @@ charge to the iteration (discrete-event layer) or to the server clock
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.tracer import Tracer
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ def attempt_with_retries(
     site: FaultSite,
     policy: RetryPolicy,
     counters: FaultCounters,
-    tracer: NullTracer = NULL_TRACER,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[bool, int, float]:
     """Draw ``site`` once, retrying per ``policy`` while it keeps failing.
 
@@ -77,7 +77,7 @@ def attempt_with_retries(
             ok = True
             break
     counters.retries += retries
-    if tracer.enabled:
+    if tracer is not None:
         tracer.count(f"fault.{site.value}.retries", retries)
         tracer.count(
             f"fault.{site.value}.recovered" if ok

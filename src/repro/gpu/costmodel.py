@@ -200,9 +200,7 @@ class CostModel:
         self._weight_bytes = config.weight_bytes / tp
         self._flops = spec.effective_flops
         self._hbm_bandwidth = spec.effective_hbm_bandwidth
-        self._attention_flops_per_token = (
-            2.0 * 2.0 * config.hidden_size * config.num_layers
-        )
+        self._attention_flops_per_token = config.attention_flops_per_token(1)
         self._kv_bytes_per_token = config.kv_bytes_per_token
         self._launch = config.num_layers * spec.kernel_launch_overhead
         self._step_overhead = spec.step_overhead * fusion_factor
@@ -317,9 +315,7 @@ class CostModel:
                 if i < q:
                     ctx = c - q + i + 1
                     round_bytes += ctx * self.config.kv_bytes_per_token
-                    round_flops += (
-                        2.0 * 2.0 * self.config.hidden_size * self.config.num_layers * ctx
-                    )
+                    round_flops += self._attention_flops_per_token * ctx
             compute = round_flops / tp / self.spec.effective_flops
             memory = round_bytes / tp / self.spec.effective_hbm_bandwidth
             launch = self.config.num_layers * self.spec.kernel_launch_overhead

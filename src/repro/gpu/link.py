@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.gpu.device import GpuSpec
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import Tracer
 
 
 class Direction(enum.Enum):
@@ -135,7 +135,7 @@ class Link:
         #: Observability sink (``repro.obs``); every transfer becomes a
         #: ``<name>.<direction>`` span and a byte counter that reconciles
         #: exactly with :attr:`bytes_moved`.
-        self.tracer = NULL_TRACER
+        self.tracer: Optional[Tracer] = None
 
     @classmethod
     def pcie(
@@ -203,9 +203,10 @@ class Link:
         )
         self._history.append(record)
         self.bytes_moved[direction] += num_bytes
-        if self.tracer.enabled:
+        tracer = self.tracer
+        if tracer is not None:
             name = f"{self.name}.{direction.value}"
-            self.tracer.complete(
+            tracer.complete(
                 name,
                 start,
                 end,
@@ -214,9 +215,9 @@ class Link:
                 queue_delay=start - now,
                 chunks=num_chunks,
             )
-            self.tracer.count(f"{name}_bytes", num_bytes)
-            self.tracer.count(f"{name}_transfers")
-            self.tracer.count(f"{name}_chunks", num_chunks)
+            tracer.count(f"{name}_bytes", num_bytes)
+            tracer.count(f"{name}_transfers")
+            tracer.count(f"{name}_chunks", num_chunks)
         return record
 
     @property

@@ -65,7 +65,7 @@ from typing import (
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import Tracer
 
 #: Eviction granularity in tokens (§4.3: 32-token chunks); the default of
 #: every constructor that takes a ``chunk_size``.
@@ -275,13 +275,14 @@ class TieredCacheManager:
         #: Observability sink; :meth:`_bump` mirrors every ``stats``
         #: increment into a ``cache.*`` counter so a trace's totals
         #: reconcile exactly with :attr:`stats`.
-        self.tracer = NULL_TRACER
+        self.tracer: Optional[Tracer] = None
 
     def _bump(self, key: str, tokens: int) -> None:
         """Increment one ``stats`` counter, mirrored into the tracer."""
         self.stats[key] += tokens
-        if self.tracer.enabled:
-            self.tracer.count(f"cache.{key}", tokens)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.count(f"cache.{key}", tokens)
 
     def fragmentation_tokens(self) -> int:
         """Internal fragmentation of the GPU tier at chunk granularity:
@@ -753,9 +754,10 @@ class TieredCacheManager:
             counters.bump(tier.failures)
         counters.recompute_fallbacks += 1
         invalidated = self.invalidate_prefix(conv_id, tier.locations, upto)
-        if self.tracer.enabled:
-            self.tracer.count("fault.recompute_fallbacks")
-            self.tracer.instant(
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.count("fault.recompute_fallbacks")
+            tracer.instant(
                 f"{tier.blamed.value}_fallback", t=now, track="cache", **attrs,
                 conv_id=conv_id, tokens=invalidated, corrupt=bool(corrupt),
             )
@@ -854,9 +856,10 @@ class TieredCacheManager:
             for chunk in cache.chunks_in(location) if whole else (chunk,):
                 outcome = step(cache, chunk, score, now)
                 freed += chunk.num_tokens
-                if self.tracer.enabled:
+                tracer = self.tracer
+                if tracer is not None:
                     attrs = {} if outcome is None else {"outcome": outcome}
-                    self.tracer.instant(
+                    tracer.instant(
                         _EVICT_EVENTS[location], t=now, track="cache",
                         conv_id=cache.conv_id, chunk=chunk.index,
                         tokens=chunk.num_tokens, **attrs, score=score,
@@ -955,8 +958,9 @@ class TieredCacheManager:
 
         def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
             self._move(cache, chunk, _CPU)
-            if self.tracer.enabled:
-                self.tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
 
         return self._evict(_GPU_CPU, tokens_needed, now, step, exclude)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.faults.errors import ChunkCorruptionError
 from repro.faults.plan import FaultPlan, FaultSite
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import Tracer
 
 if TYPE_CHECKING:  # avoids a circular import with repro.model
     from repro.model.config import ModelConfig
@@ -194,8 +194,8 @@ class _ChunkStoreBase:
         self._checksums: Dict[Tuple[int, int], int] = {}
         self.used_tokens = 0
         #: Observability sink: byte counters for inserts/reads/drops plus
-        #: an occupancy gauge, all no-ops under the shared null tracer.
-        self.tracer = NULL_TRACER
+        #: an occupancy gauge; ``None`` (the default) records nothing.
+        self.tracer: Optional[Tracer] = None
 
     def put(
         self,
@@ -245,10 +245,11 @@ class _ChunkStoreBase:
             k, v = _owned(k), _owned(v)
             self._insert(key, k, v, _checksum(k, v))
             total_bytes += k.nbytes + v.nbytes
-        if self.tracer.enabled and entries:
-            self.tracer.count(f"{self._PREFIX}.put_bytes", total_bytes)
-            self.tracer.count(f"{self._PREFIX}.put_chunks", len(entries))
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+        tracer = self.tracer
+        if tracer is not None and entries:
+            tracer.count(f"{self._PREFIX}.put_bytes", total_bytes)
+            tracer.count(f"{self._PREFIX}.put_chunks", len(entries))
+            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
 
     def _reserve(self, keys: Sequence[Tuple[int, int]], tokens: int) -> None:
         """Raise unless every key is new to this store and ``tokens`` more
@@ -293,9 +294,10 @@ class _ChunkStoreBase:
         ):
             k.flat[0] += 1.0  # single bit-flip-equivalent perturbation
         if _checksum(k, v) != self._checksums[key]:
-            if self.tracer.enabled:
-                self.tracer.count(f"{self._PREFIX}.corrupt_chunks")
-                self.tracer.instant(
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.count(f"{self._PREFIX}.corrupt_chunks")
+                tracer.instant(
                     f"{self._PREFIX}_corrupt", track="cache",
                     conv_id=key[0], chunk=key[1],
                 )
@@ -359,17 +361,19 @@ class _ChunkStoreBase:
             data = self._remove(key)
             read_bytes += data[0].nbytes + data[1].nbytes
             popped.append((chunk_index, data))
-        if self.tracer.enabled and popped:
-            self.tracer.count(f"{self._PREFIX}.read_bytes", read_bytes)
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+        tracer = self.tracer
+        if tracer is not None and popped:
+            tracer.count(f"{self._PREFIX}.read_bytes", read_bytes)
+            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
         return popped, corrupt
 
     def drop(self, conv_id: int, chunk_index: int) -> None:
         """Discard a chunk (tier eviction)."""
         dropped = self._remove((conv_id, chunk_index))[0].shape[1]
-        if self.tracer.enabled:
-            self.tracer.count(f"{self._PREFIX}.dropped_tokens", dropped)
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.count(f"{self._PREFIX}.dropped_tokens", dropped)
+            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
 
     def transfer_to(
         self, dst: "_ChunkStoreBase", conv_id: int, chunk_index: int
@@ -396,13 +400,15 @@ class _ChunkStoreBase:
         k, v = self._remove(key)
         dst._insert(key, k, v, checksum)
         nbytes = k.nbytes + v.nbytes
-        if self.tracer.enabled:
-            self.tracer.count(f"{self._PREFIX}.demoted_tokens", tokens)
-            self.tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
-        if dst.tracer.enabled:
-            dst.tracer.count(f"{dst._PREFIX}.put_bytes", nbytes)
-            dst.tracer.count(f"{dst._PREFIX}.put_chunks")
-            dst.tracer.gauge(f"{dst._PREFIX}.used_tokens", dst.used_tokens)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.count(f"{self._PREFIX}.demoted_tokens", tokens)
+            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+        tracer = dst.tracer
+        if tracer is not None:
+            tracer.count(f"{dst._PREFIX}.put_bytes", nbytes)
+            tracer.count(f"{dst._PREFIX}.put_chunks")
+            tracer.gauge(f"{dst._PREFIX}.used_tokens", dst.used_tokens)
         return nbytes
 
     def contains(self, conv_id: int, chunk_index: int) -> bool:

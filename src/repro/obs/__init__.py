@@ -7,11 +7,12 @@ lifecycle decomposed into prefill/decode/swap/recompute work.
 
 Three pieces:
 
-- :class:`Tracer` / :class:`NullTracer` — hierarchical spans stamped with
-  simulated *and* wall-clock time, plus typed counters and gauges.  The
-  null tracer is the default everywhere; its methods are allocation-free
-  no-ops and hot loops additionally guard on :attr:`NullTracer.enabled`,
-  so a disabled run executes the exact pre-instrumentation code path.
+- :class:`Tracer` — hierarchical spans stamped with simulated *and*
+  wall-clock time, plus typed counters and gauges.  Off is ``None``:
+  every component's ``tracer`` (and a collector's ``hist`` and
+  ``flight``) defaults to ``None`` and every instrumentation site tests
+  ``is not None`` first, so an unarmed run executes the exact
+  pre-instrumentation code path.
 - Exporters (:mod:`repro.obs.export`) — JSONL event log, Chrome
   trace-event JSON (loadable in Perfetto / ``chrome://tracing``), and a
   human-readable text report: the one span rollup (per-stage count,
@@ -30,22 +31,9 @@ Three pieces:
   :mod:`repro.cli`).
 """
 
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.histogram import (
-    NULL_HISTOGRAM,
-    NULL_HISTOGRAMS,
-    Histogram,
-    HistogramSet,
-    NullHistogram,
-    NullHistogramSet,
-)
-from repro.obs.flight import (
-    NULL_FLIGHT,
-    FlightEvent,
-    FlightRecorder,
-    NullFlightRecorder,
-    SloConfig,
-)
+from repro.obs.tracer import Span, Tracer
+from repro.obs.histogram import Histogram, HistogramSet
+from repro.obs.flight import FlightEvent, FlightRecorder, SloConfig
 from repro.obs.export import (
     MetricsSampler,
     ledger_counters,
@@ -59,19 +47,11 @@ from repro.obs.export import (
 )
 
 __all__ = [
-    "NULL_FLIGHT",
-    "NULL_HISTOGRAM",
-    "NULL_HISTOGRAMS",
-    "NULL_TRACER",
     "FlightEvent",
     "FlightRecorder",
     "Histogram",
     "HistogramSet",
     "MetricsSampler",
-    "NullFlightRecorder",
-    "NullHistogram",
-    "NullHistogramSet",
-    "NullTracer",
     "SloConfig",
     "Span",
     "Tracer",

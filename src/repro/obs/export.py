@@ -24,14 +24,24 @@ import json
 import math
 import os
 import re
-from typing import Any, Dict, IO, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro.obs.histogram import HistogramSet
 from repro.obs.tracer import Tracer
 
 #: Schema version stamped into the JSONL meta line and chrome metadata.
 SCHEMA_VERSION = 2
 
-_PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
+
+def write_jsonl(path: str | os.PathLike[str], records: Iterable[Any]) -> int:
+    """Write ``records`` to ``path`` as JSON Lines with sorted keys;
+    returns the line count."""
+    lines = 0
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            lines += 1
+    return lines
 
 
 def _jsonable(value: Any) -> Any:
@@ -55,7 +65,7 @@ def _span_record(span) -> Dict[str, Any]:
     }
 
 
-def to_jsonl(tracer: Tracer, target: _PathOrFile) -> int:
+def to_jsonl(tracer: Tracer, path: str | os.PathLike[str]) -> int:
     """Write the full trace as JSON Lines; returns the line count."""
     records: List[Dict[str, Any]] = [
         {"type": "meta", "version": SCHEMA_VERSION, "format": "repro-trace-jsonl"}
@@ -80,21 +90,14 @@ def to_jsonl(tracer: Tracer, target: _PathOrFile) -> int:
         records.append(
             {"type": "counter", "name": name, "total": tracer.counters[name]}
         )
-    if hasattr(target, "write"):
-        for record in records:
-            target.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-    return len(records)
+    return write_jsonl(path, records)
 
 
 def _track_of(span_or_attrs: Dict[str, Any]) -> str:
     return str(span_or_attrs.get("track", "main"))
 
 
-def to_chrome_trace(tracer: Tracer, target: _PathOrFile) -> Dict[str, Any]:
+def to_chrome_trace(tracer: Tracer, path: str | os.PathLike[str]) -> Dict[str, Any]:
     """Write a Chrome trace-event JSON file on the primary clock; returns
     the document.
 
@@ -214,11 +217,8 @@ def to_chrome_trace(tracer: Tracer, target: _PathOrFile) -> Dict[str, Any]:
             "counters": {k: tracer.counters[k] for k in sorted(tracer.counters)},
         },
     }
-    if hasattr(target, "write"):
-        json.dump(document, target, sort_keys=True)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, sort_keys=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, sort_keys=True)
     return document
 
 
@@ -374,7 +374,7 @@ PROM_NAMESPACE = "repro"
 
 def prometheus_snapshot(
     collector: Any = None,
-    hists: Any = None,
+    hists: Optional[HistogramSet] = None,
     counters: Optional[Dict[str, float]] = None,
 ) -> str:
     """Render an SLO metrics snapshot in Prometheus text exposition format.
@@ -396,22 +396,22 @@ def prometheus_snapshot(
     counter_lines: Dict[str, float] = dict(counters or {})
     gauge_lines: Dict[str, float] = {}
 
-    hist_sets: List[Any] = []
-    if hists is not None and getattr(hists, "enabled", False):
+    hist_sets: List[HistogramSet] = []
+    if hists is not None:
         hist_sets.append(hists)
     if collector is not None:
-        coll_h = getattr(collector, "hist", None)
-        if coll_h is not None and coll_h.enabled and coll_h not in hist_sets:
+        coll_h = collector.hist
+        if coll_h is not None and coll_h is not hists:
             hist_sets.append(coll_h)
         counter_lines["requests_completed"] = float(len(collector.records))
         counter_lines["requests_failed"] = float(len(collector.failures))
-        flight = getattr(collector, "flight", None)
-        if flight is not None and flight.enabled:
+        flight = collector.flight
+        if flight is not None:
             for key, value in sorted(flight.event_counts.items()):
                 counter_lines[f"flight_events.{key}"] = float(value)
         for kind, value in sorted(collector.slo_violations.items()):
             counter_lines[f"slo_violations.{kind}"] = float(value)
-        slo = getattr(collector, "slo", None)
+        slo = collector.slo
         if slo is not None:
             if slo.ttft is not None:
                 gauge_lines["slo_ttft_seconds"] = slo.ttft
@@ -518,7 +518,7 @@ def parse_prometheus(
     return out
 
 
-def tier_attribution_table(hists: Any, title: str = "") -> str:
+def tier_attribution_table(hists: Optional[HistogramSet], title: str = "") -> str:
     """Per-tier tail-latency attribution table over a histogram set.
 
     One row per ``(metric, labels)`` pair — swap-in/out split by tier,
@@ -526,7 +526,7 @@ def tier_attribution_table(hists: Any, title: str = "") -> str:
     p50/p90/p99/max.  Empty string when nothing was recorded (so report
     code can append it unconditionally).
     """
-    if hists is None or not getattr(hists, "enabled", False):
+    if hists is None:
         return ""
     rows = [h for h in hists.all() if h.count > 0]
     if not rows:
@@ -606,7 +606,7 @@ class MetricsSampler:
             if manager.disk_capacity_tokens > 0:
                 row["kv_disk_used_tokens"] = manager.disk_used_tokens
         hist = engine.metrics.hist
-        if hist.enabled:
+        if hist is not None:
             for name in ("ttft_seconds", "tbt_seconds", "queue_wait_seconds"):
                 found = hist.get(name)
                 if found is not None and found.count:
@@ -617,23 +617,13 @@ class MetricsSampler:
         if self.horizon is None or next_t <= self.horizon:
             loop.schedule(next_t, self._sample)
 
-    def write_jsonl(self, target: _PathOrFile) -> int:
+    def write_jsonl(self, path: str | os.PathLike[str]) -> int:
         """Write sampled rows as JSON Lines; returns the line count."""
-        records: List[Dict[str, Any]] = [
-            {
-                "type": "meta",
-                "version": SCHEMA_VERSION,
-                "format": "repro-metrics-jsonl",
-                "interval": self.interval,
-                "horizon": self.horizon,
-            }
-        ]
-        records.extend(self.rows)
-        if hasattr(target, "write"):
-            for record in records:
-                target.write(json.dumps(record, sort_keys=True) + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+        meta = {
+            "type": "meta",
+            "version": SCHEMA_VERSION,
+            "format": "repro-metrics-jsonl",
+            "interval": self.interval,
+            "horizon": self.horizon,
+        }
+        return write_jsonl(path, [meta] + self.rows)

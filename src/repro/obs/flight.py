@@ -13,30 +13,27 @@ monotonic ``event_counts`` ledger is bumped on every record, so flight
 totals reconcile assert-equal with the engine/PCIe/NVMe counters
 (``tests/obs/test_slo_reconciliation.py``), regardless of ring evictions.
 
-The :class:`NullFlightRecorder` singleton mirrors the null-tracer
-contract: allocation-free no-ops, with call sites guarding on
-:attr:`NullFlightRecorder.enabled`.
+Off is ``None``, as for the tracer: a ``MetricsCollector`` holds
+``flight = None`` until its SLO layer is armed, and every recording site
+tests ``flight is not None`` first.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, IO, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, List, Optional, Sequence
+
+from repro.obs.export import write_jsonl
 
 __all__ = [
     "FlightEvent",
     "FlightRecorder",
     "MAX_CAPTURES",
-    "NULL_FLIGHT",
-    "NullFlightRecorder",
     "RING_CAPACITY",
     "SloConfig",
 ]
-
-_PathOrFile = Union[str, "os.PathLike[str]", IO[str]]
 
 #: Events retained per in-flight request; older events roll off (the
 #: count ledger still sees them).
@@ -104,52 +101,10 @@ class FlightEvent:
         return f"FlightEvent({self.t:.6f}, {self.event!r}, {self.attrs})"
 
 
-class NullFlightRecorder:
-    """Disabled flight recorder: every operation is an allocation-free
-    no-op; sites additionally guard on :attr:`enabled`."""
-
-    enabled = False
-
-    def record(
-        self, request_id: int, event: str, t: float, count: int = 1, **attrs: Any
-    ) -> None:
-        return None
-
-    def finish(self, request_id: int) -> List[FlightEvent]:
-        return []
-
-    def capture(
-        self,
-        request_id: int,
-        reason: str,
-        t: float,
-        events: Optional[Sequence[FlightEvent]] = None,
-        **attrs: Any,
-    ) -> None:
-        return None
-
-    @property
-    def event_counts(self) -> Dict[str, int]:
-        return {}
-
-    @property
-    def captures(self) -> List[Dict[str, Any]]:
-        return []
-
-    def dump_captures(self, target: _PathOrFile) -> int:
-        return 0
-
-
-#: Process-wide shared null recorder; the default ``flight`` everywhere.
-NULL_FLIGHT = NullFlightRecorder()
-
-
-class FlightRecorder(NullFlightRecorder):
+class FlightRecorder:
     """Bounded per-request event rings (:data:`RING_CAPACITY` events
     each) with an exact event-count ledger, and up to
     :data:`MAX_CAPTURES` retained slow/failed timelines."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._rings: Dict[int, Deque[FlightEvent]] = {}
@@ -234,17 +189,9 @@ class FlightRecorder(NullFlightRecorder):
     def captures(self) -> List[Dict[str, Any]]:
         return list(self._captures)
 
-    def dump_captures(self, target: _PathOrFile) -> int:
+    def dump_captures(self, path: str | os.PathLike[str]) -> int:
         """Write retained timelines as JSONL; returns the line count."""
-        lines = [json.dumps(entry, sort_keys=True) for entry in self._captures]
-        if hasattr(target, "write"):
-            for line in lines:
-                target.write(line + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                for line in lines:
-                    fh.write(line + "\n")
-        return len(lines)
+        return write_jsonl(path, self._captures)
 
     def __repr__(self) -> str:
         total = sum(self._counts.values())

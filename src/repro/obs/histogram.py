@@ -14,25 +14,18 @@ Design constraints mirror the tracer (ARCHITECTURE.md §9):
   samples were measured on (``"sim"`` for discrete-event seconds,
   ``"wall"`` for ``time.perf_counter`` seconds) so exporters can label
   the axis; the two are never mixed in one histogram.
-- **Free when off.**  :class:`NullHistogramSet` implements the registry
-  interface as allocation-free no-ops, and instrumentation sites guard on
-  :attr:`NullHistogramSet.enabled` exactly like tracer sites, so the
-  disabled path does zero work (asserted by ``tests/obs``).
+- **Off is ``None``.**  A ``MetricsCollector`` holds ``hist = None``
+  until its SLO layer is armed, and every recording site tests
+  ``hist is not None`` exactly like tracer sites, so the unarmed path
+  does no histogram work (asserted by ``tests/obs``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = [
-    "Histogram",
-    "HistogramSet",
-    "NULL_HISTOGRAM",
-    "NULL_HISTOGRAMS",
-    "NullHistogram",
-    "NullHistogramSet",
-]
+__all__ = ["Histogram", "HistogramSet"]
 
 #: Default geometric growth per bucket: 2**(1/4) ≈ 1.189, i.e. ~19% wide
 #: buckets — 4 buckets per octave, ~80 buckets across 1 µs .. 1000 s.
@@ -225,79 +218,7 @@ class Histogram:
         )
 
 
-class NullHistogram:
-    """Allocation-free no-op histogram (shared singleton)."""
-
-    __slots__ = ()
-
-    enabled = False
-    name = ""
-    labels: Dict[str, str] = {}
-    clock = "sim"
-    count = 0
-    sum = 0.0
-    min = 0.0
-    max = 0.0
-    mean = 0.0
-    p50 = 0.0
-    p90 = 0.0
-    p99 = 0.0
-
-    def record(self, value: float) -> None:
-        return None
-
-    def buckets(self) -> List[Tuple[float, int]]:
-        return []
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        return []
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"name": "", "labels": {}, "count": 0}
-
-    def __len__(self) -> int:
-        return 0
-
-
-NULL_HISTOGRAM = NullHistogram()
-
-
-class NullHistogramSet:
-    """The disabled histogram registry: every operation is a no-op.
-
-    Instrumentation sites that would compute sample values (durations,
-    token sums) must additionally guard on :attr:`enabled`, mirroring the
-    :class:`~repro.obs.tracer.NullTracer` contract.
-    """
-
-    enabled = False
-
-    def hist(
-        self, name: str, clock: str = "sim", **labels: str
-    ) -> Union[NullHistogram, Histogram]:
-        return NULL_HISTOGRAM
-
-    def get(self, name: str, **labels: str) -> Optional[Histogram]:
-        return None
-
-    def all(self) -> List[Histogram]:
-        return []
-
-    def __iter__(self) -> Iterator[Histogram]:
-        return iter(())
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Process-wide shared null registry; the default ``hist`` sink everywhere.
-NULL_HISTOGRAMS = NullHistogramSet()
-
-
-class HistogramSet(NullHistogramSet):
+class HistogramSet:
     """A named registry of histograms keyed by ``(name, labels)``.
 
     ``hist()`` is get-or-create, so instrumentation sites never need
@@ -309,8 +230,6 @@ class HistogramSet(NullHistogramSet):
     (:data:`DEFAULT_MIN_VALUE`, :data:`DEFAULT_BASE`), which makes every
     same-name histogram mergeable.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._hists: Dict[Tuple[str, _LabelKey], Histogram] = {}
@@ -344,10 +263,6 @@ class HistogramSet(NullHistogramSet):
 
     def __len__(self) -> int:
         return len(self._hists)
-
-    def __bool__(self) -> bool:
-        """Always truthy: an empty set is still an armed sink."""
-        return True
 
     def __repr__(self) -> str:
         total = sum(h.count for h in self._hists.values())

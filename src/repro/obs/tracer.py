@@ -13,11 +13,11 @@ Design constraints (see ARCHITECTURE.md §9):
   none).  Spans whose interval is already known (a simulated iteration)
   are emitted in one shot with :meth:`Tracer.complete`.  Instants carry
   no parent.
-- **Free when off.**  :class:`NullTracer` implements the full interface as
-  no-ops that allocate nothing, and instrumentation sites that would
-  otherwise *compute* payload values guard on :attr:`NullTracer.enabled`.
-  A run with the null tracer executes byte-identical work to an
-  uninstrumented build (asserted by ``tests/obs``).
+- **Off is ``None``.**  Every component's ``tracer`` defaults to
+  ``None`` and every instrumentation site tests ``tracer is not None``
+  before it computes a payload or calls in, so an untraced run does no
+  tracing work at all; a stray call on the off path raises instead of
+  doing nothing (asserted by ``tests/obs``).
 - **Determinism.**  Span ids are sequential in creation order; two runs of
   the same seeded workload produce identical span/event sequences on the
   primary clock (wall stamps naturally differ).
@@ -68,64 +68,13 @@ class Span:
         return f"Span({self.id}, {self.name!r}, {state})"
 
 
-class NullTracer:
-    """The disabled tracer: every operation is an allocation-free no-op.
-
-    Instrumentation sites that would compute payload values (token sums,
-    fragmentation scans) must additionally guard on :attr:`enabled` so the
-    disabled path does no work at all.
-    """
-
-    enabled = False
-
-    def begin(
-        self,
-        name: str,
-        t: float = 0.0,
-        parent: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        return 0
-
-    def end(self, span_id: int, t: float = 0.0, **attrs: Any) -> None:
-        return None
-
-    def complete(
-        self,
-        name: str,
-        t0: float,
-        t1: float,
-        parent: Optional[int] = None,
-        **attrs: Any,
-    ) -> int:
-        return 0
-
-    def instant(self, name: str, t: float = 0.0, **attrs: Any) -> None:
-        return None
-
-    def count(self, name: str, delta: float = 1.0) -> None:
-        return None
-
-    def gauge(self, name: str, value: float, t: float = 0.0) -> None:
-        return None
-
-    def close_open(self, t: float = 0.0) -> None:
-        return None
-
-
-#: Process-wide shared null tracer; the default ``tracer`` everywhere.
-NULL_TRACER = NullTracer()
-
-
-class Tracer(NullTracer):
+class Tracer:
     """Recording tracer.
 
     When an instrumentation site does not pass ``t`` explicitly, the
     timestamp defaults to the last explicitly-seen time, so synchronous
     wrappers still nest correctly on the primary axis.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._wall_origin = time.perf_counter()
@@ -167,7 +116,7 @@ class Tracer(NullTracer):
     def end(self, span_id: int, t: Optional[float] = None, **attrs: Any) -> None:
         span = self._open.pop(span_id, None)
         if span is None:
-            return  # already closed (or a null handle): tolerate, don't raise
+            return  # already closed: tolerate, don't raise
         span.t1 = self._resolve_time(t)
         span.wall1 = self._wall()
         if attrs:
@@ -234,11 +183,6 @@ class Tracer(NullTracer):
 
     def __len__(self) -> int:
         return len(self._spans) + len(self._instants)
-
-    def __bool__(self) -> bool:
-        """Always truthy: an *empty* tracer is still an armed tracer
-        (``tracer or NULL_TRACER`` must not discard it)."""
-        return True
 
     def __repr__(self) -> str:
         return (

@@ -23,7 +23,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.gpu.costmodel import CostModel
-from repro.obs.tracer import NULL_TRACER, NullTracer
+from repro.obs.tracer import Tracer
 from repro.serving.batching import BatchConfig
 from repro.serving.metrics import MetricsCollector
 from repro.serving.request import Request, RequestState
@@ -45,8 +45,8 @@ class EngineBase:
         config: batching/admission thresholds.
 
     The observability sink (:mod:`repro.obs`) is attached with
-    :meth:`set_tracer`; the default null tracer keeps every
-    instrumentation site allocation-free.
+    :meth:`set_tracer`; without one ``tracer`` is ``None`` and every
+    instrumentation site is skipped.
     """
 
     def __init__(
@@ -66,7 +66,7 @@ class EngineBase:
         #: retries; the batch they rode in keeps running without them.
         self.failed: List[Request] = []
         self.metrics = MetricsCollector()
-        self.tracer: NullTracer = NULL_TRACER
+        self.tracer: Optional[Tracer] = None
         #: Open request-lifecycle span ids, by request id.
         self._request_spans: Dict[int, int] = {}
         #: Called as ``on_finish(request, now)`` when a request completes;
@@ -79,7 +79,7 @@ class EngineBase:
     # Public interface
     # ------------------------------------------------------------------
 
-    def set_tracer(self, tracer: NullTracer) -> None:
+    def set_tracer(self, tracer: Optional[Tracer]) -> None:
         """Attach an observability tracer (before the simulation runs).
 
         Subclasses propagate it to the components they own (cache
@@ -93,14 +93,15 @@ class EngineBase:
         request.state = RequestState.WAITING
         request.last_enqueue_time = self.loop.now
         self.wait_queue.append(request)
-        if self.metrics.flight.enabled:
+        if self.metrics.flight is not None:
             self._event(
                 request, "admit", self.loop.now,
                 conv_id=request.conv_id, turn=request.turn_index,
                 prompt_tokens=request.prompt_tokens,
             )
-        if self.tracer.enabled:
-            self._request_spans[request.request_id] = self.tracer.begin(
+        tracer = self.tracer
+        if tracer is not None:
+            self._request_spans[request.request_id] = tracer.begin(
                 "request",
                 t=self.loop.now,
                 track="requests",
@@ -109,7 +110,7 @@ class EngineBase:
                 turn=request.turn_index,
                 prompt_tokens=request.prompt_tokens,
             )
-            self.tracer.gauge("queue.waiting", len(self.wait_queue), t=self.loop.now)
+            tracer.gauge("queue.waiting", len(self.wait_queue), t=self.loop.now)
         self._kick()
 
     @property
@@ -146,15 +147,16 @@ class EngineBase:
             pass
         self.failed.append(request)
         self.metrics.faults.degraded_requests += 1
-        if self.metrics.flight.enabled:
+        if self.metrics.flight is not None:
             self._event(request, "abort", now, reason=reason)
         self.metrics.fail(request, now, reason)
         self._on_fail(request, now)
-        if self.tracer.enabled:
-            self.tracer.count("requests.failed")
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.count("requests.failed")
             span = self._request_spans.pop(request.request_id, None)
             if span is not None:
-                self.tracer.end(span, t=now, outcome="failed", reason=reason)
+                tracer.end(span, t=now, outcome="failed", reason=reason)
 
     def _on_fail(self, request: Request, now: float) -> None:
         """Release engine-specific state of a failed request (hook)."""
@@ -164,7 +166,7 @@ class EngineBase:
         """Whether a request event has a sink: the guard every
         :meth:`_event` call site checks first, so the unarmed path makes
         no call and builds no attributes."""
-        return self.tracer.enabled or self.metrics.flight.enabled
+        return self.tracer is not None or self.metrics.flight is not None
 
     def _event(
         self,
@@ -185,10 +187,10 @@ class EngineBase:
         span's begin and end are their trace form.
         """
         flight = self.metrics.flight
-        if flight.enabled:
+        if flight is not None:
             flight.record(request.request_id, name, now, **attrs)
         tracer = self.tracer
-        if not tracer.enabled or name in _SPAN_BOUNDS:
+        if tracer is None or name in _SPAN_BOUNDS:
             return
         if end is None:
             tracer.instant(
@@ -212,7 +214,7 @@ class EngineBase:
         admission's attributes.
         """
         hist = self.metrics.hist
-        if hist.enabled:
+        if hist is not None:
             since = request.last_enqueue_time
             if since is None:
                 since = request.arrival_time
@@ -248,18 +250,16 @@ class EngineBase:
             return
         duration = self._execute(batch, self.loop.now)
         self._iterations += 1
-        if self.tracer.enabled:
-            self._trace_iteration(batch, self.loop.now, duration)
+        tracer = self.tracer
+        if tracer is not None:
+            self._trace_iteration(tracer, batch, self.loop.now, duration)
         self.loop.schedule_after(duration, self._complete, batch)
 
     def _trace_iteration(
-        self, batch: Sequence[Request], now: float, duration: float
+        self, tracer: Tracer, batch: Sequence[Request], now: float, duration: float
     ) -> None:
         """Emit the iteration span, its prefill/decode sub-spans, and the
-        per-iteration gauges.  Only called with a recording tracer."""
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
+        per-iteration gauges to the attached ``tracer``."""
         prefill = [r for r in batch if not r.prefill_done]
         n_decode = len(batch) - len(prefill)
         span = tracer.complete(
@@ -294,10 +294,10 @@ class EngineBase:
         tracer.gauge("batch.size", len(batch), t=now)
         tracer.gauge("queue.waiting", len(self.wait_queue), t=now)
         tracer.gauge("queue.running", len(self.running), t=now)
-        self._trace_gauges(now)
+        self._trace_gauges(tracer, now)
 
-    def _trace_gauges(self, now: float) -> None:
-        """Engine-specific per-iteration gauges (hook; tracer enabled)."""
+    def _trace_gauges(self, tracer: Tracer, now: float) -> None:
+        """Engine-specific per-iteration gauges (hook)."""
 
     def _complete(self, batch: Sequence[Request]) -> None:
         """Apply one iteration's progress: each request still running
@@ -316,16 +316,16 @@ class EngineBase:
         finished: List[Request] = []
         running = RequestState.RUNNING
         hist = self.metrics.hist
-        record = hist.enabled
+        tracer = self.tracer
         for request in batch:
             if request.state is not running:
                 continue  # suspended mid-flight
             request.generated_tokens += 1
             if request.first_token_time is None:
-                if record:
+                if hist is not None:
                     hist.hist("ttft_seconds").record(now - request.arrival_time)
                 request.first_token_time = now
-            elif record and request.last_token_time is not None:
+            elif hist is not None and request.last_token_time is not None:
                 hist.hist("tbt_seconds").record(now - request.last_token_time)
             request.prefill_done = True
             request.last_token_time = now
@@ -338,16 +338,16 @@ class EngineBase:
             request.finish_time = now
             self.running.remove(request)
             self._on_finish(request, now)
-            if self.metrics.flight.enabled:
+            if self.metrics.flight is not None:
                 self._event(
                     request, "finish", now, output_tokens=request.output_tokens
                 )
             self.metrics.complete(request)
-            if self.tracer.enabled:
-                self.tracer.count("requests.finished")
+            if tracer is not None:
+                tracer.count("requests.finished")
                 span = self._request_spans.pop(request.request_id, None)
                 if span is not None:
-                    self.tracer.end(
+                    tracer.end(
                         span, t=now,
                         outcome="finished",
                         output_tokens=request.output_tokens,

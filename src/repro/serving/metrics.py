@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.faults.plan import FaultCounters
-from repro.obs.flight import FlightEvent, FlightRecorder, NULL_FLIGHT, SloConfig
-from repro.obs.histogram import HistogramSet, NULL_HISTOGRAMS
+from repro.obs.flight import FlightEvent, FlightRecorder, SloConfig
+from repro.obs.histogram import HistogramSet
 from repro.serving.request import Request
 
 __all__ = [
@@ -137,10 +137,10 @@ class MetricsCollector:
         #: Degradation counters maintained by the engine's fault-recovery
         #: paths; all-zero when no fault plan is armed.
         self.faults = FaultCounters()
-        #: SLO observability sinks — null (allocation-free) by default;
+        #: SLO observability sinks — ``None`` (off) by default;
         #: :meth:`enable_slo` arms recording instances.
-        self.hist = NULL_HISTOGRAMS
-        self.flight = NULL_FLIGHT
+        self.hist: Optional[HistogramSet] = None
+        self.flight: Optional[FlightRecorder] = None
         self.slo: Optional[SloConfig] = None
         #: Violation counts per objective kind (``ttft`` / ``tbt``).
         self.slo_violations: Dict[str, int] = {}
@@ -159,11 +159,11 @@ class MetricsCollector:
         replacements are passed explicitly."""
         if hist is not None:
             self.hist = hist
-        elif not self.hist.enabled:
+        elif self.hist is None:
             self.hist = HistogramSet()
         if flight is not None:
             self.flight = flight
-        elif not self.flight.enabled:
+        elif self.flight is None:
             self.flight = FlightRecorder()
         if slo is not None:
             self.slo = slo
@@ -190,9 +190,10 @@ class MetricsCollector:
             raise RuntimeError(f"request {request.request_id} is incomplete")
         # The request's flight timeline: kept only if the request violates
         # an objective (a capture), but popped either way.
+        flight = self.flight
         events: Sequence[FlightEvent] = ()
-        if self.flight.enabled:
-            events = self.flight.finish(request.request_id)
+        if flight is not None:
+            events = flight.finish(request.request_id)
         record = RequestRecord(
             request_id=request.request_id,
             conv_id=request.conv_id,
@@ -206,11 +207,10 @@ class MetricsCollector:
             prefilled_tokens=request.prefill_tokens,
         )
         self._records.append(record)
-        if self.hist.enabled:
-            self.hist.hist("latency_seconds").record(record.latency)
-            self.hist.hist("norm_latency_seconds").record(
-                record.normalized_latency
-            )
+        hist = self.hist
+        if hist is not None:
+            hist.hist("latency_seconds").record(record.latency)
+            hist.hist("norm_latency_seconds").record(record.normalized_latency)
         if self.slo is not None and self.slo.armed:
             violated = self.slo.violations(record.ttft, record.mean_tbt)
             if violated:
@@ -219,8 +219,8 @@ class MetricsCollector:
                         self.slo_violations.get(kind, 0) + 1
                     )
                 self.slo_violated_requests.append(record.request_id)
-                if self.flight.enabled:
-                    self.flight.capture(
+                if flight is not None:
+                    flight.capture(
                         record.request_id,
                         "slo:" + "+".join(violated),
                         record.finish_time,
@@ -236,12 +236,13 @@ class MetricsCollector:
         """Record an individually-degraded request (it never completes, so
         it would otherwise be invisible to the collector).  With the SLO
         layer armed, every failure captures its flight timeline."""
-        if self.flight.enabled:
-            self.flight.capture(
+        flight = self.flight
+        if flight is not None:
+            flight.capture(
                 request.request_id,
                 f"failed:{reason}",
                 now,
-                events=self.flight.finish(request.request_id),
+                events=flight.finish(request.request_id),
                 conv_id=request.conv_id,
             )
         record = FailureRecord(
@@ -255,13 +256,14 @@ class MetricsCollector:
 
     def slo_report(self) -> dict:
         """Summary of the SLO layer's state (for CLI output and tests)."""
+        flight = self.flight
         return {
             "slo": self.slo.as_dict() if self.slo is not None else None,
             "violations_by_kind": dict(self.slo_violations),
             "violated_requests": len(self.slo_violated_requests),
             "failed_requests": len(self._failures),
-            "captures": len(self.flight.captures),
-            "dropped_captures": getattr(self.flight, "dropped_captures", 0),
+            "captures": 0 if flight is None else len(flight.captures),
+            "dropped_captures": 0 if flight is None else flight.dropped_captures,
         }
 
     @property

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple
 
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.tracer import Tracer
 
 
 class SimulationError(RuntimeError):
@@ -62,9 +62,9 @@ class EventLoop:
         self._seq = itertools.count()
         self._running = False
         self._dispatched = 0
-        #: Observability sink; the shared null tracer costs one attribute
-        #: check per dispatch when tracing is off.
-        self.tracer = NULL_TRACER
+        #: Observability sink; ``None`` (the default) costs one
+        #: ``is not None`` test per dispatch.
+        self.tracer: Optional[Tracer] = None
 
     @property
     def now(self) -> float:
@@ -151,10 +151,11 @@ class EventLoop:
                 event.callback(*event.args)
                 dispatched += 1
                 self._dispatched += 1
-                if self.tracer.enabled:
-                    self.tracer.count("sim.events_dispatched")
+                tracer = self.tracer
+                if tracer is not None:
+                    tracer.count("sim.events_dispatched")
                     if self._dispatched % self.TRACE_GAUGE_EVERY == 0:
-                        self.tracer.gauge(
+                        tracer.gauge(
                             "sim.pending_events", self.pending, t=self._now
                         )
                 if max_events is not None and dispatched > max_events:

@@ -1,5 +1,7 @@
 """Tests for the Pensieve serving engine (simulation layer)."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -368,3 +370,19 @@ class TestPipelinedSwapIn:
         pipe_latency = pipe.metrics.records[-1].latency
         block_latency = block.metrics.records[-1].latency
         assert pipe_latency <= block_latency
+
+
+def test_dropped_disk_tier_engine_is_freed_without_the_collector():
+    """The disk tier's demotion observer must not hold the engine: with
+    the cyclic collector off, a dropped engine is freed at once."""
+    gc.disable()
+    try:
+        engine = pensieve_factory(1024, cpu_tokens=256, disk_cache_tokens=4096)(
+            EventLoop()
+        )
+        assert engine.manager.observer is not None
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -6,6 +6,9 @@ dropping, recomputing — must emit exactly the same tokens as a server with
 abundant memory serving the same scripted conversations.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -167,3 +170,22 @@ class TestRawTokenStore:
         out1 = server.chat(0, prompt_ids=[1, 2, 3], max_new_tokens=4)
         out2 = server.chat(0, prompt_ids=[9], max_new_tokens=2)
         assert server.raw_tokens[0] == [1, 2, 3] + out1 + [9] + out2
+
+
+def test_dropped_server_is_freed_without_the_collector():
+    """The manager's transition observer must not hold the server: with
+    the cyclic collector off, a served and dropped server (weights, KV
+    pool, stores) is freed at once."""
+    gc.disable()
+    try:
+        server = StatefulChatServer(
+            tiny_llama_config(), gpu_capacity_tokens=96, cpu_capacity_tokens=256,
+            disk_capacity_tokens=1024, chunk_size=16, page_size=8, seed=0,
+        )
+        run_script(server, scripted_turns(np.random.default_rng(0)))
+        assert server.manager.stats["swapped_out_tokens"] > 0
+        ref = weakref.ref(server)
+        del server
+        assert ref() is None
+    finally:
+        gc.enable()

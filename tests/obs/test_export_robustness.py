@@ -11,9 +11,10 @@ any of them):
 - thread-name metadata precedes all real events.
 """
 
-import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -29,15 +30,17 @@ from repro.obs import (
 )
 from repro.obs.export import to_jsonl
 from repro.obs.flight import SloConfig
-from repro.obs.histogram import NULL_HISTOGRAMS, HistogramSet
+from repro.obs.histogram import HistogramSet
 from repro.serving.metrics import MetricsCollector
 
 
 def _chrome(tracer):
-    buffer = io.StringIO()
-    document = to_chrome_trace(tracer, buffer)
-    # The write path and the returned document agree.
-    assert json.loads(buffer.getvalue()) == json.loads(json.dumps(document))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.chrome.json")
+        document = to_chrome_trace(tracer, path)
+        # The written file and the returned document agree.
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == json.loads(json.dumps(document))
     return document
 
 
@@ -92,14 +95,14 @@ class TestChromeTraceRobustness:
         assert document["traceEvents"] == []
         assert document["otherData"]["format"] == "repro-trace-chrome"
 
-    def test_jsonl_round_trip(self):
+    def test_jsonl_round_trip(self, tmp_path):
         tracer = Tracer()
         span = tracer.begin("request", t=0.0, conv_id=1)
         tracer.end(span, t=2.0)
         tracer.count("pcie.h2d_bytes", 4096)
-        buffer = io.StringIO()
-        assert to_jsonl(tracer, buffer) == 3  # meta + span + counter
-        records = [json.loads(line) for line in buffer.getvalue().splitlines()]
+        path = tmp_path / "t.jsonl"
+        assert to_jsonl(tracer, path) == 3  # meta + span + counter
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records[0]["format"] == "repro-trace-jsonl"
         by_type = {r["type"] for r in records}
         assert by_type == {"meta", "span", "counter"}
@@ -188,13 +191,13 @@ class TestPrometheusRoundTrip:
         }
 
     def test_null_hists_contribute_nothing(self):
-        assert "bucket" not in prometheus_snapshot(hists=NULL_HISTOGRAMS)
+        assert "bucket" not in prometheus_snapshot(hists=None)
+        assert "bucket" not in prometheus_snapshot(MetricsCollector())
 
 
 class TestTierAttributionTable:
     def test_empty_inputs_render_empty_string(self):
         assert tier_attribution_table(None) == ""
-        assert tier_attribution_table(NULL_HISTOGRAMS) == ""
         assert tier_attribution_table(HistogramSet()) == ""
         empty_recorded = HistogramSet()
         empty_recorded.hist("ttft_seconds")  # created but never recorded

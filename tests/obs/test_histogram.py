@@ -2,7 +2,7 @@
 
 The contract the SLO layer relies on: exact count/sum/min/max under any
 recording order, percentile bounds within one bucket width, loss-free
-merging, and an allocation-free disabled path.
+merging, and a set that stays armed when empty.
 """
 
 import json
@@ -15,11 +15,8 @@ from repro.obs.histogram import (
     DEFAULT_BASE,
     Histogram,
     HistogramSet,
-    NULL_HISTOGRAM,
-    NULL_HISTOGRAMS,
-    NullHistogram,
-    NullHistogramSet,
 )
+from repro.serving.metrics import MetricsCollector
 
 
 class TestHistogram:
@@ -169,33 +166,21 @@ class TestHistogramSet:
         assert names == [("a", "c"), ("a", "z"), ("b", None)]
         assert list(hists) == hists.all()
 
-    def test_set_is_truthy_even_when_empty(self):
-        assert bool(HistogramSet())
+    def test_enable_slo_keeps_an_empty_set(self):
+        """An empty set is falsy (``__len__``) yet armed: re-arming a
+        collector keeps it instead of replacing it."""
+        hists = HistogramSet()
+        assert not hists
+        collector = MetricsCollector().enable_slo(hist=hists)
+        assert collector.enable_slo().hist is hists
 
 
 class TestNullPath:
-    def test_null_set_is_disabled_and_freely_callable(self):
-        assert NULL_HISTOGRAMS.enabled is False
-        assert isinstance(NULL_HISTOGRAMS, NullHistogramSet)
-        handle = NULL_HISTOGRAMS.hist("anything", tier="cpu")
-        assert handle is NULL_HISTOGRAM
-        handle.record(1.0)
-        assert handle.count == 0 and handle.sum == 0.0
-        assert handle.percentile(99) == 0.0
-        assert NULL_HISTOGRAMS.get("anything") is None
-        assert NULL_HISTOGRAMS.all() == []
-        assert len(NULL_HISTOGRAMS) == 0
-        assert list(NULL_HISTOGRAMS) == []
-
-    def test_null_histogram_shares_read_api(self):
-        null = NullHistogram()
-        assert null.buckets() == []
-        assert null.cumulative_buckets() == []
-        assert null.p50 == null.p90 == null.p99 == 0.0
-        assert len(null) == 0
-        json.dumps(null.as_dict())
-
     def test_recording_set_reports_enabled(self):
-        assert HistogramSet().enabled is True
-        assert Histogram("x") is not None  # smoke: importable surface
-        assert math.isfinite(DEFAULT_BASE)
+        """Off is ``None``; arming installs the one recording set."""
+        collector = MetricsCollector()
+        assert collector.hist is None
+        hists = collector.enable_slo().hist
+        assert isinstance(hists, HistogramSet)
+        hists.hist("x").record(1.0)
+        assert hists.get("x").count == 1

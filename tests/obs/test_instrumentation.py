@@ -1,6 +1,6 @@
 """Pipeline instrumentation tests: spans from real runs, counter
 reconciliation against the cost/transfer models, and the no-perturbation
-guarantee of the null tracer."""
+guarantee of running with no tracer."""
 
 import json
 

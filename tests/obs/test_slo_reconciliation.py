@@ -374,8 +374,8 @@ class TestNoPerturbation:
 
     def test_unarmed_engine_keeps_null_sinks(self):
         engine, _ = _run()
-        assert engine.metrics.hist.enabled is False
-        assert engine.metrics.flight.enabled is False
+        assert engine.metrics.hist is None
+        assert engine.metrics.flight is None
         assert engine.metrics.slo is None
 
 

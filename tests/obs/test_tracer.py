@@ -1,13 +1,10 @@
 """Unit tests for the tracer core and the exporters."""
 
-import io
 import json
 
 import pytest
 
 from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
     Tracer,
     text_report,
     to_chrome_trace,
@@ -104,24 +101,6 @@ class TestCountersAndGauges:
         assert attrs == {"conv_id": 7, "tokens": 32}
 
 
-class TestNullTracer:
-    def test_disabled_and_noop(self):
-        null = NullTracer()
-        assert not null.enabled
-        assert null.begin("x", t=1.0) == 0
-        assert null.complete("x", 0.0, 1.0) == 0
-        null.end(0, t=1.0)
-        null.instant("x")
-        null.count("x", 5)
-        null.gauge("x", 1.0)
-        null.close_open()
-
-    def test_shared_singleton_is_null(self):
-        assert isinstance(NULL_TRACER, NullTracer)
-        assert not NULL_TRACER.enabled
-        assert not isinstance(NULL_TRACER, Tracer)
-
-
 class TestDeterminism:
     @staticmethod
     def _record(tracer):
@@ -164,11 +143,11 @@ def _sample_tracer() -> Tracer:
 
 
 class TestJsonl:
-    def test_round_trip(self):
+    def test_round_trip(self, tmp_path):
         tracer = _sample_tracer()
-        buf = io.StringIO()
-        count = to_jsonl(tracer, buf)
-        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        path = tmp_path / "t.jsonl"
+        count = to_jsonl(tracer, path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == count
         assert records[0]["type"] == "meta"
         by_type = {}

@@ -43,6 +43,11 @@
   ``benchmarks/`` or ``examples/`` uses; its own package ``__init__``
   re-exporting it does not count.  A module that only tests read passes
   every test while it drifts from the code that runs.
+- *Telemetry off is ``None``.*  A tracer, histogram set or flight
+  recorder that is off is ``None``, and sites test ``is not None``; no
+  ``Null*`` class and no ``.enabled`` flag (read, or duck-typed through
+  ``getattr``) may bring back a second off-state, which an unarmed run
+  would silently call into.
 """
 
 import ast
@@ -124,6 +129,18 @@ def test_fault_draws_stay_in_the_ladder_owners():
     ]
     assert draws, "the walk found no fault draws at all"
     assert [d for d in draws if not d.startswith(LADDER_OWNERS)] == []
+
+
+def test_telemetry_off_is_none():
+    offenders = [
+        f"{rel}:{node.lineno}"
+        for rel, module in _modules(".")
+        for node in ast.walk(module)
+        if (isinstance(node, ast.Attribute) and node.attr == "enabled")
+        or (isinstance(node, ast.Constant) and node.value == "enabled")
+        or (isinstance(node, ast.ClassDef) and node.name.startswith("Null"))
+    ]
+    assert offenders == []
 
 
 def test_a_float32_server_computes_in_float32(monkeypatch):

@@ -16,6 +16,12 @@ says which row moved and why.
 The two ``recipe/`` rows are the manual parent-vs-change recipe earlier
 changes ran by hand; their values are the ones recorded there.
 
+The ``telemetry/`` rows arm the whole ``repro.obs`` layer (a
+``Tracer`` and the SLO metrics layer) on the armed three-tier run and
+hash its four artifacts: the Prometheus snapshot with the ledger
+counters, the flight-recorder captures, the Chrome trace document and
+the JSONL trace records with their wall-clock stamps removed.
+
 ``python -m tests.test_run_digests`` (from the repository root, with
 ``src`` on ``PYTHONPATH``) prints the current value of every row.
 
@@ -28,7 +34,9 @@ process (a memo, a cached table) would show as two different digests.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
+import tempfile
 import zlib
 from dataclasses import replace
 
@@ -47,6 +55,14 @@ from repro.gpu.device import A100_80GB
 from repro.kvcache import KVStorage
 from repro.model.config import OPT_13B, tiny_llama_config, tiny_opt_config
 from repro.model.transformer import ForwardRequest, PagedTransformer
+from repro.obs import (
+    SloConfig,
+    Tracer,
+    ledger_counters,
+    prometheus_snapshot,
+    to_chrome_trace,
+    to_jsonl,
+)
 from repro.serving.stateless import StatelessEngine
 from repro.workload.dataset import SHAREGPT
 
@@ -104,9 +120,9 @@ def _engine_digest(factory, conversations, until: float) -> str:
                  stats.as_dict(), engine.iterations))
 
 
-def pensieve_digest(
+def _pensieve_factory(
     disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
-) -> str:
+):
     """OPT-13B on an A100 whose KV cache holds 3,072 tokens and whose host
     memory holds 1,024, so every tier evicts; ``disk`` adds an NVMe tier
     and ``unified=False`` runs Figure 13's separate-batch ablation."""
@@ -120,7 +136,44 @@ def pensieve_digest(
             fault_plan=_plan(seed, 0.1) if armed else None, unified=unified,
         )
 
+    return factory
+
+
+def pensieve_digest(
+    disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
+) -> str:
+    factory = _pensieve_factory(disk, armed, policy, seed, unified)
     return _engine_digest(factory, _mixed_conversations(), until=120.0)
+
+
+def telemetry_digest(seed: int = FAULT_SEED) -> str:
+    """The armed three-tier retention run with a ``Tracer`` and the SLO
+    layer armed: the digests of its Prometheus snapshot (ledger counters
+    included), its flight captures, its Chrome trace document and its
+    JSONL trace records without their ``wall*`` fields."""
+    tracer = Tracer()
+    engine, _ = run_serving_once(
+        _pensieve_factory(True, True, "retention", seed), _mixed_conversations(),
+        until=120.0, warmup=0.0, tracer=tracer,
+        slo=SloConfig(ttft=0.2, tbt=0.03),
+    )
+    collector = engine.metrics
+    prom = prometheus_snapshot(collector, counters=ledger_counters(engine))
+    with tempfile.TemporaryDirectory() as tmp:
+        cap_path = os.path.join(tmp, "captures.jsonl")
+        collector.flight.dump_captures(cap_path)
+        with open(cap_path, encoding="utf-8") as fh:
+            captures = fh.read()
+        chrome = to_chrome_trace(tracer, os.path.join(tmp, "trace.chrome.json"))
+        jsonl = os.path.join(tmp, "trace.jsonl")
+        to_jsonl(tracer, jsonl)
+        with open(jsonl, encoding="utf-8") as fh:
+            records = [
+                {k: v for k, v in json.loads(line).items() if not k.startswith("wall")}
+                for line in fh
+            ]
+    return _hex((_hex(prom), _hex(captures), _hex(json.dumps(chrome, sort_keys=True)),
+                 _hex(records)))
 
 
 def recipe_digest(armed: bool) -> str:
@@ -316,6 +369,9 @@ RUNS = {
     "server/3tier/armed": server_digest,
     "model/float64/mixed-batch": model_digest,
     "server/decode-steps": decode_digest,
+    "telemetry/3tier/armed/seed11": telemetry_digest,
+    "telemetry/3tier/armed/seed23": lambda: telemetry_digest(23),
+    "telemetry/3tier/armed/seed47": lambda: telemetry_digest(47),
 }
 
 DIGESTS = {
@@ -335,6 +391,9 @@ DIGESTS = {
     "server/3tier/armed": "3526e06261cb62e4",
     "model/float64/mixed-batch": "a1d82ab27d933482",
     "server/decode-steps": "62c9d98cb2c59beb",
+    "telemetry/3tier/armed/seed11": "308dd540ef093e46",
+    "telemetry/3tier/armed/seed23": "829e041797b017a6",
+    "telemetry/3tier/armed/seed47": "7715f3aa65653c19",
 }
 
 
