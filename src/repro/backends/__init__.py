@@ -54,44 +54,38 @@ class Backend:
         layer_key: object,
         k_cache: np.ndarray,
         v_cache: np.ndarray,
-        scale: float = 0.0,
     ) -> np.ndarray:
         """Single-token decode attention over a packed batch
         (``[n, num_heads, head_dim]`` in and out)."""
-        return packed_decode_attention(
-            queries, batch, layer_key, k_cache, v_cache, scale
-        )
+        return packed_decode_attention(queries, batch, layer_key, k_cache, v_cache)
 
     def multi_token_attention(
         self,
         requests: Sequence[AttentionRequest],
         k_cache: np.ndarray,
         v_cache: np.ndarray,
-        scale: float = 0.0,
     ) -> List[np.ndarray]:
         """Per-request, multi-token attention: the kernel the
         ``use_fast_paths=False`` oracle runs."""
-        return multi_token_attention(requests, k_cache, v_cache, scale)
+        return multi_token_attention(requests, k_cache, v_cache)
 
     def batched_decode_attention(
         self,
         requests: Sequence[AttentionRequest],
         k_cache: np.ndarray,
         v_cache: np.ndarray,
-        scale: float = 0.0,
     ) -> List[np.ndarray]:
         """Fused single-token decode for a whole batch without the
         packing cache.  The transformer sends explicit-slot decode
         batches to :meth:`ragged_attention`; this entry point stays
         because the serving benchmark wraps it by name."""
-        return batched_single_token_attention(requests, k_cache, v_cache, scale)
+        return batched_single_token_attention(requests, k_cache, v_cache)
 
     def ragged_attention(
         self,
         requests: Sequence[AttentionRequest],
         k_cache: np.ndarray,
         v_cache: np.ndarray,
-        scale: float = 0.0,
     ) -> List[np.ndarray]:
         """Fused mixed prefill+decode attention for a ragged batch."""
-        return ragged_multi_token_attention(requests, k_cache, v_cache, scale)
+        return ragged_multi_token_attention(requests, k_cache, v_cache)

@@ -294,16 +294,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     tracer = _make_tracer(args)
     slo = _slo_config(args)
     sampler = _make_sampler(args)
-    engine, stats = run_serving_once(
-        _engine_factory(args.system, config, fault_plan,
-                        disk_tokens=args.disk_tokens),
-        conversations,
-        until=args.duration,
-        warmup=args.duration * 0.3,
-        tracer=tracer,
-        slo=slo,
-        sampler=sampler,
-    )
+    try:
+        engine, stats = run_serving_once(
+            _engine_factory(args.system, config, fault_plan,
+                            disk_tokens=args.disk_tokens),
+            conversations,
+            until=args.duration,
+            warmup=args.duration * 0.3,
+            tracer=tracer,
+            slo=slo,
+            sampler=sampler,
+        )
+    except ValueError as error:  # a tier size the flags gave
+        raise SystemExit(f"repro simulate: {error}") from None
     print(f"system        : {engine.name}")
     print(f"model         : {config.name} ({config.num_gpus} GPU(s))")
     print(f"workload      : {dataset.name} @ {args.rate} req/s, "
@@ -391,28 +394,31 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer
 
     tracer = Tracer()
-    if args.experiment == "fig13":
-        from repro.experiments.fig13 import format_fig13, run_fig13
+    try:
+        if args.experiment == "fig13":
+            from repro.experiments.fig13 import format_fig13, run_fig13
 
-        curves = run_fig13(
-            rates=tuple(args.rates), duration=args.duration,
-            seed=args.seed, tracer=tracer,
-        )
-        print(format_fig13(curves))
-    elif args.experiment == "fig15x":
-        from repro.experiments.fig15x import format_fig15x, run_fig15x
+            curves = run_fig13(
+                rates=tuple(args.rates), duration=args.duration,
+                seed=args.seed, tracer=tracer,
+            )
+            print(format_fig13(curves))
+        elif args.experiment == "fig15x":
+            from repro.experiments.fig15x import format_fig15x, run_fig15x
 
-        kwargs = {}
-        if args.disk_tokens:
-            kwargs["disk_cache_tokens"] = args.disk_tokens
-        curves = run_fig15x(
-            config=_model(args.model), rates=tuple(args.rates),
-            duration=args.duration, seed=args.seed, tracer=tracer,
-            **kwargs,
-        )
-        print(format_fig15x(curves))
-    else:  # pragma: no cover - argparse choices prevent this
-        raise SystemExit(f"unknown experiment {args.experiment!r}")
+            kwargs = {}
+            if args.disk_tokens:
+                kwargs["disk_cache_tokens"] = args.disk_tokens
+            curves = run_fig15x(
+                config=_model(args.model), rates=tuple(args.rates),
+                duration=args.duration, seed=args.seed, tracer=tracer,
+                **kwargs,
+            )
+            print(format_fig15x(curves))
+        else:  # pragma: no cover - argparse choices prevent this
+            raise SystemExit(f"unknown experiment {args.experiment!r}")
+    except ValueError as error:  # a tier size, rate or duration the flags gave
+        raise SystemExit(f"repro trace: {error}") from None
     _write_trace(tracer, args.out, prefix=f"trace_{args.experiment}")
     return 0
 

@@ -33,7 +33,7 @@ from repro.gpu.device import GpuSpec
 from repro.gpu.link import Direction, Link, TransferRecord
 from repro.gpu.profiler import OfflineProfiler
 from repro.core.eviction import LruPolicy, RetentionValuePolicy
-from repro.faults import FaultPlan, FaultSite, RetryPolicy, attempt_with_retries
+from repro.faults import FaultPlan, FaultSite, attempt_with_retries
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     CHUNK_SIZE,
@@ -106,7 +106,6 @@ class PensieveEngine(EngineBase):
             engine recovers along the retry → recompute-fallback →
             per-request-failure ladder and counts the degradation in
             ``metrics.faults``.
-        retry_policy: bounded-backoff budget for transient faults.
     """
 
     def __init__(
@@ -125,7 +124,6 @@ class PensieveEngine(EngineBase):
         name: Optional[str] = None,
         whole_conversation_eviction: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         cost_model = CostModel(config, spec)
         if name is None:
@@ -142,7 +140,6 @@ class PensieveEngine(EngineBase):
             cpu_cache_tokens = int(spec.cpu_memory_bytes * config.num_gpus // kv)
         scorer = self._resolve_policy(policy, cost_model, chunk_size)
         self.fault_plan = fault_plan
-        self.retry_policy = retry_policy or RetryPolicy()
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu_tokens,
             cpu_capacity_tokens=cpu_cache_tokens,
@@ -246,8 +243,7 @@ class PensieveEngine(EngineBase):
         iteration (it lands on the sim clock via the iteration
         duration)."""
         ok, retries, delay = attempt_with_retries(
-            self.fault_plan, site, self.retry_policy, self.metrics.faults,
-            tracer=self.tracer,
+            self.fault_plan, site, self.metrics.faults, tracer=self.tracer
         )
         self._iter_fault_delay += delay
         if retries > 0 and self._observed:

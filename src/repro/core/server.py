@@ -39,7 +39,6 @@ from repro.faults import (
     FaultPlan,
     FaultSite,
     RequestFaultedError,
-    RetryPolicy,
     attempt_with_retries,
 )
 from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
@@ -99,7 +98,6 @@ class StatefulChatServer:
         fault_plan: optional seeded failure schedule (chaos testing); the
             server recovers along the retry → recompute-fallback →
             per-request-failure ladder, counting into ``fault_counters``.
-        retry_policy: bounded-backoff budget for transient faults.
         use_fast_paths: dispatch forward passes through the vectorized
             kernel layer and the incremental decode packing cache
             (default on; off = the per-layer tiled, per-request oracle
@@ -126,7 +124,6 @@ class StatefulChatServer:
         page_size: int = 8,
         seed: int = 0,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         use_fast_paths: bool = True,
         backend: str = "paged",
     ) -> None:
@@ -150,7 +147,6 @@ class StatefulChatServer:
             num_pages=pool_tokens // page_size, page_size=page_size
         )
         self.fault_plan = fault_plan
-        self.retry_policy = retry_policy or RetryPolicy()
         #: Degradation counters (same schema as the simulated engine's
         #: ``metrics.faults``); all-zero when no fault plan is armed.
         self.fault_counters = FaultCounters()
@@ -401,8 +397,7 @@ class StatefulChatServer:
         if self.fault_plan is None:
             return True, 1
         ok, retries, delay = attempt_with_retries(
-            self.fault_plan, site, self.retry_policy, self.fault_counters,
-            tracer=self.tracer,
+            self.fault_plan, site, self.fault_counters, tracer=self.tracer
         )
         self._clock += delay
         return ok, 1 + retries

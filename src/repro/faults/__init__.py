@@ -6,9 +6,12 @@ first-class, *reproducible* input: a seeded :class:`FaultPlan` schedules
 failures at well-defined injection sites, and the cache manager, both
 engines and the CPU store recover along a fixed ladder —
 
-    retry (bounded backoff)  →  swap-in falls back to recomputation
-    (§4.3.4)  →  the single affected request fails with a structured
-    error while the batch continues.
+    retry (three retries, bounded backoff)  →  swap-in falls back to
+    recomputation (§4.3.4)  →  the single affected request fails with a
+    structured error while the batch continues.
+
+The retry budget is one set of constants in :mod:`repro.faults.retry`,
+shared by both executors; no engine or server takes it as a setting.
 
 The :class:`FaultSite` enum is the one declaration of the injection
 sites: its order fixes each site's RNG stream, and
@@ -23,7 +26,7 @@ from repro.faults.errors import (
     RequestFaultedError,
 )
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
-from repro.faults.retry import RetryPolicy, attempt_with_retries
+from repro.faults.retry import attempt_with_retries
 
 __all__ = [
     "ChunkCorruptionError",
@@ -32,6 +35,5 @@ __all__ = [
     "FaultPlan",
     "FaultSite",
     "RequestFaultedError",
-    "RetryPolicy",
     "attempt_with_retries",
 ]

@@ -14,9 +14,6 @@ Two scheduling mechanisms compose:
 - **schedules**: explicit occurrence indices that fail unconditionally
   (index 0 is the first operation at that site) — the tool of choice for
   tests that need a failure at an exact point.
-
-``max_failures`` caps the total failures a site may inject, which lets
-chaos tests guarantee that bounded-retry recovery eventually succeeds.
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ class FaultPlan:
         rates: per-site independent failure probability (unlisted sites
             never fail by rate).
         schedules: per-site occurrence indices that fail unconditionally.
-        max_failures: per-site cap on injected failures (``None`` = no cap).
     """
 
     def __init__(
@@ -66,7 +62,6 @@ class FaultPlan:
         seed: int = 0,
         rates: Optional[Mapping[FaultSite, float]] = None,
         schedules: Optional[Mapping[FaultSite, Iterable[int]]] = None,
-        max_failures: Optional[Mapping[FaultSite, int]] = None,
     ) -> None:
         rates = dict(rates or {})
         for site, rate in rates.items():
@@ -77,7 +72,6 @@ class FaultPlan:
         self.schedules: Dict[FaultSite, FrozenSet[int]] = {
             site: frozenset(idx) for site, idx in (schedules or {}).items()
         }
-        self.max_failures: Dict[FaultSite, int] = dict(max_failures or {})
         sites = list(FaultSite)
         self._rng = {
             site: np.random.default_rng([seed, ordinal])
@@ -98,9 +92,6 @@ class FaultPlan:
         index = self.occurrences[site]
         self.occurrences[site] = index + 1
         draw = float(self._rng[site].random())
-        cap = self.max_failures.get(site)
-        if cap is not None and self.fired[site] >= cap:
-            return False
         fire = index in self.schedules.get(site, ()) or draw < self.rates.get(
             site, 0.0
         )

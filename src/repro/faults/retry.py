@@ -3,56 +3,36 @@
 Transient faults (GPU allocation hiccups, flaky PCIe transfers) are retried
 a bounded number of times; each retry costs simulated time, which engines
 charge to the iteration (discrete-event layer) or to the server clock
-(functional layer).  The policy is pure data so both layers share it.
+(functional layer).  Both layers share one budget: :data:`MAX_RETRIES`
+retries, waiting :data:`BACKOFFS` seconds before each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
 from repro.obs.tracer import Tracer
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential-backoff retry budget.
+#: Retries allowed after the first failed attempt.
+MAX_RETRIES = 3
 
-    Args:
-        max_retries: retries allowed after the first failed attempt.
-        base_backoff: simulated seconds before the first retry.
-        multiplier: backoff growth factor per retry.
-    """
+#: Simulated seconds before the first retry; each later wait doubles.
+BASE_BACKOFF = 0.002
 
-    max_retries: int = 3
-    base_backoff: float = 0.002
-    multiplier: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.base_backoff < 0:
-            raise ValueError(f"base_backoff must be >= 0, got {self.base_backoff}")
-        if self.multiplier < 1.0:
-            raise ValueError(f"multiplier must be >= 1, got {self.multiplier}")
-
-    def backoffs(self) -> Iterator[float]:
-        """Backoff delays, one per permitted retry."""
-        delay = self.base_backoff
-        for _ in range(self.max_retries):
-            yield delay
-            delay *= self.multiplier
+#: The wait before each permitted retry: 2, 4 and 8 ms.
+BACKOFFS = tuple(BASE_BACKOFF * 2.0**i for i in range(MAX_RETRIES))
 
 
 def attempt_with_retries(
     plan: FaultPlan,
     site: FaultSite,
-    policy: RetryPolicy,
     counters: FaultCounters,
     tracer: Optional[Tracer] = None,
 ) -> Tuple[bool, int, float]:
-    """Draw ``site`` once, retrying per ``policy`` while it keeps failing.
+    """Draw ``site`` once, retrying up to :data:`MAX_RETRIES` times while
+    it keeps failing.
 
     Returns ``(success, retries_used, backoff_seconds)``: the caller charges
     ``backoff_seconds`` to its clock; on ``False`` the operation failed
@@ -70,7 +50,7 @@ def attempt_with_retries(
     retries = 0
     delay = 0.0
     ok = False
-    for backoff in policy.backoffs():
+    for backoff in BACKOFFS:
         retries += 1
         delay += backoff
         if not plan.fires(site):

@@ -45,13 +45,18 @@ the paper discusses:
 The performance and metadata layers are verified (~1e-6) against the
 per-request kernels above, which remain the correctness oracle.
 
+Every kernel computes ordinary scaled dot-product attention: scores are
+scaled by ``1/sqrt(head_dim)``
+(:func:`~repro.kernels.reference.attention_scale`), read from the
+cache's head dimension; no kernel takes a scale.
+
 Model and serving code reaches attention kernels through the
 :mod:`repro.backends` interface (``tests/test_benchmark_surface.py``);
 the Figure 12 experiment imports the kernels it compares directly.
 """
 
 from repro.kernels.request import AttentionRequest
-from repro.kernels.reference import reference_attention, resolve_scale
+from repro.kernels.reference import reference_attention
 from repro.kernels.multi_token import multi_token_attention
 from repro.kernels.single_token import single_token_attention
 from repro.kernels.batched import (
@@ -72,7 +77,6 @@ from repro.kernels.subrequests import disjoint_query_spans, split_disjoint_query
 __all__ = [
     "AttentionRequest",
     "reference_attention",
-    "resolve_scale",
     "multi_token_attention",
     "single_token_attention",
     "batched_single_token_attention",

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.reference import resolve_scale
+from repro.kernels.reference import attention_scale
 from repro.kernels.request import AttentionRequest
 
 
@@ -84,7 +84,8 @@ def segment_masked_decode(
             (row, head) ``[C, head_dim]`` tile at unit stride along
             ``head_dim``.
         bias: the batch's :func:`segment_bias` (``None``: no padding).
-        scale: resolved score scale.
+        scale: the score scale (the entry points pass
+            :func:`~repro.kernels.reference.attention_scale`).
 
     Returns:
         ``[n, kv_heads, group, head_dim]`` attention outputs.
@@ -109,7 +110,6 @@ def batched_single_token_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> List[np.ndarray]:
     """One packed computation for a whole single-token decode batch.
 
@@ -129,8 +129,6 @@ def batched_single_token_attention(
         requests: the decode batch (``num_query_tokens == 1`` each, query
             at the end of its context).
         k_cache / v_cache: ``[num_slots, kv_heads, head_dim]`` slot arrays.
-        scale: score scaling, default ``1/sqrt(head_dim)`` resolved once
-            for the batch from the cache's head dimension.
 
     Returns:
         One ``[1, num_heads, head_dim]`` output per request.
@@ -142,7 +140,6 @@ def batched_single_token_attention(
     if not requests:
         return []
     kv_heads, head_dim = k_cache.shape[1], k_cache.shape[2]
-    scale = resolve_scale(scale, head_dim)
     num_heads = requests[0].num_heads
     group = _grouped_heads(num_heads, kv_heads)
 
@@ -186,7 +183,7 @@ def batched_single_token_attention(
     )
 
     bias = segment_bias(lengths, max_context, k_cache.dtype)
-    out = segment_masked_decode(q, k_t, v, bias, scale)
+    out = segment_masked_decode(q, k_t, v, bias, attention_scale(head_dim))
     return [out[i].reshape(1, num_heads, head_dim) for i in range(n)]
 
 

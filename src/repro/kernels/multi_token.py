@@ -30,7 +30,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.kernels.reference import gqa_expand, resolve_scale
+from repro.kernels.reference import attention_scale, gqa_expand
 from repro.kernels.request import AttentionRequest
 
 #: Context tile width: how many KV-tokens one "thread block" loads at a
@@ -43,7 +43,6 @@ def multi_token_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
     tile: int = DEFAULT_TILE,
 ) -> List[np.ndarray]:
     """Batched multi-token attention over a paged KV cache.
@@ -54,7 +53,6 @@ def multi_token_attention(
         k_cache / v_cache: ``[num_slots, kv_heads, head_dim]`` slot arrays
             for one layer (physical storage; only the slots referenced by
             the requests are touched).
-        scale: score scaling, default ``1/sqrt(head_dim)``.
         tile: context tile width for the online-softmax loop.
 
     Returns:
@@ -66,10 +64,9 @@ def multi_token_attention(
         )
     if tile <= 0:
         raise ValueError(f"tile must be positive, got {tile}")
-    # The head dimension is fixed by the cache shape, so the default scale
-    # is resolved once at the batch level; ``_attend_one`` receives the
-    # concrete value and never reinterprets its parameter.
-    scale = resolve_scale(scale, k_cache.shape[2])
+    # The head dimension is fixed by the cache shape, so the scale is
+    # computed once at the batch level and handed to ``_attend_one``.
+    scale = attention_scale(k_cache.shape[2])
     outputs: List[np.ndarray] = []
     for request in requests:
         outputs.append(

@@ -91,7 +91,7 @@ from repro.kernels.batched import (
     segment_bias,
     segment_masked_decode,
 )
-from repro.kernels.reference import resolve_scale
+from repro.kernels.reference import attention_scale
 
 _EMPTY_PREFIX = np.empty(0, dtype=np.int64)
 
@@ -468,7 +468,6 @@ def packed_decode_attention(
     layer_key: Hashable,
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> np.ndarray:
     """Single-token decode attention over a :class:`PackedBatch`.
 
@@ -502,5 +501,5 @@ def packed_decode_attention(
     k_t, v = batch.gathered(layer_key, k_cache, v_cache, key_transposed=group > 1)
     q = np.ascontiguousarray(queries).reshape(n, kv_heads, group, head_dim)
     bias = batch.bias(k_cache.dtype)
-    out = segment_masked_decode(q, k_t, v, bias, resolve_scale(scale, head_dim))
+    out = segment_masked_decode(q, k_t, v, bias, attention_scale(head_dim))
     return out.reshape(n, num_heads, head_dim)

@@ -44,7 +44,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.kernels.batched import _check_denominator, _grouped_heads
-from repro.kernels.reference import resolve_scale
+from repro.kernels.reference import attention_scale
 from repro.kernels.request import AttentionRequest
 
 #: Query rows per tile.  A tile pays for ``rows x visible`` scores, so the
@@ -122,7 +122,6 @@ def ragged_multi_token_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> List[np.ndarray]:
     """Attention for a whole ragged prefill/mixed batch.
 
@@ -139,7 +138,6 @@ def ragged_multi_token_attention(
             context (Figure 8(d) sub-requests).
         k_cache / v_cache: ``[num_slots, kv_heads, head_dim]`` slot
             arrays for one layer.
-        scale: score scaling, default ``1/sqrt(head_dim)``.
 
     Returns:
         One ``[num_query_tokens, num_heads, head_dim]`` output per
@@ -152,7 +150,7 @@ def ragged_multi_token_attention(
     if not requests:
         return []
     kv_heads, head_dim = k_cache.shape[1], k_cache.shape[2]
-    scale = resolve_scale(scale, head_dim)
+    scale = attention_scale(head_dim)
     num_heads = requests[0].num_heads
     for request in requests:
         if request.num_heads != num_heads:

@@ -11,16 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def resolve_scale(scale: float, head_dim: int) -> float:
-    """Resolve the ``scale == 0.0`` "use the default" sentinel.
+def attention_scale(head_dim: int) -> float:
+    """The score scale of scaled dot-product attention, ``1/sqrt(head_dim)``.
 
-    Every kernel accepts ``scale=0.0`` to mean ``1/sqrt(head_dim)``.  The
-    batch-level entry points resolve the sentinel **once** (the head
-    dimension is fixed by the cache shape for the whole batch) and pass
-    the concrete value down, so per-request helpers never reinterpret —
-    or mutate — their ``scale`` argument.
+    Every kernel computes it once per batch from the head dimension of
+    the cache it reads, so all of them scale scores by the same float.
     """
-    return scale if scale != 0.0 else 1.0 / float(np.sqrt(head_dim))
+    return 1.0 / float(np.sqrt(head_dim))
 
 
 def gqa_expand(kv: np.ndarray, num_heads: int) -> np.ndarray:
@@ -44,7 +41,6 @@ def reference_attention(
     key: np.ndarray,
     value: np.ndarray,
     query_offset: int = -1,
-    scale: float = 0.0,
 ) -> np.ndarray:
     """Causal multi-head attention with materialised scores.
 
@@ -54,7 +50,6 @@ def reference_attention(
             (contiguous: this kernel knows nothing about pages).
         query_offset: logical position of the first query token; defaults
             to ``ctx - q`` (queries at the end of the context).
-        scale: score scaling; defaults to ``1/sqrt(head_dim)``.
 
     Returns:
         ``[q, num_heads, head_dim]`` attention outputs.
@@ -70,7 +65,7 @@ def reference_attention(
             f"query range [{query_offset}, {query_offset + q_len}) outside "
             f"context of {ctx} tokens"
         )
-    scale = resolve_scale(scale, head_dim)
+    scale = attention_scale(head_dim)
 
     k = gqa_expand(key, num_heads)
     v = gqa_expand(value, num_heads)

@@ -16,7 +16,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.kernels.reference import gqa_expand, resolve_scale
+from repro.kernels.reference import attention_scale, gqa_expand
 from repro.kernels.request import AttentionRequest
 
 
@@ -24,7 +24,6 @@ def single_token_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> List[np.ndarray]:
     """Batched single-token attention over a paged KV cache.
 
@@ -34,7 +33,6 @@ def single_token_attention(
     Args:
         requests: the batch (``num_query_tokens == 1`` each).
         k_cache / v_cache: ``[num_slots, kv_heads, head_dim]`` slot arrays.
-        scale: score scaling, default ``1/sqrt(head_dim)``.
 
     Returns:
         One ``[1, num_heads, head_dim]`` output per request.
@@ -43,9 +41,9 @@ def single_token_attention(
         ValueError: if any request has more than one query token (that is
             precisely the case this kernel cannot handle, §3.2).
     """
-    # The head dimension is fixed by the cache shape, so the default scale
-    # is resolved once for the whole batch (never per request).
-    s = resolve_scale(scale, k_cache.shape[2])
+    # The head dimension is fixed by the cache shape, so the scale is
+    # computed once for the whole batch (never per request).
+    s = attention_scale(k_cache.shape[2])
     outputs: List[np.ndarray] = []
     for request in requests:
         if request.num_query_tokens != 1:

@@ -26,7 +26,6 @@ def copyout_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> List[np.ndarray]:
     """Straw-man 1: copy the paged context out to contiguous memory.
 
@@ -45,7 +44,6 @@ def copyout_attention(
                 k_contig,
                 v_contig,
                 query_offset=request.query_offset,
-                scale=scale,
             )
         )
     return outputs
@@ -55,7 +53,6 @@ def multiround_attention(
     requests: Sequence[AttentionRequest],
     k_cache: np.ndarray,
     v_cache: np.ndarray,
-    scale: float = 0.0,
 ) -> List[np.ndarray]:
     """Straw-man 2: one single-token PagedAttention round per query token.
 
@@ -82,9 +79,7 @@ def multiround_attention(
                 )
             )
             round_owner.append(idx)
-        round_out = single_token_attention(
-            round_requests, k_cache, v_cache, scale=scale
-        )
+        round_out = single_token_attention(round_requests, k_cache, v_cache)
         for idx, out in zip(round_owner, round_out):
             results[idx].append(out)
     return [

@@ -101,14 +101,11 @@ class Linear:
         in_dim: int,
         out_dim: int,
         with_bias: bool = True,
-        scale: float = 0.0,
         dtype: np.dtype = np.float64,
     ) -> "Linear":
-        """Gaussian init scaled for unit-variance activations, drawn in
-        float64 and rounded once to ``dtype``."""
-        if scale == 0.0:
-            scale = 1.0 / np.sqrt(in_dim)
-        weight = scaled_normal(rng, (in_dim, out_dim), scale, dtype)
+        """Gaussian init scaled by ``1/sqrt(in_dim)`` for unit-variance
+        activations, drawn in float64 and rounded once to ``dtype``."""
+        weight = scaled_normal(rng, (in_dim, out_dim), 1.0 / np.sqrt(in_dim), dtype)
         bias = np.zeros(out_dim, dtype) if with_bias else None
         return cls(weight=weight, bias=bias)
 

@@ -76,7 +76,7 @@ from repro.model.layers import (
     SwiGluMlp,
     scaled_normal,
 )
-from repro.model.rope import apply_rope, rope_angles, rotate
+from repro.model.rope import RopeTable, apply_rope, rope_angles, rope_table, rotate
 
 
 @dataclass
@@ -92,7 +92,8 @@ class ForwardRequest:
             order, length ``total_context``.  Includes the slots the new
             tokens will be written to.
         positions: ``[n_new]`` logical positions of the input tokens within
-            the context.  Defaults to the trailing positions.
+            the context, each in ``[0, total_context)``.  Defaults to the
+            trailing positions.
         dropped: number of leading input tokens that are a recomputed
             dropped prefix (positions ``[shared_prefix, shared_prefix +
             dropped)``); the rest are the new prompt at the trailing
@@ -133,6 +134,10 @@ class ForwardRequest:
         self.positions = np.asarray(self.positions, dtype=np.int64)
         if self.positions.shape[0] != n_new:
             raise ValueError("positions must match input token count")
+        if self.positions.min() < 0 or self.positions.max() >= total:
+            raise ValueError(
+                f"positions must lie in [0, {total}), the context's slots"
+            )
 
     @property
     def num_new_tokens(self) -> int:
@@ -197,8 +202,7 @@ class _BatchPlan:
         batch: Sequence[ForwardRequest],
         positions: np.ndarray,
         bounds: np.ndarray,
-        config: ModelConfig,
-        dtype: np.dtype,
+        rope: Optional[RopeTable],
     ) -> "_BatchPlan":
         write_slots: List[np.ndarray] = []
         spans: List[tuple] = []
@@ -221,9 +225,7 @@ class _BatchPlan:
             last_rows.append(
                 (i, i + 1, slots[:context_end], offset + q_hi - q_lo - 1)
             )
-        angles = None
-        if config.arch == "llama":
-            angles = rope_angles(positions, config.head_dim, dtype=dtype)
+        angles = None if rope is None else rope_angles(rope, positions)
         return _BatchPlan(np.concatenate(write_slots), angles, spans, last_rows)
 
 
@@ -301,12 +303,16 @@ class PagedTransformer:
         h = config.hidden_size
         kv = config.kv_dim
         self.embedding = scaled_normal(rng, (config.vocab_size, h), 0.02, dtype)
+        self.pos_embedding: Optional[np.ndarray] = None
+        #: Llama's RoPE ``(cos, sin)`` for every position below
+        #: ``config.max_position``; OPT learns its positions instead.
+        self.rope: Optional[RopeTable] = None
         if config.arch == "opt":
-            self.pos_embedding: Optional[np.ndarray] = scaled_normal(
+            self.pos_embedding = scaled_normal(
                 rng, (config.max_position, h), 0.02, dtype
             )
         else:
-            self.pos_embedding = None
+            self.rope = rope_table(config.max_position, config.head_dim, dtype)
         norm = LayerNorm if config.arch == "opt" else RMSNorm
         mlp_type = OptMlp if config.arch == "opt" else SwiGluMlp
         with_bias = config.arch == "opt"
@@ -401,7 +407,7 @@ class PagedTransformer:
         if self.pos_embedding is not None:
             x = x + self.pos_embedding[positions]
         else:
-            angles = rope_angles(positions, self.config.head_dim, dtype=self.dtype)
+            angles = rope_angles(self.rope, positions)
         storage, backend = self.storage, self.backend
 
         def attention(layer_idx, w, x, rows):
@@ -432,7 +438,7 @@ class PagedTransformer:
         plan: Optional[_BatchPlan] = None
         keep: Optional[np.ndarray] = None
         if self.use_fast_paths:
-            plan = _BatchPlan.build(batch, positions, bounds, self.config, self.dtype)
+            plan = _BatchPlan.build(batch, positions, bounds, self.rope)
             if not all_rows and x.shape[0] > len(batch):
                 keep = last_rows
 
@@ -504,9 +510,9 @@ class PagedTransformer:
             for i, request in enumerate(batch):
                 lo, hi = int(bounds[i]), int(bounds[i + 1])
                 q_i, k_i, v_i = q[lo:hi], k[lo:hi], v[lo:hi]
-                if self.config.arch == "llama":
-                    q_i = apply_rope(q_i, request.positions)
-                    k_i = apply_rope(k_i, request.positions)
+                if self.rope is not None:
+                    q_i = apply_rope(q_i, request.positions, self.rope)
+                    k_i = apply_rope(k_i, request.positions, self.rope)
                 self.storage.write(layer_idx, request.write_slots(), k_i, v_i)
                 kernel_requests += split_disjoint_query(
                     q_i,

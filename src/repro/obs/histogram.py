@@ -4,9 +4,11 @@ The SLO layer needs percentiles over millions of samples without keeping
 the samples: each :class:`Histogram` maps a value to a geometric bucket in
 O(1) (one ``math.log``), keeps **exact integer counts per bucket** in a
 sparse dict, and tracks exact ``count`` / ``sum`` / ``min`` / ``max``.
+Every histogram has the same buckets (:data:`DEFAULT_MIN_VALUE`,
+:data:`DEFAULT_BASE`), so same-name histograms are always mergeable.
 Quantiles are read from the bucket upper bounds, so a reported p99 is an
-upper bound at most one bucket width (~19% with the default base) above
-the true order statistic — and ``max`` is always exact.
+upper bound at most one bucket width (~19%) above the true order
+statistic — and ``max`` is always exact.
 
 Design constraints mirror the tracer (ARCHITECTURE.md §9):
 
@@ -27,13 +29,15 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Histogram", "HistogramSet"]
 
-#: Default geometric growth per bucket: 2**(1/4) ≈ 1.189, i.e. ~19% wide
+#: Geometric growth per bucket: 2**(1/4) ≈ 1.189, i.e. ~19% wide
 #: buckets — 4 buckets per octave, ~80 buckets across 1 µs .. 1000 s.
 DEFAULT_BASE = 2.0 ** 0.25
 
-#: Default smallest resolvable value; everything at or below it lands in
-#: the underflow bucket whose upper bound is ``min_value``.
+#: Smallest resolvable value; everything at or below it lands in the
+#: underflow bucket whose upper bound is ``DEFAULT_MIN_VALUE``.
 DEFAULT_MIN_VALUE = 1e-6
+
+_LOG_BASE = math.log(DEFAULT_BASE)
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -41,19 +45,17 @@ _LabelKey = Tuple[Tuple[str, str], ...]
 class Histogram:
     """One streaming distribution with exact per-bucket counts.
 
-    Bucket ``i`` (``i >= 1``) covers ``(min_value * base**(i-1),
-    min_value * base**i]``; bucket ``0`` is the underflow bucket covering
-    ``(-inf, min_value]`` (durations are never negative, but a defensive
-    clamp keeps bad inputs from throwing in ``math.log``).
+    With ``m = DEFAULT_MIN_VALUE`` and ``b = DEFAULT_BASE``, bucket ``i``
+    (``i >= 1``) covers ``(m * b**(i-1), m * b**i]``; bucket ``0`` is the
+    underflow bucket covering ``(-inf, m]`` (durations are never
+    negative, but a defensive clamp keeps bad inputs from throwing in
+    ``math.log``).
     """
 
     __slots__ = (
         "name",
         "labels",
         "clock",
-        "min_value",
-        "base",
-        "_log_base",
         "_buckets",
         "_count",
         "_sum",
@@ -66,21 +68,12 @@ class Histogram:
         name: str = "",
         labels: Optional[Dict[str, str]] = None,
         clock: str = "sim",
-        min_value: float = DEFAULT_MIN_VALUE,
-        base: float = DEFAULT_BASE,
     ) -> None:
-        if min_value <= 0:
-            raise ValueError(f"min_value must be positive, got {min_value}")
-        if base <= 1.0:
-            raise ValueError(f"base must exceed 1.0, got {base}")
         if clock not in ("sim", "wall"):
             raise ValueError(f"clock must be 'sim' or 'wall', got {clock!r}")
         self.name = name
         self.labels: Dict[str, str] = dict(labels or {})
         self.clock = clock
-        self.min_value = float(min_value)
-        self.base = float(base)
-        self._log_base = math.log(self.base)
         self._buckets: Dict[int, int] = {}
         self._count = 0
         self._sum = 0.0
@@ -90,11 +83,12 @@ class Histogram:
     # -- recording -----------------------------------------------------
 
     def _index(self, value: float) -> int:
-        if value <= self.min_value:
+        if value <= DEFAULT_MIN_VALUE:
             return 0
-        # ceil of log_base(value / min_value); float fuzz nudged so exact
-        # bucket boundaries land in the *lower* bucket (bounds inclusive).
-        raw = math.log(value / self.min_value) / self._log_base
+        # ceil of log_base(value / DEFAULT_MIN_VALUE); float fuzz nudged so
+        # exact bucket boundaries land in the *lower* bucket (bounds
+        # inclusive).
+        raw = math.log(value / DEFAULT_MIN_VALUE) / _LOG_BASE
         idx = math.ceil(raw - 1e-9)
         return max(1, idx)
 
@@ -137,8 +131,8 @@ class Histogram:
     def bucket_upper(self, index: int) -> float:
         """Upper bound of bucket ``index`` on the value axis."""
         if index <= 0:
-            return self.min_value
-        return self.min_value * self.base ** index
+            return DEFAULT_MIN_VALUE
+        return DEFAULT_MIN_VALUE * DEFAULT_BASE ** index
 
     def buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, exact_count)`` pairs, ascending, only non-empty
@@ -225,10 +219,6 @@ class HistogramSet:
     registration boilerplate::
 
         hists.hist("swap_in_seconds", tier="cpu").record(record.duration)
-
-    All histograms created through one set share the default bucketing
-    (:data:`DEFAULT_MIN_VALUE`, :data:`DEFAULT_BASE`), which makes every
-    same-name histogram mergeable.
     """
 
     def __init__(self) -> None:

@@ -41,6 +41,11 @@ class ConversationDriver:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Schedule all first turns and run the event loop to completion.
 
+        The engine's ``on_finish`` hook is released when the run ends, so
+        the engine does not hold its driver: a finished run's engine is
+        freed as soon as its last reference goes, without waiting for
+        the cyclic collector.
+
         Args:
             until: optional simulation horizon (seconds).
             max_events: safety valve passed to the event loop.
@@ -53,7 +58,10 @@ class ConversationDriver:
                 0,
             )
             self._outstanding += conversation.num_turns
-        self.loop.run(until=until, max_events=max_events)
+        try:
+            self.loop.run(until=until, max_events=max_events)
+        finally:
+            self.engine.on_finish = None
 
     @property
     def outstanding(self) -> int:

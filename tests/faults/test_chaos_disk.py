@@ -107,7 +107,7 @@ class TestDifferentialUnderDiskFaults:
         and recomputes it — degraded latency, identical tokens."""
         config = tiny_llama_config()
         ref = reference_outputs(config)
-        # Default RetryPolicy allows 3 retries: four consecutive draws
+        # The retry budget is 3 retries: four consecutive draws
         # make the first disk read terminally fail.
         plan = FaultPlan(seed=0, schedules={FaultSite.NVME_STALL: (0, 1, 2, 3)})
         server = tight_server(config, fault_plan=plan)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.engine import PensieveEngine
 from repro.experiments.common import run_serving_once
-from repro.faults import FaultCounters, FaultPlan, FaultSite, RetryPolicy
+from repro.faults import FaultCounters, FaultPlan, FaultSite
 from repro.gpu.device import A100_80GB
 from repro.model.config import PAPER_MODELS
 from repro.serving.request import RequestState
@@ -104,14 +104,13 @@ class TestEngineUnderFaults:
 
     def test_terminal_alloc_degrades_requests_individually(self):
         config = PAPER_MODELS["OPT-13B"]
-        # Allocation faults with no retry budget: the per-token gate means
-        # some requests fail individually while most still finish.
-        plan = FaultPlan(seed=5, rates={FaultSite.GPU_ALLOC: 0.005})
-        engine, stats = run_chaotic(
-            config,
-            plan,
-            retry_policy=RetryPolicy(max_retries=0),
-        )
+        # Four consecutive allocation faults outlast the three retries, so
+        # each run of four fails one allocation terminally: the per-token
+        # gate means those requests fail individually while most still
+        # finish.
+        terminal = {start + k for start in (4000, 8000, 12000) for k in range(4)}
+        plan = FaultPlan(seed=5, schedules={FaultSite.GPU_ALLOC: terminal})
+        engine, stats = run_chaotic(config, plan)
         assert engine.num_failed > 0
         assert engine.metrics.faults.degraded_requests == engine.num_failed
         assert all(r.state is RequestState.FAILED for r in engine.failed)

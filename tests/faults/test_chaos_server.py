@@ -129,7 +129,7 @@ class TestDifferentialUnderFaults:
         """Exhausting SWAP_IN retries degrades to recompute, not an error."""
         config = tiny_llama_config()
         ref = reference_outputs(config, turns=4, convs=3, prompt_len=20, new_tokens=6)
-        # Default RetryPolicy allows 3 retries: four consecutive occurrence
+        # The retry budget is 3 retries: four consecutive occurrence
         # indices make the first restore's transfer terminally fail.
         plan = FaultPlan(seed=0, schedules={FaultSite.SWAP_IN: (0, 1, 2, 3)})
         server = StatefulChatServer(

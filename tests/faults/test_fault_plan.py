@@ -1,4 +1,4 @@
-"""Unit tests for the deterministic fault-injection plan and retry policy."""
+"""Unit tests for the deterministic fault-injection plan and retry budget."""
 
 import dataclasses
 
@@ -11,9 +11,9 @@ from repro.faults import (
     FaultPlan,
     FaultSite,
     RequestFaultedError,
-    RetryPolicy,
     attempt_with_retries,
 )
+from repro.faults.retry import BACKOFFS, MAX_RETRIES
 
 
 class TestSiteRegistry:
@@ -87,16 +87,6 @@ class TestFaultPlanSchedules:
         assert a[2] is True
         assert a[:2] == b[:2] and a[3:] == b[3:]
 
-    def test_max_failures_caps_fires(self):
-        plan = FaultPlan(
-            seed=0,
-            rates={FaultSite.SWAP_OUT: 1.0},
-            max_failures={FaultSite.SWAP_OUT: 3},
-        )
-        fired = [plan.fires(FaultSite.SWAP_OUT) for _ in range(10)]
-        assert sum(fired) == 3
-        assert fired[:3] == [True, True, True]
-
     def test_counting(self):
         plan = FaultPlan(seed=0, schedules={FaultSite.SWAP_IN: (1,)})
         for _ in range(4):
@@ -112,49 +102,35 @@ class TestFaultPlanSchedules:
 
 class TestRetryPolicy:
     def test_backoffs_grow_geometrically(self):
-        policy = RetryPolicy(max_retries=3, base_backoff=0.01, multiplier=2.0)
-        assert list(policy.backoffs()) == pytest.approx([0.01, 0.02, 0.04])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_backoff=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.0)
+        """Three retries, after 2, 4 and 8 ms: the exact floats the
+        doubling loop produced, so the sim clock's backoff sums hold."""
+        assert MAX_RETRIES == 3
+        assert BACKOFFS == (0.002, 0.004, 0.008)
 
     def test_attempt_success_first_try(self):
         plan = FaultPlan(seed=0)  # never fires
         counters = FaultCounters()
-        ok, retries, delay = attempt_with_retries(
-            plan, FaultSite.GPU_ALLOC, RetryPolicy(), counters
-        )
+        ok, retries, delay = attempt_with_retries(plan, FaultSite.GPU_ALLOC, counters)
         assert (ok, retries, delay) == (True, 0, 0.0)
         assert counters == FaultCounters()
 
     def test_attempt_recovers_after_transient(self):
         # Occurrences 0 and 1 fail, 2 succeeds.
         plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0, 1)})
-        policy = RetryPolicy(max_retries=3, base_backoff=0.01, multiplier=2.0)
         counters = FaultCounters()
-        ok, retries, delay = attempt_with_retries(
-            plan, FaultSite.GPU_ALLOC, policy, counters
-        )
+        ok, retries, delay = attempt_with_retries(plan, FaultSite.GPU_ALLOC, counters)
         assert ok
         assert retries == 2
-        assert delay == pytest.approx(0.01 + 0.02)
+        assert delay == 0.002 + 0.004
         assert (counters.retries, counters.alloc_faults) == (2, 1)
 
     def test_attempt_exhausts_retries(self):
         plan = FaultPlan(seed=0, schedules={FaultSite.GPU_ALLOC: (0, 1, 2, 3)})
-        policy = RetryPolicy(max_retries=3, base_backoff=0.01, multiplier=2.0)
         counters = FaultCounters()
-        ok, retries, delay = attempt_with_retries(
-            plan, FaultSite.GPU_ALLOC, policy, counters
-        )
+        ok, retries, delay = attempt_with_retries(plan, FaultSite.GPU_ALLOC, counters)
         assert not ok
         assert retries == 3
-        assert delay == pytest.approx(sum(policy.backoffs()))
+        assert delay == 0.002 + 0.004 + 0.008
         assert (counters.retries, counters.alloc_faults) == (3, 1)
 
     @pytest.mark.parametrize(
@@ -163,16 +139,16 @@ class TestRetryPolicy:
          (FaultSite.SWAP_IN, None)],
     )
     def test_attempt_counts_sites_that_faulted_at_all(self, site, counter):
-        """One fault, retried or not, is one count at its own site's
-        counter; a transfer site has none (its terminal failures count
-        where the caller degrades)."""
-        for max_retries in (0, 3):
+        """One fault, recovered or terminal, is one count at its own
+        site's counter; a transfer site has none (its terminal failures
+        count where the caller degrades)."""
+        for faults in (1, 4):
             counters = FaultCounters()
-            plan = FaultPlan(seed=0, schedules={site: (0,)})
-            attempt_with_retries(plan, site, RetryPolicy(max_retries), counters)
+            plan = FaultPlan(seed=0, schedules={site: range(faults)})
+            ok, _, _ = attempt_with_retries(plan, site, counters)
+            assert ok is (faults == 1)
             expected = {} if counter is None else {counter: 1}
-            if max_retries:
-                expected["retries"] = 1  # the first retry succeeds
+            expected["retries"] = min(faults, MAX_RETRIES)
             assert {k: v for k, v in counters.as_dict().items() if v} == expected
 
 

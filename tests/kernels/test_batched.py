@@ -89,12 +89,16 @@ class TestBatchedSingleToken:
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_explicit_scale(self, rng):
-        requests, k_cache, v_cache = make_batch(rng, [8, 19])
-        batched = batched_single_token_attention(
-            requests, k_cache, v_cache, scale=0.3
-        )
-        loop = single_token_attention(requests, k_cache, v_cache, scale=0.3)
-        for got, want in zip(batched, loop):
+        """Scores are scaled by ``1/sqrt(head_dim)``, written out here as
+        a plain softmax over each request's context."""
+        requests, k_cache, v_cache = make_batch(rng, [8, 19], head_dim=16)
+        batched = batched_single_token_attention(requests, k_cache, v_cache)
+        for got, request in zip(batched, requests):
+            k, v = k_cache[request.slots], v_cache[request.slots]
+            scores = np.einsum("hd,chd->hc", request.query[0], k) / 4.0
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            want = np.einsum("hc,chd->hd", weights, v)[None]
             np.testing.assert_allclose(got, want, **TOL)
 
     def test_empty_batch(self, rng):

@@ -54,12 +54,6 @@ class TestAgainstReference:
         expected = reference_attention(request.query, k_rep, v_rep)
         np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-9)
 
-    def test_custom_scale(self, rng):
-        request, k_log, v_log, k_cache, v_cache = make_request(rng, q_len=4, ctx=16)
-        out = multi_token_attention([request], k_cache, v_cache, scale=0.5)[0]
-        expected = reference_attention(request.query, k_log, v_log, scale=0.5)
-        np.testing.assert_allclose(out, expected, rtol=1e-9, atol=1e-9)
-
 
 class TestCausality:
     def test_future_kv_does_not_influence_output(self, rng):

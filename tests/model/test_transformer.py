@@ -396,6 +396,18 @@ class TestValidation:
                 positions=np.array([0]),
             )
 
+    @pytest.mark.parametrize("position", [-1, 3])
+    def test_positions_outside_the_context_rejected(self, position):
+        """A position must name one of the context's slots: a negative
+        one would wrap to the context's end in ``write_slots`` and
+        overwrite another token's K/V."""
+        with pytest.raises(ValueError, match="positions"):
+            ForwardRequest(
+                input_ids=[1, 2],
+                context_slots=[0, 1, 2],
+                positions=np.array([position, 2]),
+            )
+
     def test_storage_mismatch_rejected(self):
         opt = tiny_opt_config()
         llama = tiny_llama_config()

@@ -192,8 +192,8 @@ class _ReferencePathOverRaggedKernel(Backend):
     only in *how* they apply RoPE and store KV — which must not change a
     bit."""
 
-    def multi_token_attention(self, requests, k_cache, v_cache, scale=0.0):
-        return self.ragged_attention(requests, k_cache, v_cache, scale)
+    def multi_token_attention(self, requests, k_cache, v_cache):
+        return self.ragged_attention(requests, k_cache, v_cache)
 
 
 def test_whole_batch_rope_and_single_kv_write_are_bit_exact(config, dtype):

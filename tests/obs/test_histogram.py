@@ -13,6 +13,7 @@ import pytest
 
 from repro.obs.histogram import (
     DEFAULT_BASE,
+    DEFAULT_MIN_VALUE,
     Histogram,
     HistogramSet,
 )
@@ -43,14 +44,14 @@ class TestHistogram:
         assert hist.cumulative_buckets() == []
 
     def test_underflow_bucket(self):
-        hist = Histogram("tiny", min_value=1e-6)
+        hist = Histogram("tiny")
         hist.record(0.0)
         hist.record(-1.0)  # defensive clamp, never raises
         hist.record(1e-9)
         assert hist.count == 3
         buckets = hist.buckets()
         assert len(buckets) == 1
-        assert buckets[0] == (1e-6, 3)
+        assert buckets[0] == (DEFAULT_MIN_VALUE, 3)
 
     def test_bucket_bounds_contain_samples(self):
         hist = Histogram("bounds")
@@ -97,16 +98,14 @@ class TestHistogram:
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
-            Histogram("x", min_value=0.0)
-        with pytest.raises(ValueError):
-            Histogram("x", base=1.0)
-        with pytest.raises(ValueError):
             Histogram("x", clock="cpu")
 
     def test_exact_boundary_lands_in_lower_bucket(self):
-        hist = Histogram("edge", min_value=1.0, base=2.0)
-        hist.record(2.0)  # exactly the upper bound of bucket 1
-        assert hist.buckets() == [(2.0, 1)]
+        hist = Histogram("edge")
+        uppers = [hist.bucket_upper(i) for i in (1, 4, 40)]
+        for upper in uppers:
+            hist.record(upper)  # exactly the upper bound of its bucket
+        assert hist.buckets() == [(upper, 1) for upper in uppers]
 
     def test_as_dict_json_serializable(self):
         hist = Histogram("h", labels={"tier": "cpu"}, clock="wall")

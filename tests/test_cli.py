@@ -120,6 +120,18 @@ class TestSimulate:
             )
 
     @pytest.mark.parametrize("command", [
+        ["simulate", "--rate", "2", "--duration", "40"],
+        ["trace", "fig15x", "--rates", "2", "--duration", "40"],
+    ], ids=["simulate", "trace"])
+    def test_negative_disk_tokens_exit_with_the_message(self, command):
+        """The cache manager's message, as ``sweep`` and ``chat`` give it,
+        not a traceback (the run stops before anything is written)."""
+        with pytest.raises(
+            SystemExit, match=r"^repro \w+: disk_capacity_tokens must be non-negative"
+        ):
+            main(command + ["--model", "opt-13b", "--disk-tokens", "-5"])
+
+    @pytest.mark.parametrize("command", [
         ["simulate", "--rate", "nan", "--duration", "30"],
         ["simulate", "--think-time", "nan"],
         ["simulate", "--duration", "nan"],

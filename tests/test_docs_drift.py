@@ -3,7 +3,8 @@
 Scoped to what can be checked without judgement, in ``README.md``,
 ``DESIGN.md`` and ``ARCHITECTURE.md``: relative links resolve, every
 ``src/repro/...`` and ``examples/*.py`` path exists, every backticked
-``repro.…`` dotted name resolves, every module DESIGN.md's two tables
+``repro.…`` dotted name and ``Class.member`` name resolves, every module
+DESIGN.md's two tables
 name imports, the module map lists every package under ``src/repro``, each
 ``python -m repro {...}`` subcommand list is the parser's, and every
 ``python -m repro ...`` command line in README.md and ARCHITECTURE.md
@@ -12,8 +13,12 @@ parses.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib
+import inspect
 import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -99,6 +104,54 @@ def test_dotted_names_resolve(doc):
     names = set(re.findall(r"`(repro(?:\.\w+)+)", _text(doc)))
     stale = sorted(name for name in names if not _resolves(name))
     assert not stale, f"{doc} names repro objects that do not exist: {stale}"
+
+
+@lru_cache(maxsize=None)
+def _repro_classes() -> dict:
+    """Every top-level class under ``src/repro``, by name."""
+    src = ROOT / "src"
+    classes = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(src).with_suffix("").parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                cls = getattr(importlib.import_module(module), node.name)
+                classes.setdefault(node.name, []).append(cls)
+    return classes
+
+
+def _has_member(cls: type, member: str) -> bool:
+    """A class attribute, property or enum member, a dataclass field, or
+    a ``self.member =`` assignment in the source of ``cls`` or a repro
+    base class."""
+    if hasattr(cls, member):
+        return True
+    assigned = re.compile(rf"\bself\.{member}\s*(?::[^=\n]+)?=(?!=)")
+    for klass in cls.__mro__:
+        if dataclasses.is_dataclass(klass) and member in {
+            field.name for field in dataclasses.fields(klass)
+        }:
+            return True
+        if klass.__module__.startswith("repro.") and assigned.search(
+            inspect.getsource(klass)
+        ):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_class_members_resolve(doc):
+    """A backticked ``Class.member`` whose class part is CamelCase names
+    a repro class and one of its members; all-caps file names such as
+    ``BENCHMARK.json`` are left alone."""
+    names = set(re.findall(r"`([A-Z]\w*[a-z]\w*)\.(\w+)", _text(doc)))
+    classes = _repro_classes()
+    stale = sorted(
+        f"{cls}.{member}" for cls, member in names
+        if not any(_has_member(c, member) for c in classes.get(cls, ()))
+    )
+    assert not stale, f"{doc} names class members that do not exist: {stale}"
 
 
 @pytest.mark.parametrize("module", _design_modules())

@@ -1,8 +1,13 @@
 """Tests for arrival processes, the tokenizer and the conversation driver."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.core.engine import PensieveEngine
+from repro.experiments.common import run_serving_once
 from repro.serving import make_vllm
 from repro.sim import EventLoop
 from repro.workload import (
@@ -118,3 +123,22 @@ class TestConversationDriver:
         ConversationDriver(loop, engine, [])
         with pytest.raises(RuntimeError):
             ConversationDriver(loop, engine, [])
+
+    def test_served_engine_is_freed_without_the_collector(self):
+        """The engine's finish hook must not hold the driver after the
+        run: with the cyclic collector off, the engine
+        ``run_serving_once`` returns (manager, metrics, loop) is freed
+        as soon as it is dropped."""
+        convs = [scripted_conversation(i, [(5, 3), (4, 2)]) for i in range(3)]
+        gc.disable()
+        try:
+            engine, stats = run_serving_once(
+                lambda loop: PensieveEngine(loop, TINY, spec_with_capacity(2048)),
+                convs,
+            )
+            assert stats.num_requests == 6
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
