@@ -301,14 +301,14 @@ class PensieveEngine(EngineBase):
                     self._fail_request(request, now, "gpu_alloc")
             decoders = survivors
         conv_ids = [r.conversation.conv_id for r in decoders]
-        grown = self.manager.append_decode_step(conv_ids)
+        grown = self.manager.append_decode_step(conv_ids, now)
         while grown < len(decoders):
             # Request ``grown`` did not fit: it alone is suspended.  Not
             # reached after the suspensions above (each growth takes one
             # of the at least ``len(decoders)`` available slots).
             self._suspend(decoders.pop(grown), now)
             del conv_ids[grown]
-            grown += self.manager.append_decode_step(conv_ids[grown:])
+            grown += self.manager.append_decode_step(conv_ids[grown:], now)
         return decoders, conv_ids
 
     def _price(
@@ -628,7 +628,7 @@ class PensieveEngine(EngineBase):
         try:
             # Account the final output token's KV row as well, so the
             # cached context matches the full conversation history.
-            self.manager.append_tokens(request.conv_id, 1)
+            self.manager.append_tokens(request.conv_id, 1, now)
         except CacheCapacityError:
             pass  # cache brim-full; the next turn recomputes one token
         self.manager.close(request.conv_id, now)

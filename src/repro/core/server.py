@@ -629,7 +629,7 @@ class StatefulChatServer:
             raise self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
         if self.manager.gpu_available_tokens < 1:
             self._ensure_capacity(1, now)
-        self.manager.append_tokens(conv_id, 1)
+        self.manager.append_tokens(conv_id, 1, now)
         table.append_tokens(1)
 
     # ------------------------------------------------------------------
@@ -674,6 +674,11 @@ class StatefulChatServer:
             Mapping of conversation id to its generated token ids.
             Conversations whose requests failed individually under an
             armed fault plan are omitted (see ``self.failures``).
+
+        Raises:
+            ValueError: before anything changes, on a bad argument or a
+                turn whose system prompt, history, prompt and
+                ``max_new_tokens`` exceed ``config.max_position``.
         """
         if max_new_tokens < 1:
             raise ValueError(f"max_new_tokens must be >= 1, got {max_new_tokens}")
@@ -683,9 +688,22 @@ class StatefulChatServer:
             raise ValueError("duplicate conversation ids in one batch")
         if self.SYSTEM_CONV_ID in conv_ids:
             raise ValueError(f"conversation id {self.SYSTEM_CONV_ID} is reserved")
+        # Every position of the turn, the last token's included (its K/V
+        # is written by the next prefill), must exist in the model.
+        limit = self.config.max_position
+        shared = len(self._system_slots)
         for conv_id, prompt_ids in prompts:
             if not prompt_ids:
                 raise ValueError(f"empty prompt for conversation {conv_id}")
+            positions = (
+                shared + self.context_length(conv_id) + len(prompt_ids) + max_new_tokens
+            )
+            if positions > limit:
+                raise ValueError(
+                    f"conversation {conv_id} would need {positions} positions "
+                    f"(system prompt, history, prompt and {max_new_tokens} new "
+                    f"tokens); the model holds max_position={limit}"
+                )
         # The clock moves only for a call that passed validation: a
         # rejected call must not shift later turns' retention T.
         self._clock += 1.0

@@ -82,6 +82,9 @@ def run_serving_once(
         sampler.attach(loop, engine)
     driver = ConversationDriver(loop, engine, conversations)
     driver.run(until=until, max_events=MAX_EVENTS)
+    # Nothing resumes this loop: the events a horizon cut off hold bound
+    # methods of the engine and its ConversationDriver, a cycle.
+    loop.discard_pending()
     if tracer is not None:
         tracer.close_open(loop.now)
     flight = engine.metrics.flight

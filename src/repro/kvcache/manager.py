@@ -46,9 +46,12 @@ conversations, and one CPU stream serves a whole ``swap_out`` however
 often its copies find the CPU tier full.  The scan is one comprehension
 that calls the scorer through its bound ``__call__``, fetched once per
 scan.  Decode growth of a whole batch is one
-:meth:`~TieredCacheManager.append_decode_step` call whose common case
-bumps a partial GPU tail and the GPU total in place; it calls
-:meth:`~TieredCacheManager._extend` only to create a chunk.  A
+:meth:`~TieredCacheManager.append_decode_step` call: on a full GPU it
+reclaims the step's whole deficit through one ``GPU_CPU`` stream scored
+at the caller's ``now`` (the iteration's clock, the eviction time of
+§4.3.1), and its common case bumps a partial GPU tail and the GPU total
+in place; it calls :meth:`~TieredCacheManager._extend` only to create a
+chunk.  A
 ``swap_out`` with no evictable GPU token returns before it scans.
 :meth:`_audit` re-derives the counters, the index and every layout from
 scratch and is exercised by the test suite.
@@ -59,8 +62,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Callable, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
@@ -610,9 +613,10 @@ class TieredCacheManager:
         cache.check_layout()
         return cache
 
-    def append_tokens(self, conv_id: int, count: int) -> None:
-        """Extend a pinned conversation's context (decode-step growth).
-        A refusal comes before any state changes.
+    def append_tokens(self, conv_id: int, count: int, now: float) -> None:
+        """Extend a pinned conversation's context (decode-step growth),
+        reclaiming other conversations' copies scored at ``now`` when the
+        GPU tier is full.  A refusal comes before any state changes.
 
         Raises:
             CacheCapacityError: if the GPU tier is full even after
@@ -626,12 +630,18 @@ class TieredCacheManager:
         # Before _make_room: grow_tail would refuse only after other
         # conversations' chunks had been reclaimed.
         cache.check_growable()
-        self._make_room(conv_id, count, cache.last_active)
+        self._make_room(conv_id, count, now)
         self._extend(cache, count)
 
-    def append_decode_step(self, conv_ids: Sequence[int]) -> int:
+    def append_decode_step(self, conv_ids: Sequence[int], now: float) -> int:
         """One decode step for a whole batch: grow each conversation by one
-        token, in order — exactly ``append_tokens(conv_id, 1)`` for each.
+        token, in order.
+
+        The step's deficit (growers minus free slots) is reclaimed first,
+        from the copies of conversations outside the batch, through one
+        victim stream scored at ``now``: for a batch of pinned
+        conversations, exactly ``append_tokens(conv_id, 1, now)`` for
+        each in order, with one scan instead of one per reclaimed chunk.
 
         Returns how many conversations grew: all of them, or the position
         of the first that did not fit, which is left as it was (the caller
@@ -650,18 +660,27 @@ class TieredCacheManager:
                 tail = chunks[-1]
                 if tail.location is not _GPU and tail.end - tail.start < chunk_size:
                     cache.check_growable()  # raises
-        capacity = self.gpu_capacity_tokens
+        fits = len(caches)
+        deficit = fits - self.gpu_free_tokens
+        if deficit > 0:
+            # Checked before anything moves: the batch's own copies are
+            # never reclaimed for it, and whoever the rest cannot make
+            # room for does not grow.
+            available = self._reclaimable
+            inside = [cache for cache in caches if not cache.pinned]
+            for cache in inside:
+                available -= cache.tokens_in(_GPU_CPU)
+            if deficit > available:
+                fits -= deficit - available
+                deficit = available
+            if deficit:
+                exclude = [cache.conv_id for cache in inside]
+                reclaimed = self.reclaim(deficit, now, exclude)
+                assert reclaimed >= deficit, (reclaimed, deficit)
         # The GPU total stays in a local while tails grow in place, and is
         # written back around every call that reads or changes it.
         resident = self._gpu_resident
-        for grown, cache in enumerate(caches):
-            if resident >= capacity:
-                self._gpu_resident = resident
-                try:
-                    self._make_room(cache.conv_id, 1, cache.last_active)
-                except CacheCapacityError:
-                    return grown
-                resident = self._gpu_resident
+        for cache in caches[:fits]:
             chunks = cache.chunks
             if chunks:
                 tail = chunks[-1]
@@ -676,7 +695,7 @@ class TieredCacheManager:
             self._extend(cache, 1)
             resident = self._gpu_resident
         self._gpu_resident = resident
-        return len(caches)
+        return fits
 
     def _make_room(self, conv_id: int, tokens: int, now: float) -> None:
         """Reclaim other conversations' copies until ``tokens`` more fit
@@ -697,7 +716,7 @@ class TieredCacheManager:
                 f"{tokens} more GPU tokens do not fit "
                 f"(free={self.gpu_free_tokens}, reclaimable={available})"
             )
-        reclaimed = self.reclaim(deficit, now, exclude=conv_id)
+        reclaimed = self.reclaim(deficit, now, (conv_id,))
         assert reclaimed >= deficit, (reclaimed, deficit)
 
     def invalidate_prefix(
@@ -768,7 +787,7 @@ class TieredCacheManager:
     # ------------------------------------------------------------------
 
     def _victims(
-        self, location: ChunkLocation, now: float, exclude: Optional[int] = None
+        self, location: ChunkLocation, now: float, exclude: Collection[int] = ()
     ) -> Iterator[Tuple[float, Chunk, ConversationCache]]:
         """Lazily yield ``(score, chunk, cache)`` eviction victims of
         ``location`` in ascending ``(score, conv_id)`` order.
@@ -803,7 +822,7 @@ class TieredCacheManager:
         heap = [
             (scorer(chunk, cache.last_active, now), conv_id, chunk, cache)
             for conv_id, chunk in frontier.items()
-            if not (cache := conversations[conv_id]).pinned and conv_id != exclude
+            if not (cache := conversations[conv_id]).pinned and conv_id not in exclude
         ]
         heapq.heapify(heap)
         while heap:
@@ -826,7 +845,7 @@ class TieredCacheManager:
         tokens_needed: int,
         now: float,
         step: Callable[[ConversationCache, Chunk, float, float], Optional[str]],
-        exclude: Optional[int] = None,
+        exclude: Collection[int] = (),
         victims: Optional[Iterator[Tuple[float, Chunk, ConversationCache]]] = None,
         max_score: Optional[float] = None,
     ) -> int:
@@ -951,10 +970,11 @@ class TieredCacheManager:
         return dropped
 
     def reclaim(
-        self, tokens_needed: int, now: float, exclude: Optional[int] = None
+        self, tokens_needed: int, now: float, exclude: Collection[int] = ()
     ) -> int:
         """Actually free GPU slots of already-copied chunks
-        (``GPU_CPU -> CPU``).  Returns tokens freed (may fall short)."""
+        (``GPU_CPU -> CPU``), none of the conversations in ``exclude``.
+        Returns tokens freed (may fall short)."""
 
         def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
             self._move(cache, chunk, _CPU)

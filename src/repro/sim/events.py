@@ -169,5 +169,13 @@ class EventLoop:
             self._running = False
         return dispatched
 
+    def discard_pending(self) -> None:
+        """Drop every queued event undispatched.
+
+        For a loop that will not run again: a queued event holds its
+        callback, and so the callback's owner, as long as the loop lives.
+        """
+        self._queue.clear()
+
     def __repr__(self) -> str:
         return f"EventLoop(now={self._now:.6f}, pending={self.pending})"

@@ -143,8 +143,10 @@ class TestBatchSemantics:
             ([(0, [1]), (0, [2])], 2),
             ([(StatefulChatServer.SYSTEM_CONV_ID, [1, 2])], 2),
             ([(0, [1, 2])], 0),
+            # 5 cached + 506 + 2 positions: one past ``max_position``.
+            ([(0, [1] * 506)], 2),
         ],
-        ids=["empty", "duplicate", "reserved", "max_new_tokens"],
+        ids=["empty", "duplicate", "reserved", "max_new_tokens", "max_position"],
     )
     def test_rejected_call_leaves_the_clock_alone(
         self, config, rejected, max_new_tokens

@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.gpu.device import A100_80GB
+from repro.kvcache import ChunkLocation
 from repro.model.config import OPT_13B
 from repro.obs import FlightRecorder, HistogramSet, SloConfig, Tracer
 from repro.serving import BatchConfig, make_vllm
@@ -274,6 +276,45 @@ class TestCacheManagement:
         )
         assert engine.suspensions > 0
         assert len(engine._prefill_info) <= len(engine.running)
+
+    def test_a_decode_step_reclaims_through_one_stream(self):
+        """Twelve decoders on a full 512-token GPU with 4-token chunks: a
+        step's deficit can span several copies.  No iteration's decode
+        growth opens more than one ``GPU_CPU`` victim stream (one scan per
+        reclaimed chunk would open one per copy), and some iteration
+        reclaims through one."""
+        convs = [
+            scripted_conversation(i, [(40, 60), (20, 40)], think=0.5)
+            for i in range(12)
+        ]
+        streams = Counter()
+
+        def factory(loop):
+            engine = PensieveEngine(loop, TINY, spec_with_capacity(512), chunk_size=4)
+            manager = engine.manager
+            append_decode_step, victims = manager.append_decode_step, manager._victims
+            growing = []
+
+            def counted_step(conv_ids, now):
+                growing.append(True)
+                try:
+                    return append_decode_step(conv_ids, now)
+                finally:
+                    growing.pop()
+
+            def counted_victims(location, now, exclude=()):
+                if growing and location is ChunkLocation.GPU_CPU:
+                    streams[engine.iterations] += 1
+                return victims(location, now, exclude)
+
+            manager.append_decode_step = counted_step
+            manager._victims = counted_victims
+            return engine
+
+        engine, stats = run_serving_once(factory, convs)
+        assert stats.num_requests == 24 and engine.suspensions > 0
+        assert streams and max(streams.values()) == 1, streams
+        engine.manager._audit()
 
     def test_counters_stay_consistent(self):
         convs = [

@@ -136,6 +136,56 @@ class TestEquivalenceUnderPressure:
         tight.manager._audit()
 
 
+class TestContextLimit:
+    """A turn whose positions would pass ``config.max_position`` (system
+    prompt, cached history with its unwritten last token, prompt and
+    ``max_new_tokens``) is refused before anything moves."""
+
+    SYSTEM = list(range(4, 12))
+
+    def served(self, config):
+        server = StatefulChatServer(
+            config, seed=3, chunk_size=16, gpu_capacity_tokens=1024
+        )
+        server.set_system_prompt(prompt_ids=self.SYSTEM)
+        server.chat(0, prompt_ids=[5] * 20, max_new_tokens=4)
+        return server
+
+    def room(self, server, config):
+        return config.max_position - len(self.SYSTEM) - server.context_length(0)
+
+    def test_a_turn_past_max_position_is_refused_up_front(self, config):
+        server = self.served(config)
+        before = (
+            server.context_length(0), list(server.raw_tokens[0]),
+            dict(server.manager.stats), server.placement(0),
+        )
+        too_long = [7] * (self.room(server, config) - 3)
+        with pytest.raises(ValueError, match=r"conversation 0 .*max_position=512"):
+            server.chat(0, prompt_ids=too_long, max_new_tokens=4)
+        with pytest.raises(ValueError, match="conversation 0"):
+            server.chat_batch([(1, [3]), (0, too_long)], max_new_tokens=4)
+        assert (
+            server.context_length(0), server.raw_tokens[0],
+            server.manager.stats, server.placement(0),
+        ) == before
+        server.manager._audit()
+        # The clock did not move either: the next turn is a fresh
+        # server's second turn, to the token and the counter.
+        fresh = self.served(config)
+        assert server.chat(0, prompt_ids=[9, 10], max_new_tokens=4) == fresh.chat(
+            0, prompt_ids=[9, 10], max_new_tokens=4
+        )
+        assert server.manager.stats == fresh.manager.stats
+        assert server.raw_tokens == fresh.raw_tokens
+
+    def test_a_turn_that_fills_max_position_is_served(self, config):
+        server = self.served(config)
+        fits = [7] * (self.room(server, config) - 4)
+        assert len(server.chat(0, prompt_ids=fits, max_new_tokens=4)) == 4
+        assert len(self.SYSTEM) + server.context_length(0) == config.max_position
+
+
 class TestPlacementIntrospection:
     def test_placement_reports_figure5_segments(self):
         config = tiny_opt_config()

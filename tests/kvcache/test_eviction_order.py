@@ -71,13 +71,14 @@ PROFILE = AttentionCostProfile(
 )
 
 
-def scored_frontiers(mgr, loc, now, exclude=None):
+def scored_frontiers(mgr, loc, now, exclude=()):
     """The oracle: every unpinned conversation's earliest chunk in ``loc``
-    as ``(score, conv_id, chunk index)``, from the chunk lists alone."""
+    outside ``exclude``, scored at ``now``, as ``(score, conv_id, chunk
+    index)``, from the chunk lists alone."""
     keys = []
     for cache in mgr.conversations():
         chunk = cache.frontier(loc)
-        if chunk is None or cache.pinned or cache.conv_id == exclude:
+        if chunk is None or cache.pinned or cache.conv_id in exclude:
             continue
         score = mgr.scorer(chunk, cache.last_active, now)
         keys.append((score, cache.conv_id, chunk.index))
@@ -149,7 +150,7 @@ class Walk:
             # ones a demotion displaces or a drop takes ahead of it.
             assert old is DISK, (self.call, chunk, old, new)
 
-    def min_key(self, loc, chunk, old, new, exclude=None):
+    def min_key(self, loc, chunk, old, new, exclude=()):
         """``(conv_id, index)`` of the minimum the manager chose from: the
         observer runs after the move, so put the chunk back to look."""
         chunk.location = old
@@ -168,7 +169,7 @@ class Walk:
             assert not scored_frontiers(self.mgr, CPU, self.call[1]), self.call
         self.collateral = None
 
-    def evicting(self, loc, now, call, exclude=None):
+    def evicting(self, loc, now, call, exclude=()):
         self.call, self.picked = (loc, now, exclude), None
         self.failures_seen = self.mgr.fault_counters.swap_out_failures
         try:
@@ -200,14 +201,22 @@ class Walk:
         elif kind == "append":
             _, conv, tokens = op
             if conv in self.open_convs:
-                # Decode growth reclaims at the conversation's own stamp.
-                stamp = mgr.conversation(conv).last_active
+                # Decode growth reclaims at the caller's clock.
                 try:
                     self.evicting(
-                        GPU_CPU, stamp, lambda: mgr.append_tokens(conv, tokens), conv
+                        GPU_CPU, now, lambda: mgr.append_tokens(conv, tokens, now),
+                        (conv,),
                     )
                 except CacheCapacityError:
                     pass
+        elif kind == "step":
+            # One decode step of every open (pinned) conversation: its
+            # whole deficit is one GPU_CPU stream scored at ``now``.
+            _, size = op
+            batch = sorted(self.open_convs)[:size]
+            before = self.checked[GPU_CPU]
+            self.evicting(GPU_CPU, now, lambda: mgr.append_decode_step(batch, now))
+            self.checked["step"] += self.checked[GPU_CPU] - before
         elif kind == "close":
             _, conv = op
             if conv in self.open_convs:
@@ -227,7 +236,8 @@ class Walk:
             if mgr.reclaimable_tokens + mgr.gpu_free_tokens - free < tokens:
                 assert not scored_frontiers(mgr, GPU, now)
         elif kind == "reclaim":
-            _, tokens, exclude = op
+            _, tokens, conv = op
+            exclude = () if conv is None else (conv,)
             freed = self.evicting(
                 GPU_CPU, now, lambda: mgr.reclaim(tokens, now, exclude=exclude), exclude
             )
@@ -274,6 +284,7 @@ TICK = st.sampled_from([0.0, 0.0, 1.0, 2.0])
 OPERATION = st.one_of(
     st.tuples(st.just("turn"), CONVS, st.integers(1, 70)),
     st.tuples(st.just("append"), CONVS, st.integers(1, 8)),
+    st.tuples(st.just("step"), st.integers(1, 6)),
     st.tuples(st.just("close"), CONVS),
     st.tuples(st.just("swap_out"), TOKENS, st.one_of(st.none(), st.integers(0, 3))),
     st.tuples(st.just("reclaim"), TOKENS, st.one_of(st.none(), CONVS)),
@@ -313,6 +324,19 @@ STALE_CPU_ENTRY = [
 ]
 
 
+#: One decode step of three conversations on a full GPU: conversations 0,
+#: 1 and 2 hold one copied token each, so the step's deficit of three is
+#: three victims of one stream, ranked at the step's clock.
+DECODE_STEP = [
+    step
+    for conv in range(3)
+    for step in ((1.0, ("turn", conv, 1)), (0.0, ("close", conv)))
+] + [
+    (1.0, ("swap_out", 3, None)), (0.0, ("turn", 3, 100)),
+    (0.0, ("turn", 4, 100)), (0.0, ("turn", 5, 53)), (2.0, ("step", 6)),
+]
+
+
 #: Retention values interleave across conversations: at t = 3, conv 0
 #: (three chunks, idle 2 s) scores 0.5, 1.0, 1.5 and conv 1 (one chunk,
 #: idle 1.5 s) 0.67, so the second victim is conv 1's chunk, not conv 0's
@@ -327,7 +351,8 @@ INTERLEAVED = [
 def test_the_walk_reaches_every_eviction_path():
     """The oracle only means something if the walk evicts: fixed scripts
     must have it check victims leaving every tier, a successor
-    whose own score puts it behind another conversation, and CPU victims
+    whose own score puts it behind another conversation, a decode step's
+    several reclaim victims, and CPU victims
     nested under ``swap_out`` after a front-drop made an entry of its CPU
     stream stale."""
     walk = Walk(disk=96, policy="lru", whole=False)
@@ -347,6 +372,11 @@ def test_the_walk_reaches_every_eviction_path():
     for tick, op in INTERLEAVED:
         walk.apply(tick, op)
     assert walk.checked[GPU] == 2, walk.checked
+    for policy in ("lru", "retention-value"):
+        walk = Walk(disk=0, policy=policy, whole=False)
+        for tick, op in DECODE_STEP:
+            walk.apply(tick, op)
+        assert walk.checked["step"] == 3, walk.checked
     for disk in (0, 96):
         walk = Walk(disk=disk, policy="lru", whole=False)
         for tick, op in STALE_CPU_ENTRY:

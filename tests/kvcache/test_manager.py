@@ -272,7 +272,7 @@ class TestAppendTokens:
         mgr = make_manager()
         mgr.open(1, 0.0)
         mgr.commit_restore(mgr.plan_restore(1, 10), now=0.0)
-        mgr.append_tokens(1, 5)
+        mgr.append_tokens(1, 5, now=1.0)
         assert mgr.conversation(1).total_tokens == 15
 
     def test_growth_reclaims_when_full(self):
@@ -281,7 +281,7 @@ class TestAppendTokens:
         mgr.swap_out(96, now=1.0)
         mgr.open(2, 2.0)
         mgr.commit_restore(mgr.plan_restore(2, 30), now=2.0)
-        mgr.append_tokens(2, 5)  # 96+30+5 > 128: must reclaim from conv 1
+        mgr.append_tokens(2, 5, now=3.0)  # 96+30+5 > 128: must reclaim from conv 1
         assert mgr.conversation(2).total_tokens == 35
         assert mgr.gpu_resident_tokens <= 128
 
@@ -290,7 +290,7 @@ class TestAppendTokens:
         mgr.open(1, 0.0)
         mgr.commit_restore(mgr.plan_restore(1, 60), now=0.0)
         with pytest.raises(CacheCapacityError):
-            mgr.append_tokens(1, 10)
+            mgr.append_tokens(1, 10, now=1.0)
 
     def test_refused_growth_is_atomic(self):
         """Regression: a refused append used to *partially* reclaim other
@@ -310,7 +310,7 @@ class TestAppendTokens:
         }
         # Deficit 78 exceeds the 64 reclaimable tokens: must refuse.
         with pytest.raises(CacheCapacityError):
-            mgr.append_tokens(2, 80)
+            mgr.append_tokens(2, 80, now=3.0)
         assert mgr.gpu_resident_tokens == before["gpu_resident"]
         assert mgr.reclaimable_tokens == before["reclaimable"]
         cache = mgr.conversation(1)
@@ -319,7 +319,7 @@ class TestAppendTokens:
         assert mgr.conversation(2).total_tokens == 30
         mgr._audit()
         # The same growth succeeds once it fits the reclaimable budget.
-        mgr.append_tokens(2, 60)
+        mgr.append_tokens(2, 60, now=3.0)
         assert mgr.conversation(2).total_tokens == 90
         mgr._audit()
 
@@ -358,7 +358,7 @@ class TestAppendTokens:
         mgr = self.stranded_tail_manager()
         before = self.snapshot(mgr)
         with pytest.raises(ValueError) as refused:
-            mgr.append_tokens(1, 1)
+            mgr.append_tokens(1, 1, now=5.0)
         assert self.snapshot(mgr) == before
         assert isinstance(refused.value, TailNotOnGpuError)
         mgr._audit()
@@ -367,7 +367,7 @@ class TestAppendTokens:
         mgr = self.stranded_tail_manager()
         before = self.snapshot(mgr)
         with pytest.raises(TailNotOnGpuError):
-            mgr.append_decode_step([3, 1])
+            mgr.append_decode_step([3, 1], now=5.0)
         assert self.snapshot(mgr) == before
 
     def test_decode_step_stops_at_the_first_that_does_not_fit(self):
@@ -375,10 +375,10 @@ class TestAppendTokens:
         for conv, tokens in ((1, 60), (2, 3)):
             mgr.open(conv, 0.0)
             mgr.commit_restore(mgr.plan_restore(conv, tokens), now=0.0)
-        assert mgr.append_decode_step([1, 2]) == 1  # conv 1 took the last slot
+        assert mgr.append_decode_step([1, 2], now=1.0) == 1  # conv 1 took the last slot
         assert mgr.conversation(1).total_tokens == 61
         assert mgr.conversation(2).total_tokens == 3
-        assert mgr.append_decode_step([]) == 0
+        assert mgr.append_decode_step([], now=1.0) == 0
         mgr._audit()
 
 

@@ -81,7 +81,7 @@ class ChaosWalk:
             elif kind == "append":
                 cache = mgr.conversation(conv)
                 if conv in self.open_convs and cache is not None and cache.pinned:
-                    mgr.append_tokens(conv, rng.randint(1, 8))
+                    mgr.append_tokens(conv, rng.randint(1, 8), now)
             elif kind == "close":
                 if conv in self.open_convs:
                     mgr.close(conv, now)

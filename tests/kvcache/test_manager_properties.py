@@ -60,7 +60,7 @@ class ManagerMachine:
             elif kind == "append":
                 _, conv, tokens = op
                 if self.is_open(conv):
-                    mgr.append_tokens(conv, tokens)
+                    mgr.append_tokens(conv, tokens, now)
             elif kind == "close":
                 _, conv = op
                 if self.is_open(conv):

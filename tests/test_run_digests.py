@@ -379,8 +379,8 @@ DIGESTS = {
     "pensieve/2tier/unarmed/lru": "15b000cbac6526ca",
     "pensieve/2tier/armed/retention": "6a16af03ae45f835",
     "pensieve/2tier/armed/lru": "c1791895348977bc",
-    "pensieve/2tier/separate": "ab7e8c9b20377131",
-    "pensieve/3tier/unarmed/retention": "f90f415cd902be78",
+    "pensieve/2tier/separate": "fa578a635ce603ef",
+    "pensieve/3tier/unarmed/retention": "ebb9a07d0a9f2a21",
     "pensieve/3tier/unarmed/lru": "73f31d64cb21d232",
     "pensieve/3tier/armed/retention": "ce5a73b3f0018345",
     "pensieve/3tier/armed/lru": "29738aebe26911c9",
@@ -392,8 +392,8 @@ DIGESTS = {
     "model/float64/mixed-batch": "a1d82ab27d933482",
     "server/decode-steps": "62c9d98cb2c59beb",
     "telemetry/3tier/armed/seed11": "308dd540ef093e46",
-    "telemetry/3tier/armed/seed23": "829e041797b017a6",
-    "telemetry/3tier/armed/seed47": "7715f3aa65653c19",
+    "telemetry/3tier/armed/seed23": "20c2c1f26a7c6eec",
+    "telemetry/3tier/armed/seed47": "e2bc7a5b39e47bca",
 }
 
 

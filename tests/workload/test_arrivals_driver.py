@@ -142,3 +142,28 @@ class TestConversationDriver:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_horizon_cut_engine_is_freed_without_the_collector(self):
+        """A run cut by ``until`` leaves events queued (a pending
+        completion, later turns' submissions) that hold bound methods of
+        the engine and its ``ConversationDriver``; ``run_serving_once``
+        drops them, so the returned engine is freed as soon as it is
+        dropped."""
+        convs = [
+            scripted_conversation(i, [(5, 30), (4, 20)], start=0.01 * i, think=1.0)
+            for i in range(3)
+        ]
+        gc.disable()
+        try:
+            engine, _ = run_serving_once(
+                lambda loop: PensieveEngine(loop, TINY, spec_with_capacity(2048)),
+                convs,
+                until=1.1,
+            )
+            assert len(engine.metrics) == 3  # the second turns are in flight
+            assert engine.loop.pending == 0
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
