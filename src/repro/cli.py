@@ -110,11 +110,12 @@ def _write_trace(tracer, outdir: str, prefix: str = "trace") -> None:
         print(f"trace [{kind:6s}]: {paths[kind]}")
 
 
-def _slo_config(args: argparse.Namespace):
+def _slo_config(args: argparse.Namespace, command: str):
     """A SloConfig when any SLO/metrics flag was given, else None.
 
     ``--metrics-out`` alone arms the metrics layer with no objectives
     (histograms and the flight recorder record; nothing can violate).
+    A non-positive or NaN objective exits with ``repro <command>: ...``.
     """
     ttft = getattr(args, "slo_ttft", None)
     tbt = getattr(args, "slo_tbt", None)
@@ -122,7 +123,10 @@ def _slo_config(args: argparse.Namespace):
         return None
     from repro.obs import SloConfig
 
-    return SloConfig(ttft=ttft, tbt=tbt)
+    try:
+        return SloConfig(ttft=ttft, tbt=tbt)
+    except ValueError as error:
+        raise SystemExit(f"repro {command}: {error}") from None
 
 
 def _make_sampler(args: argparse.Namespace):
@@ -194,6 +198,15 @@ def cmd_chat(args: argparse.Namespace) -> int:
     from repro.core.server import StatefulChatServer
     from repro.model.config import tiny_llama_config, tiny_opt_config
 
+    if args.max_tokens < 1:
+        # ``chat_batch`` would refuse it only at the first turn.
+        raise SystemExit(
+            f"repro chat: --max-tokens must be at least 1, got {args.max_tokens}"
+        )
+    # Chat is a real (functional) server, so SLO metrics run on the WALL
+    # clock: --slo-ttft bounds the whole turn, --slo-tbt the per-token
+    # mean over the turn's max_new_tokens.
+    slo = _slo_config(args, "chat")
     config = tiny_llama_config() if args.arch == "llama" else tiny_opt_config()
     try:
         server = StatefulChatServer(
@@ -208,10 +221,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
     if args.system_prompt:
         server.set_system_prompt(args.system_prompt)
 
-    # Chat is a real (functional) server, so SLO metrics run on the WALL
-    # clock: --slo-ttft bounds the whole turn, --slo-tbt the per-token
-    # mean over the turn's max_new_tokens.
-    slo = _slo_config(args)
     hist = None
     violations = {"ttft": 0, "tbt": 0}
     if slo is not None:
@@ -292,7 +301,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise SystemExit(f"repro simulate: {error}") from None
     fault_plan = _fault_plan(args)
     tracer = _make_tracer(args)
-    slo = _slo_config(args)
+    slo = _slo_config(args, "simulate")
     sampler = _make_sampler(args)
     try:
         engine, stats = run_serving_once(
@@ -336,7 +345,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     config = _model(args.model)
     dataset = ULTRACHAT if args.dataset == "ultrachat" else SHAREGPT
-    slo = _slo_config(args)
+    slo = _slo_config(args, "sweep")
     total = hist = flight = extras_fn = None
     if slo is not None:
         # One collector totals the sweep: every rate's engine records into

@@ -34,7 +34,7 @@ from repro.gpu.link import Direction, Link, TransferRecord
 from repro.gpu.profiler import OfflineProfiler
 from repro.core.eviction import LruPolicy, RetentionValuePolicy
 from repro.faults import FaultPlan, FaultSite, attempt_with_retries
-from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
+from repro.kvcache.chunks import ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     CHUNK_SIZE,
     RESTORE_TIERS,
@@ -58,14 +58,15 @@ WORKER_STALL_SECONDS = 0.05
 def _collect_demotions(
     pending: List[int],
     cache: ConversationCache,
-    chunk: Chunk,
+    index: int,
     old: ChunkLocation,
     new: ChunkLocation,
 ) -> None:
     """Manager observer: collect CPU -> DISK demotions into ``pending``
     for coalesced NVMe pricing."""
     if old is ChunkLocation.CPU and new is ChunkLocation.DISK:
-        pending.append(chunk.num_tokens)
+        start, end = cache.span(index)
+        pending.append(end - start)
 
 
 @dataclass(slots=True)
@@ -549,12 +550,13 @@ class PensieveEngine(EngineBase):
         deficit = target - self.manager.gpu_available_tokens
         if deficit <= 0:
             return
-        copied = self.manager.swap_out(self.manager.reclaimable_tokens + deficit, now)
+        copied_chunks, copied_tokens = self.manager.swap_out(
+            self.manager.reclaimable_tokens + deficit, now
+        )
         self._flush_demotions(now)
-        copied_tokens = sum(c.num_tokens for c in copied)
         if copied_tokens:
             record = self._price(
-                self.pcie, Direction.D2H, now, copied_tokens, len(copied)
+                self.pcie, Direction.D2H, now, copied_tokens, copied_chunks
             )
             self._copy_log.append((record.end_time, copied_tokens))
             tracer = self.tracer

@@ -1,10 +1,11 @@
 """Eviction policies (§4.3.1).
 
 A policy is an :data:`~repro.kvcache.manager.EvictionScorer`: a callable
-``(chunk, last_active, now) -> score``; the cache manager evicts candidate
-chunks in **ascending** score order.  Because only the earliest chunk of
-each conversation in a given tier is ever a candidate, front-to-back
-ordering within a conversation is structural; the policy chooses *between*
+``(end, last_active, now) -> score``, where ``end`` is one past the
+candidate chunk's last token; the cache manager evicts candidate chunks in
+**ascending** score order.  Because only the earliest chunk of each
+conversation in a given tier is ever a candidate, front-to-back ordering
+within a conversation is structural; the policy chooses *between*
 conversations.
 
 Two scoring policies are provided:
@@ -29,7 +30,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.gpu.profiler import AttentionCostProfile
-from repro.kvcache.chunks import Chunk
 
 
 class RetentionValuePolicy:
@@ -56,19 +56,19 @@ class RetentionValuePolicy:
         # millions of times.
         self._cost: Dict[int, float] = {}
 
-    def __call__(self, chunk: Chunk, last_active: float, now: float) -> float:
+    def __call__(self, end: int, last_active: float, now: float) -> float:
         # ``max(now - last_active, min_idle)`` without the builtin call:
         # the same float either way.
         idle = now - last_active
         if idle < self.min_idle:
             idle = self.min_idle
         # ``l`` is the context size the chunk attends to during
-        # recomputation: everything up to and including the chunk itself.
-        context_len = chunk.end
+        # recomputation: everything up to and including the chunk itself,
+        # which ends at ``end``.
         try:
-            cost = self._cost[context_len]
+            cost = self._cost[end]
         except KeyError:
-            cost = self._cost[context_len] = self.profile.recompute_cost(context_len)
+            cost = self._cost[end] = self.profile.recompute_cost(end)
         return cost / idle
 
     def __repr__(self) -> str:
@@ -80,12 +80,12 @@ class LruPolicy:
 
     The score is simply the conversation's last-active time: older
     conversations (smaller timestamps) evict first, and ties fall back to
-    the manager's deterministic ``(conv_id, chunk index)`` ordering.
+    the manager's deterministic ``conv_id`` ordering.
     """
 
     name = "lru"
 
-    def __call__(self, chunk: Chunk, last_active: float, now: float) -> float:
+    def __call__(self, end: int, last_active: float, now: float) -> float:
         return last_active
 
     def __repr__(self) -> str:

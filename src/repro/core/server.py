@@ -41,7 +41,7 @@ from repro.faults import (
     RequestFaultedError,
     attempt_with_retries,
 )
-from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
+from repro.kvcache.chunks import ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     CHUNK_SIZE,
     RESTORE_TIERS,
@@ -219,27 +219,28 @@ class StatefulChatServer:
     def _on_transition(
         self,
         cache: ConversationCache,
-        chunk: Chunk,
+        index: int,
         old: ChunkLocation,
         new: ChunkLocation,
     ) -> None:
-        table = self._tables[cache.conv_id]
-        conv_id, index = cache.conv_id, chunk.index
+        conv_id = cache.conv_id
+        table = self._tables[conv_id]
+        start, end = cache.span(index)
         if old is ChunkLocation.GPU and new is ChunkLocation.GPU_CPU:
             # Ahead-of-time copy: data lands in the CPU store, pages stay.
             # The slots are captured now; nothing can reallocate them
             # before the flush that ends :meth:`_ensure_capacity`.
             self._pending_copies.append(
-                (conv_id, index, table.slots_array(chunk.start, chunk.end))
+                (conv_id, index, table.slots_array(start, end))
             )
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.CPU:
             # Reclaim: the pages are handed back (data only in CPU now).
-            table.vacate_front(chunk.num_tokens)
+            table.vacate_front(end - start)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.GPU:
             # Promotion on reuse: invalidate the (stale-to-be) CPU copy.
             self.cpu_store.drop(conv_id, index)
         elif old is ChunkLocation.GPU and new is ChunkLocation.DROPPED:
-            table.vacate_front(chunk.num_tokens)
+            table.vacate_front(end - start)
         elif old is ChunkLocation.GPU_CPU and new is ChunkLocation.DROPPED:
             # Pressure fallback: discard both the GPU slots and the copy.
             # The only move that can meet a queued copy (a swap-out drops
@@ -248,7 +249,7 @@ class StatefulChatServer:
             if any(c == conv_id and i == index for c, i, _ in self._pending_copies):
                 self._flush_pending_copies()
             self.cpu_store.drop(conv_id, index)
-            table.vacate_front(chunk.num_tokens)
+            table.vacate_front(end - start)
         elif old is ChunkLocation.CPU and new is ChunkLocation.DROPPED:
             # The entry may already be gone when a partially-popped swap-in
             # prefix is being invalidated after a corrupt read.
@@ -538,27 +539,23 @@ class StatefulChatServer:
         # individually against its insertion-time checksum — for a
         # disk-resident chunk that checksum dates from its original GPU
         # departure, so the check spans the whole CPU->disk journey.
-        # Capture ranges now: commit_restore may extend the partial tail
-        # chunk in place, but the stored data covers the pre-extension
-        # token range.
-        by_index: Dict[int, Chunk] = {}
+        # Capture spans now: commit_restore may extend a stored partial
+        # tail chunk, but the stored data covers the pre-extension token
+        # range.
+        cache = self.manager.conversation(conv_id)
+        spans: Dict[int, Tuple[int, int]] = {}
         popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
         corrupt: List[int] = []
         for tier, store in zip(RESTORE_TIERS, (self.disk_store, self.cpu_store)):
             chunks = getattr(plan, tier.chunks)
             if chunks:
-                by_index.update((chunk.index, chunk) for chunk in chunks)
-                tier_popped, tier_corrupt = store.pop_many(
-                    conv_id, [chunk.index for chunk in chunks]
-                )
+                spans.update((index, cache.span(index)) for index in chunks)
+                tier_popped, tier_corrupt = store.pop_many(conv_id, list(chunks))
                 popped += tier_popped
                 if tier_corrupt:
                     corrupt += tier_corrupt
                     blamed = tier
-        restored_data = [
-            (by_index[index].start, by_index[index].end, data)
-            for index, data in popped
-        ]
+        restored_data = [(*spans[index], data) for index, data in popped]
         if corrupt:
             # Checksum caught corruption: invalidate the stored (disk +
             # CPU) prefix through the last corrupt chunk — the Figure 5
@@ -567,14 +564,12 @@ class StatefulChatServer:
             # Disk chunks precede CPU chunks and each pop preserves
             # request order, so ``corrupt`` ascends and its last chunk
             # sits in ``blamed``, the last tier that reported any.
-            corrupt_upto = by_index[corrupt[-1]]
             plan, _ = self.manager.fall_back_to_recompute(
                 blamed, conv_id, len(prompt_ids), now,
-                corrupt=len(corrupt), upto=corrupt_upto,
+                corrupt=len(corrupt), upto=corrupt[-1],
             )
-            restored_data = [
-                item for item in restored_data if item[0] >= corrupt_upto.end
-            ]
+            kept = spans[corrupt[-1]][1]
+            restored_data = [item for item in restored_data if item[0] >= kept]
         tracer = self.tracer
         if tracer is not None:
             tracer.instant(

@@ -14,7 +14,9 @@ The Pensieve design stores a conversation's KV-tokens in a hierarchy:
   beats recomputation — the capacity extension ROADMAP item 3 calls for.
 
 Chunk bookkeeping (:mod:`repro.kvcache.chunks`) tracks, for every
-conversation, which 32-token chunks live where; the
+conversation, which 32-token chunks live where: its length and the chunk
+index where each tier begins, with no record per chunk (the Figure 5
+layout is monotone, so four boundaries say it all); the
 :class:`~repro.kvcache.manager.TieredCacheManager` makes placement and
 eviction decisions using a pluggable policy (policies themselves live in
 :mod:`repro.core.eviction`).  The numpy backing store
@@ -24,7 +26,6 @@ the same bookkeeping without tensors.
 
 from repro.kvcache.pages import BlockTable, PagePool, PagePoolExhausted
 from repro.kvcache.chunks import (
-    Chunk,
     ChunkLocation,
     ConversationCache,
     TailNotOnGpuError,
@@ -36,7 +37,6 @@ __all__ = [
     "PagePool",
     "PagePoolExhausted",
     "BlockTable",
-    "Chunk",
     "ChunkLocation",
     "ConversationCache",
     "TailNotOnGpuError",

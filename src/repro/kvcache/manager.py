@@ -27,56 +27,55 @@ simulation.
 
 Implementation note: the serving simulation calls the accounting
 properties on every scheduling round and evicts on most of them, so both
-are incremental.  All tier totals are maintained as counters (O(1)
-reads), and a *frontier index* holds, per location, each conversation's
-earliest chunk there — the only chunk of it an eviction may take.
+are incremental.  Tier totals are counters (O(1) reads), and a
+conversation's cached state is its length and four chunk boundaries
+(:class:`~repro.kvcache.chunks.ConversationCache`): an eviction advances
+one boundary past the location's first chunk
+(:meth:`TieredCacheManager._advance`); a front-drop, a restore or a
+suspension sets several (:meth:`TieredCacheManager._relayout`).  Either
+hands each run of chunks that changed location to one
+:meth:`TieredCacheManager._move`, which keeps the counters and ``stats``
+exact by the run's token count and tells the observer chunk by chunk,
+front to back.  Per location the manager keeps its *holders*, the
+conversations with a chunk there.
 
-Each cache move is written once.  Every location change is one
-:meth:`TieredCacheManager._move`, which keeps the counters and the index
-exact, bumps the move's ``stats`` key and checks the move against its two
-neighbours, which by induction is the full layout check (a promotion is
-checked with the whole :meth:`~TieredCacheManager.commit_restore` sweep
-instead).  Every eviction is one pass of
-:meth:`TieredCacheManager._evict`, a budgeted loop that draws victims,
-applies the caller's step and traces each one.  It draws from
-:meth:`TieredCacheManager._victims`, which scores the location's frontiers
-once, heapifies them, and after each victim pushes only that
-conversation's next frontier: O(N + k log N) for k victims among N cached
-conversations, and one CPU stream serves a whole ``swap_out`` however
-often its copies find the CPU tier full.  The scan is one comprehension
-that calls the scorer through its bound ``__call__``, fetched once per
-scan.  Decode growth of a whole batch is one
+Every eviction is one pass of :meth:`TieredCacheManager._evict`, a
+budgeted loop that draws victims, applies the caller's step and traces
+each one.  It draws from :meth:`TieredCacheManager._victims`, which
+scores each holder's first chunk once, heapifies them, and after each
+victim pushes only that conversation's next chunk: O(N + k log N) for k
+victims among N cached conversations, and one CPU stream serves a whole
+``swap_out`` however often its copies find the CPU tier full.  Decode
+growth of a whole batch is one
 :meth:`~TieredCacheManager.append_decode_step` call: on a full GPU it
 reclaims the step's whole deficit through one ``GPU_CPU`` stream scored
 at the caller's ``now`` (the iteration's clock, the eviction time of
-§4.3.1), and its common case bumps a partial GPU tail and the GPU total
-in place; it calls :meth:`~TieredCacheManager._extend` only to create a
-chunk.  A
-``swap_out`` with no evictable GPU token returns before it scans.
-:meth:`_audit` re-derives the counters, the index and every layout from
-scratch and is exercised by the test suite.
+§4.3.1).  :meth:`_audit` re-derives the counters and the holders from the
+boundaries and is exercised by the test suite.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 from typing import (
     Callable, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional,
     Sequence, Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
-from repro.kvcache.chunks import Chunk, ChunkLocation, ConversationCache
+from repro.kvcache.chunks import LAYOUT, ChunkLocation, ConversationCache
 from repro.obs.tracer import Tracer
 
 #: Eviction granularity in tokens (§4.3: 32-token chunks); the default of
 #: every constructor that takes a ``chunk_size``.
 CHUNK_SIZE = 32
 
-#: Eviction scorer: ``(chunk, last_active, now) -> score``.  Chunks are
-#: evicted in ascending score order (low retention value goes first).
-EvictionScorer = Callable[[Chunk, float, float], float]
+#: Eviction scorer: ``(end, last_active, now) -> score``, where ``end`` is
+#: one past the candidate chunk's last token.  Chunks are evicted in
+#: ascending score order (low retention value goes first).
+EvictionScorer = Callable[[int, float, float], float]
 
 class CacheCapacityError(RuntimeError):
     """Raised when an operation cannot fit in the configured tiers."""
@@ -97,6 +96,7 @@ class CachePlan:
       the prompt and re-prefix-filled;
     - ``new_tokens``: the request's genuinely new prompt tokens.
 
+    The two chunk fields are index ranges (a tier's chunks are one run).
     ``alloc_tokens`` is the number of fresh GPU slots the plan needs
     (swap-in + disk-read + recompute + new); ``total_context`` is the
     context length after the plan commits.
@@ -104,21 +104,16 @@ class CachePlan:
 
     conv_id: int
     gpu_hit_tokens: int = 0
-    swap_in_chunks: List[Chunk] = field(default_factory=list)
+    swap_in_chunks: range = range(0)
     swap_in_tokens: int = 0
-    disk_read_chunks: List[Chunk] = field(default_factory=list)
+    disk_read_chunks: range = range(0)
     disk_read_tokens: int = 0
     recompute_tokens: int = 0
     new_tokens: int = 0
 
     @property
     def alloc_tokens(self) -> int:
-        return (
-            self.swap_in_tokens
-            + self.disk_read_tokens
-            + self.recompute_tokens
-            + self.new_tokens
-        )
+        return self.swap_in_tokens + self.disk_read_tokens + self.prefill_tokens
 
     @property
     def prefill_tokens(self) -> int:
@@ -127,13 +122,7 @@ class CachePlan:
 
     @property
     def total_context(self) -> int:
-        return (
-            self.gpu_hit_tokens
-            + self.swap_in_tokens
-            + self.disk_read_tokens
-            + self.recompute_tokens
-            + self.new_tokens
-        )
+        return self.gpu_hit_tokens + self.alloc_tokens
 
 
 #: The locations as module constants: reading a member off the enum class
@@ -151,6 +140,9 @@ _CPU_STATES = (_CPU, _GPU_CPU)
 _EVICT_EVENTS = {
     _GPU: "evict", _GPU_CPU: "reclaim", _CPU: "cpu_drop", _DISK: "disk_drop",
 }
+#: Where each evictable location begins in ``cache.starts``; an eviction
+#: from it sends its chunk to ``LAYOUT[_AT[location]]``, one tier colder.
+_AT = {_DISK: 0, _CPU: 1, _GPU_CPU: 2, _GPU: 3}
 
 
 class RestoreTier(NamedTuple):
@@ -234,12 +226,14 @@ class TieredCacheManager:
         #: evict a conversation's entire GPU-resident context at once
         #: instead of chunk by chunk.  Kept for the granularity ablation.
         self.whole_conversation_eviction = whole_conversation_eviction
-        #: Optional callback ``(cache, chunk, old_location, new_location)``
-        #: fired on every tier transition.  The functional serving layer
-        #: uses it to mirror the manager's decisions onto real tensors
-        #: (copying chunk data to the CPU store, vacating GPU pages, ...).
+        #: Optional callback ``(cache, index, old_location, new_location)``
+        #: fired for every chunk that changes tier, after the move
+        #: (``cache.span(index)`` is its token range).  The functional
+        #: serving layer uses it to mirror the manager's decisions onto
+        #: real tensors (copying chunk data to the CPU store, vacating GPU
+        #: pages, ...).
         self.observer: Optional[
-            Callable[[ConversationCache, Chunk, ChunkLocation, ChunkLocation], None]
+            Callable[[ConversationCache, int, ChunkLocation, ChunkLocation], None]
         ] = None
         self._conversations: Dict[int, ConversationCache] = {}
         # Incremental tier totals (see module docstring).
@@ -248,10 +242,10 @@ class TieredCacheManager:
         self._disk_used = 0       # tokens in DISK
         self._reclaimable = 0     # GPU_CPU tokens of unpinned conversations
         self._evictable = 0       # GPU tokens of unpinned conversations
-        # Frontier index: per location, ``conv_id ->`` the conversation's
-        # earliest chunk there (absent when it has none).
-        self._frontier: Dict[ChunkLocation, Dict[int, Chunk]] = {
-            loc: {} for loc in ChunkLocation
+        # Holders: per location an eviction can take from, ``conv_id ->
+        # cache`` of every conversation with a chunk there.
+        self._holders: Dict[ChunkLocation, Dict[int, ConversationCache]] = {
+            loc: {} for loc in _AT
         }
         # Statistics for Figure 14 style analyses.
         self.stats = {
@@ -293,14 +287,14 @@ class TieredCacheManager:
         intended for per-iteration gauge sampling in traced runs only.
         """
         wasted = 0
+        chunk_size = self.chunk_size
+        gpu_cpu_at = _AT[_GPU_CPU]
         for cache in self._conversations.values():
             # GPU-resident chunks occupy the rear of the Figure 5 layout,
             # so only the final chunk can be a partially-filled GPU tail.
-            if not cache.chunks:
-                continue
-            tail = cache.chunks[-1]
-            if tail.location in _GPU_STATES and tail.num_tokens < self.chunk_size:
-                wasted += self.chunk_size - tail.num_tokens
+            partial = cache.total_tokens % chunk_size
+            if partial and cache.starts[gpu_cpu_at] * chunk_size < cache.total_tokens:
+                wasted += chunk_size - partial
         return wasted
 
     # ------------------------------------------------------------------
@@ -358,23 +352,21 @@ class TieredCacheManager:
         """Each conversation's cached context length (its
         ``total_tokens``), in order: a whole decode batch's in one call."""
         conversations = self._conversations
-        return [
-            chunks[-1].end if (chunks := conversations[conv_id].chunks) else 0
-            for conv_id in conv_ids
-        ]
+        return [conversations[conv_id].total_tokens for conv_id in conv_ids]
 
     # ------------------------------------------------------------------
-    # Counter maintenance
+    # Boundary moves and counter maintenance
     # ------------------------------------------------------------------
 
-    def _move(self, cache: ConversationCache, chunk: Chunk, new: ChunkLocation) -> None:
-        """Move a chunk between tiers: the one place that keeps the tier
-        counters, the move's ``stats`` key and the frontier index exact,
-        checks the layout around the chunk and tells the observer."""
-        old = chunk.location
-        if old is new:
-            return
-        n = chunk.num_tokens
+    def _move(
+        self, cache: ConversationCache, old: ChunkLocation, new: ChunkLocation,
+        lo: int, hi: int,
+    ) -> None:
+        """Chunks ``[lo, hi)`` of ``cache``, all in ``old``, have moved to
+        ``new`` (the caller set the boundaries): the one place that keeps
+        the tier counters and the move's ``stats`` key exact and tells the
+        observer, chunk by chunk."""
+        n = cache.tokens(lo, hi)
         if old in _GPU_STATES and new not in _GPU_STATES:
             self._gpu_resident -= n
         elif old not in _GPU_STATES and new in _GPU_STATES:
@@ -406,55 +398,66 @@ class TieredCacheManager:
             self._bump("demoted_tokens", n)
         elif old is _GPU:
             self._bump("swapped_out_tokens", n)  # copied, or suspended to CPU
-        chunk.location = new
+        observer = self.observer
+        if observer is not None:
+            for index in range(lo, hi):
+                observer(cache, index, old, new)
+
+    def _advance(self, cache: ConversationCache, location: ChunkLocation) -> None:
+        """Evict ``location``'s first chunk one tier colder (``GPU`` to
+        ``GPU_CPU`` to ``CPU`` to ``DISK`` to ``DROPPED``): its boundary
+        moves one chunk on."""
+        at = _AT[location]
+        starts = cache.starts
+        index = starts[at]
+        starts[at] = index + 1
+        colder = LAYOUT[at]
+        holders = self._holders
         conv_id = cache.conv_id
-        left = self._frontier[old]
-        if left.get(conv_id) is chunk:
-            # The frontier of ``old`` left: the next chunk still there (in
-            # a legal layout the very next one, if any) takes over.
-            chunks = cache.chunks
-            for i in range(chunk.index + 1, len(chunks)):
-                if chunks[i].location is old:
-                    left[conv_id] = chunks[i]
-                    break
+        if at:  # ``DROPPED`` has no holders: nothing is evicted from it
+            holders[colder][conv_id] = cache
+        if index + 1 == (cache.num_chunks if location is _GPU else starts[at + 1]):
+            del holders[location][conv_id]
+        self._move(cache, location, colder, index, index + 1)
+
+    def _relayout(self, cache: ConversationCache, starts: List[int]) -> None:
+        """Set all four boundaries of ``cache`` and :meth:`_move` every run
+        of chunks whose location changed, front to back."""
+        old = cache.bounds()
+        cache.starts = starts
+        new = cache.bounds()
+        conv_id = cache.conv_id
+        for k, location in enumerate(LAYOUT[1:], 1):
+            if new[k] < new[k + 1]:
+                self._holders[location][conv_id] = cache
             else:
-                del left[conv_id]
-        entered = self._frontier[new]
-        first = entered.get(conv_id)
-        if first is None or chunk.index < first.index:
-            entered[conv_id] = chunk
-        if new is not _GPU:
-            # Every other move is legal on its own; a promotion is legal
-            # only once :meth:`commit_restore`'s whole sweep lands.
-            cache.check_neighbours(chunk)
-        if self.observer is not None:
-            self.observer(cache, chunk, old, new)
+                self._holders[location].pop(conv_id, None)
+        # Between two consecutive boundaries of either layout every chunk
+        # has one old and one new location: the rank of the boundaries at
+        # or below it.
+        points = sorted({*old, *new})
+        for lo, hi in zip(points, points[1:]):
+            before = LAYOUT[bisect_right(old, lo, 1, 5) - 1]
+            after = LAYOUT[bisect_right(new, lo, 1, 5) - 1]
+            if before is not after:
+                self._move(cache, before, after, lo, hi)
 
     def _extend(self, cache: ConversationCache, tokens: int) -> None:
-        """Append ``tokens`` fresh GPU tokens to a conversation: a partial
-        tail takes what it can in place, and chunks are created only past
-        it (a decode step does so once every ``chunk_size`` tokens)."""
-        rest = tokens - cache.grow_tail(tokens)
-        if rest:
-            created = cache.extend_to(cache.total_tokens + rest)
-            # With no GPU chunk yet, the first chunk created is the GPU
-            # frontier.
-            self._frontier[_GPU].setdefault(cache.conv_id, created[0])
-        self._gpu_resident += tokens
-        if not cache.pinned:
-            self._evictable += tokens
+        """Append ``tokens`` fresh GPU tokens to a conversation: they fill
+        a partial GPU tail or chunks past every boundary, so on GPU."""
+        if tokens:
+            cache.total_tokens += tokens
+            self._holders[_GPU][cache.conv_id] = cache
+            self._gpu_resident += tokens
+            if not cache.pinned:
+                self._evictable += tokens
 
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
             return
-        # One pass over the chunk list for both counts.
-        gpu_cpu = gpu = 0
-        for chunk in cache.chunks:
-            location = chunk.location
-            if location is _GPU:
-                gpu += chunk.end - chunk.start
-            elif location is _GPU_CPU:
-                gpu_cpu += chunk.end - chunk.start
+        _, _, _, gpu_cpu_at, gpu_at, end = cache.bounds()
+        gpu_cpu = cache.tokens(gpu_cpu_at, gpu_at)
+        gpu = cache.tokens(gpu_at, end)
         if pinned:
             self._reclaimable -= gpu_cpu
             self._evictable -= gpu
@@ -464,7 +467,7 @@ class TieredCacheManager:
         cache.pinned = pinned
 
     def _audit(self) -> None:
-        """Re-derive every counter and the frontier index from scratch
+        """Re-derive every counter and the holders from the boundaries
         and assert consistency.
 
         Used by the test suite (including property-based tests) to prove
@@ -472,6 +475,8 @@ class TieredCacheManager:
         """
         gpu = cpu = disk = reclaimable = evictable = 0
         for cache in self._conversations.values():
+            bounds = cache.bounds()
+            assert list(bounds) == sorted(bounds), bounds
             gpu += cache.tokens_in(*_GPU_STATES)
             cpu += cache.tokens_in(*_CPU_STATES)
             disk += cache.tokens_in(_DISK)
@@ -489,15 +494,12 @@ class TieredCacheManager:
         assert stats["demoted_tokens"] == (
             disk + stats["disk_hit_tokens"] + stats["disk_dropped_tokens"]
         ), (disk, stats)
-        for cache in self._conversations.values():
-            cache.check_layout()
-        for loc, index in self._frontier.items():
-            assert index.keys() <= self._conversations.keys(), (loc, index)
+        for loc, holders in self._holders.items():
+            assert holders.keys() <= self._conversations.keys(), (loc, holders)
             for cache in self._conversations.values():
-                # ``None`` on both sides when the conversation has no
-                # chunk in ``loc``: absent from the index.
-                assert index.get(cache.conv_id) is cache.frontier(loc), (
-                    loc, index.get(cache.conv_id), cache
+                held = holders.get(cache.conv_id)
+                assert held is (cache if cache.chunks_in(loc) else None), (
+                    loc, cache
                 )
 
     # ------------------------------------------------------------------
@@ -540,8 +542,8 @@ class TieredCacheManager:
         if not cache.pinned:
             self._reclaimable -= cache.tokens_in(_GPU_CPU)
             self._evictable -= cache.tokens_in(_GPU)
-        for index in self._frontier.values():
-            index.pop(conv_id, None)
+        for holders in self._holders.values():
+            holders.pop(conv_id, None)
         return gpu
 
     # ------------------------------------------------------------------
@@ -561,27 +563,13 @@ class TieredCacheManager:
         plan = CachePlan(conv_id=conv_id, new_tokens=new_tokens)
         cache = self._conversations.get(conv_id)
         if cache is not None:
-            # One pass over the chunk list collects every count and list.
-            gpu_hit = swap_in = disk_read = recompute = 0
-            swap_in_chunks = plan.swap_in_chunks
-            disk_read_chunks = plan.disk_read_chunks
-            for chunk in cache.chunks:
-                location = chunk.location
-                tokens = chunk.end - chunk.start
-                if location is _GPU or location is _GPU_CPU:
-                    gpu_hit += tokens
-                elif location is _CPU:
-                    swap_in_chunks.append(chunk)
-                    swap_in += tokens
-                elif location is _DISK:
-                    disk_read_chunks.append(chunk)
-                    disk_read += tokens
-                else:  # dropped
-                    recompute += tokens
-            plan.gpu_hit_tokens = gpu_hit
-            plan.swap_in_tokens = swap_in
-            plan.disk_read_tokens = disk_read
-            plan.recompute_tokens = recompute
+            _, disk_at, cpu_at, gpu_cpu_at, _, end = cache.bounds()
+            plan.recompute_tokens = cache.tokens(0, disk_at)
+            plan.disk_read_chunks = range(disk_at, cpu_at)
+            plan.disk_read_tokens = cache.tokens(disk_at, cpu_at)
+            plan.swap_in_chunks = range(cpu_at, gpu_cpu_at)
+            plan.swap_in_tokens = cache.tokens(cpu_at, gpu_cpu_at)
+            plan.gpu_hit_tokens = cache.tokens(gpu_cpu_at, end)
         return plan
 
     def commit_restore(self, plan: CachePlan, now: float) -> ConversationCache:
@@ -602,15 +590,13 @@ class TieredCacheManager:
         self._bump("disk_hit_tokens", plan.disk_read_tokens)
         self._bump("recomputed_tokens", plan.recompute_tokens)
         cache = self.open(plan.conv_id, now)
-        for chunk in cache.chunks:
-            # Everything the request touches becomes GPU-resident: CPU
-            # chunks are swapped in, disk chunks read back and promoted,
-            # dropped chunks recomputed, and lazily-reclaimable copies are
-            # promoted back to GPU-only (their CPU copy is invalidated on
-            # reuse for simplicity).
-            self._move(cache, chunk, _GPU)
+        # Everything the request touches becomes GPU-resident: CPU chunks
+        # are swapped in, disk chunks read back and promoted, dropped
+        # chunks recomputed, and lazily-reclaimable copies are promoted
+        # back to GPU-only (their CPU copy is invalidated on reuse for
+        # simplicity).
+        self._relayout(cache, [0, 0, 0, 0])
         self._extend(cache, plan.new_tokens)
-        cache.check_layout()
         return cache
 
     def append_tokens(self, conv_id: int, count: int, now: float) -> None:
@@ -627,8 +613,8 @@ class TieredCacheManager:
         if count <= 0:
             return
         cache = self._conversations[conv_id]
-        # Before _make_room: grow_tail would refuse only after other
-        # conversations' chunks had been reclaimed.
+        # Before _make_room: refusing after it would leave other
+        # conversations' chunks reclaimed for nothing.
         cache.check_growable()
         self._make_room(conv_id, count, now)
         self._extend(cache, count)
@@ -655,11 +641,9 @@ class TieredCacheManager:
         caches = [conversations[conv_id] for conv_id in conv_ids]
         chunk_size = self.chunk_size
         for cache in caches:
-            chunks = cache.chunks
-            if chunks:
-                tail = chunks[-1]
-                if tail.location is not _GPU and tail.end - tail.start < chunk_size:
-                    cache.check_growable()  # raises
+            total = cache.total_tokens
+            if total % chunk_size and cache.starts[-1] * chunk_size >= total:
+                cache.check_growable()  # raises: the tail is not on GPU
         fits = len(caches)
         deficit = fits - self.gpu_free_tokens
         if deficit > 0:
@@ -677,24 +661,16 @@ class TieredCacheManager:
                 exclude = [cache.conv_id for cache in inside]
                 reclaimed = self.reclaim(deficit, now, exclude)
                 assert reclaimed >= deficit, (reclaimed, deficit)
-        # The GPU total stays in a local while tails grow in place, and is
-        # written back around every call that reads or changes it.
-        resident = self._gpu_resident
+        # ``_extend(cache, 1)`` for each grower.
+        gpu_holders = self._holders[_GPU]
+        evictable = 0
         for cache in caches[:fits]:
-            chunks = cache.chunks
-            if chunks:
-                tail = chunks[-1]
-                if tail.location is _GPU and tail.end - tail.start < chunk_size:
-                    # ``_extend(cache, 1)`` when the tail takes the token.
-                    tail.end += 1
-                    resident += 1
-                    if not cache.pinned:
-                        self._evictable += 1
-                    continue
-            self._gpu_resident = resident
-            self._extend(cache, 1)
-            resident = self._gpu_resident
-        self._gpu_resident = resident
+            cache.total_tokens += 1
+            gpu_holders[cache.conv_id] = cache
+            if not cache.pinned:
+                evictable += 1
+        self._gpu_resident += fits
+        self._evictable += evictable
         return fits
 
     def _make_room(self, conv_id: int, tokens: int, now: float) -> None:
@@ -723,12 +699,13 @@ class TieredCacheManager:
         self,
         conv_id: int,
         locations: Tuple[ChunkLocation, ...],
-        upto: Optional[Chunk] = None,
+        upto: Optional[int] = None,
     ) -> int:
         """Recovery path for a failed or corrupt restore read: drop the
-        conversation's chunks from the front through ``upto`` (through its
-        last chunk in ``locations`` when ``None``) so the next restore plan
-        recomputes those tokens from the raw-token store (§4.3.4 fallback).
+        conversation's chunks from the front through index ``upto``
+        (through its last chunk in ``locations`` when ``None``) so the
+        next restore plan recomputes those tokens from the raw-token store
+        (§4.3.4 fallback).
 
         Stored chunks sit right after the ``DROPPED`` prefix, disk first,
         then CPU: invalidating ``(DISK,)`` spares the CPU chunks behind
@@ -750,7 +727,7 @@ class TieredCacheManager:
         new_tokens: int,
         now: float,
         corrupt: int = 0,
-        upto: Optional[Chunk] = None,
+        upto: Optional[int] = None,
         **attrs: object,
     ) -> Tuple[CachePlan, int]:
         """The recompute rung of the restore fault ladder (§4.3.4).
@@ -758,10 +735,10 @@ class TieredCacheManager:
         ``tier`` (a row of :data:`RESTORE_TIERS`) failed its restore: its
         transfer failed terminally, or, with ``corrupt``, that many of its
         chunks failed their checksum.  Counts the failure, gives the
-        tier's chunks up through ``upto`` (all of them when ``None``) with
-        :meth:`invalidate_prefix`, traces the fallback (``attrs``
-        ride along on the event) and re-plans: ``alloc_tokens`` is
-        unchanged (the tier's tokens become recompute tokens), so a
+        tier's chunks up through index ``upto`` (all of them when
+        ``None``) with :meth:`invalidate_prefix`, traces the fallback
+        (``attrs`` ride along on the event) and re-plans: ``alloc_tokens``
+        is unchanged (the tier's tokens become recompute tokens), so a
         capacity check made on the old plan stays valid.
 
         Returns ``(plan, tokens invalidated)``.
@@ -788,185 +765,195 @@ class TieredCacheManager:
 
     def _victims(
         self, location: ChunkLocation, now: float, exclude: Collection[int] = ()
-    ) -> Iterator[Tuple[float, Chunk, ConversationCache]]:
-        """Lazily yield ``(score, chunk, cache)`` eviction victims of
+    ) -> Iterator[Tuple[float, int, ConversationCache]]:
+        """Lazily yield ``(score, index, cache)`` eviction victims of
         ``location`` in ascending ``(score, conv_id)`` order.
 
-        Only the *earliest* chunk of each unpinned conversation in the
-        location (its frontier) is a candidate, which preserves the
-        Figure 5 layout invariant during front-to-back eviction.  A
-        conversation has one heap entry at a time, so comparison never
-        reaches the chunk.
+        Only the *first* chunk of each unpinned holder of the location is
+        a candidate, which keeps the Figure 5 layout during front-to-back
+        eviction.  A conversation has one heap entry at a time, so a tie
+        in score is settled by its ``conv_id``.
 
         The caller moves each yielded chunk out of ``location`` before
         asking for the next.  The location is scanned and scored once, on
         the first request; after a victim only its conversation's next
-        frontier is scored and pushed.  That equals rescoring everything
-        per victim because, while a stream is drawn from, ``now`` and every
-        ``last_active`` and pin are fixed, no chunk enters ``location``,
-        and a chunk leaves it only as a victim or by a front-drop of its
-        own conversation: the nested pressure calls work on colder
-        locations, and the observer mutates no manager state.  A front-drop
-        between two pulls (:meth:`swap_out` drops a GPU victim, and the CPU
-        chunks ahead of it, while its CPU stream is open) leaves a stale
-        entry; it is skipped, and the conversation's current frontier, if
-        any, takes its place.
+        chunk there is scored and pushed.  That equals rescoring
+        everything per victim because, while a stream is drawn from,
+        ``now`` and every ``last_active`` and pin are fixed, no chunk
+        enters ``location``, and a chunk leaves it only as a victim or by
+        a front-drop of its own conversation: the nested pressure calls
+        work on colder locations, and the observer mutates no manager
+        state.  A front-drop between two pulls (:meth:`swap_out` drops a
+        GPU victim, and the CPU chunks ahead of it, while its CPU stream
+        is open) leaves a stale entry; it is skipped, and the
+        conversation's current first chunk there, if any, takes its place.
         """
         # Bound once: calling an instance through its type's ``__call__``
         # slot costs about as much again as the bound method.
         scorer = self.scorer.__call__
-        conversations = self._conversations
-        frontier = self._frontier[location]
-        # A conversation has one entry at a time, so a tie in score is
-        # settled by its ``conv_id`` and never compares chunks.
+        chunk_size = self.chunk_size
+        holders = self._holders[location]
+        at = _AT[location]  # ``cache.starts[at]``: the holder's first chunk
+        candidates = holders.items()
+        if exclude:
+            candidates = [item for item in candidates if item[0] not in exclude]
+        # An entry carries the chunk's end, not its index: the index is
+        # ``(end - 1) // chunk_size`` either way, and one less to compute
+        # per candidate.
         heap = [
-            (scorer(chunk, cache.last_active, now), conv_id, chunk, cache)
-            for conv_id, chunk in frontier.items()
-            if not (cache := conversations[conv_id]).pinned and conv_id not in exclude
+            (
+                scorer(
+                    end if (end := (cache.starts[at] + 1) * chunk_size)
+                    < cache.total_tokens else (end := cache.total_tokens),
+                    cache.last_active, now,
+                ),
+                conv_id, end, cache,
+            )
+            for conv_id, cache in candidates
+            if not cache.pinned
         ]
         heapq.heapify(heap)
         while heap:
-            score, conv_id, chunk, cache = heap[0]
-            if chunk.location is location:
-                yield score, chunk, cache
-                assert chunk.location is not location, f"victim {chunk!r} not evicted"
-            successor = frontier.get(conv_id)
-            if successor is None:
-                heapq.heappop(heap)
-            else:
-                heapq.heapreplace(
-                    heap,
-                    (scorer(successor, cache.last_active, now), conv_id, successor, cache),
+            score, conv_id, end, cache = heap[0]
+            index = (end - 1) // chunk_size
+            if conv_id in holders and cache.starts[at] == index:
+                yield score, index, cache
+                assert conv_id not in holders or cache.starts[at] > index, (
+                    f"victim {index} of {cache!r} not evicted"
                 )
+            if conv_id in holders:
+                end = cache.span(cache.starts[at])[1]
+                heapq.heapreplace(
+                    heap, (scorer(end, cache.last_active, now), conv_id, end, cache)
+                )
+            else:
+                heapq.heappop(heap)
 
     def _evict(
         self,
         location: ChunkLocation,
         tokens_needed: int,
         now: float,
-        step: Callable[[ConversationCache, Chunk, float, float], Optional[str]],
+        step: Callable[[ConversationCache, int, int, float, float], Optional[str]],
         exclude: Collection[int] = (),
-        victims: Optional[Iterator[Tuple[float, Chunk, ConversationCache]]] = None,
+        victims: Optional[Iterator[Tuple[float, int, ConversationCache]]] = None,
         max_score: Optional[float] = None,
     ) -> int:
         """The one eviction loop: take victims of ``location`` (from the
         open stream ``victims``, else a new one) until ``tokens_needed``
         tokens have left it, the stream runs dry, or, with ``max_score``,
-        the next victim scores at least that.  ``step(cache, chunk, score,
-        now)`` moves each victim out and returns its trace ``outcome`` or
-        ``None``; the loop traces it.  Returns tokens evicted.
+        the next victim scores at least that.  ``step(cache, index,
+        tokens, score, now)`` moves each victim (chunk ``index``, ``tokens``
+        long) out and returns its trace ``outcome`` or ``None``; the loop
+        traces it.  Returns tokens evicted.
 
         The budget is checked *before* the next pull: ``swap_out`` keeps
         one CPU stream open across many calls, and the stream asserts
         that each victim it yields has left before the next is pulled.
         Granularity ablation: a GPU victim takes its conversation's whole
-        GPU context along, even past the target (the overshoot is the
-        cost of coarse eviction the paper's design avoids).
+        GPU context along, one chunk at a time, even past the target (the
+        overshoot is the cost of coarse eviction the paper's design
+        avoids).
         """
         if victims is None:
             victims = self._victims(location, now, exclude)
         whole = self.whole_conversation_eviction and location is _GPU
+        holders = self._holders[location]
         freed = 0
         while freed < tokens_needed:
             victim = next(victims, None)
             if victim is None or (max_score is not None and victim[0] >= max_score):
                 break
-            score, chunk, cache = victim
-            for chunk in cache.chunks_in(location) if whole else (chunk,):
-                outcome = step(cache, chunk, score, now)
-                freed += chunk.num_tokens
+            score, index, cache = victim
+            while True:
+                start, end = cache.span(index)
+                tokens = end - start
+                outcome = step(cache, index, tokens, score, now)
+                freed += tokens
                 tracer = self.tracer
                 if tracer is not None:
                     attrs = {} if outcome is None else {"outcome": outcome}
                     tracer.instant(
                         _EVICT_EVENTS[location], t=now, track="cache",
-                        conv_id=cache.conv_id, chunk=chunk.index,
-                        tokens=chunk.num_tokens, **attrs, score=score,
+                        conv_id=cache.conv_id, chunk=index,
+                        tokens=tokens, **attrs, score=score,
                     )
+                if not whole or cache.conv_id not in holders:
+                    break
+                index = cache.starts[_AT[_GPU]]
         return freed
 
-    def swap_out(self, tokens_needed: int, now: float) -> List[Chunk]:
+    def swap_out(self, tokens_needed: int, now: float) -> Tuple[int, int]:
         """Make ``tokens_needed`` GPU tokens obtainable by copying GPU-only
         chunks to the CPU tier (ahead-of-time swap-out, §4.3.2) — and, when
         the CPU tier is saturated, by dropping the cheapest chunks outright.
 
         Copied chunks move ``GPU -> GPU_CPU``; their GPU slots stay
-        occupied until :meth:`reclaim`.  Progress is counted as
-        reclaimable tokens plus tokens freed by drops: each victim adds its
-        own tokens either way.  Returns the chunks copied, in order, so the
-        engine can model the PCIe traffic.
+        occupied until :meth:`reclaim`.  A chunk that is not copied is
+        dropped with the conversation's leading prefix through it (the
+        tokens recompute on return, §4.3.4, so no served output is ever
+        lost).  Either way each victim adds its own tokens to the progress
+        (reclaimable tokens plus tokens freed by drops).  Returns
+        ``(chunks, tokens)`` copied, so the engine can model the PCIe
+        traffic.
         """
-        copied: List[Chunk] = []
         if self._evictable == 0:
-            # Every GPU frontier belongs to a pinned conversation (a chunk
-            # holds at least one token): there is no victim to scan for.
-            return copied
+            # Every GPU holder is pinned (a chunk holds at least one
+            # token): there is no victim to scan for.
+            return (0, 0)
         # One CPU victim stream for the whole call, scanned when a copy
         # first finds the CPU tier full: every later shortfall continues
         # it instead of rescanning (exact, see :meth:`_victims`).
         cpu_victims = self._victims(_CPU, now)
+        copied = [0, 0]
 
-        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> str:
-            return self._swap_out_chunk(cache, chunk, now, copied, cpu_victims)
+        def step(
+            cache: ConversationCache, index: int, tokens: int, score: float, now: float
+        ) -> str:
+            copy = self.cpu_capacity_tokens > 0  # else GPU-cache-only variant
+            if copy and self.fault_plan is not None and self.fault_plan.fires(
+                FaultSite.SWAP_OUT
+            ):
+                self.fault_counters.swap_out_failures += 1  # the D2H copy failed
+                copy = False
+            if copy and self.cpu_free_tokens < tokens:
+                self._evict(
+                    _CPU, tokens - self.cpu_free_tokens, now,
+                    self._demote_or_drop, victims=cpu_victims,
+                )
+                # Still short: the CPU tier is saturated with data that
+                # may not be dropped (pinned conversations' chunks, or
+                # copies backing reclaimable GPU slots).
+                copy = self.cpu_free_tokens >= tokens
+            if not copy:
+                self._drop_leading_prefix(cache, index)
+                return "dropped"
+            self._advance(cache, _GPU)
+            copied[0] += 1
+            copied[1] += tokens
+            return "copied"
 
         self._evict(_GPU, tokens_needed - self._reclaimable, now, step)
-        return copied
-
-    def _swap_out_chunk(
-        self,
-        cache: ConversationCache,
-        chunk: Chunk,
-        now: float,
-        copied: List[Chunk],
-        cpu_victims: Iterator[Tuple[float, Chunk, ConversationCache]],
-    ) -> str:
-        """Move one GPU chunk toward the CPU tier: copied, or dropped with
-        the conversation's leading prefix through it (the tokens recompute
-        on return, §4.3.4, so no served output is ever lost).  Either way
-        the chunk's GPU slots have been made reclaimable or free
-        (guaranteed progress).  Returns ``"copied"`` or ``"dropped"``."""
-        copy = self.cpu_capacity_tokens > 0  # else GPU-cache-only variant
-        if copy and self.fault_plan is not None and self.fault_plan.fires(
-            FaultSite.SWAP_OUT
-        ):
-            self.fault_counters.swap_out_failures += 1  # the D2H copy failed
-            copy = False
-        if copy and self.cpu_free_tokens < chunk.num_tokens:
-            self._evict(
-                _CPU, chunk.num_tokens - self.cpu_free_tokens, now,
-                self._demote_or_drop, victims=cpu_victims,
-            )
-            # Still short: the CPU tier is saturated with data that may
-            # not be dropped (pinned conversations' chunks, or copies
-            # backing reclaimable GPU slots).
-            copy = self.cpu_free_tokens >= chunk.num_tokens
-        if copy:
-            self._move(cache, chunk, _GPU_CPU)
-            copied.append(chunk)
-            return "copied"
-        self._drop_leading_prefix(cache, chunk)
-        return "dropped"
+        return copied[0], copied[1]
 
     def _drop_leading_prefix(
-        self, cache: ConversationCache, upto: Optional[Chunk]
+        self, cache: ConversationCache, upto: Optional[int]
     ) -> int:
-        """Grow a conversation's ``DROPPED`` prefix through ``upto``: the
-        only way a cached layout shrinks (Figure 5), and the only code
-        that gives chunks up for §4.3.4 recomputation.
+        """Grow a conversation's ``DROPPED`` prefix through chunk
+        ``upto``: the only way a cached layout shrinks (Figure 5), and the
+        only code that gives chunks up for §4.3.4 recomputation.
 
         Every chunk from the front through ``upto`` that still holds data
-        is dropped with it, whatever tier it is in — a surviving ``DISK``
-        or ``CPU`` chunk ahead of a dropped one would break the monotone
-        layout.  ``GPU_CPU`` chunks lose both their GPU slots and their
-        CPU copy.  Returns tokens dropped (0 when ``upto`` is ``None``).
+        is dropped with it, whatever tier it is in — each boundary rises
+        to at least ``upto + 1``.  ``GPU_CPU`` chunks lose both their GPU
+        slots and their CPU copy.  Returns tokens dropped (0 when ``upto``
+        is ``None``).
         """
         if upto is None:
             return 0
-        dropped = 0
-        for chunk in cache.chunks[: upto.index + 1]:
-            if chunk.location is not _DROPPED:
-                dropped += chunk.num_tokens
-                self._move(cache, chunk, _DROPPED)
+        stop = upto + 1
+        dropped = cache.tokens(cache.starts[0], stop)  # ahead: dropped already
+        self._relayout(cache, [at if at > stop else stop for at in cache.starts])
         return dropped
 
     def reclaim(
@@ -976,11 +963,13 @@ class TieredCacheManager:
         (``GPU_CPU -> CPU``), none of the conversations in ``exclude``.
         Returns tokens freed (may fall short)."""
 
-        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
-            self._move(cache, chunk, _CPU)
+        def step(
+            cache: ConversationCache, index: int, tokens: int, score: float, now: float
+        ) -> None:
+            self._advance(cache, _GPU_CPU)
             tracer = self.tracer
             if tracer is not None:
-                tracer.count("cache.reclaimed_tokens", chunk.num_tokens)
+                tracer.count("cache.reclaimed_tokens", tokens)
 
         return self._evict(_GPU_CPU, tokens_needed, now, step, exclude)
 
@@ -991,9 +980,11 @@ class TieredCacheManager:
         return self._evict(_CPU, tokens_needed, now, self._demote_or_drop)
 
     def _demote_or_drop(
-        self, cache: ConversationCache, chunk: Chunk, score: float, now: float
+        self, cache: ConversationCache, index: int, tokens: int, score: float,
+        now: float,
     ) -> str:
-        """Send one CPU frontier chunk down the hierarchy.
+        """Send one CPU chunk, its conversation's first there, down the
+        hierarchy.
 
         The chunk lands on disk iff the tier exists and room exists or
         can be made by evicting *strictly lower-scored* disk chunks — a
@@ -1002,19 +993,17 @@ class TieredCacheManager:
 
         Returns ``"demoted"`` or ``"dropped"``.
         """
-        if self.disk_capacity_tokens > 0 and chunk.num_tokens <= self.disk_capacity_tokens:
-            if self.disk_free_tokens < chunk.num_tokens:
+        if self.disk_capacity_tokens > 0 and tokens <= self.disk_capacity_tokens:
+            if self.disk_free_tokens < tokens:
                 self.drop_from_disk(
-                    chunk.num_tokens - self.disk_free_tokens,
-                    now,
-                    max_score=score,
+                    tokens - self.disk_free_tokens, now, max_score=score
                 )
-            if self.disk_free_tokens >= chunk.num_tokens:
-                self._move(cache, chunk, _DISK)
+            if self.disk_free_tokens >= tokens:
+                self._advance(cache, _CPU)
                 return "demoted"
         # Takes any of the conversation's chunks still on disk *ahead* of
         # this one with it.
-        self._drop_leading_prefix(cache, chunk)
+        self._drop_leading_prefix(cache, index)
         return "dropped"
 
     def drop_from_disk(
@@ -1028,9 +1017,12 @@ class TieredCacheManager:
         the policy values at least as much.  Returns tokens freed.
         """
 
-        def step(cache: ConversationCache, chunk: Chunk, score: float, now: float) -> None:
-            # A disk frontier has only dropped chunks ahead of it.
-            self._move(cache, chunk, _DROPPED)
+        def step(
+            cache: ConversationCache, index: int, tokens: int, score: float, now: float
+        ) -> None:
+            # A disk chunk that is first there has only dropped chunks
+            # ahead of it.
+            self._advance(cache, _DISK)
 
         return self._evict(
             _DISK, tokens_needed, now, step, max_score=max_score
@@ -1040,12 +1032,12 @@ class TieredCacheManager:
     # Capacity orchestration for the scheduler
     # ------------------------------------------------------------------
 
-    def ensure_capacity(self, tokens_needed: int, now: float) -> List[Chunk]:
+    def ensure_capacity(self, tokens_needed: int, now: float) -> Tuple[int, int]:
         """Make ``tokens_needed`` GPU tokens obtainable, swapping out (and,
         if necessary, dropping) as required.
 
-        Returns chunks newly copied to the CPU so the caller can model the
-        transfer.  After this call ``gpu_available_tokens >=
+        Returns ``(chunks, tokens)`` newly copied to the CPU so the caller
+        can model the transfer.  After this call ``gpu_available_tokens >=
         tokens_needed`` unless even total capacity is insufficient, in
         which case :class:`CacheCapacityError` is raised.
         """
@@ -1055,7 +1047,7 @@ class TieredCacheManager:
                 f"{self.gpu_capacity_tokens}"
             )
         if self.gpu_available_tokens >= tokens_needed:
-            return []
+            return (0, 0)
         copied = self.swap_out(tokens_needed - self.gpu_free_tokens, now)
         if self.gpu_available_tokens < tokens_needed:
             raise CacheCapacityError(
@@ -1078,14 +1070,13 @@ class TieredCacheManager:
         self._set_pinned(cache, False)
         # Already-copied chunks (possible only if the conversation was
         # never promoted after an ahead-of-time copy) reclaim for free.
-        # They precede all GPU chunks, so each move keeps the layout legal,
-        # and so does each of the front-to-back moves below.
-        for chunk in cache.chunks_in(_GPU_CPU):
-            self._move(cache, chunk, _CPU)
-        gpu_tokens = cache.tokens_in(_GPU)
+        disk_at, cpu_at, _, gpu_at = cache.starts
+        self._relayout(cache, [disk_at, cpu_at, gpu_at, gpu_at])
+        end = cache.num_chunks
+        gpu_tokens = cache.tokens(gpu_at, end)
         room = 0 if self.cpu_capacity_tokens == 0 else self.cpu_free_tokens
         dropped = 0
-        upto: Optional[Chunk] = None
+        upto: Optional[int] = None
         if (
             gpu_tokens > 0
             and room > 0
@@ -1095,24 +1086,23 @@ class TieredCacheManager:
             # The suspension's batched D2H copy failed: degrade every chunk
             # to a drop; the suspended request recomputes them on resume.
             self.fault_counters.swap_out_failures += 1
-            dropped, upto = gpu_tokens, cache.rear(_GPU)
-        else:
-            # When the CPU tier cannot hold everything, drop the
-            # conversation's *leading* chunks (cheapest to recompute,
-            # §4.3.1) until the GPU chunks that remain fit.  The dropped
-            # part grows from the very front — Figure 5 allows nothing
-            # else — so a stored prefix goes first and its CPU chunks'
-            # slots count as room.
-            for chunk in cache.chunks:
-                if gpu_tokens - dropped <= room:
-                    break
-                if chunk.location is _GPU:
-                    dropped += chunk.num_tokens
-                elif chunk.location is _CPU:
-                    room += chunk.num_tokens
-                upto = chunk
+            dropped, upto = gpu_tokens, end - 1
+        elif gpu_tokens > room:
+            # The CPU tier cannot hold everything: drop the conversation's
+            # *leading* chunks (cheapest to recompute, §4.3.1) until the
+            # GPU chunks that remain fit.  The dropped part grows from the
+            # very front — Figure 5 allows nothing else — so the stored
+            # prefix goes first and its CPU chunks' slots count as room.
+            # Behind a GPU chunk every CPU chunk is full.
+            short = gpu_tokens - room
+            cpu_chunks = -(-short // self.chunk_size)
+            if cpu_chunks <= gpu_at - cpu_at:
+                upto = cpu_at + cpu_chunks - 1
+            else:
+                short -= cache.tokens(cpu_at, gpu_at)
+                upto = gpu_at - 1 + -(-short // self.chunk_size)
+                dropped = cache.tokens(gpu_at, upto + 1)
         self._drop_leading_prefix(cache, upto)
-        copied = gpu_tokens - dropped
-        for chunk in cache.chunks_in(_GPU):
-            self._move(cache, chunk, _CPU)
-        return copied, dropped
+        disk_at, cpu_at, _, _ = cache.starts
+        self._relayout(cache, [disk_at, cpu_at, end, end])
+        return gpu_tokens - dropped, dropped

@@ -181,6 +181,55 @@ class TestKvLedger:
         assert engine.manager.stats["swapped_out_tokens"] > 0
 
 
+class TestInertAblations:
+    """Where an ablation knob must change nothing: on a GPU that never
+    fills nothing is evicted, so neither the eviction granularity nor the
+    eviction policy has a choice to make.  Each knob's run must make the
+    default run's decisions: the same transfers, ``manager.stats`` and
+    iteration count (and serving statistics)."""
+
+    @staticmethod
+    def decisions(workload, **knobs):
+        if workload == "opt-13b":
+            kv = OPT_13B.kv_bytes_per_token
+            spec = replace(
+                A100_80GB, kv_cache_bytes=kv * 16384, cpu_memory_bytes=kv * 1024
+            )
+            conversations, model = _mixed_conversations(), OPT_13B
+        else:
+            spec = spec_with_capacity(4096)
+            conversations, model = [
+                scripted_conversation(i, [(24, 12), (16, 12), (12, 10)],
+                                      start=0.05 * i, think=0.3)
+                for i in range(8)
+            ], TINY
+        engine, stats = run_serving_once(
+            lambda loop: PensieveEngine(loop, model, spec, chunk_size=32, **knobs),
+            conversations, until=120.0, warmup=0.0,
+        )
+        cached = engine.manager.stats
+        # The GPU never filled, and returning turns found their context.
+        assert cached["swapped_out_tokens"] == cached["dropped_tokens"] == 0
+        assert cached["gpu_hit_tokens"] > 0
+        transfers = [
+            (r.direction, r.num_bytes, r.start_time, r.end_time)
+            for r in engine.pcie.history + engine.nvme.history
+        ]
+        return transfers, dict(cached), engine.iterations, stats.as_dict()
+
+    @pytest.mark.parametrize("workload", ["opt-13b", "tiny"])
+    def test_whole_conversation_eviction_is_inert(self, workload):
+        assert self.decisions(workload, whole_conversation_eviction=True) == (
+            self.decisions(workload)
+        )
+
+    @pytest.mark.parametrize("workload", ["opt-13b", "tiny"])
+    def test_lru_decides_as_retention_does(self, workload):
+        assert self.decisions(workload, policy="lru") == (
+            self.decisions(workload, policy="retention")
+        )
+
+
 class TestCacheManagement:
     def test_ahead_of_time_swap_triggers_below_threshold(self):
         """Filling most of a small GPU cache triggers AOT copies."""

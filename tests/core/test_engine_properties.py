@@ -80,8 +80,6 @@ def test_pensieve_completes_every_workload(scripts, arrivals, think):
     assert driver.outstanding == 0
     check_progress(engine, conversations)
     engine.manager._audit()
-    for cache in engine.manager.conversations():
-        cache.check_layout()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,84 +1,121 @@
-"""Tests for chunk bookkeeping and the Figure 5 layout invariant."""
+"""Tests for chunk bookkeeping and the Figure 5 layout invariant.
+
+A conversation's cache is its length and four chunk boundaries; these
+tests set them directly where they test the arithmetic, and go through the
+manager where they test how the boundaries move.
+"""
+
+import tracemalloc
 
 import pytest
 
-from repro.kvcache import Chunk, ChunkLocation, ConversationCache, TailNotOnGpuError
+from repro.core import LruPolicy
+from repro.kvcache import (
+    ChunkLocation,
+    ConversationCache,
+    TailNotOnGpuError,
+    TieredCacheManager,
+)
+
+from tests.kvcache.layout import locations, spans
+
+
+def make_cache(total, disk=0, cpu=0, gpu_cpu=0, gpu=0, chunk_size=32):
+    cache = ConversationCache(conv_id=7, chunk_size=chunk_size)
+    cache.total_tokens = total
+    cache.starts = [disk, cpu, gpu_cpu, gpu]
+    return cache
+
+
+def make_manager(gpu=4096, cpu=4096, chunk=32):
+    return TieredCacheManager(gpu, cpu, chunk_size=chunk, scorer=LruPolicy())
+
+
+def grow(mgr, conv_id, tokens, now=0.0):
+    """A turn of ``tokens`` new tokens, left pinned."""
+    mgr.open(conv_id, now)
+    return mgr.commit_restore(mgr.plan_restore(conv_id, tokens), now)
 
 
 class TestChunk:
     def test_basic_properties(self):
-        chunk = Chunk(conv_id=1, index=0, start=0, end=32)
-        assert chunk.num_tokens == 32
-        assert chunk.location is ChunkLocation.GPU
+        cache = make_cache(40, gpu=0)
+        assert cache.num_chunks == 2
+        assert cache.span(0) == (0, 32)
+        assert cache.span(1) == (32, 40)  # the partial tail
+        assert cache.tokens(0, 2) == 40 and cache.tokens(1, 2) == 8
+        assert cache.tokens(1, 1) == 0
 
     def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            Chunk(conv_id=1, index=0, start=10, end=10)
-        with pytest.raises(ValueError):
-            Chunk(conv_id=1, index=0, start=-1, end=5)
+        cache = make_cache(40)
+        with pytest.raises(IndexError):
+            cache.span(2)
+        with pytest.raises(IndexError):
+            cache.span(-1)
 
 
 class TestExtendTo:
     def test_covers_with_full_and_partial_chunks(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        created = cache.extend_to(100)
-        assert [c.num_tokens for c in created] == [32, 32, 32, 4]
+        mgr = make_manager()
+        cache = grow(mgr, 7, 100)
+        assert [end - start for start, end in spans(cache)] == [32, 32, 32, 4]
         assert cache.total_tokens == 100
-        cache.check_layout()
+        assert locations(cache) == [ChunkLocation.GPU] * 4
+        mgr._audit()
 
     def test_partial_tail_completes_first(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(40)
-        cache.extend_to(100)
-        sizes = [c.num_tokens for c in cache.chunks]
-        assert sizes == [32, 32, 32, 4]
-        cache.check_layout()
+        mgr = make_manager()
+        cache = grow(mgr, 7, 40)
+        mgr.append_tokens(7, 60, now=1.0)
+        assert [end - start for start, end in spans(cache)] == [32, 32, 32, 4]
+        mgr._audit()
 
     def test_extend_is_idempotent_at_same_size(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(64)
-        assert cache.extend_to(64) == []
+        mgr = make_manager()
+        cache = grow(mgr, 7, 64)
+        mgr.append_tokens(7, 0, now=1.0)
+        assert cache.bounds() == (0, 0, 0, 0, 0, 2)
 
     def test_shrink_rejected(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(64)
+        mgr = make_manager()
+        grow(mgr, 7, 64)
         with pytest.raises(ValueError):
-            cache.extend_to(32)
+            mgr.plan_restore(7, -32)
 
     def test_cannot_extend_non_gpu_tail(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(40)
-        cache.chunks[-1].location = ChunkLocation.CPU
-        cache.chunks[0].location = ChunkLocation.CPU
+        cache = make_cache(40, gpu_cpu=2, gpu=2)  # both chunks copied
         with pytest.raises(TailNotOnGpuError):
-            cache.extend_to(80)
-        assert cache.total_tokens == 40
+            cache.check_growable()
+        mgr = make_manager()
+        grow(mgr, 7, 40)
+        mgr.close(7, now=1.0)
+        mgr.swap_out(40, now=2.0)
+        mgr.open(7, now=3.0)
+        with pytest.raises(TailNotOnGpuError):
+            mgr.append_tokens(7, 40, now=3.0)
+        assert mgr.conversation(7).total_tokens == 40
 
     def test_grow_tail_bumps_in_place(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(30)
-        tail = cache.chunks[-1]
-        assert cache.grow_tail(5) == 2  # only up to the chunk boundary
-        assert cache.chunks == [tail] and tail.end == 32
-        assert cache.grow_tail(1) == 0  # full: a new chunk is the caller's
-        cache.check_growable()
+        mgr = make_manager()
+        cache = grow(mgr, 7, 30)
+        mgr.append_tokens(7, 2, now=1.0)  # fills the tail, no new chunk
+        assert cache.num_chunks == 1 and cache.span(0) == (0, 32)
+        mgr.append_tokens(7, 1, now=1.0)  # the next token starts chunk 1
+        assert cache.span(1) == (32, 33)
+        assert locations(cache) == [ChunkLocation.GPU] * 2
+        mgr._audit()
 
     def test_full_non_gpu_tail_still_grows(self):
-        cache = ConversationCache(conv_id=7, chunk_size=32)
-        cache.extend_to(32)
-        cache.chunks[0].location = ChunkLocation.CPU
+        cache = make_cache(32, cpu=0, gpu_cpu=1, gpu=1)  # chunk 0 on CPU
         cache.check_growable()
-        assert [c.location for c in cache.extend_to(33)] == [ChunkLocation.GPU]
+        cache.total_tokens += 1
+        assert locations(cache) == [ChunkLocation.CPU, ChunkLocation.GPU]
 
 
 class TestAccounting:
     def make_cache(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(128)
-        cache.chunks[0].location = ChunkLocation.DROPPED
-        cache.chunks[1].location = ChunkLocation.CPU
-        cache.chunks[2].location = ChunkLocation.GPU_CPU
-        return cache
+        # Chunk 0 dropped, 1 on CPU, 2 copied ahead of time, 3 on GPU.
+        return make_cache(128, disk=1, cpu=1, gpu_cpu=2, gpu=3)
 
     def test_tokens_in(self):
         cache = self.make_cache()
@@ -93,67 +130,47 @@ class TestAccounting:
         assert seg[ChunkLocation.CPU] == 32
         assert seg[ChunkLocation.GPU_CPU] == 32
         assert seg[ChunkLocation.GPU] == 32
+        assert seg[ChunkLocation.DISK] == 0
 
     def test_frontier(self):
+        """Each location's chunks are one run; its first is the one an
+        eviction from there takes."""
         cache = self.make_cache()
-        assert cache.frontier(ChunkLocation.CPU).index == 1
-        assert cache.frontier(ChunkLocation.GPU).index == 3
-        assert cache.frontier(ChunkLocation.GPU, ChunkLocation.GPU_CPU).index == 2
+        assert cache.chunks_in(ChunkLocation.CPU) == range(1, 2)
+        assert cache.chunks_in(ChunkLocation.GPU) == range(3, 4)
+        assert cache.chunks_in(ChunkLocation.GPU_CPU) == range(2, 3)
+        assert not cache.chunks_in(ChunkLocation.DISK)
+        assert cache.starts[2] == cache.chunks_in(ChunkLocation.GPU_CPU).start
 
 
 class TestLayoutInvariant:
     def test_valid_layout_passes(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(128)
-        cache.chunks[0].location = ChunkLocation.DROPPED
-        cache.chunks[1].location = ChunkLocation.CPU
-        cache.check_layout()
+        mgr = make_manager(chunk=32)
+        grow(mgr, 1, 128)
+        mgr.close(1, now=1.0)
+        mgr.swap_out(64, now=2.0)
+        mgr.reclaim(64, now=2.0)
+        mgr.drop_from_cpu(32, now=3.0)
+        cache = mgr.conversation(1)
+        assert locations(cache) == [
+            ChunkLocation.DROPPED, ChunkLocation.CPU, ChunkLocation.GPU,
+            ChunkLocation.GPU,
+        ]
+        mgr._audit()
 
     def test_gpu_before_cpu_fails(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(64)
-        cache.chunks[1].location = ChunkLocation.CPU  # GPU then CPU: illegal
+        mgr = make_manager()
+        cache = grow(mgr, 1, 64)
+        cache.starts[2] = 2  # GPU chunks ahead of copied ones: not Figure 5
         with pytest.raises(AssertionError):
-            cache.check_layout()
+            mgr._audit()
 
     def test_cpu_before_dropped_fails(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(96)
-        cache.chunks[0].location = ChunkLocation.CPU
-        cache.chunks[1].location = ChunkLocation.DROPPED
+        mgr = make_manager()
+        cache = grow(mgr, 1, 96)
+        cache.starts[0] = 1  # a dropped chunk behind CPU ones
         with pytest.raises(AssertionError):
-            cache.check_layout()
-
-    @pytest.mark.parametrize("location", [
-        ChunkLocation.DROPPED,  # the middle chunk, behind a GPU predecessor
-        ChunkLocation.GPU,      # the middle chunk, ahead of a CPU successor
-    ])
-    def test_neighbour_check_sees_both_sides(self, location):
-        """The O(1) check after a single move: either broken pair fails
-        it, exactly where the full walk would.  A check of the predecessor
-        alone passes the second case, of the successor alone the first;
-        each mutation, tried in a copy of the tree, fails only here."""
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(96)
-        if location is ChunkLocation.GPU:
-            for chunk in cache.chunks:
-                chunk.location = ChunkLocation.CPU
-        moved = cache.chunks[1]
-        moved.location = location
-        with pytest.raises(AssertionError):
-            cache.check_layout()
-        with pytest.raises(AssertionError):
-            cache.check_neighbours(moved)
-
-    def test_neighbour_check_passes_legal_moves(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(96)
-        for chunk, location in zip(
-            cache.chunks, [ChunkLocation.DROPPED, ChunkLocation.CPU, ChunkLocation.GPU]
-        ):
-            chunk.location = location
-            cache.check_neighbours(chunk)
-        cache.check_layout()
+            mgr._audit()
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
@@ -162,18 +179,14 @@ class TestLayoutInvariant:
 
 class TestRear:
     def make_cache(self):
-        cache = ConversationCache(conv_id=1, chunk_size=32)
-        cache.extend_to(128)
-        cache.chunks[0].location = ChunkLocation.CPU
-        cache.chunks[1].location = ChunkLocation.GPU_CPU
-        cache.chunks[2].location = ChunkLocation.GPU_CPU
-        return cache
+        # Chunk 0 on CPU, 1 and 2 copied ahead of time, 3 on GPU.
+        return make_cache(128, gpu_cpu=1, gpu=3)
 
     def test_rear_finds_latest_match(self):
         cache = self.make_cache()
-        assert cache.rear(ChunkLocation.GPU_CPU).index == 2
-        assert cache.rear(ChunkLocation.CPU).index == 0
-        assert cache.rear(ChunkLocation.GPU).index == 3
+        assert cache.rear(ChunkLocation.GPU_CPU) == 2
+        assert cache.rear(ChunkLocation.CPU) == 0
+        assert cache.rear(ChunkLocation.GPU) == 3
 
     def test_rear_none_when_absent(self):
         cache = self.make_cache()
@@ -181,4 +194,37 @@ class TestRear:
 
     def test_rear_multiple_locations(self):
         cache = self.make_cache()
-        assert cache.rear(ChunkLocation.CPU, ChunkLocation.GPU_CPU).index == 2
+        assert cache.rear(ChunkLocation.CPU, ChunkLocation.GPU_CPU) == 2
+
+
+class TestNoRecordPerChunk:
+    @staticmethod
+    def retained_bytes(chunks):
+        """Bytes a manager still holds after one conversation of
+        ``chunks`` chunks grew, was copied out and came back."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mgr = make_manager(gpu=32 * 1024, cpu=32 * 1024)
+            grow(mgr, 1, 32 * chunks - 5)
+            mgr.close(1, now=1.0)
+            mgr.swap_out(32 * chunks // 2, now=2.0)
+            mgr.reclaim(32 * chunks // 4, now=2.0)
+            mgr.drop_from_cpu(32 * chunks // 8, now=2.0)
+            grow(mgr, 1, 7, now=3.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert mgr.conversation(1).total_tokens == 32 * chunks + 2
+        return retained
+
+    def test_retained_bytes_do_not_grow_with_chunks(self):
+        """A cache is its length and four boundaries: a 1,000-chunk
+        conversation costs what a 10-chunk one does, up to the few bytes
+        of its larger ints (168 bytes apart in one run; other tests' leftovers
+        move either by a few hundred).  With a record per chunk the two
+        were 132,632 bytes apart."""
+        self.retained_bytes(10)  # one-time allocations land outside the pair
+        small, large = self.retained_bytes(10), self.retained_bytes(1000)
+        # 990 more chunks at even one pointer each would be 7,920 bytes.
+        assert abs(large - small) < 2048, (small, large)

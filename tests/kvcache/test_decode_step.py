@@ -4,23 +4,23 @@ request at the iteration's clock, with one reclaim scan.
 ``TieredCacheManager.append_decode_step(conv_ids, now)`` grows a batch of
 pinned conversations in one call: it reclaims the step's whole deficit
 (growers minus free slots) through one ``GPU_CPU`` victim stream scored at
-``now``, then bumps partial GPU tails in place.  For a pinned batch that
+``now``, then adds one token to each grower.  For a pinned batch that
 is *exactly* ``append_tokens(conv_id, 1, now)`` for each conversation in
 order, including when the GPU tier is full and the growth must reclaim
 copies, and when a conversation does not fit and is skipped (the engine
 suspends it and carries on with the rest).  Twin managers take the same
 random walk; one grows each batch in one call, the other one request at
 a time, and after every step both must agree on every chunk, every move
-the observer saw, ``stats``, the tier totals and the frontier index, and
-both pass ``_audit()``.  Each victim of the batched step must also be the
-brute-force minimum of the ``GPU_CPU`` frontiers scored at ``now``, and a
-step opens at most one ``GPU_CPU`` stream.  The walks run under LRU and
-under the paper's retention scorer (the random walk draws one per
-example): the retention scorer ranks victims by cost over idle time at
-``now``, LRU by age alone.  A ``fill`` turn takes every free slot, so
-that later steps meet a full GPU, and a walk has at least 20 operations:
-so drawn, 32 steps of the 300 examples reclaim, where walks from one
-operation without ``fill`` reclaimed in none.
+the observer saw, ``stats``, the tier totals and each location's holders,
+and both pass ``_audit()``.  Each victim of the batched step must also be
+the brute-force minimum of the conversations' first ``GPU_CPU`` chunks
+scored at ``now``, and a step opens at most one ``GPU_CPU`` stream.  The
+walks run under LRU and under the paper's retention scorer (the random
+walk draws one per example): the retention scorer ranks victims by cost
+over idle time at ``now``, LRU by age alone.  A ``fill`` turn takes every
+free slot, so that later steps meet a full GPU, and a walk has at least
+20 operations: so drawn, 32 steps of the 300 examples reclaim, where
+walks from one operation without ``fill`` reclaimed in none.
 
 Mutations tried in a copy of the tree: growing without reclaiming first
 fails every test here; skipping the up-front tail check fails
@@ -43,6 +43,8 @@ from repro.core import LruPolicy, RetentionValuePolicy
 from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache import ChunkLocation, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
+
+from tests.kvcache.layout import locations, spans
 
 GPU_CPU = ChunkLocation.GPU_CPU
 CPU = ChunkLocation.CPU
@@ -77,15 +79,20 @@ def one_by_one(mgr, conv_ids, now):
     return skipped
 
 
-def gpu_cpu_minimum(mgr, now):
+def gpu_cpu_minimum(mgr, now, moved):
     """The oracle: ``(conv_id, chunk index)`` of the lowest
-    ``(score at now, conv_id)`` among the unpinned conversations'
-    ``GPU_CPU`` frontiers, from the chunk lists alone."""
-    keys = [
-        (mgr.scorer(chunk, cache.last_active, now), cache.conv_id, chunk.index)
-        for cache in mgr.conversations()
-        if not cache.pinned and (chunk := cache.frontier(GPU_CPU)) is not None
-    ]
+    ``(score at now, conv_id)`` among the unpinned conversations' first
+    ``GPU_CPU`` chunks, from their lengths and boundaries alone, with chunk
+    ``moved = (cache, index)`` looked at as still ``GPU_CPU``."""
+    keys = []
+    for cache in mgr.conversations():
+        where = locations(cache)
+        if moved[0] is cache:
+            where[moved[1]] = GPU_CPU
+        if not cache.pinned and GPU_CPU in where:
+            index = where.index(GPU_CPU)
+            score = mgr.scorer(spans(cache)[index][1], cache.last_active, now)
+            keys.append((score, cache.conv_id, index))
     return min(keys)[1:]
 
 
@@ -108,17 +115,13 @@ class Twin:
 
         self.mgr.reclaim = counted
 
-    def observe(self, cache, chunk, old, new) -> None:
-        self.moves.append((cache.conv_id, chunk.index, old, new))
+    def observe(self, cache, index, old, new) -> None:
+        self.moves.append((cache.conv_id, index, old, new))
         if self.step_now is not None:
-            assert (old, new) == (GPU_CPU, CPU), (chunk, old, new)
-            # The observer runs after the move: put the chunk back to look.
-            chunk.location = old
-            try:
-                want = gpu_cpu_minimum(self.mgr, self.step_now)
-            finally:
-                chunk.location = new
-            assert (cache.conv_id, chunk.index) == want, (self.step_now, want, chunk)
+            assert (old, new) == (GPU_CPU, CPU), (cache, index, old, new)
+            # The observer runs after the move: look where the chunk was.
+            want = gpu_cpu_minimum(self.mgr, self.step_now, (cache, index))
+            assert (cache.conv_id, index) == want, (self.step_now, want, index)
             self.checked += 1
 
     def step(self, conv_ids, now):
@@ -134,17 +137,14 @@ class Twin:
         mgr = self.mgr
         return (
             {
-                cache.conv_id: [(c.start, c.end, c.location) for c in cache.chunks]
+                cache.conv_id: list(zip(spans(cache), locations(cache)))
                 for cache in mgr.conversations()
             },
             self.moves,
             dict(mgr.stats),
             (mgr.gpu_resident_tokens, mgr.reclaimable_tokens,
              mgr.evictable_gpu_tokens, mgr.cpu_used_tokens),
-            {
-                loc: {conv_id: chunk.index for conv_id, chunk in index.items()}
-                for loc, index in mgr._frontier.items()
-            },
+            {loc: set(holders) for loc, holders in mgr._holders.items()},
         )
 
 
@@ -190,7 +190,7 @@ def apply(mgr, now, op, grow):
         conv_ids = []
         for conv_id in order[:size]:
             cache = mgr.conversation(conv_id)
-            if cache is not None and cache.pinned and cache.chunks:
+            if cache is not None and cache.pinned and cache.total_tokens:
                 try:
                     cache.check_growable()
                 except ValueError:
@@ -259,7 +259,7 @@ def test_the_walk_reaches_the_reclaim_and_skip_paths():
 
 @pytest.mark.parametrize("scorer", sorted(SCORERS))
 def test_a_decode_step_reclaims_at_the_iterations_clock(scorer):
-    """Conversation 0 (idle since t=1, its copied frontier costs 3) and
+    """Conversation 0 (idle since t=1, its first copy costs 3) and
     conversation 1 (idle since t=6, costs 1) both hold a copy; growing
     conversation 2 (admitted at t=8) on a full GPU at the iteration's
     clock t=9 reclaims one.  At t=9 the retention scorer takes
@@ -274,7 +274,7 @@ def test_a_decode_step_reclaims_at_the_iterations_clock(scorer):
     paths, mgr = walk(ops, gpu=64, cpu=512, make_scorer=SCORERS[scorer])
     assert paths["reclaimed"] == 1, paths
     copies = {
-        conv_id: [c.location.value for c in mgr.conversation(conv_id).chunks]
+        conv_id: [loc.value for loc in locations(mgr.conversation(conv_id))]
         for conv_id in (0, 1)
     }
     reclaimed = 1 if scorer == "retention" else 0

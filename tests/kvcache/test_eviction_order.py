@@ -1,24 +1,25 @@
 """The eviction order, checked against a brute-force oracle, and what
 finding it costs.
 
-The manager picks victims from a frontier index and one scored heap per
-eviction call.  Neither may change *which* chunk goes next: before every
-eviction the victim must be the minimum of
-``(scorer(cache.frontier(loc), cache.last_active, now), conv_id, index)``
-over the unpinned conversations — recomputed here from public state only
-(the conversations' chunk lists), at every single eviction, which is what
-the manager itself did before it kept an index.
+The manager picks victims from its per-location holders and one scored
+heap per eviction call.  Neither may change *which* chunk goes next:
+before every eviction the victim must be the minimum of
+``(scorer(end, cache.last_active, now), conv_id, index)`` over the
+unpinned conversations' first chunks in the location — recomputed here at
+every single eviction, chunk by chunk, from each conversation's length and
+boundaries alone (``tests/kvcache/layout.py``), which is what the manager
+itself did before it kept holders and a heap.
 
 Under ``swap_out`` the walk also checks the CPU victims that a full CPU
 tier forces, which all come from one CPU stream per call: each must be the
 CPU minimum at that moment, a GPU victim may be dropped only if its copy
-failed or no CPU frontier is left to drop, and nothing an eviction call
-does may move a chunk out of ``DROPPED``.
+failed or no CPU chunk is left to drop, and nothing an eviction call does
+may move a chunk out of ``DROPPED``.
 
 Count-based tests pin the cost: one eviction call scores each cached
 conversation once plus once per victim, not once per victim per
 conversation, and a ``swap_out`` that keeps finding the CPU tier full
-scans the CPU frontiers once, not once per GPU victim.
+scans the CPU holders once, not once per GPU victim.
 
 Mutations of ``TieredCacheManager._victims``, each tried in a copy of the
 tree against ``tests/kvcache``, ``tests/core`` and ``tests/faults`` under
@@ -31,7 +32,7 @@ the derandomized profile:
 - an entry whose chunk already left the location yielded, without the
   location check: fails ``test_the_walk_reaches_every_eviction_path``
   (``STALE_CPU_ENTRY``: the dropped chunk moves to disk in three tiers,
-  and in two the GPU victim behind it is dropped although a CPU frontier
+  and in two the GPU victim behind it is dropped although a CPU chunk
   is left).
 
 And of ``TieredCacheManager._evict``, the one loop that draws from those
@@ -54,6 +55,8 @@ from repro.gpu.profiler import AttentionCostProfile
 from repro.kvcache import ChunkLocation, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 
+from tests.kvcache.layout import locations, spans
+
 GPU = ChunkLocation.GPU
 GPU_CPU = ChunkLocation.GPU_CPU
 CPU = ChunkLocation.CPU
@@ -71,17 +74,22 @@ PROFILE = AttentionCostProfile(
 )
 
 
-def scored_frontiers(mgr, loc, now, exclude=()):
+def scored_frontiers(mgr, loc, now, exclude=(), moved=None):
     """The oracle: every unpinned conversation's earliest chunk in ``loc``
     outside ``exclude``, scored at ``now``, as ``(score, conv_id, chunk
-    index)``, from the chunk lists alone."""
+    index)``, from the conversations' lengths and boundaries alone.
+    ``moved = (cache, index, location)`` looks at chunk ``index`` of
+    ``cache`` as if it were still in ``location``."""
     keys = []
     for cache in mgr.conversations():
-        chunk = cache.frontier(loc)
-        if chunk is None or cache.pinned or cache.conv_id in exclude:
+        where = locations(cache)
+        if moved is not None and moved[0] is cache:
+            where[moved[1]] = moved[2]
+        if loc not in where or cache.pinned or cache.conv_id in exclude:
             continue
-        score = mgr.scorer(chunk, cache.last_active, now)
-        keys.append((score, cache.conv_id, chunk.index))
+        index = where.index(loc)
+        score = mgr.scorer(spans(cache)[index][1], cache.last_active, now)
+        keys.append((score, cache.conv_id, index))
     return keys
 
 
@@ -114,14 +122,14 @@ class Walk:
 
     # -- the oracle, at every eviction ---------------------------------
 
-    def observe(self, cache, chunk, old, new) -> None:
+    def observe(self, cache, index, old, new) -> None:
         if self.call is None:
             return
         loc, now, exclude = self.call
-        key = (cache.conv_id, chunk.index)
-        assert old is not DROPPED, (self.call, chunk)
+        key = (cache.conv_id, index)
+        assert old is not DROPPED, (self.call, key)
         if self.collateral is not None:
-            assert cache.conv_id == self.collateral, (self.collateral, chunk)
+            assert cache.conv_id == self.collateral, (self.collateral, key)
         if old is loc:
             if not (
                 self.mgr.whole_conversation_eviction
@@ -130,7 +138,7 @@ class Walk:
             ):
                 # (Granularity ablation: the rest of the picked conversation
                 # follows its frontier out, whatever the other scores are.)
-                assert self.min_key(loc, chunk, old, new, exclude) == key, (
+                assert self.min_key(loc, cache, index, old, exclude) == key, (
                     self.call, key
                 )
                 self.picked = cache.conv_id
@@ -141,23 +149,20 @@ class Walk:
             # Under swap_out a CPU chunk leaves as a victim of the call's
             # CPU stream, which must be the CPU minimum, or ahead of a GPU
             # victim of its own conversation that is being dropped.
-            if self.min_key(CPU, chunk, old, new) == key:
+            if self.min_key(CPU, cache, index, old) == key:
                 self.checked["nested cpu"] += 1
             else:
                 self.collateral = cache.conv_id
         elif loc is CPU:
             # Besides its victims, a CPU drop touches only disk chunks: the
             # ones a demotion displaces or a drop takes ahead of it.
-            assert old is DISK, (self.call, chunk, old, new)
+            assert old is DISK, (self.call, key, old, new)
 
-    def min_key(self, loc, chunk, old, new, exclude=()):
+    def min_key(self, loc, cache, index, old, exclude=()):
         """``(conv_id, index)`` of the minimum the manager chose from: the
-        observer runs after the move, so put the chunk back to look."""
-        chunk.location = old
-        try:
-            return min(scored_frontiers(self.mgr, loc, self.call[1], exclude))[1:]
-        finally:
-            chunk.location = new
+        observer runs after the move, so look at the chunk where it was."""
+        moved = (cache, index, old)
+        return min(scored_frontiers(self.mgr, loc, self.call[1], exclude, moved))[1:]
 
     def check_dropped(self, cache) -> None:
         """A GPU victim was dropped: its copy failed, or the CPU tier held
@@ -272,8 +277,6 @@ class Walk:
             if conv not in self.open_convs:
                 mgr.forget(conv)
         mgr._audit()
-        for cache in mgr.conversations():
-            cache.check_layout()
 
 
 CONVS = st.integers(min_value=0, max_value=5)
@@ -385,7 +388,7 @@ def test_the_walk_reaches_every_eviction_path():
         # chunks are CPU minima when they go, so they count here too.
         assert walk.checked["nested cpu"] == 4, walk.checked
         assert walk.mgr.fault_counters.swap_out_failures == 1
-        assert [c.location for c in walk.mgr.conversation(4).chunks] == [GPU_CPU] * 4
+        assert locations(walk.mgr.conversation(4)) == [GPU_CPU] * 4
 
 
 class CountingScorer:
@@ -394,7 +397,7 @@ class CountingScorer:
     def __init__(self) -> None:
         self.calls = 0
 
-    def __call__(self, chunk, last_active, now) -> float:
+    def __call__(self, end, last_active, now) -> float:
         self.calls += 1
         return last_active
 
@@ -413,10 +416,10 @@ def test_one_eviction_call_scores_each_conversation_once(verb):
         mgr.commit_restore(mgr.plan_restore(conv, per_conv * CHUNK), 0.0)
         mgr.close(conv, float(conv % 5))
     if verb == "reclaim":
-        mgr.swap_out(total, now=10.0)  # every conversation now fronts GPU_CPU
+        mgr.swap_out(total, now=10.0)  # every conversation now holds GPU_CPU
     scorer.calls = 0
     if verb == "swap_out":
-        moved = sum(c.num_tokens for c in mgr.swap_out(victims * CHUNK, now=10.0))
+        moved = mgr.swap_out(victims * CHUNK, now=10.0)[1]
     else:
         moved = mgr.reclaim(victims * CHUNK, now=10.0)
     assert moved == victims * CHUNK
@@ -446,7 +449,7 @@ def test_swap_out_scans_a_full_cpu_tier_once():
             assert mgr.cpu_free_tokens == 0
     scorer.calls = 0
     copied = mgr.swap_out(victims * CHUNK, now=10.0)
-    assert sum(c.num_tokens for c in copied) == victims * CHUNK
+    assert copied == (victims, victims * CHUNK)
     assert mgr.stats["dropped_tokens"] == victims * CHUNK  # one CPU victim each
     assert scorer.calls <= n_gpu + n_cpu + victims, scorer.calls
     mgr._audit()

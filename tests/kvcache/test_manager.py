@@ -8,6 +8,8 @@ from repro.kvcache import ChunkLocation, TailNotOnGpuError, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
 from repro.model import OPT_13B
 
+from tests.kvcache.layout import locations, spans
+
 
 def make_manager(gpu=1024, cpu=4096, chunk=32, scorer=None):
     return TieredCacheManager(
@@ -102,7 +104,7 @@ class TestSwapOutAndReclaim:
         mgr = make_manager(gpu=256)
         finish_conversation(mgr, 1, 128, now=0.0)
         copied = mgr.swap_out(64, now=10.0)
-        assert sum(c.num_tokens for c in copied) >= 64
+        assert copied[1] >= 64
         # Lazy reclamation: slots still occupied, but reclaimable.
         assert mgr.gpu_resident_tokens == 128
         assert mgr.reclaimable_tokens >= 64
@@ -113,9 +115,9 @@ class TestSwapOutAndReclaim:
         finish_conversation(mgr, 1, 128, now=0.0)
         mgr.swap_out(32, now=10.0)
         cache = mgr.conversation(1)
-        assert cache.chunks[0].location is ChunkLocation.GPU_CPU
-        assert cache.chunks[1].location is ChunkLocation.GPU
-        cache.check_layout()
+        assert locations(cache)[0] is ChunkLocation.GPU_CPU
+        assert locations(cache)[1] is ChunkLocation.GPU
+        mgr._audit()
 
     def test_reclaim_frees_copied_slots(self):
         mgr = make_manager(gpu=256)
@@ -125,14 +127,14 @@ class TestSwapOutAndReclaim:
         assert freed >= 64
         assert mgr.gpu_free_tokens >= 256 - 128 + 64
         cache = mgr.conversation(1)
-        assert cache.chunks[0].location is ChunkLocation.CPU
+        assert locations(cache)[0] is ChunkLocation.CPU
 
     def test_pinned_conversations_not_evicted(self):
         mgr = make_manager(gpu=256)
         mgr.open(1, now=0.0)
         plan = mgr.plan_restore(1, 128)
         mgr.commit_restore(plan, now=0.0)  # stays pinned
-        assert mgr.swap_out(64, now=10.0) == []
+        assert mgr.swap_out(64, now=10.0) == (0, 0)
         assert mgr.evictable_gpu_tokens == 0
 
     def test_gpu_cache_only_variant_drops(self):
@@ -140,7 +142,7 @@ class TestSwapOutAndReclaim:
         mgr = make_manager(gpu=256, cpu=0)
         finish_conversation(mgr, 1, 128, now=0.0)
         copied = mgr.swap_out(64, now=10.0)
-        assert copied == []
+        assert copied == (0, 0)
         cache = mgr.conversation(1)
         assert cache.tokens_in(ChunkLocation.DROPPED) >= 64
         assert mgr.stats["dropped_tokens"] >= 64
@@ -158,7 +160,7 @@ class TestCpuPressure:
         mgr.swap_out(64, now=20.0)
         cache = mgr.conversation(1)
         assert cache.tokens_in(ChunkLocation.DROPPED) > 0
-        cache.check_layout()
+        mgr._audit()
 
     def test_swap_out_drops_when_cpu_holds_only_live_copies(self):
         """When the CPU tier is filled entirely by lazily-reclaimable
@@ -171,7 +173,7 @@ class TestCpuPressure:
         # Progress goal met: reclaimable copies plus freed (dropped) slots.
         assert mgr.reclaimable_tokens + mgr.gpu_free_tokens >= 128
         assert cache.tokens_in(ChunkLocation.DROPPED) > 0
-        cache.check_layout()
+        mgr._audit()
 
     def test_drop_prefers_leading_chunks(self):
         mgr = make_manager(gpu=512, cpu=4096)
@@ -180,8 +182,8 @@ class TestCpuPressure:
         mgr.reclaim(128, now=10.0)
         mgr.drop_from_cpu(32, now=20.0)
         cache = mgr.conversation(1)
-        assert cache.chunks[0].location is ChunkLocation.DROPPED
-        assert cache.chunks[1].location is ChunkLocation.CPU
+        assert locations(cache)[0] is ChunkLocation.DROPPED
+        assert locations(cache)[1] is ChunkLocation.CPU
 
 
 class TestRestore:
@@ -211,7 +213,7 @@ class TestRestore:
         cache = mgr.commit_restore(plan, now=20.0)
         assert cache.tokens_in(ChunkLocation.GPU) == 144
         assert cache.pinned
-        cache.check_layout()
+        mgr._audit()
 
     def test_new_conversation_plan_is_all_new(self):
         mgr = make_manager()
@@ -336,7 +338,7 @@ class TestAppendTokens:
         mgr.open(3, 4.0)
         mgr.commit_restore(mgr.plan_restore(3, 64), now=4.0)
         assert mgr.gpu_free_tokens == 0 and mgr.reclaimable_tokens == 64
-        assert mgr.conversation(1).chunks[-1].location is ChunkLocation.CPU
+        assert locations(mgr.conversation(1))[-1] is ChunkLocation.CPU
         return mgr
 
     @staticmethod
@@ -346,7 +348,7 @@ class TestAppendTokens:
             (mgr.gpu_resident_tokens, mgr.reclaimable_tokens,
              mgr.evictable_gpu_tokens, mgr.cpu_used_tokens, mgr.disk_used_tokens),
             {
-                cache.conv_id: [(c.start, c.end, c.location) for c in cache.chunks]
+                cache.conv_id: list(zip(spans(cache), locations(cache)))
                 for cache in mgr.conversations()
             },
         )
@@ -354,7 +356,7 @@ class TestAppendTokens:
     def test_stranded_tail_refused_before_anything_moves(self):
         """Regression: growing a conversation whose partial tail has left
         the GPU used to reclaim another conversation's chunk first and
-        only then raise from ``extend_to``."""
+        only then raise from the chunk list's growth."""
         mgr = self.stranded_tail_manager()
         before = self.snapshot(mgr)
         with pytest.raises(ValueError) as refused:
@@ -385,13 +387,13 @@ class TestAppendTokens:
 class TestEnsureCapacity:
     def test_noop_when_space_available(self):
         mgr = make_manager(gpu=256)
-        assert mgr.ensure_capacity(100, now=0.0) == []
+        assert mgr.ensure_capacity(100, now=0.0) == (0, 0)
 
     def test_swaps_out_to_make_room(self):
         mgr = make_manager(gpu=256, cpu=4096)
         finish_conversation(mgr, 1, 224, now=0.0)
         copied = mgr.ensure_capacity(128, now=5.0)
-        assert sum(c.num_tokens for c in copied) >= 96
+        assert copied[1] >= 96
         assert mgr.gpu_available_tokens >= 128
 
     def test_request_larger_than_gpu_rejected(self):
@@ -438,12 +440,11 @@ class TestSuspension:
         mgr.swap_out(32, now=2.0)
         mgr.reclaim(32, now=2.0)
         cache = mgr.conversation(1)
-        assert [c.location.value for c in cache.chunks] == ["cpu", "gpu", "gpu"]
+        assert [loc.value for loc in locations(cache)] == ["cpu", "gpu", "gpu"]
         assert mgr.cpu_free_tokens == 32
         copied, dropped = mgr.release_conversation_gpu(1, now=3.0)
-        cache.check_layout()
         mgr._audit()
-        assert [c.location.value for c in cache.chunks] == ["dropped", "cpu", "cpu"]
+        assert [loc.value for loc in locations(cache)] == ["dropped", "cpu", "cpu"]
         assert (copied, dropped) == (64, 0)
         assert mgr.stats["dropped_tokens"] == 32
         assert mgr.gpu_free_tokens == 256 and mgr.cpu_free_tokens == 0
@@ -460,8 +461,8 @@ class TestPolicyIntegration:
         finish_conversation(mgr, 1, 128, now=0.0)
         finish_conversation(mgr, 2, 128, now=50.0)
         mgr.swap_out(32, now=100.0)
-        assert mgr.conversation(1).chunks[0].location is ChunkLocation.GPU_CPU
-        assert mgr.conversation(2).chunks[0].location is ChunkLocation.GPU
+        assert locations(mgr.conversation(1))[0] is ChunkLocation.GPU_CPU
+        assert locations(mgr.conversation(2))[0] is ChunkLocation.GPU
 
     def test_retention_value_prefers_cheap_chunks(self):
         """With equal idle times the policy evicts the conversation whose
@@ -475,8 +476,7 @@ class TestPolicyIntegration:
         c1, c2 = mgr.conversation(1), mgr.conversation(2)
         # Early chunks of both went first; no *late* chunk of conv 2 may
         # leave before an earlier one.
-        c1.check_layout()
-        c2.check_layout()
+        mgr._audit()
         copied = c1.tokens_in(ChunkLocation.GPU_CPU) + c2.tokens_in(
             ChunkLocation.GPU_CPU
         )
@@ -487,8 +487,8 @@ class TestPolicyIntegration:
         finish_conversation(mgr, 1, 128, now=0.0)    # idle for 100s
         finish_conversation(mgr, 2, 128, now=99.0)   # idle for 1s
         mgr.swap_out(32, now=100.0)
-        assert mgr.conversation(1).chunks[0].location is ChunkLocation.GPU_CPU
-        assert mgr.conversation(2).chunks[0].location is ChunkLocation.GPU
+        assert locations(mgr.conversation(1))[0] is ChunkLocation.GPU_CPU
+        assert locations(mgr.conversation(2))[0] is ChunkLocation.GPU
 
 
 class TestWholeConversationEviction:
@@ -518,7 +518,7 @@ class TestWholeConversationEviction:
         # The whole conversation went, despite needing only one chunk.
         assert mgr.reclaimable_tokens == 256
         assert mgr.conversation(1).tokens_in(ChunkLocation.GPU) == 0
-        mgr.conversation(1).check_layout()
+        mgr._audit()
 
     def test_conversation_mode_moves_to_next_victim(self):
         mgr = self.make(whole=True)

@@ -159,7 +159,7 @@ class TestRestorePlanning:
         assert disk_tokens == 64
         plan = mgr.plan_restore(0, new_tokens=8)
         assert plan.disk_read_tokens == disk_tokens
-        assert [c.index for c in plan.disk_read_chunks] == [0, 1, 2, 3]
+        assert plan.disk_read_chunks == range(0, 4)
         assert plan.alloc_tokens == disk_tokens + 8
         assert plan.prefill_tokens == 8
 
@@ -193,7 +193,6 @@ class TestRestorePlanning:
         assert invalidated == disk_before
         assert cache.tokens_in(ChunkLocation.DISK) == 0
         assert cache.tokens_in(ChunkLocation.CPU) == cpu_before
-        cache.check_layout()
         mgr._audit()
 
     def test_invalidate_cpu_prefix_takes_disk_along(self):
@@ -207,7 +206,6 @@ class TestRestorePlanning:
         assert invalidated == stored
         assert cache.tokens_in(ChunkLocation.DISK) == 0
         assert cache.tokens_in(ChunkLocation.CPU) == 0
-        cache.check_layout()
         mgr._audit()
 
     @pytest.mark.parametrize(
@@ -220,8 +218,9 @@ class TestRestorePlanning:
         invalidations (then two verbs) moved ``DISK -> DROPPED`` without bumping
         ``disk_dropped_tokens`` and this read 32 == 0.
 
-        Mutation record for ``_drop_leading_prefix``, over the 540 tests
-        of ``tests/{kvcache,faults,core,obs,serving}``: (a) stopping one
+        Mutation record for ``_drop_leading_prefix``, taken while a cache
+        was a list of chunk records, over the 540 tests of
+        ``tests/{kvcache,faults,core,obs,serving}``: (a) stopping one
         chunk early (``cache.chunks[: upto.index]``) fails 137 and errors
         13, four of them in ``test_eviction_order.py`` — through the
         "victim not evicted" assertion of ``_victims``, added for this:
@@ -229,7 +228,11 @@ class TestRestorePlanning:
         ``disk_dropped_tokens`` bump fails 16: the two invalidation
         cases here, and the ``_audit`` identity in
         ``test_eviction_order.py``'s three-tier walk, the chaos-disk
-        differentials and ``test_three_tier_properties.py``.
+        differentials and ``test_three_tier_properties.py``.  With four
+        boundaries, stopping one chunk early (``stop = upto``) fails 75 of
+        ``tests/kvcache`` (46 chaos walks, 8 here, 5 in
+        ``test_eviction_order.py``), and a run over the 540 tests did not
+        finish within ten minutes: some run spins instead of failing.
         """
         mgr = make_manager(gpu=128, cpu=32, disk=128)
         squeeze(mgr)

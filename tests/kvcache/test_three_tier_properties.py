@@ -29,6 +29,8 @@ from repro.kvcache.chunks import ChunkLocation
 from repro.kvcache.manager import CacheCapacityError
 from repro.model.config import tiny_opt_config
 
+from tests.kvcache.layout import locations
+
 
 class ThreeTierMachine:
     """Applies a scripted operation list to a fresh three-tier manager."""
@@ -109,7 +111,6 @@ class ThreeTierMachine:
         assert 0 <= mgr.disk_used_tokens <= mgr.disk_capacity_tokens
         assert mgr.reclaimable_tokens >= 0
         for cache in mgr.conversations():
-            cache.check_layout()
             # Conservation within one conversation: every token is in
             # exactly one tier, so the per-location totals partition the
             # conversation's context.
@@ -224,11 +225,11 @@ def _assert_stores_mirror_manager(server: StatefulChatServer) -> None:
     expected_cpu = set()
     expected_disk = set()
     for cache in server.manager.conversations():
-        for chunk in cache.chunks:
-            key = (cache.conv_id, chunk.index)
-            if chunk.location in (ChunkLocation.CPU, ChunkLocation.GPU_CPU):
+        for index, location in enumerate(locations(cache)):
+            key = (cache.conv_id, index)
+            if location in (ChunkLocation.CPU, ChunkLocation.GPU_CPU):
                 expected_cpu.add(key)
-            elif chunk.location is ChunkLocation.DISK:
+            elif location is ChunkLocation.DISK:
                 expected_disk.add(key)
     for conv_id, chunk_index in expected_cpu:
         assert server.cpu_store.contains(conv_id, chunk_index)

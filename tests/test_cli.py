@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import io
 import json
 
 import pytest
@@ -174,6 +175,42 @@ class TestChat:
     def test_disk_tier_without_a_cpu_tier_rejected(self):
         with pytest.raises(SystemExit, match="needs a CPU tier"):
             main(["chat", "--cpu-tokens", "0", "--disk-tokens", "64"])
+
+    @pytest.mark.parametrize("max_tokens", ["0", "-3"])
+    def test_max_tokens_below_one_exits_before_the_server(self, max_tokens, monkeypatch):
+        """Refused before the server is built, not by ``chat_batch`` at
+        the first turn of a REPL that already started."""
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("the server was built before the flag was refused")
+
+        monkeypatch.setattr("repro.core.server.StatefulChatServer", no_server)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hi\n"))
+        with pytest.raises(
+            SystemExit, match=r"^repro chat: --max-tokens must be at least 1"
+        ):
+            main(["chat", "--max-tokens", max_tokens])
+
+
+class TestSloFlags:
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--rate", "2", "--duration", "40", "--slo-ttft", "-1"],
+        ["simulate", "--rate", "2", "--duration", "40", "--slo-tbt", "0"],
+        ["simulate", "--rate", "2", "--duration", "40", "--slo-tbt", "nan"],
+        ["sweep", "--rates", "2", "--duration", "40", "--slo-ttft", "-1"],
+        ["chat", "--slo-ttft", "-1"],
+    ], ids=["simulate-ttft", "simulate-tbt", "simulate-nan", "sweep-ttft", "chat-ttft"])
+    def test_non_positive_objective_exits_with_the_message(self, command, monkeypatch):
+        """``SloConfig``'s message, as ``--rate 0`` gives the generator's,
+        and before any run starts."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started before the objective was refused")
+
+        monkeypatch.setattr("repro.experiments.common.run_serving_once", no_run)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hi\n"))
+        with pytest.raises(SystemExit, match=r"^repro \w+: slo (ttft|tbt) must be positive"):
+            main(command + ([] if command[0] == "chat" else ["--model", "opt-13b"]))
 
 
 class TestSweep:

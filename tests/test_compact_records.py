@@ -1,8 +1,8 @@
 """The records a simulation keeps by the thousand carry no ``__dict__``.
 
-A rate sweep holds every chunk, conversation, request, transfer, event
-and completion record of its engines until its results are read; as
-slotted objects they take about a third less memory each.
+A rate sweep holds every conversation cache, conversation, request,
+transfer, event and completion record of its engines until its results
+are read; as slotted objects they take about a third less memory each.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.engine import _PrefillInfo
 from repro.gpu.link import Direction, TransferRecord
-from repro.kvcache import Chunk, ConversationCache
+from repro.kvcache import ConversationCache
 from repro.serving.metrics import RequestRecord
 from repro.serving.request import Conversation, Request, Turn
 from repro.sim.events import Event
@@ -20,7 +20,6 @@ TURN = Turn(prompt_tokens=4, output_tokens=2)
 CONVERSATION = Conversation(conv_id=0, turns=[TURN])
 
 RECORDS = {
-    "Chunk": Chunk(conv_id=0, index=0, start=0, end=1),
     "ConversationCache": ConversationCache(conv_id=0, chunk_size=32),
     "TransferRecord": TransferRecord(Direction.H2D, 1.0, 0.0, 0.0, 1.0),
     "RequestRecord": RequestRecord(0, 0, 0, 0.0, 1.0, 0.5, 4, 0, 2, 4),
