@@ -10,6 +10,7 @@ import pytest
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.gpu.device import A100_80GB
+from repro.gpu.link import Direction
 from repro.kvcache import ChunkLocation
 from repro.model.config import OPT_13B
 from repro.obs import FlightRecorder, HistogramSet, SloConfig, Tracer
@@ -131,6 +132,21 @@ class TestUnifiedBatching:
         assert all(len(p) == 1 for p in phases)
 
 
+#: Each knob ``benchmarks/test_ablations.py`` and the Figure 13 ablation
+#: turn, set away from its default, by id (``unified`` is the default run).
+ABLATIONS = {
+    "unified": {},
+    "separate": {"unified": False},
+    "chunk-8": {"chunk_size": 8},
+    "chunk-128": {"chunk_size": 128},
+    "swap-threshold-0": {"batch_config": BatchConfig(swap_out_threshold=0.0)},
+    "reserve-0.25": {"batch_config": BatchConfig(generation_reserve=0.25)},
+    "blocking-swap-in": {"pipelined_swap_in": False},
+    "retrieval-not-first": {"prioritize_retrieval": False},
+    "whole-conversation": {"whole_conversation_eviction": True},
+}
+
+
 class TestKvLedger:
     """The engine caches exactly the tokens its iterations produced: when
     a turn finishes, its conversation's cached context is the history,
@@ -143,14 +159,14 @@ class TestKvLedger:
     order) caches a row no decode wrote, and fails the ``unified=False``
     cases."""
 
-    @pytest.mark.parametrize("unified", [True, False], ids=["unified", "separate"])
+    @pytest.mark.parametrize("knobs", ABLATIONS.values(), ids=list(ABLATIONS))
     @pytest.mark.parametrize("policy", ["retention", "lru"])
-    def test_cached_context_is_history_prompt_and_output(self, unified, policy):
+    def test_cached_context_is_history_prompt_and_output(self, knobs, policy):
         kv = OPT_13B.kv_bytes_per_token
         spec = replace(A100_80GB, kv_cache_bytes=kv * 3072, cpu_memory_bytes=kv * 1024)
         loop = EventLoop()
         engine = PensieveEngine(
-            loop, OPT_13B, spec, chunk_size=32, policy=policy, unified=unified
+            loop, OPT_13B, spec, policy=policy, **{"chunk_size": 32, **knobs}
         )
         short = {}  # conversations whose final token was refused once
         finished = []
@@ -182,52 +198,117 @@ class TestKvLedger:
 
 
 class TestInertAblations:
-    """Where an ablation knob must change nothing: on a GPU that never
-    fills nothing is evicted, so neither the eviction granularity nor the
-    eviction policy has a choice to make.  Each knob's run must make the
-    default run's decisions: the same transfers, ``manager.stats`` and
-    iteration count (and serving statistics)."""
+    """Where an ablation knob must change nothing, because what it acts on
+    never happens in the run.  Each test first asserts that the knob's
+    trigger never happens, then that the knob's run makes the default
+    run's decisions: the same transfers, ``manager.stats`` and iteration
+    count (and serving statistics).
+
+    - On a GPU that never fills nothing is evicted, so neither the
+      eviction granularity nor the eviction policy has a choice to make.
+    - With no arrival while a request decodes, no iteration has both a
+      prefill to run and a decoder to stall, so separate batches
+      (``unified=False``) form the unified ones.
+    - With no swap-in, there is no transfer to pipeline with the layers
+      (``pipelined_swap_in``) and no restore for evictions to wait for
+      (``prioritize_retrieval``); evictions still copy out."""
 
     @staticmethod
-    def decisions(workload, **knobs):
+    def run(workload, **knobs):
+        """``(engine, decisions, batches)``: ``batches`` holds each
+        iteration's set of phases, ``prefill`` and ``decode``."""
         if workload == "opt-13b":
             kv = OPT_13B.kv_bytes_per_token
             spec = replace(
                 A100_80GB, kv_cache_bytes=kv * 16384, cpu_memory_bytes=kv * 1024
             )
             conversations, model = _mixed_conversations(), OPT_13B
-        else:
+        elif workload == "tiny":
             spec = spec_with_capacity(4096)
             conversations, model = [
                 scripted_conversation(i, [(24, 12), (16, 12), (12, 10)],
                                       start=0.05 * i, think=0.3)
                 for i in range(8)
             ], TINY
+        elif workload == "one-at-a-time":
+            # Each conversation's turns, and the next conversation, start
+            # after the last request has finished.
+            spec = spec_with_capacity(4096)
+            conversations, model = [
+                scripted_conversation(i, [(24, 12), (16, 12), (12, 10)],
+                                      start=5.0 * i, think=1.0)
+                for i in range(4)
+            ], TINY
+        else:  # "no-return": one turn each on a GPU that fills
+            spec = spec_with_capacity(256)
+            conversations, model = [
+                scripted_conversation(i, [(40, 20)], start=0.05 * i)
+                for i in range(12)
+            ], TINY
+        batches = []
+
+        def factory(loop):
+            engine = PensieveEngine(loop, model, spec, chunk_size=32, **knobs)
+            execute = engine._execute
+
+            def spy(batch, now):
+                batches.append(
+                    {"decode" if r.prefill_done else "prefill" for r in batch}
+                )
+                return execute(batch, now)
+
+            engine._execute = spy
+            return engine
+
         engine, stats = run_serving_once(
-            lambda loop: PensieveEngine(loop, model, spec, chunk_size=32, **knobs),
-            conversations, until=120.0, warmup=0.0,
+            factory, conversations, until=120.0, warmup=0.0
         )
-        cached = engine.manager.stats
-        # The GPU never filled, and returning turns found their context.
-        assert cached["swapped_out_tokens"] == cached["dropped_tokens"] == 0
-        assert cached["gpu_hit_tokens"] > 0
         transfers = [
             (r.direction, r.num_bytes, r.start_time, r.end_time)
             for r in engine.pcie.history + engine.nvme.history
         ]
-        return transfers, dict(cached), engine.iterations, stats.as_dict()
+        decisions = (
+            transfers, dict(engine.manager.stats), engine.iterations, stats.as_dict()
+        )
+        return engine, decisions, batches
+
+    @classmethod
+    def never_fills(cls, workload, **knobs):
+        engine, decisions, _ = cls.run(workload, **knobs)
+        cached = engine.manager.stats
+        # The GPU never filled, and returning turns found their context.
+        assert cached["swapped_out_tokens"] == cached["dropped_tokens"] == 0
+        assert cached["gpu_hit_tokens"] > 0
+        return decisions
 
     @pytest.mark.parametrize("workload", ["opt-13b", "tiny"])
     def test_whole_conversation_eviction_is_inert(self, workload):
-        assert self.decisions(workload, whole_conversation_eviction=True) == (
-            self.decisions(workload)
+        assert self.never_fills(workload, whole_conversation_eviction=True) == (
+            self.never_fills(workload)
         )
 
     @pytest.mark.parametrize("workload", ["opt-13b", "tiny"])
     def test_lru_decides_as_retention_does(self, workload):
-        assert self.decisions(workload, policy="lru") == (
-            self.decisions(workload, policy="retention")
+        assert self.never_fills(workload, policy="lru") == (
+            self.never_fills(workload, policy="retention")
         )
+
+    def test_separate_batches_are_inert_without_an_arrival_during_decoding(self):
+        engine, decisions, batches = self.run("one-at-a-time")
+        assert {"prefill", "decode"} not in batches
+        assert {"prefill"} in batches and {"decode"} in batches
+        assert engine.manager.stats["gpu_hit_tokens"] > 0
+        assert self.run("one-at-a-time", unified=False)[1] == decisions
+
+    @pytest.mark.parametrize(
+        "knob", ["pipelined_swap_in", "prioritize_retrieval"]
+    )
+    def test_swap_in_knobs_are_inert_without_a_swap_in(self, knob):
+        engine, decisions, _ = self.run("no-return")
+        directions = {r.direction for r in engine.pcie.history}
+        assert engine.manager.stats["cpu_hit_tokens"] == 0
+        assert directions == {Direction.D2H}, directions
+        assert self.run("no-return", **{knob: False})[1] == decisions
 
 
 class TestCacheManagement:
