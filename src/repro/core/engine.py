@@ -177,6 +177,8 @@ class PensieveEngine(EngineBase):
         # accumulates entries whose end time has passed.
         self._copy_log: deque = deque()
         self._settled_tokens = 0
+        # What the previous idle poll saw (:meth:`_idle_retry_delay`).
+        self._idle_state: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Observability (repro.obs)
@@ -302,14 +304,8 @@ class PensieveEngine(EngineBase):
                     self._fail_request(request, now, "gpu_alloc")
             decoders = survivors
         conv_ids = [r.conversation.conv_id for r in decoders]
-        grown = self.manager.append_decode_step(conv_ids, now)
-        while grown < len(decoders):
-            # Request ``grown`` did not fit: it alone is suspended.  Not
-            # reached after the suspensions above (each growth takes one
-            # of the at least ``len(decoders)`` available slots).
-            self._suspend(decoders.pop(grown), now)
-            del conv_ids[grown]
-            grown += self.manager.append_decode_step(conv_ids[grown:], now)
+        # Fits: the suspensions above left ``len(decoders)`` slots available.
+        self.manager.append_tokens(conv_ids, now)
         return decoders, conv_ids
 
     def _price(
@@ -534,7 +530,30 @@ class PensieveEngine(EngineBase):
 
     def _idle_retry_delay(self, now: float) -> Optional[float]:
         """Retry blocked admissions when the next pending copy settles
-        (or shortly, when progress came from instant drops)."""
+        (or shortly, when progress came from instant drops).
+
+        Raises:
+            RuntimeError: no later poll can admit (the progress rule):
+                nothing runs, no copy is in flight, and nothing changed
+                since the previous poll, which admitted nothing either.
+        """
+        manager, head = self.manager, self.wait_queue[0]
+        state = (
+            self._iterations, head.request_id, tuple(manager.stats.values()),
+            manager.gpu_free_tokens, manager.gpu_available_tokens,
+        )
+        if (
+            state == self._idle_state
+            and not self.running
+            and all(end <= now for end, _ in self._copy_log)
+        ):
+            raise RuntimeError(
+                f"{self.name}: no progress at iteration {self._iterations}, "
+                f"t={now!r}: request {head.request_id} (conversation "
+                f"{head.conv_id}) waits, nothing runs, no copy is in flight "
+                f"and nothing changed since the previous idle poll"
+            )
+        self._idle_state = state
         if self._copy_log:
             return max(self._copy_log[0][0] - now, 1e-6)
         return 0.005
@@ -630,7 +649,7 @@ class PensieveEngine(EngineBase):
         try:
             # Account the final output token's KV row as well, so the
             # cached context matches the full conversation history.
-            self.manager.append_tokens(request.conv_id, 1, now)
+            self.manager.append_tokens([request.conv_id], now)
         except CacheCapacityError:
             pass  # cache brim-full; the next turn recomputes one token
         self.manager.close(request.conv_id, now)

@@ -608,25 +608,6 @@ class StatefulChatServer:
         input_ids += prompt_ids
         return table, dropped, input_ids
 
-    def _grow(self, conv_id: int, table: BlockTable, now: float) -> None:
-        """Extend a running conversation by one decode token, swapping
-        other conversations out of the way if the GPU tier is full.
-
-        Raises:
-            RequestFaultedError: if an injected allocation fault outlives
-                its retry budget mid-decode; the conversation is discarded
-                (the last rung of the degradation ladder) and the server
-                stays consistent for every other conversation.
-        """
-        ok, attempts = self._attempt(FaultSite.GPU_ALLOC)
-        if not ok:
-            self._abort_conversation(conv_id)
-            raise self._fail_request(conv_id, FaultSite.GPU_ALLOC, attempts)
-        if self.manager.gpu_available_tokens < 1:
-            self._ensure_capacity(1, now)
-        self.manager.append_tokens(conv_id, 1, now)
-        table.append_tokens(1)
-
     # ------------------------------------------------------------------
     # Batched serving (unified batching, functional layer)
     # ------------------------------------------------------------------
@@ -772,31 +753,38 @@ class StatefulChatServer:
                     conv_id=turn.conv_id,
                 )
 
+        def abort(turn: _Turn, attempts: int) -> None:
+            # The last rung of the degradation ladder: the conversation is
+            # discarded and the server stays consistent for the others.
+            self._abort_conversation(turn.conv_id)
+            self._fail_request(turn.conv_id, FaultSite.GPU_ALLOC, attempts)
+            failed(turn.span)
+
         # Phase 3: batched decode steps (every conversation advances by
-        # one token per iteration, like the simulated engine).  A
-        # mid-decode terminal fault removes only the affected
-        # conversation; its siblings keep decoding.  When the GPU tier
-        # cannot grow the batch, the latest-joined member (§4.3.5's
-        # victim) is aborted the same way, and growth resumes.
+        # one token per iteration, like the simulated engine).  A step is
+        # each member's allocation gate, in batch order (a terminal fault
+        # removes that member only); room for the whole step, aborting
+        # the latest-joined member (§4.3.5's victim) while there is none;
+        # one manager call; one slot in each block table.
         for step in range(max_new_tokens):
-            grown = 0
-            while grown < len(turns):
-                turn = turns[grown]
+            gated = []
+            for turn in turns:
+                ok, attempts = self._attempt(FaultSite.GPU_ALLOC)
+                if ok:
+                    gated.append(turn)
+                else:
+                    abort(turn, attempts)
+            turns = gated
+            while turns and self.manager.gpu_available_tokens < len(turns):
                 try:
-                    self._grow(turn.conv_id, turn.table, now)
-                except RequestFaultedError:
-                    del turns[grown]
-                    failed(turn.span)
-                    continue
+                    self._ensure_capacity(len(turns), now)
                 except CacheCapacityError:
-                    victim = turns.pop()
-                    self._abort_conversation(victim.conv_id)
-                    self._fail_request(victim.conv_id, FaultSite.GPU_ALLOC, 1)
-                    failed(victim.span)
-                    continue
-                grown += 1
+                    abort(turns.pop(), 1)
             if not turns:
                 return {}
+            self.manager.append_tokens([turn.conv_id for turn in turns], now)
+            for turn in turns:
+                turn.table.append_tokens(1)
             if step + 1 < max_new_tokens:  # the last step runs no forward
                 step_logits = self.model.forward(
                     [self._decode_request(turn) for turn in turns]

@@ -45,12 +45,14 @@ each one.  It draws from :meth:`TieredCacheManager._victims`, which
 scores each holder's first chunk once, heapifies them, and after each
 victim pushes only that conversation's next chunk: O(N + k log N) for k
 victims among N cached conversations, and one CPU stream serves a whole
-``swap_out`` however often its copies find the CPU tier full.  Decode
-growth of a whole batch is one
-:meth:`~TieredCacheManager.append_decode_step` call: on a full GPU it
-reclaims the step's whole deficit through one ``GPU_CPU`` stream scored
-at the caller's ``now`` (the iteration's clock, the eviction time of
-§4.3.1).  :meth:`_audit` re-derives the counters and the holders from the
+``swap_out`` however often its copies find the CPU tier full.  Growth
+has one method, :meth:`~TieredCacheManager.append_tokens`: one decode
+step of a batch of pinned conversations, one token each, all or nothing.
+It checks every tail and the step's deficit before anything moves, and
+reclaims that deficit through one ``GPU_CPU`` stream scored at the
+caller's ``now`` (the iteration's clock, the eviction time of §4.3.1);
+:meth:`~TieredCacheManager.commit_restore` makes its room the same way.
+:meth:`_audit` re-derives the counters and the holders from the
 boundaries and is exercised by the test suite.
 """
 
@@ -60,7 +62,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
-    Callable, Collection, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
     Sequence, Tuple,
 )
 
@@ -583,7 +585,18 @@ class TieredCacheManager:
             CacheCapacityError: if the GPU tier cannot hold the result;
                 nothing is counted, pinned or reclaimed then.
         """
-        self._make_room(plan.conv_id, plan.alloc_tokens, now)
+        # Pinned while room is made: the conversation's own copies are
+        # promoted, so they are neither room nor reclaimed for it.
+        cache = self._conversations.get(plan.conv_id)
+        pinned = cache is None or cache.pinned
+        if cache is not None:
+            self._set_pinned(cache, True)
+        try:
+            self._make_room(plan.alloc_tokens, now)
+        except CacheCapacityError:
+            if cache is not None:
+                self._set_pinned(cache, pinned)
+            raise
         self._bump("lookup_tokens", plan.total_context - plan.new_tokens)
         self._bump("gpu_hit_tokens", plan.gpu_hit_tokens)
         self._bump("cpu_hit_tokens", plan.swap_in_tokens)
@@ -599,100 +612,54 @@ class TieredCacheManager:
         self._extend(cache, plan.new_tokens)
         return cache
 
-    def append_tokens(self, conv_id: int, count: int, now: float) -> None:
-        """Extend a pinned conversation's context (decode-step growth),
-        reclaiming other conversations' copies scored at ``now`` when the
-        GPU tier is full.  A refusal comes before any state changes.
+    def append_tokens(self, conv_ids: Sequence[int], now: float) -> None:
+        """One decode step: grow each pinned conversation in ``conv_ids``
+        by one token, all or nothing.
+
+        Every tail and the step's deficit (growers minus free slots) are
+        checked before anything moves; the deficit is then reclaimed from
+        other conversations' copies through one ``GPU_CPU`` victim stream
+        scored at ``now`` (the iteration's clock, not a grower's
+        ``last_active``).
 
         Raises:
-            CacheCapacityError: if the GPU tier is full even after
-                reclaiming copies.
-            TailNotOnGpuError: the conversation's partial tail chunk is
+            TailNotOnGpuError: some conversation's partial tail chunk is
                 not on GPU.
-        """
-        if count <= 0:
-            return
-        cache = self._conversations[conv_id]
-        # Before _make_room: refusing after it would leave other
-        # conversations' chunks reclaimed for nothing.
-        cache.check_growable()
-        self._make_room(conv_id, count, now)
-        self._extend(cache, count)
-
-    def append_decode_step(self, conv_ids: Sequence[int], now: float) -> int:
-        """One decode step for a whole batch: grow each conversation by one
-        token, in order.
-
-        The step's deficit (growers minus free slots) is reclaimed first,
-        from the copies of conversations outside the batch, through one
-        victim stream scored at ``now``: for a batch of pinned
-        conversations, exactly ``append_tokens(conv_id, 1, now)`` for
-        each in order, with one scan instead of one per reclaimed chunk.
-
-        Returns how many conversations grew: all of them, or the position
-        of the first that did not fit, which is left as it was (the caller
-        suspends it and calls again with the rest).
-
-        Raises:
-            TailNotOnGpuError: some conversation's partial tail chunk is not
-                on GPU; checked for all of them before anything changes.
+            CacheCapacityError: the step does not fit even after
+                reclaiming every copy.
+            ValueError: some conversation is not pinned.
         """
         conversations = self._conversations
         caches = [conversations[conv_id] for conv_id in conv_ids]
         chunk_size = self.chunk_size
         for cache in caches:
+            if not cache.pinned:
+                raise ValueError(f"only a pinned conversation grows: {cache!r}")
             total = cache.total_tokens
             if total % chunk_size and cache.starts[-1] * chunk_size >= total:
                 cache.check_growable()  # raises: the tail is not on GPU
-        fits = len(caches)
-        deficit = fits - self.gpu_free_tokens
-        if deficit > 0:
-            # Checked before anything moves: the batch's own copies are
-            # never reclaimed for it, and whoever the rest cannot make
-            # room for does not grow.
-            available = self._reclaimable
-            inside = [cache for cache in caches if not cache.pinned]
-            for cache in inside:
-                available -= cache.tokens_in(_GPU_CPU)
-            if deficit > available:
-                fits -= deficit - available
-                deficit = available
-            if deficit:
-                exclude = [cache.conv_id for cache in inside]
-                reclaimed = self.reclaim(deficit, now, exclude)
-                assert reclaimed >= deficit, (reclaimed, deficit)
-        # ``_extend(cache, 1)`` for each grower.
+        self._make_room(len(caches), now)
+        # ``_extend(cache, 1)`` for each: pinned, so none is evictable.
         gpu_holders = self._holders[_GPU]
-        evictable = 0
-        for cache in caches[:fits]:
+        for cache in caches:
             cache.total_tokens += 1
             gpu_holders[cache.conv_id] = cache
-            if not cache.pinned:
-                evictable += 1
-        self._gpu_resident += fits
-        self._evictable += evictable
-        return fits
+        self._gpu_resident += len(caches)
 
-    def _make_room(self, conv_id: int, tokens: int, now: float) -> None:
-        """Reclaim other conversations' copies until ``tokens`` more fit
-        on the GPU for ``conv_id``."""
+    def _make_room(self, tokens: int, now: float) -> None:
+        """Reclaim unpinned conversations' copies until ``tokens`` more
+        fit on the GPU; refuse before reclaiming anything (a refusal after
+        a partial reclaim would leave chunks evicted by an operation that
+        reports failure)."""
         deficit = tokens - self.gpu_free_tokens
         if deficit <= 0:
             return
-        # Check before reclaiming anything: a partial reclaim mutates tier
-        # state, so refusing *after* it would leave chunks evicted by an
-        # operation that reports failure (non-atomic).  The conversation's
-        # own copies are promoted or kept, never reclaimed for it.
-        available = self._reclaimable
-        cache = self._conversations.get(conv_id)
-        if cache is not None and not cache.pinned:
-            available -= cache.tokens_in(_GPU_CPU)
-        if deficit > available:
+        if deficit > self._reclaimable:
             raise CacheCapacityError(
                 f"{tokens} more GPU tokens do not fit "
-                f"(free={self.gpu_free_tokens}, reclaimable={available})"
+                f"(free={self.gpu_free_tokens}, reclaimable={self._reclaimable})"
             )
-        reclaimed = self.reclaim(deficit, now, (conv_id,))
+        reclaimed = self.reclaim(deficit, now)
         assert reclaimed >= deficit, (reclaimed, deficit)
 
     def invalidate_prefix(
@@ -764,7 +731,7 @@ class TieredCacheManager:
     # ------------------------------------------------------------------
 
     def _victims(
-        self, location: ChunkLocation, now: float, exclude: Collection[int] = ()
+        self, location: ChunkLocation, now: float
     ) -> Iterator[Tuple[float, int, ConversationCache]]:
         """Lazily yield ``(score, index, cache)`` eviction victims of
         ``location`` in ascending ``(score, conv_id)`` order.
@@ -794,9 +761,6 @@ class TieredCacheManager:
         chunk_size = self.chunk_size
         holders = self._holders[location]
         at = _AT[location]  # ``cache.starts[at]``: the holder's first chunk
-        candidates = holders.items()
-        if exclude:
-            candidates = [item for item in candidates if item[0] not in exclude]
         # An entry carries the chunk's end, not its index: the index is
         # ``(end - 1) // chunk_size`` either way, and one less to compute
         # per candidate.
@@ -809,7 +773,7 @@ class TieredCacheManager:
                 ),
                 conv_id, end, cache,
             )
-            for conv_id, cache in candidates
+            for conv_id, cache in holders.items()
             if not cache.pinned
         ]
         heapq.heapify(heap)
@@ -835,7 +799,6 @@ class TieredCacheManager:
         tokens_needed: int,
         now: float,
         step: Callable[[ConversationCache, int, int, float, float], Optional[str]],
-        exclude: Collection[int] = (),
         victims: Optional[Iterator[Tuple[float, int, ConversationCache]]] = None,
         max_score: Optional[float] = None,
     ) -> int:
@@ -856,7 +819,7 @@ class TieredCacheManager:
         avoids).
         """
         if victims is None:
-            victims = self._victims(location, now, exclude)
+            victims = self._victims(location, now)
         whole = self.whole_conversation_eviction and location is _GPU
         holders = self._holders[location]
         freed = 0
@@ -880,6 +843,9 @@ class TieredCacheManager:
                     )
                 if not whole or cache.conv_id not in holders:
                     break
+                assert cache.starts[_AT[_GPU]] > index, (
+                    f"victim {index} of {cache!r} not evicted"
+                )
                 index = cache.starts[_AT[_GPU]]
         return freed
 
@@ -956,12 +922,9 @@ class TieredCacheManager:
         self._relayout(cache, [at if at > stop else stop for at in cache.starts])
         return dropped
 
-    def reclaim(
-        self, tokens_needed: int, now: float, exclude: Collection[int] = ()
-    ) -> int:
+    def reclaim(self, tokens_needed: int, now: float) -> int:
         """Actually free GPU slots of already-copied chunks
-        (``GPU_CPU -> CPU``), none of the conversations in ``exclude``.
-        Returns tokens freed (may fall short)."""
+        (``GPU_CPU -> CPU``).  Returns tokens freed (may fall short)."""
 
         def step(
             cache: ConversationCache, index: int, tokens: int, score: float, now: float
@@ -971,7 +934,7 @@ class TieredCacheManager:
             if tracer is not None:
                 tracer.count("cache.reclaimed_tokens", tokens)
 
-        return self._evict(_GPU_CPU, tokens_needed, now, step, exclude)
+        return self._evict(_GPU_CPU, tokens_needed, now, step)
 
     def drop_from_cpu(self, tokens_needed: int, now: float) -> int:
         """Free CPU-tier space under memory pressure: each victim, in

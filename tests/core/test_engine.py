@@ -1,6 +1,7 @@
 """Tests for the Pensieve serving engine (simulation layer)."""
 
 import gc
+import time
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -11,13 +12,15 @@ from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.gpu.device import A100_80GB
 from repro.gpu.link import Direction
-from repro.kvcache import ChunkLocation
+from repro.kvcache import ChunkLocation, TieredCacheManager
 from repro.model.config import OPT_13B
 from repro.obs import FlightRecorder, HistogramSet, SloConfig, Tracer
 from repro.serving import BatchConfig, make_vllm
 from repro.sim import EventLoop
 from repro.workload import ConversationDriver
 
+from tests.obs.test_null_overhead import _factory as null_overhead_factory
+from tests.obs.test_null_overhead import _workload as null_overhead_workload
 from tests.serving.conftest import TINY, scripted_conversation, serve, spec_with_capacity
 from tests.test_run_digests import _mixed_conversations
 
@@ -422,22 +425,22 @@ class TestCacheManagement:
         def factory(loop):
             engine = PensieveEngine(loop, TINY, spec_with_capacity(512), chunk_size=4)
             manager = engine.manager
-            append_decode_step, victims = manager.append_decode_step, manager._victims
+            append_tokens, victims = manager.append_tokens, manager._victims
             growing = []
 
             def counted_step(conv_ids, now):
                 growing.append(True)
                 try:
-                    return append_decode_step(conv_ids, now)
+                    return append_tokens(conv_ids, now)
                 finally:
                     growing.pop()
 
-            def counted_victims(location, now, exclude=()):
+            def counted_victims(location, now):
                 if growing and location is ChunkLocation.GPU_CPU:
                     streams[engine.iterations] += 1
-                return victims(location, now, exclude)
+                return victims(location, now)
 
-            manager.append_decode_step = counted_step
+            manager.append_tokens = counted_step
             manager._victims = counted_victims
             return engine
 
@@ -453,6 +456,36 @@ class TestCacheManagement:
         ]
         engine, _, _ = serve(pensieve_factory(capacity_tokens=256), convs)
         engine.manager._audit()
+
+
+class TestProgressRule:
+    def test_an_idle_poll_that_can_never_admit_raises(self, monkeypatch):
+        """The progress rule: a poll that admits nothing, with nothing
+        running, no copy in flight and nothing changed since the previous
+        poll, raises instead of polling forever.  A front-drop that stops
+        one chunk short frees nothing, so an admission it was meant to
+        make room for waits for good: the run must fail within a second
+        (it used to poll every 1e-6 s until the suite's time limit)."""
+
+        def drop_one_chunk_short(manager, cache, upto):
+            if upto is None:
+                return 0
+            dropped = cache.tokens(cache.starts[0], upto)
+            manager._relayout(cache, [max(at, upto) for at in cache.starts])
+            return dropped
+
+        monkeypatch.setattr(
+            TieredCacheManager, "_drop_leading_prefix", drop_one_chunk_short
+        )
+        start = time.process_time()
+        with pytest.raises(RuntimeError) as stuck:
+            run_serving_once(
+                null_overhead_factory, null_overhead_workload(), until=40.0
+            )
+        assert time.process_time() - start < 1.0
+        message = str(stuck.value)
+        assert "no progress at iteration" in message and ", t=0." in message
+        assert "request 11 (conversation 5) waits" in message
 
 
 class TestSuspendResume:

@@ -12,6 +12,7 @@ structured error while the rest of the batch keeps going.
 """
 
 import os
+from collections import Counter
 
 import pytest
 
@@ -19,10 +20,12 @@ from repro.core.engine import PensieveEngine
 from repro.core.server import StatefulChatServer
 from repro.experiments.common import run_serving_once
 from repro.faults import FaultPlan, FaultSite, RequestFaultedError
+from repro.faults.retry import MAX_RETRIES
 from repro.model.config import tiny_llama_config, tiny_opt_config
 from repro.obs import Tracer
 
 from tests.serving.conftest import TINY, scripted_conversation, spec_with_capacity
+from tests.test_run_digests import pressure_rounds, pressure_server
 
 # CI arms one extra seed per matrix entry via this env var.
 _EXTRA = os.environ.get("CHAOS_EXTRA_SEED")
@@ -145,6 +148,64 @@ class TestDifferentialUnderFaults:
         assert server.fault_counters.swap_in_failures == 1
         assert server.fault_counters.recompute_fallbacks >= 1
         assert server.fault_counters.degraded_requests == 0
+
+
+class TestBatchedGrowthUnderPressure:
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_survivors_match_an_unlimited_server(self, seed):
+        """The ``server/batch/pressure`` rounds, armed.  In the first
+        round a schedule fails the newcomer's first decode-step
+        allocation for good; that frees one slot of the four the step
+        lacks, so the same step aborts the latest-joined member for
+        capacity.  Every later round draws from a seeded ``GPU_ALLOC``
+        rate.  After every call the survivors' tokens equal an unlimited
+        server's, the manager's counters re-derive, and the pool's
+        allocated pages are exactly the block tables' pages."""
+        # Draws 0-3 are the four restores' gates; draw 4 is the
+        # newcomer's first decode-step gate, and its retries follow.
+        server = pressure_server(
+            FaultPlan(schedules={FaultSite.GPU_ALLOC: range(4, 5 + MAX_RETRIES)})
+        )
+        reference = StatefulChatServer(
+            server.config, gpu_capacity_tokens=1 << 20, cpu_capacity_tokens=1 << 20,
+            seed=0, chunk_size=16,
+        )
+        steps = []
+        append_tokens = server.manager.append_tokens
+
+        def counted(conv_ids, now):
+            steps.append(list(conv_ids))
+            return append_tokens(conv_ids, now)
+
+        server.manager.append_tokens = counted
+        # A conversation lost on the starved server starts over under a
+        # fresh reference id.
+        starts = Counter()
+        for rnd, (prompts, got) in enumerate(pressure_rounds(server)):
+            if rnd == 0:
+                # Both aborts came before the first step grew anyone.
+                assert [(e.conv_id, e.attempts) for e in server.failures] == [
+                    (0, 1 + MAX_RETRIES), (3, 1),
+                ]
+                assert steps[0] == [1, 2]
+                server.fault_plan = FaultPlan(
+                    seed=seed, rates={FaultSite.GPU_ALLOC: 0.3}
+                )
+            served = [(c, prompt) for c, prompt in prompts if c in got]
+            want = reference.chat_batch(
+                [(c + 100 * starts[c], prompt) for c, prompt in served],
+                max_new_tokens=6,
+            )
+            assert got == {c: want[c + 100 * starts[c]] for c, _ in served}
+            for c, _ in prompts:
+                if c not in got and server.context_length(c) == 0:
+                    starts[c] += 1
+            server.manager._audit()
+            assert server.pool.num_allocated_pages == sum(
+                table.num_pages for table in server._tables.values()
+            )
+        # The rate's own aborts, after the first round's two.
+        assert server.fault_counters.degraded_requests > 2
 
 
 class TestFaultAccounting:

@@ -37,6 +37,12 @@ def grow(mgr, conv_id, tokens, now=0.0):
     return mgr.commit_restore(mgr.plan_restore(conv_id, tokens), now)
 
 
+def decode(mgr, conv_id, steps, now):
+    """``steps`` decode steps of one pinned conversation."""
+    for _ in range(steps):
+        mgr.append_tokens([conv_id], now)
+
+
 class TestChunk:
     def test_basic_properties(self):
         cache = make_cache(40, gpu=0)
@@ -66,14 +72,14 @@ class TestExtendTo:
     def test_partial_tail_completes_first(self):
         mgr = make_manager()
         cache = grow(mgr, 7, 40)
-        mgr.append_tokens(7, 60, now=1.0)
+        decode(mgr, 7, 60, now=1.0)
         assert [end - start for start, end in spans(cache)] == [32, 32, 32, 4]
         mgr._audit()
 
     def test_extend_is_idempotent_at_same_size(self):
         mgr = make_manager()
         cache = grow(mgr, 7, 64)
-        mgr.append_tokens(7, 0, now=1.0)
+        mgr.append_tokens([], now=1.0)
         assert cache.bounds() == (0, 0, 0, 0, 0, 2)
 
     def test_shrink_rejected(self):
@@ -92,15 +98,15 @@ class TestExtendTo:
         mgr.swap_out(40, now=2.0)
         mgr.open(7, now=3.0)
         with pytest.raises(TailNotOnGpuError):
-            mgr.append_tokens(7, 40, now=3.0)
+            mgr.append_tokens([7], now=3.0)
         assert mgr.conversation(7).total_tokens == 40
 
     def test_grow_tail_bumps_in_place(self):
         mgr = make_manager()
         cache = grow(mgr, 7, 30)
-        mgr.append_tokens(7, 2, now=1.0)  # fills the tail, no new chunk
+        decode(mgr, 7, 2, now=1.0)  # fills the tail, no new chunk
         assert cache.num_chunks == 1 and cache.span(0) == (0, 32)
-        mgr.append_tokens(7, 1, now=1.0)  # the next token starts chunk 1
+        mgr.append_tokens([7], now=1.0)  # the next token starts chunk 1
         assert cache.span(1) == (32, 33)
         assert locations(cache) == [ChunkLocation.GPU] * 2
         mgr._audit()

@@ -1,29 +1,33 @@
 """One decode step for a whole batch equals one ``append_tokens`` per
 request at the iteration's clock, with one reclaim scan.
 
-``TieredCacheManager.append_decode_step(conv_ids, now)`` grows a batch of
-pinned conversations in one call: it reclaims the step's whole deficit
-(growers minus free slots) through one ``GPU_CPU`` victim stream scored at
-``now``, then adds one token to each grower.  For a pinned batch that
-is *exactly* ``append_tokens(conv_id, 1, now)`` for each conversation in
-order, including when the GPU tier is full and the growth must reclaim
-copies, and when a conversation does not fit and is skipped (the engine
-suspends it and carries on with the rest).  Twin managers take the same
-random walk; one grows each batch in one call, the other one request at
-a time, and after every step both must agree on every chunk, every move
+``TieredCacheManager.append_tokens(conv_ids, now)`` grows a batch of
+pinned conversations by one token each, all or nothing: it reclaims the
+step's whole deficit (growers minus free slots) through one ``GPU_CPU``
+victim stream scored at ``now``, then adds one token to each grower.
+Twin managers take the same random walk; one grows each batch in one
+call, the other calls ``append_tokens([conv_id], now)`` once per
+member, and after every step both must agree on every chunk, every move
 the observer saw, ``stats``, the tier totals and each location's holders,
-and both pass ``_audit()``.  Each victim of the batched step must also be
-the brute-force minimum of the conversations' first ``GPU_CPU`` chunks
-scored at ``now``, and a step opens at most one ``GPU_CPU`` stream.  The
-walks run under LRU and under the paper's retention scorer (the random
-walk draws one per example): the retention scorer ranks victims by cost
-over idle time at ``now``, LRU by age alone.  A ``fill`` turn takes every
-free slot, so that later steps meet a full GPU, and a walk has at least
-20 operations: so drawn, 32 steps of the 300 examples reclaim, where
-walks from one operation without ``fill`` reclaimed in none.
+and both pass ``_audit()`` and stay within the GPU tier (both twins grow
+through the same method, so agreeing alone would not catch a growth
+that skips its reclaim).  That includes steps on a full GPU tier that
+must reclaim copies.  A step that cannot fit whole (fewer slots free and
+reclaimable than growers) must raise ``CacheCapacityError`` and leave the
+batched twin exactly as it was; the other twin skips that step (the
+engine suspends before it grows, so it never meets one).  Each victim of
+the batched step must also be the brute-force minimum of the
+conversations' first ``GPU_CPU`` chunks scored at ``now``, and a step
+opens at most one ``GPU_CPU`` stream.  The walks run under LRU and under
+the paper's retention scorer (the random walk draws one per example):
+the retention scorer ranks victims by cost over idle time at ``now``,
+LRU by age alone.  A ``fill`` turn takes every free slot, so that later
+steps meet a full GPU, and a walk has at least 20 operations: so drawn,
+22 steps of the 300 examples reclaim and 495 are refused.
 
-Mutations tried in a copy of the tree: growing without reclaiming first
-fails every test here; skipping the up-front tail check fails
+Mutations tried in a copy of the tree, each re-run against
+``append_tokens``: growing without reclaiming first fails every test
+here (the hypothesis walk through the GPU-tier bound); skipping the up-front tail check fails
 ``tests/kvcache/test_manager.py::TestAppendTokens::
 test_decode_step_refuses_the_whole_batch_up_front``; reclaiming one chunk
 per ``reclaim`` call (a scan per chunk) fails
@@ -59,24 +63,15 @@ PROFILE = AttentionCostProfile(
 SCORERS = {"lru": LruPolicy, "retention": lambda: RetentionValuePolicy(PROFILE)}
 
 
-def batch_step(mgr, conv_ids, now):
-    """The engine's loop: skip (suspend) whoever does not fit."""
-    skipped = []
-    grown = mgr.append_decode_step(conv_ids, now)
-    while grown < len(conv_ids):
-        skipped.append(conv_ids[grown])
-        grown += 1 + mgr.append_decode_step(conv_ids[grown + 1:], now)
-    return skipped
-
-
-def one_by_one(mgr, conv_ids, now):
-    skipped = []
+def one_by_one(mgr, conv_ids, now, refused):
+    """The batched twin's step one member at a time, or no step at all
+    when the batched twin refused it (which needs it not to fit)."""
+    if refused:
+        assert mgr.gpu_available_tokens < len(conv_ids), conv_ids
+        return True
     for conv_id in conv_ids:
-        try:
-            mgr.append_tokens(conv_id, 1, now)
-        except CacheCapacityError:
-            skipped.append(conv_id)
-    return skipped
+        mgr.append_tokens([conv_id], now)
+    return False
 
 
 def gpu_cpu_minimum(mgr, now, moved):
@@ -125,13 +120,18 @@ class Twin:
             self.checked += 1
 
     def step(self, conv_ids, now):
+        """The whole step in one call; True when it was refused."""
+        before = self.state()
         self.step_now, self.streams = now, 0
         try:
-            skipped = batch_step(self.mgr, conv_ids, now)
+            self.mgr.append_tokens(conv_ids, now)
+        except CacheCapacityError:
+            assert self.state() == before, conv_ids
+            return True
         finally:
             self.step_now = None
         assert self.streams <= 1, (conv_ids, now, self.streams)
-        return skipped
+        return False
 
     def state(self):
         mgr = self.mgr
@@ -140,7 +140,7 @@ class Twin:
                 cache.conv_id: list(zip(spans(cache), locations(cache)))
                 for cache in mgr.conversations()
             },
-            self.moves,
+            tuple(self.moves),
             dict(mgr.stats),
             (mgr.gpu_resident_tokens, mgr.reclaimable_tokens,
              mgr.evictable_gpu_tokens, mgr.cpu_used_tokens),
@@ -164,7 +164,7 @@ def apply(mgr, now, op, grow):
     kind = op[0]
     if kind == "fill":
         # A turn that takes every free slot, so that the next step must
-        # reclaim copies (or skip): random turn sizes seldom fill the GPU
+        # reclaim copies (or be refused): random turn sizes seldom fill the GPU
         # exactly while copies are left.
         kind, op = "turn", ("turn", op[1], mgr.gpu_free_tokens)
     if kind == "turn":
@@ -210,16 +210,17 @@ def walk(ops, gpu, cpu, make_scorer):
         got = apply(batched.mgr, float(now), op, batched.step)
         want = apply(
             single.mgr, float(now), op,
-            lambda conv_ids, now: one_by_one(single.mgr, conv_ids, now),
+            lambda conv_ids, now: one_by_one(single.mgr, conv_ids, now, got),
         )
         assert got == want, (op, got, want)
         assert batched.state() == single.state(), op
-        batched.mgr._audit()
-        single.mgr._audit()
+        for twin in (batched, single):
+            twin.mgr._audit()
+            assert twin.mgr.gpu_resident_tokens <= twin.mgr.gpu_capacity_tokens, op
         if op[0] == "step":
             paths["reclaimed"] += batched.mgr.stats["gpu_cpu_exit_tokens"] > exits
             paths["victims"] = max(paths["victims"], batched.checked - checked)
-            paths["skipped"] += bool(got)
+            paths["refused"] += got
     return paths, batched.mgr
 
 
@@ -235,9 +236,9 @@ def test_decode_step_equals_one_append_per_request(ops, gpu, cpu, scorer):
 
 
 def test_the_walk_reaches_the_reclaim_and_skip_paths():
-    """A full GPU tier: the batch must reclaim copies to grow, a
-    conversation with nothing left to reclaim is skipped (the fifth step),
-    and one step takes three one-token copies from one stream."""
+    """A full GPU tier: the batch must reclaim copies to grow, a step with
+    nothing left to reclaim is refused whole (the fifth step), and one
+    step takes three one-token copies from one stream."""
     every = tuple(range(6))
     ops = [
         ("turn", 0, 24), ("close", 0), ("turn", 1, 23), ("swap_out", 8),
@@ -245,7 +246,7 @@ def test_the_walk_reaches_the_reclaim_and_skip_paths():
     ] + [("step", every, 6)] * 5
     for scorer, make_scorer in SCORERS.items():
         paths, _ = walk(ops, gpu=64, cpu=512, make_scorer=make_scorer)
-        assert paths["reclaimed"] and paths["skipped"], (scorer, paths)
+        assert paths["reclaimed"] and paths["refused"], (scorer, paths)
     # Conversations 0-2 hold one copied token each; 3-5 fill the rest of
     # the GPU, so their step has a deficit of three.
     ops = [op for conv in range(3) for op in (("turn", conv, 1), ("close", conv))]
@@ -253,7 +254,7 @@ def test_the_walk_reaches_the_reclaim_and_skip_paths():
     ops += [("step", every, 6)]
     for scorer, make_scorer in SCORERS.items():
         paths, mgr = walk(ops, gpu=64, cpu=512, make_scorer=make_scorer)
-        assert paths["victims"] == 3 and not paths["skipped"], (scorer, paths)
+        assert paths["victims"] == 3 and not paths["refused"], (scorer, paths)
         assert mgr.reclaimable_tokens == 0 and mgr.gpu_free_tokens == 0
 
 

@@ -47,31 +47,29 @@ scans the CPU holders once, not once per GPU victim.
 
 Mutations of ``TieredCacheManager``, each tried in a copy of the tree
 against ``tests/kvcache`` (Hypothesis shrinking off in the copy, so each
-failure is the first failing example):
+failure is the first failing example), re-counted after growth became
+one ``append_tokens(conv_ids, now)`` and ``reclaim`` lost its
+``exclude`` argument (the ``reclaim`` verb with it, so the draws moved):
 
 - ``_victims`` pushes a successor with the victim's score instead of its
-  own: fails 7, the walk in three cells and two seeded walks (one of them
-  also replayed) among them
-  (the walk this one replaced did not draw such a case; only
-  ``INTERLEAVED`` below caught it);
-- ``_victims`` never pushes a successor: fails 68, 34 of them here;
+  own: fails 7, the walk in four cells, two seeded walks and
+  ``test_the_walk_reaches_every_eviction_path``;
+- ``_victims`` never pushes a successor: fails 75, 38 of them here;
 - ``_victims`` yields every entry, without checking that its chunk is
   still first in the location: fails only
   ``test_the_walk_reaches_every_eviction_path`` (``STALE_CPU_ENTRY``: the
   dropped chunk moves to disk in three tiers, and in two the GPU victim
   behind it is dropped although a CPU chunk is left);
 - ``_evict`` pulls the next victim before checking the budget (a victim
-  pulled past the budget is left in place): fails 15, among them
+  pulled past the budget is left in place): fails 14, among them
   ``test_swap_out_scans_a_full_cpu_tier_once`` through the shared CPU
-  stream's "victim not evicted" assertion and the walk in two cells;
-- ``_move`` skips the ``disk_dropped_tokens`` bump: fails 19, the walk in
-  four three-tier cells and seven seeded walks (one also replayed) among
-  them (``_audit``'s
-  disk ledger);
+  stream's "victim not evicted" assertion and the walk in one cell;
+- ``_move`` skips the ``disk_dropped_tokens`` bump: fails 21, the walk in
+  the four three-tier cells and seven seeded walks (one also replayed)
+  among them (``_audit``'s disk ledger);
 - ``_move`` leaves ``_reclaimable`` alone when a ``GPU_CPU`` chunk is
-  dropped: fails 32, the walk in eight cells and 15 seeded walks (three
-  also replayed) among them (before this walk replaced them, ``test_manager_chaos.py``'s
-  walks caught it too).
+  dropped: fails 26, the walk in six cells and 12 seeded walks (two
+  also replayed) among them.
 """
 
 from __future__ import annotations
@@ -115,10 +113,10 @@ def steep_profile(chunk: int) -> AttentionCostProfile:
     )
 
 
-def scored_frontiers(mgr, loc, now, exclude=(), moved=None):
-    """The oracle: every unpinned conversation's earliest chunk in ``loc``
-    outside ``exclude``, scored at ``now``, as ``(score, conv_id, chunk
-    index)``, from the conversations' lengths and boundaries alone.
+def scored_frontiers(mgr, loc, now, moved=None):
+    """The oracle: every unpinned conversation's earliest chunk in ``loc``,
+    scored at ``now``, as ``(score, conv_id, chunk index)``, from the
+    conversations' lengths and boundaries alone.
     ``moved = (cache, index, location)`` looks at chunk ``index`` of
     ``cache`` as if it were still in ``location``."""
     keys = []
@@ -126,7 +124,7 @@ def scored_frontiers(mgr, loc, now, exclude=(), moved=None):
         where = locations(cache)
         if moved is not None and moved[0] is cache:
             where[moved[1]] = moved[2]
-        if loc not in where or cache.pinned or cache.conv_id in exclude:
+        if loc not in where or cache.pinned:
             continue
         index = where.index(loc)
         score = mgr.scorer(spans(cache)[index][1], cache.last_active, now)
@@ -169,7 +167,7 @@ class Walk:
         self.open_convs: set = set()
         #: The model: each conversation's context length.
         self.totals: dict = {}
-        #: ``(location, now, exclude)`` of the eviction call in flight.
+        #: ``(location, now)`` of the eviction call in flight.
         self.call = None
         self.picked = None
         #: Conversation whose front-drop through a GPU victim is under way.
@@ -184,7 +182,7 @@ class Walk:
     def observe(self, cache, index, old, new) -> None:
         if self.call is None:
             return
-        loc, now, exclude = self.call
+        loc, now = self.call
         key = (cache.conv_id, index)
         assert old is not DROPPED, (self.call, key)
         if self.collateral is not None:
@@ -197,7 +195,7 @@ class Walk:
             ):
                 # (Granularity ablation: the rest of the picked conversation
                 # follows its frontier out, whatever the other scores are.)
-                assert self.min_key(loc, cache, index, old, exclude) == key, (
+                assert self.min_key(loc, cache, index, old) == key, (
                     self.call, key
                 )
                 self.picked = cache.conv_id
@@ -217,11 +215,11 @@ class Walk:
             # ones a demotion displaces or a drop takes ahead of it.
             assert old is DISK, (self.call, key, old, new)
 
-    def min_key(self, loc, cache, index, old, exclude=()):
+    def min_key(self, loc, cache, index, old):
         """``(conv_id, index)`` of the minimum the manager chose from: the
         observer runs after the move, so look at the chunk where it was."""
         moved = (cache, index, old)
-        return min(scored_frontiers(self.mgr, loc, self.call[1], exclude, moved))[1:]
+        return min(scored_frontiers(self.mgr, loc, self.call[1], moved))[1:]
 
     def check_dropped(self, cache) -> None:
         """A GPU victim was dropped: its copy failed (one fault, one
@@ -235,8 +233,8 @@ class Walk:
             assert not scored_frontiers(self.mgr, CPU, self.call[1]), self.call
         self.collateral = None
 
-    def evicting(self, loc, now, call, exclude=()):
-        self.call, self.picked = (loc, now, exclude), None
+    def evicting(self, loc, now, call):
+        self.call, self.picked = (loc, now), None
         self.failures_seen = self.mgr.fault_counters.swap_out_failures
         try:
             return call()
@@ -273,27 +271,31 @@ class Walk:
                 self.totals[conv] += tokens
                 assert cache.tokens_in(GPU) == cache.total_tokens
         elif kind == "append":
+            # ``tokens`` decode steps of one open conversation, until one
+            # does not fit; growth reclaims at the caller's clock.
             _, conv, tokens = op
-            if conv in self.open_convs:
-                # Decode growth reclaims at the caller's clock.
+            for _ in range(tokens if conv in self.open_convs else 0):
                 try:
-                    self.evicting(
-                        GPU_CPU, now, lambda: mgr.append_tokens(conv, tokens, now),
-                        (conv,),
-                    )
-                    self.totals[conv] += tokens
+                    self.evicting(GPU_CPU, now, lambda: mgr.append_tokens([conv], now))
                 except CacheCapacityError:
-                    pass
+                    break
+                self.totals[conv] += 1
         elif kind == "step":
-            # One decode step of every open (pinned) conversation: its
-            # whole deficit is one GPU_CPU stream scored at ``now``.
+            # One decode step of open (pinned) conversations: its whole
+            # deficit is one GPU_CPU stream scored at ``now``, and a step
+            # that does not fit whole changes nothing.
             _, size = op
             batch = sorted(self.open_convs)[:size]
             before = self.checked[GPU_CPU]
-            grown = self.evicting(GPU_CPU, now, lambda: mgr.append_decode_step(batch, now))
+            layouts = self.fingerprint()
+            try:
+                self.evicting(GPU_CPU, now, lambda: mgr.append_tokens(batch, now))
+            except CacheCapacityError:
+                assert self.fingerprint() == layouts, batch
+            else:
+                for conv in batch:
+                    self.totals[conv] += 1
             self.checked["step"] += self.checked[GPU_CPU] - before
-            for conv in batch[:grown]:
-                self.totals[conv] += 1
         elif kind == "close":
             _, conv = op
             if conv in self.open_convs:
@@ -313,13 +315,10 @@ class Walk:
             if mgr.reclaimable_tokens + mgr.gpu_free_tokens - free < tokens:
                 assert not scored_frontiers(mgr, GPU, now)
         elif kind == "reclaim":
-            _, tokens, conv = op
-            exclude = () if conv is None else (conv,)
-            freed = self.evicting(
-                GPU_CPU, now, lambda: mgr.reclaim(tokens, now, exclude=exclude), exclude
-            )
+            _, tokens = op
+            freed = self.evicting(GPU_CPU, now, lambda: mgr.reclaim(tokens, now))
             if freed < tokens:
-                assert not scored_frontiers(mgr, GPU_CPU, now, exclude)
+                assert not scored_frontiers(mgr, GPU_CPU, now)
         elif kind == "drop_cpu":
             _, tokens = op
             freed = self.evicting(CPU, now, lambda: mgr.drop_from_cpu(tokens, now))
@@ -411,7 +410,7 @@ VERBS = {
     "step": (ints(1, 6),),
     "close": (CONV,),
     "swap_out": (TOKENS, ints(0, 3, none=True)),
-    "reclaim": (TOKENS, ints(0, 5, none=True)),
+    "reclaim": (TOKENS,),
     "drop_cpu": (TOKENS,),
     "drop_disk": (TOKENS, ints(0, 5, none=True)),
     "suspend": (CONV,),
@@ -548,7 +547,7 @@ def test_chaos_walk_is_deterministic(seed):
 STALE_CPU_ENTRY = [
     (1.0, ("turn", 0, 16)), (0.0, ("close", 0)),
     (1.0, ("turn", 1, 64)), (0.0, ("close", 1)),
-    (1.0, ("swap_out", 48, None)), (0.0, ("reclaim", 48, None)),
+    (1.0, ("swap_out", 48, None)), (0.0, ("reclaim", 48)),
     (1.0, ("turn", 3, 80)), (0.0, ("suspend", 3)),
     (1.0, ("turn", 4, 64)), (0.0, ("close", 4)),
     (1.0, ("swap_out", 96, 1)),
@@ -593,8 +592,8 @@ def test_the_walk_reaches_every_eviction_path():
         walk.apply(1.0, ("turn", conv, 64))
         walk.apply(0.0, ("close", conv))
     for op in [
-        ("swap_out", 96, None), ("reclaim", 96, 0), ("swap_out", 96, None),
-        ("reclaim", 96, None), ("drop_cpu", 64), ("drop_disk", 32, 1),
+        ("swap_out", 96, None), ("reclaim", 96), ("swap_out", 96, None),
+        ("reclaim", 96), ("drop_cpu", 64), ("drop_disk", 32, 1),
         ("drop_disk", 32, None), ("swap_out", 64, None), ("drop_cpu", 160),
     ]:
         walk.apply(1.0, op)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import LruPolicy, RetentionValuePolicy
+from repro.faults import FaultPlan, FaultSite
 from repro.gpu import A100_80GB, CostModel, OfflineProfiler
 from repro.kvcache import ChunkLocation, TailNotOnGpuError, TieredCacheManager
 from repro.kvcache.manager import CacheCapacityError
@@ -269,12 +270,18 @@ class TestRestore:
         assert mgr.stats["recomputed_tokens"] == 32
 
 
+def grow(mgr, conv_id, steps, now):
+    """``steps`` decode steps of one conversation."""
+    for _ in range(steps):
+        mgr.append_tokens([conv_id], now)
+
+
 class TestAppendTokens:
     def test_decode_growth(self):
         mgr = make_manager()
         mgr.open(1, 0.0)
         mgr.commit_restore(mgr.plan_restore(1, 10), now=0.0)
-        mgr.append_tokens(1, 5, now=1.0)
+        grow(mgr, 1, 5, now=1.0)
         assert mgr.conversation(1).total_tokens == 15
 
     def test_growth_reclaims_when_full(self):
@@ -283,7 +290,7 @@ class TestAppendTokens:
         mgr.swap_out(96, now=1.0)
         mgr.open(2, 2.0)
         mgr.commit_restore(mgr.plan_restore(2, 30), now=2.0)
-        mgr.append_tokens(2, 5, now=3.0)  # 96+30+5 > 128: must reclaim from conv 1
+        grow(mgr, 2, 5, now=3.0)  # 96+30+5 > 128: must reclaim from conv 1
         assert mgr.conversation(2).total_tokens == 35
         assert mgr.gpu_resident_tokens <= 128
 
@@ -291,39 +298,64 @@ class TestAppendTokens:
         mgr = make_manager(gpu=64, cpu=0)
         mgr.open(1, 0.0)
         mgr.commit_restore(mgr.plan_restore(1, 60), now=0.0)
+        grow(mgr, 1, 4, now=1.0)
         with pytest.raises(CacheCapacityError):
-            mgr.append_tokens(1, 10, now=1.0)
+            mgr.append_tokens([1], now=1.0)
+        assert mgr.conversation(1).total_tokens == 64
+
+    @staticmethod
+    def one_copy_short():
+        """Conv 1's four tokens are copied (reclaimable); pinned convs 2-6
+        fill every other slot: a step of all five is one slot short."""
+        mgr = make_manager(gpu=128, cpu=4096)
+        finish_conversation(mgr, 1, 4, now=0.0)
+        mgr.swap_out(4, now=1.0)
+        for conv, tokens in ((2, 60), (3, 30), (4, 20), (5, 10), (6, 4)):
+            mgr.open(conv, 2.0)
+            mgr.commit_restore(mgr.plan_restore(conv, tokens), now=2.0)
+        assert mgr.gpu_free_tokens == 0 and mgr.reclaimable_tokens == 4
+        return mgr
 
     def test_refused_growth_is_atomic(self):
         """Regression: a refused append used to *partially* reclaim other
         conversations before raising, leaving chunks evicted by an
         operation that reported failure.  The capacity check must come
         before any state mutation."""
-        mgr = make_manager(gpu=128, cpu=4096)
-        finish_conversation(mgr, 1, 96, now=0.0)
-        mgr.swap_out(64, now=1.0)  # conv 1: 32 GPU + 64 GPU_CPU (reclaimable)
-        mgr.open(2, 2.0)
-        mgr.commit_restore(mgr.plan_restore(2, 30), now=2.0)
-        before = {
-            "gpu_resident": mgr.gpu_resident_tokens,
-            "reclaimable": mgr.reclaimable_tokens,
-            "conv1_gpu_cpu": mgr.conversation(1).tokens_in(ChunkLocation.GPU_CPU),
-            "conv1_gpu": mgr.conversation(1).tokens_in(ChunkLocation.GPU),
-        }
-        # Deficit 78 exceeds the 64 reclaimable tokens: must refuse.
+        mgr = self.one_copy_short()
+        before = self.snapshot(mgr)
         with pytest.raises(CacheCapacityError):
-            mgr.append_tokens(2, 80, now=3.0)
-        assert mgr.gpu_resident_tokens == before["gpu_resident"]
-        assert mgr.reclaimable_tokens == before["reclaimable"]
-        cache = mgr.conversation(1)
-        assert cache.tokens_in(ChunkLocation.GPU_CPU) == before["conv1_gpu_cpu"]
-        assert cache.tokens_in(ChunkLocation.GPU) == before["conv1_gpu"]
-        assert mgr.conversation(2).total_tokens == 30
+            mgr.append_tokens([2, 3, 4, 5, 6], now=3.0)
+        assert self.snapshot(mgr) == before
         mgr._audit()
-        # The same growth succeeds once it fits the reclaimable budget.
-        mgr.append_tokens(2, 60, now=3.0)
-        assert mgr.conversation(2).total_tokens == 90
+        # A step that fits the reclaimable budget succeeds.
+        mgr.append_tokens([2, 3, 4, 5], now=3.0)
+        assert locations(mgr.conversation(1)) == [ChunkLocation.CPU]
+        assert mgr.context_lengths([2, 3, 4, 5, 6]) == [61, 31, 21, 11, 4]
         mgr._audit()
+
+    def test_decode_step_refuses_the_whole_step_and_changes_nothing(self):
+        mgr = make_manager(gpu=64, cpu=0)
+        for conv, tokens in ((1, 60), (2, 3)):
+            mgr.open(conv, 0.0)
+            mgr.commit_restore(mgr.plan_restore(conv, tokens), now=0.0)
+        before = self.snapshot(mgr)
+        # Conv 1 alone would take the last slot; the step has two growers.
+        with pytest.raises(CacheCapacityError):
+            mgr.append_tokens([1, 2], now=1.0)
+        assert self.snapshot(mgr) == before
+        mgr.append_tokens([], now=1.0)
+        assert self.snapshot(mgr) == before
+        mgr._audit()
+
+    def test_only_a_pinned_conversation_grows(self):
+        mgr = make_manager()
+        finish_conversation(mgr, 1, 10, now=0.0)
+        mgr.open(2, 1.0)
+        mgr.commit_restore(mgr.plan_restore(2, 10), now=1.0)
+        before = self.snapshot(mgr)
+        with pytest.raises(ValueError, match="pinned"):
+            mgr.append_tokens([2, 1], now=2.0)
+        assert self.snapshot(mgr) == before
 
     @staticmethod
     def stranded_tail_manager():
@@ -337,6 +369,7 @@ class TestAppendTokens:
         mgr.reclaim(40, now=3.0)  # conv 1 -> CPU, its tail too
         mgr.open(3, 4.0)
         mgr.commit_restore(mgr.plan_restore(3, 64), now=4.0)
+        mgr.open(1, 4.0)
         assert mgr.gpu_free_tokens == 0 and mgr.reclaimable_tokens == 64
         assert locations(mgr.conversation(1))[-1] is ChunkLocation.CPU
         return mgr
@@ -360,7 +393,7 @@ class TestAppendTokens:
         mgr = self.stranded_tail_manager()
         before = self.snapshot(mgr)
         with pytest.raises(ValueError) as refused:
-            mgr.append_tokens(1, 1, now=5.0)
+            mgr.append_tokens([1], now=5.0)
         assert self.snapshot(mgr) == before
         assert isinstance(refused.value, TailNotOnGpuError)
         mgr._audit()
@@ -369,19 +402,8 @@ class TestAppendTokens:
         mgr = self.stranded_tail_manager()
         before = self.snapshot(mgr)
         with pytest.raises(TailNotOnGpuError):
-            mgr.append_decode_step([3, 1], now=5.0)
+            mgr.append_tokens([3, 1], now=5.0)
         assert self.snapshot(mgr) == before
-
-    def test_decode_step_stops_at_the_first_that_does_not_fit(self):
-        mgr = make_manager(gpu=64, cpu=0)
-        for conv, tokens in ((1, 60), (2, 3)):
-            mgr.open(conv, 0.0)
-            mgr.commit_restore(mgr.plan_restore(conv, tokens), now=0.0)
-        assert mgr.append_decode_step([1, 2], now=1.0) == 1  # conv 1 took the last slot
-        assert mgr.conversation(1).total_tokens == 61
-        assert mgr.conversation(2).total_tokens == 3
-        assert mgr.append_decode_step([], now=1.0) == 0
-        mgr._audit()
 
 
 class TestEnsureCapacity:
@@ -448,6 +470,60 @@ class TestSuspension:
         assert (copied, dropped) == (64, 0)
         assert mgr.stats["dropped_tokens"] == 32
         assert mgr.gpu_free_tokens == 256 and mgr.cpu_free_tokens == 0
+
+
+    @staticmethod
+    def stored_prefix(disk, room):
+        """Conv 1, closed: ``disk`` chunks on disk, one on the CPU, three
+        on the GPU (96 tokens), and ``room`` CPU tokens free."""
+        mgr = TieredCacheManager(
+            1024, 32 + room, chunk_size=32, scorer=LruPolicy(),
+            disk_capacity_tokens=1024,
+        )
+        finish_conversation(mgr, 1, (disk + 4) * 32, now=0.0)
+        mgr.swap_out((disk + 1) * 32, now=1.0)
+        mgr.reclaim((disk + 1) * 32, now=1.0)
+        mgr.drop_from_cpu(disk * 32, now=1.0)  # demoted
+        cache = mgr.conversation(1)
+        assert [loc.value for loc in locations(cache)] == (
+            ["disk"] * disk + ["cpu"] + ["gpu"] * 3
+        )
+        assert mgr.cpu_free_tokens == room
+        return mgr, cache
+
+    @pytest.mark.parametrize(
+        "disk, room, split, after",
+        [
+            # Room for every GPU token: nothing drops, the disk chunk stays.
+            (1, 96, (96, 0), "disk cpu cpu cpu cpu"),
+            (0, 96, (96, 0), "cpu cpu cpu cpu"),
+            # 32 short: the stored prefix goes (its CPU chunk's slots are
+            # the room), the disk chunk ahead of it too.
+            (1, 64, (96, 0), "dropped dropped cpu cpu cpu"),
+            # 48 short: past the stored prefix, one GPU chunk drops.
+            (1, 48, (64, 32), "dropped dropped dropped cpu cpu"),
+            (0, 48, (64, 32), "dropped dropped cpu cpu"),
+        ],
+    )
+    def test_a_short_cpu_tier_drops_the_leading_chunks(self, disk, room, split, after):
+        mgr, cache = self.stored_prefix(disk, room)
+        assert mgr.release_conversation_gpu(1, now=2.0) == split
+        assert " ".join(loc.value for loc in locations(cache)) == after
+        assert mgr.stats["dropped_tokens"] == 32 * after.count("dropped")
+        mgr._audit()
+
+    def test_nothing_to_copy_draws_no_copy_fault(self):
+        """A suspended conversation whose GPU chunks are all copied
+        already reclaims them: no copy, so no ``SWAP_OUT`` draw and no
+        drop, even under a plan that fails the next copy."""
+        mgr = make_manager(gpu=256, cpu=4096)
+        finish_conversation(mgr, 1, 64, now=0.0)
+        mgr.swap_out(64, now=1.0)
+        mgr.fault_plan = plan = FaultPlan(schedules={FaultSite.SWAP_OUT: [0]})
+        assert mgr.release_conversation_gpu(1, now=2.0) == (0, 0)
+        assert [loc.value for loc in locations(mgr.conversation(1))] == ["cpu"] * 2
+        assert plan.occurrences[FaultSite.SWAP_OUT] == 0
+        mgr._audit()
 
 
 class TestPolicyIntegration:
@@ -519,6 +595,15 @@ class TestWholeConversationEviction:
         assert mgr.reclaimable_tokens == 256
         assert mgr.conversation(1).tokens_in(ChunkLocation.GPU) == 0
         mgr._audit()
+
+    def test_a_step_that_moves_nothing_fails_at_once(self):
+        """Each step of the granularity loop must move its victim off the
+        GPU: one that leaves it in place is named, instead of being
+        stepped on forever."""
+        mgr = self.make(whole=True)
+        finish_conversation(mgr, 1, 64, now=0.0)
+        with pytest.raises(AssertionError, match=r"victim 0 of .*conv=1.* not evicted"):
+            mgr._evict(ChunkLocation.GPU, 32, 1.0, lambda *victim: None)
 
     def test_conversation_mode_moves_to_next_victim(self):
         mgr = self.make(whole=True)

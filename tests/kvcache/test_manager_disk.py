@@ -239,7 +239,12 @@ class TestRestorePlanning:
         off).  The merged walk adds spins of its own, in the
         whole-conversation cells and four seeded walks: a dropped victim
         that stays put keeps ``_evict``'s granularity loop on it; each
-        fails at the limit too.
+        fails at the limit too.  Since ``_evict`` checks that each
+        granularity step moved its victim and the engine raises from an
+        idle poll that can never admit (the progress rule), nothing
+        spins: 172 fail in 30 s, none at the limit, the three
+        ``TestNullSinksNeverInvoked`` runs with "no progress at
+        iteration 128".
         """
         mgr = make_manager(gpu=128, cpu=32, disk=128)
         squeeze(mgr)

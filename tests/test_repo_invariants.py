@@ -228,8 +228,9 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
     """A float32 llama server's decode step that follows another — the
     server's work from the end of the previous forward through the end
     of its own — constructs no ``ForwardRequest``, calls
-    ``BlockTable.slots_array`` zero times and builds one stale-row index
-    for all its layers."""
+    ``BlockTable.slots_array`` zero times, builds one stale-row index
+    for all its layers and grows the whole batch in one
+    ``manager.append_tokens`` call."""
     calls = Counter()
 
     def count(owner, name):
@@ -244,6 +245,7 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
     count(transformer.ForwardRequest, "__post_init__")
     count(BlockTable, "slots_array")
     count(PackedDecodeCache, "_stale_index")
+    count(TieredCacheManager, "append_tokens")
     steady_steps = []
     previous = []
     forward = transformer.PagedTransformer.forward
@@ -268,7 +270,8 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
             max_new_tokens=5,  # four decode forwards a turn, three steady
         )
     assert len(steady_steps) == 2 * 3
-    assert steady_steps == [{"_stale_index": 1}] * len(steady_steps)
+    steady = {"_stale_index": 1, "append_tokens": 1}
+    assert steady_steps == [steady] * len(steady_steps)
 
 
 #: The settable values of each public signature (``BatchConfig``: its

@@ -22,8 +22,9 @@ hash its four artifacts: the Prometheus snapshot with the ledger
 counters, the flight-recorder captures, the Chrome trace document and
 the JSONL trace records with their wall-clock stamps removed.
 
-``python -m tests.test_run_digests`` (from the repository root, with
-``src`` on ``PYTHONPATH``) prints the current value of every row.
+``python -m tests.test_run_digests [ROW ...]`` (from the repository
+root, with ``src`` on ``PYTHONPATH``) prints the current value of the
+named rows, or of every row.
 
 ``test_same_seed_twice_in_one_process`` needs no stored digest, so it
 also runs under ``CHAOS_EXTRA_SEED`` (one more fault seed per CI chaos
@@ -258,6 +259,46 @@ def server_digest(seed: int = FAULT_SEED) -> str:
     return _hex((crc, server.manager.stats, server.fault_counters.as_dict()))
 
 
+def pressure_server(fault_plan: FaultPlan | None = None) -> StatefulChatServer:
+    """A starved two-tier functional server: four batch members fill its
+    GPU tier."""
+    return StatefulChatServer(
+        tiny_llama_config(), gpu_capacity_tokens=160, cpu_capacity_tokens=96,
+        chunk_size=16, page_size=8, seed=0, fault_plan=fault_plan,
+    )
+
+
+def pressure_rounds(server: StatefulChatServer):
+    """Ten four-member ``chat_batch`` rounds over six conversations, six
+    new tokens each; yields each round's prompts and outputs.  The first
+    round's prompts (1 + 3 x 53 tokens) fill the 160-token GPU tier, so
+    its first decode step is four slots short with nothing to swap out
+    and its latest-joined member is aborted.  Later rounds rotate the
+    members, with prompts of 2 to 6 tokens."""
+    vocab = server.config.vocab_size
+    for rnd in range(10):
+        convs = [(rnd + k) % 6 for k in range(4)]
+        lengths = (1, 53, 53, 53) if rnd == 0 else [(2, 6, 3, 5)[(rnd + c) % 4] for c in convs]
+        prompts = [
+            (c, [(13 * c + 7 * rnd + i) % vocab for i in range(n)])
+            for c, n in zip(convs, lengths)
+        ]
+        yield prompts, server.chat_batch(prompts, max_new_tokens=6)
+
+
+def pressure_digest() -> str:
+    """The starved two-tier server's batched rounds: transcript crc32,
+    ``manager.stats``, fault counters and each failure's conversation
+    and attempts."""
+    server = pressure_server()
+    transcript = [sorted(out.items()) for _, out in pressure_rounds(server)]
+    failures = [(error.conv_id, error.attempts) for error in server.failures]
+    return _hex((
+        zlib.crc32(repr(transcript).encode()), server.manager.stats,
+        server.fault_counters.as_dict(), failures,
+    ))
+
+
 def model_digest() -> str:
     """Both tiny architectures over float64 storage: the exact bits of the
     ``forward_all_rows`` logits of a prefill batch, then of one mixed
@@ -369,6 +410,7 @@ RUNS = {
     "server/3tier/armed": server_digest,
     "model/float64/mixed-batch": model_digest,
     "server/decode-steps": decode_digest,
+    "server/batch/pressure": pressure_digest,
     "telemetry/3tier/armed/seed11": telemetry_digest,
     "telemetry/3tier/armed/seed23": lambda: telemetry_digest(23),
     "telemetry/3tier/armed/seed47": lambda: telemetry_digest(47),
@@ -391,6 +433,7 @@ DIGESTS = {
     "server/3tier/armed": "3526e06261cb62e4",
     "model/float64/mixed-batch": "a1d82ab27d933482",
     "server/decode-steps": "62c9d98cb2c59beb",
+    "server/batch/pressure": "2b2b3963ffc2507f",
     "telemetry/3tier/armed/seed11": "308dd540ef093e46",
     "telemetry/3tier/armed/seed23": "20c2c1f26a7c6eec",
     "telemetry/3tier/armed/seed47": "e2bc7a5b39e47bca",
@@ -406,12 +449,8 @@ def test_digest_unchanged(name):
     assert RUNS[name]() == DIGESTS[name]
 
 
-def test_server_row_tokens_clear_the_float32_drift_bound():
-    """Every greedy token of the ``server/3tier/armed`` run wins by a
-    top-2 margin over 10x the float32 model's drift bound, so another
-    host's sgemm (another CPU or numpy build) cannot flip one, and the
-    row's ``crc32`` does not depend on it."""
-    server = starved_server()
+def _margins(server: StatefulChatServer, script) -> list:
+    """The top-2 margin of every greedy token ``script(server)`` decodes."""
     forward = server.model.forward
     margins = []
 
@@ -421,7 +460,23 @@ def test_server_row_tokens_clear_the_float32_drift_bound():
         return logits
 
     server.model.forward = observed
-    serve_script(server)
+    script(server)
+    return margins
+
+
+def test_server_row_tokens_clear_the_float32_drift_bound():
+    """Every greedy token of the ``server/3tier/armed`` run wins by a
+    top-2 margin over 10x the float32 model's drift bound, so another
+    host's sgemm (another CPU or numpy build) cannot flip one, and the
+    row's ``crc32`` does not depend on it."""
+    margins = _margins(starved_server(), serve_script)
+    assert len(margins) > 100
+    assert min(margins) > 10 * DRIFT_BOUND
+
+
+def test_pressure_row_tokens_clear_the_float32_drift_bound():
+    """The same for ``server/batch/pressure``."""
+    margins = _margins(pressure_server(), lambda server: list(pressure_rounds(server)))
     assert len(margins) > 100
     assert min(margins) > 10 * DRIFT_BOUND
 
@@ -436,5 +491,10 @@ def test_same_seed_twice_in_one_process(seed):
 
 
 if __name__ == "__main__":
-    for name, run in RUNS.items():
-        print(f"    {name!r}: {run()!r},")
+    import sys
+
+    unknown = [name for name in sys.argv[1:] if name not in RUNS]
+    if unknown:
+        sys.exit(f"unknown rows {unknown}; the rows are {list(RUNS)}")
+    for name in sys.argv[1:] or RUNS:
+        print(f"    {name!r}: {RUNS[name]()!r},")
