@@ -23,7 +23,6 @@ class CacheSummary:
     lookup_tokens: int
     gpu_hit_tokens: int
     cpu_hit_tokens: int
-    disk_hit_tokens: int
     recomputed_tokens: int
     swapped_out_tokens: int
     dropped_tokens: int
@@ -33,21 +32,13 @@ class CacheSummary:
         """Fraction of looked-up history tokens served from any tier."""
         if self.lookup_tokens == 0:
             return 1.0
-        return (
-            self.gpu_hit_tokens + self.cpu_hit_tokens + self.disk_hit_tokens
-        ) / self.lookup_tokens
+        return (self.gpu_hit_tokens + self.cpu_hit_tokens) / self.lookup_tokens
 
     @property
     def cpu_hit_rate(self) -> float:
         if self.lookup_tokens == 0:
             return 0.0
         return self.cpu_hit_tokens / self.lookup_tokens
-
-    @property
-    def disk_hit_rate(self) -> float:
-        if self.lookup_tokens == 0:
-            return 0.0
-        return self.disk_hit_tokens / self.lookup_tokens
 
     @property
     def recompute_rate(self) -> float:
@@ -60,7 +51,6 @@ class CacheSummary:
             "lookup_tokens": self.lookup_tokens,
             "hit_rate": round(self.hit_rate, 4),
             "cpu_hit_rate": round(self.cpu_hit_rate, 4),
-            "disk_hit_rate": round(self.disk_hit_rate, 4),
             "recompute_rate": round(self.recompute_rate, 4),
             "swapped_out_tokens": self.swapped_out_tokens,
             "dropped_tokens": self.dropped_tokens,
@@ -79,7 +69,6 @@ def cache_summary(engine: EngineBase) -> CacheSummary:
         lookup_tokens=stats["lookup_tokens"],
         gpu_hit_tokens=stats["gpu_hit_tokens"],
         cpu_hit_tokens=stats["cpu_hit_tokens"],
-        disk_hit_tokens=stats["disk_hit_tokens"],
         recomputed_tokens=stats["recomputed_tokens"],
         swapped_out_tokens=stats["swapped_out_tokens"],
         dropped_tokens=stats["dropped_tokens"],

@@ -8,14 +8,14 @@ Run as ``python -m repro <command>``:
 - ``sweep``     — a latency–throughput curve for one system;
 - ``figures``   — the fast analytical figures (3, 4, 12) and Table 2;
 - ``report``    — regenerate EXPERIMENTS.md (slow: full serving sweeps);
-- ``trace``     — run a figure sweep (fig13, fig15x) with full telemetry
-  and export the trace (Chrome trace JSON, JSONL event log, text report).
+- ``trace``     — run the Figure 13 sweep with full telemetry and export
+  the trace (Chrome trace JSON, JSONL event log, text report).
 
 ``simulate --trace-out DIR`` records the same telemetry for one serving
 run alongside its normal output.  ``simulate`` / ``sweep`` / ``chat``
 accept ``--slo-ttft`` / ``--slo-tbt`` / ``--metrics-out`` to arm the SLO
 layer; ``--metrics-out DIR`` writes a Prometheus text snapshot (for
-``simulate`` self-reconciling against the engine/PCIe/NVMe ledgers), the
+``simulate`` self-reconciling against the engine/PCIe ledgers), the
 flight-recorder captures of every SLO-violating or failed request, and
 for ``simulate`` a periodic JSONL metrics stream.
 """
@@ -48,17 +48,14 @@ def _fault_plan(args: argparse.Namespace):
     rate = args.fault_rate
     if not 0.0 <= rate <= 1.0:
         raise SystemExit(f"--fault-rate must be in [0, 1], got {rate}")
-    # Every site is armed, scaled by its rate_scale.  Disk-tier sites
-    # are only drawn when --disk-tokens configures a disk tier, harmless
-    # otherwise.
+    # Every site is armed, scaled by its rate_scale.
     return FaultPlan(
         seed=args.fault_seed,
         rates={site: rate * site.rate_scale for site in FaultSite},
     )
 
 
-def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
-                    disk_tokens: int = 0):
+def _engine_factory(system: str, config: ModelConfig, fault_plan=None):
     from repro.core.engine import PensieveEngine
     from repro.gpu.device import A100_80GB
     from repro.serving.stateless import make_tensorrt_llm, make_vllm
@@ -69,11 +66,6 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
         raise SystemExit(
             "--fault-seed requires a stateful system (pensieve, pensieve-gpu)"
         )
-    if disk_tokens and system != "pensieve":
-        raise SystemExit(
-            "--disk-tokens requires the pensieve system: a disk tier needs "
-            "a CPU tier in front of it"
-        )
     if system == "vllm":
         return lambda loop: make_vllm(loop, config, A100_80GB)
     if system in ("trt", "tensorrt", "tensorrt-llm"):
@@ -81,7 +73,6 @@ def _engine_factory(system: str, config: ModelConfig, fault_plan=None,
     if system == "pensieve":
         return lambda loop: PensieveEngine(
             loop, config, A100_80GB, fault_plan=fault_plan,
-            disk_cache_tokens=disk_tokens,
         )
     if system in ("pensieve-gpu", "pensieve-gpu-cache"):
         return lambda loop: PensieveEngine(
@@ -213,7 +204,6 @@ def cmd_chat(args: argparse.Namespace) -> int:
             config,
             gpu_capacity_tokens=args.gpu_tokens,
             cpu_capacity_tokens=args.cpu_tokens,
-            disk_capacity_tokens=args.disk_tokens,
             seed=args.seed,
         )
     except ValueError as error:  # tier sizes the flags gave
@@ -305,8 +295,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sampler = _make_sampler(args)
     try:
         engine, stats = run_serving_once(
-            _engine_factory(args.system, config, fault_plan,
-                            disk_tokens=args.disk_tokens),
+            _engine_factory(args.system, config, fault_plan),
             conversations,
             until=args.duration,
             warmup=args.duration * 0.3,
@@ -314,7 +303,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             slo=slo,
             sampler=sampler,
         )
-    except ValueError as error:  # a tier size the flags gave
+    except ValueError as error:  # e.g. a duration too short to measure
         raise SystemExit(f"repro simulate: {error}") from None
     print(f"system        : {engine.name}")
     print(f"model         : {config.name} ({config.num_gpus} GPU(s))")
@@ -362,7 +351,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     try:
         points = run_rate_sweep(
-            _engine_factory(args.system, config, disk_tokens=args.disk_tokens),
+            _engine_factory(args.system, config),
             dataset,
             rates=args.rates,
             duration=args.duration,
@@ -402,32 +391,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Tracer
 
+    from repro.experiments.fig13 import format_fig13, run_fig13
+
     tracer = Tracer()
     try:
-        if args.experiment == "fig13":
-            from repro.experiments.fig13 import format_fig13, run_fig13
-
-            curves = run_fig13(
-                rates=tuple(args.rates), duration=args.duration,
-                seed=args.seed, tracer=tracer,
-            )
-            print(format_fig13(curves))
-        elif args.experiment == "fig15x":
-            from repro.experiments.fig15x import format_fig15x, run_fig15x
-
-            kwargs = {}
-            if args.disk_tokens:
-                kwargs["disk_cache_tokens"] = args.disk_tokens
-            curves = run_fig15x(
-                config=_model(args.model), rates=tuple(args.rates),
-                duration=args.duration, seed=args.seed, tracer=tracer,
-                **kwargs,
-            )
-            print(format_fig15x(curves))
-        else:  # pragma: no cover - argparse choices prevent this
-            raise SystemExit(f"unknown experiment {args.experiment!r}")
-    except ValueError as error:  # a tier size, rate or duration the flags gave
+        curves = run_fig13(
+            rates=tuple(args.rates), duration=args.duration,
+            seed=args.seed, tracer=tracer,
+        )
+    except ValueError as error:  # a rate or duration the flags gave
         raise SystemExit(f"repro trace: {error}") from None
+    print(format_fig13(curves))
     _write_trace(tracer, args.out, prefix=f"trace_{args.experiment}")
     return 0
 
@@ -472,9 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     chat.add_argument("--arch", choices=("opt", "llama"), default="llama")
     chat.add_argument("--gpu-tokens", type=int, default=512)
     chat.add_argument("--cpu-tokens", type=int, default=2048)
-    chat.add_argument("--disk-tokens", type=int, default=0,
-                      help="capacity of the third (disk) tier in KV-tokens "
-                           "(0 disables it)")
     chat.add_argument("--max-tokens", type=int, default=12)
     chat.add_argument("--system-prompt", default="")
     chat.add_argument("--seed", type=int, default=0)
@@ -490,9 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--duration", type=float, default=300.0)
     simulate.add_argument("--think-time", type=float, default=60.0)
     simulate.add_argument("--seed", type=int, default=7)
-    simulate.add_argument("--disk-tokens", type=int, default=0,
-                          help="enable the NVMe-modeled disk tier with this "
-                               "many KV-tokens of capacity (pensieve only)")
     simulate.add_argument("--fault-seed", type=int, default=None,
                           help="arm deterministic fault injection (stateful "
                                "systems only) seeded with this value")
@@ -515,9 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--duration", type=float, default=300.0)
     sweep.add_argument("--think-time", type=float, default=60.0)
     sweep.add_argument("--seed", type=int, default=7)
-    sweep.add_argument("--disk-tokens", type=int, default=0,
-                       help="enable the NVMe-modeled disk tier with this "
-                            "many KV-tokens of capacity (pensieve only)")
     _add_slo_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
@@ -528,19 +493,14 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run a figure sweep with full telemetry recording "
                       "(one serving run: simulate --trace-out)"
     )
-    trace.add_argument("experiment", choices=("fig13", "fig15x"),
+    trace.add_argument("experiment", choices=("fig13",),
                        help="what to run under the tracer")
     trace.add_argument("--out", default="traces", metavar="DIR",
                        help="output directory for the trace artifacts")
-    trace.add_argument("--model", default="opt-13b",
-                       help="model (fig15x)")
     trace.add_argument("--rates", type=float, nargs="+", default=[2.0, 8.0],
                        help="request rates")
     trace.add_argument("--duration", type=float, default=120.0)
     trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--disk-tokens", type=int, default=0,
-                       help="size the three-tier stack's disk tier in "
-                            "KV-tokens (fig15x)")
     trace.set_defaults(func=cmd_trace)
 
     report = sub.add_parser("report", help="regenerate EXPERIMENTS.md (slow)")

@@ -3,8 +3,7 @@
 A stateful, unified-batching engine built on:
 
 - the tiered :class:`~repro.kvcache.manager.TieredCacheManager`
-  (token-chunk eviction, lazy reclamation, Figure 5 restore planning,
-  optional disk tier behind the CPU tier, ordered by the same score);
+  (token-chunk eviction, lazy reclamation, Figure 5 restore planning);
 - the retention-value eviction policy (§4.3.1) driven by offline
   power-of-two profiling;
 - ahead-of-time swap-out below a free-space threshold (§4.3.2);
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gpu.costmodel import BatchShape, CostModel, KernelVariant
@@ -34,13 +32,10 @@ from repro.gpu.link import Direction, Link, TransferRecord
 from repro.gpu.profiler import OfflineProfiler
 from repro.core.eviction import LruPolicy, RetentionValuePolicy
 from repro.faults import FaultPlan, FaultSite, attempt_with_retries
-from repro.kvcache.chunks import ChunkLocation, ConversationCache
 from repro.kvcache.manager import (
     CHUNK_SIZE,
-    RESTORE_TIERS,
     CacheCapacityError,
     EvictionScorer,
-    RestoreTier,
     TieredCacheManager,
 )
 from repro.model.config import ModelConfig
@@ -53,20 +48,6 @@ from repro.sim.events import EventLoop
 
 #: Simulated duration of one injected worker stall (``WORKER_STEP``).
 WORKER_STALL_SECONDS = 0.05
-
-
-def _collect_demotions(
-    pending: List[int],
-    cache: ConversationCache,
-    index: int,
-    old: ChunkLocation,
-    new: ChunkLocation,
-) -> None:
-    """Manager observer: collect CPU -> DISK demotions into ``pending``
-    for coalesced NVMe pricing."""
-    if old is ChunkLocation.CPU and new is ChunkLocation.DISK:
-        start, end = cache.span(index)
-        pending.append(end - start)
 
 
 @dataclass(slots=True)
@@ -89,11 +70,6 @@ class PensieveEngine(EngineBase):
         cpu_cache_tokens: CPU-tier capacity in tokens; ``None`` derives it
             from ``spec.cpu_memory_bytes`` (x num_gpus), ``0`` produces the
             paper's "Pensieve (GPU cache)" variant.
-        disk_cache_tokens: disk (NVMe) tier capacity in tokens behind the
-            CPU tier; 0 (the default) disables the tier, reproducing the
-            two-tier behaviour exactly.  Demotions and disk reads are
-            priced on an NVMe :class:`~repro.gpu.link.Link` built from
-            the spec's ``nvme_*`` fields.  It needs a CPU tier.
         policy: ``"retention"`` (default) or ``"lru"``.
         chunk_size: eviction granularity
             (:data:`~repro.kvcache.manager.CHUNK_SIZE`).
@@ -116,7 +92,6 @@ class PensieveEngine(EngineBase):
         spec: GpuSpec,
         batch_config: Optional[BatchConfig] = None,
         cpu_cache_tokens: Optional[int] = None,
-        disk_cache_tokens: int = 0,
         policy: str = "retention",
         chunk_size: int = CHUNK_SIZE,
         unified: bool = True,
@@ -144,25 +119,13 @@ class PensieveEngine(EngineBase):
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu_tokens,
             cpu_capacity_tokens=cpu_cache_tokens,
-            disk_capacity_tokens=disk_cache_tokens,
             chunk_size=chunk_size,
             scorer=scorer,
             whole_conversation_eviction=whole_conversation_eviction,
             fault_plan=fault_plan,
             fault_counters=self.metrics.faults,
         )
-        # Demotions (CPU -> DISK) happen inside manager eviction calls;
-        # the observer collects them so each call site can price the
-        # whole cluster as ONE coalesced NVMe write.  Without a disk tier
-        # there is nothing to collect.  The observer holds the list, not
-        # the engine, so the manager does not keep a dropped engine alive.
-        self._pending_demotions: List[int] = []
-        if disk_cache_tokens > 0:
-            self.manager.observer = partial(
-                _collect_demotions, self._pending_demotions
-            )
         self.pcie = Link.pcie(spec, config.num_gpus, prioritize_retrieval)
-        self.nvme = Link.nvme(spec)
         self._prefill_info: Dict[int, _PrefillInfo] = {}
         # Per-iteration stash set by _form_batch, consumed by _execute:
         # the batch's decoders' conversation ids (they lead the batch).
@@ -188,7 +151,6 @@ class PensieveEngine(EngineBase):
         super().set_tracer(tracer)
         self.manager.tracer = tracer
         self.pcie.tracer = tracer
-        self.nvme.tracer = tracer
 
     def _trace_gauges(self, tracer: Tracer, now: float) -> None:
         manager = self.manager
@@ -197,8 +159,6 @@ class PensieveEngine(EngineBase):
         tracer.gauge("kv.reclaimable_tokens", manager.reclaimable_tokens, t=now)
         tracer.gauge("kv.evictable_tokens", manager.evictable_gpu_tokens, t=now)
         tracer.gauge("kv.cpu_used_tokens", manager.cpu_used_tokens, t=now)
-        if manager.disk_capacity_tokens > 0:
-            tracer.gauge("kv.disk_used_tokens", manager.disk_used_tokens, t=now)
         tracer.gauge(
             "kv.fragmentation_tokens", manager.fragmentation_tokens(), t=now
         )
@@ -215,26 +175,6 @@ class PensieveEngine(EngineBase):
         if policy == "lru":
             return LruPolicy()
         raise ValueError(f"unknown eviction policy {policy!r}")
-
-    # ------------------------------------------------------------------
-    # Disk-tier (NVMe) traffic
-    # ------------------------------------------------------------------
-
-    def _flush_demotions(self, now: float) -> None:
-        """Price every demotion since the last flush as ONE stacked NVMe
-        write — the disk-tier analogue of coalesced PCIe swap-out."""
-        if not self._pending_demotions:
-            return
-        tokens = sum(self._pending_demotions)
-        chunks = len(self._pending_demotions)
-        self._pending_demotions.clear()
-        record = self._price(self.nvme, Direction.WRITE, now, tokens, chunks)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.complete(
-                "disk_demote", now, record.end_time, track="cache",
-                tokens=tokens, chunks=chunks,
-            )
 
     # ------------------------------------------------------------------
     # Batch formation (§4.2)
@@ -309,33 +249,21 @@ class PensieveEngine(EngineBase):
         return decoders, conv_ids
 
     def _price(
-        self,
-        link: Link,
-        direction: Direction,
-        now: float,
-        tokens: int,
-        num_chunks: int,
-        enqueue: Optional[float] = None,
+        self, direction: Direction, now: float, tokens: int, num_chunks: int
     ) -> TransferRecord:
-        """Price ``tokens`` of KV crossing ``link`` as ONE coalesced
-        transfer of ``num_chunks`` chunks, enqueued at ``enqueue``
-        (default ``now``), and sample its latency from ``now``; returns
-        the link's record."""
-        record = link.transfer(
-            now if enqueue is None else enqueue,
-            tokens * self.model_config.kv_bytes_per_token,
-            direction,
+        """Price ``tokens`` of KV crossing the PCIe link as ONE coalesced
+        transfer of ``num_chunks`` chunks at ``now``; returns the link's
+        record."""
+        record = self.pcie.transfer(
+            now, tokens * self.model_config.kv_bytes_per_token, direction,
             num_chunks,
         )
         hists = self.metrics.hist
         if hists is not None:
             # Labelled with the tier the bytes come from or go to.
-            tier = "cpu" if link is self.pcie else "disk"
-            if direction is link.evict:
-                sample = hists.hist("swap_out_seconds", tier=tier)
-            else:
-                sample = hists.hist("swap_in_seconds", tier=tier)
-            sample.record(record.end_time - now)
+            out = direction is Direction.D2H
+            name = "swap_out_seconds" if out else "swap_in_seconds"
+            hists.hist(name, tier="cpu").record(record.end_time - now)
         return record
 
     def _suspend(self, victim: Request, now: float) -> None:
@@ -344,7 +272,7 @@ class PensieveEngine(EngineBase):
             # Copied chunks are full-size except at most the tail, so the
             # ceiling division recovers the exact chunk count.
             chunks = -(-copied // self.manager.chunk_size)
-            self._price(self.pcie, Direction.D2H, now, copied, chunks)
+            self._price(Direction.D2H, now, copied, chunks)
         victim.state = RequestState.WAITING
         victim.last_enqueue_time = now
         self.running.remove(victim)
@@ -408,8 +336,10 @@ class PensieveEngine(EngineBase):
                 refuse()
                 break
             # §4.3.5: keep 10% of slots free for running generations —
-            # but never make a feasible request permanently inadmissible.
-            reserve = min(base_reserve, max(0, capacity - plan.alloc_tokens))
+            # but never make a feasible request permanently inadmissible:
+            # alone on the GPU, its whole (pinned) context leaves
+            # ``capacity - total_context`` slots free.
+            reserve = min(base_reserve, capacity - plan.total_context)
             if self.manager.gpu_available_tokens - plan.alloc_tokens < reserve:
                 self._swap_out_to(plan.alloc_tokens + reserve, now, "demand")
                 refuse()
@@ -432,31 +362,12 @@ class PensieveEngine(EngineBase):
 
     def _do_admit(self, request, plan, now: float) -> None:
         self.wait_queue.popleft()
-        for tier in RESTORE_TIERS:
-            if getattr(plan, tier.chunks):
-                plan = self._restore_with_faults(tier, request, plan, now)
-        h2d_enqueue = now
-        if plan.disk_read_tokens > 0:
-            # One coalesced NVMe read brings the disk prefix into host
-            # memory; its bytes then ride the same H2D transfer as the
-            # CPU-resident chunks, enqueued when the read lands.
-            record = self._price(
-                self.nvme, Direction.READ, now, plan.disk_read_tokens,
-                len(plan.disk_read_chunks),
-            )
-            h2d_enqueue = record.end_time
-            if self._observed:
-                self._event(
-                    request, "swap_in", now, record.end_time, tier="disk",
-                    tokens=plan.disk_read_tokens,
-                )
-        h2d_tokens = plan.swap_in_tokens + plan.disk_read_tokens
-        if h2d_tokens > 0:
+        if plan.swap_in_chunks:
+            plan = self._restore_with_faults(request, plan, now)
+        if plan.swap_in_tokens > 0:
             # One coalesced H2D transfer for every chunk in the plan.
             record = self._price(
-                self.pcie, Direction.H2D, now, h2d_tokens,
-                len(plan.swap_in_chunks) + len(plan.disk_read_chunks),
-                enqueue=h2d_enqueue,
+                Direction.H2D, now, plan.swap_in_tokens, len(plan.swap_in_chunks)
             )
             self._iter_swap_in_seconds = max(
                 self._iter_swap_in_seconds, record.end_time - now
@@ -464,7 +375,7 @@ class PensieveEngine(EngineBase):
             if self._observed:
                 self._event(
                     request, "swap_in", now, record.end_time, tier="cpu",
-                    tokens=h2d_tokens,
+                    tokens=plan.swap_in_tokens,
                 )
         self.manager.commit_restore(plan, now)
         request.prefill_tokens = plan.prefill_tokens
@@ -476,7 +387,6 @@ class PensieveEngine(EngineBase):
             self._event(
                 request, "batch_join", now,
                 gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
-                disk_read=plan.disk_read_tokens,
                 recompute=plan.recompute_tokens, new=plan.new_tokens,
             )
         if plan.recompute_tokens > 0:
@@ -504,26 +414,25 @@ class PensieveEngine(EngineBase):
             total_context=plan.total_context,
         )
 
-    def _restore_with_faults(self, tier: RestoreTier, request, plan, now: float):
-        """Model one stored tier's retrieval failure modes before it is
-        priced (``tier`` is a row of :data:`RESTORE_TIERS`): a terminally
-        failed transfer, or a corrupt read caught by the store checksum,
-        falls back to recomputing the tier's chunks.  Returns the
-        effective plan."""
+    def _restore_with_faults(self, request, plan, now: float):
+        """Model the swap-in's failure modes before it is priced: a
+        terminally failed transfer, or a corrupt read caught by the CPU
+        store's checksum, falls back to recomputing the CPU chunks.
+        Returns the effective plan."""
         if self.fault_plan is None:
             return plan
-        ok = self._retry(tier.site, request)
-        corrupt = ok and self.fault_plan.fires(tier.read_site)
+        ok = self._retry(FaultSite.SWAP_IN, request)
+        corrupt = ok and self.fault_plan.fires(FaultSite.CPU_READ)
         if ok and not corrupt:
             return plan
         plan, invalidated = self.manager.fall_back_to_recompute(
-            tier, request.conv_id, plan.new_tokens, now,
-            corrupt=len(getattr(plan, tier.chunks)) if corrupt else 0,
+            request.conv_id, plan.new_tokens, now,
+            corrupt=len(plan.swap_in_chunks) if corrupt else 0,
             request_id=request.request_id,
         )
         if self._observed:
             self._event(
-                request, "fault", now, site=tier.blamed.value,
+                request, "fault", now, site=FaultSite.SWAP_IN.value,
                 corrupt=corrupt, tokens=invalidated,
             )
         return plan
@@ -563,20 +472,17 @@ class PensieveEngine(EngineBase):
         obtainable: in the background after every iteration to hold the
         §4.3.2 free-space threshold (``kind="ahead_of_time"``), and
         eagerly when admission is memory-blocked beyond what that
-        anticipated (``"demand"``).  The copies, and the demotions they
-        forced, are priced as one transfer each, and become reclaimable
-        in time only when the transfer lands (:meth:`_reclaim_budget`)."""
+        anticipated (``"demand"``).  The copies are priced as one
+        transfer, and become reclaimable in time only when it lands
+        (:meth:`_reclaim_budget`)."""
         deficit = target - self.manager.gpu_available_tokens
         if deficit <= 0:
             return
         copied_chunks, copied_tokens = self.manager.swap_out(
             self.manager.reclaimable_tokens + deficit, now
         )
-        self._flush_demotions(now)
         if copied_tokens:
-            record = self._price(
-                self.pcie, Direction.D2H, now, copied_tokens, copied_chunks
-            )
+            record = self._price(Direction.D2H, now, copied_tokens, copied_chunks)
             self._copy_log.append((record.end_time, copied_tokens))
             tracer = self.tracer
             if tracer is not None:

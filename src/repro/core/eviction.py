@@ -19,10 +19,9 @@ Two scoring policies are provided:
 - :class:`LruPolicy` — the classic baseline of Figure 14: evict the least
   recently active conversation first, ignoring recomputation cost.
 
-With the disk tier enabled, the same score also orders the disk tier:
-a chunk leaving the CPU lands on disk when there is room, or when room
-can be made by displacing strictly lower-scored disk chunks, and is
-dropped otherwise (:meth:`~repro.kvcache.manager.TieredCacheManager.drop_from_cpu`).
+The same score orders the CPU tier: under host-memory pressure its
+lowest-scored chunks are dropped for recomputation
+(:meth:`~repro.kvcache.manager.TieredCacheManager.drop_from_cpu`).
 """
 
 from __future__ import annotations

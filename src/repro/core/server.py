@@ -8,10 +8,8 @@ physically moving KV data exactly as the cache manager decides —
 - finished turns leave their KV-tokens in GPU pages (stateful serving);
 - under GPU pressure, leading chunks are *copied* to the CPU store
   (§4.3.2), their pages vacated only on reclaim;
-- under CPU pressure, leading chunks are demoted to the disk store (when
-  a disk tier is configured and has, or can make, room for them) or
-  dropped and later *recomputed* from the raw-token persistent store
-  via the Figure 8 sub-request path;
+- under CPU pressure, leading chunks are dropped and later *recomputed*
+  from the raw-token persistent store via the Figure 8 sub-request path;
 - returning conversations swap their CPU chunks back into (different!)
   GPU pages, exercising the non-contiguous multi-token attention kernel;
 - a turn's last generated token gets its KV slot but no forward: the
@@ -42,14 +40,9 @@ from repro.faults import (
     attempt_with_retries,
 )
 from repro.kvcache.chunks import ChunkLocation, ConversationCache
-from repro.kvcache.manager import (
-    CHUNK_SIZE,
-    RESTORE_TIERS,
-    CacheCapacityError,
-    TieredCacheManager,
-)
+from repro.kvcache.manager import CHUNK_SIZE, CacheCapacityError, TieredCacheManager
 from repro.kvcache.pages import BlockTable, PagePool
-from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
+from repro.kvcache.storage import CpuChunkStore, KVStorage
 from repro.kernels.packed_cache import DecodeSlotSource
 from repro.model.config import ModelConfig, tiny_opt_config
 from repro.model.transformer import DecodeRequest, ForwardRequest, PagedTransformer
@@ -87,9 +80,6 @@ class StatefulChatServer:
             quality).
         gpu_capacity_tokens: GPU-tier size in KV-token slots.
         cpu_capacity_tokens: CPU-tier size (0 = GPU-cache-only variant).
-        disk_capacity_tokens: disk (NVMe) tier size behind the CPU; 0
-            (the default) disables the tier, reproducing the two-tier
-            behaviour exactly.  It needs a CPU tier.
         chunk_size: eviction granularity
             (:data:`~repro.kvcache.manager.CHUNK_SIZE`); must be a
             multiple of ``page_size``.
@@ -119,7 +109,6 @@ class StatefulChatServer:
         config: Optional[ModelConfig] = None,
         gpu_capacity_tokens: int = 512,
         cpu_capacity_tokens: int = 2048,
-        disk_capacity_tokens: int = 0,
         chunk_size: int = CHUNK_SIZE,
         page_size: int = 8,
         seed: int = 0,
@@ -158,9 +147,6 @@ class StatefulChatServer:
         self.cpu_store = CpuChunkStore(
             cpu_capacity_tokens, fault_plan=fault_plan
         )
-        self.disk_store = DiskChunkStore(
-            disk_capacity_tokens, fault_plan=fault_plan
-        )
         self.model = PagedTransformer(
             self.config,
             self.storage,
@@ -171,7 +157,6 @@ class StatefulChatServer:
         self.manager = TieredCacheManager(
             gpu_capacity_tokens=gpu_capacity_tokens,
             cpu_capacity_tokens=cpu_capacity_tokens,
-            disk_capacity_tokens=disk_capacity_tokens,
             chunk_size=chunk_size,
             scorer=LruPolicy(),
             fault_plan=fault_plan,
@@ -210,7 +195,6 @@ class StatefulChatServer:
         self.tracer = tracer
         self.manager.tracer = tracer
         self.cpu_store.tracer = tracer
-        self.disk_store.tracer = tracer
 
     # ------------------------------------------------------------------
     # Physical mirror of the manager's tier transitions
@@ -255,24 +239,11 @@ class StatefulChatServer:
             # prefix is being invalidated after a corrupt read.
             if self.cpu_store.contains(conv_id, index):
                 self.cpu_store.drop(conv_id, index)
-        elif old is ChunkLocation.CPU and new is ChunkLocation.DISK:
-            # Demotion under host-memory pressure: the bytes move to the
-            # disk store together with their *insertion-time* checksum —
-            # no re-verify on the way down, so corruption acquired in host
-            # DRAM is still caught at the eventual disk read (end-to-end
-            # integrity).
-            self.cpu_store.transfer_to(self.disk_store, conv_id, index)
-        elif old is ChunkLocation.DISK and new is ChunkLocation.DROPPED:
-            # Disk eviction or post-read invalidation; the entry may
-            # already be gone when a popped disk prefix is invalidated
-            # after a corrupt read.
-            if self.disk_store.contains(conv_id, index):
-                self.disk_store.drop(conv_id, index)
         elif new is ChunkLocation.GPU:
-            # From DISK or CPU: ``_restore_context`` moves the whole stored
-            # prefix in one batch per tier (restore_front needs it handled
-            # at once).  From DROPPED: recomputation fills the restored
-            # slots during prefill.  Nothing here.
+            # From CPU: ``_restore_context`` moves the whole stored prefix
+            # in one batch (restore_front needs it handled at once).  From
+            # DROPPED: recomputation fills the restored slots during
+            # prefill.  Nothing here.
             pass
         else:  # pragma: no cover - no other transition reaches the server
             raise AssertionError(f"unexpected transition {old} -> {new}")
@@ -415,9 +386,8 @@ class StatefulChatServer:
         if table is not None:
             table.release()
         # ``forget`` bypasses the observer, so mirror the cleanup here.
-        for store in (self.cpu_store, self.disk_store):
-            for chunk_index in store.chunks_of(conv_id):
-                store.drop(conv_id, chunk_index)
+        for chunk_index in self.cpu_store.chunks_of(conv_id):
+            self.cpu_store.drop(conv_id, chunk_index)
         self.raw_tokens.pop(conv_id, None)
         self._unwritten.discard(conv_id)
 
@@ -508,19 +478,14 @@ class StatefulChatServer:
             raise self._fail_before_restore(conv_id, now, attempts)
         plan = self.manager.plan_restore(conv_id, len(prompt_ids))
 
-        # Transfer faults, coldest tier first (NVMe read, then PCIe
-        # swap-in): a terminal failure falls back to recomputing that
-        # tier's chunks (§4.3.4).  ``alloc_tokens`` is unchanged (their
-        # tokens become recompute tokens), so the capacity work below is
-        # identical either way.  A failed disk read leaves the CPU chunks
-        # behind it to swap in normally; a failed swap-in necessarily
-        # takes any preceding disk chunks with it (Figure 5: the dropped
-        # prefix only grows from the front).
-        for tier in RESTORE_TIERS:
-            if getattr(plan, tier.chunks) and not self._attempt(tier.site)[0]:
-                plan, _ = self.manager.fall_back_to_recompute(
-                    tier, conv_id, len(prompt_ids), now
-                )
+        # A swap-in transfer that fails terminally falls back to
+        # recomputing the CPU chunks (§4.3.4).  ``alloc_tokens`` is
+        # unchanged (their tokens become recompute tokens), so the
+        # capacity work below is identical either way.
+        if plan.swap_in_chunks and not self._attempt(FaultSite.SWAP_IN)[0]:
+            plan, _ = self.manager.fall_back_to_recompute(
+                conv_id, len(prompt_ids), now
+            )
 
         # Make room (may evict other conversations — the observer moves
         # their tensors; reclaim happens lazily inside commit_restore).
@@ -531,41 +496,31 @@ class StatefulChatServer:
         except CacheCapacityError:
             raise self._fail_before_restore(conv_id, now, attempts) from None
 
-        # Pull the stored chunks' data out of the disk and CPU stores
-        # *before* commit flips their state (the observer drops CPU
-        # entries on promotion of GPU_CPU chunks only; DISK->GPU and
-        # CPU->GPU data is handled here).  Each tier's chunks move in ONE
-        # coalesced batch; each chunk is still CRC re-verified
-        # individually against its insertion-time checksum — for a
-        # disk-resident chunk that checksum dates from its original GPU
-        # departure, so the check spans the whole CPU->disk journey.
-        # Capture spans now: commit_restore may extend a stored partial
-        # tail chunk, but the stored data covers the pre-extension token
-        # range.
+        # Pull the CPU chunks' data out of the store *before* commit
+        # flips their state (the observer drops CPU entries on promotion
+        # of GPU_CPU chunks only; CPU->GPU data is handled here).  They
+        # move in ONE coalesced batch; each chunk is still CRC re-verified
+        # individually against its insertion-time checksum.  Capture
+        # spans now: commit_restore may extend a stored partial tail
+        # chunk, but the stored data covers the pre-extension token range.
         cache = self.manager.conversation(conv_id)
         spans: Dict[int, Tuple[int, int]] = {}
         popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
         corrupt: List[int] = []
-        for tier, store in zip(RESTORE_TIERS, (self.disk_store, self.cpu_store)):
-            chunks = getattr(plan, tier.chunks)
-            if chunks:
-                spans.update((index, cache.span(index)) for index in chunks)
-                tier_popped, tier_corrupt = store.pop_many(conv_id, list(chunks))
-                popped += tier_popped
-                if tier_corrupt:
-                    corrupt += tier_corrupt
-                    blamed = tier
+        if plan.swap_in_chunks:
+            spans = {index: cache.span(index) for index in plan.swap_in_chunks}
+            popped, corrupt = self.cpu_store.pop_many(
+                conv_id, list(plan.swap_in_chunks)
+            )
         restored_data = [(*spans[index], data) for index, data in popped]
         if corrupt:
-            # Checksum caught corruption: invalidate the stored (disk +
-            # CPU) prefix through the last corrupt chunk — the Figure 5
-            # layout only lets the DROPPED prefix grow, so already-popped
+            # Checksum caught corruption: invalidate the stored prefix
+            # through the last corrupt chunk — the Figure 5 layout only
+            # lets the DROPPED prefix grow, so already-popped
             # predecessors are discarded too — and recompute those tokens.
-            # Disk chunks precede CPU chunks and each pop preserves
-            # request order, so ``corrupt`` ascends and its last chunk
-            # sits in ``blamed``, the last tier that reported any.
+            # The pop preserves request order, so ``corrupt`` ascends.
             plan, _ = self.manager.fall_back_to_recompute(
-                blamed, conv_id, len(prompt_ids), now,
+                conv_id, len(prompt_ids), now,
                 corrupt=len(corrupt), upto=corrupt[-1],
             )
             kept = spans[corrupt[-1]][1]
@@ -575,7 +530,6 @@ class StatefulChatServer:
             tracer.instant(
                 "restore", t=now, track="server", conv_id=conv_id,
                 gpu_hits=plan.gpu_hit_tokens, swap_in=plan.swap_in_tokens,
-                disk_read=plan.disk_read_tokens,
                 recompute=plan.recompute_tokens, new=plan.new_tokens,
             )
         self.manager.commit_restore(plan, now)
@@ -583,11 +537,9 @@ class StatefulChatServer:
         self._unwritten.discard(conv_id)
 
         # Physically restore the vacated prefix: dropped tokens get fresh
-        # (empty) slots to be filled by recomputation; disk and CPU tokens
-        # get fresh slots filled from their stores.
-        restore_tokens = (
-            plan.recompute_tokens + plan.swap_in_tokens + plan.disk_read_tokens
-        )
+        # (empty) slots to be filled by recomputation; CPU tokens get
+        # fresh slots filled from the store.
+        restore_tokens = plan.recompute_tokens + plan.swap_in_tokens
         if restore_tokens:
             table.restore_front(restore_tokens)
         if restored_data:

@@ -16,8 +16,6 @@ Index (see DESIGN.md §3 for the full mapping):
 - :mod:`repro.experiments.fig13` — unified-scheduling ablation;
 - :mod:`repro.experiments.fig14` — eviction-policy comparison;
 - :mod:`repro.experiments.fig15` — user think-time sensitivity;
-- :mod:`repro.experiments.fig15x` — extreme think times, two-tier vs
-  three-tier (disk) stack;
 - :mod:`repro.experiments.tab02` — dataset statistics.
 """
 

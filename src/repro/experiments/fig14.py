@@ -30,9 +30,9 @@ def cache_extras(engine: EngineBase) -> Dict[str, float]:
     """Cache statistics for one finished run (per the §6.6 analysis).
 
     The rates are :func:`~repro.analysis.traces.cache_summary`'s, the
-    ones ``repro simulate`` prints: ``hit_rate`` counts disk hits, and a
-    run that looked up no history token has a hit rate of 1.0 (nothing
-    was missed) and a CPU hit rate of 0.0.
+    ones ``repro simulate`` prints: a run that looked up no history
+    token has a hit rate of 1.0 (nothing was missed) and a CPU hit rate
+    of 0.0.
     """
     summary = cache_summary(engine)
     return {

@@ -276,7 +276,7 @@ def generate(out_path: str = "EXPERIMENTS.md", duration: float = 500.0) -> str:
         "Per-tier tail-latency attribution (streaming log-bucketed",
         "histograms; `repro simulate --slo-ttft` / `--metrics-out`",
         "produce the same table plus a Prometheus snapshot that",
-        "reconciles exactly with the engine/PCIe/NVMe ledgers):",
+        "reconciles exactly with the engine/PCIe ledgers):",
         "",
         "```",
         tier_attribution_table(hist) or "(nothing recorded)",

@@ -33,17 +33,15 @@ class FaultSite(enum.Enum):
     GPU_ALLOC = "gpu_alloc"      #: GPU page/slot allocation.
     CPU_READ = "cpu_read"        #: CPU-store read (checksum corruption).
     WORKER_STEP = "worker_step"  #: one worker's iteration (multi-GPU stall).
-    # New sites are appended so earlier sites keep their derived RNG
+    # A new site is appended so earlier sites keep their derived RNG
     # streams (``[seed, ordinal]``) and existing chaos schedules replay
     # bit-identically.
-    DISK_READ = "disk_read"      #: disk-store read (checksum corruption).
-    NVME_STALL = "nvme_stall"    #: NVMe transfer stall (disk-tier I/O).
 
     @property
     def rate_scale(self) -> float:
         """Multiplier on a uniform fault rate (``repro --fault-rate``):
         checksum reads and worker stalls run at a quarter of the rate."""
-        quiet = (FaultSite.CPU_READ, FaultSite.WORKER_STEP, FaultSite.DISK_READ)
+        quiet = (FaultSite.CPU_READ, FaultSite.WORKER_STEP)
         return 0.25 if self in quiet else 1.0
 
 
@@ -114,16 +112,13 @@ class FaultCounters:
     - ``swap_in_failures`` / ``swap_out_failures``: PCIe transfers that
       failed terminally (after retries);
     - ``alloc_faults``: GPU allocation attempts that faulted at least once;
-    - ``corrupted_chunks``: CPU- or disk-store chunks caught by checksum;
+    - ``corrupted_chunks``: CPU-store chunks caught by checksum;
     - ``recompute_fallbacks``: restores that fell back to the §4.3.4
       recomputation path after a failed/corrupt swap-in;
     - ``retries``: individual retry attempts across all sites;
     - ``degraded_requests``: requests that failed individually after
       exhausting their retry budget (the batch continued without them);
-    - ``worker_stalls``: injected multi-GPU worker stalls absorbed;
-    - ``nvme_stalls``: NVMe transfers that stalled at least once;
-    - ``disk_read_failures``: disk-tier reads that failed terminally
-      (after retries) and degraded the disk prefix to recompute.
+    - ``worker_stalls``: injected multi-GPU worker stalls absorbed.
     """
 
     swap_in_failures: int = 0
@@ -134,12 +129,6 @@ class FaultCounters:
     retries: int = 0
     degraded_requests: int = 0
     worker_stalls: int = 0
-    nvme_stalls: int = 0
-    disk_read_failures: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return asdict(self)
-
-    def bump(self, counter: str) -> None:
-        """Increment the counter named ``counter`` (table-driven ladders)."""
-        setattr(self, counter, getattr(self, counter) + 1)

@@ -37,16 +37,14 @@ def attempt_with_retries(
     Returns ``(success, retries_used, backoff_seconds)``: the caller charges
     ``backoff_seconds`` to its clock; on ``False`` the operation failed
     terminally and must enter its degradation path.  ``counters`` gets
-    the ladder's accounting — every retry, and an allocation or NVMe
-    transfer that faulted at all — and ``tracer`` per-site retry and
+    the ladder's accounting — every retry, and an allocation that
+    faulted at all — and ``tracer`` per-site retry and
     outcome counters.
     """
     if not plan.fires(site):
         return True, 0, 0.0
     if site is FaultSite.GPU_ALLOC:
         counters.alloc_faults += 1
-    elif site is FaultSite.NVME_STALL:
-        counters.nvme_stalls += 1
     retries = 0
     delay = 0.0
     ok = False

@@ -8,10 +8,10 @@ This subpackage substitutes for the A100 hardware of the paper's testbed:
   batch shapes into kernel execution times, including the Figure 12 kernel
   variants (ideal contiguous, Pensieve multi-token paged, CopyOut straw-man,
   multi-round PagedAttention straw-man);
-- :mod:`repro.gpu.link` — one full-duplex transfer link that times both
-  the PCIe link and the NVMe drive: per-direction bandwidth, the duplex
-  contention the paper measured (§5), restore-before-evict
-  prioritization, and a fixed latency per coalesced transfer;
+- :mod:`repro.gpu.link` — the full-duplex PCIe link between the GPU and
+  the CPU tier: per-direction queues, the duplex contention the paper
+  measured (§5), restore-before-evict prioritization, and a fixed
+  latency per coalesced transfer;
 - :mod:`repro.gpu.profiler` — the offline power-of-two profiling +
   interpolation used by the retention-value eviction policy (§4.3.1).
 """

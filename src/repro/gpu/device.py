@@ -35,16 +35,6 @@ class GpuSpec:
             parallelism, bytes/s.
         cpu_memory_bytes: host memory available for the CPU cache tier,
             per GPU.
-        nvme_read_bandwidth: sustained sequential NVMe read bandwidth,
-            bytes/s (disk-tier promotion path).
-        nvme_write_bandwidth: sustained sequential NVMe write bandwidth,
-            bytes/s (disk-tier demotion path); datacenter SSDs sustain
-            writes well below their read rate.
-        nvme_mixed_penalty: multiplicative slowdown applied to both NVMe
-            directions when reads and writes overlap (flash program
-            operations block reads).
-        nvme_min_latency: fixed seconds per NVMe I/O submission (command
-            round-trip), charged once per coalesced transfer.
         gemm_efficiency: fraction of ``peak_flops`` sustained by large
             dense GEMMs (prefill-phase linear layers).
         attention_efficiency: fraction of ``hbm_bandwidth`` sustained by
@@ -64,10 +54,6 @@ class GpuSpec:
     pcie_duplex_penalty: float = 0.81
     nvlink_bandwidth: float = 300e9
     cpu_memory_bytes: int = 220 * 1024**3
-    nvme_read_bandwidth: float = 3.2e9
-    nvme_write_bandwidth: float = 1.8e9
-    nvme_mixed_penalty: float = 0.70
-    nvme_min_latency: float = 80e-6
     gemm_efficiency: float = 0.55
     attention_efficiency: float = 0.60
     kernel_launch_overhead: float = 5e-6
@@ -80,10 +66,6 @@ class GpuSpec:
             )
         if self.kv_cache_bytes > self.memory_bytes:
             raise ValueError("KV cache reservation exceeds device memory")
-        if not 0.0 < self.nvme_mixed_penalty <= 1.0:
-            raise ValueError(
-                f"nvme_mixed_penalty must be in (0, 1], got {self.nvme_mixed_penalty}"
-            )
 
     @property
     def effective_flops(self) -> float:

@@ -1,20 +1,16 @@
-"""Host-side transfer links: the PCIe link and the NVMe drive.
+"""The host-side transfer link: the PCIe link between GPU and CPU tier.
 
-Both tiers behind the GPU move KV chunks over a full-duplex link, and
-one timing model serves both (:class:`Link`):
+KV chunks move between the GPU and the CPU tier over a full-duplex link
+(:class:`Link`):
 
-- **Per-direction bandwidth.**  The PCIe link is symmetric and passes
-  the same rate twice; NVMe reads sustain more than writes.
+- **One queue per direction**, each at the link's bandwidth.
 - **Duplex contention** (§5): overlapping transfers in the two
-  directions degrade both, by 18-20 % on PCIe (0.81) and more on NVMe,
-  where flash programs block reads (0.70).  The penalty applies to any
-  transfer enqueued while the opposite direction is busy.
-- **Restore before evict** (§5): with ``restore_first``, a transfer in
-  the evicting direction (swap-out, demotion) waits until every pending
-  transfer in the restoring direction (swap-in, promotion) has drained —
-  eviction is ahead-of-time and not urgent.
-- **A fixed latency per transfer.**  One DMA setup on PCIe, one command
-  round-trip on NVMe (about ten times longer), charged once per
+  directions degrade both, by 18-20 % (0.81).  The penalty applies to
+  any transfer enqueued while the opposite direction is busy.
+- **Restore before evict** (§5): with ``restore_first``, a swap-out
+  waits until every pending swap-in has drained — eviction is
+  ahead-of-time and not urgent.
+- **A fixed latency per transfer**, one DMA setup, charged once per
   coalesced multi-chunk transfer.
 
 A link is a pure timing model: callers pass the current simulated time
@@ -32,12 +28,10 @@ from repro.obs.tracer import Tracer
 
 
 class Direction(enum.Enum):
-    """Transfer direction over a link; ``H2D`` and ``READ`` restore."""
+    """Transfer direction over the link; ``H2D`` restores."""
 
     H2D = "h2d"      #: host (CPU cache) to device (GPU cache): swap-in.
     D2H = "d2h"      #: device to host: swap-out / eviction.
-    READ = "read"    #: SSD to host: chunk promotion (restore path).
-    WRITE = "write"  #: host to SSD: chunk demotion (eviction path).
 
     #: Identity hashing, as :class:`~repro.kvcache.chunks.ChunkLocation`.
     __hash__ = object.__hash__
@@ -47,18 +41,7 @@ class Direction(enum.Enum):
         return _OPPOSITE[self]
 
 
-_OPPOSITE = {
-    Direction.H2D: Direction.D2H,
-    Direction.D2H: Direction.H2D,
-    Direction.READ: Direction.WRITE,
-    Direction.WRITE: Direction.READ,
-}
-
-#: ``(restore, evict)`` directions of each link, keyed by its name.
-_DIRECTIONS = {
-    "pcie": (Direction.H2D, Direction.D2H),
-    "nvme": (Direction.READ, Direction.WRITE),
-}
+_OPPOSITE = {Direction.H2D: Direction.D2H, Direction.D2H: Direction.H2D}
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,9 +49,9 @@ class TransferRecord:
     """Outcome of one enqueued transfer.
 
     ``num_chunks`` records how many KV chunks the transfer coalesced:
-    the tiered manager moves multi-chunk batches as ONE DMA operation or
-    I/O submission (one record, one queueing decision, one latency term)
-    rather than one per chunk.
+    the tiered manager moves multi-chunk batches as ONE DMA operation
+    (one record, one queueing decision, one latency term) rather than one
+    per chunk.
     """
 
     direction: Direction
@@ -92,48 +75,36 @@ class Link:
     by ``penalty`` (a deliberate simplification: the penalty is applied
     for the whole transfer rather than only the overlapping fraction,
     which is conservative for Pensieve since it *discourages* overlap
-    exactly as the paper's measurement did).
+    exactly as the paper's measurement did).  Every span and counter is
+    prefixed ``pcie`` (``pcie.h2d``, ``pcie.d2h_bytes``, ...).
 
     Args:
-        name: ``"pcie"`` or ``"nvme"``; picks the two directions and
-            prefixes every span and counter (``pcie.h2d``,
-            ``nvme.write_bytes``, ...).
-        restore_bandwidth: bytes/s toward the GPU (``H2D`` / ``READ``).
-        evict_bandwidth: bytes/s away from it (``D2H`` / ``WRITE``).
+        bandwidth: bytes/s in each direction.
         penalty: bandwidth factor under duplex contention, in (0, 1].
-        restore_first: evictions wait for in-flight restores (§5).
+        restore_first: swap-outs wait for in-flight swap-ins (§5).
         min_latency: fixed seconds per transfer.
     """
 
     def __init__(
         self,
-        name: str,
-        restore_bandwidth: float,
-        evict_bandwidth: float,
+        bandwidth: float,
         penalty: float,
         restore_first: bool = True,
         min_latency: float = 10e-6,
     ) -> None:
-        if name not in _DIRECTIONS:
-            raise ValueError(f"unknown link {name!r}; expected pcie or nvme")
-        if restore_bandwidth <= 0 or evict_bandwidth <= 0:
-            raise ValueError(
-                f"bandwidths must be positive, got restore={restore_bandwidth} "
-                f"evict={evict_bandwidth}"
-            )
+        if bandwidth <= 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         if not 0.0 < penalty <= 1.0:
             raise ValueError(f"penalty must be in (0, 1], got {penalty}")
-        self.name = name
-        restore, self.evict = _DIRECTIONS[name]
-        self.bandwidth = {restore: restore_bandwidth, self.evict: evict_bandwidth}
+        self.bandwidth = bandwidth
         self.penalty = penalty
         self.restore_first = restore_first
         self.min_latency = min_latency
-        self._busy_until = {restore: 0.0, self.evict: 0.0}
+        self._busy_until = {Direction.H2D: 0.0, Direction.D2H: 0.0}
         self._history: List[TransferRecord] = []
-        self.bytes_moved = {restore: 0.0, self.evict: 0.0}
+        self.bytes_moved = {Direction.H2D: 0.0, Direction.D2H: 0.0}
         #: Observability sink (``repro.obs``); every transfer becomes a
-        #: ``<name>.<direction>`` span and a byte counter that reconciles
+        #: ``pcie.<direction>`` span and a byte counter that reconciles
         #: exactly with :attr:`bytes_moved`.
         self.tracer: Optional[Tracer] = None
 
@@ -145,20 +116,9 @@ class Link:
         dimension, so each of the ``num_gpus`` workers moves 1/N of the
         bytes over its own PCIe link (§4.4.2): aggregate bandwidth scales
         with ``num_gpus``."""
-        bandwidth = spec.pcie_bandwidth * num_gpus
         return cls(
-            "pcie", bandwidth, bandwidth, spec.pcie_duplex_penalty,
+            spec.pcie_bandwidth * num_gpus, spec.pcie_duplex_penalty,
             restore_first=prioritize_retrieval,
-        )
-
-    @classmethod
-    def nvme(cls, spec: GpuSpec) -> "Link":
-        """The host<->SSD link of the disk tier.  The drive is a
-        host-side device: unlike the PCIe links its bandwidth does not
-        scale with tensor-parallel width."""
-        return cls(
-            "nvme", spec.nvme_read_bandwidth, spec.nvme_write_bandwidth,
-            spec.nvme_mixed_penalty, min_latency=spec.nvme_min_latency,
         )
 
     def transfer(
@@ -184,10 +144,10 @@ class Link:
         busy = self._busy_until
         start = max(now, busy[direction])
         opposite = busy[direction.opposite]
-        if self.restore_first and direction is self.evict and opposite > start:
+        if self.restore_first and direction is Direction.D2H and opposite > start:
             # Eviction defers to in-flight restores (§5 optimisation).
             start = opposite
-        bandwidth = self.bandwidth[direction]
+        bandwidth = self.bandwidth
         if opposite > start:
             bandwidth *= self.penalty
         duration = self.min_latency + num_bytes / bandwidth if num_bytes > 0 else 0.0
@@ -205,12 +165,12 @@ class Link:
         self.bytes_moved[direction] += num_bytes
         tracer = self.tracer
         if tracer is not None:
-            name = f"{self.name}.{direction.value}"
+            name = f"pcie.{direction.value}"
             tracer.complete(
                 name,
                 start,
                 end,
-                track=self.name,
+                track="pcie",
                 bytes=num_bytes,
                 queue_delay=start - now,
                 chunks=num_chunks,

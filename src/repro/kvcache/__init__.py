@@ -8,15 +8,12 @@ The Pensieve design stores a conversation's KV-tokens in a hierarchy:
   context may occupy non-contiguous physical slots);
 - a **CPU tier** holding chunks swapped out of the GPU ahead of time
   (§4.3.2), from which chunks may later be dropped entirely under memory
-  pressure, to be recomputed on demand (§4.3.4);
-- an optional **disk tier** (modeled NVMe) behind the CPU tier, holding
-  chunks demoted under host-memory pressure whose retention value still
-  beats recomputation — the capacity extension ROADMAP item 3 calls for.
+  pressure, to be recomputed on demand (§4.3.4).
 
 Chunk bookkeeping (:mod:`repro.kvcache.chunks`) tracks, for every
 conversation, which 32-token chunks live where: its length and the chunk
 index where each tier begins, with no record per chunk (the Figure 5
-layout is monotone, so four boundaries say it all); the
+layout is monotone, so three boundaries say it all); the
 :class:`~repro.kvcache.manager.TieredCacheManager` makes placement and
 eviction decisions using a pluggable policy (policies themselves live in
 :mod:`repro.core.eviction`).  The numpy backing store
@@ -30,7 +27,7 @@ from repro.kvcache.chunks import (
     ConversationCache,
     TailNotOnGpuError,
 )
-from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
+from repro.kvcache.storage import CpuChunkStore, KVStorage
 from repro.kvcache.manager import CachePlan, TieredCacheManager
 
 __all__ = [
@@ -42,7 +39,6 @@ __all__ = [
     "TailNotOnGpuError",
     "KVStorage",
     "CpuChunkStore",
-    "DiskChunkStore",
     "TieredCacheManager",
     "CachePlan",
 ]

@@ -3,22 +3,19 @@
 Pensieve evicts at the granularity of fixed-size chunks of KV-tokens
 (32 tokens in the paper, §4.3.1): chunk ``i`` of a conversation covers
 tokens ``[i * chunk_size, min((i + 1) * chunk_size, total_tokens))``.
-Chunk locations obey the *layout invariant* of Figure 5, extended with the
-optional third (disk) tier: along the token sequence, locations are
-monotone in the order
+Chunk locations obey the *layout invariant* of Figure 5: along the token
+sequence, locations are monotone in the order
 
-    ``DROPPED``  ->  ``DISK``  ->  ``CPU``  ->  ``GPU_CPU``  ->  ``GPU``
+    ``DROPPED``  ->  ``CPU``  ->  ``GPU_CPU``  ->  ``GPU``
 
-i.e. the earliest tokens are dropped first, then demoted to disk, then
-CPU-resident, and the latest tokens sit in the GPU.  ``GPU_CPU`` is the
-lazy-reclaim state of §4.3.2: the chunk has been *copied* to the CPU ahead
-of time but its GPU slots have not been handed to anyone else yet, so a
-returning conversation still hits it for free.  ``DISK`` is the modeled
-NVMe tier: colder than CPU (higher restore latency) but warmer than
-DROPPED (no recomputation needed).
+i.e. the earliest tokens are dropped first, then CPU-resident, and the
+latest tokens sit in the GPU.  ``GPU_CPU`` is the lazy-reclaim state of
+§4.3.2: the chunk has been *copied* to the CPU ahead of time but its GPU
+slots have not been handed to anyone else yet, so a returning
+conversation still hits it for free.
 
 Fixed chunks and a monotone layout make a conversation's whole cached
-state five numbers: its length and the chunk index where each tier after
+state four numbers: its length and the chunk index where each tier after
 ``DROPPED`` begins.  :class:`ConversationCache` keeps exactly those, so
 every query is arithmetic and a layout that breaks Figure 5 cannot be
 written down.
@@ -36,7 +33,6 @@ class ChunkLocation(enum.Enum):
     GPU = "gpu"          #: resident in GPU pages only.
     GPU_CPU = "gpu_cpu"  #: copied to CPU, GPU slots not yet reclaimed.
     CPU = "cpu"          #: CPU only; must be swapped in before use.
-    DISK = "disk"        #: NVMe tier; must be read back through the host.
     DROPPED = "dropped"  #: discarded; must be recomputed from raw tokens.
 
     #: Members are singletons and compare by identity, so identity hashing
@@ -48,8 +44,8 @@ class ChunkLocation(enum.Enum):
 #: The Figure 5 order, coldest first: ``LAYOUT[k]`` holds the chunks
 #: ``[bounds[k], bounds[k + 1])`` of :meth:`ConversationCache.bounds`.
 LAYOUT = (
-    ChunkLocation.DROPPED, ChunkLocation.DISK, ChunkLocation.CPU,
-    ChunkLocation.GPU_CPU, ChunkLocation.GPU,
+    ChunkLocation.DROPPED, ChunkLocation.CPU, ChunkLocation.GPU_CPU,
+    ChunkLocation.GPU,
 )
 
 
@@ -63,10 +59,10 @@ class ConversationCache:
     """Cached-context state of one conversation.
 
     ``total_tokens`` is the context length, and ``starts`` the chunk
-    indices where each tier after ``DROPPED`` begins: ``[disk, cpu,
-    gpu_cpu, gpu]``, ascending.  So chunks ``[0, disk)`` are dropped,
-    ``[disk, cpu)`` on disk, ``[cpu, gpu_cpu)`` in CPU, ``[gpu_cpu,
-    gpu)`` copied ahead of time and ``[gpu, num_chunks)`` on GPU only.  A
+    indices where each tier after ``DROPPED`` begins: ``[cpu, gpu_cpu,
+    gpu]``, ascending.  So chunks ``[0, cpu)`` are dropped, ``[cpu,
+    gpu_cpu)`` in CPU, ``[gpu_cpu, gpu)`` copied ahead of time and
+    ``[gpu, num_chunks)`` on GPU only.  A
     chunk past every boundary is on the GPU, so growth is ``total_tokens
     += n``.
 
@@ -86,7 +82,7 @@ class ConversationCache:
         self.conv_id = conv_id
         self.chunk_size = chunk_size
         self.total_tokens = 0
-        self.starts = [0, 0, 0, 0]
+        self.starts = [0, 0, 0]
         self.last_active = now
         self.pinned = False
 
@@ -99,7 +95,7 @@ class ConversationCache:
         return -(-self.total_tokens // self.chunk_size)
 
     def bounds(self) -> Tuple[int, ...]:
-        """``(0, disk, cpu, gpu_cpu, gpu, num_chunks)``: see :data:`LAYOUT`."""
+        """``(0, cpu, gpu_cpu, gpu, num_chunks)``: see :data:`LAYOUT`."""
         return (0, *self.starts, self.num_chunks)
 
     def span(self, index: int) -> Tuple[int, int]:

@@ -1,4 +1,4 @@
-"""Tiered (GPU/CPU/disk) KV-cache manager.
+"""Tiered (GPU/CPU) KV-cache manager.
 
 The manager owns all token-level accounting for every tier and implements
 the mechanics of Pensieve's cache design:
@@ -9,18 +9,15 @@ the mechanics of Pensieve's cache design:
   *copied* to the CPU tier (state ``GPU_CPU``) when free GPU space falls
   below a threshold, and their GPU slots are only truly handed over when an
   allocation needs them;
-- **CPU-tier demotion/dropping** under CPU memory pressure: with the
-  optional disk tier enabled, a chunk leaving the CPU lands on disk when
-  there is room, or when room can be made by displacing strictly
-  lower-scored disk chunks, and is dropped for §4.3.4 recomputation
-  otherwise;
+- **CPU-tier dropping** under CPU memory pressure: a chunk leaving the
+  CPU is dropped for §4.3.4 recomputation;
 - **restore planning** (:class:`CachePlan`): given a returning
   conversation, compute exactly which tokens are GPU hits, which must be
-  swapped in from the CPU, which must be read back from disk, and which
-  must be recomputed — the Figure 5 decomposition, disk-extended.
+  swapped in from the CPU, and which must be recomputed — the Figure 5
+  decomposition.
 
-The manager is deliberately time-free: it never talks to the PCIe or NVMe
-links or the clock.  Engines ask it *what* to move and separately model
+The manager is deliberately time-free: it never talks to the PCIe link
+or the clock.  Engines ask it *what* to move and separately model
 *how long* the movement takes, which lets the identical bookkeeping drive
 both the functional layer (real numpy tensors) and the performance
 simulation.
@@ -28,7 +25,7 @@ simulation.
 Implementation note: the serving simulation calls the accounting
 properties on every scheduling round and evicts on most of them, so both
 are incremental.  Tier totals are counters (O(1) reads), and a
-conversation's cached state is its length and four chunk boundaries
+conversation's cached state is its length and three chunk boundaries
 (:class:`~repro.kvcache.chunks.ConversationCache`): an eviction advances
 one boundary past the location's first chunk
 (:meth:`TieredCacheManager._advance`); a front-drop, a restore or a
@@ -62,8 +59,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
-    Sequence, Tuple,
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.faults.plan import FaultCounters, FaultPlan, FaultSite
@@ -92,30 +88,26 @@ class CachePlan:
     - ``gpu_hit_tokens``: already resident (``GPU`` or ``GPU_CPU``), free;
     - ``swap_in_chunks`` / ``swap_in_tokens``: CPU-resident, must cross the
       PCIe link before the corresponding layers' attention;
-    - ``disk_read_chunks`` / ``disk_read_tokens``: disk-resident, must be
-      read back over NVMe into the host and then cross the PCIe link;
     - ``recompute_tokens``: dropped, their raw tokens must be prepended to
       the prompt and re-prefix-filled;
     - ``new_tokens``: the request's genuinely new prompt tokens.
 
-    The two chunk fields are index ranges (a tier's chunks are one run).
+    ``swap_in_chunks`` is an index range (the CPU chunks are one run).
     ``alloc_tokens`` is the number of fresh GPU slots the plan needs
-    (swap-in + disk-read + recompute + new); ``total_context`` is the
-    context length after the plan commits.
+    (swap-in + recompute + new); ``total_context`` is the context length
+    after the plan commits.
     """
 
     conv_id: int
     gpu_hit_tokens: int = 0
     swap_in_chunks: range = range(0)
     swap_in_tokens: int = 0
-    disk_read_chunks: range = range(0)
-    disk_read_tokens: int = 0
     recompute_tokens: int = 0
     new_tokens: int = 0
 
     @property
     def alloc_tokens(self) -> int:
-        return self.swap_in_tokens + self.disk_read_tokens + self.prefill_tokens
+        return self.swap_in_tokens + self.prefill_tokens
 
     @property
     def prefill_tokens(self) -> int:
@@ -130,46 +122,19 @@ class CachePlan:
 #: The locations as module constants: reading a member off the enum class
 #: is a metaclass lookup, and the manager's hot paths (``_move`` runs on
 #: every tier change) read them constantly.
-_GPU, _GPU_CPU, _CPU, _DISK, _DROPPED = (
+_GPU, _GPU_CPU, _CPU, _DROPPED = (
     ChunkLocation.GPU, ChunkLocation.GPU_CPU, ChunkLocation.CPU,
-    ChunkLocation.DISK, ChunkLocation.DROPPED,
+    ChunkLocation.DROPPED,
 )
 #: Locations that occupy GPU slots.
 _GPU_STATES = (_GPU, _GPU_CPU)
 #: Locations that occupy CPU slots.
 _CPU_STATES = (_CPU, _GPU_CPU)
 #: The trace event of an eviction from each location.
-_EVICT_EVENTS = {
-    _GPU: "evict", _GPU_CPU: "reclaim", _CPU: "cpu_drop", _DISK: "disk_drop",
-}
+_EVICT_EVENTS = {_GPU: "evict", _GPU_CPU: "reclaim", _CPU: "cpu_drop"}
 #: Where each evictable location begins in ``cache.starts``; an eviction
 #: from it sends its chunk to ``LAYOUT[_AT[location]]``, one tier colder.
-_AT = {_DISK: 0, _CPU: 1, _GPU_CPU: 2, _GPU: 3}
-
-
-class RestoreTier(NamedTuple):
-    """How one stored tier's retrieval can fail, and what undoes it."""
-
-    site: FaultSite       #: the transfer; retried with backoff
-    read_site: FaultSite  #: the store's checksum re-verification
-    blamed: FaultSite     #: names the ``fault`` and ``<name>_fallback`` events
-    chunks: str           #: ``CachePlan`` field listing the tier's chunks
-    failures: str         #: ``FaultCounters`` field for terminal transfer failures
-    locations: Tuple[ChunkLocation, ...]  #: what ``invalidate_prefix`` gives up
-
-
-#: The restore fallback, coldest tier first: a disk failure drops the
-#: disk prefix only, and the CPU chunks behind it still swap in.
-RESTORE_TIERS = (
-    RestoreTier(
-        FaultSite.NVME_STALL, FaultSite.DISK_READ, FaultSite.DISK_READ,
-        "disk_read_chunks", "disk_read_failures", (_DISK,),
-    ),
-    RestoreTier(
-        FaultSite.SWAP_IN, FaultSite.CPU_READ, FaultSite.SWAP_IN,
-        "swap_in_chunks", "swap_in_failures", (_DISK, _CPU),
-    ),
-)
+_AT = {_CPU: 0, _GPU_CPU: 1, _GPU: 2}
 
 
 class TieredCacheManager:
@@ -181,11 +146,6 @@ class TieredCacheManager:
             (0 disables the CPU tier, producing the paper's
             "Pensieve (GPU cache)" variant).
         scorer: eviction policy.
-        disk_capacity_tokens: KV-token slots available on the disk (NVMe)
-            tier behind the CPU; 0 (the default) disables the tier,
-            reproducing the paper's two-tier behaviour exactly.  Chunks
-            reach disk only from the CPU tier, so a disk tier needs a
-            CPU tier in front of it.
         chunk_size: eviction granularity in tokens (:data:`CHUNK_SIZE`).
         fault_plan: optional seeded failure schedule; when set, D2H copies
             may fail and the affected chunks degrade to ``DROPPED`` (their
@@ -202,24 +162,15 @@ class TieredCacheManager:
         whole_conversation_eviction: bool = False,
         fault_plan: Optional[FaultPlan] = None,
         fault_counters: Optional[FaultCounters] = None,
-        disk_capacity_tokens: int = 0,
     ) -> None:
         if gpu_capacity_tokens <= 0:
             raise ValueError("gpu_capacity_tokens must be positive")
         if cpu_capacity_tokens < 0:
             raise ValueError("cpu_capacity_tokens must be non-negative")
-        if disk_capacity_tokens < 0:
-            raise ValueError("disk_capacity_tokens must be non-negative")
-        if disk_capacity_tokens > 0 and cpu_capacity_tokens == 0:
-            raise ValueError(
-                "a disk tier needs a CPU tier in front of it: chunks reach "
-                "disk only from the CPU tier"
-            )
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.gpu_capacity_tokens = gpu_capacity_tokens
         self.cpu_capacity_tokens = cpu_capacity_tokens
-        self.disk_capacity_tokens = disk_capacity_tokens
         self.chunk_size = chunk_size
         self.scorer = scorer
         self.fault_plan = fault_plan
@@ -241,7 +192,6 @@ class TieredCacheManager:
         # Incremental tier totals (see module docstring).
         self._gpu_resident = 0    # tokens in GPU or GPU_CPU
         self._cpu_used = 0        # tokens in CPU or GPU_CPU
-        self._disk_used = 0       # tokens in DISK
         self._reclaimable = 0     # GPU_CPU tokens of unpinned conversations
         self._evictable = 0       # GPU tokens of unpinned conversations
         # Holders: per location an eviction can take from, ``conv_id ->
@@ -254,17 +204,10 @@ class TieredCacheManager:
             "lookup_tokens": 0,
             "gpu_hit_tokens": 0,
             "cpu_hit_tokens": 0,
-            "disk_hit_tokens": 0,
+            "disk_hit_tokens": 0,  # always 0; benchmarks/serving/layers.py:306 sums it
             "recomputed_tokens": 0,
             "swapped_out_tokens": 0,
             "dropped_tokens": 0,
-            # Disk-tier traffic: tokens demoted CPU -> DISK under host
-            # memory pressure, and tokens evicted from the disk tier
-            # (each disk eviction also counts into ``dropped_tokens`` —
-            # the tokens become recompute-needing at that moment; a
-            # forgotten conversation's disk tokens count here only).
-            "demoted_tokens": 0,
-            "disk_dropped_tokens": 0,
             # Tokens that left the GPU_CPU state (reclaimed to CPU, or
             # promoted back to GPU on reuse) — each such exit consumes one
             # completed ahead-of-time copy; engines use this to track how
@@ -332,14 +275,6 @@ class TieredCacheManager:
         return self.cpu_capacity_tokens - self._cpu_used
 
     @property
-    def disk_used_tokens(self) -> int:
-        return self._disk_used
-
-    @property
-    def disk_free_tokens(self) -> int:
-        return self.disk_capacity_tokens - self._disk_used
-
-    @property
     def evictable_gpu_tokens(self) -> int:
         """GPU-only tokens of unpinned conversations (swap-out candidates)."""
         return self._evictable
@@ -377,10 +312,6 @@ class TieredCacheManager:
             self._cpu_used -= n
         elif old not in _CPU_STATES and new in _CPU_STATES:
             self._cpu_used += n
-        if old is _DISK:
-            self._disk_used -= n
-        elif new is _DISK:
-            self._disk_used += n
         if not cache.pinned:
             if old is _GPU_CPU:
                 self._reclaimable -= n
@@ -393,11 +324,7 @@ class TieredCacheManager:
         if old is _GPU_CPU:
             self._bump("gpu_cpu_exit_tokens", n)
         if new is _DROPPED:
-            if old is _DISK:
-                self._bump("disk_dropped_tokens", n)
             self._bump("dropped_tokens", n)
-        elif new is _DISK:
-            self._bump("demoted_tokens", n)
         elif old is _GPU:
             self._bump("swapped_out_tokens", n)  # copied, or suspended to CPU
         observer = self.observer
@@ -407,7 +334,7 @@ class TieredCacheManager:
 
     def _advance(self, cache: ConversationCache, location: ChunkLocation) -> None:
         """Evict ``location``'s first chunk one tier colder (``GPU`` to
-        ``GPU_CPU`` to ``CPU`` to ``DISK`` to ``DROPPED``): its boundary
+        ``GPU_CPU`` to ``CPU`` to ``DROPPED``): its boundary
         moves one chunk on."""
         at = _AT[location]
         starts = cache.starts
@@ -423,7 +350,7 @@ class TieredCacheManager:
         self._move(cache, location, colder, index, index + 1)
 
     def _relayout(self, cache: ConversationCache, starts: List[int]) -> None:
-        """Set all four boundaries of ``cache`` and :meth:`_move` every run
+        """Set all three boundaries of ``cache`` and :meth:`_move` every run
         of chunks whose location changed, front to back."""
         old = cache.bounds()
         cache.starts = starts
@@ -439,8 +366,8 @@ class TieredCacheManager:
         # or below it.
         points = sorted({*old, *new})
         for lo, hi in zip(points, points[1:]):
-            before = LAYOUT[bisect_right(old, lo, 1, 5) - 1]
-            after = LAYOUT[bisect_right(new, lo, 1, 5) - 1]
+            before = LAYOUT[bisect_right(old, lo, 1, 4) - 1]
+            after = LAYOUT[bisect_right(new, lo, 1, 4) - 1]
             if before is not after:
                 self._move(cache, before, after, lo, hi)
 
@@ -457,7 +384,7 @@ class TieredCacheManager:
     def _set_pinned(self, cache: ConversationCache, pinned: bool) -> None:
         if cache.pinned == pinned:
             return
-        _, _, _, gpu_cpu_at, gpu_at, end = cache.bounds()
+        _, _, gpu_cpu_at, gpu_at, end = cache.bounds()
         gpu_cpu = cache.tokens(gpu_cpu_at, gpu_at)
         gpu = cache.tokens(gpu_at, end)
         if pinned:
@@ -475,27 +402,19 @@ class TieredCacheManager:
         Used by the test suite (including property-based tests) to prove
         the incremental accounting can never drift.
         """
-        gpu = cpu = disk = reclaimable = evictable = 0
+        gpu = cpu = reclaimable = evictable = 0
         for cache in self._conversations.values():
             bounds = cache.bounds()
             assert list(bounds) == sorted(bounds), bounds
             gpu += cache.tokens_in(*_GPU_STATES)
             cpu += cache.tokens_in(*_CPU_STATES)
-            disk += cache.tokens_in(_DISK)
             if not cache.pinned:
                 reclaimable += cache.tokens_in(_GPU_CPU)
                 evictable += cache.tokens_in(_GPU)
         assert gpu == self._gpu_resident, (gpu, self._gpu_resident)
         assert cpu == self._cpu_used, (cpu, self._cpu_used)
-        assert disk == self._disk_used, (disk, self._disk_used)
         assert reclaimable == self._reclaimable, (reclaimable, self._reclaimable)
         assert evictable == self._evictable, (evictable, self._evictable)
-        # Disk ledger: every demoted token is still on disk, was read
-        # back, or was given up (dropped, or forgotten with its owner).
-        stats = self.stats
-        assert stats["demoted_tokens"] == (
-            disk + stats["disk_hit_tokens"] + stats["disk_dropped_tokens"]
-        ), (disk, stats)
         for loc, holders in self._holders.items():
             assert holders.keys() <= self._conversations.keys(), (loc, holders)
             for cache in self._conversations.values():
@@ -536,11 +455,6 @@ class TieredCacheManager:
         gpu = cache.tokens_in(*_GPU_STATES)
         self._gpu_resident -= gpu
         self._cpu_used -= cache.tokens_in(*_CPU_STATES)
-        disk = cache.tokens_in(_DISK)
-        self._disk_used -= disk
-        if disk:
-            # Given up unread: keeps the disk ledger of ``_audit`` closed.
-            self._bump("disk_dropped_tokens", disk)
         if not cache.pinned:
             self._reclaimable -= cache.tokens_in(_GPU_CPU)
             self._evictable -= cache.tokens_in(_GPU)
@@ -565,10 +479,8 @@ class TieredCacheManager:
         plan = CachePlan(conv_id=conv_id, new_tokens=new_tokens)
         cache = self._conversations.get(conv_id)
         if cache is not None:
-            _, disk_at, cpu_at, gpu_cpu_at, _, end = cache.bounds()
-            plan.recompute_tokens = cache.tokens(0, disk_at)
-            plan.disk_read_chunks = range(disk_at, cpu_at)
-            plan.disk_read_tokens = cache.tokens(disk_at, cpu_at)
+            _, cpu_at, gpu_cpu_at, _, end = cache.bounds()
+            plan.recompute_tokens = cache.tokens(0, cpu_at)
             plan.swap_in_chunks = range(cpu_at, gpu_cpu_at)
             plan.swap_in_tokens = cache.tokens(cpu_at, gpu_cpu_at)
             plan.gpu_hit_tokens = cache.tokens(gpu_cpu_at, end)
@@ -600,15 +512,13 @@ class TieredCacheManager:
         self._bump("lookup_tokens", plan.total_context - plan.new_tokens)
         self._bump("gpu_hit_tokens", plan.gpu_hit_tokens)
         self._bump("cpu_hit_tokens", plan.swap_in_tokens)
-        self._bump("disk_hit_tokens", plan.disk_read_tokens)
         self._bump("recomputed_tokens", plan.recompute_tokens)
         cache = self.open(plan.conv_id, now)
         # Everything the request touches becomes GPU-resident: CPU chunks
-        # are swapped in, disk chunks read back and promoted, dropped
-        # chunks recomputed, and lazily-reclaimable copies are promoted
-        # back to GPU-only (their CPU copy is invalidated on reuse for
-        # simplicity).
-        self._relayout(cache, [0, 0, 0, 0])
+        # are swapped in, dropped chunks recomputed, and lazily-reclaimable
+        # copies are promoted back to GPU-only (their CPU copy is
+        # invalidated on reuse for simplicity).
+        self._relayout(cache, [0, 0, 0])
         self._extend(cache, plan.new_tokens)
         return cache
 
@@ -662,34 +572,24 @@ class TieredCacheManager:
         reclaimed = self.reclaim(deficit, now)
         assert reclaimed >= deficit, (reclaimed, deficit)
 
-    def invalidate_prefix(
-        self,
-        conv_id: int,
-        locations: Tuple[ChunkLocation, ...],
-        upto: Optional[int] = None,
-    ) -> int:
-        """Recovery path for a failed or corrupt restore read: drop the
+    def invalidate_prefix(self, conv_id: int, upto: Optional[int] = None) -> int:
+        """Recovery path for a failed or corrupt swap-in: drop the
         conversation's chunks from the front through index ``upto``
-        (through its last chunk in ``locations`` when ``None``) so the
-        next restore plan recomputes those tokens from the raw-token store
-        (§4.3.4 fallback).
-
-        Stored chunks sit right after the ``DROPPED`` prefix, disk first,
-        then CPU: invalidating ``(DISK,)`` spares the CPU chunks behind
-        it, and invalidating ``(DISK, CPU)`` takes every disk chunk along
-        (see :meth:`_drop_leading_prefix`).  Returns tokens invalidated
-        (0 for an unknown conversation — recovery must not raise anew).
+        (through its last CPU chunk when ``None``) so the next restore
+        plan recomputes those tokens from the raw-token store (§4.3.4
+        fallback; see :meth:`_drop_leading_prefix`).  Returns tokens
+        invalidated (0 for an unknown conversation — recovery must not
+        raise anew).
         """
         cache = self._conversations.get(conv_id)
         if cache is None:
             return 0
         if upto is None:
-            upto = cache.rear(*locations)
+            upto = cache.rear(_CPU)
         return self._drop_leading_prefix(cache, upto)
 
     def fall_back_to_recompute(
         self,
-        tier: RestoreTier,
         conv_id: int,
         new_tokens: int,
         now: float,
@@ -699,14 +599,14 @@ class TieredCacheManager:
     ) -> Tuple[CachePlan, int]:
         """The recompute rung of the restore fault ladder (§4.3.4).
 
-        ``tier`` (a row of :data:`RESTORE_TIERS`) failed its restore: its
-        transfer failed terminally, or, with ``corrupt``, that many of its
-        chunks failed their checksum.  Counts the failure, gives the
-        tier's chunks up through index ``upto`` (all of them when
-        ``None``) with :meth:`invalidate_prefix`, traces the fallback
-        (``attrs`` ride along on the event) and re-plans: ``alloc_tokens``
-        is unchanged (the tier's tokens become recompute tokens), so a
-        capacity check made on the old plan stays valid.
+        The swap-in failed: its transfer failed terminally, or, with
+        ``corrupt``, that many of its chunks failed their checksum.
+        Counts the failure, gives the CPU chunks up through index
+        ``upto`` (all of them when ``None``) with
+        :meth:`invalidate_prefix`, traces the fallback (``attrs`` ride
+        along on the event) and re-plans: ``alloc_tokens`` is unchanged
+        (the swap-in tokens become recompute tokens), so a capacity check
+        made on the old plan stays valid.
 
         Returns ``(plan, tokens invalidated)``.
         """
@@ -714,14 +614,14 @@ class TieredCacheManager:
         if corrupt:
             counters.corrupted_chunks += corrupt
         else:
-            counters.bump(tier.failures)
+            counters.swap_in_failures += 1
         counters.recompute_fallbacks += 1
-        invalidated = self.invalidate_prefix(conv_id, tier.locations, upto)
+        invalidated = self.invalidate_prefix(conv_id, upto)
         tracer = self.tracer
         if tracer is not None:
             tracer.count("fault.recompute_fallbacks")
             tracer.instant(
-                f"{tier.blamed.value}_fallback", t=now, track="cache", **attrs,
+                "swap_in_fallback", t=now, track="cache", **attrs,
                 conv_id=conv_id, tokens=invalidated, corrupt=bool(corrupt),
             )
         return self.plan_restore(conv_id, new_tokens), invalidated
@@ -800,12 +700,10 @@ class TieredCacheManager:
         now: float,
         step: Callable[[ConversationCache, int, int, float, float], Optional[str]],
         victims: Optional[Iterator[Tuple[float, int, ConversationCache]]] = None,
-        max_score: Optional[float] = None,
     ) -> int:
         """The one eviction loop: take victims of ``location`` (from the
         open stream ``victims``, else a new one) until ``tokens_needed``
-        tokens have left it, the stream runs dry, or, with ``max_score``,
-        the next victim scores at least that.  ``step(cache, index,
+        tokens have left it or the stream runs dry.  ``step(cache, index,
         tokens, score, now)`` moves each victim (chunk ``index``, ``tokens``
         long) out and returns its trace ``outcome`` or ``None``; the loop
         traces it.  Returns tokens evicted.
@@ -825,7 +723,7 @@ class TieredCacheManager:
         freed = 0
         while freed < tokens_needed:
             victim = next(victims, None)
-            if victim is None or (max_score is not None and victim[0] >= max_score):
+            if victim is None:
                 break
             score, index, cache = victim
             while True:
@@ -885,7 +783,7 @@ class TieredCacheManager:
             if copy and self.cpu_free_tokens < tokens:
                 self._evict(
                     _CPU, tokens - self.cpu_free_tokens, now,
-                    self._demote_or_drop, victims=cpu_victims,
+                    self._drop_cpu_victim, victims=cpu_victims,
                 )
                 # Still short: the CPU tier is saturated with data that
                 # may not be dropped (pinned conversations' chunks, or
@@ -938,58 +836,18 @@ class TieredCacheManager:
 
     def drop_from_cpu(self, tokens_needed: int, now: float) -> int:
         """Free CPU-tier space under memory pressure: each victim, in
-        ascending retention score, is *demoted* to the disk tier or dropped
-        (see :meth:`_demote_or_drop`).  Returns tokens freed."""
-        return self._evict(_CPU, tokens_needed, now, self._demote_or_drop)
+        ascending retention score, is dropped for §4.3.4 recomputation.
+        Returns tokens freed."""
+        return self._evict(_CPU, tokens_needed, now, self._drop_cpu_victim)
 
-    def _demote_or_drop(
+    def _drop_cpu_victim(
         self, cache: ConversationCache, index: int, tokens: int, score: float,
         now: float,
     ) -> str:
-        """Send one CPU chunk, its conversation's first there, down the
-        hierarchy.
-
-        The chunk lands on disk iff the tier exists and room exists or
-        can be made by evicting *strictly lower-scored* disk chunks — a
-        chunk never displaces disk residents worth more than itself.
-        Otherwise it is dropped for §4.3.4 recomputation.
-
-        Returns ``"demoted"`` or ``"dropped"``.
-        """
-        if self.disk_capacity_tokens > 0 and tokens <= self.disk_capacity_tokens:
-            if self.disk_free_tokens < tokens:
-                self.drop_from_disk(
-                    tokens - self.disk_free_tokens, now, max_score=score
-                )
-            if self.disk_free_tokens >= tokens:
-                self._advance(cache, _CPU)
-                return "demoted"
-        # Takes any of the conversation's chunks still on disk *ahead* of
-        # this one with it.
+        """Drop one CPU chunk, its conversation's first there (only
+        dropped chunks lie ahead of it)."""
         self._drop_leading_prefix(cache, index)
         return "dropped"
-
-    def drop_from_disk(
-        self, tokens_needed: int, now: float, max_score: Optional[float] = None
-    ) -> int:
-        """Evict disk-tier chunks (``DISK -> DROPPED``), cheapest first.
-
-        With ``max_score`` set (the displacement path of
-        :meth:`_demote_or_drop`), only chunks scoring *strictly below* it
-        are evicted — the incoming chunk may not displace disk residents
-        the policy values at least as much.  Returns tokens freed.
-        """
-
-        def step(
-            cache: ConversationCache, index: int, tokens: int, score: float, now: float
-        ) -> None:
-            # A disk chunk that is first there has only dropped chunks
-            # ahead of it.
-            self._advance(cache, _DISK)
-
-        return self._evict(
-            _DISK, tokens_needed, now, step, max_score=max_score
-        )
 
     # ------------------------------------------------------------------
     # Capacity orchestration for the scheduler
@@ -1033,8 +891,8 @@ class TieredCacheManager:
         self._set_pinned(cache, False)
         # Already-copied chunks (possible only if the conversation was
         # never promoted after an ahead-of-time copy) reclaim for free.
-        disk_at, cpu_at, _, gpu_at = cache.starts
-        self._relayout(cache, [disk_at, cpu_at, gpu_at, gpu_at])
+        cpu_at, _, gpu_at = cache.starts
+        self._relayout(cache, [cpu_at, gpu_at, gpu_at])
         end = cache.num_chunks
         gpu_tokens = cache.tokens(gpu_at, end)
         room = 0 if self.cpu_capacity_tokens == 0 else self.cpu_free_tokens
@@ -1066,6 +924,5 @@ class TieredCacheManager:
                 upto = gpu_at - 1 + -(-short // self.chunk_size)
                 dropped = cache.tokens(gpu_at, upto + 1)
         self._drop_leading_prefix(cache, upto)
-        disk_at, cpu_at, _, _ = cache.starts
-        self._relayout(cache, [disk_at, cpu_at, end, end])
+        self._relayout(cache, [cache.starts[0], end, end])
         return gpu_tokens - dropped, dropped

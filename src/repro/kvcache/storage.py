@@ -2,24 +2,16 @@
 
 :class:`KVStorage` is the "GPU memory": per-layer K and V arrays indexed by
 flat slot index (page id x page size + offset).  :class:`CpuChunkStore` is
-the "CPU memory" and :class:`DiskChunkStore` the "NVMe tier": associative
-stores of evicted chunks keyed by ``(conversation id, chunk index)``, both
-built on the same :class:`_ChunkStoreBase` so the two tiers share one
-verified data path (per-chunk CRC32, coalesced batch insert/remove,
-fault-injection hooks) and differ only in their counter namespace and
-fault site.
+the "CPU memory": an associative store of evicted chunks keyed by
+``(conversation id, chunk index)``, with a verified data path (per-chunk
+CRC32, coalesced batch insert/remove, the ``CPU_READ`` fault-injection
+hook).
 
 A swapped chunk crosses with one copy each way: swap-out gathers each
 chunk once, into the array the store keeps, and the CRC32 is taken over
 that array's own buffer; swap-in verifies the kept buffer in place and
 scatters it into the GPU slots.  Every chunk is checksummed on insert
 and verified on read, whether a fault plan is armed or not.
-
-Demotion between tiers uses :meth:`_ChunkStoreBase.transfer_to`, which
-moves a chunk *with its insertion-time checksum* — the CRC computed when
-the chunk first left the GPU travels to disk unchanged, so corruption
-introduced at any hop is still caught at the final read (end-to-end
-integrity, not per-tier integrity).
 
 Only the functional layer allocates these; the performance simulation runs
 the identical bookkeeping code with ``storage=None``.
@@ -155,30 +147,18 @@ def _owned(array: np.ndarray) -> np.ndarray:
     return array.copy()
 
 
-class _ChunkStoreBase:
-    """Associative store of evicted KV chunks shared by the CPU and disk
-    tiers.
+class CpuChunkStore:
+    """Host-memory store of evicted KV chunks (Tier 2).
 
     Each entry holds the all-layer K/V tensors of one chunk, together with
-    a CRC32 checksum computed when the chunk *entered the stored
-    hierarchy*; every read re-verifies it, so corruption (real or injected
-    through ``fault_plan``) is detected before the data can reach GPU
-    pages.  Capacity is expressed in tokens; callers are responsible for
-    making room (the tiered manager drops or demotes chunks by policy
-    before inserting).
-
-    Each tier's fault site (``CPU_READ`` / ``DISK_READ``) lives inside
-    the verification path.
-
-    Subclasses set :attr:`_LABEL` (human-readable tier name used in error
-    messages), :attr:`_PREFIX` (tracer counter namespace) and
-    :attr:`_FAULT_SITE` (which :class:`FaultSite` the verification path
-    draws from).
+    a CRC32 checksum computed when the chunk left the GPU; every read
+    re-verifies it, so corruption (real or injected through
+    ``fault_plan``'s ``CPU_READ`` site, which lives inside the
+    verification path) is detected before the data can reach GPU pages.
+    Capacity is expressed in tokens; callers are responsible for making
+    room (the tiered manager drops chunks by policy before inserting).
+    Counters are published under the ``cpu_store.*`` namespace.
     """
-
-    _LABEL = "chunk"
-    _PREFIX = "chunk_store"
-    _FAULT_SITE: Optional[FaultSite] = None
 
     def __init__(
         self,
@@ -227,7 +207,7 @@ class _ChunkStoreBase:
         copied first.  Each chunk's CRC32 is taken over the kept arrays.
         The insert is atomic: duplicates and capacity are checked for the
         whole batch up front, so either every chunk lands or none does.
-        Counter totals (``<prefix>.put_bytes`` / ``put_chunks``) depend
+        Counter totals (``cpu_store.put_bytes`` / ``put_chunks``) depend
         only on the chunks inserted, not on how they are batched —
         coalescing changes the number of transfers, not the accounting.
 
@@ -239,37 +219,28 @@ class _ChunkStoreBase:
         keys = [(conv_id, chunk_index) for conv_id, chunk_index, _, _ in entries]
         if len(set(keys)) != len(keys):
             raise KeyError(f"duplicate chunks in put_many batch: {keys}")
-        self._reserve(keys, sum(k.shape[1] for _, _, k, _ in entries))
+        for key in keys:
+            if key in self._entries:
+                raise KeyError(f"chunk {key} already in CPU store")
+        tokens = sum(k.shape[1] for _, _, k, _ in entries)
+        if self.used_tokens + tokens > self.capacity_tokens:
+            raise MemoryError(
+                f"CPU store full: {self.used_tokens}+{tokens} > "
+                f"{self.capacity_tokens}"
+            )
         total_bytes = 0
         for key, (_, _, k, v) in zip(keys, entries):
             k, v = _owned(k), _owned(v)
-            self._insert(key, k, v, _checksum(k, v))
+            self._entries[key] = (k, v)
+            self._tokens[key] = k.shape[1]
+            self._checksums[key] = _checksum(k, v)
+            self.used_tokens += k.shape[1]
             total_bytes += k.nbytes + v.nbytes
         tracer = self.tracer
         if tracer is not None and entries:
-            tracer.count(f"{self._PREFIX}.put_bytes", total_bytes)
-            tracer.count(f"{self._PREFIX}.put_chunks", len(entries))
-            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
-
-    def _reserve(self, keys: Sequence[Tuple[int, int]], tokens: int) -> None:
-        """Raise unless every key is new to this store and ``tokens`` more
-        fit — checked before anything moves, so inserts are atomic."""
-        for key in keys:
-            if key in self._entries:
-                raise KeyError(f"chunk {key} already in {self._LABEL} store")
-        if self.used_tokens + tokens > self.capacity_tokens:
-            raise MemoryError(
-                f"{self._LABEL} store full: {self.used_tokens}+{tokens} > "
-                f"{self.capacity_tokens}"
-            )
-
-    def _insert(
-        self, key: Tuple[int, int], k: np.ndarray, v: np.ndarray, checksum: int
-    ) -> None:
-        self._entries[key] = (k, v)
-        self._tokens[key] = k.shape[1]
-        self._checksums[key] = checksum
-        self.used_tokens += k.shape[1]
+            tracer.count("cpu_store.put_bytes", total_bytes)
+            tracer.count("cpu_store.put_chunks", len(entries))
+            tracer.gauge("cpu_store.used_tokens", self.used_tokens)
 
     def _remove(self, key: Tuple[int, int]) -> Tuple[np.ndarray, np.ndarray]:
         data = self._entries.pop(key)
@@ -287,18 +258,16 @@ class _ChunkStoreBase:
             ChunkCorruptionError: on checksum mismatch.
         """
         k, v = self._entries[key]
-        if (
-            self.fault_plan is not None
-            and self._FAULT_SITE is not None
-            and self.fault_plan.fires(self._FAULT_SITE)
+        if self.fault_plan is not None and self.fault_plan.fires(
+            FaultSite.CPU_READ
         ):
             k.flat[0] += 1.0  # single bit-flip-equivalent perturbation
         if _checksum(k, v) != self._checksums[key]:
             tracer = self.tracer
             if tracer is not None:
-                tracer.count(f"{self._PREFIX}.corrupt_chunks")
+                tracer.count("cpu_store.corrupt_chunks")
                 tracer.instant(
-                    f"{self._PREFIX}_corrupt", track="cache",
+                    "cpu_store_corrupt", track="cache",
                     conv_id=key[0], chunk=key[1],
                 )
             raise ChunkCorruptionError(conv_id=key[0], chunk_index=key[1])
@@ -336,7 +305,7 @@ class _ChunkStoreBase:
         transfer (the swap-in restore path).
 
         Every chunk is verified individually — its own CRC re-check and
-        draw from the tier's fault-injection site — and a corrupt chunk
+        draw from the ``CPU_READ`` fault site — and a corrupt chunk
         is *reported* instead of raised (its entry stays in the store),
         so the caller can degrade just the affected prefix while the
         healthy chunks still move in one batch.
@@ -345,7 +314,7 @@ class _ChunkStoreBase:
             ``(popped, corrupt)``: ``popped`` is ``(chunk_index, (k, v))``
             for each healthy chunk, in request order; ``corrupt`` lists
             the chunk indices that failed verification.  Counter totals
-            (``<prefix>.read_bytes`` / ``corrupt_chunks``) depend only on
+            (``cpu_store.read_bytes`` / ``corrupt_chunks``) depend only on
             the chunks read, not on how they are batched.
         """
         popped: List[Tuple[int, Tuple[np.ndarray, np.ndarray]]] = []
@@ -363,8 +332,8 @@ class _ChunkStoreBase:
             popped.append((chunk_index, data))
         tracer = self.tracer
         if tracer is not None and popped:
-            tracer.count(f"{self._PREFIX}.read_bytes", read_bytes)
-            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
+            tracer.count("cpu_store.read_bytes", read_bytes)
+            tracer.gauge("cpu_store.used_tokens", self.used_tokens)
         return popped, corrupt
 
     def drop(self, conv_id: int, chunk_index: int) -> None:
@@ -372,44 +341,8 @@ class _ChunkStoreBase:
         dropped = self._remove((conv_id, chunk_index))[0].shape[1]
         tracer = self.tracer
         if tracer is not None:
-            tracer.count(f"{self._PREFIX}.dropped_tokens", dropped)
-            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
-
-    def transfer_to(
-        self, dst: "_ChunkStoreBase", conv_id: int, chunk_index: int
-    ) -> int:
-        """Move one chunk — data *and its original checksum* — into ``dst``
-        (the CPU→disk demotion path).
-
-        The data is handed over without re-verification and the CRC is
-        carried rather than recomputed: a chunk corrupted while resident
-        in this tier is therefore still caught when it is eventually read
-        from ``dst`` (end-to-end integrity across demotion hops).  Arrays
-        move by reference; ownership passes to ``dst``.
-
-        Returns the number of bytes moved (for transfer accounting).
-
-        Raises:
-            KeyError: if ``dst`` already holds the chunk (nothing moves).
-            MemoryError: if ``dst`` cannot fit the chunk (nothing moves).
-        """
-        key = (conv_id, chunk_index)
-        tokens = self._tokens[key]
-        dst._reserve([key], tokens)
-        checksum = self._checksums[key]
-        k, v = self._remove(key)
-        dst._insert(key, k, v, checksum)
-        nbytes = k.nbytes + v.nbytes
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.count(f"{self._PREFIX}.demoted_tokens", tokens)
-            tracer.gauge(f"{self._PREFIX}.used_tokens", self.used_tokens)
-        tracer = dst.tracer
-        if tracer is not None:
-            tracer.count(f"{dst._PREFIX}.put_bytes", nbytes)
-            tracer.count(f"{dst._PREFIX}.put_chunks")
-            tracer.gauge(f"{dst._PREFIX}.used_tokens", dst.used_tokens)
-        return nbytes
+            tracer.count("cpu_store.dropped_tokens", dropped)
+            tracer.gauge("cpu_store.used_tokens", self.used_tokens)
 
     def contains(self, conv_id: int, chunk_index: int) -> bool:
         return (conv_id, chunk_index) in self._entries
@@ -425,30 +358,3 @@ class _ChunkStoreBase:
     def __len__(self) -> int:
         return len(self._entries)
 
-
-class CpuChunkStore(_ChunkStoreBase):
-    """Host-memory store of evicted KV chunks (Tier 2).
-
-    The ``CPU_READ`` fault site lives inside its verification path;
-    counters are published under the ``cpu_store.*`` namespace.
-    """
-
-    _LABEL = "CPU"
-    _PREFIX = "cpu_store"
-    _FAULT_SITE = FaultSite.CPU_READ
-
-
-class DiskChunkStore(_ChunkStoreBase):
-    """Modeled-NVMe store of demoted KV chunks (Tier 3).
-
-    Functionally identical to :class:`CpuChunkStore` — the timing
-    difference lives in the NVMe :class:`repro.gpu.link.Link`, which the
-    discrete-event engine consults, and the *placement* difference lives
-    in the tiered manager's cross-tier retention policy.  The
-    ``DISK_READ`` fault site lives inside its verification path; counters
-    are published under the ``disk_store.*`` namespace.
-    """
-
-    _LABEL = "disk"
-    _PREFIX = "disk_store"
-    _FAULT_SITE = FaultSite.DISK_READ

@@ -26,7 +26,7 @@ Three pieces:
   :func:`ledger_counters`) plus a sim-clock :class:`MetricsSampler`
   JSONL stream.
 - CLI surface — ``repro simulate --trace-out DIR``, ``repro trace
-  {fig13,fig15x}``, and the ``--slo-ttft`` / ``--slo-tbt`` /
+  fig13``, and the ``--slo-ttft`` / ``--slo-tbt`` /
   ``--metrics-out`` flags on ``simulate`` / ``sweep`` / ``chat`` (see
   :mod:`repro.cli`).
 """

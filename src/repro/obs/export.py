@@ -385,7 +385,7 @@ def prometheus_snapshot(
             request/failure totals and SLO violation counts.
         hists: a :class:`~repro.obs.histogram.HistogramSet` used instead
             of (or in addition to) ``collector``'s.
-        counters: extra monotonic counters — pass the engine/PCIe/NVMe
+        counters: extra monotonic counters — pass the engine/PCIe
             **ledger totals** here so the snapshot is self-reconciling
             (histogram totals and ledger counters live in one artifact).
 
@@ -459,22 +459,20 @@ def ledger_counters(engine: Any) -> Dict[str, float]:
     """Ground-truth ledger totals from an engine's transfer/cache models.
 
     Duck-typed (no serving imports): reads whichever of ``pcie`` /
-    ``nvme`` / ``manager`` / ``metrics.faults`` the engine exposes.  Pass
+    ``manager`` / ``metrics.faults`` the engine exposes.  Pass
     the result as ``counters=`` to :func:`prometheus_snapshot` so one
     artifact carries both the histogram totals and the independent
     ledgers they must reconcile with (the ``ledger.*`` prefix keeps the
     two families apart in the exposition).
     """
     counters: Dict[str, float] = {}
-    for name in ("pcie", "nvme"):
-        link = getattr(engine, name, None)
-        if link is None:
-            continue
+    link = getattr(engine, "pcie", None)
+    if link is not None:
         transfers = dict.fromkeys(link.bytes_moved, 0)
         for record in link.history:
             transfers[record.direction] += 1
         for direction, moved in link.bytes_moved.items():
-            key = f"ledger.{name}.{direction.value}"
+            key = f"ledger.pcie.{direction.value}"
             counters[f"{key}_transfers"] = float(transfers[direction])
             counters[f"{key}_bytes"] = float(moved)
     manager = getattr(engine, "manager", None)
@@ -603,8 +601,6 @@ class MetricsSampler:
         if manager is not None:
             row["kv_gpu_resident_tokens"] = manager.gpu_resident_tokens
             row["kv_cpu_used_tokens"] = manager.cpu_used_tokens
-            if manager.disk_capacity_tokens > 0:
-                row["kv_disk_used_tokens"] = manager.disk_used_tokens
         hist = engine.metrics.hist
         if hist is not None:
             for name in ("ttft_seconds", "tbt_seconds", "queue_wait_seconds"):

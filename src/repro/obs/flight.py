@@ -10,7 +10,7 @@ timeline is captured for the slow-request dump.
 
 Accounting is exact even though the rings are bounded: a separate
 monotonic ``event_counts`` ledger is bumped on every record, so flight
-totals reconcile assert-equal with the engine/PCIe/NVMe counters
+totals reconcile assert-equal with the engine/PCIe counters
 (``tests/obs/test_slo_reconciliation.py``), regardless of ring evictions.
 
 Off is ``None``, as for the tracer: a ``MetricsCollector`` holds

@@ -11,7 +11,6 @@ from repro.analysis import (
 from repro.core import PensieveEngine
 from repro.experiments.common import run_serving_once
 from repro.experiments.fig14 import cache_extras
-from repro.experiments.fig15x import disk_extras
 from repro.gpu import Direction, Link
 from repro.obs import Tracer
 from repro.serving import make_vllm
@@ -23,13 +22,12 @@ def pensieve(loop):
     return PensieveEngine(loop, TINY, spec_with_capacity(2048))
 
 
-def three_tier_run():
-    """A small disk tier behind small GPU and CPU tiers: the run both
-    hits on disk and recomputes."""
+def starved_run():
+    """Small GPU and CPU tiers: the run both swaps in and recomputes."""
     engine, _, _ = serve(
         lambda loop: PensieveEngine(
             loop, TINY, spec_with_capacity(256), chunk_size=16,
-            policy="lru", cpu_cache_tokens=128, disk_cache_tokens=512,
+            policy="lru", cpu_cache_tokens=512,
         ),
         [
             scripted_conversation(
@@ -61,29 +59,21 @@ class TestCacheSummary:
         assert summary.hit_rate == 1.0
         assert summary.cpu_hit_rate == 0.0
 
-    def test_three_tier_counts_disk_hits(self):
-        """Every looked-up token is a hit in some tier or recomputed; a
-        small disk tier makes the run do both."""
-        summary = cache_summary(three_tier_run())
-        assert summary.hit_rate + summary.recompute_rate == pytest.approx(1.0)
-        assert summary.disk_hit_rate > 0
-        assert summary.recompute_rate > 0
-        assert summary.as_dict()["disk_hit_rate"] == round(summary.disk_hit_rate, 4)
-
     def test_figure_extras_are_the_summary(self):
         """The figures' cache extras and the summary ``repro simulate``
-        prints are one formula: disk hits count as hits in both, and a
-        run with no lookup reads a hit rate of 1.0 in both."""
-        engine = three_tier_run()
+        prints are one formula, and a run with no lookup reads a hit rate
+        of 1.0 in both.  Every looked-up token is a hit in some tier or
+        recomputed; small tiers make the run do both."""
+        engine = starved_run()
         summary = cache_summary(engine)
-        assert summary.disk_hit_rate > 0
+        assert summary.hit_rate + summary.recompute_rate == pytest.approx(1.0)
+        assert summary.cpu_hit_rate > 0
+        assert summary.recompute_rate > 0
         extras = cache_extras(engine)
         assert extras["hit_rate"] == summary.hit_rate
         assert extras["cpu_hit_rate"] == summary.cpu_hit_rate
         assert extras["recomputed_tokens"] == summary.recomputed_tokens
         assert extras["dropped_tokens"] == summary.dropped_tokens
-        assert disk_extras(engine)["hit_rate"] == summary.hit_rate
-        assert disk_extras(engine)["disk_hit_rate"] == summary.disk_hit_rate
         single, _, _ = serve(pensieve, [scripted_conversation(0, [(5, 3)])])
         assert cache_extras(single)["hit_rate"] == cache_summary(single).hit_rate
 
@@ -118,7 +108,7 @@ class TestBatchOccupancy:
 
 class TestPcieUtilization:
     def test_busy_fractions(self):
-        pcie = Link("pcie", 1e9, 1e9, 0.81, min_latency=0.0)
+        pcie = Link(1e9, 0.81, min_latency=0.0)
         pcie.transfer(0.0, 1e9, Direction.H2D)   # 1 s busy
         pcie.transfer(5.0, 2e9, Direction.D2H)  # 2 s busy
         stats = pcie_utilization(pcie, duration=10.0)
@@ -129,7 +119,7 @@ class TestPcieUtilization:
 
     def test_invalid_duration(self):
         with pytest.raises(ValueError):
-            pcie_utilization(Link("pcie", 1e9, 1e9, 0.81), duration=0.0)
+            pcie_utilization(Link(1e9, 0.81), duration=0.0)
 
 
 class TestTurnBreakdown:

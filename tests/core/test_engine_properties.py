@@ -7,11 +7,17 @@ sizes, both the Pensieve engine and the stateless baseline must
 - keep per-request progress consistent (first token before finish,
   generated == scripted outputs),
 - and, for Pensieve, keep the cache manager's accounting audit-clean.
+
+The Pensieve property also draws the GPU tier's size, every scheduling
+and eviction knob the engine takes and an armed fault plan; there a turn
+may fail (a fault past its retries, or a context the GPU tier cannot
+hold), and the rest of its conversation is given up with it.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PensieveEngine
+from repro.faults import FaultPlan, FaultSite
 from repro.serving import Conversation, Turn, make_vllm
 from repro.sim import EventLoop
 from repro.workload import ConversationDriver
@@ -67,18 +73,50 @@ def check_progress(engine, conversations):
         assert record.output_tokens >= 1
 
 
-@settings(max_examples=30, deadline=None)
-@given(scripts=conversation_strategy, arrivals=arrival_strategy, think=think_strategy)
-def test_pensieve_completes_every_workload(scripts, arrivals, think):
+@settings(max_examples=60, deadline=None)
+@given(
+    scripts=conversation_strategy,
+    arrivals=arrival_strategy,
+    think=think_strategy,
+    gpu=st.sampled_from([96, 128, 192, 256]),
+    unified=st.booleans(),
+    whole=st.booleans(),
+    policy=st.sampled_from(["retention", "lru"]),
+    fault=st.tuples(st.integers(0, 2**16), st.sampled_from([0.0, 0.05, 0.3, 0.6])),
+)
+def test_pensieve_completes_every_workload(
+    scripts, arrivals, think, gpu, unified, whole, policy, fault
+):
+    """Every turn ends as a record, a failure, or given up behind its
+    conversation's failure, under every knob and fault arming; the
+    engine's progress rule (an idle poll that can never admit raises)
+    never fires, and the accounting stays audit-clean."""
     conversations = build_conversations(scripts, arrivals, think)
+    seed, rate = fault
+    plan = None
+    if rate:
+        plan = FaultPlan(seed=seed, rates={s: rate * s.rate_scale for s in FaultSite})
     engine, driver = run_workload(
         lambda loop: PensieveEngine(
-            loop, TINY, spec_with_capacity(256), cpu_cache_tokens=128
+            loop, TINY, spec_with_capacity(gpu), cpu_cache_tokens=128,
+            policy=policy, unified=unified, whole_conversation_eviction=whole,
+            fault_plan=plan,
         ),
         conversations,
     )
     assert driver.outstanding == 0
-    check_progress(engine, conversations)
+    total_turns = sum(c.num_turns for c in conversations)
+    given_up = sum(
+        r.conversation.num_turns - r.turn_index - 1 for r in engine.failed
+    )
+    records = engine.metrics.records
+    assert len(records) + engine.num_failed + given_up == total_turns
+    if plan is None:
+        reasons = {failure.reason for failure in engine.metrics.failures}
+        assert reasons <= {"context_exceeds_gpu"}, reasons
+    for record in records:
+        assert record.arrival_time <= record.first_token_time <= record.finish_time
+        assert record.output_tokens >= 1
     engine.manager._audit()
 
 

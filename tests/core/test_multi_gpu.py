@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import PensieveEngine
-from repro.gpu import A100_80GB, CostModel, Direction
+from repro.gpu import A100_80GB, CostModel
 from repro.gpu.costmodel import BatchShape
 from repro.model import OPT_13B, OPT_66B
 from repro.serving import make_vllm
@@ -37,9 +37,7 @@ class TestCapacityScaling:
         its slice over its own host link (§4.4.2)."""
         quad = PensieveEngine(EventLoop(), OPT_66B, A100_80GB)
         bandwidth = 4 * A100_80GB.pcie_bandwidth
-        assert quad.pcie.bandwidth == pytest.approx(
-            {Direction.H2D: bandwidth, Direction.D2H: bandwidth}
-        )
+        assert quad.pcie.bandwidth == pytest.approx(bandwidth)
 
 
 class TestCostScaling:

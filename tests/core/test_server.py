@@ -230,7 +230,7 @@ def test_dropped_server_is_freed_without_the_collector():
     try:
         server = StatefulChatServer(
             tiny_llama_config(), gpu_capacity_tokens=96, cpu_capacity_tokens=256,
-            disk_capacity_tokens=1024, chunk_size=16, page_size=8, seed=0,
+            chunk_size=16, page_size=8, seed=0,
         )
         run_script(server, scripted_turns(np.random.default_rng(0)))
         assert server.manager.stats["swapped_out_tokens"] > 0

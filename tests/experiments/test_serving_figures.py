@@ -7,7 +7,7 @@ paper-shape assertions run at full scale in ``benchmarks/``.
 
 import pytest
 
-from repro.experiments import fig10, fig11, fig13, fig14, fig15, fig15x
+from repro.experiments import fig10, fig11, fig13, fig14, fig15
 from repro.experiments.common import RatePoint
 from repro.model import LLAMA2_13B, OPT_13B, OPT_66B
 from repro.workload import SHAREGPT
@@ -110,29 +110,3 @@ class TestFig15Module:
             "vLLM think=20s",
         }
         assert "Figure 15" in fig15.format_fig15(curves)
-
-
-class TestFig15xModule:
-    def test_two_vs_three_tier_curves(self):
-        curves = fig15x.run_fig15x(
-            think_times=(5.0, 20.0),
-            cpu_cache_tokens=5000,
-            disk_cache_tokens=50000,
-            **TINY_KW,
-        )
-        assert set(curves) == {
-            "two-tier think=5s",
-            "two-tier think=20s",
-            "three-tier think=5s",
-            "three-tier think=20s",
-        }
-        check_curves(curves, set(curves))
-        for name, points in curves.items():
-            for point in points:
-                assert "hit_rate" in point.extras
-                assert "disk_hit_rate" in point.extras
-                if name.startswith("three-tier"):
-                    assert "nvme_read_gb" in point.extras
-                else:
-                    assert point.extras["disk_hit_rate"] == 0.0
-        assert "Figure 15x" in fig15x.format_fig15x(curves)

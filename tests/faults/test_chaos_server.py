@@ -9,8 +9,14 @@ funnels into the §4.3.4 recompute path, which replays the exact same
 tokens through the exact same deterministic model, so outputs must not
 change.  Terminal faults (retries exhausted) fail one request with a
 structured error while the rest of the batch keeps going.
+
+``TestEverySingleFaultPoint`` faults the differential fixture at one
+injection point per run: per site, the first and the last point and
+every :data:`STRIDE`-th one between them in tier-1, and every point
+(about 600 runs) when ``CHAOS_EXTRA_SEED`` is set, as in CI's chaos job.
 """
 
+import functools
 import os
 from collections import Counter
 
@@ -54,6 +60,19 @@ def drive(server, config, turns=8, convs=4, prompt_len=13, new_tokens=8):
     return outputs
 
 
+def fixture_server(plan):
+    """The two-tier differential fixture: tiny Llama, GPU 224 and CPU 512
+    tokens, chunk 16."""
+    return StatefulChatServer(
+        tiny_llama_config(),
+        gpu_capacity_tokens=224,
+        cpu_capacity_tokens=512,
+        seed=0,
+        fault_plan=plan,
+        chunk_size=16,
+    )
+
+
 def reference_outputs(config, **kwargs):
     server = StatefulChatServer(
         config,
@@ -65,21 +84,56 @@ def reference_outputs(config, **kwargs):
     return drive(server, config, **kwargs)
 
 
+@functools.lru_cache(maxsize=None)
+def fixture_reference():
+    return reference_outputs(tiny_llama_config())
+
+
+def fault_points():
+    """Each site's injection points in the fixture's run: a plan that
+    fires nothing still counts every draw."""
+    plan = FaultPlan()
+    drive(fixture_server(plan), tiny_llama_config())
+    return {site: n for site, n in plan.occurrences.items() if n}
+
+
+#: Tier-1 faults every ``STRIDE``-th point of each site (plus its last).
+STRIDE = 1 if _EXTRA else 12
+POINTS = [
+    (site, index)
+    for site, count in fault_points().items()
+    for index in sorted({*range(0, count, STRIDE), count - 1})
+]
+
+
+class TestEverySingleFaultPoint:
+    @pytest.mark.parametrize(
+        "site, index", POINTS, ids=[f"{s.value}-{i}" for s, i in POINTS]
+    )
+    def test_one_fault_leaves_the_transcript_unchanged(self, site, index):
+        """One fault, anywhere, is absorbed by a retry or degrades to
+        recompute: the transcript equals the unlimited-memory one and no
+        request fails."""
+        plan = FaultPlan(schedules={site: [index]})
+        server = fixture_server(plan)
+        assert drive(server, tiny_llama_config()) == fixture_reference()
+        assert plan.fired == {s: int(s is site) for s in FaultSite}
+        assert server.fault_counters.degraded_requests == 0
+
+    def test_the_points_cover_every_site_the_server_draws(self):
+        assert {site for site, _ in POINTS} == {
+            FaultSite.SWAP_IN, FaultSite.SWAP_OUT, FaultSite.GPU_ALLOC,
+            FaultSite.CPU_READ,
+        }
+
+
 class TestDifferentialUnderFaults:
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_outputs_identical_under_recoverable_faults(self, seed):
         config = tiny_llama_config()
-        ref = reference_outputs(config)
         plan = FaultPlan(seed=seed, rates=RECOVERABLE_RATES)
-        server = StatefulChatServer(
-            config,
-            gpu_capacity_tokens=224,
-            cpu_capacity_tokens=512,
-            seed=0,
-            fault_plan=plan,
-            chunk_size=16,
-        )
-        assert drive(server, config) == ref
+        server = fixture_server(plan)
+        assert drive(server, config) == fixture_reference()
         # Tight memory + high rates: the run must actually have been chaotic.
         assert sum(plan.fired.values()) > 0
         assert server.fault_counters.degraded_requests == 0

@@ -27,8 +27,6 @@ class TestSiteRegistry:
             ("gpu_alloc", 1.0),
             ("cpu_read", 0.25),
             ("worker_step", 0.25),
-            ("disk_read", 0.25),
-            ("nvme_stall", 1.0),
         ]
 
 
@@ -135,8 +133,7 @@ class TestRetryPolicy:
 
     @pytest.mark.parametrize(
         "site, counter",
-        [(FaultSite.GPU_ALLOC, "alloc_faults"), (FaultSite.NVME_STALL, "nvme_stalls"),
-         (FaultSite.SWAP_IN, None)],
+        [(FaultSite.GPU_ALLOC, "alloc_faults"), (FaultSite.SWAP_IN, None)],
     )
     def test_attempt_counts_sites_that_faulted_at_all(self, site, counter):
         """One fault, recovered or terminal, is one count at its own
@@ -169,8 +166,6 @@ class TestFaultCounters:
             "retries",
             "degraded_requests",
             "worker_stalls",
-            "nvme_stalls",
-            "disk_read_failures",
         ]
 
     def test_total_sums_fields(self):

@@ -8,7 +8,7 @@ H2D, D2H = Direction.H2D, Direction.D2H
 
 
 def make_engine(bandwidth=1e9, penalty=0.8, restore_first=True, min_latency=0.0):
-    return Link("pcie", bandwidth, bandwidth, penalty, restore_first, min_latency)
+    return Link(bandwidth, penalty, restore_first, min_latency)
 
 
 class TestBasics:
@@ -40,14 +40,10 @@ class TestBasics:
         with pytest.raises(ValueError):
             make_engine(penalty=1.5)
 
-    def test_unknown_link_rejected(self):
-        with pytest.raises(ValueError):
-            Link("nvlink", 1e9, 1e9, 0.8)
-
     def test_built_from_the_spec(self):
         eng = Link.pcie(A100_80GB, num_gpus=2, prioritize_retrieval=False)
         bandwidth = A100_80GB.pcie_bandwidth * 2
-        assert eng.bandwidth == {H2D: bandwidth, D2H: bandwidth}
+        assert eng.bandwidth == bandwidth
         assert eng.penalty == A100_80GB.pcie_duplex_penalty
         assert not eng.restore_first
 

@@ -1,5 +1,5 @@
 """Per-chunk views of a conversation's cache, derived here from its
-length and its four boundaries (the manager keeps no record per chunk)."""
+length and its three boundaries (the manager keeps no record per chunk)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ def locations(cache) -> List[ChunkLocation]:
     """Each chunk's location, front to back: that of the last boundary at
     or below its index, ``DROPPED`` below them all (Figure 5)."""
     starts = list(zip(cache.starts, [
-        ChunkLocation.DISK, ChunkLocation.CPU, ChunkLocation.GPU_CPU, ChunkLocation.GPU,
+        ChunkLocation.CPU, ChunkLocation.GPU_CPU, ChunkLocation.GPU,
     ]))
     out = []
     for index in range(len(spans(cache))):

@@ -1,6 +1,6 @@
 """Tests for chunk bookkeeping and the Figure 5 layout invariant.
 
-A conversation's cache is its length and four chunk boundaries; these
+A conversation's cache is its length and three chunk boundaries; these
 tests set them directly where they test the arithmetic, and go through the
 manager where they test how the boundaries move.
 """
@@ -20,10 +20,10 @@ from repro.kvcache import (
 from tests.kvcache.layout import locations, spans
 
 
-def make_cache(total, disk=0, cpu=0, gpu_cpu=0, gpu=0, chunk_size=32):
+def make_cache(total, cpu=0, gpu_cpu=0, gpu=0, chunk_size=32):
     cache = ConversationCache(conv_id=7, chunk_size=chunk_size)
     cache.total_tokens = total
-    cache.starts = [disk, cpu, gpu_cpu, gpu]
+    cache.starts = [cpu, gpu_cpu, gpu]
     return cache
 
 
@@ -80,7 +80,7 @@ class TestExtendTo:
         mgr = make_manager()
         cache = grow(mgr, 7, 64)
         mgr.append_tokens([], now=1.0)
-        assert cache.bounds() == (0, 0, 0, 0, 0, 2)
+        assert cache.bounds() == (0, 0, 0, 0, 2)
 
     def test_shrink_rejected(self):
         mgr = make_manager()
@@ -121,7 +121,7 @@ class TestExtendTo:
 class TestAccounting:
     def make_cache(self):
         # Chunk 0 dropped, 1 on CPU, 2 copied ahead of time, 3 on GPU.
-        return make_cache(128, disk=1, cpu=1, gpu_cpu=2, gpu=3)
+        return make_cache(128, cpu=1, gpu_cpu=2, gpu=3)
 
     def test_tokens_in(self):
         cache = self.make_cache()
@@ -136,7 +136,6 @@ class TestAccounting:
         assert seg[ChunkLocation.CPU] == 32
         assert seg[ChunkLocation.GPU_CPU] == 32
         assert seg[ChunkLocation.GPU] == 32
-        assert seg[ChunkLocation.DISK] == 0
 
     def test_frontier(self):
         """Each location's chunks are one run; its first is the one an
@@ -145,8 +144,7 @@ class TestAccounting:
         assert cache.chunks_in(ChunkLocation.CPU) == range(1, 2)
         assert cache.chunks_in(ChunkLocation.GPU) == range(3, 4)
         assert cache.chunks_in(ChunkLocation.GPU_CPU) == range(2, 3)
-        assert not cache.chunks_in(ChunkLocation.DISK)
-        assert cache.starts[2] == cache.chunks_in(ChunkLocation.GPU_CPU).start
+        assert cache.starts[1] == cache.chunks_in(ChunkLocation.GPU_CPU).start
 
 
 class TestLayoutInvariant:
@@ -167,7 +165,7 @@ class TestLayoutInvariant:
     def test_gpu_before_cpu_fails(self):
         mgr = make_manager()
         cache = grow(mgr, 1, 64)
-        cache.starts[2] = 2  # GPU chunks ahead of copied ones: not Figure 5
+        cache.starts[1] = 2  # GPU chunks ahead of copied ones: not Figure 5
         with pytest.raises(AssertionError):
             mgr._audit()
 
@@ -225,7 +223,7 @@ class TestNoRecordPerChunk:
         return retained
 
     def test_retained_bytes_do_not_grow_with_chunks(self):
-        """A cache is its length and four boundaries: a 1,000-chunk
+        """A cache is its length and three boundaries: a 1,000-chunk
         conversation costs what a 10-chunk one does, up to the few bytes
         of its larger ints (168 bytes apart in one run; other tests' leftovers
         move either by a few hundred).  With a record per chunk the two

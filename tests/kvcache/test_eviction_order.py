@@ -20,15 +20,15 @@ lost token), and nothing an eviction call does may move a chunk out of
 ``DROPPED``.
 
 After every step, whatever the verb, the walk checks the manager against
-its model: ``_audit()`` (counters, holders, the Figure 5 order, the disk
-ledger); all three capacity bounds and ``reclaimable_tokens >= 0``; each
+its model: ``_audit()`` (counters, holders, the Figure 5 order); both
+capacity bounds and ``reclaimable_tokens >= 0``; each
 conversation's ``total_tokens`` equal to the model's, which only ``turn``,
 ``append`` and ``step`` move, with the tiers partitioning it; the pinned
 conversations equal to the walk's open ones; and, after every committed
 restore, the whole context on the GPU.
 
-The hypothesis walk is parametrized over the tier layout (GPU-only,
-two-tier, three-tier), the policy (retention value or LRU) and the
+The hypothesis walk is parametrized over the tier layout (GPU-only or
+two-tier), the policy (retention value or LRU) and the
 granularity (chunk or whole conversation).  Each example draws its ops
 and capacities, and runs its ops under each fault arming (none, a
 ``fail_at`` schedule per ``swap_out``, and a drawn seed and rate of
@@ -47,9 +47,9 @@ scans the CPU holders once, not once per GPU victim.
 
 Mutations of ``TieredCacheManager``, each tried in a copy of the tree
 against ``tests/kvcache`` (Hypothesis shrinking off in the copy, so each
-failure is the first failing example), re-counted after growth became
-one ``append_tokens(conv_ids, now)`` and ``reclaim`` lost its
-``exclude`` argument (the ``reclaim`` verb with it, so the draws moved):
+failure is the first failing example), counted after growth became
+one ``append_tokens(conv_ids, now)`` and while the walk still had a
+third, disk, tier layout (so the counts include its cells):
 
 - ``_victims`` pushes a successor with the victim's score instead of its
   own: fails 7, the walk in four cells, two seeded walks and
@@ -57,16 +57,13 @@ one ``append_tokens(conv_ids, now)`` and ``reclaim`` lost its
 - ``_victims`` never pushes a successor: fails 75, 38 of them here;
 - ``_victims`` yields every entry, without checking that its chunk is
   still first in the location: fails only
-  ``test_the_walk_reaches_every_eviction_path`` (``STALE_CPU_ENTRY``: the
-  dropped chunk moves to disk in three tiers, and in two the GPU victim
-  behind it is dropped although a CPU chunk is left);
+  ``test_the_walk_reaches_every_eviction_path`` (``STALE_CPU_ENTRY``:
+  the GPU victim behind the stale entry is dropped although a CPU chunk
+  is left);
 - ``_evict`` pulls the next victim before checking the budget (a victim
   pulled past the budget is left in place): fails 14, among them
   ``test_swap_out_scans_a_full_cpu_tier_once`` through the shared CPU
   stream's "victim not evicted" assertion and the walk in one cell;
-- ``_move`` skips the ``disk_dropped_tokens`` bump: fails 21, the walk in
-  the four three-tier cells and seven seeded walks (one also replayed)
-  among them (``_audit``'s disk ledger);
 - ``_move`` leaves ``_reclaimable`` alone when a ``GPU_CPU`` chunk is
   dropped: fails 26, the walk in six cells and 12 seeded walks (two
   also replayed) among them.
@@ -92,12 +89,9 @@ from tests.kvcache.layout import locations, spans
 GPU = ChunkLocation.GPU
 GPU_CPU = ChunkLocation.GPU_CPU
 CPU = ChunkLocation.CPU
-DISK = ChunkLocation.DISK
 DROPPED = ChunkLocation.DROPPED
 
 CHUNK = 16
-#: What ``invalidate`` gives up, as ``invalidate_prefix`` takes it.
-INVALIDATE = ((DISK,), (CPU,), (DISK, CPU))
 
 
 def steep_profile(chunk: int) -> AttentionCostProfile:
@@ -142,7 +136,7 @@ class Walk:
     armed for the whole walk."""
 
     def __init__(
-        self, gpu=256, cpu=128, disk=0, chunk=CHUNK, policy="lru", whole=False,
+        self, gpu=256, cpu=128, chunk=CHUNK, policy="lru", whole=False,
         arming=None,
     ) -> None:
         scorer = (
@@ -156,7 +150,6 @@ class Walk:
         self.mgr = TieredCacheManager(
             gpu_capacity_tokens=gpu,
             cpu_capacity_tokens=cpu,
-            disk_capacity_tokens=disk,
             chunk_size=chunk,
             scorer=scorer,
             whole_conversation_eviction=whole,
@@ -210,10 +203,10 @@ class Walk:
                 self.checked["nested cpu"] += 1
             else:
                 self.collateral = cache.conv_id
-        elif loc is CPU:
-            # Besides its victims, a CPU drop touches only disk chunks: the
-            # ones a demotion displaces or a drop takes ahead of it.
-            assert old is DISK, (self.call, key, old, new)
+        else:
+            # Besides its victims, only a GPU victim's front-drop moves
+            # chunks: its conversation's copies ahead of it.
+            assert loc is GPU, (self.call, key, old, new)
 
     def min_key(self, loc, cache, index, old):
         """``(conv_id, index)`` of the minimum the manager chose from: the
@@ -324,20 +317,6 @@ class Walk:
             freed = self.evicting(CPU, now, lambda: mgr.drop_from_cpu(tokens, now))
             if freed < tokens:
                 assert not scored_frontiers(mgr, CPU, now)
-        elif kind == "drop_disk":
-            _, tokens, rank = op
-            # A ceiling taken from the scores present, so it both splits
-            # the candidates and ties with one of them.
-            scores = sorted(s for s, _, _ in scored_frontiers(mgr, DISK, now))
-            max_score = None
-            if scores and rank is not None:
-                max_score = scores[rank % len(scores)]
-            freed = self.evicting(
-                DISK, now, lambda: mgr.drop_from_disk(tokens, now, max_score=max_score)
-            )
-            if freed < tokens:
-                left = scored_frontiers(mgr, DISK, now)
-                assert not left or (max_score is not None and min(left)[0] >= max_score)
         elif kind == "suspend":
             _, conv = op
             cache = mgr.conversation(conv)
@@ -356,13 +335,13 @@ class Walk:
                 mgr.forget(conv)
                 self.totals.pop(conv, None)
         elif kind == "invalidate":
-            # The recovery path of a failed or corrupt restore read.
-            _, conv, which = op
+            # The recovery path of a failed or corrupt swap-in.
+            _, conv = op
             cache = mgr.conversation(conv)
             given_up = 0 if cache is None else cache.tokens_in(DROPPED)
-            dropped = mgr.invalidate_prefix(conv, INVALIDATE[which])
+            dropped = mgr.invalidate_prefix(conv)
             if cache is not None:
-                assert not cache.tokens_in(*INVALIDATE[which])
+                assert not cache.tokens_in(CPU)
                 assert cache.tokens_in(DROPPED) == given_up + dropped
         self.check()
 
@@ -372,7 +351,6 @@ class Walk:
         mgr._audit()
         assert 0 <= mgr.gpu_resident_tokens <= mgr.gpu_capacity_tokens
         assert 0 <= mgr.cpu_used_tokens <= mgr.cpu_capacity_tokens
-        assert 0 <= mgr.disk_used_tokens <= mgr.disk_capacity_tokens
         assert mgr.reclaimable_tokens >= 0
         caches = mgr.conversations()
         assert {cache.conv_id: cache.total_tokens for cache in caches} == self.totals
@@ -412,25 +390,22 @@ VERBS = {
     "swap_out": (TOKENS, ints(0, 3, none=True)),
     "reclaim": (TOKENS,),
     "drop_cpu": (TOKENS,),
-    "drop_disk": (TOKENS, ints(0, 5, none=True)),
     "suspend": (CONV,),
     "forget": (CONV,),
-    "invalidate": (CONV, ints(0, len(INVALIDATE) - 1)),
+    "invalidate": (CONV,),
 }
 #: Mostly-zero clock steps: conversations share ``last_active`` stamps,
 #: so scores tie and the ``(conv_id, index)`` tie-break decides.
 TICKS = (0.0, 0.0, 1.0, 2.0)
-#: The tier layouts, from a drawn CPU and disk capacity.
+#: The tier layouts' CPU capacity, from a drawn one.
 LAYOUTS = {
-    "gpu-only": lambda cpu, disk: (0, 0),
-    "two-tier": lambda cpu, disk: (cpu, 0),
-    "three-tier": lambda cpu, disk: (cpu, disk),
+    "gpu-only": lambda cpu: 0,
+    "two-tier": lambda cpu: cpu,
 }
 #: Capacities, in the ranges the walks this one replaced drew, and the
 #: oracle walk's own 256/128/96.
 GPUS = (96, 512)
 CPUS = (64, 128, 256, 2048)
-DISKS = (32, 96, 128, 1024)
 CHUNKS = (8, 16, 32)
 RATES = (0.1, 0.25, 0.5)
 
@@ -468,7 +443,6 @@ def run(steps, **cell) -> Walk:
     ),
     gpu=st.integers(*GPUS),
     cpu=st.sampled_from(CPUS),
-    disk=st.sampled_from(DISKS),
     chunk=st.integers(0, len(CHUNKS) - 1),
     fault=st.tuples(st.integers(0, 2**16), st.sampled_from(RATES)),
 )
@@ -480,18 +454,18 @@ def run(steps, **cell) -> Walk:
         (1.0, ("turn", 1, 1, 1)), (1.0, ("turn", 1, 31, 1)), (1.0, ("turn", 1, 60, 1)),
         (1.0, ("append", 0, 1)),
     ],
-    gpu=96, cpu=64, disk=32, chunk=0, fault=(0, 0.25),
+    gpu=96, cpu=64, chunk=0, fault=(0, 0.25),
 )
 def test_every_victim_is_the_brute_force_minimum(
-    layout, policy, whole, steps, gpu, cpu, disk, chunk, fault
+    layout, policy, whole, steps, gpu, cpu, chunk, fault
 ):
     """Each example's ops run unarmed, with the ``fail_at`` schedule and
     with the drawn ``(seed, rate)`` of ``SWAP_OUT`` faults, each at the
     next chunk size from the drawn one: so at all three."""
-    cpu, disk = LAYOUTS[layout](cpu, disk)
+    cpu = LAYOUTS[layout](cpu)
     for i, arming in enumerate((None, "scheduled", fault)):
         run(
-            steps, gpu=gpu, cpu=cpu, disk=disk,
+            steps, gpu=gpu, cpu=cpu,
             chunk=CHUNKS[(chunk + i) % len(CHUNKS)], policy=policy, whole=whole,
             arming=arming,
         )
@@ -508,9 +482,9 @@ def chaos_walk(seed: int, layout=None) -> Walk:
     capacities and 60 ops all come from ``seed``."""
     rng = random.Random(seed)
     layout = layout or list(LAYOUTS)[seed % len(LAYOUTS)]
-    cpu, disk = LAYOUTS[layout](rng.choice(CPUS), rng.choice(DISKS))
+    cpu = LAYOUTS[layout](rng.choice(CPUS))
     walk = Walk(
-        rng.randint(*GPUS), cpu, disk, rng.choice(CHUNKS),
+        rng.randint(*GPUS), cpu, rng.choice(CHUNKS),
         rng.choice(("retention-value", "lru")), rng.random() < 0.5,
         (seed, rng.choice(RATES)),
     )
@@ -587,31 +561,28 @@ def test_the_walk_reaches_every_eviction_path():
     stream stale; and seeded armed walks must check victims in every
     layout, and fire swap-out faults in every layout with a CPU tier to
     copy to."""
-    walk = Walk(disk=96)
+    walk = Walk()
     for conv in range(4):
         walk.apply(1.0, ("turn", conv, 64))
         walk.apply(0.0, ("close", conv))
     for op in [
         ("swap_out", 96, None), ("reclaim", 96), ("swap_out", 96, None),
-        ("reclaim", 96), ("drop_cpu", 64), ("drop_disk", 32, 1),
-        ("drop_disk", 32, None), ("swap_out", 64, None), ("drop_cpu", 160),
+        ("reclaim", 96), ("drop_cpu", 64), ("swap_out", 64, None),
+        ("drop_cpu", 160),
     ]:
         walk.apply(1.0, op)
-    assert all(walk.checked[key] for key in (GPU, GPU_CPU, CPU, DISK)), (
-        walk.checked
-    )
-    walk = run(INTERLEAVED, disk=0, policy="retention-value")
+    assert all(walk.checked[key] for key in (GPU, GPU_CPU, CPU)), walk.checked
+    walk = run(INTERLEAVED, policy="retention-value")
     assert walk.checked[GPU] == 2, walk.checked
     for policy in ("lru", "retention-value"):
-        walk = run(DECODE_STEP, disk=0, policy=policy)
+        walk = run(DECODE_STEP, policy=policy)
         assert walk.checked["step"] == 3, walk.checked
-    for disk in (0, 96):
-        walk = run(STALE_CPU_ENTRY, disk=disk, arming="scheduled")
-        # B's chunk, then C's after the stale entry; A's two dropped CPU
-        # chunks are CPU minima when they go, so they count here too.
-        assert walk.checked["nested cpu"] == 4, walk.checked
-        assert walk.mgr.fault_counters.swap_out_failures == 1
-        assert locations(walk.mgr.conversation(4)) == [GPU_CPU] * 4
+    walk = run(STALE_CPU_ENTRY, arming="scheduled")
+    # B's chunk, then C's after the stale entry; A's two dropped CPU
+    # chunks are CPU minima when they go, so they count here too.
+    assert walk.checked["nested cpu"] == 4, walk.checked
+    assert walk.mgr.fault_counters.swap_out_failures == 1
+    assert locations(walk.mgr.conversation(4)) == [GPU_CPU] * 4
     for layout in LAYOUTS:
         walks = [chaos_walk(seed, layout) for seed in range(5)]
         assert sum(w.checked[GPU] for w in walks), layout

@@ -379,7 +379,7 @@ class TestAppendTokens:
         return (
             dict(mgr.stats),
             (mgr.gpu_resident_tokens, mgr.reclaimable_tokens,
-             mgr.evictable_gpu_tokens, mgr.cpu_used_tokens, mgr.disk_used_tokens),
+             mgr.evictable_gpu_tokens, mgr.cpu_used_tokens),
             {
                 cache.conv_id: list(zip(spans(cache), locations(cache)))
                 for cache in mgr.conversations()
@@ -473,40 +473,37 @@ class TestSuspension:
 
 
     @staticmethod
-    def stored_prefix(disk, room):
-        """Conv 1, closed: ``disk`` chunks on disk, one on the CPU, three
-        on the GPU (96 tokens), and ``room`` CPU tokens free."""
-        mgr = TieredCacheManager(
-            1024, 32 + room, chunk_size=32, scorer=LruPolicy(),
-            disk_capacity_tokens=1024,
-        )
-        finish_conversation(mgr, 1, (disk + 4) * 32, now=0.0)
-        mgr.swap_out((disk + 1) * 32, now=1.0)
-        mgr.reclaim((disk + 1) * 32, now=1.0)
-        mgr.drop_from_cpu(disk * 32, now=1.0)  # demoted
+    def stored_prefix(dropped, room):
+        """Conv 1, closed: ``dropped`` chunks dropped, one on the CPU,
+        three on the GPU (96 tokens), and ``room`` CPU tokens free."""
+        mgr = TieredCacheManager(1024, 32 + room, chunk_size=32, scorer=LruPolicy())
+        finish_conversation(mgr, 1, (dropped + 4) * 32, now=0.0)
+        mgr.swap_out((dropped + 1) * 32, now=1.0)
+        mgr.reclaim((dropped + 1) * 32, now=1.0)
+        mgr.drop_from_cpu(dropped * 32, now=1.0)
         cache = mgr.conversation(1)
         assert [loc.value for loc in locations(cache)] == (
-            ["disk"] * disk + ["cpu"] + ["gpu"] * 3
+            ["dropped"] * dropped + ["cpu"] + ["gpu"] * 3
         )
         assert mgr.cpu_free_tokens == room
         return mgr, cache
 
     @pytest.mark.parametrize(
-        "disk, room, split, after",
+        "dropped, room, split, after",
         [
-            # Room for every GPU token: nothing drops, the disk chunk stays.
-            (1, 96, (96, 0), "disk cpu cpu cpu cpu"),
+            # Room for every GPU token: nothing more drops.
+            (1, 96, (96, 0), "dropped cpu cpu cpu cpu"),
             (0, 96, (96, 0), "cpu cpu cpu cpu"),
             # 32 short: the stored prefix goes (its CPU chunk's slots are
-            # the room), the disk chunk ahead of it too.
+            # the room).
             (1, 64, (96, 0), "dropped dropped cpu cpu cpu"),
             # 48 short: past the stored prefix, one GPU chunk drops.
             (1, 48, (64, 32), "dropped dropped dropped cpu cpu"),
             (0, 48, (64, 32), "dropped dropped cpu cpu"),
         ],
     )
-    def test_a_short_cpu_tier_drops_the_leading_chunks(self, disk, room, split, after):
-        mgr, cache = self.stored_prefix(disk, room)
+    def test_a_short_cpu_tier_drops_the_leading_chunks(self, dropped, room, split, after):
+        mgr, cache = self.stored_prefix(dropped, room)
         assert mgr.release_conversation_gpu(1, now=2.0) == split
         assert " ".join(loc.value for loc in locations(cache)) == after
         assert mgr.stats["dropped_tokens"] == 32 * after.count("dropped")

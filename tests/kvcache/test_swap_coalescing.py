@@ -1,8 +1,8 @@
 """Differential tests for the coalesced two-tier swap data path.
 
 The coalesced primitives (``KVStorage.read_slots_stacked`` /
-``write_slots_stacked``, ``put_many`` / ``pop_many`` on the CPU and disk
-chunk stores) must be observationally identical to the per-chunk loops
+``write_slots_stacked``, ``put_many`` / ``pop_many`` on the CPU chunk
+store) must be observationally identical to the per-chunk loops
 they replace: bit-identical KV arrays, identical store occupancy and
 checksums, and exactly matching tracer counter totals — coalescing
 changes the number of transfers, not the accounting.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.faults.errors import ChunkCorruptionError
-from repro.kvcache.storage import CpuChunkStore, DiskChunkStore, KVStorage
+from repro.kvcache.storage import CpuChunkStore, KVStorage
 from repro.model.config import tiny_llama_config
 from repro.obs import Tracer
 
@@ -118,7 +118,7 @@ def test_stacked_write_validates_shapes():
     assert not storage.k.any() and not storage.v.any()
 
 
-@pytest.mark.parametrize("store_cls", [CpuChunkStore, DiskChunkStore])
+@pytest.mark.parametrize("store_cls", [CpuChunkStore])
 def test_put_many_matches_per_chunk_puts(store_cls):
     _, total, _, datas = _make_case()
     a = store_cls(total)
@@ -135,7 +135,7 @@ def test_put_many_matches_per_chunk_puts(store_cls):
     assert a._checksums == b._checksums
     # Counter totals reconcile exactly; only the transfer count differs.
     for name in ("put_bytes", "put_chunks"):
-        counter = f"{store_cls._PREFIX}.{name}"
+        counter = f"cpu_store.{name}"
         assert a.tracer.counter(counter) == b.tracer.counter(counter) > 0
     # Every stored chunk still passes its CRC re-check.
     for i in range(len(datas)):
@@ -162,7 +162,7 @@ def test_put_many_rejects_duplicates_atomically():
     assert store.chunks_of(0) == [1]
 
 
-@pytest.mark.parametrize("store_cls", [CpuChunkStore, DiskChunkStore])
+@pytest.mark.parametrize("store_cls", [CpuChunkStore])
 def test_pop_many_matches_per_chunk_pops(store_cls):
     _, total, _, datas = _make_case()
     a = store_cls(total)
@@ -186,7 +186,7 @@ def test_pop_many_matches_per_chunk_pops(store_cls):
     assert a.used_tokens == b.used_tokens
     assert a.chunks_of(0) == b.chunks_of(0)
     assert a._checksums == b._checksums
-    counter = f"{store_cls._PREFIX}.read_bytes"
+    counter = f"cpu_store.read_bytes"
     assert a.tracer.counter(counter) == b.tracer.counter(counter) > 0
 
 

@@ -240,7 +240,7 @@ class TestLedgerCounters:
         assert counters["ledger.pcie.h2d_transfers"] == 2
         assert counters["ledger.pcie.d2h_transfers"] == 1
         assert counters["ledger.pcie.h2d_bytes"] == 4096
-        assert "ledger.nvme.read_transfers" not in counters
+        assert len(counters) == 4  # two directions, transfers and bytes
 
 
 class TestMetricsSampler:

@@ -2,7 +2,7 @@
 telemetry call.
 
 An unarmed engine holds ``tracer = None`` (as do its loop, cache manager
-and links) and a collector with ``hist = None`` and ``flight = None``.
+and link) and a collector with ``hist = None`` and ``flight = None``.
 Every instrumentation site tests ``is not None`` before it computes a
 sample or calls in, so a stray call on the off path raises instead of
 passing silently: every unarmed tier-1 run enforces the contract.  This
@@ -27,9 +27,7 @@ def _workload():
 
 def _factory(loop):
     spec = spec_with_capacity(256, cpu_memory_bytes=TINY.kv_bytes_per_token * 96)
-    return PensieveEngine(
-        loop, TINY, spec, chunk_size=16, policy="lru", disk_cache_tokens=4096
-    )
+    return PensieveEngine(loop, TINY, spec, chunk_size=16, policy="lru")
 
 
 def _unarmed_run():
@@ -54,7 +52,7 @@ class TestNullSinksNeverInvoked:
     def test_unarmed_run_never_calls_the_null_tracer(self):
         engine = _unarmed_run()
         assert engine.manager.stats["swapped_out_tokens"] > 0  # tiers worked
-        owners = [engine, engine.loop, engine.manager, engine.pcie, engine.nvme]
+        owners = [engine, engine.loop, engine.manager, engine.pcie]
         assert [owner.tracer for owner in owners] == [None] * len(owners)
 
     def test_unarmed_collector_shares_the_singletons(self):

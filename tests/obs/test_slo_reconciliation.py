@@ -1,16 +1,15 @@
 """SLO-layer reconciliation: histogram totals and flight-recorder event
 counts must agree — exactly, not approximately — with the independent
-ledgers the engine components keep (PCIe/NVMe transfer histories, cache
+ledgers the engine components keep (the PCIe transfer history, cache
 manager stats, the metrics collector's request records).
 
-The workload mirrors ``test_disk_reconciliation.py``: small GPU and CPU
-tiers with a disk tier behind them, so all four swap paths (CPU/disk,
-in/out) are exercised in one run.  The run drains (every conversation
-completes before the horizon), which makes the per-request identities
-exact:
+The workload has small GPU and CPU tiers, so both swap paths (in and
+out) and recomputation are exercised in one run.  The run drains (every
+conversation completes before the horizon), which makes the per-request
+identities exact:
 
 - every histogram swap sample corresponds to exactly one transfer in the
-  PCIe/NVMe history for that tier and direction;
+  PCIe history for that direction;
 - TTFT samples count requests; TTFT+TBT samples count produced tokens;
 - recompute histogram mass equals the cache manager's recomputed-token
   ledger;
@@ -51,7 +50,7 @@ HISTOGRAMS = frozenset({
     "chat_turn_seconds", "chat_token_seconds",
 })
 #: ``tier=`` labels of the swap histograms and the flight swap events.
-TIERS = frozenset({"cpu", "disk"})
+TIERS = frozenset({"cpu"})
 #: Flight-recorder lifecycle events (ledger keys are ``event`` or
 #: ``event.tier``; a preemption records as ``suspend``).
 FLIGHT_EVENTS = frozenset({
@@ -82,9 +81,7 @@ def _workload():
 
 def _factory(loop):
     spec = spec_with_capacity(192, cpu_memory_bytes=TINY.kv_bytes_per_token * 96)
-    return PensieveEngine(
-        loop, TINY, spec, chunk_size=16, policy="lru", disk_cache_tokens=4096
-    )
+    return PensieveEngine(loop, TINY, spec, chunk_size=16, policy="lru")
 
 
 def _run(slo=None, hist=None, flight=None, sampler=None):
@@ -117,7 +114,7 @@ class TestLedgerIdentities:
         engine, stats, hist, _ = armed_run
         assert engine.num_waiting == 0 and engine.num_running == 0
         assert not engine.metrics.failures
-        assert engine.nvme.bytes_moved[Direction.READ] > 0
+        assert engine.pcie.bytes_moved[Direction.H2D] > 0
         assert engine.manager.stats["recomputed_tokens"] > 0
         # Every swap histogram × every tier label.
         for name in ("swap_in_seconds", "swap_out_seconds"):
@@ -139,14 +136,6 @@ class TestLedgerIdentities:
         # ahead-of-time background copies have no single owner, so the
         # flight ledger can only undercount — never overcount.
         assert 0 <= _events(flight, "swap_out.cpu") <= d2h
-
-    def test_disk_swap_counts_match_nvme_history(self, armed_run):
-        engine, _, hist, flight = armed_run
-        reads = len(_transfers(engine.nvme.history, Direction.READ))
-        writes = len(_transfers(engine.nvme.history, Direction.WRITE))
-        assert hist.get("swap_in_seconds", tier="disk").count == reads
-        assert _events(flight, "swap_in.disk") == reads
-        assert hist.get("swap_out_seconds", tier="disk").count == writes
 
     def test_recompute_mass_matches_cache_ledger(self, armed_run):
         engine, _, hist, flight = armed_run
@@ -261,7 +250,7 @@ class TestDeclaredNames:
     def test_every_declared_name_is_recorded(self, armed_run, tmp_path, monkeypatch):
         """The other direction of ``test_recorded_names_are_declared``:
         every expected histogram, tier label and flight event is recorded
-        by a real run — the drained three-tier run above, a fault-armed
+        by a real run — the drained two-tier run above, a fault-armed
         run that suspends, and a metrics-armed chat turn.  An expected
         name that nothing records fails here."""
         _, _, hist, flight = armed_run
@@ -287,18 +276,11 @@ class TestPrometheusSelfReconciliation:
         )
         parsed = parse_prometheus(text)
         cpu = (("tier", "cpu"),)
-        disk = (("tier", "disk"),)
         assert parsed["repro_swap_in_seconds_count"][cpu] == (
             parsed["repro_ledger_pcie_h2d_transfers_total"][()]
         )
         assert parsed["repro_swap_out_seconds_count"][cpu] == (
             parsed["repro_ledger_pcie_d2h_transfers_total"][()]
-        )
-        assert parsed["repro_swap_in_seconds_count"][disk] == (
-            parsed["repro_ledger_nvme_read_transfers_total"][()]
-        )
-        assert parsed["repro_swap_out_seconds_count"][disk] == (
-            parsed["repro_ledger_nvme_write_transfers_total"][()]
         )
         assert parsed["repro_recompute_tokens_sum"][()] == (
             parsed["repro_ledger_cache_recomputed_tokens_total"][()]
@@ -369,7 +351,6 @@ class TestNoPerturbation:
         assert stats_a.as_dict() == stats_b.as_dict()
         assert engine_a.manager.stats == engine_b.manager.stats
         assert engine_a.pcie.bytes_moved == engine_b.pcie.bytes_moved
-        assert engine_a.nvme.bytes_moved == engine_b.nvme.bytes_moved
         assert engine_a.suspensions == engine_b.suspensions
 
     def test_unarmed_engine_keeps_null_sinks(self):
@@ -391,7 +372,7 @@ class TestSamplerOnRealRun:
         times = [r["t"] for r in sampler.rows]
         assert times == sorted(times)
         assert sampler.rows[-1]["finished"] == len(engine.metrics.records)
-        assert "kv_disk_used_tokens" in sampler.rows[-1]
+        assert "kv_cpu_used_tokens" in sampler.rows[-1]
         assert sampler.rows[-1]["ttft_seconds_count"] == (
             hist.get("ttft_seconds").count
         )

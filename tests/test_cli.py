@@ -107,32 +107,6 @@ class TestSimulate:
             )
 
     @pytest.mark.parametrize("command", [
-        ["simulate", "--rate", "2"], ["sweep", "--rates", "2"],
-    ])
-    def test_disk_tokens_rejected_without_a_cpu_tier(self, command):
-        """``pensieve-gpu`` has no CPU tier, and chunks reach disk only
-        from it: a disk tier there would hold nothing."""
-        with pytest.raises(SystemExit, match="requires the pensieve system"):
-            main(
-                command + [
-                    "--system", "pensieve-gpu", "--model", "opt-13b",
-                    "--duration", "40", "--disk-tokens", "1024",
-                ]
-            )
-
-    @pytest.mark.parametrize("command", [
-        ["simulate", "--rate", "2", "--duration", "40"],
-        ["trace", "fig15x", "--rates", "2", "--duration", "40"],
-    ], ids=["simulate", "trace"])
-    def test_negative_disk_tokens_exit_with_the_message(self, command):
-        """The cache manager's message, as ``sweep`` and ``chat`` give it,
-        not a traceback (the run stops before anything is written)."""
-        with pytest.raises(
-            SystemExit, match=r"^repro \w+: disk_capacity_tokens must be non-negative"
-        ):
-            main(command + ["--model", "opt-13b", "--disk-tokens", "-5"])
-
-    @pytest.mark.parametrize("command", [
         ["simulate", "--rate", "nan", "--duration", "30"],
         ["simulate", "--think-time", "nan"],
         ["simulate", "--duration", "nan"],
@@ -172,10 +146,6 @@ class TestSimulate:
 
 
 class TestChat:
-    def test_disk_tier_without_a_cpu_tier_rejected(self):
-        with pytest.raises(SystemExit, match="needs a CPU tier"):
-            main(["chat", "--cpu-tokens", "0", "--disk-tokens", "64"])
-
     @pytest.mark.parametrize("max_tokens", ["0", "-3"])
     def test_max_tokens_below_one_exits_before_the_server(self, max_tokens, monkeypatch):
         """Refused before the server is built, not by ``chat_batch`` at
@@ -295,7 +265,7 @@ class TestObservabilityCli:
         ):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
-        assert parser.parse_args(["trace", "fig15x"]).experiment == "fig15x"
+        assert parser.parse_args(["trace", "fig13"]).experiment == "fig13"
 
     def test_simulate_with_slo_writes_metrics_artifacts(self, capsys, tmp_path):
         import json

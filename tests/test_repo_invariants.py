@@ -279,19 +279,18 @@ def test_a_steady_decode_step_rebuilds_no_scaffolding(monkeypatch):
 SETTINGS = {
     PensieveEngine: (
         "loop", "config", "spec", "batch_config", "cpu_cache_tokens",
-        "disk_cache_tokens", "policy", "chunk_size", "unified",
+        "policy", "chunk_size", "unified",
         "pipelined_swap_in", "prioritize_retrieval", "name",
         "whole_conversation_eviction", "fault_plan",
     ),
     StatefulChatServer: (
         "config", "gpu_capacity_tokens", "cpu_capacity_tokens",
-        "disk_capacity_tokens", "chunk_size", "page_size", "seed",
+        "chunk_size", "page_size", "seed",
         "fault_plan", "use_fast_paths", "backend",
     ),
     TieredCacheManager: (
         "gpu_capacity_tokens", "cpu_capacity_tokens", "scorer", "chunk_size",
         "whole_conversation_eviction", "fault_plan", "fault_counters",
-        "disk_capacity_tokens",
     ),
     EngineBase: ("name", "loop", "cost_model", "config"),
     transformer.PagedTransformer: ("config", "storage", "seed", "use_fast_paths"),
@@ -315,7 +314,7 @@ SETTINGS = {
         "generation_reserve",
     ),
 }
-SETTINGS_BUDGET = 79
+SETTINGS_BUDGET = 76
 
 
 def _settings(owner):

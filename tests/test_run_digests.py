@@ -1,7 +1,7 @@
 """Golden digests of seeded runs: "no decision moved" as a tier-1 check.
 
 Each row of :data:`DIGESTS` is one seeded run reduced to a 16-hex-digit
-sha256 of everything it decided: every PCIe/NVMe transfer record, the
+sha256 of everything it decided: every PCIe transfer record, the
 fault counters, ``manager.stats``, the serving statistics and the
 iteration count for the simulated engines; the per-rate values the
 serving benchmark's ``sim_sweep`` checks for repeat-exactness for the
@@ -14,10 +14,10 @@ moves a digest.  A change that means to move one updates the table and
 says which row moved and why.
 
 The two ``recipe/`` rows are the manual parent-vs-change recipe earlier
-changes ran by hand; their values are the ones recorded there.
+changes ran by hand, on two tiers.
 
 The ``telemetry/`` rows arm the whole ``repro.obs`` layer (a
-``Tracer`` and the SLO metrics layer) on the armed three-tier run and
+``Tracer`` and the SLO metrics layer) on the armed two-tier run and
 hash its four artifacts: the Prometheus snapshot with the ledger
 counters, the flight-recorder captures, the Chrome trace document and
 the JSONL trace records with their wall-clock stamps removed.
@@ -115,25 +115,24 @@ def _engine_digest(factory, conversations, until: float) -> str:
     records = [
         tuple(getattr(r, f).value if f == "direction" else getattr(r, f)
               for f in _TRANSFER_FIELDS)
-        for r in engine.pcie.history + engine.nvme.history
+        for r in engine.pcie.history
     ]
     return _hex((records, engine.metrics.faults.as_dict(), engine.manager.stats,
                  stats.as_dict(), engine.iterations))
 
 
 def _pensieve_factory(
-    disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
+    armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
 ):
     """OPT-13B on an A100 whose KV cache holds 3,072 tokens and whose host
-    memory holds 1,024, so every tier evicts; ``disk`` adds an NVMe tier
-    and ``unified=False`` runs Figure 13's separate-batch ablation."""
+    memory holds 1,024, so both tiers evict; ``unified=False`` runs
+    Figure 13's separate-batch ablation."""
     kv = OPT_13B.kv_bytes_per_token
 
     def factory(loop):
         spec = replace(A100_80GB, kv_cache_bytes=kv * 3072, cpu_memory_bytes=kv * 1024)
         return PensieveEngine(
             loop, OPT_13B, spec, chunk_size=32, policy=policy,
-            disk_cache_tokens=8192 if disk else 0,
             fault_plan=_plan(seed, 0.1) if armed else None, unified=unified,
         )
 
@@ -141,20 +140,20 @@ def _pensieve_factory(
 
 
 def pensieve_digest(
-    disk: bool, armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
+    armed: bool, policy: str, seed: int = FAULT_SEED, unified: bool = True
 ) -> str:
-    factory = _pensieve_factory(disk, armed, policy, seed, unified)
+    factory = _pensieve_factory(armed, policy, seed, unified)
     return _engine_digest(factory, _mixed_conversations(), until=120.0)
 
 
 def telemetry_digest(seed: int = FAULT_SEED) -> str:
-    """The armed three-tier retention run with a ``Tracer`` and the SLO
+    """The armed two-tier retention run with a ``Tracer`` and the SLO
     layer armed: the digests of its Prometheus snapshot (ledger counters
     included), its flight captures, its Chrome trace document and its
     JSONL trace records without their ``wall*`` fields."""
     tracer = Tracer()
     engine, _ = run_serving_once(
-        _pensieve_factory(True, True, "retention", seed), _mixed_conversations(),
+        _pensieve_factory(True, "retention", seed), _mixed_conversations(),
         until=120.0, warmup=0.0, tracer=tracer,
         slo=SloConfig(ttft=0.2, tbt=0.03),
     )
@@ -178,12 +177,12 @@ def telemetry_digest(seed: int = FAULT_SEED) -> str:
 
 
 def recipe_digest(armed: bool) -> str:
-    """The earlier manual recipe: the tiny model, three tiers, LRU."""
+    """The earlier manual recipe: the tiny model, two tiers, LRU."""
 
     def factory(loop):
         spec = spec_with_capacity(192, cpu_memory_bytes=TINY.kv_bytes_per_token * 96)
         return PensieveEngine(
-            loop, TINY, spec, chunk_size=16, policy="lru", disk_cache_tokens=4096,
+            loop, TINY, spec, chunk_size=16, policy="lru",
             fault_plan=_plan(FAULT_SEED, 0.3) if armed else None,
         )
 
@@ -228,10 +227,10 @@ def sweep_digest() -> str:
 
 
 def starved_server(seed: int = FAULT_SEED) -> StatefulChatServer:
-    """A starved three-tier functional server under an armed plan."""
+    """A starved two-tier functional server under an armed plan."""
     return StatefulChatServer(
         tiny_llama_config(), gpu_capacity_tokens=192, cpu_capacity_tokens=96,
-        disk_capacity_tokens=4096, chunk_size=16, page_size=8, seed=0,
+        chunk_size=16, page_size=8, seed=0,
         fault_plan=_plan(seed, 0.3),
     )
 
@@ -392,51 +391,43 @@ def decode_digest() -> str:
 
 
 RUNS = {
-    "pensieve/2tier/unarmed/retention": lambda: pensieve_digest(False, False, "retention"),
-    "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, False, "lru"),
-    "pensieve/2tier/armed/retention": lambda: pensieve_digest(False, True, "retention"),
-    "pensieve/2tier/armed/lru": lambda: pensieve_digest(False, True, "lru"),
+    "pensieve/2tier/unarmed/retention": lambda: pensieve_digest(False, "retention"),
+    "pensieve/2tier/unarmed/lru": lambda: pensieve_digest(False, "lru"),
+    "pensieve/2tier/armed/retention": lambda: pensieve_digest(True, "retention"),
+    "pensieve/2tier/armed/lru": lambda: pensieve_digest(True, "lru"),
     "pensieve/2tier/separate": lambda: pensieve_digest(
-        False, False, "retention", unified=False
+        False, "retention", unified=False
     ),
-    "pensieve/3tier/unarmed/retention": lambda: pensieve_digest(True, False, "retention"),
-    "pensieve/3tier/unarmed/lru": lambda: pensieve_digest(True, False, "lru"),
-    "pensieve/3tier/armed/retention": lambda: pensieve_digest(True, True, "retention"),
-    "pensieve/3tier/armed/lru": lambda: pensieve_digest(True, True, "lru"),
-    "recipe/3tier/unarmed/lru": lambda: recipe_digest(False),
-    "recipe/3tier/armed/lru": lambda: recipe_digest(True),
+    "recipe/2tier/unarmed/lru": lambda: recipe_digest(False),
+    "recipe/2tier/armed/lru": lambda: recipe_digest(True),
     "stateless/vllm": stateless_digest,
     "sweep/opt-13b/2-rates": sweep_digest,
-    "server/3tier/armed": server_digest,
+    "server/2tier/armed": server_digest,
     "model/float64/mixed-batch": model_digest,
     "server/decode-steps": decode_digest,
     "server/batch/pressure": pressure_digest,
-    "telemetry/3tier/armed/seed11": telemetry_digest,
-    "telemetry/3tier/armed/seed23": lambda: telemetry_digest(23),
-    "telemetry/3tier/armed/seed47": lambda: telemetry_digest(47),
+    "telemetry/2tier/armed/seed11": telemetry_digest,
+    "telemetry/2tier/armed/seed23": lambda: telemetry_digest(23),
+    "telemetry/2tier/armed/seed47": lambda: telemetry_digest(47),
 }
 
 DIGESTS = {
-    "pensieve/2tier/unarmed/retention": "38f516d78915b46a",
-    "pensieve/2tier/unarmed/lru": "15b000cbac6526ca",
-    "pensieve/2tier/armed/retention": "6a16af03ae45f835",
-    "pensieve/2tier/armed/lru": "c1791895348977bc",
-    "pensieve/2tier/separate": "fa578a635ce603ef",
-    "pensieve/3tier/unarmed/retention": "ebb9a07d0a9f2a21",
-    "pensieve/3tier/unarmed/lru": "73f31d64cb21d232",
-    "pensieve/3tier/armed/retention": "ce5a73b3f0018345",
-    "pensieve/3tier/armed/lru": "29738aebe26911c9",
-    "recipe/3tier/unarmed/lru": "494149babdf48bbb",
-    "recipe/3tier/armed/lru": "d31c3134518aae3d",
+    "pensieve/2tier/unarmed/retention": "9d9c1218faf47add",
+    "pensieve/2tier/unarmed/lru": "3dbdad649475b453",
+    "pensieve/2tier/armed/retention": "813a33e904270dd3",
+    "pensieve/2tier/armed/lru": "164eea7bfa2e433e",
+    "pensieve/2tier/separate": "784b3fc885fa12b7",
+    "recipe/2tier/unarmed/lru": "2df981136cddd2c0",
+    "recipe/2tier/armed/lru": "426c99dced2bb3df",
     "stateless/vllm": "52f87e287eb88f3a",
     "sweep/opt-13b/2-rates": "0354b279803b5428",
-    "server/3tier/armed": "3526e06261cb62e4",
+    "server/2tier/armed": "f0aad69adbad6db8",
     "model/float64/mixed-batch": "a1d82ab27d933482",
     "server/decode-steps": "62c9d98cb2c59beb",
-    "server/batch/pressure": "2b2b3963ffc2507f",
-    "telemetry/3tier/armed/seed11": "308dd540ef093e46",
-    "telemetry/3tier/armed/seed23": "20c2c1f26a7c6eec",
-    "telemetry/3tier/armed/seed47": "e2bc7a5b39e47bca",
+    "server/batch/pressure": "9c554f39458c9a39",
+    "telemetry/2tier/armed/seed11": "ca0d00564794f326",
+    "telemetry/2tier/armed/seed23": "1802522c39962507",
+    "telemetry/2tier/armed/seed47": "a231ee5fb45f9fb8",
 }
 
 
@@ -465,7 +456,7 @@ def _margins(server: StatefulChatServer, script) -> list:
 
 
 def test_server_row_tokens_clear_the_float32_drift_bound():
-    """Every greedy token of the ``server/3tier/armed`` run wins by a
+    """Every greedy token of the ``server/2tier/armed`` run wins by a
     top-2 margin over 10x the float32 model's drift bound, so another
     host's sgemm (another CPU or numpy build) cannot flip one, and the
     row's ``crc32`` does not depend on it."""
@@ -485,7 +476,7 @@ def test_pressure_row_tokens_clear_the_float32_drift_bound():
     "seed", [FAULT_SEED] + ([int(_EXTRA)] if _EXTRA else [])
 )
 def test_same_seed_twice_in_one_process(seed):
-    for run in (lambda: pensieve_digest(True, True, "retention", seed),
+    for run in (lambda: pensieve_digest(True, "retention", seed),
                 lambda: server_digest(seed)):
         assert run() == run()
 
